@@ -8,7 +8,9 @@ trace.
 
 Two constructions are provided: the first-order small-time Choi built directly
 from the generator, and the finite-interval Choi of the map bridging two times
-of a propagated evolution.
+of a propagated evolution. All propagation goes through one batched
+fixed-step RK4 kernel: `propagate_map` runs it over one window, and
+`bridge_spectra` over one window [t, t + delta] per grid time.
 """
 
 import warnings
@@ -27,6 +29,7 @@ __all__ = [
     "choi_small_time",
     "propagate_map",
     "intermediate_map",
+    "bridge_spectra",
     "choi_of_superoperator",
     "cptp_diagnostics",
     "partial_trace_output",
@@ -38,6 +41,9 @@ DEFAULT_STEPS_PER_UNIT = 1000
 CONDITION_LIMIT = 1e12
 # |eps * gamma| above which the first-order small-time Choi is dubious.
 SMALL_TIME_RATE_LIMIT = 0.1
+# d^2 x d^2 matrix entries one batched RK4 chunk holds per stack (one matrix
+# per window step): bounds the kernel's memory whatever the grid size.
+CHUNK_ENTRIES = 4096
 # Tolerances for Choi construction sanity checks.
 _CHOI_TRACE_ATOL = 1e-6
 _CHOI_ASYMMETRY_ATOL = 1e-8
@@ -90,9 +96,11 @@ def _choi_from_superop(phi: np.ndarray, d: int) -> np.ndarray:
     """(1/d) sum_ij E_ij kron M(E_ij) for the map with row-major matrix phi.
 
     With row-major vec, M(E_ij)[a, b] = phi[(a, b), (i, j)], so the Choi state
-    is a reshuffle of phi.
+    is a reshuffle of phi. Leading axes of phi are stack axes.
     """
-    return phi.reshape(d, d, d, d).transpose(2, 0, 3, 1).reshape(d * d, d * d) / d
+    lead = phi.shape[:-2]
+    blocks = np.einsum("...abij->...iajb", phi.reshape(*lead, d, d, d, d))
+    return blocks.reshape(*lead, d * d, d * d) / d
 
 
 def partial_trace_output(c: np.ndarray, d: int) -> np.ndarray:
@@ -101,12 +109,28 @@ def partial_trace_output(c: np.ndarray, d: int) -> np.ndarray:
 
 
 def _symmetrized_choi(c: np.ndarray) -> np.ndarray:
-    asym = float(np.max(np.abs(c - c.conj().T)))
+    """Hermitian part of a (stack of) Choi matrices, refusing visible asymmetry."""
+    c_dag = np.swapaxes(c, -1, -2).conj()
+    asym = float(np.max(np.abs(c - c_dag)))
     if asym > _CHOI_ASYMMETRY_ATOL:
         raise ValueError(
             f"constructed Choi matrix is not Hermitian: asymmetry {asym:.3e}"
         )
-    return 0.5 * (c + c.conj().T)
+    return 0.5 * (c + c_dag)
+
+
+def _checked_choi(maps: np.ndarray, d: int) -> np.ndarray:
+    """Symmetrized Choi states of a (stack of) maps, refusing maps that are
+    not trace preserving (Choi trace off 1 by more than 1e-6)."""
+    c = _choi_from_superop(maps, d)
+    trace = np.trace(c, axis1=-2, axis2=-1)
+    trace_dev = float(np.max(np.abs(trace.real - 1.0) + np.abs(trace.imag)))
+    if trace_dev > _CHOI_TRACE_ATOL:
+        raise ValueError(
+            f"map is not trace preserving: Choi trace deviation {trace_dev:.3e} "
+            f"exceeds {_CHOI_TRACE_ATOL:.1e}"
+        )
+    return _symmetrized_choi(c)
 
 
 class SmallTimeChoiBuilder:
@@ -157,39 +181,76 @@ def choi_small_time(gen: LindbladGenerator, t: float, epsilon: float) -> ChoiMat
     return ChoiMatrix(c, (t, t + epsilon), "small-time")
 
 
-def _superop_at(h_part: np.ndarray, d_parts, gen: LindbladGenerator, t: float) -> np.ndarray:
-    gammas = rates_at(gen, t)
-    if not np.all(np.isfinite(gammas)):
-        raise ValueError(f"non-finite rate encountered at t = {t:.6g}: {gammas}")
-    out = h_part.copy()
-    for g, part in zip(gammas, d_parts):
-        out += g * part
-    return out
-
-
-def _rk4_propagate(
-    gen: LindbladGenerator,
-    h_part: np.ndarray,
-    d_parts,
-    t0: float,
-    t1: float,
-    steps: int,
-    phi0: np.ndarray,
+def _half_step_rates(
+    gen: LindbladGenerator, starts: np.ndarray, h: float, steps: int
 ) -> np.ndarray:
-    """Classical fourth-order fixed-step integration of dPhi/dt = Lhat(t) Phi."""
-    phi = phi0
-    h = (t1 - t0) / steps
-    for k in range(steps):
-        t = t0 + k * h
-        a1 = _superop_at(h_part, d_parts, gen, t)
-        a2 = _superop_at(h_part, d_parts, gen, t + 0.5 * h)
-        a4 = _superop_at(h_part, d_parts, gen, t + h)
-        k1 = a1 @ phi
-        k2 = a2 @ (phi + 0.5 * h * k1)
-        k3 = a2 @ (phi + 0.5 * h * k2)
-        k4 = a4 @ (phi + h * k3)
-        phi = phi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return phi
+    """Rates at the 2*steps + 1 half-step times of every window, (W, 2*steps + 1, K).
+
+    A step's end time is the next step's start, so a step costs two rate
+    evaluations. Non-finite rates are refused, naming the earliest such time.
+    """
+    times = starts[:, None] + (0.5 * h) * np.arange(2 * steps + 1)
+    gammas = np.array([rates_at(gen, float(t)) for t in times.ravel()])
+    gammas = gammas.reshape(*times.shape, len(gen.dissipators))
+    bad = ~np.all(np.isfinite(gammas), axis=-1)
+    if np.any(bad):
+        first = np.unravel_index(np.argmin(np.where(bad, times, np.inf)), times.shape)
+        raise ValueError(f"non-finite rate at t = {times[first]:.6g}: {gammas[first]}")
+    return gammas
+
+
+def _rk4_product(parts: np.ndarray, gammas: np.ndarray, h: float) -> np.ndarray:
+    """RK4 propagators of n windows of m steps, from their half-step rates (n, 2m + 1, K).
+
+    The generator is affine in the rates, so all stage generators come from
+    one product of the coefficients [1, gamma_1, ...] with the stacked blocks
+    [H_part, D_1, ...]. Each step map is one classical RK4 step applied to
+    the identity (RK4 is linear in Phi, so stepping Phi is that map times
+    Phi); a window's step maps are then multiplied pairwise, later steps on
+    the left.
+    """
+    coef = np.concatenate((np.ones(gammas.shape[:-1] + (1,)), gammas), axis=-1)
+    a = coef @ parts.reshape(len(parts), -1)
+    a = a.reshape(*coef.shape[:-1], *parts.shape[1:])
+    a1, a2, a4 = a[:, :-1:2], a[:, 1::2], a[:, 2::2]
+    eye = np.eye(parts.shape[-1])
+    k1 = a1
+    k2 = a2 @ (eye + 0.5 * h * k1)
+    k3 = a2 @ (eye + 0.5 * h * k2)
+    k4 = a4 @ (eye + h * k3)
+    maps = eye + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    while maps.shape[1] > 1:
+        paired = maps[:, 1::2] @ maps[:, :-1:2]
+        if maps.shape[1] % 2:
+            paired = np.concatenate((paired, maps[:, -1:]), axis=1)
+        maps = paired
+    return maps[:, 0]
+
+
+def _rk4_chunks(gen: LindbladGenerator, gammas: np.ndarray, h: float):
+    """Classical fixed-step RK4 integration of dPhi/dt = Lhat(t) Phi from the
+    identity over every window whose half-step rates are gammas (W, 2m + 1, K).
+
+    Yields (window slice, propagators) chunk by chunk. A chunk holds at most
+    CHUNK_ENTRIES matrix entries per stack: whole windows when a window's
+    steps fit, otherwise one window whose steps are taken a chunk at a time.
+    """
+    h_part, d_parts = _superoperator_parts(gen)
+    parts = np.stack([h_part, *d_parts])
+    windows, steps = gammas.shape[0], (gammas.shape[1] - 1) // 2
+    per_chunk = max(1, CHUNK_ENTRIES // h_part.size)
+    if steps <= per_chunk:
+        width = per_chunk // steps
+        for lo in range(0, windows, width):
+            yield slice(lo, lo + width), _rk4_product(parts, gammas[lo:lo + width], h)
+        return
+    for w in range(windows):
+        phi = None
+        for k in range(0, steps, per_chunk):
+            end = min(k + per_chunk, steps)
+            block = _rk4_product(parts, gammas[w:w + 1, 2 * k:2 * end + 1], h)
+            phi = block if phi is None else block @ phi
+        yield slice(w, w + 1), phi
 
 
 def _resolve_steps(t0: float, t1: float, steps: int | None) -> int:
@@ -212,13 +273,39 @@ def propagate_map(
     """
     if t1 < t0:
         raise ValueError(f"require t1 >= t0, got t0 = {t0}, t1 = {t1}")
-    d2 = gen.dim * gen.dim
-    eye = np.eye(d2, dtype=complex)
     if t1 == t0:
-        return SuperoperatorMatrix(eye, (t0, t1))
-    h_part, d_parts = _superoperator_parts(gen)
-    phi = _rk4_propagate(gen, h_part, d_parts, t0, t1, _resolve_steps(t0, t1, steps), eye)
-    return SuperoperatorMatrix(phi, (t0, t1))
+        return SuperoperatorMatrix(np.eye(gen.dim * gen.dim, dtype=complex), (t0, t1))
+    steps = _resolve_steps(t0, t1, steps)
+    h = (t1 - t0) / steps
+    gammas = _half_step_rates(gen, np.array([float(t0)]), h, steps)
+    ((_, phi),) = _rk4_chunks(gen, gammas, h)
+    return SuperoperatorMatrix(phi[0], (t0, t1))
+
+
+def bridge_spectra(
+    gen: LindbladGenerator,
+    starts,
+    delta: float,
+    steps_per_unit: int = DEFAULT_STEPS_PER_UNIT,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Choi spectra of the bridge maps Lambda(t + delta, t), one per start t.
+
+    Each bridge is integrated directly over its own window with
+    max(1, round(steps_per_unit * delta)) RK4 steps, so no propagator from 0
+    is formed or inverted. Returns the rates gamma_i(t) at the starts, shape
+    (W, K), and each bridge's Choi eigenvalues in descending order, (W, d^2).
+    """
+    if delta <= 0:
+        raise ValueError(f"delta must be positive, got {delta}")
+    starts = np.asarray(starts, dtype=float)
+    steps = max(1, round(steps_per_unit * delta))
+    h = delta / steps
+    gammas = _half_step_rates(gen, starts, h, steps)
+    d = gen.dim
+    spectra = np.empty((starts.size, d * d))
+    for window, maps in _rk4_chunks(gen, gammas, h):
+        spectra[window] = np.linalg.eigvalsh(_checked_choi(maps, d))[:, ::-1]
+    return gammas[:, 0].copy(), spectra
 
 
 def _solve_intermediate(phi_s: np.ndarray, phi_t: np.ndarray, s: float) -> np.ndarray:
@@ -267,14 +354,7 @@ def choi_of_superoperator(
     d = int(round(np.sqrt(d2)))
     if mat.shape != (d2, d2) or d * d != d2:
         raise ValueError(f"superoperator must be d^2 x d^2, got shape {mat.shape}")
-    c = _choi_from_superop(mat, d)
-    trace_dev = abs(float(np.trace(c).real) - 1.0) + abs(float(np.trace(c).imag))
-    if trace_dev > _CHOI_TRACE_ATOL:
-        raise ValueError(
-            f"map is not trace preserving: Choi trace deviation {trace_dev:.3e} "
-            f"exceeds {_CHOI_TRACE_ATOL:.1e}"
-        )
-    return ChoiMatrix(_symmetrized_choi(c), interval if interval else (0.0, 0.0),
+    return ChoiMatrix(_checked_choi(mat, d), interval if interval else (0.0, 0.0),
                       "finite-interval")
 
 

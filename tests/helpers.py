@@ -2,8 +2,9 @@
 
 import numpy as np
 
-from choi_moments.lindblad import LindbladGenerator
-from choi_moments.rates import ConstantRate
+from choi_moments.choi import choi_of_superoperator
+from choi_moments.lindblad import LindbladGenerator, generator_superoperator
+from choi_moments.rates import ConstantRate, ExpCosRate
 
 
 def random_hermitian(rng, n):
@@ -37,6 +38,16 @@ def random_generator(rng, dim, n_ops=2, rate_range=(-1.0, 1.0)):
     return LindbladGenerator(dim, random_hermitian(rng, dim), tuple(zip(ops, rates)))
 
 
+def random_expcos_generator(rng, dim, n_ops=2):
+    """Unit-norm Gaussian jump operators with exp(-kt)cos(kt) rates of random k."""
+    ops = []
+    for _ in range(n_ops):
+        a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        ops.append(a / np.linalg.norm(a, 2))
+    rates = [ExpCosRate(k=float(rng.uniform(0.5, 3.0))) for _ in range(n_ops)]
+    return LindbladGenerator(dim, random_hermitian(rng, dim), tuple(zip(ops, rates)))
+
+
 def random_unital_generator(rng, dim, n_ops=2):
     """Normal jump operators with non-negative constant rates: unital and divisible."""
     ops = [random_normal_operator(rng, dim) for _ in range(n_ops)]
@@ -58,3 +69,35 @@ def random_kraus_choi(rng, d, n_kraus):
         v = q[k * d:(k + 1) * d].T.reshape(-1) / np.sqrt(d)
         choi += np.outer(v, v.conj())
     return choi
+
+
+def reference_rk4_propagate(gen, t0, t1, steps):
+    """Classical RK4 of dPhi/dt = Lhat(t) Phi from the identity, one step at a
+    time, with the generator rebuilt at every stage time.
+
+    The scalar reference for the package's batched kernel: same scheme,
+    different order of arithmetic.
+    """
+    phi = np.eye(gen.dim * gen.dim, dtype=complex)
+    h = (t1 - t0) / steps
+    for k in range(steps):
+        t = t0 + k * h
+        a1 = generator_superoperator(gen, t)
+        a2 = generator_superoperator(gen, t + 0.5 * h)
+        a4 = generator_superoperator(gen, t + h)
+        k1 = a1 @ phi
+        k2 = a2 @ (phi + 0.5 * h * k1)
+        k3 = a2 @ (phi + 0.5 * h * k2)
+        k4 = a4 @ (phi + h * k3)
+        phi = phi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return phi
+
+
+def reference_bridge_spectra(gen, grid, delta, steps_per_unit=1000):
+    """Descending Choi spectra of the bridges Lambda(t + delta, t), one window at a time."""
+    steps = max(1, round(steps_per_unit * delta))
+    spectra = []
+    for t in grid:
+        bridge = reference_rk4_propagate(gen, float(t), float(t) + delta, steps)
+        spectra.append(np.linalg.eigvalsh(choi_of_superoperator(bridge).matrix)[::-1])
+    return np.array(spectra)

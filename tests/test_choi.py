@@ -3,6 +3,8 @@ import pytest
 from scipy.integrate import quad
 
 from choi_moments.choi import (
+    CHUNK_ENTRIES,
+    bridge_spectra,
     choi_of_superoperator,
     choi_small_time,
     cptp_diagnostics,
@@ -15,10 +17,17 @@ from choi_moments.lindblad import (
     dephasing_generator,
     generator_superoperator,
     isotropic_pauli_generator,
+    rates_at,
 )
 from choi_moments.rates import ConstantRate, ExpCosRate
 from choi_moments.spectral import hermitian_spectrum
-from helpers import random_generator, random_kraus_choi
+from helpers import (
+    random_expcos_generator,
+    random_generator,
+    random_kraus_choi,
+    reference_bridge_spectra,
+    reference_rk4_propagate,
+)
 
 
 def expcos_integral(a, b):
@@ -134,6 +143,42 @@ class TestPropagateMap:
             phi = propagate_map(gen, 0.0, 1.5)
             out = (phi.matrix @ (np.eye(2) / 2).reshape(-1)).reshape(2, 2)
             assert np.trace(out).real == pytest.approx(1.0, abs=1e-8)
+
+
+class TestBatchedKernel:
+    """The batched RK4 kernel against the step-by-step loop in helpers."""
+
+    TOL = 1e-12
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("d", [2, 3, 4, 8])
+    def test_single_step_bridges_on_uneven_chunks(self, d, seed):
+        gen = random_expcos_generator(np.random.default_rng(seed), d)
+        grid = np.linspace(0.0, 2.0, 263)
+        windows_per_chunk = max(1, CHUNK_ENTRIES // d**4)
+        assert d == 8 or grid.size % windows_per_chunk != 0
+        rates, spectra = bridge_spectra(gen, grid, 1e-3)
+        assert np.max(np.abs(spectra - reference_bridge_spectra(gen, grid, 1e-3))) < self.TOL
+        assert np.array_equal(rates, np.array([rates_at(gen, float(t)) for t in grid]))
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("d", [2, 3, 4, 8])
+    def test_ten_step_bridges_on_non_uniform_grid(self, d, seed):
+        # delta = 0.01 takes 10 RK4 steps per window; at d = 8 a chunk holds
+        # one step, so each window is also split into step chunks.
+        rng = np.random.default_rng(seed)
+        gen = random_expcos_generator(rng, d)
+        grid = np.sort(rng.uniform(0.0, 2.0, 37))
+        _, spectra = bridge_spectra(gen, grid, 0.01)
+        assert np.max(np.abs(spectra - reference_bridge_spectra(gen, grid, 0.01))) < self.TOL
+
+    @pytest.mark.parametrize("d, t0, t1", [(2, 0.3, 1.7), (3, 0.3, 1.7), (4, 0.0, 0.5),
+                                           (8, 0.2, 0.25)])
+    def test_propagate_map_matches_step_loop(self, d, t0, t1):
+        gen = random_expcos_generator(np.random.default_rng(36), d)
+        steps = round(1000 * (t1 - t0))
+        phi = propagate_map(gen, t0, t1).matrix
+        assert np.max(np.abs(phi - reference_rk4_propagate(gen, t0, t1, steps))) < self.TOL
 
 
 class TestIntermediateMap:

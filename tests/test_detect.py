@@ -1,3 +1,6 @@
+import math
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -15,10 +18,32 @@ from choi_moments.detect import (
     rhp_rate_g,
     witness_series,
 )
+from choi_moments.config import build_generator, bundled_scenario_path, load_scenario
 from choi_moments.lindblad import LindbladGenerator, LOWERING, dephasing_generator, isotropic_pauli_generator
 from choi_moments.rates import ConstantRate, ExpCosRate, LorentzianRate
 from choi_moments.spectral import hermitian_spectrum, schatten_norm
 from helpers import random_kraus_choi, random_psd_unit_trace, random_unital_generator
+
+
+@dataclass
+class CountingRate:
+    """exp(-t) cos(t) that counts its evaluations."""
+
+    calls: int = 0
+
+    def evaluate(self, t: float) -> float:
+        self.calls += 1
+        return math.exp(-t) * math.cos(t)
+
+
+@dataclass(frozen=True)
+class BlowUpRate:
+    """Rate 1 up to `after`, infinite past it."""
+
+    after: float
+
+    def evaluate(self, t: float) -> float:
+        return math.inf if t > self.after else 1.0
 
 
 def dephasing_witness_exact(gamma, eps):
@@ -141,6 +166,16 @@ class TestWitnessSeries:
         finite = witness_series(gen, grid, eps, mode="finite-interval")
         assert np.max(np.abs(small.values - finite.values)) < 10.0 * eps**2
         assert small.violations and finite.violations
+
+    def test_finite_interval_rates_come_from_the_bridge_windows(self):
+        # One RK4 step per window: rates at its start, middle and end, and
+        # the start rates fill the rates column.
+        rate = CountingRate()
+        gen = dephasing_generator(rate)
+        grid = np.linspace(0.0, 2.0, 40)
+        series = witness_series(gen, grid, 1e-3, mode="finite-interval")
+        assert rate.calls == 3 * grid.size
+        assert np.array_equal(series.rates[:, 0], [math.exp(-t) * math.cos(t) for t in grid])
 
     def test_rejects_bad_grid(self):
         gen = dephasing_generator(ConstantRate(1.0))
@@ -274,6 +309,34 @@ class TestDivisibilityScan:
         gen = dephasing_generator(ConstantRate(1.0))
         with pytest.raises(ValueError, match="delta"):
             cp_divisibility_scan(gen, np.linspace(0.0, 1.0, 5), 0.0)
+
+    @pytest.mark.parametrize("name, verdict", [("example2", "CP-indivisible"),
+                                               ("ohmic_compare", "CP-divisible")])
+    def test_bundled_scenarios_with_ill_conditioned_propagators(self, name, verdict):
+        # Phi(t, 0) passes condition number 1e12 inside both grids (example2
+        # near t = 5.95, ohmic_compare near t = 1.98); every bridge map is
+        # still well defined, and the scan integrates those directly.
+        config = load_scenario(bundled_scenario_path(name))
+        grid = np.linspace(0.0, config.t_max, config.points)
+        scan = cp_divisibility_scan(build_generator(config), grid, config.epsilon)
+        assert scan.verdict == verdict
+
+    def test_non_finite_rate_names_earliest_time(self):
+        # 0.1-wide windows of 100 steps: the first half-step time past 0.9502
+        # lies inside the window starting at 0.9.
+        gen = dephasing_generator(BlowUpRate(after=0.9502))
+        with pytest.raises(ValueError, match=r"non-finite rate at t = 0\.9505:"):
+            cp_divisibility_scan(gen, np.linspace(0.0, 2.0, 21), 0.1)
+
+    def test_lorentzian_pole_is_named(self):
+        lam, gamma0 = 1.5, 1.0
+        g_abs = math.sqrt(2.0 * gamma0 * lam - lam * lam)
+        pole = (2.0 / g_abs) * (math.pi - math.atan2(g_abs, lam))
+        gen = dephasing_generator(LorentzianRate(lam=lam, gamma0=gamma0, k=1.0))
+        # The pole is the midpoint of the last window.
+        grid = np.array([1.0, pole - 5e-4])
+        with pytest.raises(ValueError, match=rf"pole at t = {pole:.8f}"):
+            cp_divisibility_scan(gen, grid, 1e-3)
 
 
 class TestRenyiEntropy:
