@@ -39,7 +39,8 @@ __all__ = [
 DEFAULT_STEPS_PER_UNIT = 1000
 # Condition number above which a propagator counts as non-invertible.
 CONDITION_LIMIT = 1e12
-# |eps * gamma| above which the first-order small-time Choi is dubious.
+# |eps * gamma| above which the first-order small-time Choi is dubious, and
+# |h * gamma| above which a fixed RK4 step of a bridge is.
 SMALL_TIME_RATE_LIMIT = 0.1
 # d^2 x d^2 matrix entries one batched RK4 chunk holds per stack (one matrix
 # per window step): bounds the kernel's memory whatever the grid size.
@@ -133,11 +134,25 @@ def _checked_choi(maps: np.ndarray, d: int) -> np.ndarray:
     return _symmetrized_choi(c)
 
 
-class SmallTimeChoiBuilder:
-    """Precomputed pieces of the first-order Choi C = bell + eps * (I kron L)(bell).
+def _checked_rates(gen: LindbladGenerator, times: np.ndarray) -> np.ndarray:
+    """Rates at every time of an array, shape times.shape + (K,), refusing
+    non-finite rates at the earliest time that has one."""
+    gammas = rates_at(gen, times)
+    bad = ~np.all(np.isfinite(gammas), axis=-1)
+    if np.any(bad):
+        first = np.unravel_index(np.argmin(np.where(bad, times, np.inf)), times.shape)
+        raise ValueError(f"non-finite rate at t = {times[first]:.6g}: {gammas[first]}")
+    return gammas
 
-    The generator enters linearly through its rates, so grid sweeps only pay
-    for rate evaluations and a cheap linear combination per point.
+
+class SmallTimeChoiBuilder:
+    """The Choi image X(t) = B_0 + sum_i gamma_i(t) B_i of the generator, and
+    the first-order Choi states C = bell + eps * X(t) of the maps on [t, t + eps].
+
+    B_0 is the Choi image of the Hamiltonian part and B_i that of dissipator
+    i (`blocks`, stacked). The generator enters only through its rates, so a
+    grid costs one rate call and one product of the coefficients
+    [1, gamma_1, ...] with the stacked blocks.
     """
 
     def __init__(self, gen: LindbladGenerator):
@@ -145,17 +160,27 @@ class SmallTimeChoiBuilder:
         d = gen.dim
         self.bell = max_entangled_projector(d)
         h_part, d_parts = _superoperator_parts(gen)
-        self.h_block = _choi_from_superop(h_part, d)
-        self.d_blocks = [_choi_from_superop(p, d) for p in d_parts]
+        self.blocks = _choi_from_superop(np.stack([h_part, *d_parts]), d)
+        # Grid points per stacked eigensolve, within the kernel's memory budget.
+        self.width = max(1, CHUNK_ENTRIES // self.bell.size)
 
-    def rates(self, t: float) -> np.ndarray:
-        return rates_at(self.gen, t)
+    def rates(self, times) -> np.ndarray:
+        """Rates at each time, (n, K); non-finite rates are refused."""
+        return _checked_rates(self.gen, np.asarray(times, dtype=float))
+
+    def chunks(self, n: int):
+        """Slices of at most `width` grid points covering range(n)."""
+        return (slice(lo, lo + self.width) for lo in range(0, n, self.width))
+
+    @staticmethod
+    def coefficients(gammas: np.ndarray) -> np.ndarray:
+        """The weights [1, gamma_1, ...] of the blocks in X, (n, K + 1)."""
+        return np.concatenate((np.ones((len(gammas), 1)), gammas), axis=1)
 
     def matrix(self, gammas: np.ndarray, epsilon: float) -> np.ndarray:
-        c = self.bell + epsilon * self.h_block
-        for g, block in zip(gammas, self.d_blocks):
-            c = c + (epsilon * g) * block
-        return c
+        """bell + eps * X for each row of rates gammas (n, K): (n, d^2, d^2)."""
+        x = self.coefficients(gammas) @ self.blocks.reshape(len(self.blocks), -1)
+        return self.bell + epsilon * x.reshape(-1, *self.bell.shape)
 
 
 def choi_small_time(gen: LindbladGenerator, t: float, epsilon: float) -> ChoiMatrix:
@@ -167,9 +192,7 @@ def choi_small_time(gen: LindbladGenerator, t: float, epsilon: float) -> ChoiMat
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     builder = SmallTimeChoiBuilder(gen)
-    gammas = builder.rates(t)
-    if not np.all(np.isfinite(gammas)):
-        raise ValueError(f"non-finite rate at t = {t:.6g}: {gammas}")
+    gammas = builder.rates([t])
     worst = float(np.max(np.abs(epsilon * gammas))) if gammas.size else 0.0
     if worst >= SMALL_TIME_RATE_LIMIT:
         warnings.warn(
@@ -177,7 +200,7 @@ def choi_small_time(gen: LindbladGenerator, t: float, epsilon: float) -> ChoiMat
             f"at t = {t:.6g} (limit {SMALL_TIME_RATE_LIMIT})",
             stacklevel=2,
         )
-    c = _symmetrized_choi(builder.matrix(gammas, epsilon))
+    c = _symmetrized_choi(builder.matrix(gammas, epsilon)[0])
     return ChoiMatrix(c, (t, t + epsilon), "small-time")
 
 
@@ -190,13 +213,7 @@ def _half_step_rates(
     evaluations. Non-finite rates are refused, naming the earliest such time.
     """
     times = starts[:, None] + (0.5 * h) * np.arange(2 * steps + 1)
-    gammas = np.array([rates_at(gen, float(t)) for t in times.ravel()])
-    gammas = gammas.reshape(*times.shape, len(gen.dissipators))
-    bad = ~np.all(np.isfinite(gammas), axis=-1)
-    if np.any(bad):
-        first = np.unravel_index(np.argmin(np.where(bad, times, np.inf)), times.shape)
-        raise ValueError(f"non-finite rate at t = {times[first]:.6g}: {gammas[first]}")
-    return gammas
+    return _checked_rates(gen, times)
 
 
 def _rk4_product(parts: np.ndarray, gammas: np.ndarray, h: float) -> np.ndarray:
@@ -294,6 +311,8 @@ def bridge_spectra(
     max(1, round(steps_per_unit * delta)) RK4 steps, so no propagator from 0
     is formed or inverted. Returns the rates gamma_i(t) at the starts, shape
     (W, K), and each bridge's Choi eigenvalues in descending order, (W, d^2).
+    Warns, naming the window, when some step has |h * gamma| >= 0.1 (near a
+    rate pole, where the fixed step loses accuracy).
     """
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
@@ -301,6 +320,15 @@ def bridge_spectra(
     steps = max(1, round(steps_per_unit * delta))
     h = delta / steps
     gammas = _half_step_rates(gen, starts, h, steps)
+    if gammas.size:
+        peak = np.max(np.abs(h * gammas), axis=(1, 2))
+        w = int(np.argmax(peak))
+        if peak[w] >= SMALL_TIME_RATE_LIMIT:
+            warnings.warn(
+                f"RK4 step is dubious: max |h*gamma| = {peak[w]:.3g} in the window "
+                f"starting at t = {starts[w]:.6g} (limit {SMALL_TIME_RATE_LIMIT})",
+                stacklevel=2,
+            )
     d = gen.dim
     spectra = np.empty((starts.size, d * d))
     for window, maps in _rk4_chunks(gen, gammas, h):

@@ -408,12 +408,14 @@ def build_generator(config: ScenarioConfig) -> LindbladGenerator:
     else:
         hamiltonian = np.array(config.hamiltonian, dtype=complex).reshape(d, d)
     dissipators = []
+    # Equal rate models become one object, which `rates_at` evaluates once.
+    shared = {}
     for spec in config.dissipators:
         if spec.operator == "custom-matrix":
             op = np.array(spec.matrix, dtype=complex).reshape(d, d)
         else:
             op = named_operator(spec.operator, d)
-        dissipators.append((op, spec.rate))
+        dissipators.append((op, shared.setdefault(spec.rate, spec.rate)))
     try:
         return LindbladGenerator(d, hamiltonian, tuple(dissipators))
     except ValueError as exc:

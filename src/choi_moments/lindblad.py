@@ -102,9 +102,23 @@ def isotropic_pauli_generator(rate: RateModel) -> LindbladGenerator:
     )
 
 
-def rates_at(gen: LindbladGenerator, t: float) -> np.ndarray:
-    """All dissipator rates gamma_i(t) as a float array."""
-    return np.array([rate_eval(rate, t) for _, rate in gen.dissipators])
+def rates_at(gen: LindbladGenerator, t) -> np.ndarray:
+    """Dissipator rates gamma_i at a time t, shape (K,), or at every time of an
+    array t, shape t.shape + (K,).
+
+    One `rate_eval` call per rate model: dissipators that share a model
+    object are evaluated once.
+    """
+    times = np.asarray(t, dtype=float)
+    by_model = {}
+    columns = []
+    for _, rate in gen.dissipators:
+        if id(rate) not in by_model:
+            by_model[id(rate)] = rate_eval(rate, times)
+        columns.append(by_model[id(rate)])
+    if not columns:
+        return np.empty(times.shape + (0,))
+    return np.stack(columns, axis=-1)
 
 
 def _action(gen: LindbladGenerator, x: np.ndarray, gammas: np.ndarray) -> np.ndarray:

@@ -4,13 +4,16 @@ Units are dimensionless throughout: hbar = k_B = 1, and where a model carries
 a frequency constant ``k`` the physical time enters as t' = k*t. A negative
 rate at some instant is the signature exploited by the detection machinery;
 the models themselves just evaluate gamma(t).
+
+Every model's ``evaluate`` takes a one-dimensional float array of times and
+returns gamma at each of them; ``rate_eval`` is the checked entry point for
+a single time or an array of any shape.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 __all__ = [
     "ConstantRate",
@@ -22,13 +25,6 @@ __all__ = [
     "rate_eval",
 ]
 
-# Below this |x|, coth(x) is replaced by its leading series term 1/x.
-_COTH_SERIES_CUTOFF = 1e-4
-# Absolute quadrature target for the Ohmic rate integral.
-_OHMIC_QUAD_ATOL = 1e-8
-# Quadrature error estimates above this are treated as non-convergence.
-_OHMIC_QUAD_REJECT = 1e-6
-
 
 @dataclass(frozen=True)
 class ConstantRate:
@@ -36,8 +32,8 @@ class ConstantRate:
 
     value: float
 
-    def evaluate(self, t: float) -> float:
-        return float(self.value)
+    def evaluate(self, t: np.ndarray) -> np.ndarray:
+        return np.full(t.shape, float(self.value))
 
 
 @dataclass(frozen=True)
@@ -53,9 +49,9 @@ class ExpCosRate:
         if self.k <= 0:
             raise ValueError(f"ExpCosRate requires k > 0, got k = {self.k}")
 
-    def evaluate(self, t: float) -> float:
+    def evaluate(self, t: np.ndarray) -> np.ndarray:
         tp = self.k * t
-        return float(math.exp(-tp) * math.cos(tp))
+        return np.exp(-tp) * np.cos(tp)
 
 
 @dataclass(frozen=True)
@@ -87,27 +83,29 @@ class LorentzianRate:
                 f"lam = {self.lam}, gamma0 = {self.gamma0}, k = {self.k}"
             )
 
-    def evaluate(self, t: float) -> float:
+    def evaluate(self, t: np.ndarray) -> np.ndarray:
         tp = self.k * t
         g_sq = self.lam * self.lam - 2.0 * self.gamma0 * self.lam
         scale = max(1.0, self.lam * self.lam)
         if abs(g_sq) < 1e-12 * scale:
             # g -> 0 limit: gamma = lam*gamma0*t' / (1 + lam*t'/2)
-            return float(self.lam * self.gamma0 * tp / (1.0 + 0.5 * self.lam * tp))
+            return self.lam * self.gamma0 * tp / (1.0 + 0.5 * self.lam * tp)
         if g_sq > 0:
             # Overdamped branch; tanh form avoids overflow of sinh/cosh.
             g = math.sqrt(g_sq)
-            th = math.tanh(0.5 * tp * g)
-            return float(2.0 * self.lam * self.gamma0 * th / (g + self.lam * th))
+            th = np.tanh(0.5 * tp * g)
+            return 2.0 * self.lam * self.gamma0 * th / (g + self.lam * th)
         g_abs = math.sqrt(-g_sq)
         x = 0.5 * tp * g_abs
-        denom = g_abs * math.cos(x) + self.lam * math.sin(x)
-        if abs(denom) < 1e-12 * math.hypot(g_abs, self.lam):
+        denom = g_abs * np.cos(x) + self.lam * np.sin(x)
+        pole = np.abs(denom) < 1e-12 * math.hypot(g_abs, self.lam)
+        if np.any(pole):
+            first = float(np.min(t[pole]))
             raise ValueError(
-                f"Lorentzian rate has a pole at t = {self._nearest_pole(t):.12g}; "
-                f"evaluation at t = {t:.12g} is undefined"
+                f"Lorentzian rate has a pole at t = {self._nearest_pole(first):.12g}; "
+                f"evaluation at t = {first:.12g} is undefined"
             )
-        return float(2.0 * self.lam * self.gamma0 * math.sin(x) / denom)
+        return 2.0 * self.lam * self.gamma0 * np.sin(x) / denom
 
     def _nearest_pole(self, t: float) -> float:
         # Poles at t'|g|/2 = n*pi - arctan(|g|/lam), n = 1, 2, ...
@@ -121,11 +119,15 @@ class LorentzianRate:
 class OhmicDephasingRate:
     """Dephasing rate for an Ohmic reservoir, J(w) = w * exp(-w/omega_c).
 
-    gamma(t) = integral_0^inf J(w) coth(w / (2 T)) sin(w t) / w dw, evaluated
-    by adaptive quadrature on [0, 50*omega_c]; the exponential cutoff makes the
-    truncation error negligible. At T = 0, coth -> 1 and the integral has the
-    closed form omega_c^2 t / (1 + omega_c^2 t^2). Non-negative for every
-    (omega_c, T), so this reservoir never drives the dynamics non-Markovian.
+    gamma(t) = integral_0^inf J(w) coth(w / (2 T)) sin(w t) / w dw. Expanding
+    coth(x) = 1 + 2 sum_n exp(-2 n x) integrates term by term to the exact
+    series
+
+        gamma(t) = t / (a0^2 + t^2) - 2 T Im psi(1 + T a0 - i T t),  a0 = 1/omega_c,
+
+    with psi the digamma function; at T = 0 only the first term remains.
+    Non-negative for every (omega_c, T), so this reservoir never drives the
+    dynamics non-Markovian.
     """
 
     omega_c: float = 1.0
@@ -139,31 +141,16 @@ class OhmicDephasingRate:
                 f"OhmicDephasingRate requires temperature >= 0, got {self.temperature}"
             )
 
-    def evaluate(self, t: float) -> float:
-        if t == 0.0:
-            return 0.0
-        wc, temp = self.omega_c, self.temperature
+    def evaluate(self, t: np.ndarray) -> np.ndarray:
+        a0, temp = 1.0 / self.omega_c, self.temperature
+        gamma = t / (a0 * a0 + t * t)
+        if temp > 0:
+            # The only use of scipy in the package: importing it here keeps
+            # it out of `import choi_moments`.
+            from scipy.special import psi
 
-        def integrand(w: float) -> float:
-            if w == 0.0:
-                return 2.0 * temp * t if temp > 0 else 0.0
-            if temp == 0.0:
-                coth = 1.0
-            else:
-                x = w / (2.0 * temp)
-                coth = 1.0 / x if x < _COTH_SERIES_CUTOFF else 1.0 / math.tanh(x)
-            return math.exp(-w / wc) * coth * math.sin(w * t)
-
-        value, abserr = quad(
-            integrand, 0.0, 50.0 * wc,
-            epsabs=_OHMIC_QUAD_ATOL, epsrel=_OHMIC_QUAD_ATOL, limit=500,
-        )
-        if abserr > _OHMIC_QUAD_REJECT:
-            raise ValueError(
-                f"Ohmic rate quadrature did not converge at t = {t:.6g}: "
-                f"residual estimate {abserr:.3e} exceeds {_OHMIC_QUAD_REJECT:.1e}"
-            )
-        return float(value)
+            gamma = gamma - 2.0 * temp * psi(1.0 + temp * a0 - 1j * temp * t).imag
+        return gamma
 
 
 @dataclass(frozen=True)
@@ -184,15 +171,18 @@ class TabulatedRate:
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ValueError(f"TabulatedRate knot times must be strictly increasing: {times}")
         object.__setattr__(self, "knots", knots)
+        object.__setattr__(self, "_times", np.array(times))
+        object.__setattr__(self, "_values", np.array([g for _, g in knots]))
 
-    def evaluate(self, t: float) -> float:
-        times = [k[0] for k in self.knots]
-        if t < times[0] or t > times[-1]:
+    def evaluate(self, t: np.ndarray) -> np.ndarray:
+        lo, hi = self._times[0], self._times[-1]
+        outside = (t < lo) | (t > hi)
+        if np.any(outside):
             raise ValueError(
-                f"t = {t:.6g} is outside the tabulated range "
-                f"[{times[0]:.6g}, {times[-1]:.6g}]; extrapolation is not supported"
+                f"t = {float(np.min(t[outside])):.6g} is outside the tabulated range "
+                f"[{lo:.6g}, {hi:.6g}]; extrapolation is not supported"
             )
-        return float(np.interp(t, times, [k[1] for k in self.knots]))
+        return np.interp(t, self._times, self._values)
 
 
 RateModel = (
@@ -200,8 +190,20 @@ RateModel = (
 )
 
 
-def rate_eval(model: RateModel, t: float) -> float:
-    """Evaluate a rate model at time t >= 0."""
-    if t < 0:
-        raise ValueError(f"rate models are defined for t >= 0, got t = {t}")
-    return model.evaluate(t)
+def rate_eval(model: RateModel, t):
+    """Evaluate a rate model at a time t >= 0, or elementwise over an array of times.
+
+    A scalar time gives a float, an array of times an array of its shape. The
+    scalar call evaluates a one-element array, so it matches the array call
+    bit for bit. A refused time (negative, a pole, outside a table) is
+    reported as the earliest such time.
+    """
+    times = np.asarray(t, dtype=float)
+    flat = times.reshape(-1)
+    negative = flat < 0
+    if np.any(negative):
+        raise ValueError(
+            f"rate models are defined for t >= 0, got t = {float(np.min(flat[negative]))}"
+        )
+    values = np.asarray(model.evaluate(flat), dtype=float)
+    return float(values[0]) if times.ndim == 0 else values.reshape(times.shape)

@@ -2,8 +2,13 @@
 
 import numpy as np
 
-from choi_moments.choi import choi_of_superoperator
-from choi_moments.lindblad import LindbladGenerator, generator_superoperator
+from choi_moments.choi import choi_of_superoperator, max_entangled_projector
+from choi_moments.lindblad import (
+    LindbladGenerator,
+    apply_generator,
+    generator_superoperator,
+    rates_at,
+)
 from choi_moments.rates import ConstantRate, ExpCosRate
 
 
@@ -101,3 +106,54 @@ def reference_bridge_spectra(gen, grid, delta, steps_per_unit=1000):
         bridge = reference_rk4_propagate(gen, float(t), float(t) + delta, steps)
         spectra.append(np.linalg.eigvalsh(choi_of_superoperator(bridge).matrix)[::-1])
     return np.array(spectra)
+
+
+def reference_generator_choi(gen, t):
+    """Choi image X = (1/d) sum_ij E_ij kron L_t(E_ij) of the generator, one
+    matrix unit at a time through `apply_generator`."""
+    d = gen.dim
+    x = np.zeros((d * d, d * d), dtype=complex)
+    for i in range(d):
+        for j in range(d):
+            unit = np.zeros((d, d), dtype=complex)
+            unit[i, j] = 1.0
+            x += np.kron(unit, apply_generator(gen, unit, t)) / d
+    return x
+
+
+def reference_small_time_witness(gen, grid, eps):
+    """Rates, r2, r3 and r2^2 - r3 of the first-order Choi states bell + eps X(t),
+    one grid point and one eigensolve at a time."""
+    bell = max_entangled_projector(gen.dim)
+    rates, r2, r3 = [], [], []
+    for t in grid:
+        rates.append(rates_at(gen, float(t)))
+        lam = np.linalg.eigvalsh(bell + eps * reference_generator_choi(gen, float(t)))
+        r2.append(np.sum(lam**2))
+        r3.append(np.sum(lam**3))
+    r2, r3 = np.array(r2), np.array(r3)
+    return np.array(rates), r2, r3, r2**2 - r3
+
+
+def reference_rate_limits(gen, t, eps_schedule=(1e-4, 5e-5)):
+    """f(t) and g(t) as eps -> 0 limits of finite-eps samples.
+
+    At each eps the first-order Choi state bell + eps X(t) is eigensolved;
+    max(0, r2^2 - r3)/eps and max(0, ||C||_1 - 1)/eps are linear in eps to
+    leading order, so each pair of successive samples is Richardson
+    extrapolated and the last extrapolant, clipped at 0, is returned.
+    """
+    bell = max_entangled_projector(gen.dim)
+    x = reference_generator_choi(gen, float(t))
+    f_samples, g_samples = [], []
+    for eps in eps_schedule:
+        lam = np.linalg.eigvalsh(bell + eps * x)
+        r2, r3 = np.sum(lam**2), np.sum(lam**3)
+        f_samples.append(max(0.0, r2 * r2 - r3) / eps)
+        g_samples.append(max(0.0, np.sum(np.abs(lam)) - 1.0) / eps)
+
+    def extrapolate(samples):
+        (e_a, e_b), (h_a, h_b) = eps_schedule[-2:], samples[-2:]
+        return max(0.0, (e_a * h_b - e_b * h_a) / (e_a - e_b))
+
+    return extrapolate(f_samples), extrapolate(g_samples)

@@ -202,3 +202,14 @@ class TestBuildGenerator:
         config = parse_scenario(MINIMAL + "generator.hamiltonian = 1 0 0 -1\n")
         gen = build_generator(config)
         assert np.allclose(gen.hamiltonian, np.diag([1.0, -1.0]))
+
+    def test_equal_rate_models_share_one_object(self):
+        gen = build_generator(load_scenario(bundled_scenario_path("example1")))
+        rates = [rate for _, rate in gen.dissipators]
+        assert all(rate is rates[0] for rate in rates)
+        text = MINIMAL + (
+            "dissipator.2.operator = sigma_x\n"
+            "dissipator.2.rate.model = expcos\ndissipator.2.rate.k = 2.0\n"
+        )
+        gen = build_generator(parse_scenario(text))
+        assert gen.dissipators[0][1] is not gen.dissipators[1][1]

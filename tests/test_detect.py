@@ -1,10 +1,17 @@
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from choi_moments.choi import choi_small_time, max_entangled_projector, propagate_map
+from choi_moments.choi import (
+    CHUNK_ENTRIES,
+    choi_small_time,
+    max_entangled_projector,
+    propagate_map,
+)
 from choi_moments.detect import (
     VIOLATION_THRESHOLD,
     cp_divisibility_scan,
@@ -20,20 +27,32 @@ from choi_moments.detect import (
 )
 from choi_moments.config import build_generator, bundled_scenario_path, load_scenario
 from choi_moments.lindblad import LindbladGenerator, LOWERING, dephasing_generator, isotropic_pauli_generator
-from choi_moments.rates import ConstantRate, ExpCosRate, LorentzianRate
+from choi_moments.rates import ConstantRate, ExpCosRate, LorentzianRate, rate_eval
 from choi_moments.spectral import hermitian_spectrum, schatten_norm
-from helpers import random_kraus_choi, random_psd_unit_trace, random_unital_generator
+from helpers import (
+    random_expcos_generator,
+    random_generator,
+    random_kraus_choi,
+    random_psd_unit_trace,
+    random_unital_generator,
+    reference_rate_limits,
+    reference_small_time_witness,
+)
 
 
 @dataclass
 class CountingRate:
-    """exp(-t) cos(t) that counts its evaluations."""
+    """exp(-t) cos(t) that counts the times it is evaluated at."""
 
     calls: int = 0
 
-    def evaluate(self, t: float) -> float:
-        self.calls += 1
-        return math.exp(-t) * math.cos(t)
+    @staticmethod
+    def formula(t: np.ndarray) -> np.ndarray:
+        return np.exp(-t) * np.cos(t)
+
+    def evaluate(self, t: np.ndarray) -> np.ndarray:
+        self.calls += t.size
+        return self.formula(t)
 
 
 @dataclass(frozen=True)
@@ -42,8 +61,19 @@ class BlowUpRate:
 
     after: float
 
-    def evaluate(self, t: float) -> float:
-        return math.inf if t > self.after else 1.0
+    def evaluate(self, t: np.ndarray) -> np.ndarray:
+        return np.where(t > self.after, math.inf, 1.0)
+
+
+def lorentzian_first_pole(lam, gamma0):
+    g_abs = math.sqrt(2.0 * gamma0 * lam - lam * lam)
+    return (2.0 / g_abs) * (math.pi - math.atan2(g_abs, lam))
+
+
+def bundled(name):
+    """Generator, grid and config of a bundled scenario."""
+    config = load_scenario(bundled_scenario_path(name))
+    return build_generator(config), np.linspace(0.0, config.t_max, config.points), config
 
 
 def dephasing_witness_exact(gamma, eps):
@@ -175,7 +205,7 @@ class TestWitnessSeries:
         grid = np.linspace(0.0, 2.0, 40)
         series = witness_series(gen, grid, 1e-3, mode="finite-interval")
         assert rate.calls == 3 * grid.size
-        assert np.array_equal(series.rates[:, 0], [math.exp(-t) * math.cos(t) for t in grid])
+        assert np.array_equal(series.rates[:, 0], CountingRate.formula(grid))
 
     def test_rejects_bad_grid(self):
         gen = dephasing_generator(ConstantRate(1.0))
@@ -183,6 +213,28 @@ class TestWitnessSeries:
             witness_series(gen, [0.0, 0.0, 1.0], 1e-3)
         with pytest.raises(ValueError, match="mode"):
             witness_series(gen, [0.0, 1.0], 1e-3, mode="other")
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_batched_small_time_witness_matches_point_loop(self, d):
+        gen = random_expcos_generator(np.random.default_rng(d), d)
+        grid = np.linspace(0.0, 3.0, 263)
+        assert grid.size % max(1, CHUNK_ENTRIES // d**4) != 0
+        series = witness_series(gen, grid, 1e-3)
+        rates, r2, r3, values = reference_small_time_witness(gen, grid, 1e-3)
+        assert np.array_equal(series.rates, rates)
+        for got, want in ((series.r2, r2), (series.r3, r3), (series.values, values)):
+            assert np.max(np.abs(got - want)) < 1e-12
+
+    def test_small_time_names_earliest_non_finite_rate(self):
+        gen = dephasing_generator(BlowUpRate(after=0.95))
+        with pytest.raises(ValueError, match=r"non-finite rate at t = 1:"):
+            witness_series(gen, np.linspace(0.0, 2.0, 21), 1e-3)
+
+    def test_small_time_names_the_pole(self):
+        pole = lorentzian_first_pole(1.5, 1.0)
+        gen = dephasing_generator(LorentzianRate(lam=1.5, gamma0=1.0, k=1.0))
+        with pytest.raises(ValueError, match=rf"pole at t = {pole:.8f}"):
+            witness_series(gen, [0.5, pole, 9.0], 1e-3)
 
 
 class TestInstantaneousRates:
@@ -201,25 +253,21 @@ class TestInstantaneousRates:
         assert moment_rate_f(gen, 0.0) == pytest.approx(0.3, abs=1e-6)
         assert rhp_rate_g(gen, 0.0) == pytest.approx(0.6, abs=1e-6)
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([2, 3]),
+           n_ops=st.integers(1, 3))
+    def test_closed_forms_match_finite_eps_extrapolation(self, seed, dim, n_ops):
+        gen = random_generator(np.random.default_rng(seed), dim, n_ops=n_ops)
+        f_ref, g_ref = reference_rate_limits(gen, 0.0)
+        assert moment_rate_f(gen, 0.0) == pytest.approx(f_ref, rel=1e-4, abs=1e-9)
+        assert rhp_rate_g(gen, 0.0) == pytest.approx(g_ref, rel=1e-4, abs=1e-9)
+
     def test_dephasing_case_formulas_across_rates(self):
         for gamma in np.linspace(-2.0, 2.0, 50):
             gen = dephasing_generator(ConstantRate(float(gamma)))
             assert moment_rate_f(gen, 0.0) == pytest.approx(max(0.0, -gamma), abs=5e-4)
             assert rhp_rate_g(gen, 0.0) == pytest.approx(max(0.0, -2.0 * gamma), abs=5e-4)
 
-    def test_rejects_bad_schedule(self):
-        gen = dephasing_generator(ConstantRate(-0.5))
-        with pytest.raises(ValueError, match="two entries"):
-            moment_rate_f(gen, 0.0, eps_schedule=(1e-4,))
-        with pytest.raises(ValueError, match="decreasing"):
-            moment_rate_f(gen, 0.0, eps_schedule=(1e-4, 1e-4))
-
-    def test_rejects_unconverged_limit(self):
-        # A deliberately coarse schedule leaves visible curvature between
-        # successive extrapolants.
-        gen = dephasing_generator(ConstantRate(-2.0))
-        with pytest.raises(ValueError, match="did not converge"):
-            moment_rate_f(gen, 0.0, eps_schedule=(0.1, 0.05, 0.025))
 
 
 class TestMeasures:
@@ -263,6 +311,29 @@ class TestMeasures:
         gen = LindbladGenerator(2, np.zeros((2, 2)), ((LOWERING, ConstantRate(1.0)),))
         with pytest.warns(UserWarning, match="not unital"):
             measure_report(gen, 2.0, 51)
+
+    def test_bundled_example2_measure_is_trapezoid_of_negative_rate(self):
+        # Near the Lorentzian pole |eps*gamma| approaches 1, where a finite-eps
+        # estimate of the limit undershoots f; the closed form does not.
+        gen, grid, config = bundled("example2")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            report = measure_report(gen, config.t_max, config.points)
+        exact = np.trapezoid(np.maximum(0.0, -rate_eval(gen.dissipators[0][1], grid)), grid)
+        assert report.moment_measure == pytest.approx(exact, rel=1e-9)
+        assert report.rhp_measure == pytest.approx(2.0 * exact, rel=1e-9)
+
+    @pytest.mark.parametrize("name", ["markovian_control", "ohmic_compare"])
+    def test_bundled_markovian_controls_measure_exactly_zero(self, name):
+        gen, _, config = bundled(name)
+        report = measure_report(gen, config.t_max, config.points)
+        assert report.moment_measure == 0.0
+        assert report.rhp_measure == 0.0
+
+    def test_names_earliest_non_finite_rate(self):
+        gen = dephasing_generator(BlowUpRate(after=0.95))
+        with pytest.raises(ValueError, match=r"non-finite rate at t = 1:"):
+            measure_report(gen, 2.0, 21)
 
     def test_warns_when_tail_not_decayed(self):
         gen = dephasing_generator(ExpCosRate(k=1.0))
@@ -330,13 +401,25 @@ class TestDivisibilityScan:
 
     def test_lorentzian_pole_is_named(self):
         lam, gamma0 = 1.5, 1.0
-        g_abs = math.sqrt(2.0 * gamma0 * lam - lam * lam)
-        pole = (2.0 / g_abs) * (math.pi - math.atan2(g_abs, lam))
+        pole = lorentzian_first_pole(lam, gamma0)
         gen = dephasing_generator(LorentzianRate(lam=lam, gamma0=gamma0, k=1.0))
         # The pole is the midpoint of the last window.
         grid = np.array([1.0, pole - 5e-4])
         with pytest.raises(ValueError, match=rf"pole at t = {pole:.8f}"):
             cp_divisibility_scan(gen, grid, 1e-3)
+
+
+    def test_warns_on_coarse_rk4_step_near_pole(self):
+        # example2's rate reaches |h*gamma| ~ 1 next to its pole near t = 6.05.
+        gen, grid, config = bundled("example2")
+        with pytest.warns(UserWarning, match=r"\|h\*gamma\| = .* starting at t = 6\.0"):
+            cp_divisibility_scan(gen, grid, config.epsilon)
+
+    def test_silent_for_slow_rates(self):
+        gen, grid, config = bundled("markovian_control")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cp_divisibility_scan(gen, grid, config.epsilon)
 
 
 class TestRenyiEntropy:

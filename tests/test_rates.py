@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import choi_moments
 from choi_moments.rates import (
     ConstantRate,
     ExpCosRate,
@@ -161,3 +166,55 @@ def test_constant_rate():
 def test_rejects_negative_time():
     with pytest.raises(ValueError, match="t >= 0"):
         rate_eval(ConstantRate(1.0), -0.1)
+
+
+ARRAY_MODELS = {
+    "constant": ConstantRate(-0.25),
+    "expcos": ExpCosRate(k=1.3),
+    "lorentzian_overdamped": LorentzianRate(lam=3.0, gamma0=1.0),
+    "lorentzian_underdamped": LorentzianRate(lam=1.5, gamma0=1.0),
+    "lorentzian_critical": LorentzianRate(lam=2.0, gamma0=1.0),
+    "tabulated": TabulatedRate(knots=((0.0, 0.0), (1.0, 2.0), (4.0, -1.0), (9.0, 0.5))),
+    "ohmic_zero_temperature": OhmicDephasingRate(omega_c=2.0, temperature=0.0),
+    "ohmic_thermal": OhmicDephasingRate(omega_c=1.0, temperature=5.0),
+}
+
+
+class TestArrayContract:
+    @pytest.mark.parametrize("name", sorted(ARRAY_MODELS))
+    def test_grid_call_matches_scalar_calls_bit_for_bit(self, name):
+        model = ARRAY_MODELS[name]
+        ts = np.linspace(0.0, 9.0, 157)
+        values = rate_eval(model, ts)
+        assert values.shape == ts.shape
+        assert np.array_equal(values, [rate_eval(model, float(t)) for t in ts])
+        assert isinstance(rate_eval(model, 1.0), float)
+        grid = ts.reshape(-1, 1)
+        assert np.array_equal(rate_eval(model, grid), values.reshape(grid.shape))
+
+    def test_grid_call_names_the_earliest_pole(self):
+        model = LorentzianRate(lam=1.5, gamma0=1.0)
+        g_abs = math.sqrt(2.0 * 1.0 * 1.5 - 1.5 * 1.5)
+        first = (2.0 / g_abs) * (math.pi - math.atan2(g_abs, 1.5))
+        second = first + 2.0 * math.pi / g_abs
+        with pytest.raises(ValueError, match=rf"pole at t = {first:.8f}"):
+            rate_eval(model, np.array([0.5, second, first, 8.0]))
+
+    def test_grid_call_names_the_earliest_time_out_of_table(self):
+        model = TabulatedRate(knots=((0.0, 0.0), (1.0, 1.0)))
+        with pytest.raises(ValueError, match=r"t = 1\.2 is outside"):
+            rate_eval(model, np.array([0.5, 1.5, 1.2, 0.9]))
+
+    def test_grid_call_names_the_earliest_negative_time(self):
+        with pytest.raises(ValueError, match=r"t >= 0, got t = -0\.3"):
+            rate_eval(ConstantRate(1.0), np.array([0.1, -0.2, -0.3]))
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy is imported only inside the thermal Ohmic rate.
+    src = str(Path(choi_moments.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, choi_moments; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=env, check=True)
+    assert result.stdout.strip() == "[]"
