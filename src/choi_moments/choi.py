@@ -13,6 +13,8 @@ fixed-step RK4 kernel: `propagate_map` runs it over one window, and
 `bridge_spectra` over one window [t, t + delta] per grid time.
 """
 
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -48,6 +50,8 @@ CHUNK_ENTRIES = 4096
 # Tolerances for Choi construction sanity checks.
 _CHOI_TRACE_ATOL = 1e-6
 _CHOI_ASYMMETRY_ATOL = 1e-8
+# Source files of this package, skipped when a warning names its caller.
+_PACKAGE_PREFIX = os.path.dirname(__file__) + os.sep
 
 
 @dataclass(frozen=True)
@@ -270,6 +274,14 @@ def _rk4_chunks(gen: LindbladGenerator, gammas: np.ndarray, h: float):
         yield slice(w, w + 1), phi
 
 
+def _warn_caller(message: str) -> None:
+    """Warn, attributing the warning to the nearest caller outside this package."""
+    frame, level = sys._getframe(2), 3
+    while frame is not None and frame.f_code.co_filename.startswith(_PACKAGE_PREFIX):
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, stacklevel=level)
+
+
 def _resolve_steps(t0: float, t1: float, steps: int | None) -> int:
     if steps is None:
         return max(1, round(DEFAULT_STEPS_PER_UNIT * (t1 - t0)))
@@ -324,10 +336,9 @@ def bridge_spectra(
         peak = np.max(np.abs(h * gammas), axis=(1, 2))
         w = int(np.argmax(peak))
         if peak[w] >= SMALL_TIME_RATE_LIMIT:
-            warnings.warn(
+            _warn_caller(
                 f"RK4 step is dubious: max |h*gamma| = {peak[w]:.3g} in the window "
-                f"starting at t = {starts[w]:.6g} (limit {SMALL_TIME_RATE_LIMIT})",
-                stacklevel=2,
+                f"starting at t = {starts[w]:.6g} (limit {SMALL_TIME_RATE_LIMIT})"
             )
     d = gen.dim
     spectra = np.empty((starts.size, d * d))

@@ -31,7 +31,7 @@ from .choi import (
     SMALL_TIME_RATE_LIMIT,
     bridge_spectra,
 )
-from .lindblad import LindbladGenerator, is_unital
+from .lindblad import UNITAL_ATOL, LindbladGenerator, unitality_defects
 from .spectral import hermitian_spectrum, moments_from_spectrum
 
 __all__ = [
@@ -210,8 +210,9 @@ def witness_series(
     )
 
 
-def _rate_limits(gen: LindbladGenerator, times) -> tuple[np.ndarray, np.ndarray]:
-    """The rates f and g at each time, in closed form.
+def _rate_limits(gen: LindbladGenerator, times) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The dissipator rates gamma_i (n, K) and the rates f and g (n,) at each
+    time, f and g in closed form.
 
     With C = bell + eps X and X = B_0 + sum_i gamma_i B_i the Choi image of
     the generator, r_2^2 - r_3 = eps <Phi+|X|Phi+> + O(eps^2), so
@@ -236,7 +237,7 @@ def _rate_limits(gen: LindbladGenerator, times) -> tuple[np.ndarray, np.ndarray]
     for chunk in builder.chunks(len(gammas)):
         mu = np.linalg.eigvalsh(np.einsum("nk,kab->nab", coef[chunk], projected))
         g[chunk] = 2.0 * np.sum(np.where(mu < -noise[chunk, None], -mu, 0.0), axis=1)
-    return f, g
+    return gammas, f, g
 
 
 def moment_rate_f(gen: LindbladGenerator, t: float) -> float:
@@ -246,7 +247,7 @@ def moment_rate_f(gen: LindbladGenerator, t: float) -> float:
     contribute exactly zero. For single-dissipator dephasing this equals
     max(0, -gamma(t)).
     """
-    return float(_rate_limits(gen, [float(t)])[0][0])
+    return float(_rate_limits(gen, [float(t)])[1][0])
 
 
 def rhp_rate_g(gen: LindbladGenerator, t: float) -> float:
@@ -255,26 +256,27 @@ def rhp_rate_g(gen: LindbladGenerator, t: float) -> float:
     Non-negative, and zero exactly when the instantaneous map is CP. For
     single-dissipator dephasing this equals max(0, -2 gamma(t)).
     """
-    return float(_rate_limits(gen, [float(t)])[1][0])
+    return float(_rate_limits(gen, [float(t)])[2][0])
 
 
 def measure_report(gen: LindbladGenerator, t_max: float, grid_points: int) -> MeasureReport:
     """Both integrated measures over [0, t_max] with their rate series.
 
     Trapezoidal integration on a uniform grid. The moment measure is proven to
-    be a measure only for unital dynamics, so non-unital generators are
-    accepted with a warning rather than refused. A warning is also emitted
-    when the rate has not decayed below 1e-8 over the last 5% of the grid
-    (the truncation of the infinite-horizon integral is then suspect).
+    be a measure only for unital dynamics, so a generator that is not unital
+    at some grid point is accepted with a warning rather than refused. A
+    warning is also emitted when the rate has not decayed below 1e-8 over
+    the last 5% of the grid (the truncation of the infinite-horizon integral
+    is then suspect).
     """
     if t_max <= 0:
         raise ValueError(f"t_max must be positive, got {t_max}")
     if grid_points < 2:
         raise ValueError(f"grid_points must be >= 2, got {grid_points}")
     grid = np.linspace(0.0, t_max, grid_points)
-    f_series, g_series = _rate_limits(gen, grid)
+    gammas, f_series, g_series = _rate_limits(gen, grid)
 
-    if not all(is_unital(gen, float(t)) for t in np.linspace(0.0, t_max, 7)):
+    if np.any(unitality_defects(gen, gammas) >= UNITAL_ATOL):
         warnings.warn(
             "generator is not unital: the moment measure is only proven to be "
             "a measure for unital dynamics; interpret the value with care",

@@ -31,6 +31,7 @@ __all__ = [
     "apply_generator",
     "generator_superoperator",
     "is_unital",
+    "unitality_defects",
     "lindblad_ops_normal",
 ]
 
@@ -170,10 +171,23 @@ def generator_superoperator(gen: LindbladGenerator, t: float) -> np.ndarray:
     return out
 
 
+def unitality_defects(gen: LindbladGenerator, gammas) -> np.ndarray:
+    """Largest entry of |Lhat(I/d)| for each row of rates gammas (n, K), shape (n,).
+
+    The Hamiltonian part annihilates I/d and dissipator i maps it to
+    (L_i L_i^dag - L_i^dag L_i)/d, so the image is linear in the rates and
+    a grid of rates costs one product with these K images.
+    """
+    d = gen.dim
+    images = np.array([(op @ op.conj().T - op.conj().T @ op) / d
+                       for op, _ in gen.dissipators]).reshape(-1, d, d)
+    residual = np.einsum("nk,kab->nab", np.asarray(gammas, dtype=float), images)
+    return np.max(np.abs(residual), axis=(1, 2))
+
+
 def is_unital(gen: LindbladGenerator, t: float) -> bool:
     """True iff the generator annihilates the maximally mixed state at time t."""
-    residual = apply_generator(gen, np.eye(gen.dim) / gen.dim, t)
-    return bool(np.max(np.abs(residual)) < UNITAL_ATOL)
+    return bool(unitality_defects(gen, rates_at(gen, [float(t)]))[0] < UNITAL_ATOL)
 
 
 def lindblad_ops_normal(gen: LindbladGenerator) -> bool:

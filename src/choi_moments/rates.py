@@ -115,6 +115,33 @@ class LorentzianRate:
         return (2.0 / (self.k * g_abs)) * (n * math.pi - phase)
 
 
+# Shift of the digamma argument before the asymptotic series, and the series
+# coefficients B_2k / (2k), k = 1..8 (Abramowitz & Stegun 6.3.18). With
+# |w| >= 11 the first omitted term is below 1e-18.
+_DIGAMMA_SHIFT = 10
+_STIRLING_COEFFICIENTS = (
+    1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132, -691 / 32760, 1 / 12, -3617 / 8160,
+)
+
+
+def _im_digamma(x: float, y: np.ndarray) -> np.ndarray:
+    """Im psi(x + iy) for a real x >= 1, elementwise over y >= 0.
+
+    The recurrence psi(z) = psi(z + N) - sum_{k<N} 1/(z + k) contributes
+    Im(-1/(x + k + iy)) = y / ((x + k)^2 + y^2) per step; at w = z + N the
+    series psi(w) ~ ln w - 1/(2w) - sum_k B_2k / (2k w^2k) takes over.
+    """
+    total = np.zeros_like(y)
+    for k in range(_DIGAMMA_SHIFT):
+        total = total + y / ((x + k) ** 2 + y * y)
+    w = (x + _DIGAMMA_SHIFT) + 1j * y
+    u = 1.0 / (w * w)
+    series = np.zeros_like(w)
+    for c in reversed(_STIRLING_COEFFICIENTS):
+        series = series * u + c
+    return total + (np.log(w) - 0.5 / w - u * series).imag
+
+
 @dataclass(frozen=True)
 class OhmicDephasingRate:
     """Dephasing rate for an Ohmic reservoir, J(w) = w * exp(-w/omega_c).
@@ -126,8 +153,10 @@ class OhmicDephasingRate:
         gamma(t) = t / (a0^2 + t^2) - 2 T Im psi(1 + T a0 - i T t),  a0 = 1/omega_c,
 
     with psi the digamma function; at T = 0 only the first term remains.
-    Non-negative for every (omega_c, T), so this reservoir never drives the
-    dynamics non-Markovian.
+    Im psi is evaluated in numpy by the recurrence psi(z) = psi(z + 1) - 1/z,
+    shifting the argument by 10, and then the Stirling asymptotic series
+    (`_im_digamma`). Non-negative for every (omega_c, T), so this reservoir
+    never drives the dynamics non-Markovian.
     """
 
     omega_c: float = 1.0
@@ -145,11 +174,8 @@ class OhmicDephasingRate:
         a0, temp = 1.0 / self.omega_c, self.temperature
         gamma = t / (a0 * a0 + t * t)
         if temp > 0:
-            # The only use of scipy in the package: importing it here keeps
-            # it out of `import choi_moments`.
-            from scipy.special import psi
-
-            gamma = gamma - 2.0 * temp * psi(1.0 + temp * a0 - 1j * temp * t).imag
+            # Im psi(x - iy) = -Im psi(x + iy).
+            gamma = gamma + 2.0 * temp * _im_digamma(1.0 + temp * a0, temp * t)
         return gamma
 
 

@@ -5,6 +5,7 @@ Every tolerance is pinned here; nothing is deferred to later calibration.
 """
 
 import math
+import os
 import subprocess
 import sys
 import time
@@ -13,6 +14,7 @@ import warnings
 import numpy as np
 import pytest
 
+import choi_moments
 from choi_moments.choi import (
     choi_of_superoperator,
     choi_small_time,
@@ -316,9 +318,13 @@ def test_criterion_7_integration_quality():
 
 
 def _run_cli(args, **kwargs):
+    # The child imports the same package as the tests, installed or not.
+    src = os.path.dirname(os.path.dirname(choi_moments.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run(
         [sys.executable, "-m", "choi_moments", *args],
-        capture_output=True, text=True, **kwargs,
+        capture_output=True, text=True, env=env, **kwargs,
     )
 
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from choi_moments.choi import (
     CHUNK_ENTRIES,
+    bridge_spectra,
     choi_small_time,
     max_entangled_projector,
     propagate_map,
@@ -27,7 +28,7 @@ from choi_moments.detect import (
 )
 from choi_moments.config import build_generator, bundled_scenario_path, load_scenario
 from choi_moments.lindblad import LindbladGenerator, LOWERING, dephasing_generator, isotropic_pauli_generator
-from choi_moments.rates import ConstantRate, ExpCosRate, LorentzianRate, rate_eval
+from choi_moments.rates import ConstantRate, ExpCosRate, LorentzianRate, TabulatedRate, rate_eval
 from choi_moments.spectral import hermitian_spectrum, schatten_norm
 from helpers import (
     random_expcos_generator,
@@ -312,6 +313,14 @@ class TestMeasures:
         with pytest.warns(UserWarning, match="not unital"):
             measure_report(gen, 2.0, 51)
 
+    def test_warns_when_not_unital_between_sparse_samples(self):
+        # Amplitude damping whose rate vanishes at t = 0, 1, ..., 6 (the seven
+        # evenly spaced times a sparse check would sample) but not between them.
+        knots = tuple((0.5 * k, float(k % 2)) for k in range(13))
+        gen = LindbladGenerator(2, np.zeros((2, 2)), ((LOWERING, TabulatedRate(knots)),))
+        with pytest.warns(UserWarning, match="not unital"):
+            measure_report(gen, 6.0, 61)
+
     def test_bundled_example2_measure_is_trapezoid_of_negative_rate(self):
         # Near the Lorentzian pole |eps*gamma| approaches 1, where a finite-eps
         # estimate of the limit undershoots f; the closed form does not.
@@ -414,6 +423,18 @@ class TestDivisibilityScan:
         gen, grid, config = bundled("example2")
         with pytest.warns(UserWarning, match=r"\|h\*gamma\| = .* starting at t = 6\.0"):
             cp_divisibility_scan(gen, grid, config.epsilon)
+
+    @pytest.mark.parametrize("call", [
+        lambda gen, grid, eps: bridge_spectra(gen, grid, eps),
+        lambda gen, grid, eps: cp_divisibility_scan(gen, grid, eps),
+        lambda gen, grid, eps: witness_series(gen, grid, eps, mode="finite-interval"),
+    ], ids=["bridge_spectra", "cp_divisibility_scan", "witness_series"])
+    def test_rk4_warning_names_the_callers_line(self, call):
+        gen, grid, config = bundled("example2")
+        with pytest.warns(UserWarning, match="RK4 step is dubious") as records:
+            call(gen, grid, config.epsilon)
+        (record,) = [r for r in records if "RK4" in str(r.message)]
+        assert record.filename == __file__
 
     def test_silent_for_slow_rates(self):
         gen, grid, config = bundled("markovian_control")

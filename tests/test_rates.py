@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -126,6 +127,20 @@ class TestOhmic:
         for t in (0.2, 1.0, 3.0, 7.5):
             assert rate_eval(model, t) == pytest.approx(oracle(t), abs=1e-6)
 
+    @pytest.mark.parametrize("temp", [0.01, 1.0, 5.0, 50.0])
+    @pytest.mark.parametrize("omega_c", [0.5, 1.0, 2.0])
+    def test_thermal_series_against_mpmath_digamma(self, omega_c, temp):
+        model = OhmicDephasingRate(omega_c=omega_c, temperature=temp)
+        ts = np.concatenate(([0.0], np.logspace(-4.0, 3.0, 36)))
+        values = rate_eval(model, ts)
+        assert values[0] == 0.0
+        a0 = 1.0 / omega_c
+        with mpmath.workdps(30):
+            for t, value in zip(ts, values):
+                z = mpmath.mpc(1.0 + temp * a0, -temp * t)
+                exact = t / (a0 * a0 + t * t) - 2.0 * temp * float(mpmath.digamma(z).imag)
+                assert abs(value - exact) <= 1e-13 * max(1.0, abs(exact)), t
+
     def test_thermal_rate_stays_non_negative(self):
         model = OhmicDephasingRate(omega_c=1.0, temperature=5.0)
         vals = [rate_eval(model, t) for t in np.linspace(0.0, 25.0, 120)]
@@ -210,11 +225,23 @@ class TestArrayContract:
             rate_eval(ConstantRate(1.0), np.array([0.1, -0.2, -0.3]))
 
 
-def test_import_leaves_scipy_unloaded():
-    # scipy is imported only inside the thermal Ohmic rate.
+def _scipy_modules_after(code: str) -> str:
+    """The scipy modules loaded after running code in a fresh interpreter."""
     src = str(Path(choi_moments.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, choi_moments; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    code += "; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             env=env, check=True)
-    assert result.stdout.strip() == "[]"
+    return result.stdout.strip().splitlines()[-1]
+
+
+def test_import_leaves_scipy_unloaded():
+    assert _scipy_modules_after("import sys, choi_moments") == "[]"
+
+
+def test_thermal_ohmic_run_leaves_scipy_unloaded(tmp_path):
+    # The bundled Ohmic comparison evaluates the thermal rate (T = 5).
+    code = ("import sys; from choi_moments import cli; "
+            f"cli.main(['compare', 'ohmic_compare', '--out-dir', {str(tmp_path)!r}, '--quiet'])")
+    assert _scipy_modules_after(code) == "[]"
+    assert (tmp_path / "ohmic_compare_compare.csv").is_file()
