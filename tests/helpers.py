@@ -1,7 +1,10 @@
 """Shared random-object factories for the test suite (all seeded by callers)."""
 
+from dataclasses import dataclass
+
 import numpy as np
 
+from choi_moments import choi
 from choi_moments.choi import choi_of_superoperator, max_entangled_projector
 from choi_moments.lindblad import (
     LindbladGenerator,
@@ -10,6 +13,36 @@ from choi_moments.lindblad import (
     rates_at,
 )
 from choi_moments.rates import ConstantRate, ExpCosRate
+
+
+@dataclass
+class CountingRate:
+    """exp(-t) cos(t) that counts the times it is evaluated at."""
+
+    calls: int = 0
+
+    @staticmethod
+    def formula(t: np.ndarray) -> np.ndarray:
+        return np.exp(-t) * np.cos(t)
+
+    def evaluate(self, t: np.ndarray) -> np.ndarray:
+        self.calls += t.size
+        return self.formula(t)
+
+
+def count_sweeps(monkeypatch):
+    """Empty bridge_spectra's last-sweep slot and count the RK4 kernel's runs:
+    the returned list gets one entry per call of the kernel."""
+    calls = []
+    kernel = choi._rk4_chunks
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(choi, "_last_sweep", None)
+    monkeypatch.setattr(choi, "_rk4_chunks", counted)
+    return calls
 
 
 def random_hermitian(rng, n):

@@ -1,7 +1,17 @@
+import logging
+import math
+import os
+import subprocess
+import sys
+import threading
+from dataclasses import dataclass
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from choi_moments import choi
 from choi_moments.choi import (
     CHUNK_ENTRIES,
     bridge_spectra,
@@ -13,6 +23,10 @@ from choi_moments.choi import (
     propagate_map,
 )
 from choi_moments.lindblad import (
+    LOWERING,
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
     LindbladGenerator,
     dephasing_generator,
     generator_superoperator,
@@ -22,6 +36,8 @@ from choi_moments.lindblad import (
 from choi_moments.rates import ConstantRate, ExpCosRate
 from choi_moments.spectral import hermitian_spectrum
 from helpers import (
+    CountingRate,
+    count_sweeps,
     random_expcos_generator,
     random_generator,
     random_kraus_choi,
@@ -181,6 +197,172 @@ class TestBatchedKernel:
         assert np.max(np.abs(phi - reference_rk4_propagate(gen, t0, t1, steps))) < self.TOL
 
 
+@dataclass
+class MutableExpCosRate:
+    """exp(-kt) cos(kt) whose k can be changed after a generator holds it."""
+
+    k: float = 1.0
+
+    def evaluate(self, t: np.ndarray) -> np.ndarray:
+        return np.exp(-self.k * t) * np.cos(self.k * t)
+
+
+@pytest.fixture
+def sweeps(monkeypatch):
+    return count_sweeps(monkeypatch)
+
+
+def same_bits(got, want):
+    """Each array in got equals its counterpart in want bit for bit."""
+    return all(a.shape == b.shape and a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+
+class TestLastSweep:
+    """bridge_spectra reuses its previous sweep exactly when the inputs match."""
+
+    GRID = np.linspace(0.0, 2.0, 41)
+
+    @staticmethod
+    def mutable_generator(hamiltonian=SIGMA_X):
+        rate = MutableExpCosRate()
+        diss = ((SIGMA_Z.copy(), rate), (LOWERING.copy(), rate))
+        return LindbladGenerator(2, 0.3 * hamiltonian, diss), rate
+
+    def assert_fresh(self, monkeypatch, result, gen, delta, **kwargs):
+        """result is what a sweep from an empty slot returns."""
+        monkeypatch.setattr(choi, "_last_sweep", None)
+        assert same_bits(result, bridge_spectra(gen, self.GRID, delta, **kwargs))
+
+    def test_hit_is_bit_identical_and_unaffected_by_mutation(self, sweeps):
+        gen = random_expcos_generator(np.random.default_rng(3), 3)
+        fresh = bridge_spectra(gen, self.GRID, 0.01)
+        kept = tuple(a.copy() for a in fresh)
+        for a in fresh:
+            a[:] = 0.0
+        hit = bridge_spectra(gen, self.GRID, 0.01)
+        assert len(sweeps) == 1
+        assert same_bits(hit, kept)
+        for a in hit:
+            a[:] = 0.0
+        assert same_bits(bridge_spectra(gen, self.GRID, 0.01), kept)
+        assert len(sweeps) == 1
+
+    def test_changed_rate_parameters_miss(self, sweeps, monkeypatch):
+        gen, rate = self.mutable_generator()
+        before = bridge_spectra(gen, self.GRID, 0.01)
+        rate.k = 1.5
+        after = bridge_spectra(gen, self.GRID, 0.01)
+        assert len(sweeps) == 2
+        assert not np.array_equal(before[1], after[1])
+        self.assert_fresh(monkeypatch, after, gen, 0.01)
+
+    def test_same_rates_other_hamiltonian_miss(self, sweeps, monkeypatch):
+        gen_x, _ = self.mutable_generator(SIGMA_X)
+        gen_y = LindbladGenerator(2, 0.3 * SIGMA_Y, gen_x.dissipators)
+        rates_x, spectra_x = bridge_spectra(gen_x, self.GRID, 0.01)
+        result_y = bridge_spectra(gen_y, self.GRID, 0.01)
+        assert len(sweeps) == 2
+        assert np.array_equal(rates_x, result_y[0])
+        assert not np.array_equal(spectra_x, result_y[1])
+        self.assert_fresh(monkeypatch, result_y, gen_y, 0.01)
+
+    def test_jump_operator_mutated_in_place_misses(self, sweeps, monkeypatch):
+        gen, _ = self.mutable_generator()
+        before = bridge_spectra(gen, self.GRID, 0.01)
+        gen.dissipators[1][0][1, 0] = 0.5
+        after = bridge_spectra(gen, self.GRID, 0.01)
+        assert len(sweeps) == 2
+        assert not np.array_equal(before[1], after[1])
+        self.assert_fresh(monkeypatch, after, gen, 0.01)
+
+    @pytest.mark.parametrize("delta, steps_per_unit", [(0.02, 1000), (0.01, 2000)])
+    def test_other_delta_or_resolution_misses(self, sweeps, monkeypatch, delta, steps_per_unit):
+        gen, _ = self.mutable_generator()
+        bridge_spectra(gen, self.GRID, 0.01)
+        result = bridge_spectra(gen, self.GRID, delta, steps_per_unit)
+        assert len(sweeps) == 2
+        self.assert_fresh(monkeypatch, result, gen, delta, steps_per_unit=steps_per_unit)
+
+    def test_rk4_warning_fires_on_a_hit(self, sweeps):
+        gen = dephasing_generator(ConstantRate(200.0))
+        for _ in range(2):
+            with pytest.warns(UserWarning, match="RK4 step is dubious"):
+                bridge_spectra(gen, self.GRID, 1e-3)
+        assert len(sweeps) == 1
+
+    def test_non_finite_rate_refused_after_a_sweep_of_the_same_generator(self, sweeps):
+        gen, rate = self.mutable_generator()
+        bridge_spectra(gen, self.GRID, 0.01)
+        rate.k = math.nan
+        with pytest.raises(ValueError, match="non-finite rate at t = 0:"):
+            bridge_spectra(gen, self.GRID, 0.01)
+        assert len(sweeps) == 1
+
+    def test_rates_evaluated_on_every_call(self, sweeps):
+        # One RK4 step per window: rates at its start, middle and end.
+        rate = CountingRate()
+        gen = dephasing_generator(rate)
+        for call in (1, 2, 3):
+            bridge_spectra(gen, self.GRID, 1e-3)
+            assert rate.calls == 3 * call * self.GRID.size
+        assert len(sweeps) == 1
+
+    def test_debug_log_tells_sweep_from_reuse(self, sweeps, caplog):
+        gen, _ = self.mutable_generator()
+        with caplog.at_level(logging.DEBUG, logger="choi_moments"):
+            bridge_spectra(gen, self.GRID, 0.01)
+            bridge_spectra(gen, self.GRID, 0.01)
+        assert [r.getMessage() for r in caplog.records] == [
+            "swept 41 windows, d = 2", "reused the last sweep of 41 windows"]
+
+    def test_debug_log_reaches_a_handler_set_up_after_import(self):
+        # The package does not import logging itself; a program that imports
+        # and configures it later still gets the events.
+        src = str(Path(choi.__file__).resolve().parents[1])
+        code = ("import sys; from choi_moments import choi, lindblad, rates; "
+                "loaded = 'logging' in sys.modules; "
+                "import logging; logging.basicConfig(level=logging.DEBUG); "
+                "gen = lindblad.dephasing_generator(rates.ConstantRate(1.0)); "
+                "[choi.bridge_spectra(gen, [0.0, 0.5], 0.01) for _ in range(2)]; "
+                "print(loaded)")
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                env=dict(os.environ, PYTHONPATH=src), check=True)
+        assert result.stdout.strip() == "False"
+        assert result.stderr.splitlines() == [
+            "DEBUG:choi_moments:swept 2 windows, d = 2",
+            "DEBUG:choi_moments:reused the last sweep of 2 windows"]
+
+    def test_threads_alternating_generators_get_their_own_spectra(self, sweeps):
+        # Four threads (more than the cores here), two per generator, in
+        # lockstep so the two generators alternate in the slot; a short
+        # switch interval interleaves them inside bridge_spectra too.
+        gens = [random_expcos_generator(np.random.default_rng(seed), 2) for seed in (4, 5)]
+        expected = [bridge_spectra(gen, self.GRID, 0.01) for gen in gens]
+        turns = threading.Barrier(4)
+        results = [[] for _ in range(4)]
+
+        def work(gen, out):
+            for _ in range(10):
+                turns.wait(timeout=60)
+                out.append(bridge_spectra(gen, self.GRID, 0.01))
+
+        threads = [threading.Thread(target=work, args=(gens[i % 2], results[i]))
+                   for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for i, got in enumerate(results):
+            assert len(got) == 10
+            assert all(same_bits(result, expected[i % 2]) for result in got)
+
+
 class TestIntermediateMap:
     def test_equal_times_identity(self):
         gen = dephasing_generator(ConstantRate(1.0))
@@ -209,11 +391,27 @@ class TestIntermediateMap:
         bridge = intermediate_map(gen, 1.1, 2.3).matrix
         assert np.max(np.abs(bridge @ phi_s - phi_t)) < 1e-7
 
-    def test_rejects_non_invertible_propagator(self):
-        # Strong constant dephasing: condition number e^{2*50*0.5} >> 1e12.
+    def test_matches_inverse_where_well_conditioned(self):
+        # Phi(t,0) = Lambda(t,s) Phi(s,0): where Phi(s,0) is well conditioned
+        # (condition number ~2 here) the bridge equals Phi(t,0) Phi(s,0)^-1.
+        gen = random_expcos_generator(np.random.default_rng(37), 3)
+        phi_s = propagate_map(gen, 0.0, 0.7).matrix
+        phi_t = propagate_map(gen, 0.0, 1.9).matrix
+        assert np.linalg.cond(phi_s) < 10.0
+        inverse = np.linalg.solve(phi_s.T, phi_t.T).T
+        bridge = intermediate_map(gen, 0.7, 1.9)
+        assert bridge.interval == (0.7, 1.9)
+        assert np.max(np.abs(bridge.matrix - inverse)) < 1e-10
+
+    def test_exact_bridge_where_propagator_is_ill_conditioned(self):
+        # Strong constant dephasing: Phi(0.5, 0) has condition number
+        # e^{2*50*0.5}, far past anything a solve could invert, yet the bridge
+        # is the plain dephasing map diag(1, e^-10, e^-10, 1). RK4 at
+        # |h gamma| = 0.05 is off by ~4e-10 there.
         gen = dephasing_generator(ConstantRate(50.0))
-        with pytest.raises(ValueError, match="non-invertible"):
-            intermediate_map(gen, 0.5, 0.6)
+        lam = intermediate_map(gen, 0.5, 0.6).matrix
+        exact = np.diag([1.0, np.exp(-10.0), np.exp(-10.0), 1.0])
+        assert np.max(np.abs(lam - exact)) < 1e-9
 
     def test_rejects_bad_ordering(self):
         gen = dephasing_generator(ConstantRate(1.0))

@@ -3,8 +3,10 @@ import os
 import numpy as np
 import pytest
 
+from choi_moments import choi, detect
 from choi_moments.cli import main, run_scenario
 from choi_moments.config import parse_scenario
+from helpers import count_sweeps
 
 EXPCOS_COMPARE = """
 version = 1
@@ -92,6 +94,26 @@ class TestRunScenario:
         assert len(div_lines) == 1 + config.points
         assert report.divisibility_verdict == "CP-indivisible"
         assert os.path.exists(report.report_path)
+
+    def test_finite_interval_witness_and_scan_share_one_sweep(self, tmp_path, monkeypatch):
+        config = parse_scenario(
+            SMALL_WITNESS.replace("mode = small-time", "mode = finite-interval"))
+        sweeps = count_sweeps(monkeypatch)
+        shared = run_scenario(config, str(tmp_path / "shared"), quiet=True)
+        assert len(sweeps) == 1
+
+        # With the slot emptied before every call, each call sweeps afresh.
+        def sweep_afresh(*args, **kwargs):
+            choi._last_sweep = None
+            return choi.bridge_spectra(*args, **kwargs)
+
+        monkeypatch.setattr(detect, "bridge_spectra", sweep_afresh)
+        fresh = run_scenario(config, str(tmp_path / "fresh"), quiet=True)
+        assert len(sweeps) == 3
+        for output in ("witness", "divisibility"):
+            with open(shared.output_paths[output], "rb") as a, \
+                    open(fresh.output_paths[output], "rb") as b:
+                assert a.read() == b.read()
 
     def test_markovian_verdict(self, tmp_path):
         report = run_scenario(parse_scenario(MARKOVIAN), str(tmp_path), quiet=True)

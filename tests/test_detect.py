@@ -31,6 +31,7 @@ from choi_moments.lindblad import LindbladGenerator, LOWERING, dephasing_generat
 from choi_moments.rates import ConstantRate, ExpCosRate, LorentzianRate, TabulatedRate, rate_eval
 from choi_moments.spectral import hermitian_spectrum, schatten_norm
 from helpers import (
+    CountingRate,
     random_expcos_generator,
     random_generator,
     random_kraus_choi,
@@ -39,21 +40,6 @@ from helpers import (
     reference_rate_limits,
     reference_small_time_witness,
 )
-
-
-@dataclass
-class CountingRate:
-    """exp(-t) cos(t) that counts the times it is evaluated at."""
-
-    calls: int = 0
-
-    @staticmethod
-    def formula(t: np.ndarray) -> np.ndarray:
-        return np.exp(-t) * np.cos(t)
-
-    def evaluate(self, t: np.ndarray) -> np.ndarray:
-        self.calls += t.size
-        return self.formula(t)
 
 
 @dataclass(frozen=True)
