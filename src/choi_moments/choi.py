@@ -8,10 +8,12 @@ trace.
 
 Two constructions are provided: the first-order small-time Choi built directly
 from the generator, and the finite-interval Choi of the map bridging two times
-of a propagated evolution. All propagation goes through one batched
-fixed-step RK4 kernel: `propagate_map` runs it over one window, and
-`bridge_spectra` over one window [t, t + delta] per grid time, reusing its
-most recent sweep when the next call has the same inputs.
+of a propagated evolution. The trace moments of the small-time Choi are exact
+polynomials in its time step, evaluated from traces of the generator's Choi
+blocks with no eigensolve (`SmallTimeChoiBuilder.moments`). All propagation
+goes through one batched fixed-step RK4 kernel: `propagate_map` runs it over
+one window, and `bridge_spectra` over one window [t, t + delta] per grid time,
+reusing its most recent sweep when the next call has the same inputs.
 """
 
 import os
@@ -154,13 +156,14 @@ def _checked_rates(gen: LindbladGenerator, times: np.ndarray) -> np.ndarray:
 
 
 class SmallTimeChoiBuilder:
-    """The Choi image X(t) = B_0 + sum_i gamma_i(t) B_i of the generator, and
+    """The Choi image X(t) = B_0 + sum_k gamma_k(t) B_k of the generator, and
     the first-order Choi states C = bell + eps * X(t) of the maps on [t, t + eps].
 
-    B_0 is the Choi image of the Hamiltonian part and B_i that of dissipator
-    i (`blocks`, stacked). The generator enters only through its rates, so a
+    B_0 is the Choi image of the Hamiltonian part and B_k that of dissipator
+    k (`blocks`, stacked). The generator enters only through its rates, so a
     grid costs one rate call and one product of the coefficients
-    [1, gamma_1, ...] with the stacked blocks.
+    c = [1, gamma_1, ...] with the stacked blocks (`matrix`), or with tables
+    of traces of the blocks (`moments`, which needs no eigensolve).
     """
 
     def __init__(self, gen: LindbladGenerator):
@@ -169,6 +172,8 @@ class SmallTimeChoiBuilder:
         self.bell = max_entangled_projector(d)
         h_part, d_parts = _superoperator_parts(gen)
         self.blocks = _choi_from_superop(np.stack([h_part, *d_parts]), d)
+        # x_k = <Phi+|B_k|Phi+>, so that <Phi+|X|Phi+> = c . x.
+        self.bell_overlaps = np.einsum("ab,kba->k", self.bell, self.blocks).real
         # Grid points per stacked eigensolve, within the kernel's memory budget.
         self.width = max(1, CHUNK_ENTRIES // self.bell.size)
 
@@ -189,6 +194,43 @@ class SmallTimeChoiBuilder:
         """bell + eps * X for each row of rates gammas (n, K): (n, d^2, d^2)."""
         x = self.coefficients(gammas) @ self.blocks.reshape(len(self.blocks), -1)
         return self.bell + epsilon * x.reshape(-1, *self.bell.shape)
+
+    def moments(self, gammas: np.ndarray, epsilon: float):
+        """r_2, r_3 and r_2^2 - r_3 of bell + eps * X for each row of rates
+        gammas (n, K), each of shape (n,), with no eigensolve.
+
+        bell is a rank-1 projector, so with x0 = <Phi+|X|Phi+>,
+        s2 = Tr X^2, sb = <Phi+|X^2|Phi+> and s3 = Tr X^3,
+
+            r_2 = 1 + 2 eps x0 + eps^2 s2,
+            r_3 = 1 + 3 eps x0 + 3 eps^2 sb + eps^3 s3,
+
+        and r_2^2 - r_3 is expanded in eps so that the leading 1s cancel
+        exactly. x0, s2, sb and s3 are forms in c = [1, gamma_1, ...] of
+        degree 1, 2, 2 and 3 over the tables x_k, Tr(B_k B_l),
+        Re <Phi+|B_k B_l|Phi+> and Re Tr(B_k B_l B_m); the blocks are
+        Hermitian, so the real parts are the whole contractions.
+        """
+        k1 = len(self.blocks)
+        pairs = (self.blocks[:, None] @ self.blocks[None]).reshape(k1 * k1, -1)
+        # Tr(A B) = sum_ab A_ab B_ba: contract with transposed blocks and bell.
+        flipped = np.swapaxes(self.blocks, 1, 2).reshape(k1, -1)
+        traces2 = (self.blocks.reshape(k1, -1) @ flipped.T).real.ravel()
+        bell_pairs = (pairs @ self.bell.T.ravel()).real
+        traces3 = (pairs @ flipped.T).real
+
+        c = self.coefficients(gammas)
+        cc = (c[:, :, None] * c[:, None, :]).reshape(len(c), -1)
+        x0 = c @ self.bell_overlaps
+        s2 = cc @ traces2
+        sb = cc @ bell_pairs
+        s3 = np.sum((cc @ traces3) * c, axis=1)
+        eps = float(epsilon)
+        r2 = 1.0 + 2.0 * eps * x0 + eps**2 * s2
+        r3 = 1.0 + 3.0 * eps * x0 + 3.0 * eps**2 * sb + eps**3 * s3
+        values = (eps * x0 + eps**2 * (4.0 * x0**2 + 2.0 * s2 - 3.0 * sb)
+                  + eps**3 * (4.0 * x0 * s2 - s3) + eps**4 * s2**2)
+        return r2, r3, values
 
 
 def choi_small_time(gen: LindbladGenerator, t: float, epsilon: float) -> ChoiMatrix:

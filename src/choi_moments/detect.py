@@ -4,7 +4,10 @@ The detector works on trace moments r_n = Tr[C^n] of the Choi state C of an
 intermediate map. For any completely positive trace-preserving map the Choi
 state is a density matrix and r_2^2 <= r_3 (a Hoelder/Cauchy-Schwarz chain),
 so a positive witness value r_2^2 - r_3 certifies that the intermediate map is
-not CP and the dynamics is not CP-divisible.
+not CP and the dynamics is not CP-divisible. On the first-order small-time
+Choi state C = bell + eps X the moments are polynomials in eps, so the
+small-time witness is evaluated in closed form with no eigensolve; on a
+finite-interval bridge map it comes from the bridge's Choi spectrum.
 
 Two integrated quantifiers are provided: the moment measure, built from the
 instantaneous rate f(t) = lim_{eps->0} max(0, r_2^2 - r_3)/eps of small-time
@@ -131,18 +134,11 @@ def _violation_intervals(
     grid: np.ndarray, values: np.ndarray, threshold: float
 ) -> tuple[tuple[float, float], ...]:
     """Contiguous grid runs with value > threshold, as (t_start, t_end) pairs."""
-    mask = values > threshold
-    intervals = []
-    start = None
-    for i, flag in enumerate(mask):
-        if flag and start is None:
-            start = i
-        elif not flag and start is not None:
-            intervals.append((float(grid[start]), float(grid[i - 1])))
-            start = None
-    if start is not None:
-        intervals.append((float(grid[start]), float(grid[-1])))
-    return tuple(intervals)
+    mask = np.concatenate(([False], values > threshold, [False]))
+    # A run of the unpadded mask starts at a rising edge and ends one point
+    # before the falling edge that follows it.
+    edges = np.flatnonzero(np.diff(mask))
+    return tuple(zip(grid[edges[::2]].tolist(), grid[edges[1::2] - 1].tolist()))
 
 
 def _validate_grid(grid) -> np.ndarray:
@@ -186,18 +182,13 @@ def witness_series(
                 f"max |eps*gamma| = {worst:.3g}",
                 stacklevel=2,
             )
-        r2 = np.empty(grid.size)
-        r3 = np.empty(grid.size)
-        for chunk in builder.chunks(grid.size):
-            lam = np.linalg.eigvalsh(builder.matrix(rates[chunk], epsilon))
-            r2[chunk] = np.sum(lam**2, axis=1)
-            r3[chunk] = np.sum(lam**3, axis=1)
+        r2, r3, values = builder.moments(rates, epsilon)
     else:
         rates, lam = bridge_spectra(gen, grid, epsilon, steps_per_unit)
         r2 = np.sum(lam**2, axis=1)
         r3 = np.sum(lam**3, axis=1)
+        values = r2**2 - r3
 
-    values = r2**2 - r3
     return WitnessSeries(
         grid=grid,
         epsilon=float(epsilon),
@@ -216,11 +207,12 @@ def _rate_limits(gen: LindbladGenerator, times) -> tuple[np.ndarray, np.ndarray,
 
     With C = bell + eps X and X = B_0 + sum_i gamma_i B_i the Choi image of
     the generator, r_2^2 - r_3 = eps <Phi+|X|Phi+> + O(eps^2), so
-    f = max(0, <Phi+|X|Phi+>): a linear form in the rates whose coefficients
-    <Phi+|B_k|Phi+> are computed once. Off the Bell direction the eigenvalues
-    of C are eps mu_j + O(eps^2), with mu_j the eigenvalues of Q X Q and
-    Q = I - bell, so g = 2 sum_j max(0, -mu_j) (Rivas, Huelga and Plenio,
-    PRL 105, 050403, 2010); one stacked eigensolve per chunk of times. Terms
+    f = max(0, <Phi+|X|Phi+>), the leading coefficient of the small-time
+    witness: a linear form in the rates over the builder's <Phi+|B_k|Phi+>.
+    Off the Bell direction the eigenvalues of C are eps mu_j + O(eps^2),
+    with mu_j the eigenvalues of Q X Q and Q = I - bell, so
+    g = 2 sum_j max(0, -mu_j) (Rivas, Huelga and Plenio, PRL 105, 050403,
+    2010); one stacked eigensolve per chunk of times. Terms
     within 1e-12 of the size of X's entries are rounding noise and count as
     zero, so Markovian generators give exactly f = g = 0.
     """
@@ -229,13 +221,13 @@ def _rate_limits(gen: LindbladGenerator, times) -> tuple[np.ndarray, np.ndarray,
     coef = builder.coefficients(gammas)
     noise = _RATE_NOISE * np.maximum(
         1.0, np.abs(coef) @ np.max(np.abs(builder.blocks), axis=(1, 2)))
-    f = coef @ np.einsum("ab,kba->k", builder.bell, builder.blocks).real
+    f = coef @ builder.bell_overlaps
     f = np.where(f > noise, f, 0.0)
     q = np.eye(len(builder.bell)) - builder.bell
-    projected = q @ builder.blocks @ q
+    projected = (q @ builder.blocks @ q).reshape(len(builder.blocks), -1)
     g = np.empty(len(gammas))
     for chunk in builder.chunks(len(gammas)):
-        mu = np.linalg.eigvalsh(np.einsum("nk,kab->nab", coef[chunk], projected))
+        mu = np.linalg.eigvalsh((coef[chunk] @ projected).reshape(-1, *q.shape))
         g[chunk] = 2.0 * np.sum(np.where(mu < -noise[chunk, None], -mu, 0.0), axis=1)
     return gammas, f, g
 

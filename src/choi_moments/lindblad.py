@@ -180,9 +180,9 @@ def unitality_defects(gen: LindbladGenerator, gammas) -> np.ndarray:
     """
     d = gen.dim
     images = np.array([(op @ op.conj().T - op.conj().T @ op) / d
-                       for op, _ in gen.dissipators]).reshape(-1, d, d)
-    residual = np.einsum("nk,kab->nab", np.asarray(gammas, dtype=float), images)
-    return np.max(np.abs(residual), axis=(1, 2))
+                       for op, _ in gen.dissipators]).reshape(-1, d * d)
+    residual = np.asarray(gammas, dtype=float) @ images
+    return np.max(np.abs(residual), axis=1)
 
 
 def is_unital(gen: LindbladGenerator, t: float) -> bool:

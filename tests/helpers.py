@@ -168,6 +168,22 @@ def reference_small_time_witness(gen, grid, eps):
     return np.array(rates), r2, r3, r2**2 - r3
 
 
+def reference_violation_intervals(grid, values, threshold):
+    """Contiguous grid runs with value > threshold, as (t_start, t_end) pairs,
+    found by walking the grid one point at a time."""
+    intervals = []
+    start = None
+    for i, flag in enumerate(values > threshold):
+        if flag and start is None:
+            start = i
+        elif not flag and start is not None:
+            intervals.append((float(grid[start]), float(grid[i - 1])))
+            start = None
+    if start is not None:
+        intervals.append((float(grid[start]), float(grid[-1])))
+    return tuple(intervals)
+
+
 def reference_rate_limits(gen, t, eps_schedule=(1e-4, 5e-5)):
     """f(t) and g(t) as eps -> 0 limits of finite-eps samples.
 

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from choi_moments.choi import (
-    CHUNK_ENTRIES,
     bridge_spectra,
     choi_small_time,
     max_entangled_projector,
@@ -15,6 +14,7 @@ from choi_moments.choi import (
 )
 from choi_moments.detect import (
     VIOLATION_THRESHOLD,
+    _violation_intervals,
     cp_divisibility_scan,
     lambda_moments,
     measure_report,
@@ -39,6 +39,7 @@ from helpers import (
     random_unital_generator,
     reference_rate_limits,
     reference_small_time_witness,
+    reference_violation_intervals,
 )
 
 
@@ -203,14 +204,55 @@ class TestWitnessSeries:
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_batched_small_time_witness_matches_point_loop(self, d):
-        gen = random_expcos_generator(np.random.default_rng(d), d)
-        grid = np.linspace(0.0, 3.0, 263)
-        assert grid.size % max(1, CHUNK_ENTRIES // d**4) != 0
-        series = witness_series(gen, grid, 1e-3)
-        rates, r2, r3, values = reference_small_time_witness(gen, grid, 1e-3)
-        assert np.array_equal(series.rates, rates)
-        for got, want in ((series.r2, r2), (series.r3, r3), (series.values, values)):
-            assert np.max(np.abs(got - want)) < 1e-12
+        # The closed-form polynomials in eps against one eigensolve per point,
+        # for constant and time-varying rates and 1-3 jump operators.
+        grid = np.linspace(0.0, 3.0, 23)
+        rng = np.random.default_rng(d)
+        for factory in (random_generator, random_expcos_generator):
+            for n_ops in (1, 2, 3):
+                gen = factory(rng, d, n_ops=n_ops)
+                for eps in (1e-4, 1e-3, 1e-2, 0.1):
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore")  # |eps*gamma| >= 0.1 at eps = 0.1
+                        series = witness_series(gen, grid, eps)
+                    rates, r2, r3, values = reference_small_time_witness(gen, grid, eps)
+                    assert np.array_equal(series.rates, rates)
+                    for got, want in ((series.r2, r2), (series.r3, r3),
+                                      (series.values, values),
+                                      (series.values, series.r2**2 - series.r3)):
+                        assert np.max(np.abs(got - want)) < 1e-12
+
+    def test_small_time_makes_no_eigensolve(self, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return eigvalsh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        gen = random_expcos_generator(np.random.default_rng(5), 3, n_ops=3)
+        series = witness_series(gen, np.linspace(0.0, 3.0, 300), 1e-3)
+        assert series.values.shape == (300,)
+        assert calls == []
+        rhp_rate_g(gen, 0.0)  # g needs the spectrum of Q X Q
+        assert calls
+
+    def test_violation_intervals_match_point_walk(self):
+        rng = np.random.default_rng(46)
+        n = 40
+        grid = np.sort(rng.uniform(0.0, 10.0, n))
+        masks = [np.ones(n, bool), np.zeros(n, bool),
+                 np.arange(n) < 5, np.arange(n) >= n - 5,          # runs touching each end
+                 np.arange(n) % 2 == 0, np.arange(n) % 3 == 1,     # single-point runs
+                 np.isin(np.arange(n), [0, n - 1])]
+        masks += [rng.random(n) < p for p in (0.1, 0.5, 0.9) for _ in range(30)]
+        for mask in masks:
+            values = np.where(mask, 1.0, -1.0) * rng.uniform(0.5, 2.0, n)
+            got = _violation_intervals(grid, values, 0.0)
+            want = reference_violation_intervals(grid, values, 0.0)
+            assert got == want
+            assert all(type(t) is float for pair in got for t in pair)
 
     def test_small_time_names_earliest_non_finite_rate(self):
         gen = dephasing_generator(BlowUpRate(after=0.95))
@@ -382,9 +424,16 @@ class TestDivisibilityScan:
         # Phi(t, 0) passes condition number 1e12 inside both grids (example2
         # near t = 5.95, ohmic_compare near t = 1.98); every bridge map is
         # still well defined, and the scan integrates those directly.
-        config = load_scenario(bundled_scenario_path(name))
-        grid = np.linspace(0.0, config.t_max, config.points)
-        scan = cp_divisibility_scan(build_generator(config), grid, config.epsilon)
+        # example2's pole makes one window's RK4 step dubious; ohmic_compare
+        # raises no warning at all.
+        gen, grid, config = bundled(name)
+        if name == "example2":
+            with pytest.warns(UserWarning, match="RK4 step is dubious"):
+                scan = cp_divisibility_scan(gen, grid, config.epsilon)
+        else:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                scan = cp_divisibility_scan(gen, grid, config.epsilon)
         assert scan.verdict == verdict
 
     def test_non_finite_rate_names_earliest_time(self):
