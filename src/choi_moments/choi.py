@@ -13,7 +13,9 @@ polynomials in its time step, evaluated from traces of the generator's Choi
 blocks with no eigensolve (`SmallTimeChoiBuilder.moments`). All propagation
 goes through one batched fixed-step RK4 kernel: `propagate_map` runs it over
 one window, and `bridge_spectra` over one window [t, t + delta] per grid time,
-reusing its most recent sweep when the next call has the same inputs.
+reusing its most recent sweep when the next call has the same inputs. Both
+constructions read the generator's read-only superoperator blocks
+[H_part, D_1, ...], weighted by `lindblad.coefficients` of the rates.
 """
 
 import os
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lindblad import LindbladGenerator, _superoperator_parts, rates_at
+from .lindblad import LindbladGenerator, coefficients, rates_at
 from .spectral import require_hermitian
 
 __all__ = [
@@ -54,8 +56,8 @@ _CHOI_ASYMMETRY_ATOL = 1e-8
 # Source files of this package, skipped when a warning names its caller.
 _PACKAGE_PREFIX = os.path.dirname(__file__) + os.sep
 
-# The most recent bridge sweep: (Hamiltonian, jump operators, step, half-step
-# rates, spectra). It is replaced as one tuple, so a thread reads either the
+# The most recent bridge sweep: (superoperator blocks, step, half-step rates,
+# spectra). It is replaced as one tuple, so a thread reads either the
 # old sweep or the new one, never a mix.
 _last_sweep = None
 
@@ -119,17 +121,6 @@ def partial_trace_output(c: np.ndarray, d: int) -> np.ndarray:
     return np.einsum("iaja->ij", c.reshape(d, d, d, d))
 
 
-def _symmetrized_choi(c: np.ndarray) -> np.ndarray:
-    """Hermitian part of a (stack of) Choi matrices, refusing visible asymmetry."""
-    c_dag = np.swapaxes(c, -1, -2).conj()
-    asym = float(np.max(np.abs(c - c_dag)))
-    if asym > _CHOI_ASYMMETRY_ATOL:
-        raise ValueError(
-            f"constructed Choi matrix is not Hermitian: asymmetry {asym:.3e}"
-        )
-    return 0.5 * (c + c_dag)
-
-
 def _checked_choi(maps: np.ndarray, d: int) -> np.ndarray:
     """Symmetrized Choi states of a (stack of) maps, refusing maps that are
     not trace preserving (Choi trace off 1 by more than 1e-6)."""
@@ -141,7 +132,7 @@ def _checked_choi(maps: np.ndarray, d: int) -> np.ndarray:
             f"map is not trace preserving: Choi trace deviation {trace_dev:.3e} "
             f"exceeds {_CHOI_TRACE_ATOL:.1e}"
         )
-    return _symmetrized_choi(c)
+    return require_hermitian(c, atol=_CHOI_ASYMMETRY_ATOL)
 
 
 def _checked_rates(gen: LindbladGenerator, times: np.ndarray) -> np.ndarray:
@@ -170,8 +161,7 @@ class SmallTimeChoiBuilder:
         self.gen = gen
         d = gen.dim
         self.bell = max_entangled_projector(d)
-        h_part, d_parts = _superoperator_parts(gen)
-        self.blocks = _choi_from_superop(np.stack([h_part, *d_parts]), d)
+        self.blocks = _choi_from_superop(gen.superoperator_blocks, d)
         # x_k = <Phi+|B_k|Phi+>, so that <Phi+|X|Phi+> = c . x.
         self.bell_overlaps = np.einsum("ab,kba->k", self.bell, self.blocks).real
         # Grid points per stacked eigensolve, within the kernel's memory budget.
@@ -185,14 +175,9 @@ class SmallTimeChoiBuilder:
         """Slices of at most `width` grid points covering range(n)."""
         return (slice(lo, lo + self.width) for lo in range(0, n, self.width))
 
-    @staticmethod
-    def coefficients(gammas: np.ndarray) -> np.ndarray:
-        """The weights [1, gamma_1, ...] of the blocks in X, (n, K + 1)."""
-        return np.concatenate((np.ones((len(gammas), 1)), gammas), axis=1)
-
     def matrix(self, gammas: np.ndarray, epsilon: float) -> np.ndarray:
         """bell + eps * X for each row of rates gammas (n, K): (n, d^2, d^2)."""
-        x = self.coefficients(gammas) @ self.blocks.reshape(len(self.blocks), -1)
+        x = coefficients(gammas) @ self.blocks.reshape(len(self.blocks), -1)
         return self.bell + epsilon * x.reshape(-1, *self.bell.shape)
 
     def moments(self, gammas: np.ndarray, epsilon: float):
@@ -219,7 +204,7 @@ class SmallTimeChoiBuilder:
         bell_pairs = (pairs @ self.bell.T.ravel()).real
         traces3 = (pairs @ flipped.T).real
 
-        c = self.coefficients(gammas)
+        c = coefficients(gammas)
         cc = (c[:, :, None] * c[:, None, :]).reshape(len(c), -1)
         x0 = c @ self.bell_overlaps
         s2 = cc @ traces2
@@ -245,12 +230,11 @@ def choi_small_time(gen: LindbladGenerator, t: float, epsilon: float) -> ChoiMat
     gammas = builder.rates([t])
     worst = float(np.max(np.abs(epsilon * gammas))) if gammas.size else 0.0
     if worst >= SMALL_TIME_RATE_LIMIT:
-        warnings.warn(
+        warn_caller(
             f"small-time expansion is dubious: max |eps*gamma| = {worst:.3g} "
-            f"at t = {t:.6g} (limit {SMALL_TIME_RATE_LIMIT})",
-            stacklevel=2,
+            f"at t = {t:.6g} (limit {SMALL_TIME_RATE_LIMIT})"
         )
-    c = _symmetrized_choi(builder.matrix(gammas, epsilon)[0])
+    c = require_hermitian(builder.matrix(gammas, epsilon)[0], atol=_CHOI_ASYMMETRY_ATOL)
     return ChoiMatrix(c, (t, t + epsilon), "small-time")
 
 
@@ -266,21 +250,21 @@ def _half_step_rates(
     return _checked_rates(gen, times)
 
 
-def _rk4_product(parts: np.ndarray, gammas: np.ndarray, h: float) -> np.ndarray:
+def _rk4_product(blocks: np.ndarray, gammas: np.ndarray, h: float) -> np.ndarray:
     """RK4 propagators of n windows of m steps, from their half-step rates (n, 2m + 1, K).
 
     The generator is affine in the rates, so all stage generators come from
-    one product of the coefficients [1, gamma_1, ...] with the stacked blocks
-    [H_part, D_1, ...]. Each step map is one classical RK4 step applied to
-    the identity (RK4 is linear in Phi, so stepping Phi is that map times
-    Phi); a window's step maps are then multiplied pairwise, later steps on
-    the left.
+    one product of the coefficients [1, gamma_1, ...] with the generator's
+    blocks [H_part, D_1, ...]. Each step map is one classical RK4 step
+    applied to the identity (RK4 is linear in Phi, so stepping Phi is that
+    map times Phi); a window's step maps are then multiplied pairwise, later
+    steps on the left.
     """
-    coef = np.concatenate((np.ones(gammas.shape[:-1] + (1,)), gammas), axis=-1)
-    a = coef @ parts.reshape(len(parts), -1)
-    a = a.reshape(*coef.shape[:-1], *parts.shape[1:])
+    coef = coefficients(gammas)
+    a = coef @ blocks.reshape(len(blocks), -1)
+    a = a.reshape(*coef.shape[:-1], *blocks.shape[1:])
     a1, a2, a4 = a[:, :-1:2], a[:, 1::2], a[:, 2::2]
-    eye = np.eye(parts.shape[-1])
+    eye = np.eye(blocks.shape[-1])
     k1 = a1
     k2 = a2 @ (eye + 0.5 * h * k1)
     k3 = a2 @ (eye + 0.5 * h * k2)
@@ -299,28 +283,25 @@ def _rk4_chunks(gen: LindbladGenerator, gammas: np.ndarray, h: float):
     identity over every window whose half-step rates are gammas (W, 2m + 1, K).
 
     Yields (window slice, propagators) chunk by chunk. A chunk holds at most
-    CHUNK_ENTRIES matrix entries per stack: whole windows when a window's
-    steps fit, otherwise one window whose steps are taken a chunk at a time.
+    CHUNK_ENTRIES matrix entries per stack: `width` whole windows when a
+    window's steps fit, otherwise one window whose steps are taken `span` at
+    a time.
     """
-    h_part, d_parts = _superoperator_parts(gen)
-    parts = np.stack([h_part, *d_parts])
+    blocks = gen.superoperator_blocks
     windows, steps = gammas.shape[0], (gammas.shape[1] - 1) // 2
-    per_chunk = max(1, CHUNK_ENTRIES // h_part.size)
-    if steps <= per_chunk:
-        width = per_chunk // steps
-        for lo in range(0, windows, width):
-            yield slice(lo, lo + width), _rk4_product(parts, gammas[lo:lo + width], h)
-        return
-    for w in range(windows):
+    per_chunk = max(1, CHUNK_ENTRIES // blocks[0].size)
+    width = max(1, per_chunk // steps)
+    span = max(1, per_chunk // width)
+    for lo in range(0, windows, width):
         phi = None
-        for k in range(0, steps, per_chunk):
-            end = min(k + per_chunk, steps)
-            block = _rk4_product(parts, gammas[w:w + 1, 2 * k:2 * end + 1], h)
+        for k in range(0, steps, span):
+            end = min(k + span, steps)
+            block = _rk4_product(blocks, gammas[lo:lo + width, 2 * k:2 * end + 1], h)
             phi = block if phi is None else block @ phi
-        yield slice(w, w + 1), phi
+        yield slice(lo, lo + width), phi
 
 
-def _warn_caller(message: str) -> None:
+def warn_caller(message: str) -> None:
     """Warn, attributing the warning to the nearest caller outside this package."""
     frame, level = sys._getframe(2), 3
     while frame is not None and frame.f_code.co_filename.startswith(_PACKAGE_PREFIX):
@@ -376,15 +357,6 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
         np.ascontiguousarray(a).view(np.int64), np.ascontiguousarray(b).view(np.int64))
 
 
-def _same_sweep(last: tuple, key: tuple) -> bool:
-    """True iff a stored sweep was taken with the Hamiltonian, jump operators,
-    step and half-step rates of key, so the kernel would reproduce it."""
-    (h_mat, ops, h, gammas), (h_mat_now, ops_now, h_now, gammas_now) = last[:4], key
-    return (h == h_now and len(ops) == len(ops_now) and _same_bits(gammas, gammas_now)
-            and _same_bits(h_mat, h_mat_now)
-            and all(_same_bits(a, b) for a, b in zip(ops, ops_now)))
-
-
 def bridge_spectra(
     gen: LindbladGenerator,
     starts,
@@ -401,8 +373,8 @@ def bridge_spectra(
     rate pole, where the fixed step loses accuracy).
 
     The rates are evaluated, checked and warned about on every call. When the
-    Hamiltonian, the jump operators, the step and every half-step rate equal,
-    bit for bit, those of the previous sweep, that sweep's spectra are
+    generator's superoperator blocks, the step and every half-step rate
+    equal, bit for bit, those of the previous sweep, that sweep's spectra are
     returned (as a copy) instead of being integrated and eigensolved again:
     a finite-interval witness and a scan on one grid and delta share one sweep.
     """
@@ -417,20 +389,21 @@ def bridge_spectra(
         peak = np.max(np.abs(h * gammas), axis=(1, 2))
         w = int(np.argmax(peak))
         if peak[w] >= SMALL_TIME_RATE_LIMIT:
-            _warn_caller(
+            warn_caller(
                 f"RK4 step is dubious: max |h*gamma| = {peak[w]:.3g} in the window "
                 f"starting at t = {starts[w]:.6g} (limit {SMALL_TIME_RATE_LIMIT})"
             )
-    key = (gen.hamiltonian.copy(), tuple(op.copy() for op, _ in gen.dissipators), h, gammas)
+    blocks = gen.superoperator_blocks
     last = _last_sweep
-    if last is not None and _same_sweep(last, key):
+    if (last is not None and last[1] == h and _same_bits(last[0], blocks)
+            and _same_bits(last[2], gammas)):
         _debug("reused the last sweep of %d windows", starts.size)
-        return gammas[:, 0].copy(), last[-1].copy()
+        return gammas[:, 0].copy(), last[3].copy()
     d = gen.dim
     spectra = np.empty((starts.size, d * d))
     for window, maps in _rk4_chunks(gen, gammas, h):
         spectra[window] = np.linalg.eigvalsh(_checked_choi(maps, d))[:, ::-1]
-    _last_sweep = key + (spectra.copy(),)
+    _last_sweep = (blocks, h, gammas, spectra.copy())
     _debug("swept %d windows, d = %d", starts.size, d)
     return gammas[:, 0].copy(), spectra
 
@@ -482,6 +455,8 @@ def cptp_diagnostics(c: ChoiMatrix | np.ndarray, tol: float = 1e-10) -> CPTPDiag
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
     mat = c.matrix if isinstance(c, ChoiMatrix) else np.asarray(c, dtype=complex)
+    if mat.ndim != 2:
+        raise ValueError(f"expected a square matrix, got shape {mat.shape}")
     mat = require_hermitian(mat, atol=_CHOI_ASYMMETRY_ATOL)
     d = int(round(np.sqrt(mat.shape[0])))
     eigs = np.linalg.eigvalsh(mat)

@@ -75,29 +75,10 @@ def _write_atomic(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _witness_csv(series) -> str:
-    n_rates = series.rates.shape[1]
-    header = ["t"] + [f"gamma_{i + 1}" for i in range(n_rates)] + ["r2", "r3", "witness"]
+def _csv(header: list[str], columns) -> str:
+    """CSV text with the given header and one float column per array."""
     lines = [",".join(header)]
-    for i, t in enumerate(series.grid):
-        row = [_fmt(t)]
-        row += [_fmt(g) for g in series.rates[i]]
-        row += [_fmt(series.r2[i]), _fmt(series.r3[i]), _fmt(series.values[i])]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
-
-
-def _measure_csv(report: MeasureReport) -> str:
-    lines = ["t,f,g"]
-    for t, f, g in zip(report.grid, report.f_series, report.g_series):
-        lines.append(",".join((_fmt(t), _fmt(f), _fmt(g))))
-    return "\n".join(lines) + "\n"
-
-
-def _divisibility_csv(scan) -> str:
-    lines = ["t,min_choi_eigenvalue"]
-    for t, eig in zip(scan.grid, scan.min_eigenvalues):
-        lines.append(",".join((_fmt(t), _fmt(eig))))
+    lines += [",".join(map(_fmt, row)) for row in zip(*columns)]
     return "\n".join(lines) + "\n"
 
 
@@ -125,15 +106,20 @@ def run_scenario(config: ScenarioConfig, out_dir: str, quiet: bool = False) -> R
         measures: MeasureReport | None = None
         scan = None
         if "witness" in config.outputs:
-            emit("witness", _witness_csv(series))
+            rate_names = [f"gamma_{i + 1}" for i in range(series.rates.shape[1])]
+            emit("witness", _csv(["t", *rate_names, "r2", "r3", "witness"],
+                                 [series.grid, *series.rates.T,
+                                  series.r2, series.r3, series.values]))
         if any(out in config.outputs for out in ("measure", "rhp", "compare")):
             measures = measure_report(gen, config.t_max, config.points)
             for out in ("measure", "rhp", "compare"):
                 if out in config.outputs:
-                    emit(out, _measure_csv(measures))
+                    emit(out, _csv(["t", "f", "g"],
+                                   [measures.grid, measures.f_series, measures.g_series]))
         if "divisibility" in config.outputs:
             scan = cp_divisibility_scan(gen, grid, config.epsilon)
-            emit("divisibility", _divisibility_csv(scan))
+            emit("divisibility", _csv(["t", "min_choi_eigenvalue"],
+                                      [scan.grid, scan.min_eigenvalues]))
 
         verdict = "non-Markovian" if series.violations else "Markovian-consistent"
         report = RunReport(
@@ -178,10 +164,12 @@ def _report_text(report: RunReport) -> str:
     if report.moment_measure is not None:
         lines.append(f"moment measure M = {_fmt(report.moment_measure)}")
         lines.append(f"rhp measure I = {_fmt(report.rhp_measure)}")
-        if report.moment_measure < MEASURE_ZERO_THRESHOLD:
+        if report.moment_measure >= MEASURE_ZERO_THRESHOLD:
+            lines.append(f"ratio I/M = {_fmt(report.measure_ratio)}")
+        elif report.rhp_measure < MEASURE_ZERO_THRESHOLD:
             lines.append("ratio I/M: n/a (both measures vanish; dynamics is Markovian)")
         else:
-            lines.append(f"ratio I/M = {_fmt(report.measure_ratio)}")
+            lines.append("ratio I/M: n/a (M vanishes while I does not)")
     if report.divisibility_verdict is not None:
         lines.append(f"divisibility scan: {report.divisibility_verdict}")
     for output in sorted(report.output_paths):

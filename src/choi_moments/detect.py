@@ -22,7 +22,6 @@ out across threads; only series assembly is ordered.
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,8 +32,9 @@ from .choi import (
     DEFAULT_STEPS_PER_UNIT,
     SMALL_TIME_RATE_LIMIT,
     bridge_spectra,
+    warn_caller,
 )
-from .lindblad import UNITAL_ATOL, LindbladGenerator, unitality_defects
+from .lindblad import UNITAL_ATOL, LindbladGenerator, coefficients, unitality_defects
 from .spectral import hermitian_spectrum, moments_from_spectrum
 
 __all__ = [
@@ -96,7 +96,8 @@ class MeasureReport:
 
     @property
     def ratio(self) -> float:
-        """Empirical rhp/moment ratio; NaN when both measures vanish."""
+        """Empirical rhp/moment ratio; NaN when the moment measure vanishes,
+        whether or not the rhp measure does."""
         if self.moment_measure < MEASURE_ZERO_THRESHOLD:
             return float("nan")
         return self.rhp_measure / self.moment_measure
@@ -177,10 +178,9 @@ def witness_series(
         rates = builder.rates(grid)
         worst = float(np.max(np.abs(epsilon * rates))) if rates.size else 0.0
         if worst >= SMALL_TIME_RATE_LIMIT:
-            warnings.warn(
+            warn_caller(
                 f"small-time expansion is dubious on part of the grid: "
-                f"max |eps*gamma| = {worst:.3g}",
-                stacklevel=2,
+                f"max |eps*gamma| = {worst:.3g}"
             )
         r2, r3, values = builder.moments(rates, epsilon)
     else:
@@ -218,7 +218,7 @@ def _rate_limits(gen: LindbladGenerator, times) -> tuple[np.ndarray, np.ndarray,
     """
     builder = SmallTimeChoiBuilder(gen)
     gammas = builder.rates(times)
-    coef = builder.coefficients(gammas)
+    coef = coefficients(gammas)
     noise = _RATE_NOISE * np.maximum(
         1.0, np.abs(coef) @ np.max(np.abs(builder.blocks), axis=(1, 2)))
     f = coef @ builder.bell_overlaps
@@ -269,19 +269,17 @@ def measure_report(gen: LindbladGenerator, t_max: float, grid_points: int) -> Me
     gammas, f_series, g_series = _rate_limits(gen, grid)
 
     if np.any(unitality_defects(gen, gammas) >= UNITAL_ATOL):
-        warnings.warn(
+        warn_caller(
             "generator is not unital: the moment measure is only proven to be "
-            "a measure for unital dynamics; interpret the value with care",
-            stacklevel=2,
+            "a measure for unital dynamics; interpret the value with care"
         )
 
     tail = grid >= 0.95 * t_max
     tail_peak = float(np.max(f_series[tail]))
     if tail_peak > 1e-8:
-        warnings.warn(
+        warn_caller(
             f"moment rate is still {tail_peak:.3e} over the last 5% of the grid; "
-            "increase t_max to trust the truncated integral",
-            stacklevel=2,
+            "increase t_max to trust the truncated integral"
         )
 
     return MeasureReport(

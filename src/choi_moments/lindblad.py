@@ -6,11 +6,15 @@ pairs; its action on a density matrix is
     d rho / dt = -i [H, rho] + sum_i gamma_i(t) (L_i rho L_i^dag
                                                  - (L_i^dag L_i rho + rho L_i^dag L_i) / 2)
 
-Vectorization is row-major project-wide: vec(A X B) = (A kron B^T) vec(X).
-Generators are immutable after construction and all evaluation is pure.
+Vectorization is row-major project-wide: vec(A X B) = (A kron B^T) vec(X),
+and the vectorized generator is affine in the rates:
+Lhat(t) = H_part + sum_i gamma_i(t) D_i. A generator holds the constant
+blocks [H_part, D_1, ...] and every superoperator is read off them.
+Generators are immutable: their arrays are read-only copies, so all
+evaluation is pure.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,6 +32,7 @@ __all__ = [
     "dephasing_generator",
     "isotropic_pauli_generator",
     "rates_at",
+    "coefficients",
     "apply_generator",
     "generator_superoperator",
     "is_unital",
@@ -65,30 +70,50 @@ def named_operator(name: str, dim: int) -> np.ndarray:
     return op.copy()
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True)
 class LindbladGenerator:
-    """Hamiltonian plus (jump operator, rate model) dissipator pairs."""
+    """Hamiltonian plus (jump operator, rate model) dissipator pairs.
+
+    Immutable: the Hamiltonian and the jump operators are read-only copies,
+    so the caller's arrays stay writeable and changing them later does not
+    change the generator. `superoperator_blocks` is the read-only stack
+    [H_part, D_1, ...], shape (K + 1, d^2, d^2), of the vectorized
+    generator's constant blocks: Lhat(t) = sum_k c_k B_k with
+    c = coefficients(rates_at(gen, t)).
+    """
 
     dim: int
     hamiltonian: np.ndarray
     dissipators: tuple[tuple[np.ndarray, RateModel], ...]
+    superoperator_blocks: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError(f"dimension must be >= 1, got {self.dim}")
-        h = require_hermitian(np.asarray(self.hamiltonian, dtype=complex))
+        h = _read_only(require_hermitian(np.asarray(self.hamiltonian, dtype=complex)))
         if h.shape != (self.dim, self.dim):
             raise ValueError(f"Hamiltonian shape {h.shape} does not match dim {self.dim}")
+        eye = np.eye(self.dim, dtype=complex)
         diss = []
+        blocks = [-1j * (np.kron(h, eye) - np.kron(eye, h.T))]
         for op, rate in self.dissipators:
-            op = np.asarray(op, dtype=complex)
+            op = _read_only(np.array(op, dtype=complex))
             if op.shape != (self.dim, self.dim):
                 raise ValueError(
                     f"jump operator shape {op.shape} does not match dim {self.dim}"
                 )
             diss.append((op, rate))
+            ld_l = op.conj().T @ op
+            blocks.append(np.kron(op, op.conj())
+                          - 0.5 * (np.kron(ld_l, eye) + np.kron(eye, ld_l.T)))
         object.__setattr__(self, "hamiltonian", h)
         object.__setattr__(self, "dissipators", tuple(diss))
+        object.__setattr__(self, "superoperator_blocks", _read_only(np.stack(blocks)))
 
 
 def dephasing_generator(rate: RateModel) -> LindbladGenerator:
@@ -140,21 +165,11 @@ def apply_generator(gen: LindbladGenerator, rho: np.ndarray, t: float) -> np.nda
     return _action(gen, rho, rates_at(gen, t))
 
 
-def _superoperator_parts(gen: LindbladGenerator) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Constant blocks of the vectorized generator: Hamiltonian part and one
-    block per dissipator, so that Lhat(t) = H_part + sum_i gamma_i(t) D_i."""
-    d = gen.dim
-    eye = np.eye(d, dtype=complex)
-    h = gen.hamiltonian
-    h_part = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
-    d_parts = []
-    for op, _ in gen.dissipators:
-        ld_l = op.conj().T @ op
-        d_parts.append(
-            np.kron(op, op.conj())
-            - 0.5 * (np.kron(ld_l, eye) + np.kron(eye, ld_l.T))
-        )
-    return h_part, d_parts
+def coefficients(gammas) -> np.ndarray:
+    """The weights [1, gamma_1, ...] of the superoperator blocks for rates
+    gammas of shape (..., K): shape (..., K + 1)."""
+    gammas = np.asarray(gammas, dtype=float)
+    return np.concatenate((np.ones(gammas.shape[:-1] + (1,)), gammas), axis=-1)
 
 
 def generator_superoperator(gen: LindbladGenerator, t: float) -> np.ndarray:
@@ -163,24 +178,20 @@ def generator_superoperator(gen: LindbladGenerator, t: float) -> np.ndarray:
     Row-major vectorization; the returned d^2 x d^2 matrix is generally not
     Hermitian.
     """
-    h_part, d_parts = _superoperator_parts(gen)
-    gammas = rates_at(gen, t)
-    out = h_part.copy()
-    for g, part in zip(gammas, d_parts):
-        out += g * part
-    return out
+    blocks = gen.superoperator_blocks
+    out = coefficients(rates_at(gen, t)) @ blocks.reshape(len(blocks), -1)
+    return out.reshape(blocks.shape[1:])
 
 
 def unitality_defects(gen: LindbladGenerator, gammas) -> np.ndarray:
     """Largest entry of |Lhat(I/d)| for each row of rates gammas (n, K), shape (n,).
 
-    The Hamiltonian part annihilates I/d and dissipator i maps it to
-    (L_i L_i^dag - L_i^dag L_i)/d, so the image is linear in the rates and
-    a grid of rates costs one product with these K images.
+    The Hamiltonian part annihilates I/d, so the image is linear in the
+    rates and a grid of rates costs one product with the dissipator blocks'
+    images of I/d.
     """
     d = gen.dim
-    images = np.array([(op @ op.conj().T - op.conj().T @ op) / d
-                       for op, _ in gen.dissipators]).reshape(-1, d * d)
+    images = gen.superoperator_blocks[1:] @ (np.eye(d).ravel() / d)
     residual = np.asarray(gammas, dtype=float) @ images
     return np.max(np.abs(residual), axis=1)
 

@@ -14,27 +14,31 @@ HERMITICITY_ATOL = 1e-12
 def require_hermitian(m: np.ndarray, atol: float = HERMITICITY_ATOL) -> np.ndarray:
     """Check Hermiticity of ``m`` and return the symmetrized copy (m + m^dag)/2.
 
-    Symmetrizing after the check stabilizes the eigensolve without masking
-    genuinely non-Hermitian input.
+    ``m`` is one square matrix or a stack of them along leading axes; the
+    last two axes are the matrix axes. Symmetrizing after the check
+    stabilizes the eigensolve without masking genuinely non-Hermitian input.
 
     Raises:
         ValueError: if ``m`` is not square or the maximum entrywise asymmetry
             exceeds ``atol`` (the offending magnitude is reported).
     """
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    asymmetry = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
+    m_dag = np.swapaxes(m, -1, -2).conj()
+    asymmetry = float(np.max(np.abs(m - m_dag))) if m.size else 0.0
     if asymmetry > atol:
         raise ValueError(
             f"matrix is not Hermitian: max |m - m^dag| = {asymmetry:.3e} "
             f"exceeds tolerance {atol:.1e}"
         )
-    return 0.5 * (m + m.conj().T)
+    return 0.5 * (m + m_dag)
 
 
 def hermitian_spectrum(m: np.ndarray) -> np.ndarray:
     """All real eigenvalues of a Hermitian matrix, descending, with multiplicity."""
+    if np.ndim(m) != 2:
+        raise ValueError(f"expected a square matrix, got shape {np.shape(m)}")
     return np.linalg.eigvalsh(require_hermitian(m))[::-1]
 
 

@@ -265,14 +265,23 @@ class TestLastSweep:
         assert not np.array_equal(spectra_x, result_y[1])
         self.assert_fresh(monkeypatch, result_y, gen_y, 0.01)
 
-    def test_jump_operator_mutated_in_place_misses(self, sweeps, monkeypatch):
-        gen, _ = self.mutable_generator()
+    def test_generator_is_immutable_and_a_rebuilt_one_misses(self, sweeps, monkeypatch):
+        rate = MutableExpCosRate()
+        hamiltonian, op = 0.3 * SIGMA_X, LOWERING.copy()
+        gen = LindbladGenerator(2, hamiltonian, ((SIGMA_Z, rate), (op, rate)))
         before = bridge_spectra(gen, self.GRID, 0.01)
-        gen.dissipators[1][0][1, 0] = 0.5
-        after = bridge_spectra(gen, self.GRID, 0.01)
+        for frozen in (gen.hamiltonian, gen.dissipators[1][0], gen.superoperator_blocks):
+            with pytest.raises(ValueError, match="read-only"):
+                frozen[1, 0] = 0.5
+        # The caller's arrays stay theirs: writeable, and no longer read by gen.
+        hamiltonian[1, 0] = op[1, 0] = 0.5
+        assert same_bits(bridge_spectra(gen, self.GRID, 0.01), before)
+        assert len(sweeps) == 1
+        rebuilt = LindbladGenerator(2, gen.hamiltonian, ((SIGMA_Z, rate), (op, rate)))
+        after = bridge_spectra(rebuilt, self.GRID, 0.01)
         assert len(sweeps) == 2
         assert not np.array_equal(before[1], after[1])
-        self.assert_fresh(monkeypatch, after, gen, 0.01)
+        self.assert_fresh(monkeypatch, after, rebuilt, 0.01)
 
     @pytest.mark.parametrize("delta, steps_per_unit", [(0.02, 1000), (0.01, 2000)])
     def test_other_delta_or_resolution_misses(self, sweeps, monkeypatch, delta, steps_per_unit):
@@ -450,6 +459,10 @@ class TestChoiOfSuperoperator:
 
 
 class TestCPTPDiagnostics:
+    def test_refuses_a_stack(self):
+        with pytest.raises(ValueError, match="square"):
+            cptp_diagnostics(np.stack([max_entangled_projector(2)] * 2))
+
     def test_bell_state(self):
         diag = cptp_diagnostics(max_entangled_projector(2))
         assert diag.is_cp and diag.is_tp

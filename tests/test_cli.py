@@ -1,3 +1,4 @@
+import math
 import os
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from choi_moments import choi, detect
 from choi_moments.cli import main, run_scenario
-from choi_moments.config import parse_scenario
+from choi_moments.config import load_scenario, parse_scenario
 from helpers import count_sweeps
 
 EXPCOS_COMPARE = """
@@ -72,6 +73,28 @@ mode = small-time
 outputs = witness divisibility
 """
 
+# Pauli channels with gamma_z = -tanh t < 0 but gamma_x + gamma_y + gamma_z > 0:
+# the moment rate f is zero everywhere while the trace-norm rate g is not.
+M_BLIND = """
+version = 1
+name = m_blind
+generator.dimension = 2
+dissipator.1.operator = sigma_x
+dissipator.1.rate.model = constant
+dissipator.1.rate.value = 1.0
+dissipator.2.operator = sigma_y
+dissipator.2.rate.model = constant
+dissipator.2.rate.value = 1.0
+dissipator.3.operator = sigma_z
+dissipator.3.rate.model = tabulated
+dissipator.3.rate.knots = {knots}
+epsilon = 0.01
+grid.t_max = 2.9
+grid.points = 300
+mode = small-time
+outputs = compare
+"""
+
 
 def write_cfg(tmp_path, text, name="scenario.cfg"):
     path = tmp_path / name
@@ -133,6 +156,17 @@ class TestRunScenario:
         lines = open(report.output_paths["compare"]).read().splitlines()
         assert lines[0] == "t,f,g"
         assert len(lines) == 1 + 801
+
+    def test_ratio_line_when_only_the_moment_measure_vanishes(self, tmp_path):
+        knots = " ".join(f"{t!r}:{-math.tanh(t)!r}" for t in np.linspace(0.0, 3.0, 301).tolist())
+        config = load_scenario(write_cfg(tmp_path, M_BLIND.format(knots=knots)))
+        report = run_scenario(config, str(tmp_path / "out"), quiet=True)
+        assert report.moment_measure == 0.0
+        assert report.rhp_measure == pytest.approx(4.42, abs=5e-3)
+        assert np.isnan(report.measure_ratio)
+        text = open(report.report_path).read()
+        assert "ratio I/M: n/a (M vanishes while I does not)\n" in text
+        assert "vanish;" not in text
 
     def test_determinism(self, tmp_path):
         config = parse_scenario(MARKOVIAN)

@@ -478,6 +478,29 @@ class TestDivisibilityScan:
             cp_divisibility_scan(gen, grid, config.epsilon)
 
 
+_DAMPING = LindbladGenerator(2, np.zeros((2, 2)), ((LOWERING, ConstantRate(1.0)),))
+_OSCILLATING = dephasing_generator(ExpCosRate(k=1.0))
+_FAST = dephasing_generator(ConstantRate(200.0))
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: measure_report(_DAMPING, 2.0, 51), "not unital"),
+    (lambda: measure_report(_OSCILLATING, 3.0, 101), "last 5%"),
+    (lambda: moment_measure(_DAMPING, 2.0, 51), "not unital"),
+    (lambda: moment_measure(_OSCILLATING, 3.0, 101), "last 5%"),
+    (lambda: rhp_measure(_DAMPING, 2.0, 51), "not unital"),
+    (lambda: rhp_measure(_OSCILLATING, 3.0, 101), "last 5%"),
+    (lambda: choi_small_time(_FAST, 0.0, 1e-3), "expansion is dubious"),
+    (lambda: witness_series(_FAST, [0.0, 1.0], 1e-3), "expansion is dubious"),
+], ids=["measure_report-unital", "measure_report-tail", "moment_measure-unital",
+        "moment_measure-tail", "rhp_measure-unital", "rhp_measure-tail",
+        "choi_small_time", "small_time_witness"])
+def test_warning_names_the_callers_line(call, match):
+    with pytest.warns(UserWarning, match=match) as records:
+        call()
+    assert [r.filename for r in records if match in str(r.message)] == [__file__]
+
+
 class TestRenyiEntropy:
     def test_maximally_mixed_qubit(self):
         assert renyi_entropy(np.eye(2) / 2, 2.0) == pytest.approx(1.0, abs=1e-12)

@@ -8,6 +8,7 @@ from choi_moments.lindblad import (
     SIGMA_Z,
     LindbladGenerator,
     apply_generator,
+    coefficients,
     dephasing_generator,
     generator_superoperator,
     is_unital,
@@ -41,6 +42,15 @@ class TestConstruction:
         h = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(ValueError, match="not Hermitian"):
             LindbladGenerator(2, h, ())
+
+    def test_blocks_follow_the_operators_and_freeze_no_caller_array(self):
+        gen = amplitude_damping_generator()
+        blocks = gen.superoperator_blocks
+        assert blocks.shape == (2, 4, 4)
+        assert LOWERING.flags.writeable
+        rebuilt = LindbladGenerator(2, SIGMA_X, gen.dissipators)
+        assert np.array_equal(rebuilt.superoperator_blocks[1], blocks[1])
+        assert not np.array_equal(rebuilt.superoperator_blocks[0], blocks[0])
 
     def test_rejects_operator_dimension_mismatch(self):
         with pytest.raises(ValueError, match="does not match dim"):
@@ -83,6 +93,12 @@ class TestApplyGenerator:
 
 
 class TestSuperoperator:
+    def test_coefficients_lead_with_one(self):
+        gammas = np.arange(6.0).reshape(3, 2)
+        assert np.array_equal(coefficients(gammas), [[1, 0, 1], [1, 2, 3], [1, 4, 5]])
+        assert np.array_equal(coefficients([0.5]), [1.0, 0.5])
+        assert coefficients(np.empty((4, 0))).shape == (4, 1)
+
     def test_dephasing_is_diagonal(self):
         gen = dephasing_generator(ConstantRate(1.0))
         lhat = generator_superoperator(gen, 0.0)

@@ -57,6 +57,21 @@ class TestHermitianSpectrum:
             rebuilt = (vec * lam) @ vec.conj().T
             assert np.max(np.abs(rebuilt - m)) < 1e-9
 
+    def test_require_hermitian_checks_each_matrix_of_a_stack(self):
+        rng = np.random.default_rng(13)
+        stack = np.array([random_hermitian(rng, 3) for _ in range(4)])
+        out = require_hermitian(stack)
+        assert np.array_equal(out, 0.5 * (stack + np.swapaxes(stack, 1, 2).conj()))
+        stack[2, 0, 1] += 1e-6
+        with pytest.raises(ValueError, match="1.000e-06"):
+            require_hermitian(stack)
+        with pytest.raises(ValueError, match="square"):
+            require_hermitian(np.zeros((2, 3, 2)))
+
+    def test_spectrum_refuses_a_stack(self):
+        with pytest.raises(ValueError, match="square"):
+            hermitian_spectrum(np.zeros((2, 3, 3)))
+
     def test_unitary_invariance(self):
         rng = np.random.default_rng(12)
         for _ in range(10):
