@@ -10,7 +10,10 @@ Two constructions are provided: the first-order small-time Choi built directly
 from the generator, and the finite-interval Choi of the map bridging two times
 of a propagated evolution. The trace moments of the small-time Choi are exact
 polynomials in its time step, evaluated from traces of the generator's Choi
-blocks with no eigensolve (`SmallTimeChoiBuilder.moments`). All propagation
+blocks with no eigensolve (`SmallTimeChoiBuilder.moments`), and the part of
+its spectrum off the Bell direction comes from a min(K, d^2)-square
+rate-weighted Gram matrix of the K jump operators
+(`SmallTimeChoiBuilder.projected_spectra`). All propagation
 goes through one batched fixed-step RK4 kernel: `propagate_map` runs it over
 one window, and `bridge_spectra` over one window [t, t + delta] per grid time,
 reusing its most recent sweep when the next call has the same inputs. Both
@@ -47,8 +50,9 @@ DEFAULT_STEPS_PER_UNIT = 1000
 # |eps * gamma| above which the first-order small-time Choi is dubious, and
 # |h * gamma| above which a fixed RK4 step of a bridge is.
 SMALL_TIME_RATE_LIMIT = 0.1
-# d^2 x d^2 matrix entries one batched RK4 chunk holds per stack (one matrix
-# per window step): bounds the kernel's memory whatever the grid size.
+# Matrix entries one stacked chunk holds: d^2 x d^2 maps in a batched RK4
+# stack (one matrix per window step), or the small matrices of a stacked
+# spectrum solve. Bounds memory whatever the grid size.
 CHUNK_ENTRIES = 4096
 # Tolerances for Choi construction sanity checks.
 _CHOI_TRACE_ATOL = 1e-6
@@ -155,6 +159,13 @@ class SmallTimeChoiBuilder:
     grid costs one rate call and one product of the coefficients
     c = [1, gamma_1, ...] with the stacked blocks (`matrix`), or with tables
     of traces of the blocks (`moments`, which needs no eigensolve).
+
+    Off the Bell direction, with Q = I - bell, the Hamiltonian part drops out
+    (Q B_0 Q = 0) and each dissipator leaves one rank-1 term,
+    Q B_k Q = v_k v_k^dag with v_k = vec((L_k - Tr(L_k)/d I)^T)/sqrt(d). So
+    Q X Q = V diag(gamma) V^dag, whose nonzero spectrum is that of the
+    min(K, d^2)-square R diag(gamma) R^dag, with V = W R a thin QR
+    (`projected_spectra`).
     """
 
     def __init__(self, gen: LindbladGenerator):
@@ -164,16 +175,35 @@ class SmallTimeChoiBuilder:
         self.blocks = _choi_from_superop(gen.superoperator_blocks, d)
         # x_k = <Phi+|B_k|Phi+>, so that <Phi+|X|Phi+> = c . x.
         self.bell_overlaps = np.einsum("ab,kba->k", self.bell, self.blocks).real
-        # Grid points per stacked eigensolve, within the kernel's memory budget.
-        self.width = max(1, CHUNK_ENTRIES // self.bell.size)
 
     def rates(self, times) -> np.ndarray:
         """Rates at each time, (n, K); non-finite rates are refused."""
         return _checked_rates(self.gen, np.asarray(times, dtype=float))
 
-    def chunks(self, n: int):
-        """Slices of at most `width` grid points covering range(n)."""
-        return (slice(lo, lo + self.width) for lo in range(0, n, self.width))
+    def projected_spectra(self, gammas: np.ndarray) -> np.ndarray:
+        """Ascending eigenvalues of R diag(gamma) R^dag for each row of rates
+        gammas (n, K), shape (n, min(K, d^2)): the nonzero spectrum of Q X Q.
+
+        The solves are stacked in chunks of at most CHUNK_ENTRIES matrix
+        entries. V may be rank deficient (a jump operator proportional to I
+        gives v_k = 0, a repeated one a repeated column): R diag(gamma) R^dag
+        then has zero eigenvalues, as Q X Q has.
+        """
+        d, k = self.gen.dim, len(self.gen.dissipators)
+        ops = np.array([op for op, _ in self.gen.dissipators], dtype=complex)
+        ops = ops.reshape(k, d, d)
+        traceless = ops - np.trace(ops, axis1=1, axis2=2)[:, None, None] / d * np.eye(d)
+        v = np.swapaxes(traceless, 1, 2).reshape(k, d * d).T / np.sqrt(d)
+        r = np.linalg.qr(v, mode="r")
+        m = len(r)
+        # R diag(gamma) R^dag = sum_k gamma_k r_k r_k^dag over the columns r_k.
+        outer = np.einsum("ik,jk->kij", r, r.conj()).reshape(k, m * m)
+        width = max(1, CHUNK_ENTRIES // max(1, m * m))
+        mu = np.empty((len(gammas), m))
+        for lo in range(0, len(gammas), width):
+            chunk = gammas[lo:lo + width] @ outer
+            mu[lo:lo + width] = np.linalg.eigvalsh(chunk.reshape(len(chunk), m, m))
+        return mu
 
     def matrix(self, gammas: np.ndarray, epsilon: float) -> np.ndarray:
         """bell + eps * X for each row of rates gammas (n, K): (n, d^2, d^2)."""

@@ -69,10 +69,19 @@ def _fmt(value: float) -> str:
 
 
 def _write_atomic(path: str, text: str) -> None:
+    """Write text to path through a temp file and a rename; on failure the
+    temp file is removed and path is left as it was."""
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="") as handle:
-        handle.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
 
 
 def _csv(header: list[str], columns) -> str:

@@ -13,7 +13,9 @@ Two integrated quantifiers are provided: the moment measure, built from the
 instantaneous rate f(t) = lim_{eps->0} max(0, r_2^2 - r_3)/eps of small-time
 Choi states, and the divisibility-based measure built from the trace-norm rate
 g(t) = lim_{eps->0} (||C||_1 - 1)/eps. Both limits are evaluated in closed
-form from the Choi image X(t) of the generator. For pure dephasing they reduce
+form from the Choi image X(t) of the generator: f is a linear form in the
+rates, and g needs only the spectrum of a rate-weighted Gram matrix of the K
+jump operators, at most min(K, d^2) square. For pure dephasing they reduce
 to f = max(0, -gamma) and g = max(0, -2 gamma), so the integrals are related
 by a factor of two; the reported ratio is always the empirically computed one.
 
@@ -212,9 +214,11 @@ def _rate_limits(gen: LindbladGenerator, times) -> tuple[np.ndarray, np.ndarray,
     Off the Bell direction the eigenvalues of C are eps mu_j + O(eps^2),
     with mu_j the eigenvalues of Q X Q and Q = I - bell, so
     g = 2 sum_j max(0, -mu_j) (Rivas, Huelga and Plenio, PRL 105, 050403,
-    2010); one stacked eigensolve per chunk of times. Terms
-    within 1e-12 of the size of X's entries are rounding noise and count as
-    zero, so Markovian generators give exactly f = g = 0.
+    2010). Q X Q = V diag(gamma) V^dag carries no Hamiltonian term, so its
+    nonzero mu_j are those of the min(K, d^2)-square R diag(gamma) R^dag
+    (`SmallTimeChoiBuilder.projected_spectra`); the zero ones add nothing
+    to g. Terms within 1e-12 of the size of X's entries are rounding noise
+    and count as zero, so Markovian generators give exactly f = g = 0.
     """
     builder = SmallTimeChoiBuilder(gen)
     gammas = builder.rates(times)
@@ -223,12 +227,8 @@ def _rate_limits(gen: LindbladGenerator, times) -> tuple[np.ndarray, np.ndarray,
         1.0, np.abs(coef) @ np.max(np.abs(builder.blocks), axis=(1, 2)))
     f = coef @ builder.bell_overlaps
     f = np.where(f > noise, f, 0.0)
-    q = np.eye(len(builder.bell)) - builder.bell
-    projected = (q @ builder.blocks @ q).reshape(len(builder.blocks), -1)
-    g = np.empty(len(gammas))
-    for chunk in builder.chunks(len(gammas)):
-        mu = np.linalg.eigvalsh((coef[chunk] @ projected).reshape(-1, *q.shape))
-        g[chunk] = 2.0 * np.sum(np.where(mu < -noise[chunk, None], -mu, 0.0), axis=1)
+    mu = builder.projected_spectra(gammas)
+    g = 2.0 * np.sum(np.where(mu < -noise[:, None], -mu, 0.0), axis=1)
     return gammas, f, g
 
 

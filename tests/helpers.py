@@ -5,7 +5,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from choi_moments import choi
-from choi_moments.choi import choi_of_superoperator, max_entangled_projector
+from choi_moments.choi import (
+    SmallTimeChoiBuilder,
+    choi_of_superoperator,
+    max_entangled_projector,
+)
 from choi_moments.lindblad import (
     LindbladGenerator,
     apply_generator,
@@ -166,6 +170,26 @@ def reference_small_time_witness(gen, grid, eps):
         r3.append(np.sum(lam**3))
     r2, r3 = np.array(r2), np.array(r3)
     return np.array(rates), r2, r3, r2**2 - r3
+
+
+def reference_rhp_rates(gen, grid):
+    """Trace-norm rates g(t) = 2 sum_j max(0, -mu_j), with mu_j the eigenvalues
+    of the d^2 x d^2 matrix Q X(t) Q and Q = I - bell, one grid point and one
+    eigensolve at a time.
+
+    Eigenvalues within the package's noise level (1e-12 of the size of X's
+    entries) count as zero, as in the package.
+    """
+    builder = SmallTimeChoiBuilder(gen)
+    q = np.eye(gen.dim**2) - builder.bell
+    block_sizes = np.max(np.abs(builder.blocks), axis=(1, 2))
+    g = []
+    for t in grid:
+        coef = np.concatenate(([1.0], rates_at(gen, float(t))))
+        noise = 1e-12 * max(1.0, float(np.abs(coef) @ block_sizes))
+        mu = np.linalg.eigvalsh(q @ reference_generator_choi(gen, float(t)) @ q)
+        g.append(2.0 * float(np.sum(-mu[mu < -noise])))
+    return np.array(g)
 
 
 def reference_violation_intervals(grid, values, threshold):

@@ -182,6 +182,24 @@ class TestRunScenario:
             run_scenario(config, str(tmp_path), quiet=True)
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("failing_call", [1, 2])
+    def test_temp_file_removed_when_rename_fails(self, tmp_path, monkeypatch, failing_call):
+        # The first rename publishes the witness CSV, the second the report.
+        replace = os.replace
+        calls = []
+
+        def flaky_replace(src, dst):
+            calls.append(dst)
+            if len(calls) == failing_call:
+                raise OSError("disk full")
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", flaky_replace)
+        with pytest.raises(OSError, match="disk full"):
+            run_scenario(parse_scenario(MARKOVIAN), str(tmp_path), quiet=True)
+        assert len(calls) == failing_call
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestMainExitCodes:
     def test_config_error_is_1(self, tmp_path, capsys):

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from choi_moments.choi import (
+    CHUNK_ENTRIES,
+    SmallTimeChoiBuilder,
     bridge_spectra,
     choi_small_time,
     max_entangled_projector,
@@ -14,6 +16,7 @@ from choi_moments.choi import (
 )
 from choi_moments.detect import (
     VIOLATION_THRESHOLD,
+    _rate_limits,
     _violation_intervals,
     cp_divisibility_scan,
     lambda_moments,
@@ -27,17 +30,27 @@ from choi_moments.detect import (
     witness_series,
 )
 from choi_moments.config import build_generator, bundled_scenario_path, load_scenario
-from choi_moments.lindblad import LindbladGenerator, LOWERING, dephasing_generator, isotropic_pauli_generator
+from choi_moments.lindblad import (
+    LOWERING,
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
+    LindbladGenerator,
+    dephasing_generator,
+    isotropic_pauli_generator,
+)
 from choi_moments.rates import ConstantRate, ExpCosRate, LorentzianRate, TabulatedRate, rate_eval
 from choi_moments.spectral import hermitian_spectrum, schatten_norm
 from helpers import (
     CountingRate,
     random_expcos_generator,
     random_generator,
+    random_hermitian,
     random_kraus_choi,
     random_psd_unit_trace,
     random_unital_generator,
     reference_rate_limits,
+    reference_rhp_rates,
     reference_small_time_witness,
     reference_violation_intervals,
 )
@@ -235,8 +248,14 @@ class TestWitnessSeries:
         series = witness_series(gen, np.linspace(0.0, 3.0, 300), 1e-3)
         assert series.values.shape == (300,)
         assert calls == []
-        rhp_rate_g(gen, 0.0)  # g needs the spectrum of Q X Q
+        # g needs the spectrum of the K x K matrix R diag(gamma) R^dag, and
+        # no d^2 x d^2 one.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the generator is not unital
+            measure_report(gen, 3.0, 300)
+        rhp_rate_g(gen, 0.0)
         assert calls
+        assert all(a[0].shape[-2:] == (3, 3) for a in calls)
 
     def test_violation_intervals_match_point_walk(self):
         rng = np.random.default_rng(46)
@@ -296,6 +315,89 @@ class TestInstantaneousRates:
             gen = dephasing_generator(ConstantRate(float(gamma)))
             assert moment_rate_f(gen, 0.0) == pytest.approx(max(0.0, -gamma), abs=5e-4)
             assert rhp_rate_g(gen, 0.0) == pytest.approx(max(0.0, -2.0 * gamma), abs=5e-4)
+
+
+class TestTraceNormRate:
+    """g from the spectrum of R diag(gamma) R^dag against the d^2 x d^2 Q X Q."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_matches_projected_eigensolve(self, d):
+        grid = np.linspace(0.0, 3.0, 7)
+        rng = np.random.default_rng(100 + d)
+        for factory in (random_generator, random_expcos_generator):
+            for n_ops in range(6):
+                for _ in range(4):
+                    gen = factory(rng, d, n_ops=n_ops)
+                    _, _, g = _rate_limits(gen, grid)
+                    want = reference_rhp_rates(gen, grid)
+                    assert np.all(np.abs(g - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_projected_blocks_are_rank_one(self, d):
+        # Q B_0 Q = 0 and Q B_k Q = v_k v_k^dag, v_k = vec((L_k - Tr L_k/d I)^T)/sqrt(d).
+        gen = random_generator(np.random.default_rng(200 + d), d, n_ops=3)
+        builder = SmallTimeChoiBuilder(gen)
+        q = np.eye(d * d) - builder.bell
+        projected = q @ builder.blocks @ q
+        assert np.max(np.abs(projected[0])) <= 1e-14 * np.max(np.abs(builder.blocks[0]))
+        for (op, _), block, full in zip(gen.dissipators, projected[1:], builder.blocks[1:]):
+            v = (op - np.trace(op) / d * np.eye(d)).T.ravel() / np.sqrt(d)
+            assert np.max(np.abs(block - np.outer(v, v.conj()))) <= 1e-14 * np.max(np.abs(full))
+
+    def test_hamiltonian_does_not_change_g(self):
+        rng = np.random.default_rng(7)
+        grid = np.linspace(0.0, 3.0, 31)
+        gen = random_expcos_generator(rng, 3, n_ops=3)
+        _, _, g = _rate_limits(gen, grid)
+        assert np.any(g > 0.0)
+        for h in (np.zeros((3, 3)), 10.0 * random_hermitian(rng, 3)):
+            other = LindbladGenerator(3, h, gen.dissipators)
+            assert np.array_equal(_rate_limits(other, grid)[2], g)
+
+    def test_hamiltonian_only_generator_has_zero_rates(self):
+        gen = LindbladGenerator(2, SIGMA_Z, ())
+        gammas, f, g = _rate_limits(gen, np.linspace(0.0, 2.0, 11))
+        assert gammas.shape == (11, 0)
+        assert np.array_equal(f, np.zeros(11)) and np.array_equal(g, np.zeros(11))
+        report = measure_report(gen, 2.0, 11)
+        assert report.moment_measure == 0.0 and report.rhp_measure == 0.0
+
+    @pytest.mark.parametrize("ops, rates, g_want", [
+        # A repeated operator adds its rates: one sigma_z at rate -0.2.
+        ((SIGMA_Z, SIGMA_Z), (-0.3, 0.1), 0.4),
+        # An operator proportional to I has v = 0 and adds nothing.
+        ((2.5 * np.eye(2), SIGMA_Z), (-1.0, -0.5), 1.0),
+        # Five operators at d = 2: more than d^2, so R is 4 x 5.
+        ((SIGMA_X, SIGMA_Y, SIGMA_Z, SIGMA_X + SIGMA_Z, LOWERING),
+         (-0.1, -0.1, -0.1, 0.05, 0.2), None),
+    ])
+    def test_rank_deficient_jump_operators(self, ops, rates, g_want):
+        gen = LindbladGenerator(2, SIGMA_X, tuple(zip(ops, map(ConstantRate, rates))))
+        _, _, g = _rate_limits(gen, [0.0, 1.0])
+        want = reference_rhp_rates(gen, [0.0, 1.0])
+        assert np.all(np.abs(g - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+        assert g[0] > 0.0
+        if g_want is not None:
+            assert g == pytest.approx([g_want, g_want], abs=1e-12)
+
+    def test_spectra_are_solved_in_bounded_chunks(self, monkeypatch):
+        shapes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def recorded(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+        gen = random_expcos_generator(np.random.default_rng(9), 4, n_ops=5)
+        grid = np.linspace(0.0, 3.0, 1000)
+        _, _, g = _rate_limits(gen, grid)
+        assert len(shapes) > 1
+        assert all(s[1:] == (5, 5) and s[0] * 25 <= CHUNK_ENTRIES for s in shapes)
+        assert sum(s[0] for s in shapes) == grid.size
+        # Rows are stitched back in order: a coarser grid, in one chunk, agrees.
+        coarse = _rate_limits(gen, grid[::37])[2]
+        assert np.all(np.abs(g[::37] - coarse) <= 1e-13 * np.maximum(1.0, coarse))
 
 
 
