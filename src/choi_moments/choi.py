@@ -10,10 +10,13 @@ Two constructions are provided: the first-order small-time Choi built directly
 from the generator, and the finite-interval Choi of the map bridging two times
 of a propagated evolution. The trace moments of the small-time Choi are exact
 polynomials in its time step, evaluated from traces of the generator's Choi
-blocks with no eigensolve (`SmallTimeChoiBuilder.moments`), and the part of
-its spectrum off the Bell direction comes from a min(K, d^2)-square
-rate-weighted Gram matrix of the K jump operators
-(`SmallTimeChoiBuilder.projected_spectra`). All propagation
+blocks with no eigensolve (`SmallTimeChoiBuilder.moments`). The part of its
+spectrum off the Bell direction, at most K eigenvalues for K jump operators,
+comes group by group (`SmallTimeChoiBuilder.projected_spectra`): the
+operators are split once into groups that are trace-orthogonal to each
+other (a Gram entry |G_ij| <= 1e-14 sqrt(G_ii G_jj) counts as zero), a group
+of one operator gives its eigenvalue with no solve, and a larger group the
+spectrum of its own rate-weighted Gram matrix. All propagation
 goes through one batched fixed-step RK4 kernel: `propagate_map` runs it over
 one window, and `bridge_spectra` over one window [t, t + delta] per grid time,
 reusing its most recent sweep when the next call has the same inputs. Both
@@ -25,6 +28,7 @@ import os
 import sys
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -113,7 +117,10 @@ def _choi_from_superop(phi: np.ndarray, d: int) -> np.ndarray:
     """(1/d) sum_ij E_ij kron M(E_ij) for the map with row-major matrix phi.
 
     With row-major vec, M(E_ij)[a, b] = phi[(a, b), (i, j)], so the Choi state
-    is a reshuffle of phi. Leading axes of phi are stack axes.
+    is a reshuffle of phi. Leading axes of phi are stack axes. d times the
+    reshuffle, followed by swapping the two tensor factors of the result, is
+    the realignment (ab, ij) -> (ai, bj), an involution; the reshuffle alone
+    is not one (applied twice, it reverses the four indices).
     """
     lead = phi.shape[:-2]
     blocks = np.einsum("...abij->...iajb", phi.reshape(*lead, d, d, d, d))
@@ -163,9 +170,14 @@ class SmallTimeChoiBuilder:
     Off the Bell direction, with Q = I - bell, the Hamiltonian part drops out
     (Q B_0 Q = 0) and each dissipator leaves one rank-1 term,
     Q B_k Q = v_k v_k^dag with v_k = vec((L_k - Tr(L_k)/d I)^T)/sqrt(d). So
-    Q X Q = V diag(gamma) V^dag, whose nonzero spectrum is that of the
-    min(K, d^2)-square R diag(gamma) R^dag, with V = W R a thin QR
-    (`projected_spectra`).
+    Q X Q = V diag(gamma) V^dag. The jump operators are split once, into
+    groups whose v_k are orthogonal to every other group's (`groups`): the
+    connected components of the Gram matrix G = V^dag V, where a pair counts
+    as orthogonal when |G_ij| <= 1e-14 sqrt(G_ii G_jj). Q X Q is then block
+    diagonal over the groups, and its nonzero spectrum is the union of theirs
+    (`projected_spectra`). The couplings dropped this way move the
+    eigenvalues by the order of 1e-14 sum_k |gamma_k| G_kk, two orders below
+    the 1e-12 noise rule of `detect._rate_limits`.
     """
 
     def __init__(self, gen: LindbladGenerator):
@@ -176,33 +188,74 @@ class SmallTimeChoiBuilder:
         # x_k = <Phi+|B_k|Phi+>, so that <Phi+|X|Phi+> = c . x.
         self.bell_overlaps = np.einsum("ab,kba->k", self.bell, self.blocks).real
 
-    def rates(self, times) -> np.ndarray:
-        """Rates at each time, (n, K); non-finite rates are refused."""
-        return _checked_rates(self.gen, np.asarray(times, dtype=float))
+    @cached_property
+    def groups(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """The jump operators split into groups whose centred vectors
+        v_k = vec((L_k - Tr(L_k)/d I)^T)/sqrt(d) are orthogonal to every other
+        group's: the connected components of G = V^dag V, with the pair (i, j)
+        linked when |G_ij| > 1e-14 sqrt(G_ii G_jj).
 
-    def projected_spectra(self, gammas: np.ndarray) -> np.ndarray:
-        """Ascending eigenvalues of R diag(gamma) R^dag for each row of rates
-        gammas (n, K), shape (n, min(K, d^2)): the nonzero spectrum of Q X Q.
-
-        The solves are stacked in chunks of at most CHUNK_ENTRIES matrix
-        entries. V may be rank deficient (a jump operator proportional to I
-        gives v_k = 0, a repeated one a repeated column): R diag(gamma) R^dag
-        then has zero eigenvalues, as Q X Q has.
+        Returns one (operator indices, outer products) pair per group, in order
+        of its first operator. The outer products are r_k r_k^dag, (K_g, m, m),
+        over the columns r_k of R in the thin QR V_g = W R, so that
+        R diag(gamma_g) R^dag is their gamma-weighted sum; a group of one
+        operator k has m = 1 and the single entry G_kk. Found on first use.
         """
         d, k = self.gen.dim, len(self.gen.dissipators)
         ops = np.array([op for op, _ in self.gen.dissipators], dtype=complex)
         ops = ops.reshape(k, d, d)
         traceless = ops - np.trace(ops, axis1=1, axis2=2)[:, None, None] / d * np.eye(d)
         v = np.swapaxes(traceless, 1, 2).reshape(k, d * d).T / np.sqrt(d)
-        r = np.linalg.qr(v, mode="r")
-        m = len(r)
-        # R diag(gamma) R^dag = sum_k gamma_k r_k r_k^dag over the columns r_k.
-        outer = np.einsum("ik,jk->kij", r, r.conj()).reshape(k, m * m)
-        width = max(1, CHUNK_ENTRIES // max(1, m * m))
-        mu = np.empty((len(gammas), m))
-        for lo in range(0, len(gammas), width):
-            chunk = gammas[lo:lo + width] @ outer
-            mu[lo:lo + width] = np.linalg.eigvalsh(chunk.reshape(len(chunk), m, m))
+        gram = v.conj().T @ v
+        norms = gram.diagonal().real
+        linked = (np.abs(gram) > 1e-14 * np.sqrt(np.outer(norms, norms))).tolist()
+        groups, left = [], list(range(k))
+        while left:
+            members = [left[0]]
+            for i in members:  # grows while it is walked: a breadth-first search
+                members += [j for j in left if linked[i][j] and j not in members]
+            left = [j for j in left if j not in members]
+            members = np.array(sorted(members))
+            if len(members) == 1:
+                outer = norms[members].reshape(1, 1, 1)
+            else:
+                r = np.linalg.qr(v[:, members], mode="r")
+                outer = np.einsum("ik,jk->kij", r, r.conj())
+            groups.append((members, outer))
+        return tuple(groups)
+
+    def rates(self, times) -> np.ndarray:
+        """Rates at each time, (n, K); non-finite rates are refused."""
+        return _checked_rates(self.gen, np.asarray(times, dtype=float))
+
+    def projected_spectra(self, gammas: np.ndarray) -> np.ndarray:
+        """The nonzero spectrum of Q X Q for each row of rates gammas (n, K),
+        shape (n, m) with m <= K: the eigenvalues of each group in turn,
+        ascending within a group.
+
+        A group of one operator k has the single eigenvalue gamma_k G_kk,
+        read off with no solve. A larger group g contributes the
+        min(K_g, d^2) eigenvalues of R diag(gamma_g) R^dag, with V_g = W R
+        its thin QR, in stacked solves of at most CHUNK_ENTRIES matrix
+        entries. V_g may be rank deficient (a repeated operator gives a
+        repeated column): R diag(gamma_g) R^dag then has zero eigenvalues,
+        as Q X Q has.
+        """
+        n = len(gammas)
+        mu = np.empty((n, sum(outer.shape[-1] for _, outer in self.groups)))
+        col = 0
+        for members, outer in self.groups:
+            m = outer.shape[-1]
+            weights = gammas[:, members]
+            if m == 1:
+                mu[:, col] = weights[:, 0] * outer[0, 0, 0]
+            else:
+                width = max(1, CHUNK_ENTRIES // (m * m))
+                flat = outer.reshape(len(members), m * m)
+                for lo in range(0, n, width):
+                    chunk = (weights[lo:lo + width] @ flat).reshape(-1, m, m)
+                    mu[lo:lo + width, col:col + m] = np.linalg.eigvalsh(chunk)
+            col += m
         return mu
 
     def matrix(self, gammas: np.ndarray, epsilon: float) -> np.ndarray:

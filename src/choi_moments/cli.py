@@ -10,8 +10,10 @@ the name of a bundled scenario):
     choi-moments compare <cfg>        both measures and their ratio -> CSV
     choi-moments validate <cfg>       parse and validate only
 
-Exit codes: 0 = ran, Markovian-consistent; 10 = ran, non-Markovian detected;
-1 = config error; 2 = numerical failure. CSV floats carry 17 significant
+Exit codes: 0 = ran, Markovian-consistent; 10 = ran, non-Markovian detected
+by some criterion the run computed (a witness violation, a trace-norm
+measure I >= 1e-10, or a CP-indivisible divisibility scan); 1 = config
+error; 2 = numerical failure. CSV floats carry 17 significant
 digits, so repeated runs of one config are byte-identical. Files are written
 atomically (temp file + rename) and partial outputs are removed on failure.
 """
@@ -52,7 +54,13 @@ class RunReport:
     """What a scenario run produced and concluded."""
 
     scenario: str
-    verdict: str  # "non-Markovian" iff at least one witness violation interval
+    # "non-Markovian" iff some computed criterion detected (see detected_by).
+    verdict: str
+    # The criteria that detected, in report order: "witness" (a violation
+    # interval), "rhp measure I" (I >= MEASURE_ZERO_THRESHOLD) and
+    # "divisibility scan" (CP-indivisible). I and the scan count only when
+    # the run computed them.
+    detected_by: tuple[str, ...]
     violations: tuple[tuple[float, float], ...]
     output_paths: dict[str, str]
     report_path: str
@@ -94,9 +102,11 @@ def _csv(header: list[str], columns) -> str:
 def run_scenario(config: ScenarioConfig, out_dir: str, quiet: bool = False) -> RunReport:
     """Run every output requested by the config and write CSVs plus a report.
 
-    The witness series is always evaluated (it provides the verdict and the
-    exit code); CSVs are only written for the requested outputs. Identical
-    configs produce byte-identical files.
+    The witness series is always evaluated; the measures and the scan only
+    when an output needs them. The verdict, and so the exit code, is
+    non-Markovian when any criterion the run computed detects. CSVs are only
+    written for the requested outputs. Identical configs produce
+    byte-identical files.
     """
     gen = build_generator(config)
     grid = np.linspace(0.0, config.t_max, config.points)
@@ -130,10 +140,15 @@ def run_scenario(config: ScenarioConfig, out_dir: str, quiet: bool = False) -> R
             emit("divisibility", _csv(["t", "min_choi_eigenvalue"],
                                       [scan.grid, scan.min_eigenvalues]))
 
-        verdict = "non-Markovian" if series.violations else "Markovian-consistent"
+        detected = (("witness", bool(series.violations)),
+                    ("rhp measure I",
+                     measures is not None and measures.rhp_measure >= MEASURE_ZERO_THRESHOLD),
+                    ("divisibility scan", scan is not None and not scan.is_divisible))
+        detected_by = tuple(name for name, hit in detected if hit)
         report = RunReport(
             scenario=config.name,
-            verdict=verdict,
+            verdict="non-Markovian" if detected_by else "Markovian-consistent",
+            detected_by=detected_by,
             violations=series.violations,
             output_paths=paths,
             report_path=os.path.join(out_dir, f"{config.name}_report.txt"),
@@ -164,6 +179,7 @@ def _report_text(report: RunReport) -> str:
         f"choi-moments {report.version}",
         f"scenario: {report.scenario}",
         f"verdict: {report.verdict}",
+        f"detected by: {', '.join(report.detected_by) or 'none'}",
     ]
     if report.violations:
         lines.append(f"witness violation intervals ({len(report.violations)}):")

@@ -14,8 +14,12 @@ instantaneous rate f(t) = lim_{eps->0} max(0, r_2^2 - r_3)/eps of small-time
 Choi states, and the divisibility-based measure built from the trace-norm rate
 g(t) = lim_{eps->0} (||C||_1 - 1)/eps. Both limits are evaluated in closed
 form from the Choi image X(t) of the generator: f is a linear form in the
-rates, and g needs only the spectrum of a rate-weighted Gram matrix of the K
-jump operators, at most min(K, d^2) square. For pure dephasing they reduce
+rates, and g needs at most K eigenvalues for K jump operators. The operators
+are split once into trace-orthogonal groups (a Gram entry
+|G_ij| <= 1e-14 sqrt(G_ii G_jj) counts as zero); a group of one operator k
+gives gamma_k G_kk with no eigensolve, so distinct Pauli operators, or
+lowering, raising and sigma_z, take none, and a larger group the spectrum of
+its own rate-weighted Gram matrix. For pure dephasing they reduce
 to f = max(0, -gamma) and g = max(0, -2 gamma), so the integrals are related
 by a factor of two; the reported ratio is always the empirically computed one.
 
@@ -214,17 +218,23 @@ def _rate_limits(gen: LindbladGenerator, times) -> tuple[np.ndarray, np.ndarray,
     Off the Bell direction the eigenvalues of C are eps mu_j + O(eps^2),
     with mu_j the eigenvalues of Q X Q and Q = I - bell, so
     g = 2 sum_j max(0, -mu_j) (Rivas, Huelga and Plenio, PRL 105, 050403,
-    2010). Q X Q = V diag(gamma) V^dag carries no Hamiltonian term, so its
-    nonzero mu_j are those of the min(K, d^2)-square R diag(gamma) R^dag
+    2010). Q X Q = V diag(gamma) V^dag carries no Hamiltonian term and is
+    block diagonal over the builder's orthogonal groups of jump operators
+    (|G_ij| <= 1e-14 sqrt(G_ii G_jj) counts as orthogonal), so its nonzero
+    mu_j, at most K of them, are gamma_k G_kk for a group of one operator k
+    and the eigenvalues of R diag(gamma_g) R^dag for a larger group g
     (`SmallTimeChoiBuilder.projected_spectra`); the zero ones add nothing
-    to g. Terms within 1e-12 of the size of X's entries are rounding noise
-    and count as zero, so Markovian generators give exactly f = g = 0.
+    to g. Terms within 1e-12 of the size of the dissipators' part of X,
+    sum_k |gamma_k| max|B_k| over k >= 1, are rounding noise and count as
+    zero, so Markovian generators give exactly f = g = 0. The Hamiltonian
+    block B_0 enters neither f nor g, so it does not scale the noise floor
+    either: a strong Hamiltonian does not erase a weak negative rate.
     """
     builder = SmallTimeChoiBuilder(gen)
     gammas = builder.rates(times)
-    coef = coefficients(gammas)
     noise = _RATE_NOISE * np.maximum(
-        1.0, np.abs(coef) @ np.max(np.abs(builder.blocks), axis=(1, 2)))
+        1.0, np.abs(gammas) @ np.max(np.abs(builder.blocks[1:]), axis=(1, 2)))
+    coef = coefficients(gammas)
     f = coef @ builder.bell_overlaps
     f = np.where(f > noise, f, 0.0)
     mu = builder.projected_spectra(gammas)

@@ -177,16 +177,16 @@ def reference_rhp_rates(gen, grid):
     of the d^2 x d^2 matrix Q X(t) Q and Q = I - bell, one grid point and one
     eigensolve at a time.
 
-    Eigenvalues within the package's noise level (1e-12 of the size of X's
-    entries) count as zero, as in the package.
+    Eigenvalues within the package's noise level (1e-12 of the size of the
+    dissipators' part of X, which leaves out the Hamiltonian block) count as
+    zero, as in the package.
     """
     builder = SmallTimeChoiBuilder(gen)
     q = np.eye(gen.dim**2) - builder.bell
-    block_sizes = np.max(np.abs(builder.blocks), axis=(1, 2))
+    block_sizes = np.max(np.abs(builder.blocks[1:]), axis=(1, 2))
     g = []
     for t in grid:
-        coef = np.concatenate(([1.0], rates_at(gen, float(t))))
-        noise = 1e-12 * max(1.0, float(np.abs(coef) @ block_sizes))
+        noise = 1e-12 * max(1.0, float(np.abs(rates_at(gen, float(t))) @ block_sizes))
         mu = np.linalg.eigvalsh(q @ reference_generator_choi(gen, float(t)) @ q)
         g.append(2.0 * float(np.sum(-mu[mu < -noise])))
     return np.array(g)

@@ -317,6 +317,9 @@ def test_criterion_7_integration_quality():
     )
 
 
+ETERNAL_PAULI = os.path.join(os.path.dirname(__file__), "data", "eternal_pauli.cfg")
+
+
 def _run_cli(args, **kwargs):
     # The child imports the same package as the tests, installed or not.
     src = os.path.dirname(os.path.dirname(choi_moments.__file__))
@@ -338,14 +341,19 @@ def test_criterion_8_determinism_and_exit_codes(tmp_path):
         # every bridge map of the scan is well defined.
         ("divisibility", "example2"): 10,
         ("divisibility", "ohmic_compare"): 0,
+        # The first-order witness is silent on the eternally non-Markovian
+        # Pauli channel; I and the scan detect it, and either sets the code.
+        ("compare", ETERNAL_PAULI): 10,
+        ("divisibility", ETERNAL_PAULI): 10,
     }
     codes_ok = True
     observed = {}
     for (command, name), expected in expected_codes.items():
         extra = ["--grid-points", "200"] if command == "divisibility" else []
-        result = _run_cli([command, name, "--out-dir", str(tmp_path / command / name),
+        label = os.path.basename(name)
+        result = _run_cli([command, name, "--out-dir", str(tmp_path / command / label),
                            "--quiet", *extra])
-        observed[f"{command} {name}"] = result.returncode
+        observed[f"{command} {label}"] = result.returncode
         codes_ok &= result.returncode == expected
 
     # Byte-identical CSVs across repeated runs of one config.

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from choi_moments import choi
@@ -445,6 +446,34 @@ class TestChoiOfSuperoperator:
     def test_rejects_non_trace_preserving(self):
         with pytest.raises(ValueError, match="not trace preserving"):
             choi_of_superoperator(0.5 * np.eye(4, dtype=complex))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([2, 3, 4]),
+           stack=st.integers(1, 3))
+    def test_reshuffle_is_an_involution_up_to_the_factor(self, seed, d, stack):
+        # d times the reshuffle, followed by swapping the two tensor factors of
+        # the result, is the realignment (ab, ij) -> (ai, bj): an involution.
+        # The reshuffle alone is not one: twice, it reverses the four indices.
+        rng = np.random.default_rng(seed)
+        shape = (stack, d * d, d * d)
+        phi = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+        def indices(m):
+            return m.reshape(stack, d, d, d, d)
+
+        def realign(m):
+            swapped = indices(d * choi._choi_from_superop(m, d)).transpose(0, 2, 1, 4, 3)
+            return swapped.reshape(shape)
+
+        scale = 4e-16 * np.max(np.abs(phi))
+        assert np.max(np.abs(realign(realign(phi)) - phi)) <= scale
+        twice = d * choi._choi_from_superop(d * choi._choi_from_superop(phi, d), d)
+        reversed_indices = indices(phi).transpose(0, 4, 3, 2, 1).reshape(shape)
+        assert np.max(np.abs(twice - reversed_indices)) <= scale
+        # One reshuffle only moves entries: the 1/d factor aside, it keeps them.
+        moved = d * choi._choi_from_superop(phi, d)
+        assert np.allclose(np.sort_complex(moved.ravel()), np.sort_complex(phi.ravel()),
+                           rtol=4e-16, atol=0.0)
 
     def test_small_time_agrees_with_finite_interval_to_second_order(self):
         gens = {

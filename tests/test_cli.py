@@ -1,4 +1,3 @@
-import math
 import os
 
 import numpy as np
@@ -75,25 +74,7 @@ outputs = witness divisibility
 
 # Pauli channels with gamma_z = -tanh t < 0 but gamma_x + gamma_y + gamma_z > 0:
 # the moment rate f is zero everywhere while the trace-norm rate g is not.
-M_BLIND = """
-version = 1
-name = m_blind
-generator.dimension = 2
-dissipator.1.operator = sigma_x
-dissipator.1.rate.model = constant
-dissipator.1.rate.value = 1.0
-dissipator.2.operator = sigma_y
-dissipator.2.rate.model = constant
-dissipator.2.rate.value = 1.0
-dissipator.3.operator = sigma_z
-dissipator.3.rate.model = tabulated
-dissipator.3.rate.knots = {knots}
-epsilon = 0.01
-grid.t_max = 2.9
-grid.points = 300
-mode = small-time
-outputs = compare
-"""
+ETERNAL_PAULI = os.path.join(os.path.dirname(__file__), "data", "eternal_pauli.cfg")
 
 
 def write_cfg(tmp_path, text, name="scenario.cfg"):
@@ -142,6 +123,8 @@ class TestRunScenario:
         report = run_scenario(parse_scenario(MARKOVIAN), str(tmp_path), quiet=True)
         assert report.verdict == "Markovian-consistent"
         assert report.violations == ()
+        assert report.detected_by == ()
+        assert "detected by: none\n" in open(report.report_path).read()
 
     def test_compare_reports_measures(self, tmp_path):
         report = run_scenario(parse_scenario(EXPCOS_COMPARE), str(tmp_path), quiet=True)
@@ -158,15 +141,21 @@ class TestRunScenario:
         assert len(lines) == 1 + 801
 
     def test_ratio_line_when_only_the_moment_measure_vanishes(self, tmp_path):
-        knots = " ".join(f"{t!r}:{-math.tanh(t)!r}" for t in np.linspace(0.0, 3.0, 301).tolist())
-        config = load_scenario(write_cfg(tmp_path, M_BLIND.format(knots=knots)))
+        config = load_scenario(ETERNAL_PAULI)
+        knots = np.array(config.dissipators[2].rate.knots)
+        assert np.array_equal(knots[:, 0], np.linspace(0.0, 3.0, 301))
+        assert np.allclose(knots[:, 1], -np.tanh(knots[:, 0]), rtol=1e-15, atol=0.0)
         report = run_scenario(config, str(tmp_path / "out"), quiet=True)
         assert report.moment_measure == 0.0
         assert report.rhp_measure == pytest.approx(4.42, abs=5e-3)
         assert np.isnan(report.measure_ratio)
+        assert report.violations == ()
+        assert report.verdict == "non-Markovian"
+        assert report.detected_by == ("rhp measure I",)
         text = open(report.report_path).read()
         assert "ratio I/M: n/a (M vanishes while I does not)\n" in text
         assert "vanish;" not in text
+        assert "verdict: non-Markovian\ndetected by: rhp measure I\n" in text
 
     def test_determinism(self, tmp_path):
         config = parse_scenario(MARKOVIAN)
@@ -223,6 +212,19 @@ class TestMainExitCodes:
     def test_non_markovian_is_10(self, tmp_path, capsys):
         path = write_cfg(tmp_path, SMALL_WITNESS)
         assert main(["witness", path, "--out-dir", str(tmp_path), "--quiet"]) == 10
+        capsys.readouterr()
+
+    def test_every_computed_criterion_decides_the_exit_code(self, tmp_path, capsys):
+        # The first-order witness is silent on this channel at every t; I and
+        # the scan are not, so compare and divisibility report it.
+        out = str(tmp_path / "out")
+        assert main(["witness", ETERNAL_PAULI, "--out-dir", out, "--quiet"]) == 0
+        for command, criterion in (("compare", "rhp measure I"),
+                                   ("divisibility", "divisibility scan")):
+            assert main([command, ETERNAL_PAULI, "--out-dir", out]) == 10
+            text = capsys.readouterr().out
+            assert "witness violation intervals: none\n" in text
+            assert f"verdict: non-Markovian\ndetected by: {criterion}\n" in text
         capsys.readouterr()
 
     def test_markovian_is_0(self, tmp_path, capsys):

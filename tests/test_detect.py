@@ -32,6 +32,7 @@ from choi_moments.detect import (
 from choi_moments.config import build_generator, bundled_scenario_path, load_scenario
 from choi_moments.lindblad import (
     LOWERING,
+    RAISING,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
@@ -374,11 +375,76 @@ class TestTraceNormRate:
     def test_rank_deficient_jump_operators(self, ops, rates, g_want):
         gen = LindbladGenerator(2, SIGMA_X, tuple(zip(ops, map(ConstantRate, rates))))
         _, _, g = _rate_limits(gen, [0.0, 1.0])
+        assert SmallTimeChoiBuilder(gen).projected_spectra(np.array([rates])).shape[1] <= len(ops)
         want = reference_rhp_rates(gen, [0.0, 1.0])
         assert np.all(np.abs(g - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
         assert g[0] > 0.0
         if g_want is not None:
             assert g == pytest.approx([g_want, g_want], abs=1e-12)
+
+    @pytest.mark.parametrize("ops", [
+        (SIGMA_Z,), (SIGMA_X, SIGMA_Y), (SIGMA_Y, SIGMA_Z), (SIGMA_X, SIGMA_Y, SIGMA_Z),
+        (LOWERING, RAISING, SIGMA_Z),
+    ])
+    def test_named_operators_make_no_eigensolve(self, monkeypatch, ops):
+        # Trace-orthogonal operators form one group each, so every mu_k is
+        # gamma_k G_kk, read off with no solve.
+        rng = np.random.default_rng(len(ops))
+        rates = [ExpCosRate(k=float(rng.uniform(0.5, 3.0))) for _ in ops]
+        gen = LindbladGenerator(2, SIGMA_X, tuple(zip(ops, rates)))
+        assert [members.tolist() for members, _ in SmallTimeChoiBuilder(gen).groups] == [
+            [k] for k in range(len(ops))]
+        want = reference_rhp_rates(gen, np.linspace(0.0, 6.0, 61))
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return eigvalsh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # lowering and raising are not unital
+            report = measure_report(gen, 6.0, 61)
+        assert calls == []
+        assert np.any(report.g_series > 0.0)
+        assert np.all(np.abs(report.g_series - want) <= 1e-12 * np.maximum(1.0, want))
+
+    def test_mixed_generator_splits_into_a_singleton_and_a_pair(self, monkeypatch):
+        # sigma_z, and two random operators in span{I, sigma_x, sigma_y}: their
+        # centred parts are orthogonal to sigma_z but not to each other.
+        rng = np.random.default_rng(12)
+        ops = [SIGMA_Z] + [sum(c * p for c, p in zip(
+            rng.normal(size=3) + 1j * rng.normal(size=3), (np.eye(2), SIGMA_X, SIGMA_Y)))
+            for _ in range(2)]
+        rates = [ExpCosRate(k=float(rng.uniform(0.5, 3.0))) for _ in ops]
+        gen = LindbladGenerator(2, random_hermitian(rng, 2), tuple(zip(ops, rates)))
+        builder = SmallTimeChoiBuilder(gen)
+        assert [members.tolist() for members, _ in builder.groups] == [[0], [1, 2]]
+        grid = np.linspace(0.0, 6.0, 61)
+        want = reference_rhp_rates(gen, grid)
+        shapes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def recorded(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+        _, _, g = _rate_limits(gen, grid)
+        assert shapes == [(61, 2, 2)]
+        assert builder.projected_spectra(builder.rates(grid)).shape == (61, 3)
+        assert np.any(g > 0.0)
+        assert np.all(np.abs(g - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+    def test_strong_hamiltonian_keeps_weak_rates(self):
+        # H enters neither f nor g, so it does not raise their noise floor.
+        gen = LindbladGenerator(2, 1e6 * SIGMA_X, ((SIGMA_Z, ConstantRate(-1e-7)),))
+        assert rhp_rate_g(gen, 0.0) == pytest.approx(2e-7, rel=1e-12)
+        assert moment_rate_f(gen, 0.0) == pytest.approx(1e-7, rel=1e-12)
+        bare = LindbladGenerator(2, np.zeros((2, 2)), gen.dissipators)
+        for got, want in zip(_rate_limits(gen, [0.0]), _rate_limits(bare, [0.0])):
+            assert np.array_equal(got, want)
 
     def test_spectra_are_solved_in_bounded_chunks(self, monkeypatch):
         shapes = []
