@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .spectral import (
     hermitian_spectrum,
     schatten_norm,
-    trace_moment,
 )
 from .rates import (
     ConstantRate,
@@ -24,12 +23,9 @@ from .rates import (
 )
 from .lindblad import (
     LindbladGenerator,
-    apply_generator,
     dephasing_generator,
     generator_superoperator,
-    is_unital,
     isotropic_pauli_generator,
-    lindblad_ops_normal,
     named_operator,
 )
 from .choi import (
@@ -38,7 +34,6 @@ from .choi import (
     choi_of_superoperator,
     choi_small_time,
     cptp_diagnostics,
-    intermediate_map,
     max_entangled_projector,
     propagate_map,
 )
@@ -70,15 +65,14 @@ from .cli import RunReport, run_scenario
 
 __all__ = [
     "__version__",
-    "hermitian_spectrum", "schatten_norm", "trace_moment",
+    "hermitian_spectrum", "schatten_norm",
     "ConstantRate", "ExpCosRate", "LorentzianRate", "OhmicDephasingRate",
     "TabulatedRate", "rate_eval",
-    "LindbladGenerator", "apply_generator", "dephasing_generator",
-    "generator_superoperator", "is_unital", "isotropic_pauli_generator",
-    "lindblad_ops_normal", "named_operator",
+    "LindbladGenerator", "dephasing_generator", "generator_superoperator",
+    "isotropic_pauli_generator", "named_operator",
     "ChoiMatrix", "SuperoperatorMatrix", "choi_of_superoperator",
-    "choi_small_time", "cptp_diagnostics", "intermediate_map",
-    "max_entangled_projector", "propagate_map",
+    "choi_small_time", "cptp_diagnostics", "max_entangled_projector",
+    "propagate_map",
     "DivisibilityReport", "MeasureReport", "WitnessSeries",
     "cp_divisibility_scan", "lambda_moments", "measure_report",
     "moment_measure", "moment_rate_f", "moment_witness", "renyi_entropy",

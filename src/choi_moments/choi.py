@@ -20,8 +20,13 @@ spectrum of its own rate-weighted Gram matrix. All propagation
 goes through one batched fixed-step RK4 kernel: `propagate_map` runs it over
 one window, and `bridge_spectra` over one window [t, t + delta] per grid time,
 reusing its most recent sweep when the next call has the same inputs. Both
-constructions read the generator's read-only superoperator blocks
-[H_part, D_1, ...], weighted by `lindblad.coefficients` of the rates.
+constructions read the generator's read-only blocks [H_part, D_1, ...],
+weighted by `lindblad.coefficients` of the rates: the small-time builder its
+superoperator blocks, the RK4 kernel its real transfer blocks, the same maps
+in an orthonormal basis of Hermitian operators. The kernel runs in real
+arithmetic, and each caller leaves the real basis once per map, with O(d^4)
+slices and no matrix product: `propagate_map` for the row-major
+superoperator, `bridge_spectra` for the Choi states it eigensolves.
 """
 
 import os
@@ -32,7 +37,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .lindblad import LindbladGenerator, coefficients, rates_at
+from .lindblad import LindbladGenerator, coefficients, from_hermitian_basis, rates_at
 from .spectral import require_hermitian
 
 __all__ = [
@@ -42,7 +47,6 @@ __all__ = [
     "max_entangled_projector",
     "choi_small_time",
     "propagate_map",
-    "intermediate_map",
     "bridge_spectra",
     "choi_of_superoperator",
     "cptp_diagnostics",
@@ -64,7 +68,7 @@ _CHOI_ASYMMETRY_ATOL = 1e-8
 # Source files of this package, skipped when a warning names its caller.
 _PACKAGE_PREFIX = os.path.dirname(__file__) + os.sep
 
-# The most recent bridge sweep: (superoperator blocks, step, half-step rates,
+# The most recent bridge sweep: (transfer blocks, step, half-step rates,
 # spectra). It is replaced as one tuple, so a thread reads either the
 # old sweep or the new one, never a mix.
 _last_sweep = None
@@ -132,10 +136,9 @@ def partial_trace_output(c: np.ndarray, d: int) -> np.ndarray:
     return np.einsum("iaja->ij", c.reshape(d, d, d, d))
 
 
-def _checked_choi(maps: np.ndarray, d: int) -> np.ndarray:
-    """Symmetrized Choi states of a (stack of) maps, refusing maps that are
+def _checked_choi(c: np.ndarray) -> np.ndarray:
+    """Symmetrized Choi states c (a matrix or a stack), refusing maps that are
     not trace preserving (Choi trace off 1 by more than 1e-6)."""
-    c = _choi_from_superop(maps, d)
     trace = np.trace(c, axis1=-2, axis2=-1)
     trace_dev = float(np.max(np.abs(trace.real - 1.0) + np.abs(trace.imag)))
     if trace_dev > _CHOI_TRACE_ATOL:
@@ -336,12 +339,17 @@ def _half_step_rates(
 def _rk4_product(blocks: np.ndarray, gammas: np.ndarray, h: float) -> np.ndarray:
     """RK4 propagators of n windows of m steps, from their half-step rates (n, 2m + 1, K).
 
+    The blocks are the generator's real transfer blocks [H_part, D_1, ...]
+    in the Hermitian operator basis, so every product here is real; the
+    propagators come out in that basis too. RK4 is a polynomial in the stage
+    generators, so it commutes with the change of basis: these are the
+    complex-basis propagators, rotated, at a quarter of the flops.
+
     The generator is affine in the rates, so all stage generators come from
-    one product of the coefficients [1, gamma_1, ...] with the generator's
-    blocks [H_part, D_1, ...]. Each step map is one classical RK4 step
-    applied to the identity (RK4 is linear in Phi, so stepping Phi is that
-    map times Phi); a window's step maps are then multiplied pairwise, later
-    steps on the left.
+    one product of the coefficients [1, gamma_1, ...] with the blocks. Each
+    step map is one classical RK4 step applied to the identity (RK4 is
+    linear in Phi, so stepping Phi is that map times Phi); a window's step
+    maps are then multiplied pairwise, later steps on the left.
     """
     coef = coefficients(gammas)
     a = coef @ blocks.reshape(len(blocks), -1)
@@ -365,12 +373,13 @@ def _rk4_chunks(gen: LindbladGenerator, gammas: np.ndarray, h: float):
     """Classical fixed-step RK4 integration of dPhi/dt = Lhat(t) Phi from the
     identity over every window whose half-step rates are gammas (W, 2m + 1, K).
 
-    Yields (window slice, propagators) chunk by chunk. A chunk holds at most
-    CHUNK_ENTRIES matrix entries per stack: `width` whole windows when a
-    window's steps fit, otherwise one window whose steps are taken `span` at
-    a time.
+    Yields (window slice, propagators) chunk by chunk, the propagators as
+    real transfer matrices in the generator's Hermitian operator basis. A
+    chunk holds at most CHUNK_ENTRIES matrix entries per stack: `width`
+    whole windows when a window's steps fit, otherwise one window whose
+    steps are taken `span` at a time.
     """
-    blocks = gen.superoperator_blocks
+    blocks = gen.transfer_blocks
     windows, steps = gammas.shape[0], (gammas.shape[1] - 1) // 2
     per_chunk = max(1, CHUNK_ENTRIES // blocks[0].size)
     width = max(1, per_chunk // steps)
@@ -430,7 +439,7 @@ def propagate_map(
     h = (t1 - t0) / steps
     gammas = _half_step_rates(gen, np.array([float(t0)]), h, steps)
     ((_, phi),) = _rk4_chunks(gen, gammas, h)
-    return SuperoperatorMatrix(phi[0], (t0, t1))
+    return SuperoperatorMatrix(from_hermitian_basis(phi[0], gen.dim), (t0, t1))
 
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -456,7 +465,7 @@ def bridge_spectra(
     rate pole, where the fixed step loses accuracy).
 
     The rates are evaluated, checked and warned about on every call. When the
-    generator's superoperator blocks, the step and every half-step rate
+    generator's transfer blocks, the step and every half-step rate
     equal, bit for bit, those of the previous sweep, that sweep's spectra are
     returned (as a copy) instead of being integrated and eigensolved again:
     a finite-interval witness and a scan on one grid and delta share one sweep.
@@ -476,7 +485,7 @@ def bridge_spectra(
                 f"RK4 step is dubious: max |h*gamma| = {peak[w]:.3g} in the window "
                 f"starting at t = {starts[w]:.6g} (limit {SMALL_TIME_RATE_LIMIT})"
             )
-    blocks = gen.superoperator_blocks
+    blocks = gen.transfer_blocks
     last = _last_sweep
     if (last is not None and last[1] == h and _same_bits(last[0], blocks)
             and _same_bits(last[2], gammas)):
@@ -485,26 +494,11 @@ def bridge_spectra(
     d = gen.dim
     spectra = np.empty((starts.size, d * d))
     for window, maps in _rk4_chunks(gen, gammas, h):
-        spectra[window] = np.linalg.eigvalsh(_checked_choi(maps, d))[:, ::-1]
+        states = _checked_choi(from_hermitian_basis(maps, d, choi=True))
+        spectra[window] = np.linalg.eigvalsh(states)[:, ::-1]
     _last_sweep = (blocks, h, gammas, spectra.copy())
     _debug("swept %d windows, d = %d", starts.size, d)
     return gammas[:, 0].copy(), spectra
-
-
-def intermediate_map(
-    gen: LindbladGenerator, s: float, t: float, steps: int | None = None
-) -> SuperoperatorMatrix:
-    """Map Lambda(t, s) bridging times s and t of the evolution.
-
-    For a time-local generator Phi(t,0) = Lambda(t,s) Phi(s,0), so this is
-    the propagator from s to t, integrated over [s, t] with `steps` RK4 steps
-    (default 1000 per unit of t - s). Nothing is inverted: the map is defined
-    wherever the rates are finite. It is the object whose complete positivity
-    decides divisibility, and need not be CP even though every Phi(t,0) is.
-    """
-    if not (0 <= s <= t):
-        raise ValueError(f"require 0 <= s <= t, got s = {s}, t = {t}")
-    return propagate_map(gen, s, t, steps)
 
 
 def choi_of_superoperator(
@@ -525,7 +519,7 @@ def choi_of_superoperator(
     d = int(round(np.sqrt(d2)))
     if mat.shape != (d2, d2) or d * d != d2:
         raise ValueError(f"superoperator must be d^2 x d^2, got shape {mat.shape}")
-    return ChoiMatrix(_checked_choi(mat, d), interval if interval else (0.0, 0.0),
+    return ChoiMatrix(_checked_choi(_choi_from_superop(mat, d)), interval if interval else (0.0, 0.0),
                       "finite-interval")
 
 

@@ -10,11 +10,24 @@ Vectorization is row-major project-wide: vec(A X B) = (A kron B^T) vec(X),
 and the vectorized generator is affine in the rates:
 Lhat(t) = H_part + sum_i gamma_i(t) D_i. A generator holds the constant
 blocks [H_part, D_1, ...] and every superoperator is read off them.
+
+The generator preserves Hermiticity, so in an orthonormal basis of
+Hermitian operators its blocks are real: the real transfer matrices
+T = U^dag B U, where U has the columns vec(F) of the basis
+
+    E_ii,   (E_ij + E_ji)/sqrt(2)  (i < j),   i (E_ij - E_ji)/sqrt(2)  (i > j),
+
+indexed like the entries of a d x d matrix. U is sparse: it mixes entry
+(p, q) of a coordinate vector laid out as a d x d matrix only with entry
+(q, p), so a change of basis costs O(d^4) per d^2 x d^2 map, with no matrix
+product (`to_hermitian_basis`, `from_hermitian_basis`).
+
 Generators are immutable: their arrays are read-only copies, so all
 evaluation is pure.
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -33,11 +46,10 @@ __all__ = [
     "isotropic_pauli_generator",
     "rates_at",
     "coefficients",
-    "apply_generator",
     "generator_superoperator",
-    "is_unital",
     "unitality_defects",
-    "lindblad_ops_normal",
+    "to_hermitian_basis",
+    "from_hermitian_basis",
 ]
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -55,7 +67,6 @@ _NAMED_OPERATORS = {
 }
 
 UNITAL_ATOL = 1e-10
-NORMALITY_ATOL = 1e-10
 
 
 def named_operator(name: str, dim: int) -> np.ndarray:
@@ -75,6 +86,71 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _basis_weights(d: int) -> np.ndarray:
+    """The change of basis U as one (d, d) table w: for a coordinate vector
+    y laid out as a d x d matrix, U y = w * (y - i y^T). w is 1/sqrt(2)
+    above the diagonal, i/sqrt(2) below it and (1 + i)/2 on it."""
+    upper = np.triu(np.ones((d, d), dtype=bool), 1)
+    c = np.sqrt(0.5)
+    return np.where(upper, c, np.where(upper.T, 1j * c, 0.5 + 0.5j))
+
+
+# Axis orders [a, b, i, j] -> result of `from_hermitian_basis`: the
+# superoperator entry [(a, b), (i, j)], or the Choi entry [(i, a), (j, b)].
+_LAYOUTS = {False: (0, 1, 2, 3), True: (2, 0, 3, 1)}
+
+
+@lru_cache
+def _rotation_weights(d: int, choi: bool) -> np.ndarray:
+    """w_ab conj(w_ij), (1/d times it for a Choi layout), read-only, (d^2, d^2)."""
+    w = _basis_weights(d)
+    weights = (w[:, :, None, None] * w.conj()) / (d if choi else 1)
+    return _read_only(weights.transpose(_LAYOUTS[choi]).reshape(d * d, d * d))
+
+
+def to_hermitian_basis(maps: np.ndarray, d: int) -> np.ndarray:
+    """U^dag M U for a stack of d^2 x d^2 maps M (..., d^2, d^2) in row-major
+    vec coordinates; complex, and real to rounding for maps that preserve
+    Hermiticity.
+
+    With w as in U y = w * (y - i y^T): U^dag z = conj(w) * z + i conj(w)^T * z^T
+    on the row index pair, and S U = w * s - i w^T * s^T on the column pair.
+    """
+    w = _basis_weights(d)
+    x = maps.reshape(-1, d, d, d, d)
+    rows = w.conj()[:, :, None, None]
+    x = rows * x + 1j * rows.swapaxes(0, 1) * x.swapaxes(1, 2)
+    x = w * x - 1j * w.T * x.swapaxes(3, 4)
+    return x.reshape(maps.shape)
+
+
+def from_hermitian_basis(transfer: np.ndarray, d: int, choi: bool = False) -> np.ndarray:
+    """U T U^dag for a stack of real transfer matrices T (..., d^2, d^2): the
+    maps' row-major superoperators, complex. With choi=True, the maps' Choi
+    states (1/d) sum_ij E_ij kron M(E_ij) instead, which realign the
+    superoperator entry [(a, b), (i, j)] to [(i, a), (j, b)].
+
+    Entry [(a, b), (i, j)] is w_ab conj(w_ij) (P + iQ) with
+    P = T[(a, b), (i, j)] + T[(b, a), (j, i)] and
+    Q = T[(a, b), (j, i)] - T[(b, a), (i, j)]: two real sums over swapped
+    views of T, written in the wanted layout, and one scaling; O(d^4) per
+    map. Mirrored entries get conjugate weights and P - iQ, so a
+    Hermiticity-preserving map comes back as one exactly, bit for bit.
+    """
+    t = transfer.reshape(-1, d, d, d, d)
+    layout = (0, *(k + 1 for k in _LAYOUTS[choi]))
+
+    def view(*axes):  # T with the given index swaps, laid out as the result
+        return t.transpose(axes).transpose(layout)
+
+    z = np.empty((len(t), d, d, d, d), dtype=complex)
+    np.add(view(0, 1, 2, 3, 4), view(0, 2, 1, 4, 3), out=z.real)
+    np.subtract(view(0, 1, 2, 4, 3), view(0, 2, 1, 3, 4), out=z.imag)
+    z = z.reshape(-1, d * d, d * d)
+    z *= _rotation_weights(d, choi)
+    return z.reshape(transfer.shape)
+
+
 @dataclass(frozen=True)
 class LindbladGenerator:
     """Hamiltonian plus (jump operator, rate model) dissipator pairs.
@@ -84,13 +160,16 @@ class LindbladGenerator:
     change the generator. `superoperator_blocks` is the read-only stack
     [H_part, D_1, ...], shape (K + 1, d^2, d^2), of the vectorized
     generator's constant blocks: Lhat(t) = sum_k c_k B_k with
-    c = coefficients(rates_at(gen, t)).
+    c = coefficients(rates_at(gen, t)). `transfer_blocks` is the same stack
+    in the Hermitian operator basis, U^dag B_k U: real, and read-only too.
+    The RK4 kernel propagates these, in real arithmetic.
     """
 
     dim: int
     hamiltonian: np.ndarray
     dissipators: tuple[tuple[np.ndarray, RateModel], ...]
     superoperator_blocks: np.ndarray = field(init=False, repr=False, compare=False)
+    transfer_blocks: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim < 1:
@@ -113,7 +192,11 @@ class LindbladGenerator:
                           - 0.5 * (np.kron(ld_l, eye) + np.kron(eye, ld_l.T)))
         object.__setattr__(self, "hamiltonian", h)
         object.__setattr__(self, "dissipators", tuple(diss))
-        object.__setattr__(self, "superoperator_blocks", _read_only(np.stack(blocks)))
+        blocks = _read_only(np.stack(blocks))
+        # The imaginary parts are rounding: Lhat maps Hermitian to Hermitian.
+        transfer = np.ascontiguousarray(to_hermitian_basis(blocks, self.dim).real)
+        object.__setattr__(self, "superoperator_blocks", blocks)
+        object.__setattr__(self, "transfer_blocks", _read_only(transfer))
 
 
 def dephasing_generator(rate: RateModel) -> LindbladGenerator:
@@ -147,24 +230,6 @@ def rates_at(gen: LindbladGenerator, t) -> np.ndarray:
     return np.stack(columns, axis=-1)
 
 
-def _action(gen: LindbladGenerator, x: np.ndarray, gammas: np.ndarray) -> np.ndarray:
-    """Generator action on an arbitrary matrix with precomputed rates."""
-    h = gen.hamiltonian
-    out = -1j * (h @ x - x @ h)
-    for (op, _), g in zip(gen.dissipators, gammas):
-        ld_l = op.conj().T @ op
-        out = out + g * (op @ x @ op.conj().T - 0.5 * (ld_l @ x + x @ ld_l))
-    return out
-
-
-def apply_generator(gen: LindbladGenerator, rho: np.ndarray, t: float) -> np.ndarray:
-    """d rho / dt at time t. Traceless and Hermitian for Hermitian rho."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (gen.dim, gen.dim):
-        raise ValueError(f"state shape {rho.shape} does not match generator dim {gen.dim}")
-    return _action(gen, rho, rates_at(gen, t))
-
-
 def coefficients(gammas) -> np.ndarray:
     """The weights [1, gamma_1, ...] of the superoperator blocks for rates
     gammas of shape (..., K): shape (..., K + 1)."""
@@ -173,7 +238,7 @@ def coefficients(gammas) -> np.ndarray:
 
 
 def generator_superoperator(gen: LindbladGenerator, t: float) -> np.ndarray:
-    """Matrix Lhat(t) with vec(apply_generator(gen, rho, t)) = Lhat(t) @ vec(rho).
+    """Matrix Lhat(t) with vec(d rho / dt) = Lhat(t) @ vec(rho) at time t.
 
     Row-major vectorization; the returned d^2 x d^2 matrix is generally not
     Hermitian.
@@ -194,17 +259,3 @@ def unitality_defects(gen: LindbladGenerator, gammas) -> np.ndarray:
     images = gen.superoperator_blocks[1:] @ (np.eye(d).ravel() / d)
     residual = np.asarray(gammas, dtype=float) @ images
     return np.max(np.abs(residual), axis=1)
-
-
-def is_unital(gen: LindbladGenerator, t: float) -> bool:
-    """True iff the generator annihilates the maximally mixed state at time t."""
-    return bool(unitality_defects(gen, rates_at(gen, [float(t)]))[0] < UNITAL_ATOL)
-
-
-def lindblad_ops_normal(gen: LindbladGenerator) -> bool:
-    """True iff every jump operator commutes with its adjoint."""
-    for op, _ in gen.dissipators:
-        comm = op @ op.conj().T - op.conj().T @ op
-        if np.max(np.abs(comm)) >= NORMALITY_ATOL:
-            return False
-    return True

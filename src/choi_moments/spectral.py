@@ -56,22 +56,6 @@ def schatten_norm(m: np.ndarray, p: float) -> float:
     return float(np.sum(np.abs(lam) ** p) ** (1.0 / p))
 
 
-def trace_moment(m: np.ndarray, n: int) -> float:
-    """n-th trace moment sum_i lambda_i^n of a Hermitian matrix (n >= 1).
-
-    Computed from the spectrum rather than repeated matrix products: this
-    avoids accumulation error and keeps negative-eigenvalue contributions
-    explicit.
-
-    Raises:
-        ValueError: if n < 1 (n = 0 would degenerately equal the dimension).
-    """
-    if int(n) != n or n < 1:
-        raise ValueError(f"moment order must be a positive integer, got n = {n}")
-    lam = hermitian_spectrum(m)
-    return float(np.sum(lam ** int(n)))
-
-
 def moments_from_spectrum(lam: np.ndarray, n_max: int) -> np.ndarray:
     """Trace moments [sum lam, sum lam^2, ..., sum lam^n_max] of a spectrum."""
     lam = np.asarray(lam, dtype=float)

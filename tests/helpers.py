@@ -10,13 +10,28 @@ from choi_moments.choi import (
     choi_of_superoperator,
     max_entangled_projector,
 )
-from choi_moments.lindblad import (
-    LindbladGenerator,
-    apply_generator,
-    generator_superoperator,
-    rates_at,
-)
+from choi_moments.lindblad import LindbladGenerator, generator_superoperator, rates_at
 from choi_moments.rates import ConstantRate, ExpCosRate
+
+
+def _action(gen, x, gammas):
+    """Generator action on an arbitrary matrix with precomputed rates, one
+    jump operator at a time: the independent oracle for the generator's
+    superoperator blocks."""
+    h = gen.hamiltonian
+    out = -1j * (h @ x - x @ h)
+    for (op, _), g in zip(gen.dissipators, gammas):
+        ld_l = op.conj().T @ op
+        out = out + g * (op @ x @ op.conj().T - 0.5 * (ld_l @ x + x @ ld_l))
+    return out
+
+
+def apply_generator(gen, rho, t):
+    """d rho / dt at time t. Traceless and Hermitian for Hermitian rho."""
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (gen.dim, gen.dim):
+        raise ValueError(f"state shape {rho.shape} does not match generator dim {gen.dim}")
+    return _action(gen, rho, rates_at(gen, t))
 
 
 @dataclass
@@ -145,6 +160,24 @@ def reference_bridge_spectra(gen, grid, delta, steps_per_unit=1000):
     return np.array(spectra)
 
 
+def hermitian_basis_matrix(d):
+    """Dense unitary U whose columns are vec(F) of the Hermitian operator basis,
+    built one basis element at a time: E_ii, (E_ij + E_ji)/sqrt(2) at (i, j)
+    above the diagonal, i(E_ij - E_ji)/sqrt(2) at (i, j) below it."""
+    u = np.zeros((d * d, d * d), dtype=complex)
+    for i in range(d):
+        for j in range(d):
+            f = np.zeros((d, d), dtype=complex)
+            if i == j:
+                f[i, i] = 1.0
+            elif i < j:
+                f[i, j] = f[j, i] = np.sqrt(0.5)
+            else:
+                f[i, j], f[j, i] = 1j * np.sqrt(0.5), -1j * np.sqrt(0.5)
+            u[:, i * d + j] = f.ravel()
+    return u
+
+
 def reference_generator_choi(gen, t):
     """Choi image X = (1/d) sum_ij E_ij kron L_t(E_ij) of the generator, one
     matrix unit at a time through `apply_generator`."""
@@ -177,17 +210,20 @@ def reference_rhp_rates(gen, grid):
     of the d^2 x d^2 matrix Q X(t) Q and Q = I - bell, one grid point and one
     eigensolve at a time.
 
+    X is built with the Hamiltonian set to zero. That is exact, because the
+    Hamiltonian's Choi block B_0 has Q B_0 Q = 0, and it keeps the rounding
+    of a Hamiltonian that dwarfs the rates out of the eigenvalues.
     Eigenvalues within the package's noise level (1e-12 of the size of the
-    dissipators' part of X, which leaves out the Hamiltonian block) count as
-    zero, as in the package.
+    dissipators' part of X) count as zero, as in the package.
     """
-    builder = SmallTimeChoiBuilder(gen)
+    bare = LindbladGenerator(gen.dim, np.zeros((gen.dim, gen.dim)), gen.dissipators)
+    builder = SmallTimeChoiBuilder(bare)
     q = np.eye(gen.dim**2) - builder.bell
     block_sizes = np.max(np.abs(builder.blocks[1:]), axis=(1, 2))
     g = []
     for t in grid:
         noise = 1e-12 * max(1.0, float(np.abs(rates_at(gen, float(t))) @ block_sizes))
-        mu = np.linalg.eigvalsh(q @ reference_generator_choi(gen, float(t)) @ q)
+        mu = np.linalg.eigvalsh(q @ reference_generator_choi(bare, float(t)) @ q)
         g.append(2.0 * float(np.sum(-mu[mu < -noise])))
     return np.array(g)
 

@@ -18,7 +18,6 @@ from choi_moments.choi import (
     choi_of_superoperator,
     choi_small_time,
     cptp_diagnostics,
-    intermediate_map,
     max_entangled_projector,
     propagate_map,
 )
@@ -29,6 +28,7 @@ from choi_moments.lindblad import (
     SIGMA_Z,
     LindbladGenerator,
     dephasing_generator,
+    from_hermitian_basis,
     generator_superoperator,
     isotropic_pauli_generator,
     rates_at,
@@ -162,12 +162,13 @@ class TestPropagateMap:
 
 
 class TestBatchedKernel:
-    """The batched RK4 kernel against the step-by-step loop in helpers."""
+    """The batched RK4 kernel, which runs in real arithmetic in the Hermitian
+    operator basis, against the complex step-by-step loop in helpers."""
 
-    TOL = 1e-12
+    TOL = 1e-13
 
     @pytest.mark.parametrize("seed", [1, 2])
-    @pytest.mark.parametrize("d", [2, 3, 4, 8])
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 8])
     def test_single_step_bridges_on_uneven_chunks(self, d, seed):
         gen = random_expcos_generator(np.random.default_rng(seed), d)
         grid = np.linspace(0.0, 2.0, 263)
@@ -178,7 +179,7 @@ class TestBatchedKernel:
         assert np.array_equal(rates, np.array([rates_at(gen, float(t)) for t in grid]))
 
     @pytest.mark.parametrize("seed", [1, 2])
-    @pytest.mark.parametrize("d", [2, 3, 4, 8])
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 8])
     def test_ten_step_bridges_on_non_uniform_grid(self, d, seed):
         # delta = 0.01 takes 10 RK4 steps per window; at d = 8 a chunk holds
         # one step, so each window is also split into step chunks.
@@ -189,12 +190,23 @@ class TestBatchedKernel:
         assert np.max(np.abs(spectra - reference_bridge_spectra(gen, grid, 0.01))) < self.TOL
 
     @pytest.mark.parametrize("d, t0, t1", [(2, 0.3, 1.7), (3, 0.3, 1.7), (4, 0.0, 0.5),
-                                           (8, 0.2, 0.25)])
+                                           (5, 0.1, 0.4), (8, 0.2, 0.25)])
     def test_propagate_map_matches_step_loop(self, d, t0, t1):
         gen = random_expcos_generator(np.random.default_rng(36), d)
         steps = round(1000 * (t1 - t0))
         phi = propagate_map(gen, t0, t1).matrix
         assert np.max(np.abs(phi - reference_rk4_propagate(gen, t0, t1, steps))) < self.TOL
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 8])
+    def test_kernel_propagates_real_maps_with_exactly_hermitian_choi_states(self, d):
+        # Ten steps per window: at d = 5 and 8 a window's steps span chunks.
+        gen = random_expcos_generator(np.random.default_rng(70 + d), d)
+        h, steps = 1e-3, 10
+        gammas = choi._half_step_rates(gen, np.linspace(0.0, 1.0, 7), h, steps)
+        for _, maps in choi._rk4_chunks(gen, gammas, h):
+            assert maps.dtype == np.float64
+            states = from_hermitian_basis(maps, d, choi=True)
+            assert np.array_equal(states, np.swapaxes(states, -1, -2).conj())
 
 
 @dataclass
@@ -366,14 +378,16 @@ class TestLastSweep:
 
 
 class TestIntermediateMap:
+    """The bridge Lambda(t, s) is the propagator from s to t: propagate_map."""
+
     def test_equal_times_identity(self):
         gen = dephasing_generator(ConstantRate(1.0))
-        lam = intermediate_map(gen, 1.0, 1.0)
+        lam = propagate_map(gen, 1.0, 1.0)
         assert np.allclose(lam.matrix, np.eye(4), atol=1e-10)
 
     def test_time_homogeneity_for_constant_rates(self):
         gen = dephasing_generator(ConstantRate(0.7))
-        bridged = intermediate_map(gen, 0.7, 1.9).matrix
+        bridged = propagate_map(gen, 0.7, 1.9).matrix
         direct = propagate_map(gen, 0.0, 1.2).matrix
         assert np.max(np.abs(bridged - direct)) < 1e-8
 
@@ -381,7 +395,7 @@ class TestIntermediateMap:
         # On (2, 2.2) the ExpCos rate is negative: the bridge map amplifies
         # coherences, with factor exp(-2 * integral of gamma) > 1.
         gen = dephasing_generator(ExpCosRate(k=1.0))
-        lam = intermediate_map(gen, 2.0, 2.2)
+        lam = propagate_map(gen, 2.0, 2.2)
         expected = np.exp(-2.0 * expcos_integral(2.0, 2.2))
         assert expected > 1.0
         assert lam.matrix[1, 1].real == pytest.approx(expected, abs=1e-9)
@@ -390,7 +404,7 @@ class TestIntermediateMap:
         gen = dephasing_generator(ExpCosRate(k=1.0))
         phi_s = propagate_map(gen, 0.0, 1.1).matrix
         phi_t = propagate_map(gen, 0.0, 2.3).matrix
-        bridge = intermediate_map(gen, 1.1, 2.3).matrix
+        bridge = propagate_map(gen, 1.1, 2.3).matrix
         assert np.max(np.abs(bridge @ phi_s - phi_t)) < 1e-7
 
     def test_matches_inverse_where_well_conditioned(self):
@@ -401,7 +415,7 @@ class TestIntermediateMap:
         phi_t = propagate_map(gen, 0.0, 1.9).matrix
         assert np.linalg.cond(phi_s) < 10.0
         inverse = np.linalg.solve(phi_s.T, phi_t.T).T
-        bridge = intermediate_map(gen, 0.7, 1.9)
+        bridge = propagate_map(gen, 0.7, 1.9)
         assert bridge.interval == (0.7, 1.9)
         assert np.max(np.abs(bridge.matrix - inverse)) < 1e-10
 
@@ -411,14 +425,9 @@ class TestIntermediateMap:
         # is the plain dephasing map diag(1, e^-10, e^-10, 1). RK4 at
         # |h gamma| = 0.05 is off by ~4e-10 there.
         gen = dephasing_generator(ConstantRate(50.0))
-        lam = intermediate_map(gen, 0.5, 0.6).matrix
+        lam = propagate_map(gen, 0.5, 0.6).matrix
         exact = np.diag([1.0, np.exp(-10.0), np.exp(-10.0), 1.0])
         assert np.max(np.abs(lam - exact)) < 1e-9
-
-    def test_rejects_bad_ordering(self):
-        gen = dephasing_generator(ConstantRate(1.0))
-        with pytest.raises(ValueError, match="0 <= s <= t"):
-            intermediate_map(gen, 2.0, 1.0)
 
 
 class TestChoiOfSuperoperator:
@@ -537,7 +546,7 @@ class TestChoiInvariants:
             if t - s < 1e-3:
                 t = s + 1e-3
             phi_t = propagate_map(gen, 0.0, float(t)).matrix
-            composed = intermediate_map(gen, float(s), float(t)).matrix @ propagate_map(
+            composed = propagate_map(gen, float(s), float(t)).matrix @ propagate_map(
                 gen, 0.0, float(s)
             ).matrix
             c_direct = choi_of_superoperator(phi_t).matrix

@@ -5,8 +5,8 @@ import pytest
 
 from choi_moments import choi, detect
 from choi_moments.cli import main, run_scenario
-from choi_moments.config import load_scenario, parse_scenario
-from helpers import count_sweeps
+from choi_moments.config import build_generator, load_scenario, parse_scenario
+from helpers import count_sweeps, reference_bridge_spectra
 
 EXPCOS_COMPARE = """
 version = 1
@@ -75,6 +75,9 @@ outputs = witness divisibility
 # Pauli channels with gamma_z = -tanh t < 0 but gamma_x + gamma_y + gamma_z > 0:
 # the moment rate f is zero everywhere while the trace-norm rate g is not.
 ETERNAL_PAULI = os.path.join(os.path.dirname(__file__), "data", "eternal_pauli.cfg")
+# A qutrit with custom-matrix jump operators and expcos rates, in finite-interval
+# mode: the one CLI run that propagates at d > 2.
+QUTRIT_EXPCOS = os.path.join(os.path.dirname(__file__), "data", "qutrit_expcos.cfg")
 
 
 def write_cfg(tmp_path, text, name="scenario.cfg"):
@@ -226,6 +229,20 @@ class TestMainExitCodes:
             assert "witness violation intervals: none\n" in text
             assert f"verdict: non-Markovian\ndetected by: {criterion}\n" in text
         capsys.readouterr()
+
+    def test_qutrit_divisibility_matches_the_step_by_step_oracle(self, tmp_path, capsys):
+        config = load_scenario(QUTRIT_EXPCOS)
+        assert config.dimension == 3 and config.mode == "finite-interval"
+        assert main(["divisibility", QUTRIT_EXPCOS, "--out-dir", str(tmp_path), "--quiet"]) == 10
+        capsys.readouterr()
+        table = np.loadtxt(tmp_path / "qutrit_expcos_divisibility.csv", delimiter=",",
+                           skiprows=1)
+        grid = np.linspace(0.0, config.t_max, config.points)
+        assert np.array_equal(table[:, 0], grid)
+        want = reference_bridge_spectra(build_generator(config), grid, config.epsilon)[:, -1]
+        assert np.max(np.abs(table[:, 1] - want)) < 1e-13
+        # The oracle alone gives the same verdict: some bridge is not CP.
+        assert np.min(want) < -detect._SCAN_CP_TOL
 
     def test_markovian_is_0(self, tmp_path, capsys):
         path = write_cfg(tmp_path, MARKOVIAN)

@@ -442,6 +442,9 @@ class TestTraceNormRate:
         gen = LindbladGenerator(2, 1e6 * SIGMA_X, ((SIGMA_Z, ConstantRate(-1e-7)),))
         assert rhp_rate_g(gen, 0.0) == pytest.approx(2e-7, rel=1e-12)
         assert moment_rate_f(gen, 0.0) == pytest.approx(1e-7, rel=1e-12)
+        grid = [0.0, 1.0]
+        assert np.allclose(_rate_limits(gen, grid)[2], reference_rhp_rates(gen, grid),
+                           rtol=1e-12, atol=0.0)
         bare = LindbladGenerator(2, np.zeros((2, 2)), gen.dissipators)
         for got, want in zip(_rate_limits(gen, [0.0]), _rate_limits(bare, [0.0])):
             assert np.array_equal(got, want)

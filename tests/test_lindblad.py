@@ -6,19 +6,26 @@ from choi_moments.lindblad import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    UNITAL_ATOL,
     LindbladGenerator,
-    apply_generator,
     coefficients,
     dephasing_generator,
+    from_hermitian_basis,
     generator_superoperator,
-    is_unital,
     isotropic_pauli_generator,
-    lindblad_ops_normal,
     named_operator,
     rates_at,
+    to_hermitian_basis,
+    unitality_defects,
 )
 from choi_moments.rates import ConstantRate, ExpCosRate
-from helpers import random_generator, random_psd_unit_trace
+from helpers import (
+    _action,
+    apply_generator,
+    hermitian_basis_matrix,
+    random_generator,
+    random_psd_unit_trace,
+)
 
 
 def amplitude_damping_generator(rate=1.0):
@@ -27,6 +34,16 @@ def amplitude_damping_generator(rate=1.0):
 
 def vec(m):
     return np.asarray(m).reshape(-1)
+
+
+def is_unital(gen, t):
+    return bool(unitality_defects(gen, rates_at(gen, [float(t)]))[0] < UNITAL_ATOL)
+
+
+def dissipator_defects(gen):
+    """Largest entry of |D_k(I/d)| for each dissipator alone: zero iff L_k is
+    normal, since D_k(I) = L_k L_k^dag - L_k^dag L_k."""
+    return unitality_defects(gen, np.eye(len(gen.dissipators)))
 
 
 class TestConstruction:
@@ -129,7 +146,6 @@ class TestSuperoperator:
                 for j in range(dim):
                     unit = np.zeros((dim, dim), dtype=complex)
                     unit[i, j] = 1.0
-                    from choi_moments.lindblad import _action
                     expected = vec(_action(gen, unit, gammas))
                     assert np.max(np.abs(lhat[:, i * dim + j] - expected)) < 1e-10
 
@@ -145,8 +161,50 @@ class TestUnitalAndNormal:
         assert not is_unital(amplitude_damping_generator(), 0.0)
 
     def test_pauli_operators_are_normal(self):
-        assert lindblad_ops_normal(dephasing_generator(ConstantRate(1.0)))
-        assert lindblad_ops_normal(isotropic_pauli_generator(ConstantRate(1.0)))
+        assert np.all(dissipator_defects(dephasing_generator(ConstantRate(1.0))) == 0.0)
+        assert np.all(dissipator_defects(isotropic_pauli_generator(ConstantRate(1.0))) == 0.0)
 
     def test_lowering_operator_is_not_normal(self):
-        assert not lindblad_ops_normal(amplitude_damping_generator())
+        # D(I/2) = (L L^dag - L^dag L)/2 = diag(1, -1)/2 for L = |0><1|.
+        assert dissipator_defects(amplitude_damping_generator()) == pytest.approx([0.5])
+
+
+class TestHermitianBasis:
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_transfer_blocks_are_the_rotated_blocks_and_real(self, d):
+        rng = np.random.default_rng(40 + d)
+        gen = random_generator(rng, d, n_ops=3)
+        u = hermitian_basis_matrix(d)
+        assert np.allclose(u.conj().T @ u, np.eye(d * d), rtol=0.0, atol=1e-15)
+        dense = u.conj().T @ gen.superoperator_blocks @ u
+        rotated = to_hermitian_basis(gen.superoperator_blocks, d)
+        for block, got, want in zip(gen.transfer_blocks, rotated, dense):
+            scale = np.max(np.abs(got))
+            # Real to rounding before the imaginary part is dropped.
+            assert np.max(np.abs(got.imag)) <= 1e-14 * scale
+            assert np.max(np.abs(got - want)) <= 1e-14 * scale
+            assert np.array_equal(block, got.real)
+        assert gen.transfer_blocks.dtype == np.float64
+        with pytest.raises(ValueError, match="read-only"):
+            gen.transfer_blocks[0, 0, 0] = 1.0
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_back_rotation_matches_the_dense_change_of_basis(self, d):
+        rng = np.random.default_rng(50 + d)
+        transfer = rng.normal(size=(3, d * d, d * d))
+        u = hermitian_basis_matrix(d)
+        superop = from_hermitian_basis(transfer, d)
+        assert np.max(np.abs(superop - u @ transfer @ u.conj().T)) <= 1e-15 * d * d
+        assert np.max(np.abs(to_hermitian_basis(superop, d) - transfer)) <= 1e-15 * d * d
+        assert from_hermitian_basis(transfer[0], d).shape == (d * d, d * d)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_choi_layout_is_the_realigned_superoperator(self, d):
+        transfer = np.random.default_rng(60 + d).normal(size=(4, d * d, d * d))
+        superop = from_hermitian_basis(transfer, d).reshape(4, d, d, d, d)
+        realigned = superop.transpose(0, 3, 1, 4, 2).reshape(4, d * d, d * d) / d
+        got = from_hermitian_basis(transfer, d, choi=True)
+        assert np.max(np.abs(got - realigned)) <= 1e-15
+        # Any real transfer matrix is a Hermiticity-preserving map, so its
+        # Choi state is Hermitian, and the back rotation keeps that exact.
+        assert np.array_equal(got, np.swapaxes(got, -1, -2).conj())
