@@ -10,7 +10,10 @@ Two constructions are provided: the first-order small-time Choi built directly
 from the generator, and the finite-interval Choi of the map bridging two times
 of a propagated evolution. The trace moments of the small-time Choi are exact
 polynomials in its time step, evaluated from traces of the generator's Choi
-blocks with no eigensolve (`SmallTimeChoiBuilder.moments`). The part of its
+blocks with no eigensolve (`SmallTimeChoiBuilder.moments`). Those trace
+tables, and every other table that depends on the generator alone, are built
+once per generator: it holds one read-only builder, made on first use
+(`LindbladGenerator.small_time_builder`). The part of its
 spectrum off the Bell direction, at most K eigenvalues for K jump operators,
 comes group by group (`SmallTimeChoiBuilder.projected_spectra`): the
 operators are split once into groups that are trace-orthogonal to each
@@ -136,17 +139,17 @@ def partial_trace_output(c: np.ndarray, d: int) -> np.ndarray:
     return np.einsum("iaja->ij", c.reshape(d, d, d, d))
 
 
-def _checked_choi(c: np.ndarray) -> np.ndarray:
-    """Symmetrized Choi states c (a matrix or a stack), refusing maps that are
-    not trace preserving (Choi trace off 1 by more than 1e-6)."""
+def _require_trace_preserving(c: np.ndarray) -> None:
+    """Refuse Choi states c (a matrix or a stack) of maps that are not trace
+    preserving: a Choi trace off 1 by more than 1e-6, or not finite."""
     trace = np.trace(c, axis1=-2, axis2=-1)
     trace_dev = float(np.max(np.abs(trace.real - 1.0) + np.abs(trace.imag)))
-    if trace_dev > _CHOI_TRACE_ATOL:
+    if not trace_dev <= _CHOI_TRACE_ATOL:  # NaN compares false either way
         raise ValueError(
             f"map is not trace preserving: Choi trace deviation {trace_dev:.3e} "
-            f"exceeds {_CHOI_TRACE_ATOL:.1e}"
+            + (f"exceeds {_CHOI_TRACE_ATOL:.1e}" if np.isfinite(trace_dev)
+               else "is non-finite")
         )
-    return require_hermitian(c, atol=_CHOI_ASYMMETRY_ATOL)
 
 
 def _checked_rates(gen: LindbladGenerator, times: np.ndarray) -> np.ndarray:
@@ -170,6 +173,13 @@ class SmallTimeChoiBuilder:
     c = [1, gamma_1, ...] with the stacked blocks (`matrix`), or with tables
     of traces of the blocks (`moments`, which needs no eigensolve).
 
+    Everything that depends on the generator alone is built once, here or
+    (for `groups`) on first use, and is read-only: the blocks, the trace
+    tables, the dissipator scales max|B_k| and the unitality images
+    Lhat_k(I/d). Each generator holds one builder,
+    `LindbladGenerator.small_time_builder`, which every caller uses; building
+    another with `SmallTimeChoiBuilder(gen)` gives the same tables.
+
     Off the Bell direction, with Q = I - bell, the Hamiltonian part drops out
     (Q B_0 Q = 0) and each dissipator leaves one rank-1 term,
     Q B_k Q = v_k v_k^dag with v_k = vec((L_k - Tr(L_k)/d I)^T)/sqrt(d). So
@@ -190,6 +200,27 @@ class SmallTimeChoiBuilder:
         self.blocks = _choi_from_superop(gen.superoperator_blocks, d)
         # x_k = <Phi+|B_k|Phi+>, so that <Phi+|X|Phi+> = c . x.
         self.bell_overlaps = np.einsum("ab,kba->k", self.bell, self.blocks).real
+        # The trace tables of `moments`: Tr(B_k B_l), Re <Phi+|B_k B_l|Phi+>
+        # and Re Tr(B_k B_l B_m), the last two flattened over (k, l).
+        k1 = len(self.blocks)
+        pairs = (self.blocks[:, None] @ self.blocks[None]).reshape(k1 * k1, -1)
+        # Tr(A B) = sum_ab A_ab B_ba: contract with transposed blocks and bell.
+        flipped = np.swapaxes(self.blocks, 1, 2).reshape(k1, -1)
+        self.traces2 = (self.blocks.reshape(k1, -1) @ flipped.T).real.ravel()
+        self.bell_pairs = (pairs @ self.bell.T.ravel()).real
+        self.traces3 = (pairs @ flipped.T).real
+        # max|B_k| of each dissipator block, which scales the noise floor of
+        # `detect._rate_limits`.
+        self.dissipator_scales = np.max(np.abs(self.blocks[1:]), axis=(1, 2))
+        # The images Lhat_k(I/d) of the dissipator blocks, (K, d^2): the
+        # generator is unital at rates gamma iff gamma @ images vanishes, and
+        # at every rate when the images are exactly zero (`unital`).
+        self.unitality_images = gen.superoperator_blocks[1:] @ (np.eye(d).ravel() / d)
+        self.unital = not np.any(self.unitality_images)
+        for table in (self.bell, self.blocks, self.bell_overlaps, self.traces2,
+                      self.bell_pairs, self.traces3, self.dissipator_scales,
+                      self.unitality_images):
+            table.setflags(write=False)
 
     @cached_property
     def groups(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
@@ -202,7 +233,8 @@ class SmallTimeChoiBuilder:
         of its first operator. The outer products are r_k r_k^dag, (K_g, m, m),
         over the columns r_k of R in the thin QR V_g = W R, so that
         R diag(gamma_g) R^dag is their gamma-weighted sum; a group of one
-        operator k has m = 1 and the single entry G_kk. Found on first use.
+        operator k has m = 1 and the single entry G_kk. Found on first use;
+        the arrays are read-only.
         """
         d, k = self.gen.dim, len(self.gen.dissipators)
         ops = np.array([op for op, _ in self.gen.dissipators], dtype=complex)
@@ -224,6 +256,8 @@ class SmallTimeChoiBuilder:
             else:
                 r = np.linalg.qr(v[:, members], mode="r")
                 outer = np.einsum("ik,jk->kij", r, r.conj())
+            members.setflags(write=False)
+            outer.setflags(write=False)
             groups.append((members, outer))
         return tuple(groups)
 
@@ -280,22 +314,15 @@ class SmallTimeChoiBuilder:
         exactly. x0, s2, sb and s3 are forms in c = [1, gamma_1, ...] of
         degree 1, 2, 2 and 3 over the tables x_k, Tr(B_k B_l),
         Re <Phi+|B_k B_l|Phi+> and Re Tr(B_k B_l B_m); the blocks are
-        Hermitian, so the real parts are the whole contractions.
+        Hermitian, so the real parts are the whole contractions. The tables
+        are built once, with the builder.
         """
-        k1 = len(self.blocks)
-        pairs = (self.blocks[:, None] @ self.blocks[None]).reshape(k1 * k1, -1)
-        # Tr(A B) = sum_ab A_ab B_ba: contract with transposed blocks and bell.
-        flipped = np.swapaxes(self.blocks, 1, 2).reshape(k1, -1)
-        traces2 = (self.blocks.reshape(k1, -1) @ flipped.T).real.ravel()
-        bell_pairs = (pairs @ self.bell.T.ravel()).real
-        traces3 = (pairs @ flipped.T).real
-
         c = coefficients(gammas)
         cc = (c[:, :, None] * c[:, None, :]).reshape(len(c), -1)
         x0 = c @ self.bell_overlaps
-        s2 = cc @ traces2
-        sb = cc @ bell_pairs
-        s3 = np.sum((cc @ traces3) * c, axis=1)
+        s2 = cc @ self.traces2
+        sb = cc @ self.bell_pairs
+        s3 = np.sum((cc @ self.traces3) * c, axis=1)
         eps = float(epsilon)
         r2 = 1.0 + 2.0 * eps * x0 + eps**2 * s2
         r3 = 1.0 + 3.0 * eps * x0 + 3.0 * eps**2 * sb + eps**3 * s3
@@ -312,7 +339,7 @@ def choi_small_time(gen: LindbladGenerator, t: float, epsilon: float) -> ChoiMat
     """
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    builder = SmallTimeChoiBuilder(gen)
+    builder = gen.small_time_builder
     gammas = builder.rates([t])
     worst = float(np.max(np.abs(epsilon * gammas))) if gammas.size else 0.0
     if worst >= SMALL_TIME_RATE_LIMIT:
@@ -494,7 +521,10 @@ def bridge_spectra(
     d = gen.dim
     spectra = np.empty((starts.size, d * d))
     for window, maps in _rk4_chunks(gen, gammas, h):
-        states = _checked_choi(from_hermitian_basis(maps, d, choi=True))
+        # Exactly Hermitian by construction, for any real transfer matrices:
+        # only the trace needs a check.
+        states = from_hermitian_basis(maps, d, choi=True)
+        _require_trace_preserving(states)
         spectra[window] = np.linalg.eigvalsh(states)[:, ::-1]
     _last_sweep = (blocks, h, gammas, spectra.copy())
     _debug("swept %d windows, d = %d", starts.size, d)
@@ -519,8 +549,10 @@ def choi_of_superoperator(
     d = int(round(np.sqrt(d2)))
     if mat.shape != (d2, d2) or d * d != d2:
         raise ValueError(f"superoperator must be d^2 x d^2, got shape {mat.shape}")
-    return ChoiMatrix(_checked_choi(_choi_from_superop(mat, d)), interval if interval else (0.0, 0.0),
-                      "finite-interval")
+    c = _choi_from_superop(mat, d)
+    _require_trace_preserving(c)
+    return ChoiMatrix(require_hermitian(c, atol=_CHOI_ASYMMETRY_ATOL),
+                      interval if interval else (0.0, 0.0), "finite-interval")
 
 
 def cptp_diagnostics(c: ChoiMatrix | np.ndarray, tol: float = 1e-10) -> CPTPDiagnostics:

@@ -121,12 +121,15 @@ def _parse_complex_entries(key: str, raw: str) -> tuple[complex, ...]:
     entries = []
     for token in raw.split():
         try:
-            entries.append(complex(token))
+            value = complex(token)
         except ValueError:
             raise ConfigError(
                 f"key {key!r}: expected complex entries like '1', '0.5j' or "
                 f"'(1+2j)', got token {token!r}"
             ) from None
+        if not np.isfinite(value):
+            raise ConfigError(f"key {key!r}: entries must be finite, got token {token!r}")
+        entries.append(value)
     return tuple(entries)
 
 

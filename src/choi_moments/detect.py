@@ -34,7 +34,6 @@ import numpy as np
 
 from .choi import (
     ChoiMatrix,
-    SmallTimeChoiBuilder,
     DEFAULT_STEPS_PER_UNIT,
     SMALL_TIME_RATE_LIMIT,
     bridge_spectra,
@@ -180,7 +179,7 @@ def witness_series(
         raise ValueError(f"mode must be 'small-time' or 'finite-interval', got {mode!r}")
 
     if mode == "small-time":
-        builder = SmallTimeChoiBuilder(gen)
+        builder = gen.small_time_builder
         rates = builder.rates(grid)
         worst = float(np.max(np.abs(epsilon * rates))) if rates.size else 0.0
         if worst >= SMALL_TIME_RATE_LIMIT:
@@ -230,10 +229,9 @@ def _rate_limits(gen: LindbladGenerator, times) -> tuple[np.ndarray, np.ndarray,
     block B_0 enters neither f nor g, so it does not scale the noise floor
     either: a strong Hamiltonian does not erase a weak negative rate.
     """
-    builder = SmallTimeChoiBuilder(gen)
+    builder = gen.small_time_builder
     gammas = builder.rates(times)
-    noise = _RATE_NOISE * np.maximum(
-        1.0, np.abs(gammas) @ np.max(np.abs(builder.blocks[1:]), axis=(1, 2)))
+    noise = _RATE_NOISE * np.maximum(1.0, np.abs(gammas) @ builder.dissipator_scales)
     coef = coefficients(gammas)
     f = coef @ builder.bell_overlaps
     f = np.where(f > noise, f, 0.0)
@@ -278,7 +276,10 @@ def measure_report(gen: LindbladGenerator, t_max: float, grid_points: int) -> Me
     grid = np.linspace(0.0, t_max, grid_points)
     gammas, f_series, g_series = _rate_limits(gen, grid)
 
-    if np.any(unitality_defects(gen, gammas) >= UNITAL_ATOL):
+    # Exactly zero unitality images (Pauli channels, for example) make every
+    # defect zero, so the product with the rates is skipped.
+    if not gen.small_time_builder.unital and np.any(
+            unitality_defects(gen, gammas) >= UNITAL_ATOL):
         warn_caller(
             "generator is not unital: the moment measure is only proven to be "
             "a measure for unital dynamics; interpret the value with care"

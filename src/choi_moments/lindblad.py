@@ -27,7 +27,7 @@ evaluation is pure.
 """
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -163,6 +163,9 @@ class LindbladGenerator:
     c = coefficients(rates_at(gen, t)). `transfer_blocks` is the same stack
     in the Hermitian operator basis, U^dag B_k U: real, and read-only too.
     The RK4 kernel propagates these, in real arithmetic.
+    `small_time_builder` is the generator's one `choi.SmallTimeChoiBuilder`,
+    with its read-only tables, built on first use: every small-time witness,
+    rate limit and unitality check on this generator reads it.
     """
 
     dim: int
@@ -186,6 +189,8 @@ class LindbladGenerator:
                 raise ValueError(
                     f"jump operator shape {op.shape} does not match dim {self.dim}"
                 )
+            if not np.all(np.isfinite(op)):
+                raise ValueError("jump operator has non-finite entries")
             diss.append((op, rate))
             ld_l = op.conj().T @ op
             blocks.append(np.kron(op, op.conj())
@@ -197,6 +202,17 @@ class LindbladGenerator:
         transfer = np.ascontiguousarray(to_hermitian_basis(blocks, self.dim).real)
         object.__setattr__(self, "superoperator_blocks", blocks)
         object.__setattr__(self, "transfer_blocks", _read_only(transfer))
+
+    @cached_property
+    def small_time_builder(self):
+        """The generator's small-time Choi builder, built once on first use.
+
+        A cached_property writes the instance __dict__ directly, so it works
+        on this frozen dataclass; the builder's tables are read-only.
+        """
+        from .choi import SmallTimeChoiBuilder  # choi imports this module
+
+        return SmallTimeChoiBuilder(self)
 
 
 def dephasing_generator(rate: RateModel) -> LindbladGenerator:
@@ -253,9 +269,9 @@ def unitality_defects(gen: LindbladGenerator, gammas) -> np.ndarray:
 
     The Hamiltonian part annihilates I/d, so the image is linear in the
     rates and a grid of rates costs one product with the dissipator blocks'
-    images of I/d.
+    images of I/d, which the generator's small-time builder holds
+    (`unitality_images`).
     """
-    d = gen.dim
-    images = gen.superoperator_blocks[1:] @ (np.eye(d).ravel() / d)
+    images = gen.small_time_builder.unitality_images
     residual = np.asarray(gammas, dtype=float) @ images
     return np.max(np.abs(residual), axis=1)

@@ -19,15 +19,19 @@ def require_hermitian(m: np.ndarray, atol: float = HERMITICITY_ATOL) -> np.ndarr
     stabilizes the eigensolve without masking genuinely non-Hermitian input.
 
     Raises:
-        ValueError: if ``m`` is not square or the maximum entrywise asymmetry
-            exceeds ``atol`` (the offending magnitude is reported).
+        ValueError: if ``m`` is not square, has a non-finite entry (which
+            makes the asymmetry NaN or infinite), or the maximum entrywise
+            asymmetry exceeds ``atol`` (the offending magnitude is reported).
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     m_dag = np.swapaxes(m, -1, -2).conj()
-    asymmetry = float(np.max(np.abs(m - m_dag))) if m.size else 0.0
-    if asymmetry > atol:
+    with np.errstate(invalid="ignore"):  # inf - inf on the diagonal is refused below
+        asymmetry = float(np.max(np.abs(m - m_dag))) if m.size else 0.0
+    if not asymmetry <= atol:  # NaN compares false either way
+        if not np.isfinite(asymmetry):
+            raise ValueError("matrix has non-finite entries")
         raise ValueError(
             f"matrix is not Hermitian: max |m - m^dag| = {asymmetry:.3e} "
             f"exceeds tolerance {atol:.1e}"

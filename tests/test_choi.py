@@ -455,6 +455,8 @@ class TestChoiOfSuperoperator:
     def test_rejects_non_trace_preserving(self):
         with pytest.raises(ValueError, match="not trace preserving"):
             choi_of_superoperator(0.5 * np.eye(4, dtype=complex))
+        with pytest.raises(ValueError, match="Choi trace deviation nan is non-finite"):
+            choi_of_superoperator(np.full((4, 4), np.nan, dtype=complex))
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([2, 3, 4]),
@@ -521,6 +523,12 @@ class TestCPTPDiagnostics:
             choi = random_kraus_choi(rng, d, int(rng.integers(1, 5)))
             diag = cptp_diagnostics(choi)
             assert diag.is_cp and diag.is_tp
+
+    def test_rejects_non_finite_entries(self):
+        c = max_entangled_projector(2)
+        c[1, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            cptp_diagnostics(c)
 
     def test_rejects_bad_tolerance(self):
         with pytest.raises(ValueError, match="tol"):

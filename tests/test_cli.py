@@ -78,6 +78,8 @@ ETERNAL_PAULI = os.path.join(os.path.dirname(__file__), "data", "eternal_pauli.c
 # A qutrit with custom-matrix jump operators and expcos rates, in finite-interval
 # mode: the one CLI run that propagates at d > 2.
 QUTRIT_EXPCOS = os.path.join(os.path.dirname(__file__), "data", "qutrit_expcos.cfg")
+NONFINITE_HAMILTONIAN = os.path.join(
+    os.path.dirname(__file__), "data", "nonfinite_hamiltonian.cfg")
 
 
 def write_cfg(tmp_path, text, name="scenario.cfg"):
@@ -253,6 +255,11 @@ class TestMainExitCodes:
         path = write_cfg(tmp_path, MARKOVIAN)
         assert main(["validate", path]) == 0
         assert "OK" in capsys.readouterr().out
+
+    def test_validate_non_finite_matrix_entry_is_1(self, capsys):
+        # Refused when parsed, so no computing command gets to fail on it.
+        assert main(["validate", NONFINITE_HAMILTONIAN]) == 1
+        assert "entries must be finite" in capsys.readouterr().err
 
     def test_validate_bad_config_is_1(self, tmp_path, capsys):
         path = write_cfg(tmp_path, MARKOVIAN + "unknown.key = 1\n")

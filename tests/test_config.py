@@ -135,6 +135,19 @@ class TestParseValidation:
         with pytest.raises(ConfigError, match="entries"):
             parse_scenario(text)
 
+    @pytest.mark.parametrize("key, lines", [
+        ("generator.hamiltonian",
+         "dissipator.1.operator = sigma_z\ngenerator.hamiltonian = nan 0 0 0"),
+        ("generator.hamiltonian",
+         "dissipator.1.operator = sigma_z\ngenerator.hamiltonian = 0 (1+infj) (1-infj) 0"),
+        ("dissipator.1.matrix",
+         "dissipator.1.operator = custom-matrix\ndissipator.1.matrix = 0 1 -inf 0"),
+    ])
+    def test_non_finite_matrix_entry_names_the_key(self, key, lines):
+        text = MINIMAL.replace("dissipator.1.operator = sigma_z", lines)
+        with pytest.raises(ConfigError, match=f"key '{key}': entries must be finite"):
+            parse_scenario(text)
+
     def test_matrix_key_requires_custom_operator(self):
         with pytest.raises(ConfigError, match="custom-matrix"):
             parse_scenario(MINIMAL + "dissipator.1.matrix = 0 1 1 0\n")

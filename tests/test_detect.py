@@ -41,7 +41,7 @@ from choi_moments.lindblad import (
     isotropic_pauli_generator,
 )
 from choi_moments.rates import ConstantRate, ExpCosRate, LorentzianRate, TabulatedRate, rate_eval
-from choi_moments.spectral import hermitian_spectrum, schatten_norm
+from choi_moments.spectral import hermitian_spectrum, require_hermitian, schatten_norm
 from helpers import (
     CountingRate,
     random_expcos_generator,
@@ -509,6 +509,7 @@ class TestMeasures:
 
     def test_warns_for_non_unital_generator(self):
         gen = LindbladGenerator(2, np.zeros((2, 2)), ((LOWERING, ConstantRate(1.0)),))
+        assert not gen.small_time_builder.unital
         with pytest.warns(UserWarning, match="not unital"):
             measure_report(gen, 2.0, 51)
 
@@ -547,6 +548,90 @@ class TestMeasures:
         gen = dephasing_generator(ExpCosRate(k=1.0))
         with pytest.warns(UserWarning, match="last 5%"):
             measure_report(gen, 3.0, 101)
+
+
+_BUILDER_TABLES = ("bell", "blocks", "bell_overlaps", "traces2", "bell_pairs", "traces3",
+                   "dissipator_scales", "unitality_images")
+
+
+class TestGeneratorBuilder:
+    """Each generator builds its small-time tables once and shares them."""
+
+    def test_one_builder_per_generator(self, monkeypatch):
+        built = []
+        init = SmallTimeChoiBuilder.__init__
+
+        def counted(self, gen):
+            built.append(gen)
+            init(self, gen)
+
+        monkeypatch.setattr(SmallTimeChoiBuilder, "__init__", counted)
+        gen = random_expcos_generator(np.random.default_rng(5), 2, n_ops=3)
+        grid = np.linspace(0.0, 2.0, 21)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # random jump operators are not unital
+            for _ in range(2):
+                witness_series(gen, grid, 1e-3)
+                measure_report(gen, 2.0, 21)
+                moment_rate_f(gen, 0.5)
+                rhp_rate_g(gen, 0.5)
+                choi_small_time(gen, 0.5, 1e-3)
+        assert built == [gen]
+        assert gen.small_time_builder is gen.small_time_builder
+        assert gen.small_time_builder.gen is gen
+
+    def test_outputs_match_a_fresh_builder(self):
+        rng = np.random.default_rng(8)
+        grid = np.linspace(0.0, 3.0, 31)
+        for d, n_ops in ((2, 3), (3, 4)):
+            gen = random_expcos_generator(rng, d, n_ops=n_ops)
+            builder, fresh = gen.small_time_builder, SmallTimeChoiBuilder(gen)
+            assert fresh is not builder
+            for name in _BUILDER_TABLES:
+                assert np.array_equal(getattr(builder, name), getattr(fresh, name))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # random jump operators are not unital
+                series = witness_series(gen, grid, 1e-3)
+                report = measure_report(gen, 3.0, 31)
+                # An equal generator starts with no builder of its own.
+                twin = LindbladGenerator(d, gen.hamiltonian, gen.dissipators)
+                twin_report = measure_report(twin, 3.0, 31)
+            gammas = fresh.rates(grid)
+            for got, want in zip((series.r2, series.r3, series.values),
+                                 fresh.moments(gammas, 1e-3)):
+                assert np.array_equal(got, want)
+            assert np.array_equal(builder.projected_spectra(gammas),
+                                  fresh.projected_spectra(gammas))
+            assert np.array_equal(report.f_series, twin_report.f_series)
+            assert np.array_equal(report.g_series, twin_report.g_series)
+            state = fresh.matrix(fresh.rates([1.5]), 1e-3)[0]
+            assert np.array_equal(choi_small_time(gen, 1.5, 1e-3).matrix,
+                                  require_hermitian(state, atol=1e-8))
+
+    def test_tables_are_read_only(self):
+        gen = random_generator(np.random.default_rng(9), 2, n_ops=3)
+        builder = gen.small_time_builder
+        tables = [getattr(builder, name) for name in _BUILDER_TABLES]
+        tables += [a for group in builder.groups for a in group]
+        for table in tables:
+            with pytest.raises(ValueError, match="read-only"):
+                table.flat[0] = 1.0
+
+    def test_pauli_channel_skips_the_unitality_product(self, monkeypatch):
+        from choi_moments import detect
+
+        calls = []
+        monkeypatch.setattr(detect, "unitality_defects",
+                            lambda *args: calls.append(args) or np.zeros(0))
+        gen = LindbladGenerator(2, SIGMA_Z, tuple(
+            (op, ExpCosRate(k=k)) for op, k in ((SIGMA_X, 0.5), (SIGMA_Y, 1.0), (SIGMA_Z, 2.0))))
+        assert gen.small_time_builder.unital
+        assert not np.any(gen.small_time_builder.unitality_images)
+        with warnings.catch_warnings(record=True) as records:
+            warnings.simplefilter("always")
+            measure_report(gen, 3.0, 31)
+        assert calls == []
+        assert not [r for r in records if "unital" in str(r.message)]
 
 
 class TestDivisibilityScan:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from choi_moments.lindblad import (
     LOWERING,
@@ -59,6 +60,13 @@ class TestConstruction:
         h = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(ValueError, match="not Hermitian"):
             LindbladGenerator(2, h, ())
+
+    def test_rejects_non_finite_entries(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            LindbladGenerator(2, np.diag([np.nan, 0.0]), ())
+        with pytest.raises(ValueError, match="jump operator has non-finite entries"):
+            LindbladGenerator(2, np.zeros((2, 2)),
+                              ((np.array([[0.0, np.inf], [0.0, 0.0]]), ConstantRate(1.0)),))
 
     def test_blocks_follow_the_operators_and_freeze_no_caller_array(self):
         gen = amplitude_damping_generator()
@@ -197,6 +205,18 @@ class TestHermitianBasis:
         assert np.max(np.abs(superop - u @ transfer @ u.conj().T)) <= 1e-15 * d * d
         assert np.max(np.abs(to_hermitian_basis(superop, d) - transfer)) <= 1e-15 * d * d
         assert from_hermitian_basis(transfer[0], d).shape == (d * d, d * d)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 8), n=st.integers(1, 3),
+           scale=st.sampled_from([1e-6, 1.0, 1e6]))
+    def test_choi_layout_is_exactly_hermitian(self, seed, d, n, scale):
+        # So the bridge sweep checks only the trace of these states: equal to
+        # their conjugate transpose with no rounding (the diagonal's zero
+        # imaginary parts may differ in sign only), and real on the diagonal.
+        transfer = scale * np.random.default_rng(seed).normal(size=(n, d * d, d * d))
+        got = from_hermitian_basis(transfer, d, choi=True)
+        assert np.array_equal(got, np.swapaxes(got, -1, -2).conj())
+        assert np.all(np.diagonal(got, axis1=-2, axis2=-1).imag == 0.0)
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_choi_layout_is_the_realigned_superoperator(self, d):

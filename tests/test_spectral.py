@@ -49,6 +49,15 @@ class TestHermitianSpectrum:
         with pytest.raises(ValueError, match="not Hermitian"):
             hermitian_spectrum(m)
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, complex(0.0, -np.inf)])
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1)])
+    def test_rejects_non_finite_entries(self, entry, where):
+        # A NaN asymmetry compares false with the tolerance; it must still fail.
+        m = np.zeros((2, 3, 3), dtype=complex)
+        m[(1, *where)] = entry
+        with pytest.raises(ValueError, match="non-finite"):
+            require_hermitian(m)
+
     def test_rejection_reports_asymmetry(self):
         m = np.array([[0.0, 3e-7], [0.0, 0.0]])
         with pytest.raises(ValueError, match="3.000e-07"):
