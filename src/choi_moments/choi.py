@@ -173,12 +173,12 @@ class SmallTimeChoiBuilder:
     c = [1, gamma_1, ...] with the stacked blocks (`matrix`), or with tables
     of traces of the blocks (`moments`, which needs no eigensolve).
 
-    Everything that depends on the generator alone is built once, here or
-    (for `groups`) on first use, and is read-only: the blocks, the trace
-    tables, the dissipator scales max|B_k| and the unitality images
-    Lhat_k(I/d). Each generator holds one builder,
-    `LindbladGenerator.small_time_builder`, which every caller uses; building
-    another with `SmallTimeChoiBuilder(gen)` gives the same tables.
+    Everything that depends on the generator alone is built once and is
+    read-only: the blocks and the dissipator scales max|B_k| here, the trace
+    tables of `moments` (`trace_tables`) and the groups on first use. Each
+    generator holds one builder, `LindbladGenerator.small_time_builder`,
+    which every caller uses; building another with `SmallTimeChoiBuilder(gen)`
+    gives the same tables.
 
     Off the Bell direction, with Q = I - bell, the Hamiltonian part drops out
     (Q B_0 Q = 0) and each dissipator leaves one rank-1 term,
@@ -200,27 +200,29 @@ class SmallTimeChoiBuilder:
         self.blocks = _choi_from_superop(gen.superoperator_blocks, d)
         # x_k = <Phi+|B_k|Phi+>, so that <Phi+|X|Phi+> = c . x.
         self.bell_overlaps = np.einsum("ab,kba->k", self.bell, self.blocks).real
-        # The trace tables of `moments`: Tr(B_k B_l), Re <Phi+|B_k B_l|Phi+>
-        # and Re Tr(B_k B_l B_m), the last two flattened over (k, l).
+        # max|B_k| of each dissipator block, which scales the noise floor of
+        # `detect._rate_limits`.
+        self.dissipator_scales = np.max(np.abs(self.blocks[1:]), axis=(1, 2))
+        for table in (self.bell, self.blocks, self.bell_overlaps, self.dissipator_scales):
+            table.setflags(write=False)
+
+    @cached_property
+    def trace_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The tables of `moments`: Tr(B_k B_l), Re <Phi+|B_k B_l|Phi+> and
+        Re Tr(B_k B_l B_m), the last two flattened over (k, l). They take
+        (K + 1)^2 products of the d^2 x d^2 blocks, which the measures never
+        need, so they are built on first use; the arrays are read-only.
+        """
         k1 = len(self.blocks)
         pairs = (self.blocks[:, None] @ self.blocks[None]).reshape(k1 * k1, -1)
         # Tr(A B) = sum_ab A_ab B_ba: contract with transposed blocks and bell.
         flipped = np.swapaxes(self.blocks, 1, 2).reshape(k1, -1)
-        self.traces2 = (self.blocks.reshape(k1, -1) @ flipped.T).real.ravel()
-        self.bell_pairs = (pairs @ self.bell.T.ravel()).real
-        self.traces3 = (pairs @ flipped.T).real
-        # max|B_k| of each dissipator block, which scales the noise floor of
-        # `detect._rate_limits`.
-        self.dissipator_scales = np.max(np.abs(self.blocks[1:]), axis=(1, 2))
-        # The images Lhat_k(I/d) of the dissipator blocks, (K, d^2): the
-        # generator is unital at rates gamma iff gamma @ images vanishes, and
-        # at every rate when the images are exactly zero (`unital`).
-        self.unitality_images = gen.superoperator_blocks[1:] @ (np.eye(d).ravel() / d)
-        self.unital = not np.any(self.unitality_images)
-        for table in (self.bell, self.blocks, self.bell_overlaps, self.traces2,
-                      self.bell_pairs, self.traces3, self.dissipator_scales,
-                      self.unitality_images):
+        tables = ((self.blocks.reshape(k1, -1) @ flipped.T).real.ravel(),
+                  (pairs @ self.bell.T.ravel()).real,
+                  (pairs @ flipped.T).real)
+        for table in tables:
             table.setflags(write=False)
+        return tables
 
     @cached_property
     def groups(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
@@ -315,14 +317,15 @@ class SmallTimeChoiBuilder:
         degree 1, 2, 2 and 3 over the tables x_k, Tr(B_k B_l),
         Re <Phi+|B_k B_l|Phi+> and Re Tr(B_k B_l B_m); the blocks are
         Hermitian, so the real parts are the whole contractions. The tables
-        are built once, with the builder.
+        are built once per builder (`trace_tables`).
         """
+        traces2, bell_pairs, traces3 = self.trace_tables
         c = coefficients(gammas)
         cc = (c[:, :, None] * c[:, None, :]).reshape(len(c), -1)
         x0 = c @ self.bell_overlaps
-        s2 = cc @ self.traces2
-        sb = cc @ self.bell_pairs
-        s3 = np.sum((cc @ self.traces3) * c, axis=1)
+        s2 = cc @ traces2
+        sb = cc @ bell_pairs
+        s3 = np.sum((cc @ traces3) * c, axis=1)
         eps = float(epsilon)
         r2 = 1.0 + 2.0 * eps * x0 + eps**2 * s2
         r3 = 1.0 + 3.0 * eps * x0 + 3.0 * eps**2 * sb + eps**3 * s3

@@ -276,10 +276,7 @@ def measure_report(gen: LindbladGenerator, t_max: float, grid_points: int) -> Me
     grid = np.linspace(0.0, t_max, grid_points)
     gammas, f_series, g_series = _rate_limits(gen, grid)
 
-    # Exactly zero unitality images (Pauli channels, for example) make every
-    # defect zero, so the product with the rates is skipped.
-    if not gen.small_time_builder.unital and np.any(
-            unitality_defects(gen, gammas) >= UNITAL_ATOL):
+    if np.any(unitality_defects(gen, gammas) >= UNITAL_ATOL):
         warn_caller(
             "generator is not unital: the moment measure is only proven to be "
             "a measure for unital dynamics; interpret the value with care"

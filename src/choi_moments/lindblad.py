@@ -163,9 +163,11 @@ class LindbladGenerator:
     c = coefficients(rates_at(gen, t)). `transfer_blocks` is the same stack
     in the Hermitian operator basis, U^dag B_k U: real, and read-only too.
     The RK4 kernel propagates these, in real arithmetic.
+    `unitality_images` (K, d^2), read-only, holds the dissipator blocks'
+    images B_k vec(I/d), which `unitality_defects` contracts with the rates.
     `small_time_builder` is the generator's one `choi.SmallTimeChoiBuilder`,
-    with its read-only tables, built on first use: every small-time witness,
-    rate limit and unitality check on this generator reads it.
+    with its read-only tables, built on first use: every small-time witness
+    and rate limit on this generator reads it.
     """
 
     dim: int
@@ -173,6 +175,7 @@ class LindbladGenerator:
     dissipators: tuple[tuple[np.ndarray, RateModel], ...]
     superoperator_blocks: np.ndarray = field(init=False, repr=False, compare=False)
     transfer_blocks: np.ndarray = field(init=False, repr=False, compare=False)
+    unitality_images: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim < 1:
@@ -202,6 +205,8 @@ class LindbladGenerator:
         transfer = np.ascontiguousarray(to_hermitian_basis(blocks, self.dim).real)
         object.__setattr__(self, "superoperator_blocks", blocks)
         object.__setattr__(self, "transfer_blocks", _read_only(transfer))
+        images = blocks[1:] @ (np.eye(self.dim).ravel() / self.dim)
+        object.__setattr__(self, "unitality_images", _read_only(images))
 
     @cached_property
     def small_time_builder(self):
@@ -269,9 +274,9 @@ def unitality_defects(gen: LindbladGenerator, gammas) -> np.ndarray:
 
     The Hamiltonian part annihilates I/d, so the image is linear in the
     rates and a grid of rates costs one product with the dissipator blocks'
-    images of I/d, which the generator's small-time builder holds
-    (`unitality_images`).
+    images of I/d (`LindbladGenerator.unitality_images`). The residual is
+    formed transposed, (d^2, n), because numpy reduces along a short last
+    axis several times slower than across rows.
     """
-    images = gen.small_time_builder.unitality_images
-    residual = np.asarray(gammas, dtype=float) @ images
-    return np.max(np.abs(residual), axis=1)
+    residual = gen.unitality_images.T @ np.asarray(gammas, dtype=float).T
+    return np.max(np.abs(residual), axis=0)

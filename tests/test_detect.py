@@ -509,7 +509,6 @@ class TestMeasures:
 
     def test_warns_for_non_unital_generator(self):
         gen = LindbladGenerator(2, np.zeros((2, 2)), ((LOWERING, ConstantRate(1.0)),))
-        assert not gen.small_time_builder.unital
         with pytest.warns(UserWarning, match="not unital"):
             measure_report(gen, 2.0, 51)
 
@@ -550,8 +549,7 @@ class TestMeasures:
             measure_report(gen, 3.0, 101)
 
 
-_BUILDER_TABLES = ("bell", "blocks", "bell_overlaps", "traces2", "bell_pairs", "traces3",
-                   "dissipator_scales", "unitality_images")
+_BUILDER_TABLES = ("bell", "blocks", "bell_overlaps", "dissipator_scales")
 
 
 class TestGeneratorBuilder:
@@ -589,6 +587,8 @@ class TestGeneratorBuilder:
             assert fresh is not builder
             for name in _BUILDER_TABLES:
                 assert np.array_equal(getattr(builder, name), getattr(fresh, name))
+            for got, want in zip(builder.trace_tables, fresh.trace_tables):
+                assert np.array_equal(got, want)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")  # random jump operators are not unital
                 series = witness_series(gen, grid, 1e-3)
@@ -612,25 +612,28 @@ class TestGeneratorBuilder:
         gen = random_generator(np.random.default_rng(9), 2, n_ops=3)
         builder = gen.small_time_builder
         tables = [getattr(builder, name) for name in _BUILDER_TABLES]
+        tables += [*builder.trace_tables, gen.unitality_images]
         tables += [a for group in builder.groups for a in group]
         for table in tables:
             with pytest.raises(ValueError, match="read-only"):
                 table.flat[0] = 1.0
 
-    def test_pauli_channel_skips_the_unitality_product(self, monkeypatch):
-        from choi_moments import detect
+    def test_measures_build_no_trace_tables(self):
+        gen = random_expcos_generator(np.random.default_rng(6), 3, n_ops=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # random jump operators are not unital
+            measure_report(gen, 2.0, 21)
+            witness_series(gen, np.linspace(0.0, 1.0, 6), 0.05, mode="finite-interval")
+        assert "trace_tables" not in vars(gen.small_time_builder)
+        witness_series(gen, np.linspace(0.0, 1.0, 6), 1e-3)
+        assert "trace_tables" in vars(gen.small_time_builder)
 
-        calls = []
-        monkeypatch.setattr(detect, "unitality_defects",
-                            lambda *args: calls.append(args) or np.zeros(0))
+    def test_pauli_channel_does_not_warn_not_unital(self):
         gen = LindbladGenerator(2, SIGMA_Z, tuple(
             (op, ExpCosRate(k=k)) for op, k in ((SIGMA_X, 0.5), (SIGMA_Y, 1.0), (SIGMA_Z, 2.0))))
-        assert gen.small_time_builder.unital
-        assert not np.any(gen.small_time_builder.unitality_images)
         with warnings.catch_warnings(record=True) as records:
             warnings.simplefilter("always")
             measure_report(gen, 3.0, 31)
-        assert calls == []
         assert not [r for r in records if "unital" in str(r.message)]
 
 
