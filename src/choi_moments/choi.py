@@ -19,16 +19,19 @@ comes group by group (`SmallTimeChoiBuilder.projected_spectra`): the
 operators are split once into groups that are trace-orthogonal to each
 other (a Gram entry |G_ij| <= 1e-14 sqrt(G_ii G_jj) counts as zero), a group
 of one operator gives its eigenvalue with no solve, and a larger group the
-spectrum of its own rate-weighted Gram matrix. All propagation
+spectrum of its own rate-weighted Gram matrix. The small-time layer lays its
+rates out rates-major, (K, n): one row per jump operator, one column per
+grid time, so every step is a small matrix product or a reduction across a
+few long rows. All propagation
 goes through one batched fixed-step RK4 kernel: `propagate_map` runs it over
 one window, and `bridge_spectra` over one window [t, t + delta] per grid time,
 reusing its most recent sweep when the next call has the same inputs. Both
 constructions read the generator's read-only blocks [H_part, D_1, ...],
-weighted by `lindblad.coefficients` of the rates: the small-time builder its
-superoperator blocks, the RK4 kernel its real transfer blocks, the same maps
-in an orthonormal basis of Hermitian operators. The kernel runs in real
-arithmetic, and each caller leaves the real basis once per map, with O(d^4)
-slices and no matrix product: `propagate_map` for the row-major
+weighted by the coefficients [1, gamma_1, ...] of the rates: the small-time
+builder its superoperator blocks, the RK4 kernel its real transfer blocks,
+the same maps in an orthonormal basis of Hermitian operators. The kernel
+runs in real arithmetic, and each caller leaves the real basis once per map,
+with O(d^4) slices and no matrix product: `propagate_map` for the row-major
 superoperator, `bridge_spectra` for the Choi states it eigensolves.
 """
 
@@ -153,14 +156,25 @@ def _require_trace_preserving(c: np.ndarray) -> None:
 
 
 def _checked_rates(gen: LindbladGenerator, times: np.ndarray) -> np.ndarray:
-    """Rates at every time of an array, shape times.shape + (K,), refusing
-    non-finite rates at the earliest time that has one."""
-    gammas = rates_at(gen, times)
-    bad = ~np.all(np.isfinite(gammas), axis=-1)
-    if np.any(bad):
+    """Rates at every time of an array as rows, shape (K,) + times.shape,
+    refusing non-finite rates at the earliest time that has one.
+
+    The whole array is checked at once; only a failed check looks for the
+    earliest bad time.
+    """
+    rows = np.moveaxis(rates_at(gen, times), -1, 0)
+    if not np.isfinite(rows).all():
+        bad = ~np.all(np.isfinite(rows), axis=0)
         first = np.unravel_index(np.argmin(np.where(bad, times, np.inf)), times.shape)
-        raise ValueError(f"non-finite rate at t = {times[first]:.6g}: {gammas[first]}")
-    return gammas
+        raise ValueError(
+            f"non-finite rate at t = {times[first]:.6g}: {rows[(slice(None), *first)]}")
+    return rows
+
+
+def _row_coefficients(gammas: np.ndarray) -> np.ndarray:
+    """The weights [1; gamma_1; ...] of the Choi blocks for rows of rates
+    gammas (K, n): shape (K + 1, n)."""
+    return np.concatenate((np.ones((1, gammas.shape[1])), gammas))
 
 
 class SmallTimeChoiBuilder:
@@ -171,7 +185,10 @@ class SmallTimeChoiBuilder:
     k (`blocks`, stacked). The generator enters only through its rates, so a
     grid costs one rate call and one product of the coefficients
     c = [1, gamma_1, ...] with the stacked blocks (`matrix`), or with tables
-    of traces of the blocks (`moments`, which needs no eigensolve).
+    of traces of the blocks (`moments`, which needs no eigensolve). Rates come
+    and go as rows, (K, n) for n times (`rates`), and the coefficients as
+    rows (K + 1, n): numpy runs a reduction along a short last axis row by
+    row, but across rows as whole-row operations.
 
     Everything that depends on the generator alone is built once and is
     read-only: the blocks and the dissipator scales max|B_k| here, the trace
@@ -208,17 +225,18 @@ class SmallTimeChoiBuilder:
 
     @cached_property
     def trace_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The tables of `moments`: Tr(B_k B_l), Re <Phi+|B_k B_l|Phi+> and
-        Re Tr(B_k B_l B_m), the last two flattened over (k, l). They take
-        (K + 1)^2 products of the d^2 x d^2 blocks, which the measures never
-        need, so they are built on first use; the arrays are read-only.
+        """The tables of `moments`: Tr(B_k B_l) and Re <Phi+|B_k B_l|Phi+>,
+        (K + 1, K + 1), and Re Tr(B_k B_l B_m), flattened over (k, l) to
+        ((K + 1)^2, K + 1). They take (K + 1)^2 products of the d^2 x d^2
+        blocks, which the measures never need, so they are built on first
+        use; the arrays are read-only.
         """
         k1 = len(self.blocks)
         pairs = (self.blocks[:, None] @ self.blocks[None]).reshape(k1 * k1, -1)
         # Tr(A B) = sum_ab A_ab B_ba: contract with transposed blocks and bell.
         flipped = np.swapaxes(self.blocks, 1, 2).reshape(k1, -1)
-        tables = ((self.blocks.reshape(k1, -1) @ flipped.T).real.ravel(),
-                  (pairs @ self.bell.T.ravel()).real,
+        tables = ((self.blocks.reshape(k1, -1) @ flipped.T).real,
+                  (pairs @ self.bell.T.ravel()).real.reshape(k1, k1),
                   (pairs @ flipped.T).real)
         for table in tables:
             table.setflags(write=False)
@@ -264,13 +282,14 @@ class SmallTimeChoiBuilder:
         return tuple(groups)
 
     def rates(self, times) -> np.ndarray:
-        """Rates at each time, (n, K); non-finite rates are refused."""
+        """Rates at each of n times as rows, (K, n): one row per jump
+        operator, one column per time. Non-finite rates are refused."""
         return _checked_rates(self.gen, np.asarray(times, dtype=float))
 
     def projected_spectra(self, gammas: np.ndarray) -> np.ndarray:
-        """The nonzero spectrum of Q X Q for each row of rates gammas (n, K),
-        shape (n, m) with m <= K: the eigenvalues of each group in turn,
-        ascending within a group.
+        """The nonzero spectrum of Q X Q for each column of rates gammas
+        (K, n), shape (m, n) with m <= K: the eigenvalues of each group in
+        turn, ascending within a group.
 
         A group of one operator k has the single eigenvalue gamma_k G_kk,
         read off with no solve. A larger group g contributes the
@@ -280,31 +299,31 @@ class SmallTimeChoiBuilder:
         repeated column): R diag(gamma_g) R^dag then has zero eigenvalues,
         as Q X Q has.
         """
-        n = len(gammas)
-        mu = np.empty((n, sum(outer.shape[-1] for _, outer in self.groups)))
-        col = 0
+        n = gammas.shape[1]
+        mu = np.empty((sum(outer.shape[-1] for _, outer in self.groups), n))
+        row = 0
         for members, outer in self.groups:
             m = outer.shape[-1]
-            weights = gammas[:, members]
             if m == 1:
-                mu[:, col] = weights[:, 0] * outer[0, 0, 0]
+                np.multiply(gammas[members[0]], outer[0, 0, 0], out=mu[row])
             else:
                 width = max(1, CHUNK_ENTRIES // (m * m))
                 flat = outer.reshape(len(members), m * m)
+                weights = gammas[members]
                 for lo in range(0, n, width):
-                    chunk = (weights[lo:lo + width] @ flat).reshape(-1, m, m)
-                    mu[lo:lo + width, col:col + m] = np.linalg.eigvalsh(chunk)
-            col += m
+                    chunk = (weights[:, lo:lo + width].T @ flat).reshape(-1, m, m)
+                    mu[row:row + m, lo:lo + width] = np.linalg.eigvalsh(chunk).T
+            row += m
         return mu
 
     def matrix(self, gammas: np.ndarray, epsilon: float) -> np.ndarray:
-        """bell + eps * X for each row of rates gammas (n, K): (n, d^2, d^2)."""
-        x = coefficients(gammas) @ self.blocks.reshape(len(self.blocks), -1)
+        """bell + eps * X for each column of rates gammas (K, n): (n, d^2, d^2)."""
+        x = _row_coefficients(gammas).T @ self.blocks.reshape(len(self.blocks), -1)
         return self.bell + epsilon * x.reshape(-1, *self.bell.shape)
 
     def moments(self, gammas: np.ndarray, epsilon: float):
-        """r_2, r_3 and r_2^2 - r_3 of bell + eps * X for each row of rates
-        gammas (n, K), each of shape (n,), with no eigensolve.
+        """r_2, r_3 and r_2^2 - r_3 of bell + eps * X for each column of rates
+        gammas (K, n), each of shape (n,), with no eigensolve.
 
         bell is a rank-1 projector, so with x0 = <Phi+|X|Phi+>,
         s2 = Tr X^2, sb = <Phi+|X^2|Phi+> and s3 = Tr X^3,
@@ -317,15 +336,19 @@ class SmallTimeChoiBuilder:
         degree 1, 2, 2 and 3 over the tables x_k, Tr(B_k B_l),
         Re <Phi+|B_k B_l|Phi+> and Re Tr(B_k B_l B_m); the blocks are
         Hermitian, so the real parts are the whole contractions. The tables
-        are built once per builder (`trace_tables`).
+        are built once per builder (`trace_tables`). Each form is a small
+        matrix product over long rows, one row per coefficient:
+        x0 = x . c, s2 = sum_k c_k (T2 c)_k, likewise sb, and
+        s3 = sum_k c_k sum_l c_l (T3 c)_kl.
         """
         traces2, bell_pairs, traces3 = self.trace_tables
-        c = coefficients(gammas)
-        cc = (c[:, :, None] * c[:, None, :]).reshape(len(c), -1)
-        x0 = c @ self.bell_overlaps
-        s2 = cc @ traces2
-        sb = cc @ bell_pairs
-        s3 = np.sum((cc @ traces3) * c, axis=1)
+        c = _row_coefficients(gammas)
+        k1, n = c.shape
+        x0 = self.bell_overlaps @ c
+        s2 = np.einsum("kn,kn->n", c, traces2 @ c)
+        sb = np.einsum("kn,kn->n", c, bell_pairs @ c)
+        s3 = np.einsum("kn,kn->n", c,
+                       np.einsum("kln,ln->kn", (traces3 @ c).reshape(k1, k1, n), c))
         eps = float(epsilon)
         r2 = 1.0 + 2.0 * eps * x0 + eps**2 * s2
         r3 = 1.0 + 3.0 * eps * x0 + 3.0 * eps**2 * sb + eps**3 * s3
@@ -340,8 +363,8 @@ def choi_small_time(gen: LindbladGenerator, t: float, epsilon: float) -> ChoiMat
     Valid while |epsilon * gamma_i(t)| << 1 for every rate; a warning is
     emitted past |eps * gamma| = 0.1. Non-finite rates are refused.
     """
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if not 0.0 < epsilon < np.inf:  # NaN compares false either way
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     builder = gen.small_time_builder
     gammas = builder.rates([t])
     worst = float(np.max(np.abs(epsilon * gammas))) if gammas.size else 0.0
@@ -363,7 +386,7 @@ def _half_step_rates(
     evaluations. Non-finite rates are refused, naming the earliest such time.
     """
     times = starts[:, None] + (0.5 * h) * np.arange(2 * steps + 1)
-    return _checked_rates(gen, times)
+    return np.moveaxis(_checked_rates(gen, times), 0, -1)
 
 
 def _rk4_product(blocks: np.ndarray, gammas: np.ndarray, h: float) -> np.ndarray:
@@ -501,8 +524,8 @@ def bridge_spectra(
     a finite-interval witness and a scan on one grid and delta share one sweep.
     """
     global _last_sweep
-    if delta <= 0:
-        raise ValueError(f"delta must be positive, got {delta}")
+    if not 0.0 < delta < np.inf:  # NaN compares false either way
+        raise ValueError(f"delta must be positive and finite, got {delta}")
     starts = np.asarray(starts, dtype=float)
     steps = max(1, round(steps_per_unit * delta))
     h = delta / steps

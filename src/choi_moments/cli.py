@@ -266,8 +266,8 @@ def main(argv=None) -> int:
                 raise ConfigError(f"--grid-points must be >= 2, got {args.grid_points}")
             overrides["points"] = args.grid_points
         if args.epsilon is not None:
-            if args.epsilon <= 0:
-                raise ConfigError(f"--epsilon must be > 0, got {args.epsilon}")
+            if not 0.0 < args.epsilon < np.inf:  # NaN compares false either way
+                raise ConfigError(f"--epsilon must be finite and > 0, got {args.epsilon}")
             overrides["epsilon"] = args.epsilon
         if args.command != "validate":
             overrides["outputs"] = (args.command,)

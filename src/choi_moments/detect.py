@@ -39,7 +39,7 @@ from .choi import (
     bridge_spectra,
     warn_caller,
 )
-from .lindblad import UNITAL_ATOL, LindbladGenerator, coefficients, unitality_defects
+from .lindblad import UNITAL_ATOL, LindbladGenerator, unitality_defects
 from .spectral import hermitian_spectrum, moments_from_spectrum
 
 __all__ = [
@@ -81,7 +81,9 @@ class WitnessSeries:
     values: np.ndarray
     r2: np.ndarray
     r3: np.ndarray
-    rates: np.ndarray  # gamma_i(t), shape (len(grid), number of dissipators)
+    # gamma_i(t), shape (len(grid), number of dissipators); in small-time mode
+    # a transposed view of the rates' rows.
+    rates: np.ndarray
     violations: tuple[tuple[float, float], ...]
 
     @property
@@ -151,6 +153,8 @@ def _validate_grid(grid) -> np.ndarray:
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
         raise ValueError("time grid must be one-dimensional with at least 2 points")
+    if not np.isfinite(grid).all():
+        raise ValueError("time grid must be finite")
     if np.any(np.diff(grid) <= 0):
         raise ValueError("time grid must be strictly increasing")
     if grid[0] < 0:
@@ -173,21 +177,22 @@ def witness_series(
     over that window.
     """
     grid = _validate_grid(grid)
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if not 0.0 < epsilon < math.inf:  # NaN compares false either way
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     if mode not in ("small-time", "finite-interval"):
         raise ValueError(f"mode must be 'small-time' or 'finite-interval', got {mode!r}")
 
     if mode == "small-time":
         builder = gen.small_time_builder
-        rates = builder.rates(grid)
-        worst = float(np.max(np.abs(epsilon * rates))) if rates.size else 0.0
+        rows = builder.rates(grid)
+        worst = float(np.max(np.abs(epsilon * rows))) if rows.size else 0.0
         if worst >= SMALL_TIME_RATE_LIMIT:
             warn_caller(
                 f"small-time expansion is dubious on part of the grid: "
                 f"max |eps*gamma| = {worst:.3g}"
             )
-        r2, r3, values = builder.moments(rates, epsilon)
+        r2, r3, values = builder.moments(rows, epsilon)
+        rates = rows.T
     else:
         rates, lam = bridge_spectra(gen, grid, epsilon, steps_per_unit)
         r2 = np.sum(lam**2, axis=1)
@@ -207,8 +212,8 @@ def witness_series(
 
 
 def _rate_limits(gen: LindbladGenerator, times) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The dissipator rates gamma_i (n, K) and the rates f and g (n,) at each
-    time, f and g in closed form.
+    """The dissipator rates gamma_i as rows (K, n), one per jump operator, and
+    the rates f and g (n,) at each of the n times, f and g in closed form.
 
     With C = bell + eps X and X = B_0 + sum_i gamma_i B_i the Choi image of
     the generator, r_2^2 - r_3 = eps <Phi+|X|Phi+> + O(eps^2), so
@@ -227,16 +232,18 @@ def _rate_limits(gen: LindbladGenerator, times) -> tuple[np.ndarray, np.ndarray,
     sum_k |gamma_k| max|B_k| over k >= 1, are rounding noise and count as
     zero, so Markovian generators give exactly f = g = 0. The Hamiltonian
     block B_0 enters neither f nor g, so it does not scale the noise floor
-    either: a strong Hamiltonian does not erase a weak negative rate.
+    either: a strong Hamiltonian does not erase a weak negative rate. The
+    noise floor, f and g are each a product or a reduction across the rows
+    of rates and of mu (m, n), with no transposed copy.
     """
     builder = gen.small_time_builder
     gammas = builder.rates(times)
-    noise = _RATE_NOISE * np.maximum(1.0, np.abs(gammas) @ builder.dissipator_scales)
-    coef = coefficients(gammas)
-    f = coef @ builder.bell_overlaps
+    noise = _RATE_NOISE * np.maximum(1.0, builder.dissipator_scales @ np.abs(gammas))
+    overlaps = builder.bell_overlaps
+    f = overlaps[0] + overlaps[1:] @ gammas
     f = np.where(f > noise, f, 0.0)
     mu = builder.projected_spectra(gammas)
-    g = 2.0 * np.sum(np.where(mu < -noise[:, None], -mu, 0.0), axis=1)
+    g = 2.0 * np.sum(np.where(mu < -noise, -mu, 0.0), axis=0)
     return gammas, f, g
 
 
@@ -265,28 +272,33 @@ def measure_report(gen: LindbladGenerator, t_max: float, grid_points: int) -> Me
     Trapezoidal integration on a uniform grid. The moment measure is proven to
     be a measure only for unital dynamics, so a generator that is not unital
     at some grid point is accepted with a warning rather than refused. A
-    warning is also emitted when the rate has not decayed below 1e-8 over
-    the last 5% of the grid (the truncation of the infinite-horizon integral
-    is then suspect).
+    warning, naming the series, is also emitted when f or g has not decayed
+    below 1e-8 over the last 5% of the grid (the truncation of the
+    infinite-horizon integral is then suspect). t_max must be positive and
+    finite.
     """
-    if t_max <= 0:
-        raise ValueError(f"t_max must be positive, got {t_max}")
+    if not 0.0 < t_max < math.inf:  # NaN compares false either way
+        raise ValueError(f"t_max must be positive and finite, got {t_max}")
     if grid_points < 2:
         raise ValueError(f"grid_points must be >= 2, got {grid_points}")
     grid = np.linspace(0.0, t_max, grid_points)
     gammas, f_series, g_series = _rate_limits(gen, grid)
 
-    if np.any(unitality_defects(gen, gammas) >= UNITAL_ATOL):
+    if np.any(unitality_defects(gen, gammas.T) >= UNITAL_ATOL):
         warn_caller(
             "generator is not unital: the moment measure is only proven to be "
             "a measure for unital dynamics; interpret the value with care"
         )
 
     tail = grid >= 0.95 * t_max
-    tail_peak = float(np.max(f_series[tail]))
-    if tail_peak > 1e-8:
+    undecayed = []
+    for name, series in (("moment rate f", f_series), ("trace-norm rate g", g_series)):
+        peak = float(np.max(series[tail]))
+        if peak > 1e-8:
+            undecayed.append(f"{name} is still {peak:.3e}")
+    if undecayed:
         warn_caller(
-            f"moment rate is still {tail_peak:.3e} over the last 5% of the grid; "
+            f"{' and '.join(undecayed)} over the last 5% of the grid; "
             "increase t_max to trust the truncated integral"
         )
 
@@ -323,8 +335,8 @@ def cp_divisibility_scan(
     witness is a sufficient, not necessary, violation criterion).
     """
     grid = _validate_grid(grid)
-    if delta <= 0:
-        raise ValueError(f"delta must be positive, got {delta}")
+    if not 0.0 < delta < math.inf:  # NaN compares false either way
+        raise ValueError(f"delta must be positive and finite, got {delta}")
     _, lam = bridge_spectra(gen, grid, delta, steps_per_unit)
     min_eigs = lam[:, -1].copy()
     verdict = "CP-indivisible" if np.any(min_eigs < -_SCAN_CP_TOL) else "CP-divisible"

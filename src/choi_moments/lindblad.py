@@ -237,18 +237,20 @@ def rates_at(gen: LindbladGenerator, t) -> np.ndarray:
     array t, shape t.shape + (K,).
 
     One `rate_eval` call per rate model: dissipators that share a model
-    object are evaluated once.
+    object are evaluated once. The rates are stacked one row per dissipator,
+    (K,) + t.shape, and returned as a view with that axis moved last, so
+    `np.moveaxis(rates_at(gen, t), -1, 0)` gives the contiguous rows back
+    with no copy.
     """
     times = np.asarray(t, dtype=float)
     by_model = {}
-    columns = []
+    rows = []
     for _, rate in gen.dissipators:
         if id(rate) not in by_model:
             by_model[id(rate)] = rate_eval(rate, times)
-        columns.append(by_model[id(rate)])
-    if not columns:
-        return np.empty(times.shape + (0,))
-    return np.stack(columns, axis=-1)
+        rows.append(by_model[id(rate)])
+    rows = np.stack(rows) if rows else np.empty((0,) + times.shape)
+    return np.moveaxis(rows, 0, -1)
 
 
 def coefficients(gammas) -> np.ndarray:
@@ -276,7 +278,9 @@ def unitality_defects(gen: LindbladGenerator, gammas) -> np.ndarray:
     rates and a grid of rates costs one product with the dissipator blocks'
     images of I/d (`LindbladGenerator.unitality_images`). The residual is
     formed transposed, (d^2, n), because numpy reduces along a short last
-    axis several times slower than across rows.
+    axis several times slower than across rows; rates passed as the
+    transposed view of rows (K, n), as `detect.measure_report` passes them,
+    are read with no copy.
     """
     residual = gen.unitality_images.T @ np.asarray(gammas, dtype=float).T
     return np.max(np.abs(residual), axis=0)

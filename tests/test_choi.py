@@ -115,6 +115,12 @@ class TestChoiSmallTime:
         with pytest.raises(ValueError, match="epsilon"):
             choi_small_time(gen, 0.0, 0.0)
 
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf])
+    def test_rejects_non_finite_epsilon(self, epsilon):
+        gen = dephasing_generator(ConstantRate(1.0))
+        with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+            choi_small_time(gen, 0.0, epsilon)
+
 
 class TestPropagateMap:
     def test_zero_interval_is_identity(self):
@@ -196,6 +202,12 @@ class TestBatchedKernel:
         steps = round(1000 * (t1 - t0))
         phi = propagate_map(gen, t0, t1).matrix
         assert np.max(np.abs(phi - reference_rk4_propagate(gen, t0, t1, steps))) < self.TOL
+
+    @pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf, 0.0])
+    def test_bridge_spectra_refuse_a_step_that_is_not_positive_and_finite(self, delta):
+        gen = dephasing_generator(ConstantRate(1.0))
+        with pytest.raises(ValueError, match="delta must be positive and finite"):
+            bridge_spectra(gen, [0.0, 1.0], delta)
 
     @pytest.mark.parametrize("d", [2, 3, 5, 8])
     def test_kernel_propagates_real_maps_with_exactly_hermitian_choi_states(self, d):

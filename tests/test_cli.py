@@ -1,4 +1,5 @@
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -150,7 +151,9 @@ class TestRunScenario:
         knots = np.array(config.dissipators[2].rate.knots)
         assert np.array_equal(knots[:, 0], np.linspace(0.0, 3.0, 301))
         assert np.allclose(knots[:, 1], -np.tanh(knots[:, 0]), rtol=1e-15, atol=0.0)
-        report = run_scenario(config, str(tmp_path / "out"), quiet=True)
+        # g = 2 tanh t stays near 2 to the end of the grid, so I is truncated.
+        with pytest.warns(UserWarning, match="^trace-norm rate g is still 1.988e"):
+            report = run_scenario(config, str(tmp_path / "out"), quiet=True)
         assert report.moment_measure == 0.0
         assert report.rhp_measure == pytest.approx(4.42, abs=5e-3)
         assert np.isnan(report.measure_ratio)
@@ -226,7 +229,15 @@ class TestMainExitCodes:
         assert main(["witness", ETERNAL_PAULI, "--out-dir", out, "--quiet"]) == 0
         for command, criterion in (("compare", "rhp measure I"),
                                    ("divisibility", "divisibility scan")):
-            assert main([command, ETERNAL_PAULI, "--out-dir", out]) == 10
+            with warnings.catch_warnings(record=True) as records:
+                warnings.simplefilter("always")
+                assert main([command, ETERNAL_PAULI, "--out-dir", out]) == 10
+            messages = [str(r.message) for r in records]
+            if command == "compare":  # the measures read g, whose tail has not decayed
+                assert len(messages) == 1
+                assert messages[0].startswith("trace-norm rate g is still 1.988e+00")
+            else:
+                assert messages == []
             text = capsys.readouterr().out
             assert "witness violation intervals: none\n" in text
             assert f"verdict: non-Markovian\ndetected by: {criterion}\n" in text
@@ -288,6 +299,18 @@ class TestMainOptions:
         path = write_cfg(tmp_path, MARKOVIAN)
         assert main(["witness", path, "--epsilon", "-1"]) == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize("command", ["witness", "compare", "divisibility"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_epsilon_override_is_a_config_error(self, tmp_path, capsys,
+                                                            command, value):
+        # A NaN epsilon used to pass the check and give example1, which is
+        # non-Markovian, a Markovian verdict (exit 0).
+        out = str(tmp_path / "out")
+        assert main([command, "example1", "--epsilon", value, "--out-dir", out]) == 1
+        captured = capsys.readouterr()
+        assert f"config error: --epsilon must be finite and > 0, got {value}\n" == captured.err
+        assert captured.out == "" and not os.path.exists(out)
 
     def test_report_printed_unless_quiet(self, tmp_path, capsys):
         path = write_cfg(tmp_path, MARKOVIAN)

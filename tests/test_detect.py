@@ -1,4 +1,5 @@
 import math
+import os
 import warnings
 from dataclasses import dataclass
 
@@ -70,6 +71,9 @@ class BlowUpRate:
 def lorentzian_first_pole(lam, gamma0):
     g_abs = math.sqrt(2.0 * gamma0 * lam - lam * lam)
     return (2.0 / g_abs) * (math.pi - math.atan2(g_abs, lam))
+
+
+ETERNAL_PAULI = os.path.join(os.path.dirname(__file__), "data", "eternal_pauli.cfg")
 
 
 def bundled(name):
@@ -216,6 +220,27 @@ class TestWitnessSeries:
         with pytest.raises(ValueError, match="mode"):
             witness_series(gen, [0.0, 1.0], 1e-3, mode="other")
 
+    @pytest.mark.parametrize("grid", [[0.0, math.nan], [0.0, 1.0, math.inf],
+                                      [math.nan, 1.0], [-math.inf, 0.0, 1.0]])
+    def test_rejects_non_finite_times(self, grid):
+        # Differences with a NaN compare false, and inf - 1 > 0, so the
+        # increasing check alone let these through.
+        gen = dephasing_generator(ConstantRate(1.0))
+        for mode in ("small-time", "finite-interval"):
+            with pytest.raises(ValueError, match="time grid must be finite"):
+                witness_series(gen, grid, 1e-3, mode=mode)
+        with pytest.raises(ValueError, match="time grid must be finite"):
+            cp_divisibility_scan(gen, grid, 1e-3)
+
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf, -math.inf, 0.0, -1e-3])
+    def test_rejects_epsilon_that_is_not_positive_and_finite(self, epsilon):
+        # A NaN epsilon used to pass `epsilon <= 0` and give a NaN witness,
+        # so no violation and a Markovian verdict.
+        gen = dephasing_generator(ExpCosRate(k=1.0))
+        for mode in ("small-time", "finite-interval"):
+            with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+                witness_series(gen, [0.0, 2.0], epsilon, mode=mode)
+
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_batched_small_time_witness_matches_point_loop(self, d):
         # The closed-form polynomials in eps against one eigensolve per point,
@@ -358,7 +383,7 @@ class TestTraceNormRate:
     def test_hamiltonian_only_generator_has_zero_rates(self):
         gen = LindbladGenerator(2, SIGMA_Z, ())
         gammas, f, g = _rate_limits(gen, np.linspace(0.0, 2.0, 11))
-        assert gammas.shape == (11, 0)
+        assert gammas.shape == (0, 11)
         assert np.array_equal(f, np.zeros(11)) and np.array_equal(g, np.zeros(11))
         report = measure_report(gen, 2.0, 11)
         assert report.moment_measure == 0.0 and report.rhp_measure == 0.0
@@ -375,7 +400,8 @@ class TestTraceNormRate:
     def test_rank_deficient_jump_operators(self, ops, rates, g_want):
         gen = LindbladGenerator(2, SIGMA_X, tuple(zip(ops, map(ConstantRate, rates))))
         _, _, g = _rate_limits(gen, [0.0, 1.0])
-        assert SmallTimeChoiBuilder(gen).projected_spectra(np.array([rates])).shape[1] <= len(ops)
+        rows = np.array(rates)[:, None]
+        assert SmallTimeChoiBuilder(gen).projected_spectra(rows).shape[0] <= len(ops)
         want = reference_rhp_rates(gen, [0.0, 1.0])
         assert np.all(np.abs(g - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
         assert g[0] > 0.0
@@ -433,7 +459,7 @@ class TestTraceNormRate:
         monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
         _, _, g = _rate_limits(gen, grid)
         assert shapes == [(61, 2, 2)]
-        assert builder.projected_spectra(builder.rates(grid)).shape == (61, 3)
+        assert builder.projected_spectra(builder.rates(grid)).shape == (3, 61)
         assert np.any(g > 0.0)
         assert np.all(np.abs(g - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
@@ -468,6 +494,67 @@ class TestTraceNormRate:
         coarse = _rate_limits(gen, grid[::37])[2]
         assert np.all(np.abs(g[::37] - coarse) <= 1e-13 * np.maximum(1.0, coarse))
 
+
+
+def _trace_orthogonal_operators(d):
+    """Jump operators whose centred parts are trace-orthogonal: the matrix
+    units E_ij (i != j) and traceless diagonals, each a group of one."""
+    units = []
+    for i in range(d):
+        for j in range(d):
+            if i != j:
+                units.append(np.eye(d, dtype=complex)[:, [i]] @ np.eye(d)[[j]])
+    diagonals = [np.diag(np.r_[np.ones(k), -k, np.zeros(d - k - 1)]).astype(complex)
+                 for k in range(1, d)]
+    return units + diagonals
+
+
+class TestRowKernels:
+    """The rates-major kernels (rows of rates, one per jump operator) against
+    the point-by-point eigensolve oracles in helpers."""
+
+    @pytest.mark.parametrize("k", range(5))
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), split=st.integers(0, 4),
+           eps=st.sampled_from([1e-4, 1e-3, 1e-2]))
+    def test_match_the_point_by_point_oracles(self, d, k, seed, split, eps):
+        # K = k operators: n_orthogonal distinct members of a trace-orthogonal
+        # basis, each a group of one, and n_generic random combinations of I
+        # and the rest of the basis, which overlap each other and form one
+        # group that takes the eigvalsh branch (rank deficient when the rest
+        # is one element).
+        rng = np.random.default_rng(seed)
+        basis = _trace_orthogonal_operators(d)
+        rng.shuffle(basis)
+        n_orthogonal = min(split, k, len(basis) - 1)
+        n_generic = k - n_orthogonal
+        rest = np.array(basis[n_orthogonal:] + [np.eye(d)])
+        ops = [np.tensordot(rng.normal(size=len(rest)) + 1j * rng.normal(size=len(rest)),
+                            rest, axes=1) for _ in range(n_generic)]
+        ops += basis[:n_orthogonal]
+        rates = [ExpCosRate(k=float(rng.uniform(0.5, 3.0))) if rng.uniform() < 0.5
+                 else ConstantRate(float(rng.uniform(-1.0, 1.0))) for _ in ops]
+        order = rng.permutation(len(ops))
+        gen = LindbladGenerator(d, random_hermitian(rng, d),
+                                tuple((ops[i], rates[i]) for i in order))
+        sizes = sorted(len(members) for members, _ in gen.small_time_builder.groups)
+        assert sizes == sorted([1] * n_orthogonal + [n_generic] * (n_generic > 0))
+        grid = np.linspace(0.0, 2.0, 5)
+
+        series = witness_series(gen, grid, eps)
+        rates_want, r2, r3, values = reference_small_time_witness(gen, grid, eps)
+        assert series.rates.shape == (grid.size, len(ops))
+        assert np.array_equal(series.rates, rates_want.reshape(series.rates.shape))
+        for got, want in ((series.r2, r2), (series.r3, r3), (series.values, values)):
+            assert np.max(np.abs(got - want)) <= 1e-12
+
+        gammas, f, g = _rate_limits(gen, grid)
+        assert np.array_equal(gammas, series.rates.T)
+        g_want = reference_rhp_rates(gen, grid)
+        assert np.all(np.abs(g - g_want) <= 1e-12 * np.maximum(1.0, g_want))
+        f_want = np.array([reference_rate_limits(gen, t)[0] for t in grid])
+        assert np.all(np.abs(f - f_want) <= 1e-4 * np.maximum(1e-5, f_want))
 
 
 class TestMeasures:
@@ -545,8 +632,44 @@ class TestMeasures:
 
     def test_warns_when_tail_not_decayed(self):
         gen = dephasing_generator(ExpCosRate(k=1.0))
-        with pytest.warns(UserWarning, match="last 5%"):
-            measure_report(gen, 3.0, 101)
+        with pytest.warns(UserWarning, match="last 5%") as records:
+            report = measure_report(gen, 3.0, 101)
+        tail = report.grid >= 0.95 * 3.0
+        f_peak, g_peak = np.max(report.f_series[tail]), np.max(report.g_series[tail])
+        assert [str(r.message) for r in records] == [
+            f"moment rate f is still {f_peak:.3e} and trace-norm rate g is still "
+            f"{g_peak:.3e} over the last 5% of the grid; increase t_max to trust the "
+            "truncated integral"]
+
+    def test_warns_when_only_the_tail_of_g_has_not_decayed(self):
+        # The eternally non-Markovian Pauli channel: f = 0 everywhere, while
+        # g = 2 tanh t is near 2 at the end of the grid, so I grows with t_max.
+        config = load_scenario(ETERNAL_PAULI)
+        gen = build_generator(config)
+        with pytest.warns(UserWarning, match="last 5%") as records:
+            report = measure_report(gen, config.t_max, config.points)
+        assert not np.any(report.f_series)
+        assert [str(r.message) for r in records] == [
+            "trace-norm rate g is still 1.988e+00 over the last 5% of the grid; "
+            "increase t_max to trust the truncated integral"]
+        assert report.rhp_measure == pytest.approx(4.42, abs=5e-3)
+
+    @pytest.mark.parametrize("name", ["example1", "example2", "markovian_control",
+                                      "ohmic_compare"])
+    def test_bundled_scenarios_have_decayed_tails(self, name):
+        gen, grid, config = bundled(name)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = measure_report(gen, config.t_max, config.points)
+        tail = grid >= 0.95 * config.t_max
+        assert not np.any(report.f_series[tail]) and not np.any(report.g_series[tail])
+
+    @pytest.mark.parametrize("t_max", [math.nan, math.inf, -1.0, 0.0])
+    def test_rejects_t_max_that_is_not_positive_and_finite(self, t_max):
+        # inf used to give M = I = nan, and nan an empty-reduction error.
+        gen = dephasing_generator(ExpCosRate(k=1.0))
+        with pytest.raises(ValueError, match="t_max must be positive and finite"):
+            measure_report(gen, t_max, 11)
 
 
 _BUILDER_TABLES = ("bell", "blocks", "bell_overlaps", "dissipator_scales")
@@ -676,6 +799,12 @@ class TestDivisibilityScan:
         gen = dephasing_generator(ConstantRate(1.0))
         with pytest.raises(ValueError, match="delta"):
             cp_divisibility_scan(gen, np.linspace(0.0, 1.0, 5), 0.0)
+
+    @pytest.mark.parametrize("delta", [math.nan, math.inf])
+    def test_rejects_non_finite_delta(self, delta):
+        gen = dephasing_generator(ConstantRate(1.0))
+        with pytest.raises(ValueError, match="delta must be positive and finite"):
+            cp_divisibility_scan(gen, np.linspace(0.0, 1.0, 5), delta)
 
     @pytest.mark.parametrize("name, verdict", [("example2", "CP-indivisible"),
                                                ("ohmic_compare", "CP-divisible")])

@@ -19,7 +19,7 @@ from choi_moments.lindblad import (
     to_hermitian_basis,
     unitality_defects,
 )
-from choi_moments.rates import ConstantRate, ExpCosRate
+from choi_moments.rates import ConstantRate, ExpCosRate, rate_eval
 from helpers import (
     _action,
     apply_generator,
@@ -123,6 +123,23 @@ class TestSuperoperator:
         assert np.array_equal(coefficients(gammas), [[1, 0, 1], [1, 2, 3], [1, 4, 5]])
         assert np.array_equal(coefficients([0.5]), [1.0, 0.5])
         assert coefficients(np.empty((4, 0))).shape == (4, 1)
+
+    @pytest.mark.parametrize("shape", [(), (7,), (3, 5)])
+    def test_rates_at_is_a_view_of_rate_rows(self, shape):
+        # One row per dissipator, stacked once; a shared rate model is
+        # evaluated once and fills both of its rows.
+        shared = ExpCosRate(k=1.5)
+        gen = LindbladGenerator(2, np.zeros((2, 2)), (
+            (SIGMA_X, shared), (SIGMA_Y, ConstantRate(-0.25)), (SIGMA_Z, shared)))
+        t = np.linspace(0.0, 2.0, int(np.prod(shape))).reshape(shape)
+        gammas = rates_at(gen, t)
+        assert gammas.shape == shape + (3,)
+        rows = np.moveaxis(gammas, -1, 0)
+        assert rows.flags.c_contiguous and np.shares_memory(rows, gammas)
+        assert np.array_equal(rows[0], rate_eval(shared, t))
+        assert np.array_equal(rows[2], rows[0]) and np.all(rows[1] == -0.25)
+        empty = rates_at(LindbladGenerator(2, SIGMA_Z, ()), t)
+        assert empty.shape == shape + (0,)
 
     def test_dephasing_is_diagonal(self):
         gen = dephasing_generator(ConstantRate(1.0))
