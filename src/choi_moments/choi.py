@@ -38,8 +38,8 @@ superoperator, `bridge_spectra` for the Choi states it eigensolves.
 import os
 import sys
 import warnings
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,8 +71,11 @@ CHUNK_ENTRIES = 4096
 # Tolerances for Choi construction sanity checks.
 _CHOI_TRACE_ATOL = 1e-6
 _CHOI_ASYMMETRY_ATOL = 1e-8
-# Source files of this package, skipped when a warning names its caller.
+# Source files of this package, skipped when a warning names its caller,
+# except the command line front end: it calls the library as any caller
+# does, and past it lie only runpy or an entry-point script.
 _PACKAGE_PREFIX = os.path.dirname(__file__) + os.sep
+_CLI_FILE = _PACKAGE_PREFIX + "cli.py"
 
 # The most recent bridge sweep: (transfer blocks, step, half-step rates,
 # spectra). It is replaced as one tuple, so a thread reads either the
@@ -80,8 +83,7 @@ _PACKAGE_PREFIX = os.path.dirname(__file__) + os.sep
 _last_sweep = None
 
 
-@dataclass(frozen=True)
-class SuperoperatorMatrix:
+class SuperoperatorMatrix(NamedTuple):
     """A d^2 x d^2 map matrix (row-major vectorization) over a time interval."""
 
     matrix: np.ndarray
@@ -92,8 +94,7 @@ class SuperoperatorMatrix:
         return int(round(np.sqrt(self.matrix.shape[0])))
 
 
-@dataclass(frozen=True)
-class ChoiMatrix:
+class ChoiMatrix(NamedTuple):
     """Unit-trace Hermitian d^2 x d^2 Choi state of an intermediate map."""
 
     matrix: np.ndarray
@@ -105,8 +106,10 @@ class ChoiMatrix:
         return int(round(np.sqrt(self.matrix.shape[0])))
 
 
-@dataclass(frozen=True)
-class CPTPDiagnostics:
+class CPTPDiagnostics(NamedTuple):
+    """Complete-positivity and trace-preservation checks of one Choi state
+    (see `cptp_diagnostics`)."""
+
     min_eigenvalue: float
     trace_deviation: float
     partial_trace_deviation: float
@@ -447,9 +450,11 @@ def _rk4_chunks(gen: LindbladGenerator, gammas: np.ndarray, h: float):
 
 
 def warn_caller(message: str) -> None:
-    """Warn, attributing the warning to the nearest caller outside this package."""
+    """Warn, attributing the warning to the nearest caller outside this
+    package, or to the line of `cli.py` that called the library."""
     frame, level = sys._getframe(2), 3
-    while frame is not None and frame.f_code.co_filename.startswith(_PACKAGE_PREFIX):
+    while (frame is not None and frame.f_code.co_filename.startswith(_PACKAGE_PREFIX)
+           and frame.f_code.co_filename != _CLI_FILE):
         frame, level = frame.f_back, level + 1
     warnings.warn(message, stacklevel=level)
 
@@ -482,8 +487,11 @@ def propagate_map(
     Fixed-step fourth-order integration with step (t1 - t0)/steps; the default
     resolution is 1000 steps per unit time. Doubling the steps must not move
     the result by more than ~1e-8 in max-entry norm at the default resolution
-    for the rate scales in scope.
+    for the rate scales in scope. Both times must be finite.
     """
+    for name, t in (("t0", t0), ("t1", t1)):
+        if not np.isfinite(t):
+            raise ValueError(f"{name} must be finite, got {t}")
     if t1 < t0:
         raise ValueError(f"require t1 >= t0, got t0 = {t0}, t1 = {t1}")
     if t1 == t0:

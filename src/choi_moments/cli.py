@@ -19,10 +19,9 @@ atomically (temp file + rename) and partial outputs are removed on failure.
 """
 
 import argparse
-import dataclasses
 import os
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,8 +48,7 @@ __all__ = ["RunReport", "run_scenario", "main"]
 _ENV_OUT_DIR = "CHOI_MOMENTS_OUT"
 
 
-@dataclass(frozen=True)
-class RunReport:
+class RunReport(NamedTuple):
     """What a scenario run produced and concluded."""
 
     scenario: str
@@ -93,10 +91,14 @@ def _write_atomic(path: str, text: str) -> None:
 
 
 def _csv(header: list[str], columns) -> str:
-    """CSV text with the given header and one float column per array."""
-    lines = [",".join(header)]
-    lines += [",".join(map(_fmt, row)) for row in zip(*columns)]
-    return "\n".join(lines) + "\n"
+    """CSV text with the given header and one float column per array.
+
+    The whole table is formatted by one printf-style operation: '%.17g' % x
+    equals f"{x:.17g}" for every float, nan, infinities and -0.0 included.
+    """
+    table = np.column_stack(columns)
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    return ",".join(header) + "\n" + (row * table.shape[0]) % tuple(table.ravel().tolist())
 
 
 def run_scenario(config: ScenarioConfig, out_dir: str, quiet: bool = False) -> RunReport:
@@ -272,7 +274,7 @@ def main(argv=None) -> int:
         if args.command != "validate":
             overrides["outputs"] = (args.command,)
         if overrides:
-            config = dataclasses.replace(config, **overrides)
+            config = config._replace(**overrides)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -20,8 +20,8 @@ silently ignored, and every value is validated against the schema.
 """
 
 import os
-from dataclasses import dataclass
 from importlib import resources
+from typing import NamedTuple
 
 import numpy as np
 
@@ -78,8 +78,7 @@ class ConfigError(ValueError):
     """A scenario document violates the schema."""
 
 
-@dataclass(frozen=True)
-class DissipatorSpec:
+class DissipatorSpec(NamedTuple):
     """One dissipator: a named or custom operator plus its rate model."""
 
     operator: str
@@ -87,8 +86,10 @@ class DissipatorSpec:
     matrix: tuple[complex, ...] | None = None  # row-major, custom-matrix only
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(NamedTuple):
+    """A parsed and validated scenario document (see `parse_scenario`); the
+    fields mirror its keys, and `render_scenario` writes it back."""
+
     name: str
     dimension: int
     hamiltonian: tuple[complex, ...] | None  # row-major entries; None = zero

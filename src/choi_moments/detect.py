@@ -28,7 +28,7 @@ out across threads; only series assembly is ordered.
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,8 +71,7 @@ _SCAN_CP_TOL = 1e-10
 MEASURE_ZERO_THRESHOLD = 1e-10
 
 
-@dataclass(frozen=True)
-class WitnessSeries:
+class WitnessSeries(NamedTuple):
     """Witness values r_2^2 - r_3 on a time grid, with violation intervals."""
 
     grid: np.ndarray
@@ -91,8 +90,7 @@ class WitnessSeries:
         return len(self.violations) > 0
 
 
-@dataclass(frozen=True)
-class MeasureReport:
+class MeasureReport(NamedTuple):
     """Integrated non-Markovianity quantifiers and their rate series."""
 
     moment_measure: float
@@ -110,8 +108,7 @@ class MeasureReport:
         return self.rhp_measure / self.moment_measure
 
 
-@dataclass(frozen=True)
-class DivisibilityReport:
+class DivisibilityReport(NamedTuple):
     """Minimum intermediate-map Choi eigenvalue per grid time, plus verdict."""
 
     grid: np.ndarray

@@ -158,6 +158,17 @@ class TestPropagateMap:
         with pytest.raises(ValueError, match="non-finite"):
             propagate_map(gen, 0.0, 1.0)
 
+    # A NaN or infinite time used to fail in the step count, with
+    # "cannot convert float NaN to integer" or an OverflowError.
+    @pytest.mark.parametrize("steps", [None, 4])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("end", ["t0", "t1"])
+    def test_rejects_non_finite_times(self, end, bad, steps):
+        gen = dephasing_generator(ConstantRate(1.0))
+        times = {"t0": 0.0, "t1": 1.0, end: bad}
+        with pytest.raises(ValueError, match=rf"^{end} must be finite, got {bad}$"):
+            propagate_map(gen, times["t0"], times["t1"], steps=steps)
+
     def test_maps_identity_to_unit_trace(self):
         rng = np.random.default_rng(31)
         for _ in range(5):

@@ -1,11 +1,15 @@
+import math
 import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from choi_moments import choi, detect
-from choi_moments.cli import main, run_scenario
+from choi_moments.cli import _csv, main, run_scenario
 from choi_moments.config import build_generator, load_scenario, parse_scenario
 from helpers import count_sweeps, reference_bridge_spectra
 
@@ -295,6 +299,19 @@ class TestMainOptions:
         assert len(lines) == 1 + 37
         capsys.readouterr()
 
+    def test_epsilon_override(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, MARKOVIAN)
+        assert main(["witness", path, "--out-dir", str(tmp_path / "cli"), "--epsilon", "0.004",
+                     "--grid-points", "37", "--quiet"]) == 0
+        config = parse_scenario(MARKOVIAN)._replace(epsilon=0.004, points=37)
+        report = run_scenario(config, str(tmp_path / "direct"), quiet=True)
+        for name in ("control_witness.csv", "control_report.txt"):
+            got = (tmp_path / "cli" / name).read_text()
+            want = (tmp_path / "direct" / name).read_text()
+            assert got == want.replace(str(tmp_path / "direct"), str(tmp_path / "cli"))
+        assert "epsilon = 0.004\n" in open(report.report_path).read()
+        capsys.readouterr()
+
     def test_epsilon_override_rejected_when_invalid(self, tmp_path, capsys):
         path = write_cfg(tmp_path, MARKOVIAN)
         assert main(["witness", path, "--epsilon", "-1"]) == 1
@@ -319,3 +336,45 @@ class TestMainOptions:
         assert "verdict: Markovian-consistent" in out
         main(["witness", path, "--out-dir", str(tmp_path), "--quiet"])
         assert capsys.readouterr().out == ""
+
+
+def test_warnings_under_the_cli_name_the_line_of_cli_py(tmp_path):
+    # warn_caller used to walk out of the package into runpy, and stderr
+    # named "<frozen runpy>:88".
+    src = str(Path(choi.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-m", "choi_moments", "compare", ETERNAL_PAULI, "--quiet",
+         "--out-dir", str(tmp_path)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert result.returncode == 10
+    warning = result.stderr.splitlines()[0]
+    assert os.path.join("choi_moments", "cli.py:") in warning
+    assert "UserWarning: trace-norm rate g is still" in warning
+    assert "runpy" not in result.stderr
+
+
+class TestCsv:
+    # Old writer: one f"{x:.17g}" per value.
+    @staticmethod
+    def per_value(header, columns):
+        lines = [",".join(header)]
+        lines += [",".join(f"{x:.17g}" for x in row) for row in zip(*columns)]
+        return "\n".join(lines) + "\n"
+
+    SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e308, 0.1]
+
+    @pytest.mark.parametrize("rows, cols", [(1, 1), (1, 7), (40, 1), (40, 7), (3, 2)])
+    def test_matches_a_per_value_format(self, rows, cols):
+        rng = np.random.default_rng(100 * rows + cols)
+        # Arbitrary bit patterns: subnormals, huge and tiny values, NaNs with
+        # either sign bit.
+        values = rng.integers(0, 2**64, rows * cols, dtype=np.uint64).view(np.float64)
+        values[:len(self.SPECIAL)] = self.SPECIAL[:rows * cols]
+        columns = list(values.reshape(rows, cols).T)
+        header = [f"c{j}" for j in range(cols)]
+        assert _csv(header, columns) == self.per_value(header, columns)
+
+    def test_specials(self):
+        assert _csv(["t", "x"], [np.array(self.SPECIAL[:4]), np.array(self.SPECIAL[3:])]) == (
+            "t,x\nnan,-0\ninf,4.9406564584124654e-324\n"
+            "-inf,1.7976931348623157e+308\n-0,0.10000000000000001\n")

@@ -197,6 +197,16 @@ class TestRoundTrip:
         again = parse_scenario(render_scenario(config))
         assert again.t_max == config.t_max  # exact, not approximate
 
+    def test_replace_makes_a_new_config(self):
+        config = parse_scenario(MINIMAL)
+        changed = config._replace(points=37, epsilon=0.002)
+        assert (changed.points, changed.epsilon) == (37, 0.002)
+        assert (config.points, config.epsilon) == (100, 0.001)
+        assert changed._replace(points=100, epsilon=0.001) == config
+        assert parse_scenario(render_scenario(changed)) == changed
+        with pytest.raises(ValueError, match="unexpected field"):
+            config._replace(grid_points=3)
+
 
 class TestBuildGenerator:
     def test_custom_matrix_materializes(self):
