@@ -35,6 +35,7 @@ with O(d^4) slices and no matrix product: `propagate_map` for the row-major
 superoperator, `bridge_spectra` for the Choi states it eigensolves.
 """
 
+import operator
 import os
 import sys
 import warnings
@@ -43,7 +44,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .lindblad import LindbladGenerator, coefficients, from_hermitian_basis, rates_at
+from .lindblad import (
+    LindbladGenerator,
+    _rate_rows,
+    coefficients,
+    from_hermitian_basis,
+    rates_at,
+)
 from .spectral import require_hermitian
 
 __all__ = [
@@ -158,20 +165,32 @@ def _require_trace_preserving(c: np.ndarray) -> None:
         )
 
 
-def _checked_rates(gen: LindbladGenerator, times: np.ndarray) -> np.ndarray:
-    """Rates at every time of an array as rows, shape (K,) + times.shape,
-    refusing non-finite rates at the earliest time that has one.
+def _require_finite_rates(rows: np.ndarray, times: np.ndarray) -> None:
+    """Refuse rates given as rows (K,) + times.shape that are not all finite,
+    naming the earliest time that has a non-finite rate.
 
     The whole array is checked at once; only a failed check looks for the
     earliest bad time.
     """
-    rows = np.moveaxis(rates_at(gen, times), -1, 0)
     if not np.isfinite(rows).all():
         bad = ~np.all(np.isfinite(rows), axis=0)
         first = np.unravel_index(np.argmin(np.where(bad, times, np.inf)), times.shape)
         raise ValueError(
             f"non-finite rate at t = {times[first]:.6g}: {rows[(slice(None), *first)]}")
-    return rows
+
+
+def require_count(name: str, value, minimum: int) -> int:
+    """An integer argument, refused with a ValueError naming it when it is a
+    bool, not an integer (2.5, 3.0, nan, inf) or below the minimum."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        count = None
+    if count is None or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if count < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {count}")
+    return count
 
 
 def _row_coefficients(gammas: np.ndarray) -> np.ndarray:
@@ -287,7 +306,10 @@ class SmallTimeChoiBuilder:
     def rates(self, times) -> np.ndarray:
         """Rates at each of n times as rows, (K, n): one row per jump
         operator, one column per time. Non-finite rates are refused."""
-        return _checked_rates(self.gen, np.asarray(times, dtype=float))
+        times = np.asarray(times, dtype=float)
+        rows = _rate_rows(self.gen, times)
+        _require_finite_rates(rows, times)
+        return rows
 
     def projected_spectra(self, gammas: np.ndarray) -> np.ndarray:
         """The nonzero spectrum of Q X Q for each column of rates gammas
@@ -389,7 +411,9 @@ def _half_step_rates(
     evaluations. Non-finite rates are refused, naming the earliest such time.
     """
     times = starts[:, None] + (0.5 * h) * np.arange(2 * steps + 1)
-    return np.moveaxis(_checked_rates(gen, times), 0, -1)
+    gammas = rates_at(gen, times)
+    _require_finite_rates(np.moveaxis(gammas, -1, 0), times)
+    return gammas
 
 
 def _rk4_product(blocks: np.ndarray, gammas: np.ndarray, h: float) -> np.ndarray:
@@ -474,9 +498,7 @@ def _debug(message: str, *args) -> None:
 def _resolve_steps(t0: float, t1: float, steps: int | None) -> int:
     if steps is None:
         return max(1, round(DEFAULT_STEPS_PER_UNIT * (t1 - t0)))
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
-    return int(steps)
+    return require_count("steps", steps, 1)
 
 
 def propagate_map(
@@ -484,10 +506,11 @@ def propagate_map(
 ) -> SuperoperatorMatrix:
     """Time-ordered propagator Phi(t1, t0) of the generator, as a superoperator.
 
-    Fixed-step fourth-order integration with step (t1 - t0)/steps; the default
-    resolution is 1000 steps per unit time. Doubling the steps must not move
-    the result by more than ~1e-8 in max-entry norm at the default resolution
-    for the rate scales in scope. Both times must be finite.
+    Fixed-step fourth-order integration with step (t1 - t0)/steps, steps an
+    integer >= 1; the default resolution is 1000 steps per unit time.
+    Doubling the steps must not move the result by more than ~1e-8 in
+    max-entry norm at the default resolution for the rate scales in scope.
+    Both times must be finite.
     """
     for name, t in (("t0", t0), ("t1", t1)):
         if not np.isfinite(t):
@@ -520,8 +543,9 @@ def bridge_spectra(
 
     Each bridge is integrated directly over its own window with
     max(1, round(steps_per_unit * delta)) RK4 steps, so no propagator from 0
-    is formed or inverted. Returns the rates gamma_i(t) at the starts, shape
-    (W, K), and each bridge's Choi eigenvalues in descending order, (W, d^2).
+    is formed or inverted; steps_per_unit must be an integer >= 1. Returns
+    the rates gamma_i(t) at the starts, shape (W, K), and each bridge's Choi
+    eigenvalues in descending order, (W, d^2).
     Warns, naming the window, when some step has |h * gamma| >= 0.1 (near a
     rate pole, where the fixed step loses accuracy).
 
@@ -534,8 +558,8 @@ def bridge_spectra(
     global _last_sweep
     if not 0.0 < delta < np.inf:  # NaN compares false either way
         raise ValueError(f"delta must be positive and finite, got {delta}")
+    steps = max(1, round(require_count("steps_per_unit", steps_per_unit, 1) * delta))
     starts = np.asarray(starts, dtype=float)
-    steps = max(1, round(steps_per_unit * delta))
     h = delta / steps
     gammas = _half_step_rates(gen, starts, h, steps)
     if gammas.size:

@@ -37,6 +37,7 @@ from .choi import (
     DEFAULT_STEPS_PER_UNIT,
     SMALL_TIME_RATE_LIMIT,
     bridge_spectra,
+    require_count,
     warn_caller,
 )
 from .lindblad import UNITAL_ATOL, LindbladGenerator, unitality_defects
@@ -152,7 +153,7 @@ def _validate_grid(grid) -> np.ndarray:
         raise ValueError("time grid must be one-dimensional with at least 2 points")
     if not np.isfinite(grid).all():
         raise ValueError("time grid must be finite")
-    if np.any(np.diff(grid) <= 0):
+    if (grid[1:] <= grid[:-1]).any():
         raise ValueError("time grid must be strictly increasing")
     if grid[0] < 0:
         raise ValueError(f"time grid must start at t >= 0, got {grid[0]}")
@@ -171,18 +172,21 @@ def witness_series(
     In "small-time" mode each point uses the first-order Choi state of the
     map acting on [t, t + epsilon]; in "finite-interval" mode it uses the
     Choi state of the bridge map Lambda(t + epsilon, t), integrated directly
-    over that window.
+    over that window with steps_per_unit RK4 steps per unit time, an integer
+    >= 1 (checked in either mode).
     """
     grid = _validate_grid(grid)
     if not 0.0 < epsilon < math.inf:  # NaN compares false either way
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     if mode not in ("small-time", "finite-interval"):
         raise ValueError(f"mode must be 'small-time' or 'finite-interval', got {mode!r}")
+    require_count("steps_per_unit", steps_per_unit, 1)  # refused in either mode
 
     if mode == "small-time":
         builder = gen.small_time_builder
         rows = builder.rates(grid)
-        worst = float(np.max(np.abs(epsilon * rows))) if rows.size else 0.0
+        # max|eps*gamma| = eps*max|gamma| exactly: rounding is monotone.
+        worst = epsilon * float(np.max(np.abs(rows))) if rows.size else 0.0
         if worst >= SMALL_TIME_RATE_LIMIT:
             warn_caller(
                 f"small-time expansion is dubious on part of the grid: "
@@ -240,7 +244,8 @@ def _rate_limits(gen: LindbladGenerator, times) -> tuple[np.ndarray, np.ndarray,
     f = overlaps[0] + overlaps[1:] @ gammas
     f = np.where(f > noise, f, 0.0)
     mu = builder.projected_spectra(gammas)
-    g = 2.0 * np.sum(np.where(mu < -noise, -mu, 0.0), axis=0)
+    # 0.0 - x rather than -x: a sum of zeros gives 0.0, never -0.0.
+    g = 0.0 - 2.0 * np.where(mu < -noise, mu, 0.0).sum(0)
     return gammas, f, g
 
 
@@ -266,7 +271,8 @@ def rhp_rate_g(gen: LindbladGenerator, t: float) -> float:
 def measure_report(gen: LindbladGenerator, t_max: float, grid_points: int) -> MeasureReport:
     """Both integrated measures over [0, t_max] with their rate series.
 
-    Trapezoidal integration on a uniform grid. The moment measure is proven to
+    Trapezoidal integration on a uniform grid of grid_points >= 2 points,
+    with np.trapezoid's formula. The moment measure is proven to
     be a measure only for unital dynamics, so a generator that is not unital
     at some grid point is accepted with a warning rather than refused. A
     warning, naming the series, is also emitted when f or g has not decayed
@@ -276,9 +282,7 @@ def measure_report(gen: LindbladGenerator, t_max: float, grid_points: int) -> Me
     """
     if not 0.0 < t_max < math.inf:  # NaN compares false either way
         raise ValueError(f"t_max must be positive and finite, got {t_max}")
-    if grid_points < 2:
-        raise ValueError(f"grid_points must be >= 2, got {grid_points}")
-    grid = np.linspace(0.0, t_max, grid_points)
+    grid = np.linspace(0.0, t_max, require_count("grid_points", grid_points, 2))
     gammas, f_series, g_series = _rate_limits(gen, grid)
 
     if np.any(unitality_defects(gen, gammas.T) >= UNITAL_ATOL):
@@ -287,10 +291,10 @@ def measure_report(gen: LindbladGenerator, t_max: float, grid_points: int) -> Me
             "a measure for unital dynamics; interpret the value with care"
         )
 
-    tail = grid >= 0.95 * t_max
+    tail = np.searchsorted(grid, 0.95 * t_max)  # the first point >= 0.95 t_max
     undecayed = []
     for name, series in (("moment rate f", f_series), ("trace-norm rate g", g_series)):
-        peak = float(np.max(series[tail]))
+        peak = float(np.max(series[tail:]))
         if peak > 1e-8:
             undecayed.append(f"{name} is still {peak:.3e}")
     if undecayed:
@@ -299,9 +303,10 @@ def measure_report(gen: LindbladGenerator, t_max: float, grid_points: int) -> Me
             "increase t_max to trust the truncated integral"
         )
 
+    steps = np.diff(grid)
     return MeasureReport(
-        moment_measure=float(np.trapezoid(f_series, grid)),
-        rhp_measure=float(np.trapezoid(g_series, grid)),
+        moment_measure=float((steps * (f_series[1:] + f_series[:-1]) / 2.0).sum()),
+        rhp_measure=float((steps * (g_series[1:] + g_series[:-1]) / 2.0).sum()),
         grid=grid,
         f_series=f_series,
         g_series=g_series,

@@ -26,7 +26,7 @@ Generators are immutable: their arrays are read-only copies, so all
 evaluation is pure.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -157,25 +157,24 @@ class LindbladGenerator:
 
     Immutable: the Hamiltonian and the jump operators are read-only copies,
     so the caller's arrays stay writeable and changing them later does not
-    change the generator. `superoperator_blocks` is the read-only stack
-    [H_part, D_1, ...], shape (K + 1, d^2, d^2), of the vectorized
-    generator's constant blocks: Lhat(t) = sum_k c_k B_k with
+    change the generator. Construction only checks them; every table below
+    is a read-only array built on first use and kept. `superoperator_blocks`
+    is the stack [H_part, D_1, ...], shape (K + 1, d^2, d^2), of the
+    vectorized generator's constant blocks: Lhat(t) = sum_k c_k B_k with
     c = coefficients(rates_at(gen, t)). `transfer_blocks` is the same stack
-    in the Hermitian operator basis, U^dag B_k U: real, and read-only too.
-    The RK4 kernel propagates these, in real arithmetic.
-    `unitality_images` (K, d^2), read-only, holds the dissipator blocks'
-    images B_k vec(I/d), which `unitality_defects` contracts with the rates.
-    `small_time_builder` is the generator's one `choi.SmallTimeChoiBuilder`,
-    with its read-only tables, built on first use: every small-time witness
-    and rate limit on this generator reads it.
+    in the Hermitian operator basis, U^dag B_k U, and real: the RK4 kernel
+    propagates these, in real arithmetic. `unitality_images` (K, d^2) holds
+    the dissipator blocks' images B_k vec(I/d), which `unitality_defects`
+    contracts with the rates. `small_time_builder` is the generator's one
+    `choi.SmallTimeChoiBuilder`: every small-time witness and rate limit on
+    this generator reads it. A cached_property writes the instance __dict__
+    directly, so it works on this frozen dataclass, and assigning or
+    deleting one is refused like any other attribute.
     """
 
     dim: int
     hamiltonian: np.ndarray
     dissipators: tuple[tuple[np.ndarray, RateModel], ...]
-    superoperator_blocks: np.ndarray = field(init=False, repr=False, compare=False)
-    transfer_blocks: np.ndarray = field(init=False, repr=False, compare=False)
-    unitality_images: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim < 1:
@@ -183,9 +182,7 @@ class LindbladGenerator:
         h = _read_only(require_hermitian(np.asarray(self.hamiltonian, dtype=complex)))
         if h.shape != (self.dim, self.dim):
             raise ValueError(f"Hamiltonian shape {h.shape} does not match dim {self.dim}")
-        eye = np.eye(self.dim, dtype=complex)
         diss = []
-        blocks = [-1j * (np.kron(h, eye) - np.kron(eye, h.T))]
         for op, rate in self.dissipators:
             op = _read_only(np.array(op, dtype=complex))
             if op.shape != (self.dim, self.dim):
@@ -195,26 +192,36 @@ class LindbladGenerator:
             if not np.all(np.isfinite(op)):
                 raise ValueError("jump operator has non-finite entries")
             diss.append((op, rate))
+        object.__setattr__(self, "hamiltonian", h)
+        object.__setattr__(self, "dissipators", tuple(diss))
+
+    @cached_property
+    def superoperator_blocks(self) -> np.ndarray:
+        """[H_part, D_1, ...], (K + 1, d^2, d^2), in row-major vec coordinates."""
+        h, eye = self.hamiltonian, np.eye(self.dim, dtype=complex)
+        blocks = [-1j * (np.kron(h, eye) - np.kron(eye, h.T))]
+        for op, _ in self.dissipators:
             ld_l = op.conj().T @ op
             blocks.append(np.kron(op, op.conj())
                           - 0.5 * (np.kron(ld_l, eye) + np.kron(eye, ld_l.T)))
-        object.__setattr__(self, "hamiltonian", h)
-        object.__setattr__(self, "dissipators", tuple(diss))
-        blocks = _read_only(np.stack(blocks))
+        return _read_only(np.stack(blocks))
+
+    @cached_property
+    def transfer_blocks(self) -> np.ndarray:
+        """The superoperator blocks in the Hermitian operator basis, real."""
         # The imaginary parts are rounding: Lhat maps Hermitian to Hermitian.
-        transfer = np.ascontiguousarray(to_hermitian_basis(blocks, self.dim).real)
-        object.__setattr__(self, "superoperator_blocks", blocks)
-        object.__setattr__(self, "transfer_blocks", _read_only(transfer))
-        images = blocks[1:] @ (np.eye(self.dim).ravel() / self.dim)
-        object.__setattr__(self, "unitality_images", _read_only(images))
+        rotated = to_hermitian_basis(self.superoperator_blocks, self.dim)
+        return _read_only(np.ascontiguousarray(rotated.real))
+
+    @cached_property
+    def unitality_images(self) -> np.ndarray:
+        """B_k vec(I/d) for each dissipator block, (K, d^2)."""
+        eye = np.eye(self.dim).ravel() / self.dim
+        return _read_only(self.superoperator_blocks[1:] @ eye)
 
     @cached_property
     def small_time_builder(self):
-        """The generator's small-time Choi builder, built once on first use.
-
-        A cached_property writes the instance __dict__ directly, so it works
-        on this frozen dataclass; the builder's tables are read-only.
-        """
+        """The generator's small-time Choi builder, whose tables are read-only."""
         from .choi import SmallTimeChoiBuilder  # choi imports this module
 
         return SmallTimeChoiBuilder(self)
@@ -232,25 +239,32 @@ def isotropic_pauli_generator(rate: RateModel) -> LindbladGenerator:
     )
 
 
+def _rate_rows(gen: LindbladGenerator, times: np.ndarray) -> np.ndarray:
+    """Dissipator rates at every time of a float array, one row per
+    dissipator: shape (K,) + times.shape, C-contiguous.
+
+    One `rate_eval` call per rate model: dissipators that share a model
+    object are evaluated once and fill each of their rows.
+    """
+    rows = np.empty((len(gen.dissipators),) + times.shape)
+    by_model = {}
+    for k, (_, rate) in enumerate(gen.dissipators):
+        values = by_model.get(id(rate))
+        if values is None:
+            values = by_model[id(rate)] = rate_eval(rate, times)
+        rows[k] = values
+    return rows
+
+
 def rates_at(gen: LindbladGenerator, t) -> np.ndarray:
     """Dissipator rates gamma_i at a time t, shape (K,), or at every time of an
     array t, shape t.shape + (K,).
 
-    One `rate_eval` call per rate model: dissipators that share a model
-    object are evaluated once. The rates are stacked one row per dissipator,
-    (K,) + t.shape, and returned as a view with that axis moved last, so
-    `np.moveaxis(rates_at(gen, t), -1, 0)` gives the contiguous rows back
-    with no copy.
+    A view of the rates' rows (`_rate_rows`, one per dissipator) with that
+    axis moved last, so `np.moveaxis(rates_at(gen, t), -1, 0)` gives the
+    contiguous rows back with no copy.
     """
-    times = np.asarray(t, dtype=float)
-    by_model = {}
-    rows = []
-    for _, rate in gen.dissipators:
-        if id(rate) not in by_model:
-            by_model[id(rate)] = rate_eval(rate, times)
-        rows.append(by_model[id(rate)])
-    rows = np.stack(rows) if rows else np.empty((0,) + times.shape)
-    return np.moveaxis(rows, 0, -1)
+    return np.moveaxis(_rate_rows(gen, np.asarray(t, dtype=float)), 0, -1)
 
 
 def coefficients(gammas) -> np.ndarray:
@@ -272,15 +286,22 @@ def generator_superoperator(gen: LindbladGenerator, t: float) -> np.ndarray:
 
 
 def unitality_defects(gen: LindbladGenerator, gammas) -> np.ndarray:
-    """Largest entry of |Lhat(I/d)| for each row of rates gammas (n, K), shape (n,).
+    """Largest entry of |Lhat(I/d)| for each row of finite rates gammas (n, K),
+    shape (n,).
 
     The Hamiltonian part annihilates I/d, so the image is linear in the
     rates and a grid of rates costs one product with the dissipator blocks'
-    images of I/d (`LindbladGenerator.unitality_images`). The residual is
+    images of I/d (`LindbladGenerator.unitality_images`). A normal jump
+    operator (Pauli, Hermitian, unitary) has an image of exactly zero, since
+    D_k(I) = L_k L_k^dag - L_k^dag L_k; when every image is zero the product
+    would be zero bit for bit, and it is skipped. Otherwise the residual is
     formed transposed, (d^2, n), because numpy reduces along a short last
     axis several times slower than across rows; rates passed as the
     transposed view of rows (K, n), as `detect.measure_report` passes them,
     are read with no copy.
     """
-    residual = gen.unitality_images.T @ np.asarray(gammas, dtype=float).T
+    images = gen.unitality_images
+    if not images.any():
+        return np.zeros(np.shape(gammas)[0])
+    residual = images.T @ np.asarray(gammas, dtype=float).T
     return np.max(np.abs(residual), axis=0)

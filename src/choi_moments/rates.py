@@ -97,7 +97,8 @@ class LorentzianRate:
             return 2.0 * self.lam * self.gamma0 * th / (g + self.lam * th)
         g_abs = math.sqrt(-g_sq)
         x = 0.5 * tp * g_abs
-        denom = g_abs * np.cos(x) + self.lam * np.sin(x)
+        sin_x = np.sin(x)
+        denom = g_abs * np.cos(x) + self.lam * sin_x
         pole = np.abs(denom) < 1e-12 * math.hypot(g_abs, self.lam)
         if np.any(pole):
             first = float(np.min(t[pole]))
@@ -105,7 +106,7 @@ class LorentzianRate:
                 f"Lorentzian rate has a pole at t = {self._nearest_pole(first):.12g}; "
                 f"evaluation at t = {first:.12g} is undefined"
             )
-        return 2.0 * self.lam * self.gamma0 * np.sin(x) / denom
+        return 2.0 * self.lam * self.gamma0 * sin_x / denom
 
     def _nearest_pole(self, t: float) -> float:
         # Poles at t'|g|/2 = n*pi - arctan(|g|/lam), n = 1, 2, ...
@@ -227,7 +228,7 @@ def rate_eval(model: RateModel, t):
     times = np.asarray(t, dtype=float)
     flat = times.reshape(-1)
     negative = flat < 0
-    if np.any(negative):
+    if negative.any():
         raise ValueError(
             f"rate models are defined for t >= 0, got t = {float(np.min(flat[negative]))}"
         )

@@ -220,6 +220,37 @@ class TestBatchedKernel:
         with pytest.raises(ValueError, match="delta must be positive and finite"):
             bridge_spectra(gen, [0.0, 1.0], delta)
 
+    # A step count that is not an integer >= 1 used to be rounded, or
+    # clamped to one step per window; nan and inf failed inside round.
+    @pytest.mark.parametrize("steps_per_unit, problem", [
+        (0, "must be >= 1, got 0"), (-5, "must be >= 1, got -5"),
+        (2.5, "must be an integer, got 2.5"), (True, "must be an integer, got True"),
+        (math.nan, "must be an integer, got nan"), (math.inf, "must be an integer, got inf")])
+    def test_bridge_spectra_refuse_a_step_count_that_is_not_a_positive_integer(
+            self, steps_per_unit, problem):
+        gen = dephasing_generator(ConstantRate(1.0))
+        with pytest.raises(ValueError, match=f"^steps_per_unit {problem}$"):
+            bridge_spectra(gen, [0.0, 1.0], 0.01, steps_per_unit)
+
+    @pytest.mark.parametrize("steps, problem", [
+        (0, "must be >= 1, got 0"), (-5, "must be >= 1, got -5"),
+        (2.5, "must be an integer, got 2.5"), (True, "must be an integer, got True"),
+        (math.nan, "must be an integer, got nan"), (math.inf, "must be an integer, got inf")])
+    def test_propagate_map_refuses_a_step_count_that_is_not_a_positive_integer(
+            self, steps, problem):
+        gen = dephasing_generator(ConstantRate(1.0))
+        with pytest.raises(ValueError, match=f"^steps {problem}$"):
+            propagate_map(gen, 0.0, 1.0, steps=steps)
+
+    def test_numpy_integer_step_counts_are_accepted(self):
+        gen = random_expcos_generator(np.random.default_rng(12), 2)
+        grid = np.linspace(0.0, 1.0, 5)
+        for a, b in zip(bridge_spectra(gen, grid, 0.01, np.int64(500)),
+                        bridge_spectra(gen, grid, 0.01, 500)):
+            assert np.array_equal(a, b)
+        assert np.array_equal(propagate_map(gen, 0.0, 0.5, steps=np.int32(40)).matrix,
+                              propagate_map(gen, 0.0, 0.5, steps=40).matrix)
+
     @pytest.mark.parametrize("d", [2, 3, 5, 8])
     def test_kernel_propagates_real_maps_with_exactly_hermitian_choi_states(self, d):
         # Ten steps per window: at d = 5 and 8 a window's steps span chunks.

@@ -8,9 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from choi_moments import choi, detect
+from choi_moments import choi, config as config_module, detect
 from choi_moments.cli import _csv, main, run_scenario
 from choi_moments.config import build_generator, load_scenario, parse_scenario
+from choi_moments.lindblad import LindbladGenerator
 from helpers import count_sweeps, reference_bridge_spectra
 
 EXPCOS_COMPARE = """
@@ -200,6 +201,45 @@ class TestRunScenario:
             run_scenario(parse_scenario(MARKOVIAN), str(tmp_path), quiet=True)
         assert len(calls) == failing_call
         assert list(tmp_path.iterdir()) == []
+
+
+def record_generators(monkeypatch) -> list:
+    """Collect every generator that config builds from here on."""
+    made = []
+
+    class Recorded(LindbladGenerator):
+        def __post_init__(self):
+            super().__post_init__()
+            made.append(self)
+
+    monkeypatch.setattr(config_module, "LindbladGenerator", Recorded)
+    return made
+
+
+class TestGeneratorTables:
+    """A generator's tables are built by the computations that read them."""
+
+    TABLES = {"superoperator_blocks", "transfer_blocks", "unitality_images",
+              "small_time_builder"}
+
+    def test_validating_a_config_builds_no_table(self, monkeypatch):
+        made = record_generators(monkeypatch)
+        parse_scenario(SMALL_WITNESS)
+        assert len(made) == 1
+        assert not self.TABLES & set(vars(made[0]))
+
+    @pytest.mark.parametrize("outputs, built", [
+        ("witness", {"superoperator_blocks", "small_time_builder"}),
+        ("compare", {"superoperator_blocks", "unitality_images", "small_time_builder"}),
+        ("divisibility", {"superoperator_blocks", "small_time_builder", "transfer_blocks"})])
+    def test_a_run_builds_only_what_it_reads(self, tmp_path, monkeypatch, outputs, built):
+        # Only the bridge scan rotates the blocks into the Hermitian basis.
+        made = record_generators(monkeypatch)
+        config = parse_scenario(SMALL_WITNESS.replace(
+            "outputs = witness divisibility", f"outputs = {outputs}"))
+        run_scenario(config, str(tmp_path), quiet=True)
+        assert len(made) == 2
+        assert self.TABLES & set(vars(made[1])) == built
 
 
 class TestMainExitCodes:

@@ -671,6 +671,65 @@ class TestMeasures:
         with pytest.raises(ValueError, match="t_max must be positive and finite"):
             measure_report(gen, t_max, 11)
 
+    # 10.0 used to fail with a TypeError inside np.linspace.
+    @pytest.mark.parametrize("grid_points, problem", [
+        (10.0, "must be an integer, got 10.0"), (2.5, "must be an integer, got 2.5"),
+        (True, "must be an integer, got True"), (math.nan, "must be an integer, got nan"),
+        (math.inf, "must be an integer, got inf"), (1, "must be >= 2, got 1"),
+        (-3, "must be >= 2, got -3")])
+    def test_rejects_grid_points_that_are_not_an_integer_of_at_least_two(
+            self, grid_points, problem):
+        gen = dephasing_generator(ExpCosRate(k=1.0))
+        with pytest.raises(ValueError, match=f"^grid_points {problem}$"):
+            measure_report(gen, 1.0, grid_points)
+
+    def test_vanishing_rates_are_positive_zeros(self):
+        # The CSVs would print a -0.0 as "-0".
+        gen = isotropic_pauli_generator(ExpCosRate(k=1.0))
+        report = measure_report(gen, 6.0, 301)
+        for series in (report.f_series, report.g_series):
+            assert np.any(series == 0.0) and np.any(series > 0.0)
+            assert not np.signbit(series).any()
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), t_max=st.floats(1e-3, 1e3),
+           points=st.integers(2, 600))
+    def test_measures_are_np_trapezoid_bit_for_bit(self, seed, t_max, points):
+        rng = np.random.default_rng(seed)
+        knots = np.linspace(0.0, t_max, 23)
+        gen = LindbladGenerator(2, SIGMA_X, tuple(
+            (op, TabulatedRate(tuple(zip(knots, rng.normal(size=knots.size)))))
+            for op in (SIGMA_X, SIGMA_Z)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the random tails have not decayed
+            report = measure_report(gen, t_max, points)
+        for got, series in ((report.moment_measure, report.f_series),
+                            (report.rhp_measure, report.g_series)):
+            assert got.hex() == float(np.trapezoid(series, report.grid)).hex()
+
+    @pytest.mark.parametrize("t_max, points", [(1.0, 101), (3.0, 61), (math.pi, 2000),
+                                               (0.7, 41)])
+    def test_tail_starts_at_the_first_point_at_or_past_95_percent(self, t_max, points):
+        grid = np.linspace(0.0, t_max, points)
+        first = next(i for i, t in enumerate(grid) if t >= 0.95 * t_max)
+
+        def spiked_at(i):
+            # Dephasing whose rate is -1 at grid point i and 0 at every other one.
+            knots = ((0.0, 0.0), (grid[i - 1], 0.0), (grid[i], -1.0), (grid[i + 1], 0.0),
+                     (t_max, 0.0))
+            return dephasing_generator(TabulatedRate(knots))
+
+        with pytest.warns(UserWarning, match="last 5%") as records:
+            report = measure_report(spiked_at(first), t_max, points)
+        assert np.flatnonzero(report.f_series).tolist() == [first]
+        assert [str(r.message) for r in records] == [
+            "moment rate f is still 1.000e+00 and trace-norm rate g is still 2.000e+00 "
+            "over the last 5% of the grid; increase t_max to trust the truncated integral"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = measure_report(spiked_at(first - 1), t_max, points)
+        assert np.flatnonzero(report.g_series).tolist() == [first - 1]
+
 
 _BUILDER_TABLES = ("bell", "blocks", "bell_overlaps", "dissipator_scales")
 
@@ -799,6 +858,23 @@ class TestDivisibilityScan:
         gen = dephasing_generator(ConstantRate(1.0))
         with pytest.raises(ValueError, match="delta"):
             cp_divisibility_scan(gen, np.linspace(0.0, 1.0, 5), 0.0)
+
+    @pytest.mark.parametrize("steps_per_unit, problem", [
+        (0, "must be >= 1, got 0"), (-5, "must be >= 1, got -5"),
+        (2.5, "must be an integer, got 2.5"), (True, "must be an integer, got True"),
+        (math.nan, "must be an integer, got nan"), (math.inf, "must be an integer, got inf")])
+    @pytest.mark.parametrize("call", [
+        lambda gen, grid, n: witness_series(gen, grid, 0.01, mode="finite-interval",
+                                            steps_per_unit=n),
+        lambda gen, grid, n: witness_series(gen, grid, 1e-3, steps_per_unit=n),
+        lambda gen, grid, n: cp_divisibility_scan(gen, grid, 0.01, steps_per_unit=n)],
+        ids=["finite-interval witness_series", "small-time witness_series",
+             "cp_divisibility_scan"])
+    def test_rejects_a_step_count_that_is_not_a_positive_integer(
+            self, call, steps_per_unit, problem):
+        gen = dephasing_generator(ExpCosRate(k=1.0))
+        with pytest.raises(ValueError, match=f"^steps_per_unit {problem}$"):
+            call(gen, np.linspace(0.0, 1.0, 5), steps_per_unit)
 
     @pytest.mark.parametrize("delta", [math.nan, math.inf])
     def test_rejects_non_finite_delta(self, delta):

@@ -1,7 +1,10 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from choi_moments import lindblad
 from choi_moments.lindblad import (
     LOWERING,
     SIGMA_X,
@@ -81,6 +84,24 @@ class TestConstruction:
         with pytest.raises(ValueError, match="does not match dim"):
             LindbladGenerator(3, np.zeros((3, 3)), ((SIGMA_Z, ConstantRate(1.0)),))
 
+    def test_tables_are_built_on_first_use_kept_and_frozen(self):
+        # Construction only checks: a generator built to validate a config
+        # costs no kron, product or change of basis.
+        gen = amplitude_damping_generator()
+        names = ("superoperator_blocks", "transfer_blocks", "unitality_images")
+        assert not set(names) & set(vars(gen))
+        for name in names:
+            table = getattr(gen, name)
+            assert getattr(gen, name) is table
+            with pytest.raises(ValueError, match="read-only"):
+                table.flat[0] = 1.0
+            with pytest.raises(FrozenInstanceError):
+                setattr(gen, name, table.copy())
+            with pytest.raises(FrozenInstanceError):
+                delattr(gen, name)
+        assert np.array_equal(gen.unitality_images,
+                              gen.superoperator_blocks[1:] @ (np.eye(2).ravel() / 2))
+
 
 class TestApplyGenerator:
     def test_maximally_mixed_is_fixed_point_of_dephasing(self):
@@ -125,19 +146,28 @@ class TestSuperoperator:
         assert coefficients(np.empty((4, 0))).shape == (4, 1)
 
     @pytest.mark.parametrize("shape", [(), (7,), (3, 5)])
-    def test_rates_at_is_a_view_of_rate_rows(self, shape):
-        # One row per dissipator, stacked once; a shared rate model is
-        # evaluated once and fills both of its rows.
-        shared = ExpCosRate(k=1.5)
+    def test_rates_at_is_a_view_of_rate_rows(self, shape, monkeypatch):
+        # One row per dissipator, the bits of its model's rate_eval; a shared
+        # rate model is evaluated once and fills both of its rows.
+        shared, other = ExpCosRate(k=1.5), ConstantRate(-0.25)
         gen = LindbladGenerator(2, np.zeros((2, 2)), (
-            (SIGMA_X, shared), (SIGMA_Y, ConstantRate(-0.25)), (SIGMA_Z, shared)))
+            (SIGMA_X, shared), (SIGMA_Y, other), (SIGMA_Z, shared)))
         t = np.linspace(0.0, 2.0, int(np.prod(shape))).reshape(shape)
+        evaluated = []
+
+        def counted(model, times):
+            evaluated.append(model)
+            return rate_eval(model, times)
+
+        monkeypatch.setattr(lindblad, "rate_eval", counted)
         gammas = rates_at(gen, t)
+        assert [id(m) for m in evaluated] == [id(shared), id(other)]
         assert gammas.shape == shape + (3,)
         rows = np.moveaxis(gammas, -1, 0)
         assert rows.flags.c_contiguous and np.shares_memory(rows, gammas)
-        assert np.array_equal(rows[0], rate_eval(shared, t))
-        assert np.array_equal(rows[2], rows[0]) and np.all(rows[1] == -0.25)
+        want = np.stack([rate_eval(rate, t) for _, rate in gen.dissipators])
+        assert rows.tobytes() == want.tobytes()
+        assert lindblad._rate_rows(gen, t).tobytes() == want.tobytes()
         empty = rates_at(LindbladGenerator(2, SIGMA_Z, ()), t)
         assert empty.shape == shape + (0,)
 
@@ -192,6 +222,26 @@ class TestUnitalAndNormal:
     def test_lowering_operator_is_not_normal(self):
         # D(I/2) = (L L^dag - L^dag L)/2 = diag(1, -1)/2 for L = |0><1|.
         assert dissipator_defects(amplitude_damping_generator()) == pytest.approx([0.5])
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_vanishing_images_give_the_product_bit_for_bit(self, seed):
+        # Every image of a Pauli channel is exactly zero, so the product is
+        # skipped; its result, with the -0.0 of negative rates, is 0.0 too.
+        rng = np.random.default_rng(seed)
+        for ops in ((SIGMA_Z,), (SIGMA_X, SIGMA_Y, SIGMA_Z), (SIGMA_X, SIGMA_Z)):
+            gen = LindbladGenerator(2, SIGMA_Y, tuple((op, ConstantRate(1.0)) for op in ops))
+            assert not gen.unitality_images.any()
+            gammas = rng.normal(size=(40, len(ops))) * 10.0 ** rng.integers(-8, 4, (40, 1))
+            for rates in (gammas, np.ascontiguousarray(gammas.T).T, gammas[:0]):
+                product = np.max(np.abs(gen.unitality_images.T @ rates.T), axis=0)
+                got = unitality_defects(gen, rates)
+                assert got.dtype == product.dtype and got.tobytes() == product.tobytes()
+
+    def test_non_normal_operators_still_take_the_product(self):
+        gen = LindbladGenerator(2, np.zeros((2, 2)), (
+            (SIGMA_Z, ConstantRate(1.0)), (LOWERING, ConstantRate(1.0))))
+        gammas = np.array([[1.0, 0.0], [0.3, -2.0], [0.0, 0.25]])
+        assert np.array_equal(unitality_defects(gen, gammas), [0.0, 1.0, 0.125])
 
 
 class TestHermitianBasis:
