@@ -617,10 +617,11 @@ def cptp_diagnostics(c: ChoiMatrix | np.ndarray, tol: float = 1e-10) -> CPTPDiag
     """Complete-positivity and trace-preservation diagnostics of a Choi state.
 
     is_cp holds iff the minimum eigenvalue is >= -tol; is_tp holds iff the
-    partial trace over the output subsystem is I/d within tol entrywise.
+    partial trace over the output subsystem is I/d within tol entrywise. tol
+    must be positive and finite.
     """
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not 0.0 < tol < np.inf:  # NaN compares false either way
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     mat = c.matrix if isinstance(c, ChoiMatrix) else np.asarray(c, dtype=complex)
     if mat.ndim != 2:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")

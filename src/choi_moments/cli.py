@@ -1,4 +1,4 @@
-"""Scenario-driven command line front end.
+"""Scenario-driven command line front end; every launch runs `entry`.
 
 Subcommands run one pipeline each against a scenario config (a file path or
 the name of a bundled scenario):
@@ -10,15 +10,15 @@ the name of a bundled scenario):
     choi-moments compare <cfg>        both measures and their ratio -> CSV
     choi-moments validate <cfg>       parse and validate only
 
-Exit codes: 0 = ran, Markovian-consistent; 10 = ran, non-Markovian detected
-by some criterion the run computed (a witness violation, a trace-norm
-measure I >= 1e-10, or a CP-indivisible divisibility scan); 1 = config
-error; 2 = numerical failure. CSV floats carry 17 significant
-digits, so repeated runs of one config are byte-identical. Files are written
-atomically (temp file + rename) and partial outputs are removed on failure.
+Exit codes: 0 = ran, Markovian-consistent; 10 = ran, non-Markovian detected by some
+criterion the run computed (a witness violation, a trace-norm measure I >= 1e-10, or a
+CP-indivisible divisibility scan); 1 = config error; 2 = numerical failure. CSV floats
+carry 17 significant digits, so repeated runs of one config are byte-identical. Files
+are written atomically (temp file + rename) and partial outputs are removed on failure.
 """
 
 import argparse
+import gc
 import os
 import sys
 from typing import NamedTuple
@@ -43,7 +43,7 @@ from .detect import (
     witness_series,
 )
 
-__all__ = ["RunReport", "run_scenario", "main"]
+__all__ = ["RunReport", "run_scenario", "main", "entry"]
 
 _ENV_OUT_DIR = "CHOI_MOMENTS_OUT"
 
@@ -296,5 +296,22 @@ def main(argv=None) -> int:
     return 10 if report.verdict == "non-Markovian" else 0
 
 
+def entry(argv=None) -> int:
+    """Run `main` as the whole life of a process and return its exit code.
+
+    The command line starts here: `python -m choi_moments`, the installed
+    `choi-moments` script and `python -m choi_moments.cli`. Once `main` has
+    returned, `gc.freeze()` moves every object the cyclic collector tracks
+    into its permanent generation, which no collection traverses, so the
+    full collections the interpreter runs at shutdown skip a heap the OS is
+    about to reclaim. atexit handlers, the flush of stdout and stderr and
+    reference-count teardown still run. `main` leaves the collector alone,
+    so library and test callers keep their normal collections.
+    """
+    code = main(argv)
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

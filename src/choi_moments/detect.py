@@ -123,9 +123,11 @@ class DivisibilityReport(NamedTuple):
 
 
 def lambda_moments(c: ChoiMatrix | np.ndarray, n_max: int = 3) -> np.ndarray:
-    """Trace moments [r_1, ..., r_n_max] of a Choi state; r_1 = 1 for TP maps."""
-    if n_max < 3:
-        raise ValueError(f"n_max must be >= 3 (the witness needs r_3), got {n_max}")
+    """Trace moments [r_1, ..., r_n_max] of a Choi state; r_1 = 1 for TP maps.
+
+    n_max is an integer >= 3, because the witness needs r_3.
+    """
+    n_max = require_count("n_max", n_max, 3)
     mat = c.matrix if isinstance(c, ChoiMatrix) else c
     return moments_from_spectrum(hermitian_spectrum(mat), n_max)
 
@@ -349,12 +351,12 @@ def cp_divisibility_scan(
 def renyi_entropy(rho: np.ndarray, alpha: float) -> float:
     """Order-alpha Renyi entropy log2(Tr[rho^alpha]) / (1 - alpha).
 
-    Defined here for alpha > 0, alpha != 1 (the von Neumann limit is out of
-    scope). The state must be PSD; eigenvalues below zero by more than 1e-10
-    are refused, tinier negatives are clipped.
+    Defined here for finite alpha > 0, alpha != 1 (the von Neumann and
+    min-entropy limits are out of scope). The state must be PSD; eigenvalues
+    below zero by more than 1e-10 are refused, tinier negatives are clipped.
     """
-    if alpha <= 0:
-        raise ValueError(f"Renyi order must be positive, got alpha = {alpha}")
+    if not 0.0 < alpha < math.inf:  # NaN compares false either way
+        raise ValueError(f"Renyi order alpha must be positive and finite, got alpha = {alpha}")
     if alpha == 1:
         raise ValueError("alpha = 1 is the von Neumann limit and is not supported")
     lam = hermitian_spectrum(rho)

@@ -8,10 +8,15 @@ the models themselves just evaluate gamma(t).
 Every model's ``evaluate`` takes a one-dimensional float array of times and
 returns gamma at each of them; ``rate_eval`` is the checked entry point for
 a single time or an array of any shape.
+
+The models are immutable values (`RateModel`): equal when they have the same
+type and the same fields, hashable, and refusing assignment and deletion
+with an AttributeError. They are plain slotted classes, not dataclasses,
+because every process that imports the package would otherwise generate and
+compile their methods.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,36 +31,78 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ConstantRate:
+class RateModel:
+    """Base of the rate models: an immutable value of its `_fields`.
+
+    Each subclass stores its fields in `__slots__`, names them in `_fields`
+    (in constructor order) and sets them in `__init__` through
+    `object.__setattr__`. Two models are equal iff they have the same type
+    and equal fields, so ConstantRate(1.0) != ExpCosRate(k=1.0); the hash
+    agrees. Slots outside `_fields` hold state derived from the fields and
+    take no part in equality, hashing or repr.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _astuple(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __hash__(self):
+        return hash((self.__class__, self._astuple()))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__name__}({fields})"
+
+    def __reduce__(self):
+        # Rebuild through the constructor: restoring slot by slot would go
+        # through __setattr__, which refuses.
+        return self.__class__, self._astuple()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class ConstantRate(RateModel):
     """gamma(t) = value for all t."""
 
-    value: float
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, value: float):
+        object.__setattr__(self, "value", value)
 
     def evaluate(self, t: np.ndarray) -> np.ndarray:
         return np.full(t.shape, float(self.value))
 
 
-@dataclass(frozen=True)
-class ExpCosRate:
+class ExpCosRate(RateModel):
     """gamma(t) = exp(-t') cos(t') with t' = k*t.
 
     Negative on (pi/2 + 2*pi*n, 3*pi/2 + 2*pi*n) in t'.
     """
 
-    k: float = 1.0
+    __slots__ = _fields = ("k",)
 
-    def __post_init__(self):
-        if self.k <= 0:
-            raise ValueError(f"ExpCosRate requires k > 0, got k = {self.k}")
+    def __init__(self, k: float = 1.0):
+        if k <= 0:
+            raise ValueError(f"ExpCosRate requires k > 0, got k = {k}")
+        object.__setattr__(self, "k", k)
 
     def evaluate(self, t: np.ndarray) -> np.ndarray:
         tp = self.k * t
         return np.exp(-tp) * np.cos(tp)
 
 
-@dataclass(frozen=True)
-class LorentzianRate:
+class LorentzianRate(RateModel):
     """Dephasing rate of a qubit coupled to a Lorentzian reservoir.
 
     With g = sqrt(lam^2 - 2*gamma0*lam) and t' = k*t:
@@ -72,16 +119,17 @@ class LorentzianRate:
     denominator vanishes, at which evaluation is refused.
     """
 
-    lam: float
-    gamma0: float
-    k: float = 1.0
+    __slots__ = _fields = ("lam", "gamma0", "k")
 
-    def __post_init__(self):
-        if self.lam <= 0 or self.gamma0 <= 0 or self.k <= 0:
+    def __init__(self, lam: float, gamma0: float, k: float = 1.0):
+        if lam <= 0 or gamma0 <= 0 or k <= 0:
             raise ValueError(
                 "LorentzianRate requires lam > 0, gamma0 > 0, k > 0; got "
-                f"lam = {self.lam}, gamma0 = {self.gamma0}, k = {self.k}"
+                f"lam = {lam}, gamma0 = {gamma0}, k = {k}"
             )
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "gamma0", gamma0)
+        object.__setattr__(self, "k", k)
 
     def evaluate(self, t: np.ndarray) -> np.ndarray:
         tp = self.k * t
@@ -143,8 +191,7 @@ def _im_digamma(x: float, y: np.ndarray) -> np.ndarray:
     return total + (np.log(w) - 0.5 / w - u * series).imag
 
 
-@dataclass(frozen=True)
-class OhmicDephasingRate:
+class OhmicDephasingRate(RateModel):
     """Dephasing rate for an Ohmic reservoir, J(w) = w * exp(-w/omega_c).
 
     gamma(t) = integral_0^inf J(w) coth(w / (2 T)) sin(w t) / w dw. Expanding
@@ -160,16 +207,15 @@ class OhmicDephasingRate:
     never drives the dynamics non-Markovian.
     """
 
-    omega_c: float = 1.0
-    temperature: float = 0.0
+    __slots__ = _fields = ("omega_c", "temperature")
 
-    def __post_init__(self):
-        if self.omega_c <= 0:
-            raise ValueError(f"OhmicDephasingRate requires omega_c > 0, got {self.omega_c}")
-        if self.temperature < 0:
-            raise ValueError(
-                f"OhmicDephasingRate requires temperature >= 0, got {self.temperature}"
-            )
+    def __init__(self, omega_c: float = 1.0, temperature: float = 0.0):
+        if omega_c <= 0:
+            raise ValueError(f"OhmicDephasingRate requires omega_c > 0, got {omega_c}")
+        if temperature < 0:
+            raise ValueError(f"OhmicDephasingRate requires temperature >= 0, got {temperature}")
+        object.__setattr__(self, "omega_c", omega_c)
+        object.__setattr__(self, "temperature", temperature)
 
     def evaluate(self, t: np.ndarray) -> np.ndarray:
         a0, temp = 1.0 / self.omega_c, self.temperature
@@ -180,18 +226,20 @@ class OhmicDephasingRate:
         return gamma
 
 
-@dataclass(frozen=True)
-class TabulatedRate:
+class TabulatedRate(RateModel):
     """User-supplied rate samples with linear interpolation between knots.
 
     Knot times must be strictly increasing. Extrapolation outside the knot
-    range is refused rather than guessed.
+    range is refused rather than guessed. The knots are kept as a tuple of
+    (float, float) pairs; the arrays built from them take no part in
+    equality.
     """
 
-    knots: tuple[tuple[float, float], ...]
+    __slots__ = ("knots", "_times", "_values")
+    _fields = ("knots",)
 
-    def __post_init__(self):
-        knots = tuple((float(t), float(g)) for t, g in self.knots)
+    def __init__(self, knots: tuple[tuple[float, float], ...]):
+        knots = tuple((float(t), float(g)) for t, g in knots)
         if len(knots) < 2:
             raise ValueError("TabulatedRate needs at least two knots")
         times = [t for t, _ in knots]
@@ -210,11 +258,6 @@ class TabulatedRate:
                 f"[{lo:.6g}, {hi:.6g}]; extrapolation is not supported"
             )
         return np.interp(t, self._times, self._values)
-
-
-RateModel = (
-    ConstantRate | ExpCosRate | LorentzianRate | OhmicDephasingRate | TabulatedRate
-)
 
 
 def rate_eval(model: RateModel, t):

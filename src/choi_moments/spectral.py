@@ -52,10 +52,11 @@ def schatten_norm(m: np.ndarray, p: float) -> float:
     p = 1 is the trace norm, p = 2 the Frobenius norm.
 
     Raises:
-        ValueError: if p < 1 (not a norm).
+        ValueError: if p < 1 (not a norm), or p is infinite or NaN (the
+            operator norm p = inf is not computed by this sum).
     """
-    if p < 1:
-        raise ValueError(f"Schatten norm requires p >= 1, got p = {p}")
+    if not 1.0 <= p < np.inf:  # NaN compares false either way
+        raise ValueError(f"Schatten norm requires a finite p >= 1, got p = {p}")
     lam = hermitian_spectrum(m)
     return float(np.sum(np.abs(lam) ** p) ** (1.0 / p))
 

@@ -588,6 +588,12 @@ class TestCPTPDiagnostics:
         with pytest.raises(ValueError, match="tol"):
             cptp_diagnostics(max_entangled_projector(2), tol=0.0)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf])
+    def test_rejects_a_tolerance_that_is_not_finite(self, tol):
+        # NaN used to call the Bell state neither CP nor TP; inf passed anything.
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            cptp_diagnostics(max_entangled_projector(2), tol=tol)
+
 
 class TestChoiInvariants:
     def test_trace_and_partial_trace_of_propagated_chois(self):

@@ -1,5 +1,7 @@
+import gc
 import math
 import os
+import runpy
 import subprocess
 import sys
 import warnings
@@ -8,8 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from choi_moments import choi, config as config_module, detect
-from choi_moments.cli import _csv, main, run_scenario
+from choi_moments import choi, cli, config as config_module, detect
+from choi_moments.cli import _csv, entry, main, run_scenario
 from choi_moments.config import build_generator, load_scenario, parse_scenario
 from choi_moments.lindblad import LindbladGenerator
 from helpers import count_sweeps, reference_bridge_spectra
@@ -376,6 +378,45 @@ class TestMainOptions:
         assert "verdict: Markovian-consistent" in out
         main(["witness", path, "--out-dir", str(tmp_path), "--quiet"])
         assert capsys.readouterr().out == ""
+
+
+class TestEntry:
+    """Every launch of the command line runs `entry`, which freezes the
+    collector's heap after `main` has returned; `main` leaves it alone."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+
+        def fake_main(argv=None):
+            calls.append(("main", argv))
+            return 10
+
+        monkeypatch.setattr(cli, "main", fake_main)
+        monkeypatch.setattr(gc, "freeze", lambda: calls.append(("freeze",)))
+        return calls
+
+    def test_returns_mains_code_and_freezes_once_after_main(self, calls):
+        assert entry(["compare", "example1"]) == 10
+        assert calls == [("main", ["compare", "example1"]), ("freeze",)]
+
+    def test_python_dash_m_runs_entry(self, calls):
+        with pytest.raises(SystemExit) as exit_info:
+            runpy.run_module("choi_moments", run_name="__main__")
+        assert exit_info.value.code == 10
+        assert calls == [("main", None), ("freeze",)]
+
+    def test_the_installed_script_runs_entry(self):
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        assert 'choi-moments = "choi_moments.cli:entry"' in pyproject.read_text().splitlines()
+
+    def test_main_leaves_the_collector_alone(self, tmp_path, capsys):
+        frozen, enabled = gc.get_freeze_count(), gc.isenabled()
+        path = write_cfg(tmp_path, MARKOVIAN)
+        assert main(["witness", path, "--out-dir", str(tmp_path), "--quiet"]) == 0
+        assert main(["validate", path]) == 0
+        assert (gc.get_freeze_count(), gc.isenabled()) == (frozen, enabled)
+        capsys.readouterr()
 
 
 def test_warnings_under_the_cli_name_the_line_of_cli_py(tmp_path):

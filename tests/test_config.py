@@ -236,3 +236,15 @@ class TestBuildGenerator:
         )
         gen = build_generator(parse_scenario(text))
         assert gen.dissipators[0][1] is not gen.dissipators[1][1]
+
+    def test_models_of_different_types_with_equal_fields_stay_apart(self):
+        # ConstantRate(1.0) and ExpCosRate(k=1.0) both hold one field 1.0.
+        text = MINIMAL + (
+            "dissipator.2.operator = sigma_x\n"
+            "dissipator.2.rate.model = expcos\ndissipator.2.rate.k = 1.0\n"
+            "dissipator.3.operator = sigma_y\n"
+            "dissipator.3.rate.model = constant\ndissipator.3.rate.value = 1.0\n"
+        )
+        rates = [rate for _, rate in build_generator(parse_scenario(text)).dissipators]
+        assert rates == [ConstantRate(1.0), ExpCosRate(k=1.0), ConstantRate(1.0)]
+        assert rates[0] is rates[2] and rates[1] is not rates[0]

@@ -122,6 +122,11 @@ class TestLambdaMoments:
         with pytest.raises(ValueError, match="n_max"):
             lambda_moments(max_entangled_projector(2), n_max=2)
 
+    @pytest.mark.parametrize("n_max", [4.0, True])
+    def test_rejects_an_order_that_is_not_an_integer(self, n_max):
+        with pytest.raises(ValueError, match="n_max must be an integer"):
+            lambda_moments(max_entangled_projector(2), n_max=n_max)
+
 
 class TestMomentWitness:
     def test_identity_channel_is_zero(self):
@@ -984,6 +989,11 @@ class TestRenyiEntropy:
             renyi_entropy(np.eye(2) / 2, 1.0)
         with pytest.raises(ValueError, match="positive"):
             renyi_entropy(np.eye(2) / 2, 0.0)
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf])
+    def test_rejects_an_order_that_is_not_finite(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be positive and finite"):
+            renyi_entropy(np.diag([0.75, 0.25]), alpha)
         with pytest.raises(ValueError, match="not PSD"):
             renyi_entropy(np.diag([1.1, -0.1]), 2.0)
 

@@ -1,5 +1,8 @@
+import copy
+import inspect
 import math
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -223,6 +226,72 @@ class TestArrayContract:
     def test_grid_call_names_the_earliest_negative_time(self):
         with pytest.raises(ValueError, match=r"t >= 0, got t = -0\.3"):
             rate_eval(ConstantRate(1.0), np.array([0.1, -0.2, -0.3]))
+
+
+class TestValueSemantics:
+    """Rate models are immutable values, equal iff of one type with equal fields."""
+
+    def test_equality_and_hash_need_the_same_type(self):
+        assert ConstantRate(1.0) != ExpCosRate(k=1.0)
+        assert ConstantRate(1.0) == ConstantRate(1.0)
+        assert hash(ConstantRate(1.0)) == hash(ConstantRate(1.0))
+        assert LorentzianRate(1.5, 1.0) != LorentzianRate(1.5, 1.0, k=2.0)
+        assert OhmicDephasingRate(2.0, 0.0) != OhmicDephasingRate(2.0, 1.0)
+        models = {ConstantRate(1.0), ExpCosRate(k=1.0), ConstantRate(1.0), ExpCosRate()}
+        assert models == {ConstantRate(1.0), ExpCosRate(k=1.0)}
+
+    @pytest.mark.parametrize("model, text", [
+        (ConstantRate(1.0), "ConstantRate(value=1.0)"),
+        (ExpCosRate(), "ExpCosRate(k=1.0)"),
+        (LorentzianRate(1.5, 1.0), "LorentzianRate(lam=1.5, gamma0=1.0, k=1.0)"),
+        (OhmicDephasingRate(temperature=5.0), "OhmicDephasingRate(omega_c=1.0, temperature=5.0)"),
+        (TabulatedRate([[0, 0], (1, 2)]), "TabulatedRate(knots=((0.0, 0.0), (1.0, 2.0)))"),
+    ], ids=["constant", "expcos", "lorentzian", "ohmic", "tabulated"])
+    def test_repr(self, model, text):
+        assert repr(model) == text
+
+    def test_positional_keyword_and_default_construction(self):
+        assert ConstantRate(0.5) == ConstantRate(value=0.5)
+        assert ExpCosRate() == ExpCosRate(1.0) == ExpCosRate(k=1.0)
+        assert (LorentzianRate(1.5, 1.0) == LorentzianRate(1.5, 1.0, 1.0)
+                == LorentzianRate(lam=1.5, gamma0=1.0, k=1.0))
+        assert (OhmicDephasingRate() == OhmicDephasingRate(1.0, 0.0)
+                == OhmicDephasingRate(omega_c=1.0, temperature=0.0))
+        knots = ((0.0, 0.0), (1.0, 2.0))
+        assert TabulatedRate(knots) == TabulatedRate(knots=knots)
+        for make in (ConstantRate, lambda: LorentzianRate(1.5), TabulatedRate,
+                     lambda: ExpCosRate(1.0, 2.0)):
+            with pytest.raises(TypeError):
+                make()
+
+    def test_tabulated_knots_are_normalised_and_its_arrays_stay_out_of_equality(self):
+        model = TabulatedRate([[0, 1], (2, 3)])
+        assert model.knots == ((0.0, 1.0), (2.0, 3.0))
+        assert all(type(knot) is tuple and list(map(type, knot)) == [float, float]
+                   for knot in model.knots)
+        assert model == TabulatedRate(((0.0, 1.0), (2.0, 3.0)))
+        assert hash(model) == hash(TabulatedRate(((0.0, 1.0), (2.0, 3.0))))
+
+    @pytest.mark.parametrize("name", sorted(ARRAY_MODELS))
+    def test_fields_cannot_be_assigned_or_deleted(self, name):
+        model = ARRAY_MODELS[name]
+        before = repr(model)
+        for field in inspect.signature(type(model)).parameters:
+            with pytest.raises(AttributeError):
+                setattr(model, field, 2.0)
+            with pytest.raises(AttributeError):
+                delattr(model, field)
+        with pytest.raises(AttributeError):
+            model.extra = 1.0
+        assert repr(model) == before
+
+    @pytest.mark.parametrize("name", sorted(ARRAY_MODELS))
+    def test_copies_and_pickles_are_equal_and_evaluate_alike(self, name):
+        model = ARRAY_MODELS[name]
+        ts = np.linspace(0.0, 9.0, 11)
+        for clone in (copy.deepcopy(model), pickle.loads(pickle.dumps(model))):
+            assert clone == model and type(clone) is type(model)
+            assert np.array_equal(rate_eval(clone, ts), rate_eval(model, ts))
 
 
 def _scipy_modules_after(code: str) -> str:

@@ -2,8 +2,9 @@
 
 Every `@dataclass` class costs each process that imports the package the
 generation and compilation of its methods; a NamedTuple costs a fraction of
-that. Only classes that validate or derive state on construction, or need an
-instance __dict__, stay dataclasses.
+that. The rate models validate on construction and are slotted classes
+(`rates.RateModel`); only `LindbladGenerator`, whose cached tables need an
+instance __dict__, stays a frozen dataclass.
 """
 
 import dataclasses
@@ -39,13 +40,7 @@ from choi_moments.detect import (
     witness_series,
 )
 from choi_moments.lindblad import LindbladGenerator, dephasing_generator
-from choi_moments.rates import (
-    ConstantRate,
-    ExpCosRate,
-    LorentzianRate,
-    OhmicDephasingRate,
-    TabulatedRate,
-)
+from choi_moments.rates import ConstantRate, ExpCosRate
 
 RECORDS = (SuperoperatorMatrix, ChoiMatrix, CPTPDiagnostics, WitnessSeries, MeasureReport,
            DivisibilityReport, RunReport, DissipatorSpec, ScenarioConfig)
@@ -58,12 +53,11 @@ def package_modules():
             if info.name != "__main__"]
 
 
-def test_the_only_dataclasses_are_the_rate_models_and_the_generator():
+def test_the_only_dataclass_is_the_generator():
     found = {obj for module in package_modules() for obj in vars(module).values()
              if inspect.isclass(obj) and obj.__module__.startswith("choi_moments.")
              and dataclasses.is_dataclass(obj)}
-    assert found == {ConstantRate, ExpCosRate, LorentzianRate, OhmicDephasingRate,
-                     TabulatedRate, LindbladGenerator}
+    assert found == {LindbladGenerator}
 
 
 @pytest.mark.parametrize("record", RECORDS, ids=lambda cls: cls.__name__)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -113,6 +115,12 @@ class TestSchattenNorm:
     def test_rejects_p_below_one(self):
         with pytest.raises(ValueError, match="p >= 1"):
             schatten_norm(np.eye(2), 0.5)
+
+    @pytest.mark.parametrize("p", [math.inf, math.nan])
+    def test_rejects_p_that_is_not_finite(self, p):
+        # p = inf used to give 1.0 for I/2, whose operator norm is 0.5.
+        with pytest.raises(ValueError, match="finite p >= 1, got p = "):
+            schatten_norm(np.eye(2) / 2, p)
 
     def test_square_matches_second_moment(self):
         rng = np.random.default_rng(13)
