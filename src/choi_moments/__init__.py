@@ -61,7 +61,6 @@ from .config import (
     parse_scenario,
     render_scenario,
 )
-from .cli import RunReport, run_scenario
 
 __all__ = [
     "__version__",
@@ -82,3 +81,13 @@ __all__ = [
     "render_scenario",
     "RunReport", "run_scenario",
 ]
+
+
+def __getattr__(name):
+    # The CLI layer loads on first use (PEP 562), so only the command line
+    # imports `cli`, and `python -m choi_moments.cli` runs one copy of it.
+    if name in ("RunReport", "run_scenario"):
+        from . import cli
+
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -17,9 +17,9 @@ carry 17 significant digits, so repeated runs of one config are byte-identical. 
 are written atomically (temp file + rename) and partial outputs are removed on failure.
 """
 
-import argparse
 import gc
 import os
+import re
 import sys
 from typing import NamedTuple
 
@@ -206,40 +206,139 @@ def _report_text(report: RunReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-class _Parser(argparse.ArgumentParser):
+_COMMANDS = {
+    "witness": "evaluate the moment-witness series",
+    "measure": "integrate the moment rate into the measure",
+    "rhp": "integrate the trace-norm rate into the divisibility measure",
+    "divisibility": "scan intermediate maps for negative Choi eigenvalues",
+    "compare": "compute both measures and their ratio",
+    "validate": "parse and validate the config, run nothing",
+}
+
+_USAGE = ("usage: choi-moments [-h] [--version] COMMAND CONFIG [--out-dir DIR]"
+          " [--grid-points N] [--epsilon EPS] [--quiet]\n")
+
+_HELP = (_USAGE
+         + "\nDetect and quantify non-Markovian dynamics from Choi-state moments.\n"
+         + "\ncommands:\n"
+         + "".join(f"  {name:<16} {text}\n" for name, text in _COMMANDS.items())
+         + f"""
+arguments:
+  CONFIG           path to a scenario config, or a bundled name:
+                   {", ".join(BUNDLED_SCENARIOS)}
+  --out-dir DIR    output directory (default: ${_ENV_OUT_DIR} or CWD)
+  --grid-points N  override grid.points
+  --epsilon EPS    override epsilon
+  --quiet          suppress the report on stdout
+  -h, --help       show this help message and exit
+  --version        show the program's version number and exit
+""")
+
+# The options accepted before COMMAND and after it, each with the type of its
+# value, or None for a flag.
+_GLOBAL_OPTIONS = {"--help": None, "--version": None}
+_COMMAND_OPTIONS = {"--help": None, "--out-dir": str, "--grid-points": int,
+                    "--epsilon": float, "--quiet": None}
+# What argparse takes for a negative number: a value, not an option.
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+class _Args(NamedTuple):
+    command: str
+    config: str
+    out_dir: str | None = None
+    grid_points: int | None = None
+    epsilon: float | None = None
+    quiet: bool = False
+
+
+def _usage_error(message: str):
     # Usage mistakes are config errors as far as the exit-code contract goes.
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(1)
+    sys.stderr.write(f"{_USAGE}choi-moments: error: {message}\n")
+    raise SystemExit(1)
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="choi-moments",
-        description="Detect and quantify non-Markovian dynamics from Choi-state moments.",
-    )
-    parser.add_argument("--version", action="version", version=f"choi-moments {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("witness", "evaluate the moment-witness series"),
-        ("measure", "integrate the moment rate into the measure"),
-        ("rhp", "integrate the trace-norm rate into the divisibility measure"),
-        ("divisibility", "scan intermediate maps for negative Choi eigenvalues"),
-        ("compare", "compute both measures and their ratio"),
-        ("validate", "parse and validate the config, run nothing"),
-    ):
-        cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument(
-            "config",
-            help="path to a scenario config, or a bundled name: "
-            + ", ".join(BUNDLED_SCENARIOS),
-        )
-        cmd.add_argument("--out-dir", default=None, help=f"output directory (default: ${_ENV_OUT_DIR} or CWD)")
-        cmd.add_argument("--grid-points", type=int, default=None, help="override grid.points")
-        cmd.add_argument("--epsilon", type=float, default=None, help="override epsilon")
-        cmd.add_argument("--quiet", action="store_true", help="suppress the report on stdout")
-    return parser
+def _is_option(arg: str) -> bool:
+    """Whether arg is an option string rather than a value, as argparse reads it."""
+    return (arg[:1] == "-" and arg != "-" and " " not in arg
+            and not _NEGATIVE_NUMBER.match(arg))
+
+
+def _option(arg: str, options: dict) -> tuple[str | None, str | None]:
+    """The option of `options` that arg names, in full or by a unique prefix,
+    and the value written into arg ("--opt=value"; "-hq" gives "q"), or None;
+    (None, None) when arg names no option. "-hh" is "-h" twice."""
+    if arg[:2] == "-h":
+        return "--help", arg[3:] if arg[2:3] == "=" else arg[2:].lstrip("h") or None
+    if arg[:2] != "--":
+        return None, None
+    prefix, eq, inline = arg.partition("=")
+    matches = [name for name in options if name.startswith(prefix)]
+    if len(matches) != 1:
+        return None, None
+    return matches[0], inline if eq else None
+
+
+def _parse_args(argv) -> _Args:
+    """Parse `choi-moments [-h] [--version] COMMAND CONFIG [options]`.
+
+    Takes what the argparse parser of earlier versions took: the command's
+    options before or after CONFIG, "--opt value" and "--opt=value", unique
+    prefixes ("--eps"), a negative number as a value ("--epsilon -1"), and
+    "--" after COMMAND to end the options. -h/--help and --version print and
+    raise SystemExit(0); a usage mistake prints the usage line and the error
+    to stderr and raises SystemExit(1). Mistakes in an option's value are
+    reported as they are met, left to right, so "-h" after one still fails;
+    missing and unrecognized arguments are reported at the end.
+    """
+    args = list(sys.argv[1:] if argv is None else argv)
+    positionals, values, unknown = [], {}, []
+    options_end = len(args)
+    i = 0
+    while i < len(args):
+        arg = args[i]
+        i += 1
+        if i > options_end or not _is_option(arg):
+            if not positionals and arg not in _COMMANDS:
+                _usage_error(f"argument command: invalid choice: {arg!r} "
+                             f"(choose from {', '.join(map(repr, _COMMANDS))})")
+            (unknown if len(positionals) == 2 else positionals).append(arg)
+            continue
+        if arg == "--" and positionals:
+            options_end = i
+            continue
+        options = _COMMAND_OPTIONS if positionals else _GLOBAL_OPTIONS
+        name, inline = _option(arg, options)
+        if name is None:
+            unknown.append(arg)
+            continue
+        kind = options[name]
+        if kind is None:  # a flag
+            if inline is not None:
+                _usage_error(f"argument {name}: ignored explicit argument {inline!r}")
+            if name == "--help":
+                sys.stdout.write(_HELP)
+                raise SystemExit(0)
+            if name == "--version":
+                sys.stdout.write(f"choi-moments {__version__}\n")
+                raise SystemExit(0)
+            values["quiet"] = True
+            continue
+        if inline is None:
+            if i == len(args) or _is_option(args[i]):
+                _usage_error(f"argument {name}: expected one argument")
+            inline = args[i]
+            i += 1
+        try:
+            values[name[2:].replace("-", "_")] = kind(inline)
+        except ValueError:
+            _usage_error(f"argument {name}: invalid {kind.__name__} value: {inline!r}")
+    if len(positionals) < 2:
+        _usage_error("the following arguments are required: "
+                     + ("config" if positionals else "command"))
+    if unknown:
+        _usage_error(f"unrecognized arguments: {' '.join(unknown)}")
+    return _Args(*positionals, **values)
 
 
 def _resolve_config_path(arg: str) -> str:
@@ -255,7 +354,7 @@ def _resolve_config_path(arg: str) -> str:
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
 

@@ -20,7 +20,6 @@ silently ignored, and every value is validated against the schema.
 """
 
 import os
-from importlib import resources
 from typing import NamedTuple
 
 import numpy as np
@@ -432,5 +431,4 @@ def bundled_scenario_path(name: str) -> str:
         raise ConfigError(
             f"unknown bundled scenario {name!r}; available: {BUNDLED_SCENARIOS}"
         )
-    path = resources.files("choi_moments").joinpath(f"scenarios/{name}.cfg")
-    return os.fspath(path)
+    return os.path.join(os.path.dirname(__file__), "scenarios", f"{name}.cfg")

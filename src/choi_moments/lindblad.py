@@ -26,7 +26,6 @@ Generators are immutable: their arrays are read-only copies, so all
 evaluation is pure.
 """
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -151,13 +150,13 @@ def from_hermitian_basis(transfer: np.ndarray, d: int, choi: bool = False) -> np
     return z.reshape(transfer.shape)
 
 
-@dataclass(frozen=True)
 class LindbladGenerator:
     """Hamiltonian plus (jump operator, rate model) dissipator pairs.
 
     Immutable: the Hamiltonian and the jump operators are read-only copies,
     so the caller's arrays stay writeable and changing them later does not
-    change the generator. Construction only checks them; every table below
+    change the generator, and assigning or deleting any attribute raises
+    AttributeError. Construction only checks them; every table below
     is a read-only array built on first use and kept. `superoperator_blocks`
     is the stack [H_part, D_1, ...], shape (K + 1, d^2, d^2), of the
     vectorized generator's constant blocks: Lhat(t) = sum_k c_k B_k with
@@ -168,32 +167,39 @@ class LindbladGenerator:
     contracts with the rates. `small_time_builder` is the generator's one
     `choi.SmallTimeChoiBuilder`: every small-time witness and rate limit on
     this generator reads it. A cached_property writes the instance __dict__
-    directly, so it works on this frozen dataclass, and assigning or
-    deleting one is refused like any other attribute.
+    directly, past the refusing __setattr__.
+
+    A plain class, not a dataclass, because every process that imports the
+    package would otherwise generate and compile its methods. Generators
+    compare by identity.
     """
 
-    dim: int
-    hamiltonian: np.ndarray
-    dissipators: tuple[tuple[np.ndarray, RateModel], ...]
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.dim}")
-        h = _read_only(require_hermitian(np.asarray(self.hamiltonian, dtype=complex)))
-        if h.shape != (self.dim, self.dim):
-            raise ValueError(f"Hamiltonian shape {h.shape} does not match dim {self.dim}")
+    def __init__(self, dim: int, hamiltonian: np.ndarray,
+                 dissipators: tuple[tuple[np.ndarray, RateModel], ...]):
+        if dim < 1:
+            raise ValueError(f"dimension must be >= 1, got {dim}")
+        h = _read_only(require_hermitian(np.asarray(hamiltonian, dtype=complex)))
+        if h.shape != (dim, dim):
+            raise ValueError(f"Hamiltonian shape {h.shape} does not match dim {dim}")
         diss = []
-        for op, rate in self.dissipators:
+        for op, rate in dissipators:
             op = _read_only(np.array(op, dtype=complex))
-            if op.shape != (self.dim, self.dim):
-                raise ValueError(
-                    f"jump operator shape {op.shape} does not match dim {self.dim}"
-                )
+            if op.shape != (dim, dim):
+                raise ValueError(f"jump operator shape {op.shape} does not match dim {dim}")
             if not np.all(np.isfinite(op)):
                 raise ValueError("jump operator has non-finite entries")
             diss.append((op, rate))
-        object.__setattr__(self, "hamiltonian", h)
-        object.__setattr__(self, "dissipators", tuple(diss))
+        vars(self).update(dim=dim, hamiltonian=h, dissipators=tuple(diss))
+
+    def __repr__(self):
+        return (f"LindbladGenerator(dim={self.dim!r}, hamiltonian={self.hamiltonian!r}, "
+                f"dissipators={self.dissipators!r})")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     @cached_property
     def superoperator_blocks(self) -> np.ndarray:

@@ -210,8 +210,8 @@ def record_generators(monkeypatch) -> list:
     made = []
 
     class Recorded(LindbladGenerator):
-        def __post_init__(self):
-            super().__post_init__()
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
             made.append(self)
 
     monkeypatch.setattr(config_module, "LindbladGenerator", Recorded)
@@ -355,9 +355,13 @@ class TestMainOptions:
         capsys.readouterr()
 
     def test_epsilon_override_rejected_when_invalid(self, tmp_path, capsys):
+        # "-1" is a value, not an option, so it reaches the override check.
         path = write_cfg(tmp_path, MARKOVIAN)
-        assert main(["witness", path, "--epsilon", "-1"]) == 1
-        capsys.readouterr()
+        out = tmp_path / "out"
+        assert main(["witness", path, "--epsilon", "-1", "--out-dir", str(out)]) == 1
+        assert capsys.readouterr() == ("", "config error: --epsilon must be finite and > 0, "
+                                           "got -1.0\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["witness", "compare", "divisibility"])
     @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -432,6 +436,166 @@ def test_warnings_under_the_cli_name_the_line_of_cli_py(tmp_path):
     assert os.path.join("choi_moments", "cli.py:") in warning
     assert "UserWarning: trace-norm rate g is still" in warning
     assert "runpy" not in result.stderr
+
+
+class TestParser:
+    """The command-line grammar, row by row as the argparse parser of earlier
+    versions read it (values, exit codes, help and version)."""
+
+    PARSED = [
+        (["witness", "ex", "--out-dir=D"], {"out_dir": "D"}),
+        (["witness", "ex", "--out-dir", "D"], {"out_dir": "D"}),
+        (["witness", "ex", "--out", "D"], {"out_dir": "D"}),
+        (["witness", "ex", "--o=D"], {"out_dir": "D"}),
+        (["witness", "ex", "--out-dir="], {"out_dir": ""}),
+        (["witness", "ex", "--out-dir", "-1"], {"out_dir": "-1"}),
+        (["witness", "ex", "--out-dir", "-x y"], {"out_dir": "-x y"}),
+        (["witness", "ex", "--grid", "5"], {"grid_points": 5}),
+        (["witness", "ex", "--grid-points", "+7"], {"grid_points": 7}),
+        (["witness", "ex", "--grid-points", "1_000"], {"grid_points": 1000}),
+        (["witness", "ex", "--grid-points", "-1"], {"grid_points": -1}),
+        (["witness", "ex", "--eps", "0.1"], {"epsilon": 0.1}),
+        (["witness", "ex", "--epsilon=-1"], {"epsilon": -1.0}),
+        (["witness", "--epsilon", "-1", "ex"], {"epsilon": -1.0}),
+        (["witness", "ex", "--ep", "-.5"], {"epsilon": -0.5}),
+        (["witness", "ex", "--epsilon", "1e-3", "--epsilon", "2"], {"epsilon": 2.0}),
+        (["witness", "ex", "--q"], {"quiet": True}),
+        (["witness", "--quiet", "ex"], {"quiet": True}),
+        (["validate", "ex", "--quiet"], {"command": "validate", "quiet": True}),
+        (["witness", "--out-dir", "D", "--grid-points", "9", "ex", "--quiet"],
+         {"out_dir": "D", "grid_points": 9, "quiet": True}),
+        (["witness", "ex", "--"], {}),
+        (["witness", "--", "-h"], {"config": "-h"}),
+        (["witness", "-1"], {"config": "-1"}),
+        (["witness", "-"], {"config": "-"}),
+    ]
+
+    HELP = [["-h"], ["--help"], ["--he"], ["-h", "witness"], ["-hh"], ["witness", "-h"],
+            ["witness", "ex", "-h"], ["witness", "ex", "--h"], ["witness", "ex", "--bogus", "-h"],
+            ["witness", "ex", "-h", "--grid-points", "2.5"], ["compare", "ex", "--quiet", "--help"]]
+
+    VERSION = [["--version"], ["--v"], ["--version", "witness"]]
+
+    USAGE_ERRORS = [
+        ([], "the following arguments are required: command"),
+        (["-x"], "the following arguments are required: command"),
+        (["foo", "ex"], "argument command: invalid choice: 'foo' (choose from 'witness', "
+                        "'measure', 'rhp', 'divisibility', 'compare', 'validate')"),
+        (["WITNESS", "ex"], "invalid choice: 'WITNESS'"),
+        (["foo", "-h"], "invalid choice: 'foo'"),
+        (["witness"], "the following arguments are required: config"),
+        (["validate", "--quiet"], "the following arguments are required: config"),
+        (["witness", "ex", "extra"], "unrecognized arguments: extra"),
+        (["witness", "ex", "--bogus"], "unrecognized arguments: --bogus"),
+        (["witness", "ex", "-q"], "unrecognized arguments: -q"),
+        (["witness", "ex", "--version"], "unrecognized arguments: --version"),
+        (["--quiet", "witness", "ex"], "unrecognized arguments: --quiet"),
+        (["witness", "ex", "--", "--quiet"], "unrecognized arguments: --quiet"),
+        (["witness", "ex", "--out-dir"], "argument --out-dir: expected one argument"),
+        (["witness", "ex", "--out-dir", "--quiet"], "argument --out-dir: expected one argument"),
+        (["witness", "ex", "--epsilon", "-1e-3"], "argument --epsilon: expected one argument"),
+        (["witness", "ex", "--grid-points", "2.5"],
+         "argument --grid-points: invalid int value: '2.5'"),
+        (["witness", "ex", "--grid-points", "2.5", "-h"], "invalid int value: '2.5'"),
+        (["witness", "ex", "--grid-points="], "invalid int value: ''"),
+        (["witness", "ex", "--epsilon", "abc"], "argument --epsilon: invalid float value: 'abc'"),
+        (["witness", "ex", "--quiet=1"], "argument --quiet: ignored explicit argument '1'"),
+        (["witness", "ex", "-hq"], "ignored explicit argument 'q'"),
+        (["--version=1"], "argument --version: ignored explicit argument '1'"),
+    ]
+
+    @pytest.mark.parametrize("argv, fields", PARSED, ids=" ".join)
+    def test_parsed_values(self, argv, fields):
+        want = {"command": "witness", "config": "ex", "out_dir": None, "grid_points": None,
+                "epsilon": None, "quiet": False, **fields}
+        assert cli._parse_args(argv)._asdict() == want
+
+    def test_argv_defaults_to_the_process_arguments(self, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["choi-moments", "compare", "example2", "--q"])
+        assert cli._parse_args(None) == ("compare", "example2", None, None, None, True)
+
+    @pytest.mark.parametrize("argv", HELP, ids=" ".join)
+    def test_help_anywhere_prints_the_one_help_text_and_exits_0(self, argv, capsys):
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out == cli._HELP and captured.err == ""
+
+    def test_the_help_text_lists_the_commands_and_options(self):
+        lines = cli._HELP.splitlines()
+        assert lines[0] == ("usage: choi-moments [-h] [--version] COMMAND CONFIG "
+                            "[--out-dir DIR] [--grid-points N] [--epsilon EPS] [--quiet]")
+        for name, text in [("witness", "evaluate the moment-witness series"),
+                           ("measure", "integrate the moment rate into the measure"),
+                           ("rhp", "integrate the trace-norm rate into the divisibility measure"),
+                           ("divisibility", "scan intermediate maps for negative Choi eigenvalues"),
+                           ("compare", "compute both measures and their ratio"),
+                           ("validate", "parse and validate the config, run nothing")]:
+            assert f"  {name:<16} {text}" in lines
+        for option in ("--out-dir DIR", "--grid-points N", "--epsilon EPS", "--quiet",
+                       "-h, --help", "--version", "example1, example2, ohmic_compare"):
+            assert option in cli._HELP
+
+    @pytest.mark.parametrize("argv", VERSION, ids=" ".join)
+    def test_version(self, argv, capsys):
+        assert main(argv) == 0
+        assert capsys.readouterr() == ("choi-moments 0.1.0\n", "")
+
+    @pytest.mark.parametrize("argv, message", USAGE_ERRORS, ids=lambda a: " ".join(a) or "none")
+    def test_usage_errors_exit_1_with_the_usage_line(self, argv, message, capsys):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        usage, error = captured.err.splitlines()
+        assert usage == cli._HELP.splitlines()[0]
+        assert error.startswith("choi-moments: error: ") and message in error
+        assert captured.out == ""
+
+
+
+def python_with(code, *args):
+    """Run `python -S -c code` on the package sources and numpy, with site
+    skipped, so no module is loaded before the code runs but the
+    interpreter's own."""
+    path = os.pathsep.join([str(Path(choi.__file__).resolve().parents[1]),
+                            str(Path(np.__file__).resolve().parents[1])])
+    return subprocess.run([sys.executable, "-S", "-c", code, *args], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path))
+
+
+class TestStartUp:
+    """What a command-line process loads and runs beyond the work itself."""
+
+    MODULES = """
+import sys
+before = set(sys.modules)
+import choi_moments
+assert "choi_moments.cli" not in sys.modules
+from choi_moments import cli
+assert cli.main(["validate", "example1", "--quiet"]) == 0
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
+
+    def test_import_and_validate_load_no_parser_dataclass_or_resources_module(self):
+        result = python_with(self.MODULES)
+        assert result.returncode == 0, result.stderr
+        loaded = set(result.stdout.split())
+        assert "choi_moments.cli" in loaded
+        assert not {"argparse", "gettext", "locale", "dataclasses", "copy",
+                    "importlib.resources"} & loaded
+
+    def test_importing_the_package_does_not_import_the_cli(self):
+        result = python_with("import sys, choi_moments\n"
+                             "print('choi_moments.cli' in sys.modules)\n"
+                             "print(choi_moments.run_scenario.__module__)\n")
+        assert result.stdout == "False\nchoi_moments.cli\n", result.stderr
+
+    def test_python_dash_m_cli_runs_one_copy_of_it_and_warns_nothing(self):
+        path = str(Path(choi.__file__).resolve().parents[1])
+        result = subprocess.run([sys.executable, "-m", "choi_moments.cli", "validate", "example1"],
+                                capture_output=True, text=True,
+                                env=dict(os.environ, PYTHONPATH=path))
+        assert result.returncode == 0
+        assert result.stdout.endswith(": OK (scenario 'example1')\n")
+        assert result.stderr == ""
 
 
 class TestCsv:
