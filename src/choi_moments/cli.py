@@ -1,18 +1,18 @@
 """Scenario-driven command line front end; every launch runs `entry`.
 
-Subcommands run one pipeline each against a scenario config (a file path or
-the name of a bundled scenario):
+Subcommands run one pipeline against a scenario config (a file path or the
+name of a bundled scenario): each but validate computes the moment witness and
+both measures, M and the trace-norm measure I; divisibility adds a bridge
+scan. The command picks the CSV written:
 
     choi-moments witness <cfg>        moment-witness series -> CSV
-    choi-moments measure <cfg>        rate series + moment measure -> CSV
-    choi-moments rhp <cfg>            rate series + trace-norm measure -> CSV
+    choi-moments compare <cfg>        rate series f, g of both measures -> CSV
     choi-moments divisibility <cfg>   per-window minimum Choi eigenvalue -> CSV
-    choi-moments compare <cfg>        both measures and their ratio -> CSV
     choi-moments validate <cfg>       parse and validate only
 
 Exit codes: 0 = ran, Markovian-consistent; 10 = ran, non-Markovian detected by some
-criterion the run computed (a witness violation, a trace-norm measure I >= 1e-10, or a
-CP-indivisible divisibility scan); 1 = config error; 2 = numerical failure. CSV floats
+criterion (a witness violation, a trace-norm measure I >= 1e-10, or, for divisibility,
+a CP-indivisible scan); 1 = config error; 2 = numerical failure. CSV floats
 carry 17 significant digits, so repeated runs of one config are byte-identical. Files
 are written atomically (temp file + rename) and partial outputs are removed on failure.
 """
@@ -28,6 +28,7 @@ import numpy as np
 from . import __version__
 from .config import (
     BUNDLED_SCENARIOS,
+    OUTPUT_NAMES,
     ConfigError,
     ScenarioConfig,
     build_generator,
@@ -35,9 +36,10 @@ from .config import (
     load_scenario,
     render_scenario,
 )
+# The public views stay names of this module: the benchmark's tracer wraps them here.
 from .detect import (
     MEASURE_ZERO_THRESHOLD,
-    MeasureReport,
+    assess,
     cp_divisibility_scan,
     measure_report,
     witness_series,
@@ -56,15 +58,14 @@ class RunReport(NamedTuple):
     verdict: str
     # The criteria that detected, in report order: "witness" (a violation
     # interval), "rhp measure I" (I >= MEASURE_ZERO_THRESHOLD) and
-    # "divisibility scan" (CP-indivisible). I and the scan count only when
-    # the run computed them.
+    # "divisibility scan" (CP-indivisible), which only divisibility runs.
     detected_by: tuple[str, ...]
     violations: tuple[tuple[float, float], ...]
     output_paths: dict[str, str]
     report_path: str
-    moment_measure: float | None
-    rhp_measure: float | None
-    measure_ratio: float | None
+    moment_measure: float
+    rhp_measure: float
+    measure_ratio: float
     divisibility_verdict: str | None
     config_text: str
     version: str
@@ -102,49 +103,34 @@ def _csv(header: list[str], columns) -> str:
 
 
 def run_scenario(config: ScenarioConfig, out_dir: str, quiet: bool = False) -> RunReport:
-    """Run every output requested by the config and write CSVs plus a report.
+    """Run the config's pipeline and write the requested CSVs plus a report.
 
-    The witness series is always evaluated; the measures and the scan only
-    when an output needs them. The verdict, and so the exit code, is
-    non-Markovian when any criterion the run computed detects. CSVs are only
-    written for the requested outputs. Identical configs produce
+    Every run computes the witness series and both measures from one
+    evaluation of the rates (`detect.assess`); a divisibility output adds
+    the bridge scan. The verdict, and so the exit code, is non-Markovian
+    when any criterion the run computed detects. Identical configs produce
     byte-identical files.
     """
     gen = build_generator(config)
     grid = np.linspace(0.0, config.t_max, config.points)
     os.makedirs(out_dir, exist_ok=True)
-    written: list[str] = []
     paths: dict[str, str] = {}
-
-    def emit(output: str, text: str) -> None:
-        path = os.path.join(out_dir, f"{config.name}_{output}.csv")
-        _write_atomic(path, text)
-        written.append(path)
-        paths[output] = path
-
     try:
-        series = witness_series(gen, grid, config.epsilon, mode=config.mode)
-        measures: MeasureReport | None = None
-        scan = None
-        if "witness" in config.outputs:
-            rate_names = [f"gamma_{i + 1}" for i in range(series.rates.shape[1])]
-            emit("witness", _csv(["t", *rate_names, "r2", "r3", "witness"],
-                                 [series.grid, *series.rates.T,
-                                  series.r2, series.r3, series.values]))
-        if any(out in config.outputs for out in ("measure", "rhp", "compare")):
-            measures = measure_report(gen, config.t_max, config.points)
-            for out in ("measure", "rhp", "compare"):
-                if out in config.outputs:
-                    emit(out, _csv(["t", "f", "g"],
-                                   [measures.grid, measures.f_series, measures.g_series]))
-        if "divisibility" in config.outputs:
-            scan = cp_divisibility_scan(gen, grid, config.epsilon)
-            emit("divisibility", _csv(["t", "min_choi_eigenvalue"],
-                                      [scan.grid, scan.min_eigenvalues]))
+        series, measures, scan = assess(gen, grid, config.epsilon, config.mode,
+                                        scan="divisibility" in config.outputs)
+        rate_names = [f"gamma_{i + 1}" for i in range(series.rates.shape[1])]
+        tables = {"witness": (["t", *rate_names, "r2", "r3", "witness"],
+                              [grid, *series.rates.T, series.r2, series.r3, series.values]),
+                  "compare": (["t", "f", "g"], [grid, measures.f_series, measures.g_series])}
+        if scan is not None:
+            tables["divisibility"] = (["t", "min_choi_eigenvalue"], [grid, scan.min_eigenvalues])
+        for output in OUTPUT_NAMES:
+            if output in config.outputs:
+                paths[output] = os.path.join(out_dir, f"{config.name}_{output}.csv")
+                _write_atomic(paths[output], _csv(*tables[output]))
 
         detected = (("witness", bool(series.violations)),
-                    ("rhp measure I",
-                     measures is not None and measures.rhp_measure >= MEASURE_ZERO_THRESHOLD),
+                    ("rhp measure I", measures.rhp_measure >= MEASURE_ZERO_THRESHOLD),
                     ("divisibility scan", scan is not None and not scan.is_divisible))
         detected_by = tuple(name for name, hit in detected if hit)
         report = RunReport(
@@ -154,17 +140,16 @@ def run_scenario(config: ScenarioConfig, out_dir: str, quiet: bool = False) -> R
             violations=series.violations,
             output_paths=paths,
             report_path=os.path.join(out_dir, f"{config.name}_report.txt"),
-            moment_measure=measures.moment_measure if measures else None,
-            rhp_measure=measures.rhp_measure if measures else None,
-            measure_ratio=measures.ratio if measures else None,
+            moment_measure=measures.moment_measure,
+            rhp_measure=measures.rhp_measure,
+            measure_ratio=measures.ratio,
             divisibility_verdict=scan.verdict if scan else None,
             config_text=render_scenario(config),
             version=__version__,
         )
         _write_atomic(report.report_path, _report_text(report))
-        written.append(report.report_path)
     except Exception:
-        for path in written:
+        for path in paths.values():  # the report is written last
             try:
                 os.unlink(path)
             except OSError:
@@ -188,15 +173,14 @@ def _report_text(report: RunReport) -> str:
         lines += [f"  [{_fmt(a)}, {_fmt(b)}]" for a, b in report.violations]
     else:
         lines.append("witness violation intervals: none")
-    if report.moment_measure is not None:
-        lines.append(f"moment measure M = {_fmt(report.moment_measure)}")
-        lines.append(f"rhp measure I = {_fmt(report.rhp_measure)}")
-        if report.moment_measure >= MEASURE_ZERO_THRESHOLD:
-            lines.append(f"ratio I/M = {_fmt(report.measure_ratio)}")
-        elif report.rhp_measure < MEASURE_ZERO_THRESHOLD:
-            lines.append("ratio I/M: n/a (both measures vanish; dynamics is Markovian)")
-        else:
-            lines.append("ratio I/M: n/a (M vanishes while I does not)")
+    lines.append(f"moment measure M = {_fmt(report.moment_measure)}")
+    lines.append(f"rhp measure I = {_fmt(report.rhp_measure)}")
+    if report.moment_measure >= MEASURE_ZERO_THRESHOLD:
+        lines.append(f"ratio I/M = {_fmt(report.measure_ratio)}")
+    elif report.rhp_measure < MEASURE_ZERO_THRESHOLD:
+        lines.append("ratio I/M: n/a (both measures vanish; dynamics is Markovian)")
+    else:
+        lines.append("ratio I/M: n/a (M vanishes while I does not)")
     if report.divisibility_verdict is not None:
         lines.append(f"divisibility scan: {report.divisibility_verdict}")
     for output in sorted(report.output_paths):
@@ -207,11 +191,9 @@ def _report_text(report: RunReport) -> str:
 
 
 _COMMANDS = {
-    "witness": "evaluate the moment-witness series",
-    "measure": "integrate the moment rate into the measure",
-    "rhp": "integrate the trace-norm rate into the divisibility measure",
-    "divisibility": "scan intermediate maps for negative Choi eigenvalues",
-    "compare": "compute both measures and their ratio",
+    "witness": "report the witness, M and I; write the witness series",
+    "divisibility": "also scan bridge maps; write their minimum Choi eigenvalues",
+    "compare": "report the witness, M and I; write the rate series f, g",
     "validate": "parse and validate the config, run nothing",
 }
 

@@ -48,7 +48,7 @@ __all__ = [
 
 CONFIG_VERSION = 1
 OPERATOR_NAMES = ("sigma_x", "sigma_y", "sigma_z", "lowering", "raising", "custom-matrix")
-OUTPUT_NAMES = ("witness", "measure", "rhp", "divisibility", "compare")
+OUTPUT_NAMES = ("witness", "compare", "divisibility")
 MODE_NAMES = ("small-time", "finite-interval")
 BUNDLED_SCENARIOS = ("example1", "example2", "ohmic_compare", "markovian_control")
 

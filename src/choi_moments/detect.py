@@ -57,6 +57,7 @@ __all__ = [
     "moment_measure",
     "rhp_measure",
     "cp_divisibility_scan",
+    "assess",
     "renyi_entropy",
 ]
 
@@ -162,13 +163,43 @@ def _validate_grid(grid) -> np.ndarray:
     return grid
 
 
-def witness_series(
-    gen: LindbladGenerator,
-    grid,
-    epsilon: float,
-    mode: str = "small-time",
-    steps_per_unit: int = DEFAULT_STEPS_PER_UNIT,
-) -> WitnessSeries:
+def _witness_args(grid, epsilon: float, mode: str) -> np.ndarray:
+    grid = _validate_grid(grid)
+    if not 0.0 < epsilon < math.inf:  # NaN compares false either way
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
+    if mode not in ("small-time", "finite-interval"):
+        raise ValueError(f"mode must be 'small-time' or 'finite-interval', got {mode!r}")
+    return grid
+
+
+def _witness(gen: LindbladGenerator, grid: np.ndarray, epsilon: float, rows, bridge=None
+             ) -> WitnessSeries:
+    """The witness series on a checked grid: small-time from the rates on the
+    grid as rows (K, n), or, given one, from a `bridge_spectra` result."""
+    if bridge is None:
+        # max|eps*gamma| = eps*max|gamma| exactly: rounding is monotone.
+        worst = epsilon * float(np.max(np.abs(rows))) if rows.size else 0.0
+        if worst >= SMALL_TIME_RATE_LIMIT:
+            warn_caller(
+                f"small-time expansion is dubious on part of the grid: "
+                f"max |eps*gamma| = {worst:.3g}"
+            )
+        r2, r3, values = gen.small_time_builder.moments(rows, epsilon)
+        rates = rows.T
+    else:
+        rates, lam = bridge
+        r2 = np.sum(lam**2, axis=1)
+        r3 = np.sum(lam**3, axis=1)
+        values = r2**2 - r3
+
+    mode = "small-time" if bridge is None else "finite-interval"
+    return WitnessSeries(grid=grid, epsilon=float(epsilon), mode=mode, values=values, r2=r2,
+                         r3=r3, rates=rates,
+                         violations=_violation_intervals(grid, values, VIOLATION_THRESHOLD))
+
+
+def witness_series(gen: LindbladGenerator, grid, epsilon: float, mode: str = "small-time",
+                   steps_per_unit: int = DEFAULT_STEPS_PER_UNIT) -> WitnessSeries:
     """Evaluate the moment witness across a time grid.
 
     In "small-time" mode each point uses the first-order Choi state of the
@@ -177,46 +208,16 @@ def witness_series(
     over that window with steps_per_unit RK4 steps per unit time, an integer
     >= 1 (checked in either mode).
     """
-    grid = _validate_grid(grid)
-    if not 0.0 < epsilon < math.inf:  # NaN compares false either way
-        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
-    if mode not in ("small-time", "finite-interval"):
-        raise ValueError(f"mode must be 'small-time' or 'finite-interval', got {mode!r}")
+    grid = _witness_args(grid, epsilon, mode)
     require_count("steps_per_unit", steps_per_unit, 1)  # refused in either mode
-
     if mode == "small-time":
-        builder = gen.small_time_builder
-        rows = builder.rates(grid)
-        # max|eps*gamma| = eps*max|gamma| exactly: rounding is monotone.
-        worst = epsilon * float(np.max(np.abs(rows))) if rows.size else 0.0
-        if worst >= SMALL_TIME_RATE_LIMIT:
-            warn_caller(
-                f"small-time expansion is dubious on part of the grid: "
-                f"max |eps*gamma| = {worst:.3g}"
-            )
-        r2, r3, values = builder.moments(rows, epsilon)
-        rates = rows.T
-    else:
-        rates, lam = bridge_spectra(gen, grid, epsilon, steps_per_unit)
-        r2 = np.sum(lam**2, axis=1)
-        r3 = np.sum(lam**3, axis=1)
-        values = r2**2 - r3
-
-    return WitnessSeries(
-        grid=grid,
-        epsilon=float(epsilon),
-        mode=mode,
-        values=values,
-        r2=r2,
-        r3=r3,
-        rates=rates,
-        violations=_violation_intervals(grid, values, VIOLATION_THRESHOLD),
-    )
+        return _witness(gen, grid, epsilon, gen.small_time_builder.rates(grid))
+    return _witness(gen, grid, epsilon, None, bridge_spectra(gen, grid, epsilon, steps_per_unit))
 
 
-def _rate_limits(gen: LindbladGenerator, times) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The dissipator rates gamma_i as rows (K, n), one per jump operator, and
-    the rates f and g (n,) at each of the n times, f and g in closed form.
+def _rate_limits(gen: LindbladGenerator, gammas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rates f and g (n,) at n times, in closed form, from the dissipator
+    rates gamma_i there as rows (K, n), one per jump operator.
 
     With C = bell + eps X and X = B_0 + sum_i gamma_i B_i the Choi image of
     the generator, r_2^2 - r_3 = eps <Phi+|X|Phi+> + O(eps^2), so
@@ -240,7 +241,6 @@ def _rate_limits(gen: LindbladGenerator, times) -> tuple[np.ndarray, np.ndarray,
     of rates and of mu (m, n), with no transposed copy.
     """
     builder = gen.small_time_builder
-    gammas = builder.rates(times)
     noise = _RATE_NOISE * np.maximum(1.0, builder.dissipator_scales @ np.abs(gammas))
     overlaps = builder.bell_overlaps
     f = overlaps[0] + overlaps[1:] @ gammas
@@ -248,7 +248,7 @@ def _rate_limits(gen: LindbladGenerator, times) -> tuple[np.ndarray, np.ndarray,
     mu = builder.projected_spectra(gammas)
     # 0.0 - x rather than -x: a sum of zeros gives 0.0, never -0.0.
     g = 0.0 - 2.0 * np.where(mu < -noise, mu, 0.0).sum(0)
-    return gammas, f, g
+    return f, g
 
 
 def moment_rate_f(gen: LindbladGenerator, t: float) -> float:
@@ -258,7 +258,7 @@ def moment_rate_f(gen: LindbladGenerator, t: float) -> float:
     contribute exactly zero. For single-dissipator dephasing this equals
     max(0, -gamma(t)).
     """
-    return float(_rate_limits(gen, [float(t)])[1][0])
+    return float(_rate_limits(gen, gen.small_time_builder.rates([float(t)]))[0][0])
 
 
 def rhp_rate_g(gen: LindbladGenerator, t: float) -> float:
@@ -267,7 +267,7 @@ def rhp_rate_g(gen: LindbladGenerator, t: float) -> float:
     Non-negative, and zero exactly when the instantaneous map is CP. For
     single-dissipator dephasing this equals max(0, -2 gamma(t)).
     """
-    return float(_rate_limits(gen, [float(t)])[2][0])
+    return float(_rate_limits(gen, gen.small_time_builder.rates([float(t)]))[1][0])
 
 
 def measure_report(gen: LindbladGenerator, t_max: float, grid_points: int) -> MeasureReport:
@@ -285,7 +285,13 @@ def measure_report(gen: LindbladGenerator, t_max: float, grid_points: int) -> Me
     if not 0.0 < t_max < math.inf:  # NaN compares false either way
         raise ValueError(f"t_max must be positive and finite, got {t_max}")
     grid = np.linspace(0.0, t_max, require_count("grid_points", grid_points, 2))
-    gammas, f_series, g_series = _rate_limits(gen, grid)
+    return _measures(gen, grid, gen.small_time_builder.rates(grid))
+
+
+def _measures(gen: LindbladGenerator, grid: np.ndarray, gammas: np.ndarray) -> MeasureReport:
+    """`measure_report` over the span of a checked grid, from the rates on it
+    as rows (K, n)."""
+    f_series, g_series = _rate_limits(gen, gammas)
 
     if np.any(unitality_defects(gen, gammas.T) >= UNITAL_ATOL):
         warn_caller(
@@ -293,12 +299,10 @@ def measure_report(gen: LindbladGenerator, t_max: float, grid_points: int) -> Me
             "a measure for unital dynamics; interpret the value with care"
         )
 
-    tail = np.searchsorted(grid, 0.95 * t_max)  # the first point >= 0.95 t_max
-    undecayed = []
-    for name, series in (("moment rate f", f_series), ("trace-norm rate g", g_series)):
-        peak = float(np.max(series[tail:]))
-        if peak > 1e-8:
-            undecayed.append(f"{name} is still {peak:.3e}")
+    tail = np.searchsorted(grid, 0.95 * grid[-1])  # the first point >= 0.95 t_max
+    peaks = (("moment rate f", np.max(f_series[tail:])),
+             ("trace-norm rate g", np.max(g_series[tail:])))
+    undecayed = [f"{name} is still {peak:.3e}" for name, peak in peaks if peak > 1e-8]
     if undecayed:
         warn_caller(
             f"{' and '.join(undecayed)} over the last 5% of the grid; "
@@ -306,13 +310,9 @@ def measure_report(gen: LindbladGenerator, t_max: float, grid_points: int) -> Me
         )
 
     steps = np.diff(grid)
-    return MeasureReport(
-        moment_measure=float((steps * (f_series[1:] + f_series[:-1]) / 2.0).sum()),
-        rhp_measure=float((steps * (g_series[1:] + g_series[:-1]) / 2.0).sum()),
-        grid=grid,
-        f_series=f_series,
-        g_series=g_series,
-    )
+    moment, rhp = (float((steps * (s[1:] + s[:-1]) / 2.0).sum()) for s in (f_series, g_series))
+    return MeasureReport(moment_measure=moment, rhp_measure=rhp, grid=grid,
+                         f_series=f_series, g_series=g_series)
 
 
 def moment_measure(gen: LindbladGenerator, t_max: float, grid_points: int) -> float:
@@ -325,12 +325,8 @@ def rhp_measure(gen: LindbladGenerator, t_max: float, grid_points: int) -> float
     return measure_report(gen, t_max, grid_points).rhp_measure
 
 
-def cp_divisibility_scan(
-    gen: LindbladGenerator,
-    grid,
-    delta: float,
-    steps_per_unit: int = DEFAULT_STEPS_PER_UNIT,
-) -> DivisibilityReport:
+def cp_divisibility_scan(gen: LindbladGenerator, grid, delta: float,
+                         steps_per_unit: int = DEFAULT_STEPS_PER_UNIT) -> DivisibilityReport:
     """Minimum Choi eigenvalue of the bridge map on [t, t + delta] per grid time.
 
     The verdict is "CP-indivisible" as soon as any bridge map has an
@@ -341,11 +337,33 @@ def cp_divisibility_scan(
     grid = _validate_grid(grid)
     if not 0.0 < delta < math.inf:  # NaN compares false either way
         raise ValueError(f"delta must be positive and finite, got {delta}")
-    _, lam = bridge_spectra(gen, grid, delta, steps_per_unit)
+    return _scan(grid, delta, bridge_spectra(gen, grid, delta, steps_per_unit)[1])
+
+
+def _scan(grid: np.ndarray, delta: float, lam: np.ndarray) -> DivisibilityReport:
+    """The scan of a checked grid from its bridges' descending Choi spectra."""
     min_eigs = lam[:, -1].copy()
     verdict = "CP-indivisible" if np.any(min_eigs < -_SCAN_CP_TOL) else "CP-divisible"
     return DivisibilityReport(grid=grid, delta=float(delta),
                               min_eigenvalues=min_eigs, verdict=verdict)
+
+
+def assess(gen: LindbladGenerator, grid, epsilon: float, mode: str = "small-time",
+           scan: bool = False) -> tuple[WitnessSeries, MeasureReport, DivisibilityReport | None]:
+    """The witness series, both measures and, if scan is set, the scan with
+    delta = epsilon, as `witness_series`, `measure_report` (over the grid's
+    span, so equal for np.linspace(0, t_max, n)) and `cp_divisibility_scan`
+    return them, from one evaluation of the rates on the grid and, in
+    finite-interval mode or for the scan, one bridge sweep.
+    """
+    grid = _witness_args(grid, epsilon, mode)
+    rows = gen.small_time_builder.rates(grid)
+    bridge = None if mode == "small-time" else bridge_spectra(gen, grid, epsilon)
+    series = _witness(gen, grid, epsilon, rows, bridge)
+    measures = _measures(gen, grid, rows)
+    if scan and bridge is None:
+        bridge = bridge_spectra(gen, grid, epsilon)
+    return series, measures, _scan(grid, epsilon, bridge[1]) if scan else None
 
 
 def renyi_entropy(rho: np.ndarray, alpha: float) -> float:

@@ -342,7 +342,9 @@ def test_criterion_8_determinism_and_exit_codes(tmp_path):
         ("divisibility", "example2"): 10,
         ("divisibility", "ohmic_compare"): 0,
         # The first-order witness is silent on the eternally non-Markovian
-        # Pauli channel; I and the scan detect it, and either sets the code.
+        # Pauli channel; I, which every run computes, and the scan detect it,
+        # and either sets the code.
+        ("witness", ETERNAL_PAULI): 10,
         ("compare", ETERNAL_PAULI): 10,
         ("divisibility", ETERNAL_PAULI): 10,
     }

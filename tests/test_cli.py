@@ -13,8 +13,8 @@ import pytest
 from choi_moments import choi, cli, config as config_module, detect
 from choi_moments.cli import _csv, entry, main, run_scenario
 from choi_moments.config import build_generator, load_scenario, parse_scenario
-from choi_moments.lindblad import LindbladGenerator
-from helpers import count_sweeps, reference_bridge_spectra
+from choi_moments.lindblad import LindbladGenerator, dephasing_generator
+from helpers import CountingRate, count_sweeps, reference_bridge_spectra
 
 EXPCOS_COMPARE = """
 version = 1
@@ -119,18 +119,30 @@ class TestRunScenario:
         shared = run_scenario(config, str(tmp_path / "shared"), quiet=True)
         assert len(sweeps) == 1
 
-        # With the slot emptied before every call, each call sweeps afresh.
+        # With the slot emptied before every call the run still sweeps once:
+        # the witness and the scan read one bridge_spectra result.
         def sweep_afresh(*args, **kwargs):
             choi._last_sweep = None
             return choi.bridge_spectra(*args, **kwargs)
 
         monkeypatch.setattr(detect, "bridge_spectra", sweep_afresh)
         fresh = run_scenario(config, str(tmp_path / "fresh"), quiet=True)
-        assert len(sweeps) == 3
+        assert len(sweeps) == 2
         for output in ("witness", "divisibility"):
             with open(shared.output_paths[output], "rb") as a, \
                     open(fresh.output_paths[output], "rb") as b:
                 assert a.read() == b.read()
+
+    def test_small_time_run_evaluates_each_rate_once(self, tmp_path, monkeypatch):
+        # The witness, f, g and both measures read one evaluation of the rates.
+        rate = CountingRate()
+        monkeypatch.setattr(cli, "build_generator", lambda config: dephasing_generator(rate))
+        config = parse_scenario(
+            EXPCOS_COMPARE.replace("outputs = compare", "outputs = witness compare"))
+        report = run_scenario(config, str(tmp_path), quiet=True)
+        assert rate.calls == config.points
+        assert set(report.output_paths) == {"witness", "compare"}
+        assert report.moment_measure > 0.0
 
     def test_markovian_verdict(self, tmp_path):
         report = run_scenario(parse_scenario(MARKOVIAN), str(tmp_path), quiet=True)
@@ -231,11 +243,13 @@ class TestGeneratorTables:
         assert not self.TABLES & set(vars(made[0]))
 
     @pytest.mark.parametrize("outputs, built", [
-        ("witness", {"superoperator_blocks", "small_time_builder"}),
+        ("witness", {"superoperator_blocks", "unitality_images", "small_time_builder"}),
         ("compare", {"superoperator_blocks", "unitality_images", "small_time_builder"}),
-        ("divisibility", {"superoperator_blocks", "small_time_builder", "transfer_blocks"})])
+        ("divisibility", {"superoperator_blocks", "unitality_images", "small_time_builder",
+                          "transfer_blocks"})])
     def test_a_run_builds_only_what_it_reads(self, tmp_path, monkeypatch, outputs, built):
-        # Only the bridge scan rotates the blocks into the Hermitian basis.
+        # Every run computes the measures, which check unitality; only the
+        # bridge scan rotates the blocks into the Hermitian basis.
         made = record_generators(monkeypatch)
         config = parse_scenario(SMALL_WITNESS.replace(
             "outputs = witness divisibility", f"outputs = {outputs}"))
@@ -269,30 +283,46 @@ class TestMainExitCodes:
         capsys.readouterr()
 
     def test_every_computed_criterion_decides_the_exit_code(self, tmp_path, capsys):
-        # The first-order witness is silent on this channel at every t; I and
-        # the scan are not, so compare and divisibility report it.
+        # The first-order witness is silent on this channel at every t; I,
+        # which every run computes, and the scan are not.
         out = str(tmp_path / "out")
-        assert main(["witness", ETERNAL_PAULI, "--out-dir", out, "--quiet"]) == 0
-        for command, criterion in (("compare", "rhp measure I"),
-                                   ("divisibility", "divisibility scan")):
+        for command, criteria in (("witness", "rhp measure I"),
+                                  ("compare", "rhp measure I"),
+                                  ("divisibility", "rhp measure I, divisibility scan")):
             with warnings.catch_warnings(record=True) as records:
                 warnings.simplefilter("always")
                 assert main([command, ETERNAL_PAULI, "--out-dir", out]) == 10
+            # Every run reads g, whose tail has not decayed.
             messages = [str(r.message) for r in records]
-            if command == "compare":  # the measures read g, whose tail has not decayed
-                assert len(messages) == 1
-                assert messages[0].startswith("trace-norm rate g is still 1.988e+00")
-            else:
-                assert messages == []
+            assert len(messages) == 1
+            assert messages[0].startswith("trace-norm rate g is still 1.988e+00")
             text = capsys.readouterr().out
             assert "witness violation intervals: none\n" in text
-            assert f"verdict: non-Markovian\ndetected by: {criterion}\n" in text
+            assert f"verdict: non-Markovian\ndetected by: {criteria}\n" in text
         capsys.readouterr()
+
+    @pytest.mark.parametrize("output", ["measure", "rhp"])
+    def test_a_removed_output_in_a_config_is_1_and_names_compare(self, tmp_path, capsys,
+                                                                 output):
+        path = write_cfg(tmp_path, MARKOVIAN.replace("outputs = witness", f"outputs = {output}"))
+        assert main(["witness", path, "--out-dir", str(tmp_path / "out")]) == 1
+        assert (f"unknown output '{output}'; expected from ('witness', 'compare', "
+                "'divisibility')") in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_qutrit_divisibility_matches_the_step_by_step_oracle(self, tmp_path, capsys):
         config = load_scenario(QUTRIT_EXPCOS)
         assert config.dimension == 3 and config.mode == "finite-interval"
-        assert main(["divisibility", QUTRIT_EXPCOS, "--out-dir", str(tmp_path), "--quiet"]) == 10
+        with warnings.catch_warnings(record=True) as records:
+            warnings.simplefilter("always")
+            assert main(["divisibility", QUTRIT_EXPCOS, "--out-dir", str(tmp_path),
+                         "--quiet"]) == 10
+        # The measures every run computes warn on this non-unital generator,
+        # whose rates have not decayed by t_max.
+        messages = [str(r.message) for r in records]
+        assert len(messages) == 2
+        assert messages[0].startswith("generator is not unital")
+        assert messages[1].startswith("moment rate f is still 1.583e-02")
         capsys.readouterr()
         table = np.loadtxt(tmp_path / "qutrit_expcos_divisibility.csv", delimiter=",",
                            skiprows=1)
@@ -480,7 +510,9 @@ class TestParser:
         ([], "the following arguments are required: command"),
         (["-x"], "the following arguments are required: command"),
         (["foo", "ex"], "argument command: invalid choice: 'foo' (choose from 'witness', "
-                        "'measure', 'rhp', 'divisibility', 'compare', 'validate')"),
+                        "'divisibility', 'compare', 'validate')"),
+        (["measure", "example1"], "invalid choice: 'measure'"),
+        (["rhp", "example1"], "invalid choice: 'rhp'"),
         (["WITNESS", "ex"], "invalid choice: 'WITNESS'"),
         (["foo", "-h"], "invalid choice: 'foo'"),
         (["witness"], "the following arguments are required: config"),
@@ -524,11 +556,13 @@ class TestParser:
         lines = cli._HELP.splitlines()
         assert lines[0] == ("usage: choi-moments [-h] [--version] COMMAND CONFIG "
                             "[--out-dir DIR] [--grid-points N] [--epsilon EPS] [--quiet]")
-        for name, text in [("witness", "evaluate the moment-witness series"),
-                           ("measure", "integrate the moment rate into the measure"),
-                           ("rhp", "integrate the trace-norm rate into the divisibility measure"),
-                           ("divisibility", "scan intermediate maps for negative Choi eigenvalues"),
-                           ("compare", "compute both measures and their ratio"),
+        start = lines.index("commands:") + 1
+        commands = [line.split()[0] for line in lines[start:lines.index("", start)]]
+        assert commands == ["witness", "divisibility", "compare", "validate"]
+        for name, text in [("witness", "report the witness, M and I; write the witness series"),
+                           ("divisibility",
+                            "also scan bridge maps; write their minimum Choi eigenvalues"),
+                           ("compare", "report the witness, M and I; write the rate series f, g"),
                            ("validate", "parse and validate the config, run nothing")]:
             assert f"  {name:<16} {text}" in lines
         for option in ("--out-dir DIR", "--grid-points N", "--epsilon EPS", "--quiet",

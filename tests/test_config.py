@@ -114,6 +114,12 @@ class TestParseValidation:
         with pytest.raises(ConfigError, match="unknown output"):
             parse_scenario(MINIMAL.replace("outputs = witness", "outputs = plots"))
 
+    @pytest.mark.parametrize("output", ["measure", "rhp"])
+    def test_removed_output_names_compare(self, output):
+        with pytest.raises(ConfigError, match=rf"unknown output '{output}'; expected from "
+                                              r"\('witness', 'compare', 'divisibility'\)"):
+            parse_scenario(MINIMAL.replace("outputs = witness", f"outputs = {output}"))
+
     def test_duplicate_output(self):
         with pytest.raises(ConfigError, match="duplicate"):
             parse_scenario(MINIMAL.replace("outputs = witness", "outputs = witness witness"))

@@ -19,6 +19,7 @@ from choi_moments.detect import (
     VIOLATION_THRESHOLD,
     _rate_limits,
     _violation_intervals,
+    assess,
     cp_divisibility_scan,
     lambda_moments,
     measure_report,
@@ -56,6 +57,12 @@ from helpers import (
     reference_small_time_witness,
     reference_violation_intervals,
 )
+
+
+def rate_limits(gen, times):
+    """The rates on times as rows, then f and g from them by `_rate_limits`."""
+    gammas = gen.small_time_builder.rates(times)
+    return (gammas, *_rate_limits(gen, gammas))
 
 
 @dataclass(frozen=True)
@@ -359,7 +366,7 @@ class TestTraceNormRate:
             for n_ops in range(6):
                 for _ in range(4):
                     gen = factory(rng, d, n_ops=n_ops)
-                    _, _, g = _rate_limits(gen, grid)
+                    _, _, g = rate_limits(gen, grid)
                     want = reference_rhp_rates(gen, grid)
                     assert np.all(np.abs(g - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
@@ -379,15 +386,15 @@ class TestTraceNormRate:
         rng = np.random.default_rng(7)
         grid = np.linspace(0.0, 3.0, 31)
         gen = random_expcos_generator(rng, 3, n_ops=3)
-        _, _, g = _rate_limits(gen, grid)
+        _, _, g = rate_limits(gen, grid)
         assert np.any(g > 0.0)
         for h in (np.zeros((3, 3)), 10.0 * random_hermitian(rng, 3)):
             other = LindbladGenerator(3, h, gen.dissipators)
-            assert np.array_equal(_rate_limits(other, grid)[2], g)
+            assert np.array_equal(rate_limits(other, grid)[2], g)
 
     def test_hamiltonian_only_generator_has_zero_rates(self):
         gen = LindbladGenerator(2, SIGMA_Z, ())
-        gammas, f, g = _rate_limits(gen, np.linspace(0.0, 2.0, 11))
+        gammas, f, g = rate_limits(gen, np.linspace(0.0, 2.0, 11))
         assert gammas.shape == (0, 11)
         assert np.array_equal(f, np.zeros(11)) and np.array_equal(g, np.zeros(11))
         report = measure_report(gen, 2.0, 11)
@@ -404,7 +411,7 @@ class TestTraceNormRate:
     ])
     def test_rank_deficient_jump_operators(self, ops, rates, g_want):
         gen = LindbladGenerator(2, SIGMA_X, tuple(zip(ops, map(ConstantRate, rates))))
-        _, _, g = _rate_limits(gen, [0.0, 1.0])
+        _, _, g = rate_limits(gen, [0.0, 1.0])
         rows = np.array(rates)[:, None]
         assert SmallTimeChoiBuilder(gen).projected_spectra(rows).shape[0] <= len(ops)
         want = reference_rhp_rates(gen, [0.0, 1.0])
@@ -462,7 +469,7 @@ class TestTraceNormRate:
             return eigvalsh(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
-        _, _, g = _rate_limits(gen, grid)
+        _, _, g = rate_limits(gen, grid)
         assert shapes == [(61, 2, 2)]
         assert builder.projected_spectra(builder.rates(grid)).shape == (3, 61)
         assert np.any(g > 0.0)
@@ -474,10 +481,10 @@ class TestTraceNormRate:
         assert rhp_rate_g(gen, 0.0) == pytest.approx(2e-7, rel=1e-12)
         assert moment_rate_f(gen, 0.0) == pytest.approx(1e-7, rel=1e-12)
         grid = [0.0, 1.0]
-        assert np.allclose(_rate_limits(gen, grid)[2], reference_rhp_rates(gen, grid),
+        assert np.allclose(rate_limits(gen, grid)[2], reference_rhp_rates(gen, grid),
                            rtol=1e-12, atol=0.0)
         bare = LindbladGenerator(2, np.zeros((2, 2)), gen.dissipators)
-        for got, want in zip(_rate_limits(gen, [0.0]), _rate_limits(bare, [0.0])):
+        for got, want in zip(rate_limits(gen, [0.0]), rate_limits(bare, [0.0])):
             assert np.array_equal(got, want)
 
     def test_spectra_are_solved_in_bounded_chunks(self, monkeypatch):
@@ -491,12 +498,12 @@ class TestTraceNormRate:
         monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
         gen = random_expcos_generator(np.random.default_rng(9), 4, n_ops=5)
         grid = np.linspace(0.0, 3.0, 1000)
-        _, _, g = _rate_limits(gen, grid)
+        _, _, g = rate_limits(gen, grid)
         assert len(shapes) > 1
         assert all(s[1:] == (5, 5) and s[0] * 25 <= CHUNK_ENTRIES for s in shapes)
         assert sum(s[0] for s in shapes) == grid.size
         # Rows are stitched back in order: a coarser grid, in one chunk, agrees.
-        coarse = _rate_limits(gen, grid[::37])[2]
+        coarse = rate_limits(gen, grid[::37])[2]
         assert np.all(np.abs(g[::37] - coarse) <= 1e-13 * np.maximum(1.0, coarse))
 
 
@@ -554,7 +561,7 @@ class TestRowKernels:
         for got, want in ((series.r2, r2), (series.r3, r3), (series.values, values)):
             assert np.max(np.abs(got - want)) <= 1e-12
 
-        gammas, f, g = _rate_limits(gen, grid)
+        gammas, f, g = rate_limits(gen, grid)
         assert np.array_equal(gammas, series.rates.T)
         g_want = reference_rhp_rates(gen, grid)
         assert np.all(np.abs(g - g_want) <= 1e-12 * np.maximum(1.0, g_want))
@@ -968,6 +975,37 @@ def test_warning_names_the_callers_line(call, match):
     with pytest.warns(UserWarning, match=match) as records:
         call()
     assert [r.filename for r in records if match in str(r.message)] == [__file__]
+
+
+class TestAssess:
+    """`assess` returns what the three public views return, from shared inputs."""
+
+    @pytest.mark.filterwarnings("ignore:.*over the last 5% of the grid")
+    @pytest.mark.filterwarnings("ignore:generator is not unital")
+    @pytest.mark.parametrize("mode", ["small-time", "finite-interval"])
+    def test_equals_the_public_views_bit_for_bit(self, mode):
+        gen = random_expcos_generator(np.random.default_rng(11), 3)
+        grid = np.linspace(0.0, 3.0, 61)
+        got = assess(gen, grid, 1e-3, mode, scan=True)
+        want = (witness_series(gen, grid, 1e-3, mode), measure_report(gen, 3.0, 61),
+                cp_divisibility_scan(gen, grid, 1e-3))
+        for record, expected in zip(got, want):
+            assert type(record) is type(expected)
+            for a, b in zip(record, expected):
+                if isinstance(a, np.ndarray):
+                    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+                else:
+                    assert a == b
+        assert assess(gen, grid, 1e-3, mode)[2] is None
+
+    def test_checks_its_arguments_as_witness_series_does(self):
+        gen = dephasing_generator(ConstantRate(1.0))
+        with pytest.raises(ValueError, match="mode"):
+            assess(gen, [0.0, 1.0], 1e-3, mode="other")
+        with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+            assess(gen, [0.0, 1.0], math.nan)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            assess(gen, [0.0, 0.0, 1.0], 1e-3)
 
 
 class TestRenyiEntropy:
