@@ -354,15 +354,18 @@ def assess(gen: LindbladGenerator, grid, epsilon: float, mode: str = "small-time
     delta = epsilon, as `witness_series`, `measure_report` (over the grid's
     span, so equal for np.linspace(0, t_max, n)) and `cp_divisibility_scan`
     return them, from one evaluation of the rates on the grid and, in
-    finite-interval mode or for the scan, one bridge sweep.
+    finite-interval mode or for the scan, one bridge sweep. A sweep
+    evaluates the rates at its windows' starts, the grid, bit for bit as
+    on the grid alone, so a sweeping run reads its rows off the sweep.
     """
     grid = _witness_args(grid, epsilon, mode)
-    rows = gen.small_time_builder.rates(grid)
-    bridge = None if mode == "small-time" else bridge_spectra(gen, grid, epsilon)
-    series = _witness(gen, grid, epsilon, rows, bridge)
-    measures = _measures(gen, grid, rows)
-    if scan and bridge is None:
+    if mode == "small-time" and not scan:
+        bridge, rows = None, gen.small_time_builder.rates(grid)
+    else:
         bridge = bridge_spectra(gen, grid, epsilon)
+        rows = np.ascontiguousarray(bridge[0].T)
+    series = _witness(gen, grid, epsilon, rows, None if mode == "small-time" else bridge)
+    measures = _measures(gen, grid, rows)
     return series, measures, _scan(grid, epsilon, bridge[1]) if scan else None
 
 

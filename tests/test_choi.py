@@ -190,7 +190,7 @@ class TestBatchedKernel:
         gen = random_expcos_generator(np.random.default_rng(seed), d)
         grid = np.linspace(0.0, 2.0, 263)
         windows_per_chunk = max(1, CHUNK_ENTRIES // d**4)
-        assert d == 8 or grid.size % windows_per_chunk != 0
+        assert grid.size % windows_per_chunk != 0  # a ragged last chunk at every d
         rates, spectra = bridge_spectra(gen, grid, 1e-3)
         assert np.max(np.abs(spectra - reference_bridge_spectra(gen, grid, 1e-3))) < self.TOL
         assert np.array_equal(rates, np.array([rates_at(gen, float(t)) for t in grid]))
@@ -199,7 +199,7 @@ class TestBatchedKernel:
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 8])
     def test_ten_step_bridges_on_non_uniform_grid(self, d, seed):
         # delta = 0.01 takes 10 RK4 steps per window; at d = 8 a chunk holds
-        # one step, so each window is also split into step chunks.
+        # four steps, so each window is also split into step chunks.
         rng = np.random.default_rng(seed)
         gen = random_expcos_generator(rng, d)
         grid = np.sort(rng.uniform(0.0, 2.0, 37))
@@ -251,9 +251,37 @@ class TestBatchedKernel:
         assert np.array_equal(propagate_map(gen, 0.0, 0.5, steps=np.int32(40)).matrix,
                               propagate_map(gen, 0.0, 0.5, steps=40).matrix)
 
+    @pytest.mark.parametrize("d", [2, 3, 4, 8])
+    def test_batched_sweep_equals_each_window_swept_alone(self, d):
+        # One step per window, over two full chunks and a ragged third: a
+        # window stacked with others gets the bits it gets alone.
+        gen = random_expcos_generator(np.random.default_rng(80 + d), d)
+        windows_per_chunk = CHUNK_ENTRIES // d**4
+        assert windows_per_chunk > 1
+        grid = np.linspace(0.0, 1.0, 2 * windows_per_chunk + 3)
+        rates, spectra = bridge_spectra(gen, grid, 1e-3)
+        alone = [bridge_spectra(gen, [t], 1e-3) for t in grid]
+        assert rates.tobytes() == np.concatenate([r for r, _ in alone]).tobytes()
+        assert spectra.tobytes() == np.concatenate([s for _, s in alone]).tobytes()
+
+    @pytest.mark.parametrize("d", [2, 8])
+    @pytest.mark.parametrize("entry, value, problem", [
+        ((0, 0, 0), -1.0, r"exceeds 1\.0e-06"),  # E_00 leaks trace at rate 1
+        ((0, 1, 1), math.nan, "is non-finite"),  # off the diagonal basis elements
+        ((1, 0, 0), math.nan, "is non-finite")])
+    def test_sweep_refuses_transfer_blocks_that_are_not_trace_preserving(
+            self, d, entry, value, problem, monkeypatch):
+        gen = random_expcos_generator(np.random.default_rng(90 + d), d)
+        blocks = gen.transfer_blocks.copy()
+        blocks[entry] += value
+        monkeypatch.setitem(vars(gen), "transfer_blocks", blocks)  # the cached table
+        with pytest.raises(ValueError, match="^map is not trace preserving: Choi trace "
+                                             f"deviation .* {problem}$"):
+            bridge_spectra(gen, np.linspace(0.0, 1.0, 9), 1e-3)
+
     @pytest.mark.parametrize("d", [2, 3, 5, 8])
     def test_kernel_propagates_real_maps_with_exactly_hermitian_choi_states(self, d):
-        # Ten steps per window: at d = 5 and 8 a window's steps span chunks.
+        # Ten steps per window: at d = 8 a window's steps span chunks.
         gen = random_expcos_generator(np.random.default_rng(70 + d), d)
         h, steps = 1e-3, 10
         gammas = choi._half_step_rates(gen, np.linspace(0.0, 1.0, 7), h, steps)

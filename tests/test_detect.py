@@ -998,6 +998,20 @@ class TestAssess:
                     assert a == b
         assert assess(gen, grid, 1e-3, mode)[2] is None
 
+    @pytest.mark.filterwarnings("ignore:.*over the last 5% of the grid")
+    @pytest.mark.parametrize("mode, scan", [("finite-interval", False),
+                                            ("finite-interval", True), ("small-time", True)])
+    def test_a_sweeping_run_evaluates_the_rates_once(self, mode, scan):
+        # One RK4 step per window: rates at its start, middle and end. The
+        # witness and the measures read the start rates, so the grid is not
+        # evaluated a fourth time.
+        rate = CountingRate()
+        grid = np.linspace(0.0, 2.0, 40)
+        series, measures, _ = assess(dephasing_generator(rate), grid, 1e-3, mode, scan=scan)
+        assert rate.calls == 3 * grid.size
+        assert np.array_equal(series.rates[:, 0], CountingRate.formula(grid))
+        assert measures.moment_measure > 0.0
+
     def test_checks_its_arguments_as_witness_series_does(self):
         gen = dephasing_generator(ConstantRate(1.0))
         with pytest.raises(ValueError, match="mode"):
