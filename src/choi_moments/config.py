@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .lindblad import LindbladGenerator, named_operator
+from .lindblad import NAMED_OPERATORS, LindbladGenerator, named_operator
 from .rates import (
     ConstantRate,
     ExpCosRate,
@@ -47,18 +47,23 @@ __all__ = [
 ]
 
 CONFIG_VERSION = 1
-OPERATOR_NAMES = ("sigma_x", "sigma_y", "sigma_z", "lowering", "raising", "custom-matrix")
+OPERATOR_NAMES = (*NAMED_OPERATORS, "custom-matrix")
 OUTPUT_NAMES = ("witness", "compare", "divisibility")
 MODE_NAMES = ("small-time", "finite-interval")
 BUNDLED_SCENARIOS = ("example1", "example2", "ohmic_compare", "markovian_control")
 
-_RATE_PARAM_KEYS = {
-    "constant": ("value",),
-    "expcos": ("k",),
-    "lorentzian": ("lambda", "gamma0", "k"),
-    "ohmic": ("omega_c", "temperature"),
-    "tabulated": ("knots",),
+# Rate models by config name: the class and its config keys, in constructor
+# order. Each key sets the constructor field at its position (only `lambda`
+# is spelled `lam` there), and a key is optional exactly when that field
+# has a default.
+_RATE_MODELS = {
+    "constant": (ConstantRate, ("value",)),
+    "expcos": (ExpCosRate, ("k",)),
+    "lorentzian": (LorentzianRate, ("lambda", "gamma0", "k")),
+    "ohmic": (OhmicDephasingRate, ("omega_c", "temperature")),
+    "tabulated": (TabulatedRate, ("knots",)),
 }
+_RATE_MODEL_NAMES = {cls: name for name, (cls, _) in _RATE_MODELS.items()}
 
 _TOP_LEVEL_KEYS = (
     "version",
@@ -145,47 +150,30 @@ def _parse_knots(key: str, raw: str) -> tuple[tuple[float, float], ...]:
 
 def _build_rate(index: int, model: str, params: dict[str, str]) -> RateModel:
     prefix = f"dissipator.{index}.rate"
-    known = _RATE_PARAM_KEYS.get(model)
-    if known is None:
+    if model not in _RATE_MODELS:
         raise ConfigError(
             f"key {prefix}.model: unknown rate model {model!r}; "
-            f"expected one of {sorted(_RATE_PARAM_KEYS)}"
+            f"expected one of {sorted(_RATE_MODELS)}"
         )
+    cls, known = _RATE_MODELS[model]
     for param in params:
         if param not in known:
             raise ConfigError(
                 f"unknown key {prefix}.{param!r} for rate model {model!r}; "
                 f"expected parameters {known}"
             )
+    required = known[:len(known) - len(cls.__init__.__defaults__ or ())]
+    for need in required:
+        if need not in params:
+            raise ConfigError(f"rate model {model!r} requires {prefix}.{need}")
+    fields = {}
+    for key, field in zip(known, cls._fields):
+        if key in params:
+            parse = _parse_knots if key == "knots" else _parse_float
+            fields[field] = parse(f"{prefix}.{key}", params[key])
     try:
-        if model == "constant":
-            if "value" not in params:
-                raise ConfigError(f"rate model 'constant' requires {prefix}.value")
-            return ConstantRate(_parse_float(f"{prefix}.value", params["value"]))
-        if model == "expcos":
-            return ExpCosRate(_parse_float(f"{prefix}.k", params.get("k", "1.0")))
-        if model == "lorentzian":
-            for need in ("lambda", "gamma0"):
-                if need not in params:
-                    raise ConfigError(f"rate model 'lorentzian' requires {prefix}.{need}")
-            return LorentzianRate(
-                lam=_parse_float(f"{prefix}.lambda", params["lambda"]),
-                gamma0=_parse_float(f"{prefix}.gamma0", params["gamma0"]),
-                k=_parse_float(f"{prefix}.k", params.get("k", "1.0")),
-            )
-        if model == "ohmic":
-            return OhmicDephasingRate(
-                omega_c=_parse_float(f"{prefix}.omega_c", params.get("omega_c", "1.0")),
-                temperature=_parse_float(
-                    f"{prefix}.temperature", params.get("temperature", "0.0")
-                ),
-            )
-        if "knots" not in params:
-            raise ConfigError(f"rate model 'tabulated' requires {prefix}.knots")
-        return TabulatedRate(_parse_knots(f"{prefix}.knots", params["knots"]))
+        return cls(**fields)
     except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
         raise ConfigError(f"{prefix}: {exc}") from None
 
 
@@ -277,7 +265,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
             raise ConfigError(
                 f"unknown key '{prefix}.matrix' (only valid with operator = custom-matrix)"
             )
-        elif dimension != 2:
+        elif len(NAMED_OPERATORS[operator]) != dimension:
             raise ConfigError(
                 f"key {prefix}.operator: {operator!r} is a qubit operator but "
                 f"generator.dimension = {dimension}"
@@ -338,25 +326,12 @@ def _format_complex(value: complex) -> str:
 
 
 def _rate_lines(prefix: str, rate: RateModel) -> list[str]:
-    if isinstance(rate, ConstantRate):
-        return [f"{prefix}.model = constant", f"{prefix}.value = {rate.value!r}"]
-    if isinstance(rate, ExpCosRate):
-        return [f"{prefix}.model = expcos", f"{prefix}.k = {rate.k!r}"]
-    if isinstance(rate, LorentzianRate):
-        return [
-            f"{prefix}.model = lorentzian",
-            f"{prefix}.lambda = {rate.lam!r}",
-            f"{prefix}.gamma0 = {rate.gamma0!r}",
-            f"{prefix}.k = {rate.k!r}",
-        ]
-    if isinstance(rate, OhmicDephasingRate):
-        return [
-            f"{prefix}.model = ohmic",
-            f"{prefix}.omega_c = {rate.omega_c!r}",
-            f"{prefix}.temperature = {rate.temperature!r}",
-        ]
-    knots = " ".join(f"{t!r}:{g!r}" for t, g in rate.knots)
-    return [f"{prefix}.model = tabulated", f"{prefix}.knots = {knots}"]
+    model = _RATE_MODEL_NAMES[type(rate)]
+    lines = [f"{prefix}.model = {model}"]
+    for key, value in zip(_RATE_MODELS[model][1], rate._astuple()):
+        text = " ".join(f"{t!r}:{g!r}" for t, g in value) if key == "knots" else repr(value)
+        lines.append(f"{prefix}.{key} = {text}")
+    return lines
 
 
 def render_scenario(config: ScenarioConfig) -> str:

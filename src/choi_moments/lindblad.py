@@ -39,6 +39,7 @@ __all__ = [
     "SIGMA_Z",
     "LOWERING",
     "RAISING",
+    "NAMED_OPERATORS",
     "named_operator",
     "LindbladGenerator",
     "dephasing_generator",
@@ -57,7 +58,7 @@ SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 LOWERING = np.array([[0, 1], [0, 0]], dtype=complex)   # |0><1|
 RAISING = np.array([[0, 0], [1, 0]], dtype=complex)    # |1><0|
 
-_NAMED_OPERATORS = {
+NAMED_OPERATORS = {
     "sigma_x": SIGMA_X,
     "sigma_y": SIGMA_Y,
     "sigma_z": SIGMA_Z,
@@ -70,11 +71,11 @@ UNITAL_ATOL = 1e-10
 
 def named_operator(name: str, dim: int) -> np.ndarray:
     """Look up a named jump operator, checking it matches the dimension."""
-    if name not in _NAMED_OPERATORS:
+    if name not in NAMED_OPERATORS:
         raise ValueError(
-            f"unknown operator name {name!r}; expected one of {sorted(_NAMED_OPERATORS)}"
+            f"unknown operator name {name!r}; expected one of {sorted(NAMED_OPERATORS)}"
         )
-    op = _NAMED_OPERATORS[name]
+    op = NAMED_OPERATORS[name]
     if op.shape[0] != dim:
         raise ValueError(f"operator {name!r} has dimension {op.shape[0]}, generator declares {dim}")
     return op.copy()

@@ -36,9 +36,9 @@ class RateModel:
 
     Each subclass stores its fields in `__slots__`, names them in `_fields`
     (in constructor order) and sets them in `__init__` through
-    `object.__setattr__`. Two models are equal iff they have the same type
-    and equal fields, so ConstantRate(1.0) != ExpCosRate(k=1.0); the hash
-    agrees. Slots outside `_fields` hold state derived from the fields and
+    `_set_fields`, which refuses NaN and +-inf. Two models are equal iff
+    they have the same type and equal fields, so ConstantRate(1.0) !=
+    ExpCosRate(k=1.0); the hash agrees. Slots outside `_fields` hold state derived from the fields and
     take no part in equality, hashing or repr.
     """
 
@@ -65,6 +65,14 @@ class RateModel:
         # through __setattr__, which refuses.
         return self.__class__, self._astuple()
 
+    def _set_fields(self, *values):
+        for name, value in zip(self._fields, values):
+            if not math.isfinite(value):
+                raise ValueError(
+                    f"{self.__class__.__name__} requires a finite {name}, got {name} = {value}"
+                )
+            object.__setattr__(self, name, value)
+
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
 
@@ -78,7 +86,7 @@ class ConstantRate(RateModel):
     __slots__ = _fields = ("value",)
 
     def __init__(self, value: float):
-        object.__setattr__(self, "value", value)
+        self._set_fields(value)
 
     def evaluate(self, t: np.ndarray) -> np.ndarray:
         return np.full(t.shape, float(self.value))
@@ -93,9 +101,9 @@ class ExpCosRate(RateModel):
     __slots__ = _fields = ("k",)
 
     def __init__(self, k: float = 1.0):
+        self._set_fields(k)
         if k <= 0:
             raise ValueError(f"ExpCosRate requires k > 0, got k = {k}")
-        object.__setattr__(self, "k", k)
 
     def evaluate(self, t: np.ndarray) -> np.ndarray:
         tp = self.k * t
@@ -122,14 +130,12 @@ class LorentzianRate(RateModel):
     __slots__ = _fields = ("lam", "gamma0", "k")
 
     def __init__(self, lam: float, gamma0: float, k: float = 1.0):
+        self._set_fields(lam, gamma0, k)
         if lam <= 0 or gamma0 <= 0 or k <= 0:
             raise ValueError(
                 "LorentzianRate requires lam > 0, gamma0 > 0, k > 0; got "
                 f"lam = {lam}, gamma0 = {gamma0}, k = {k}"
             )
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "gamma0", gamma0)
-        object.__setattr__(self, "k", k)
 
     def evaluate(self, t: np.ndarray) -> np.ndarray:
         tp = self.k * t
@@ -210,12 +216,11 @@ class OhmicDephasingRate(RateModel):
     __slots__ = _fields = ("omega_c", "temperature")
 
     def __init__(self, omega_c: float = 1.0, temperature: float = 0.0):
+        self._set_fields(omega_c, temperature)
         if omega_c <= 0:
             raise ValueError(f"OhmicDephasingRate requires omega_c > 0, got {omega_c}")
         if temperature < 0:
             raise ValueError(f"OhmicDephasingRate requires temperature >= 0, got {temperature}")
-        object.__setattr__(self, "omega_c", omega_c)
-        object.__setattr__(self, "temperature", temperature)
 
     def evaluate(self, t: np.ndarray) -> np.ndarray:
         a0, temp = 1.0 / self.omega_c, self.temperature
@@ -231,8 +236,8 @@ class TabulatedRate(RateModel):
 
     Knot times must be strictly increasing. Extrapolation outside the knot
     range is refused rather than guessed. The knots are kept as a tuple of
-    (float, float) pairs; the arrays built from them take no part in
-    equality.
+    (float, float) pairs; the read-only arrays built from them take no part
+    in equality.
     """
 
     __slots__ = ("knots", "_times", "_values")
@@ -242,12 +247,19 @@ class TabulatedRate(RateModel):
         knots = tuple((float(t), float(g)) for t, g in knots)
         if len(knots) < 2:
             raise ValueError("TabulatedRate needs at least two knots")
+        for t, g in knots:
+            if not (math.isfinite(t) and math.isfinite(g)):
+                raise ValueError(
+                    f"TabulatedRate requires finite knot times and values, got knot ({t}, {g})"
+                )
         times = [t for t, _ in knots]
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ValueError(f"TabulatedRate knot times must be strictly increasing: {times}")
         object.__setattr__(self, "knots", knots)
-        object.__setattr__(self, "_times", np.array(times))
-        object.__setattr__(self, "_values", np.array([g for _, g in knots]))
+        for name, column in (("_times", times), ("_values", [g for _, g in knots])):
+            array = np.array(column)
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
 
     def evaluate(self, t: np.ndarray) -> np.ndarray:
         lo, hi = self._times[0], self._times[-1]

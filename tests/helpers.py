@@ -49,6 +49,17 @@ class CountingRate:
         return self.formula(t)
 
 
+@dataclass(frozen=True)
+class UncheckedConstantRate:
+    """gamma(t) = value, with no check on value: the library's rate models
+    refuse NaN and +-inf, so this feeds a non-finite rate to later checks."""
+
+    value: float
+
+    def evaluate(self, t: np.ndarray) -> np.ndarray:
+        return np.full(t.shape, self.value)
+
+
 def count_sweeps(monkeypatch):
     """Empty bridge_spectra's last-sweep slot and count the RK4 kernel's runs:
     the returned list gets one entry per call of the kernel."""

@@ -37,6 +37,7 @@ from choi_moments.rates import ConstantRate, ExpCosRate
 from choi_moments.spectral import hermitian_spectrum
 from helpers import (
     CountingRate,
+    UncheckedConstantRate,
     count_sweeps,
     random_expcos_generator,
     random_generator,
@@ -106,7 +107,7 @@ class TestChoiSmallTime:
             choi_small_time(gen, 0.0, 1e-3)
 
     def test_rejects_non_finite_rate(self):
-        gen = dephasing_generator(ConstantRate(float("inf")))
+        gen = dephasing_generator(UncheckedConstantRate(float("inf")))
         with pytest.raises(ValueError, match="non-finite"):
             choi_small_time(gen, 0.0, 1e-3)
 
@@ -154,7 +155,7 @@ class TestPropagateMap:
             propagate_map(gen, 1.0, 0.5)
 
     def test_rejects_non_finite_rate(self):
-        gen = dephasing_generator(ConstantRate(float("nan")))
+        gen = dephasing_generator(UncheckedConstantRate(float("nan")))
         with pytest.raises(ValueError, match="non-finite"):
             propagate_map(gen, 0.0, 1.0)
 

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -212,6 +214,74 @@ class TestRoundTrip:
         assert parse_scenario(render_scenario(changed)) == changed
         with pytest.raises(ValueError, match="unexpected field"):
             config._replace(grid_points=3)
+
+
+# Per rate model: its required keys with values, its optional keys with a
+# non-default value, and the default an omitted optional key takes.
+RATE_MODEL_KEYS = {
+    "constant": ({"value": "-0.25"}, {}),
+    "expcos": ({}, {"k": ("2.5", "1.0")}),
+    "lorentzian": ({"lambda": "1.5", "gamma0": "1.0"}, {"k": ("2.0", "1.0")}),
+    "ohmic": ({}, {"omega_c": ("2.0", "1.0"), "temperature": ("0.5", "0.0")}),
+    "tabulated": ({"knots": "0.0:0.5 1.0:-0.25 3.0:1.0"}, {}),
+}
+
+
+def rate_document(model: str, params: dict[str, str]) -> str:
+    text = MINIMAL.replace("dissipator.1.rate.value = 1.0\n", "")
+    text = text.replace("rate.model = constant", f"rate.model = {model}")
+    return text + "".join(f"dissipator.1.rate.{key} = {value}\n" for key, value in params.items())
+
+
+def optional_choices():
+    for model, (required, optional) in RATE_MODEL_KEYS.items():
+        for given in itertools.product((False, True), repeat=len(optional)):
+            chosen = dict(zip(optional, given))
+            label = "".join(f"-{k}={'given' if g else 'omitted'}" for k, g in chosen.items())
+            yield pytest.param(model, chosen, id=model + label)
+
+
+class TestRateModelTable:
+    """Every model parses and renders through one table; its messages stay put."""
+
+    @pytest.mark.parametrize("model, given", optional_choices())
+    def test_round_trip_with_optional_keys_omitted_or_given(self, model, given):
+        required, optional = RATE_MODEL_KEYS[model]
+        params = dict(required)
+        params.update({key: optional[key][0] for key, on in given.items() if on})
+        config = parse_scenario(rate_document(model, params))
+        text = render_scenario(config)
+        assert parse_scenario(text) == config
+        assert render_scenario(parse_scenario(text)) == text
+        for key, on in given.items():
+            value = optional[key][0 if on else 1]
+            assert f"dissipator.1.rate.{key} = {value}\n" in text
+
+    @pytest.mark.parametrize("model", [m for m, (required, _) in RATE_MODEL_KEYS.items()
+                                       if required])
+    def test_missing_required_key(self, model):
+        required, _ = RATE_MODEL_KEYS[model]
+        for key in required:
+            params = {k: v for k, v in required.items() if k != key}
+            with pytest.raises(ConfigError) as info:
+                parse_scenario(rate_document(model, params))
+            assert str(info.value) == f"rate model {model!r} requires dissipator.1.rate.{key}"
+
+    @pytest.mark.parametrize("model, known", [
+        pytest.param("constant", "('value',)", id="constant"),
+        pytest.param("expcos", "('k',)", id="expcos"),
+        pytest.param("lorentzian", "('lambda', 'gamma0', 'k')", id="lorentzian"),
+        pytest.param("ohmic", "('omega_c', 'temperature')", id="ohmic"),
+        pytest.param("tabulated", "('knots',)", id="tabulated"),
+    ])
+    def test_unknown_key(self, model, known):
+        params = dict(RATE_MODEL_KEYS[model][0], lam="1.5")
+        with pytest.raises(ConfigError) as info:
+            parse_scenario(rate_document(model, params))
+        assert str(info.value) == (
+            f"unknown key dissipator.1.rate.'lam' for rate model {model!r}; "
+            f"expected parameters {known}"
+        )
 
 
 class TestBuildGenerator:

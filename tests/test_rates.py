@@ -176,6 +176,13 @@ class TestTabulated:
         with pytest.raises(ValueError, match="two knots"):
             TabulatedRate(knots=((0.0, 0.0),))
 
+    def test_arrays_are_read_only(self):
+        model = TabulatedRate(knots=((0.0, 0.0), (1.0, 1.0)))
+        for array in (model._times, model._values):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 5.0
+        assert rate_eval(model, 0.0) == 0.0
+
 
 def test_constant_rate():
     assert rate_eval(ConstantRate(-0.25), 17.0) == -0.25
@@ -184,6 +191,39 @@ def test_constant_rate():
 def test_rejects_negative_time():
     with pytest.raises(ValueError, match="t >= 0"):
         rate_eval(ConstantRate(1.0), -0.1)
+
+
+class TestNonFiniteParameters:
+    """Every constructor refuses NaN and +-inf with a message naming the parameter."""
+
+    @staticmethod
+    def refuses(make, name):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=rf"a finite {name}, got {name} = -?(nan|inf)$"):
+                make(bad)
+
+    def test_constant(self):
+        self.refuses(ConstantRate, "value")
+
+    def test_expcos(self):
+        self.refuses(lambda v: ExpCosRate(k=v), "k")
+
+    def test_lorentzian(self):
+        self.refuses(lambda v: LorentzianRate(lam=v, gamma0=1.0), "lam")
+        self.refuses(lambda v: LorentzianRate(lam=1.5, gamma0=v), "gamma0")
+        self.refuses(lambda v: LorentzianRate(lam=1.5, gamma0=1.0, k=v), "k")
+
+    def test_ohmic(self):
+        # A NaN temperature passes `temperature < 0` and `temp > 0` alike, so
+        # it used to evaluate as the zero-temperature model.
+        self.refuses(lambda v: OhmicDephasingRate(omega_c=v), "omega_c")
+        self.refuses(lambda v: OhmicDephasingRate(temperature=v), "temperature")
+
+    def test_tabulated(self):
+        for bad in (math.nan, math.inf, -math.inf):
+            for knots in (((0.0, 0.0), (bad, 1.0)), ((0.0, bad), (1.0, 1.0))):
+                with pytest.raises(ValueError, match="finite knot times and values"):
+                    TabulatedRate(knots)
 
 
 ARRAY_MODELS = {
