@@ -1,9 +1,8 @@
 """Scenario-driven command line front end; every launch runs `entry`.
 
-Subcommands run one pipeline against a scenario config (a file path or the
-name of a bundled scenario): each but validate computes the moment witness and
-both measures, M and the trace-norm measure I; divisibility adds a bridge
-scan. The command picks the CSV written:
+Subcommands but validate run one pipeline against a scenario config (a file
+path or the name of a bundled scenario) and report every criterion of
+`CRITERIA` it computes. The command picks the CSV written:
 
     choi-moments witness <cfg>        moment-witness series -> CSV
     choi-moments compare <cfg>        rate series f, g of both measures -> CSV
@@ -11,8 +10,7 @@ scan. The command picks the CSV written:
     choi-moments validate <cfg>       parse and validate only
 
 Exit codes: 0 = ran, Markovian-consistent; 10 = ran, non-Markovian detected by some
-criterion (a witness violation, a trace-norm measure I >= 1e-10, or, for divisibility,
-a CP-indivisible scan); 1 = config error; 2 = numerical failure. CSV floats
+criterion of `CRITERIA`; 1 = config error; 2 = numerical failure. CSV floats
 carry 17 significant digits, so repeated runs of one config are byte-identical. Files
 are written atomically (temp file + rename) and partial outputs are removed on failure.
 """
@@ -45,7 +43,7 @@ from .detect import (
     witness_series,
 )
 
-__all__ = ["RunReport", "run_scenario", "main", "entry"]
+__all__ = ["CRITERIA", "RunReport", "run_scenario", "main", "entry"]
 
 _ENV_OUT_DIR = "CHOI_MOMENTS_OUT"
 
@@ -54,25 +52,51 @@ class RunReport(NamedTuple):
     """What a scenario run produced and concluded."""
 
     scenario: str
-    # "non-Markovian" iff some computed criterion detected (see detected_by).
-    verdict: str
-    # The criteria that detected, in report order: "witness" (a violation
-    # interval), "rhp measure I" (I >= MEASURE_ZERO_THRESHOLD) and
-    # "divisibility scan" (CP-indivisible), which only divisibility runs.
-    detected_by: tuple[str, ...]
-    violations: tuple[tuple[float, float], ...]
+    verdict: str  # "non-Markovian" iff some criterion the run computed detected
+    detected_by: tuple[str, ...]  # the names of those criteria, in table order
+    # Per criterion run, in `CRITERIA` order: (scalar, detected, report lines).
+    criteria: dict[str, tuple[float, bool, list[str]]]
     output_paths: dict[str, str]
     report_path: str
-    moment_measure: float
-    rhp_measure: float
-    measure_ratio: float
-    divisibility_verdict: str | None
     config_text: str
     version: str
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.17g}"
+def _witness_criterion(series, measures, scan):
+    intervals = series.violations
+    lines = [f"witness violation intervals ({len(intervals)}):" if intervals
+             else "witness violation intervals: none"]
+    lines += [f"  [{a:.17g}, {b:.17g}]" for a, b in intervals]
+    return float(series.values.max()), series.is_non_markovian, lines
+
+
+def _rhp_criterion(series, measures, scan):
+    rhp = measures.rhp_measure
+    if measures.moment_measure >= MEASURE_ZERO_THRESHOLD:
+        ratio = f"ratio I/M = {measures.ratio:.17g}"
+    elif rhp < MEASURE_ZERO_THRESHOLD:
+        ratio = "ratio I/M: n/a (both measures vanish; dynamics is Markovian)"
+    else:
+        ratio = "ratio I/M: n/a (M vanishes while I does not)"
+    return rhp, rhp >= MEASURE_ZERO_THRESHOLD, [f"rhp measure I = {rhp:.17g}", ratio]
+
+
+# The criteria a run reports, in report order. A row gives the name that
+# `detected by` prints; whether the criterion reads the bridge sweep, so that
+# it runs, and the run sweeps, only for the divisibility output; and a function
+# from the run's (WitnessSeries, MeasureReport, DivisibilityReport | None) to
+# the criterion's scalar, whether it detected, and its report lines. The
+# witness's scalar is its largest value, the scan's its smallest eigenvalue;
+# M quantifies but never detects. Adding a criterion means adding a row.
+CRITERIA = (
+    ("witness", False, _witness_criterion),
+    ("moment measure M", False, lambda series, measures, scan: (
+        measures.moment_measure, False, [f"moment measure M = {measures.moment_measure:.17g}"])),
+    ("rhp measure I", False, _rhp_criterion),
+    ("divisibility scan", True, lambda series, measures, scan: (
+        float(scan.min_eigenvalues.min()), not scan.is_divisible,
+        [f"divisibility scan: {scan.verdict}"])),
+)
 
 
 def _write_atomic(path: str, text: str) -> None:
@@ -107,17 +131,18 @@ def run_scenario(config: ScenarioConfig, out_dir: str, quiet: bool = False) -> R
 
     Every run computes the witness series and both measures from one
     evaluation of the rates (`detect.assess`); a divisibility output adds
-    the bridge scan. The verdict, and so the exit code, is non-Markovian
-    when any criterion the run computed detects. Identical configs produce
-    byte-identical files.
+    the bridge sweep and the criteria that read it. The verdict, and so the
+    exit code, is non-Markovian when any criterion of `CRITERIA` the run
+    computed detects. Identical configs produce byte-identical files.
     """
     gen = build_generator(config)
     grid = np.linspace(0.0, config.t_max, config.points)
+    rows = [row for row in CRITERIA if "divisibility" in config.outputs or not row[1]]
     os.makedirs(out_dir, exist_ok=True)
     paths: dict[str, str] = {}
     try:
         series, measures, scan = assess(gen, grid, config.epsilon, config.mode,
-                                        scan="divisibility" in config.outputs)
+                                        scan=any(sweeps for _, sweeps, _ in rows))
         rate_names = [f"gamma_{i + 1}" for i in range(series.rates.shape[1])]
         tables = {"witness": (["t", *rate_names, "r2", "r3", "witness"],
                               [grid, *series.rates.T, series.r2, series.r3, series.values]),
@@ -129,25 +154,20 @@ def run_scenario(config: ScenarioConfig, out_dir: str, quiet: bool = False) -> R
                 paths[output] = os.path.join(out_dir, f"{config.name}_{output}.csv")
                 _write_atomic(paths[output], _csv(*tables[output]))
 
-        detected = (("witness", bool(series.violations)),
-                    ("rhp measure I", measures.rhp_measure >= MEASURE_ZERO_THRESHOLD),
-                    ("divisibility scan", scan is not None and not scan.is_divisible))
-        detected_by = tuple(name for name, hit in detected if hit)
+        criteria = {name: judge(series, measures, scan) for name, _, judge in rows}
+        detected_by = tuple(name for name, (_, hit, _) in criteria.items() if hit)
         report = RunReport(
             scenario=config.name,
             verdict="non-Markovian" if detected_by else "Markovian-consistent",
             detected_by=detected_by,
-            violations=series.violations,
+            criteria=criteria,
             output_paths=paths,
             report_path=os.path.join(out_dir, f"{config.name}_report.txt"),
-            moment_measure=measures.moment_measure,
-            rhp_measure=measures.rhp_measure,
-            measure_ratio=measures.ratio,
-            divisibility_verdict=scan.verdict if scan else None,
             config_text=render_scenario(config),
             version=__version__,
         )
-        _write_atomic(report.report_path, _report_text(report))
+        text = _report_text(report)
+        _write_atomic(report.report_path, text)
     except Exception:
         for path in paths.values():  # the report is written last
             try:
@@ -157,7 +177,7 @@ def run_scenario(config: ScenarioConfig, out_dir: str, quiet: bool = False) -> R
         raise
 
     if not quiet:
-        print(_report_text(report), end="")
+        print(text, end="")
     return report
 
 
@@ -168,21 +188,8 @@ def _report_text(report: RunReport) -> str:
         f"verdict: {report.verdict}",
         f"detected by: {', '.join(report.detected_by) or 'none'}",
     ]
-    if report.violations:
-        lines.append(f"witness violation intervals ({len(report.violations)}):")
-        lines += [f"  [{_fmt(a)}, {_fmt(b)}]" for a, b in report.violations]
-    else:
-        lines.append("witness violation intervals: none")
-    lines.append(f"moment measure M = {_fmt(report.moment_measure)}")
-    lines.append(f"rhp measure I = {_fmt(report.rhp_measure)}")
-    if report.moment_measure >= MEASURE_ZERO_THRESHOLD:
-        lines.append(f"ratio I/M = {_fmt(report.measure_ratio)}")
-    elif report.rhp_measure < MEASURE_ZERO_THRESHOLD:
-        lines.append("ratio I/M: n/a (both measures vanish; dynamics is Markovian)")
-    else:
-        lines.append("ratio I/M: n/a (M vanishes while I does not)")
-    if report.divisibility_verdict is not None:
-        lines.append(f"divisibility scan: {report.divisibility_verdict}")
+    for _, _, criterion_lines in report.criteria.values():
+        lines += criterion_lines
     for output in sorted(report.output_paths):
         lines.append(f"output {output}: {report.output_paths[output]}")
     lines.append("config:")
@@ -354,8 +361,7 @@ def main(argv=None) -> int:
             overrides["epsilon"] = args.epsilon
         if args.command != "validate":
             overrides["outputs"] = (args.command,)
-        if overrides:
-            config = config._replace(**overrides)
+        config = config._replace(**overrides)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
@@ -368,13 +374,10 @@ def main(argv=None) -> int:
     out_dir = args.out_dir or os.environ.get(_ENV_OUT_DIR) or os.getcwd()
     try:
         report = run_scenario(config, out_dir=out_dir, quiet=args.quiet)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
     except Exception as exc:  # numerical failures surface with scenario context
         print(f"numerical failure in scenario {config.name!r}: {exc}", file=sys.stderr)
         return 2
-    return 10 if report.verdict == "non-Markovian" else 0
+    return 10 if report.detected_by else 0
 
 
 def entry(argv=None) -> int:

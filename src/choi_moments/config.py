@@ -305,9 +305,12 @@ def parse_scenario(text: str) -> ScenarioConfig:
             )
     if len(set(outputs)) != len(outputs):
         raise ConfigError(f"key 'outputs': duplicate entries in {outputs}")
+    name = pairs["name"]  # it names the output files inside the output directory
+    if name in ("", ".", "..") or any(c and c in name for c in (os.sep, os.altsep, "\0")):
+        raise ConfigError(f"key 'name': expected a file name, not a path, got {name!r}")
 
     config = ScenarioConfig(
-        name=pairs["name"],
+        name=name,
         dimension=dimension,
         hamiltonian=hamiltonian,
         dissipators=tuple(dissipators),
@@ -329,7 +332,7 @@ def _rate_lines(prefix: str, rate: RateModel) -> list[str]:
     model = _RATE_MODEL_NAMES[type(rate)]
     lines = [f"{prefix}.model = {model}"]
     for key, value in zip(_RATE_MODELS[model][1], rate._astuple()):
-        text = " ".join(f"{t!r}:{g!r}" for t, g in value) if key == "knots" else repr(value)
+        text = " ".join(f"{t!r}:{g!r}" for t, g in value) if key == "knots" else repr(float(value))
         lines.append(f"{prefix}.{key} = {text}")
     return lines
 
@@ -361,9 +364,9 @@ def render_scenario(config: ScenarioConfig) -> str:
             )
         lines.extend(_rate_lines(f"dissipator.{i}.rate", spec.rate))
     lines += [
-        f"epsilon = {config.epsilon!r}",
-        f"grid.t_max = {config.t_max!r}",
-        f"grid.points = {config.points}",
+        f"epsilon = {float(config.epsilon)!r}",
+        f"grid.t_max = {float(config.t_max)!r}",
+        f"grid.points = {int(config.points)}",
         f"mode = {config.mode}",
         f"outputs = {' '.join(config.outputs)}",
     ]

@@ -13,15 +13,12 @@ Two integrated quantifiers are provided: the moment measure, built from the
 instantaneous rate f(t) = lim_{eps->0} max(0, r_2^2 - r_3)/eps of small-time
 Choi states, and the divisibility-based measure built from the trace-norm rate
 g(t) = lim_{eps->0} (||C||_1 - 1)/eps. Both limits are evaluated in closed
-form from the Choi image X(t) of the generator: f is a linear form in the
-rates, and g needs at most K eigenvalues for K jump operators. The operators
-are split once into trace-orthogonal groups (a Gram entry
-|G_ij| <= 1e-14 sqrt(G_ii G_jj) counts as zero); a group of one operator k
-gives gamma_k G_kk with no eigensolve, so distinct Pauli operators, or
-lowering, raising and sigma_z, take none, and a larger group the spectrum of
-its own rate-weighted Gram matrix. For pure dephasing they reduce
-to f = max(0, -gamma) and g = max(0, -2 gamma), so the integrals are related
-by a factor of two; the reported ratio is always the empirically computed one.
+form from the Choi image X(t) of the generator (`_rate_limits`): f is a
+linear form in the rates, and g needs at most K eigenvalues for K jump
+operators, none for mutually trace-orthogonal ones such as distinct Pauli
+operators. For pure dephasing they reduce to f = max(0, -gamma) and
+g = max(0, -2 gamma), so the integrals are related by a factor of two; the
+reported ratio is always the empirically computed one.
 
 All grid-point evaluations are pure and independent, so callers may fan them
 out across threads; only series assembly is ordered.

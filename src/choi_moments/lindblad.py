@@ -52,11 +52,17 @@ __all__ = [
     "from_hermitian_basis",
 ]
 
-SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
-SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-LOWERING = np.array([[0, 1], [0, 0]], dtype=complex)   # |0><1|
-RAISING = np.array([[0, 0], [1, 0]], dtype=complex)    # |1><0|
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+# Read-only: every caller in the process shares them (`named_operator` copies).
+SIGMA_X = _read_only(np.array([[0, 1], [1, 0]], dtype=complex))
+SIGMA_Y = _read_only(np.array([[0, -1j], [1j, 0]], dtype=complex))
+SIGMA_Z = _read_only(np.array([[1, 0], [0, -1]], dtype=complex))
+LOWERING = _read_only(np.array([[0, 1], [0, 0]], dtype=complex))   # |0><1|
+RAISING = _read_only(np.array([[0, 0], [1, 0]], dtype=complex))    # |1><0|
 
 NAMED_OPERATORS = {
     "sigma_x": SIGMA_X,
@@ -79,11 +85,6 @@ def named_operator(name: str, dim: int) -> np.ndarray:
     if op.shape[0] != dim:
         raise ValueError(f"operator {name!r} has dimension {op.shape[0]}, generator declares {dim}")
     return op.copy()
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
 
 
 def _basis_weights(d: int) -> np.ndarray:

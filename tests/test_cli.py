@@ -101,7 +101,7 @@ class TestRunScenario:
         config = parse_scenario(SMALL_WITNESS)
         report = run_scenario(config, str(tmp_path), quiet=True)
         assert report.verdict == "non-Markovian"
-        assert (report.verdict == "non-Markovian") == bool(report.violations)
+        assert report.criteria["witness"][1] and "witness" in report.detected_by
         assert set(report.output_paths) == {"witness", "divisibility"}
         witness_lines = open(report.output_paths["witness"]).read().splitlines()
         assert witness_lines[0] == "t,gamma_1,gamma_2,gamma_3,r2,r3,witness"
@@ -109,7 +109,7 @@ class TestRunScenario:
         div_lines = open(report.output_paths["divisibility"]).read().splitlines()
         assert div_lines[0] == "t,min_choi_eigenvalue"
         assert len(div_lines) == 1 + config.points
-        assert report.divisibility_verdict == "CP-indivisible"
+        assert report.criteria["divisibility scan"][2] == ["divisibility scan: CP-indivisible"]
         assert os.path.exists(report.report_path)
 
     def test_finite_interval_witness_and_scan_share_one_sweep(self, tmp_path, monkeypatch):
@@ -142,12 +142,12 @@ class TestRunScenario:
         report = run_scenario(config, str(tmp_path), quiet=True)
         assert rate.calls == config.points
         assert set(report.output_paths) == {"witness", "compare"}
-        assert report.moment_measure > 0.0
+        assert report.criteria["moment measure M"][0] > 0.0
 
     def test_markovian_verdict(self, tmp_path):
         report = run_scenario(parse_scenario(MARKOVIAN), str(tmp_path), quiet=True)
         assert report.verdict == "Markovian-consistent"
-        assert report.violations == ()
+        assert report.criteria["witness"][2] == ["witness violation intervals: none"]
         assert report.detected_by == ()
         assert "detected by: none\n" in open(report.report_path).read()
 
@@ -156,9 +156,11 @@ class TestRunScenario:
         oracle = (np.exp(-np.pi / 2) + np.exp(-3 * np.pi / 2)) / (
             2.0 * (1.0 - np.exp(-2 * np.pi))
         )
-        assert report.moment_measure == pytest.approx(oracle, rel=1e-2)
-        assert report.rhp_measure == pytest.approx(2 * oracle, rel=1e-2)
-        assert report.measure_ratio == pytest.approx(2.0, rel=1e-2)
+        moment, rhp = report.criteria["moment measure M"][0], report.criteria["rhp measure I"][0]
+        assert moment == pytest.approx(oracle, rel=1e-2)
+        assert rhp == pytest.approx(2 * oracle, rel=1e-2)
+        assert rhp / moment == pytest.approx(2.0, rel=1e-2)
+        assert report.criteria["rhp measure I"][2][1] == f"ratio I/M = {rhp / moment:.17g}"
         text = open(report.report_path).read()
         assert "moment measure M" in text and "ratio I/M" in text
         lines = open(report.output_paths["compare"]).read().splitlines()
@@ -173,10 +175,11 @@ class TestRunScenario:
         # g = 2 tanh t stays near 2 to the end of the grid, so I is truncated.
         with pytest.warns(UserWarning, match="^trace-norm rate g is still 1.988e"):
             report = run_scenario(config, str(tmp_path / "out"), quiet=True)
-        assert report.moment_measure == 0.0
-        assert report.rhp_measure == pytest.approx(4.42, abs=5e-3)
-        assert np.isnan(report.measure_ratio)
-        assert report.violations == ()
+        assert report.criteria["moment measure M"][0] == 0.0
+        assert report.criteria["rhp measure I"][0] == pytest.approx(4.42, abs=5e-3)
+        assert report.criteria["rhp measure I"][2][1] == (
+            "ratio I/M: n/a (M vanishes while I does not)")
+        assert not report.criteria["witness"][1]
         assert report.verdict == "non-Markovian"
         assert report.detected_by == ("rhp measure I",)
         text = open(report.report_path).read()
@@ -215,6 +218,61 @@ class TestRunScenario:
             run_scenario(parse_scenario(MARKOVIAN), str(tmp_path), quiet=True)
         assert len(calls) == failing_call
         assert list(tmp_path.iterdir()) == []
+
+
+class TestCriteria:
+    """The run's criteria come from one table, `cli.CRITERIA`."""
+
+    def test_the_table_rows(self, tmp_path):
+        assert [(name, sweeps) for name, sweeps, _ in cli.CRITERIA] == [
+            ("witness", False), ("moment measure M", False), ("rhp measure I", False),
+            ("divisibility scan", True)]
+        report = run_scenario(parse_scenario(SMALL_WITNESS), str(tmp_path), quiet=True)
+        assert list(report.criteria) == [name for name, _, _ in cli.CRITERIA]
+        witness = np.loadtxt(report.output_paths["witness"], delimiter=",", skiprows=1)[:, -1]
+        scan = np.loadtxt(report.output_paths["divisibility"], delimiter=",", skiprows=1)[:, 1]
+        # Each row's scalar: the largest witness value, M, I and the smallest
+        # bridge eigenvalue. M quantifies but never detects.
+        scalars = [value for value, _, _ in report.criteria.values()]
+        assert scalars[0] == np.max(witness) and scalars[3] == np.min(scan)
+        assert scalars[1] > 0.0 and scalars[2] > 0.0
+        assert [hit for _, hit, _ in report.criteria.values()] == [True, False, True, True]
+        assert report.detected_by == ("witness", "rhp measure I", "divisibility scan")
+
+    def test_a_row_added_to_the_table_reaches_the_report_and_the_exit_code(
+            self, tmp_path, capsys, monkeypatch):
+        row = ("always", False, lambda series, measures, scan: (1.0, True, ["always: yes"]))
+        out = str(tmp_path / "out")
+        assert main(["witness", "markovian_control", "--out-dir", out]) == 0
+        before = capsys.readouterr().out
+        monkeypatch.setattr(cli, "CRITERIA", cli.CRITERIA + (row,))
+        assert main(["witness", "markovian_control", "--out-dir", out]) == 10
+        text = capsys.readouterr().out
+        assert text == before.replace(
+            "verdict: Markovian-consistent\ndetected by: none\n",
+            "verdict: non-Markovian\ndetected by: always\n").replace(
+            "ratio I/M: n/a (both measures vanish; dynamics is Markovian)\n",
+            "ratio I/M: n/a (both measures vanish; dynamics is Markovian)\nalways: yes\n")
+        assert open(os.path.join(out, "markovian_control_report.txt")).read() == text
+
+    @pytest.mark.parametrize("command, sweeps", [("witness", 0), ("compare", 0),
+                                                 ("divisibility", 1)])
+    def test_a_row_that_reads_the_sweep_runs_only_for_divisibility(
+            self, tmp_path, monkeypatch, command, sweeps):
+        # A run sweeps only when a row it runs reads the sweep.
+        seen = []
+
+        def sweeping(series, measures, scan):
+            seen.append(scan)
+            return float(scan.min_eigenvalues.min()), False, ["sweeping: ran"]
+
+        monkeypatch.setattr(cli, "CRITERIA", cli.CRITERIA[:3] + (("sweeping", True, sweeping),))
+        calls = count_sweeps(monkeypatch)
+        config = parse_scenario(MARKOVIAN.replace("outputs = witness", f"outputs = {command}"))
+        report = run_scenario(config, str(tmp_path), quiet=True)
+        assert len(calls) == sweeps and len(seen) == sweeps
+        assert ("sweeping" in report.criteria) == bool(sweeps)
+        assert ("sweeping: ran\n" in open(report.report_path).read()) == bool(sweeps)
 
 
 def record_generators(monkeypatch) -> list:
@@ -282,24 +340,50 @@ class TestMainExitCodes:
         assert main(["witness", path, "--out-dir", str(tmp_path), "--quiet"]) == 10
         capsys.readouterr()
 
-    def test_every_computed_criterion_decides_the_exit_code(self, tmp_path, capsys):
+    WITNESS_AND_I = "witness, rhp measure I"
+
+    # Every bundled scenario and both test configs under each computing
+    # command: the criteria that detect, as `detected by` prints them for
+    # witness, compare and divisibility.
+    @pytest.mark.parametrize("config, detected", [
+        ("example1", (WITNESS_AND_I,) * 2 + (WITNESS_AND_I + ", divisibility scan",)),
+        ("example2", (WITNESS_AND_I,) * 2 + (WITNESS_AND_I + ", divisibility scan",)),
+        ("markovian_control", ("none",) * 3),
+        ("ohmic_compare", ("none",) * 3),
+        (QUTRIT_EXPCOS, (WITNESS_AND_I,) * 2 + (WITNESS_AND_I + ", divisibility scan",)),
         # The first-order witness is silent on this channel at every t; I,
         # which every run computes, and the scan are not.
+        (ETERNAL_PAULI, ("rhp measure I",) * 2 + ("rhp measure I, divisibility scan",)),
+    ], ids=["example1", "example2", "markovian_control", "ohmic_compare", "qutrit_expcos",
+            "eternal_pauli"])
+    def test_every_computed_criterion_decides_the_exit_code(self, tmp_path, capsys, config,
+                                                             detected):
         out = str(tmp_path / "out")
-        for command, criteria in (("witness", "rhp measure I"),
-                                  ("compare", "rhp measure I"),
-                                  ("divisibility", "rhp measure I, divisibility scan")):
+        for command, criteria in zip(("witness", "compare", "divisibility"), detected):
             with warnings.catch_warnings(record=True) as records:
                 warnings.simplefilter("always")
-                assert main([command, ETERNAL_PAULI, "--out-dir", out]) == 10
-            # Every run reads g, whose tail has not decayed.
-            messages = [str(r.message) for r in records]
-            assert len(messages) == 1
-            assert messages[0].startswith("trace-norm rate g is still 1.988e+00")
+                code = main([command, config, "--out-dir", out])
+            assert code == (0 if criteria == "none" else 10)
+            verdict = "Markovian-consistent" if criteria == "none" else "non-Markovian"
             text = capsys.readouterr().out
-            assert "witness violation intervals: none\n" in text
-            assert f"verdict: non-Markovian\ndetected by: {criteria}\n" in text
+            assert f"verdict: {verdict}\ndetected by: {criteria}\n" in text
+            assert ("witness violation intervals: none\n" in text) == ("witness" not in criteria)
+            if config == ETERNAL_PAULI:
+                # Every run reads g, whose tail has not decayed.
+                messages = [str(r.message) for r in records]
+                assert len(messages) == 1
+                assert messages[0].startswith("trace-norm rate g is still 1.988e+00")
         capsys.readouterr()
+
+    def test_a_name_that_is_a_path_is_1_and_writes_nothing(self, tmp_path, capsys):
+        # The name used to be joined into the output paths unchecked, so this
+        # wrote escaped_witness.csv and escaped_report.txt beside --out-dir.
+        path = write_cfg(tmp_path, MARKOVIAN.replace("name = control", "name = ../escaped"))
+        out = tmp_path / "deep" / "out"
+        assert main(["witness", path, "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not (tmp_path / "deep").exists()
+        assert [p.name for p in tmp_path.rglob("*")] == ["scenario.cfg"]
 
     @pytest.mark.parametrize("output", ["measure", "rhp"])
     def test_a_removed_output_in_a_config_is_1_and_names_compare(self, tmp_path, capsys,

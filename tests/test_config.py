@@ -126,6 +126,22 @@ class TestParseValidation:
         with pytest.raises(ConfigError, match="duplicate"):
             parse_scenario(MINIMAL.replace("outputs = witness", "outputs = witness witness"))
 
+    @pytest.mark.parametrize("name", ["../escaped", "sub/dir/x", "/abs", "x/", ".", "..",
+                                      "a\0b"])
+    def test_a_name_that_is_not_a_file_name_is_refused(self, name):
+        # The name is joined into the output paths, so a path would escape --out-dir.
+        with pytest.raises(ConfigError, match=r"key 'name': expected a file name, not a path"):
+            parse_scenario(MINIMAL.replace("name = minimal", f"name = {name}"))
+
+    def test_an_empty_name_is_refused(self):
+        with pytest.raises(ConfigError, match="empty key or value"):
+            parse_scenario(MINIMAL.replace("name = minimal", "name ="))
+
+    @pytest.mark.parametrize("name", ["example1", "markovian_control", "sweep12", "qudit_d8",
+                                      "a.b", "...", "x y", "-x"])
+    def test_file_names_are_accepted(self, name):
+        assert parse_scenario(MINIMAL.replace("name = minimal", f"name = {name}")).name == name
+
     def test_dissipator_index_gap(self):
         text = MINIMAL + (
             "dissipator.3.operator = sigma_x\n"
@@ -194,7 +210,11 @@ class TestRoundTrip:
             mode="finite-interval",
             outputs=("witness", "divisibility"),
         )
-        return [base, custom]
+        # Numbers made in code with numpy are written as plain numbers.
+        numpy_scalars = base._replace(
+            dissipators=(DissipatorSpec("sigma_z", ExpCosRate(k=np.float64(2.0))),),
+            epsilon=np.float64(1e-3), t_max=np.float64(3.0), points=np.int64(50))
+        return [base, custom, numpy_scalars]
 
     def test_parse_render_round_trip(self):
         for config in self.cases():

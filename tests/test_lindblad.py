@@ -59,6 +59,16 @@ class TestConstruction:
         with pytest.raises(ValueError, match="dimension"):
             named_operator("sigma_z", 3)
 
+    @pytest.mark.parametrize("name", sorted(lindblad.NAMED_OPERATORS))
+    def test_named_operators_are_read_only_and_looked_up_as_copies(self, name):
+        # One caller's in-place edit used to change every later generator.
+        shared = lindblad.NAMED_OPERATORS[name]
+        with pytest.raises(ValueError, match="read-only"):
+            shared[0, 0] = 5
+        op = named_operator(name, 2)
+        op[0, 0] = 5
+        assert op[0, 0] == 5 and shared[0, 0] != 5
+
     def test_rejects_non_hermitian_hamiltonian(self):
         h = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(ValueError, match="not Hermitian"):
@@ -75,7 +85,10 @@ class TestConstruction:
         gen = amplitude_damping_generator()
         blocks = gen.superoperator_blocks
         assert blocks.shape == (2, 4, 4)
-        assert LOWERING.flags.writeable
+        # LOWERING itself is read-only; a caller's own array stays writeable.
+        mine = named_operator("lowering", 2)
+        assert LindbladGenerator(2, SIGMA_X, ((mine, ConstantRate(1.0)),)).superoperator_blocks.size
+        assert mine.flags.writeable
         rebuilt = LindbladGenerator(2, SIGMA_X, gen.dissipators)
         assert np.array_equal(rebuilt.superoperator_blocks[1], blocks[1])
         assert not np.array_equal(rebuilt.superoperator_blocks[0], blocks[0])
