@@ -185,6 +185,12 @@ def _require_finite_rates(rows: np.ndarray, times: np.ndarray) -> None:
             f"non-finite rate at t = {times[first]:.6g}: {rows[(slice(None), *first)]}")
 
 
+def require_positive(name: str, value) -> None:
+    """Refuse, with a ValueError naming it, a value that is not positive and finite."""
+    if not 0.0 < value < np.inf:  # NaN compares false either way
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 def require_count(name: str, value, minimum: int) -> int:
     """An integer argument, refused with a ValueError naming it when it is a
     bool, not an integer (2.5, 3.0, nan, inf) or below the minimum."""
@@ -394,8 +400,7 @@ def choi_small_time(gen: LindbladGenerator, t: float, epsilon: float) -> ChoiMat
     Valid while |epsilon * gamma_i(t)| << 1 for every rate; a warning is
     emitted past |eps * gamma| = 0.1. Non-finite rates are refused.
     """
-    if not 0.0 < epsilon < np.inf:  # NaN compares false either way
-        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
+    require_positive("epsilon", epsilon)
     builder = gen.small_time_builder
     gammas = builder.rates([t])
     worst = float(np.max(np.abs(epsilon * gammas))) if gammas.size else 0.0
@@ -501,12 +506,6 @@ def _debug(message: str, *args) -> None:
         logging.getLogger("choi_moments").debug(message, *args)
 
 
-def _resolve_steps(t0: float, t1: float, steps: int | None) -> int:
-    if steps is None:
-        return max(1, round(DEFAULT_STEPS_PER_UNIT * (t1 - t0)))
-    return require_count("steps", steps, 1)
-
-
 def propagate_map(
     gen: LindbladGenerator, t0: float, t1: float, steps: int | None = None
 ) -> SuperoperatorMatrix:
@@ -525,7 +524,9 @@ def propagate_map(
         raise ValueError(f"require t1 >= t0, got t0 = {t0}, t1 = {t1}")
     if t1 == t0:
         return SuperoperatorMatrix(np.eye(gen.dim * gen.dim, dtype=complex), (t0, t1))
-    steps = _resolve_steps(t0, t1, steps)
+    if steps is None:
+        steps = max(1, round(DEFAULT_STEPS_PER_UNIT * (t1 - t0)))
+    steps = require_count("steps", steps, 1)
     h = (t1 - t0) / steps
     gammas = _half_step_rates(gen, np.array([float(t0)]), h, steps)
     ((_, phi),) = _rk4_chunks(gen, gammas, h)
@@ -539,19 +540,15 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
         np.ascontiguousarray(a).view(np.int64), np.ascontiguousarray(b).view(np.int64))
 
 
-def bridge_spectra(
-    gen: LindbladGenerator,
-    starts,
-    delta: float,
-    steps_per_unit: int = DEFAULT_STEPS_PER_UNIT,
-) -> tuple[np.ndarray, np.ndarray]:
+def bridge_spectra(gen: LindbladGenerator, starts, delta: float
+                   ) -> tuple[np.ndarray, np.ndarray]:
     """Choi spectra of the bridge maps Lambda(t + delta, t), one per start t.
 
     Each bridge is integrated directly over its own window with
-    max(1, round(steps_per_unit * delta)) RK4 steps, so no propagator from 0
-    is formed or inverted; steps_per_unit must be an integer >= 1. Returns
-    the rates gamma_i(t) at the starts, shape (W, K), and each bridge's Choi
-    eigenvalues in descending order, (W, d^2).
+    max(1, round(DEFAULT_STEPS_PER_UNIT * delta)) RK4 steps, so no
+    propagator from 0 is formed or inverted. Returns the rates gamma_i(t)
+    at the starts, shape (W, K), and each bridge's Choi eigenvalues in
+    descending order, (W, d^2).
     Warns, naming the window, when some step has |h * gamma| >= 0.1 (near a
     rate pole, where the fixed step loses accuracy).
 
@@ -562,9 +559,8 @@ def bridge_spectra(
     a finite-interval witness and a scan on one grid and delta share one sweep.
     """
     global _last_sweep
-    if not 0.0 < delta < np.inf:  # NaN compares false either way
-        raise ValueError(f"delta must be positive and finite, got {delta}")
-    steps = max(1, round(require_count("steps_per_unit", steps_per_unit, 1) * delta))
+    require_positive("delta", delta)
+    steps = max(1, round(DEFAULT_STEPS_PER_UNIT * delta))
     starts = np.asarray(starts, dtype=float)
     h = delta / steps
     gammas = _half_step_rates(gen, starts, h, steps)
@@ -628,8 +624,7 @@ def cptp_diagnostics(c: ChoiMatrix | np.ndarray, tol: float = 1e-10) -> CPTPDiag
     partial trace over the output subsystem is I/d within tol entrywise. tol
     must be positive and finite.
     """
-    if not 0.0 < tol < np.inf:  # NaN compares false either way
-        raise ValueError(f"tol must be positive and finite, got {tol}")
+    require_positive("tol", tol)
     mat = c.matrix if isinstance(c, ChoiMatrix) else np.asarray(c, dtype=complex)
     if mat.ndim != 2:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")

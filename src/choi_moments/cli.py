@@ -17,7 +17,6 @@ are written atomically (temp file + rename) and partial outputs are removed on f
 
 import gc
 import os
-import re
 import sys
 from typing import NamedTuple
 
@@ -33,6 +32,7 @@ from .config import (
     bundled_scenario_path,
     load_scenario,
     render_scenario,
+    require_file_name,
 )
 # The public views stay names of this module: the benchmark's tracer wraps them here.
 from .detect import (
@@ -133,12 +133,18 @@ def run_scenario(config: ScenarioConfig, out_dir: str, quiet: bool = False) -> R
     evaluation of the rates (`detect.assess`); a divisibility output adds
     the bridge sweep and the criteria that read it. The verdict, and so the
     exit code, is non-Markovian when any criterion of `CRITERIA` the run
-    computed detects. Identical configs produce byte-identical files.
+    computed detects. Identical configs produce byte-identical files. A
+    name that is not a file name, or an output directory that cannot be
+    created, is a ConfigError, raised before anything is written.
     """
+    require_file_name(config.name)
     gen = build_generator(config)
     grid = np.linspace(0.0, config.t_max, config.points)
     rows = [row for row in CRITERIA if "divisibility" in config.outputs or not row[1]]
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out_dir!r}: {exc.strerror}") from None
     paths: dict[str, str] = {}
     try:
         series, measures, scan = assess(gen, grid, config.epsilon, config.mode,
@@ -223,14 +229,6 @@ arguments:
   --version        show the program's version number and exit
 """)
 
-# The options accepted before COMMAND and after it, each with the type of its
-# value, or None for a flag.
-_GLOBAL_OPTIONS = {"--help": None, "--version": None}
-_COMMAND_OPTIONS = {"--help": None, "--out-dir": str, "--grid-points": int,
-                    "--epsilon": float, "--quiet": None}
-# What argparse takes for a negative number: a value, not an option.
-_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
-
 
 class _Args(NamedTuple):
     command: str
@@ -247,81 +245,47 @@ def _usage_error(message: str):
     raise SystemExit(1)
 
 
-def _is_option(arg: str) -> bool:
-    """Whether arg is an option string rather than a value, as argparse reads it."""
-    return (arg[:1] == "-" and arg != "-" and " " not in arg
-            and not _NEGATIVE_NUMBER.match(arg))
-
-
-def _option(arg: str, options: dict) -> tuple[str | None, str | None]:
-    """The option of `options` that arg names, in full or by a unique prefix,
-    and the value written into arg ("--opt=value"; "-hq" gives "q"), or None;
-    (None, None) when arg names no option. "-hh" is "-h" twice."""
-    if arg[:2] == "-h":
-        return "--help", arg[3:] if arg[2:3] == "=" else arg[2:].lstrip("h") or None
-    if arg[:2] != "--":
-        return None, None
-    prefix, eq, inline = arg.partition("=")
-    matches = [name for name in options if name.startswith(prefix)]
-    if len(matches) != 1:
-        return None, None
-    return matches[0], inline if eq else None
-
-
 def _parse_args(argv) -> _Args:
-    """Parse `choi-moments [-h] [--version] COMMAND CONFIG [options]`.
+    """Parse the usage line, `choi-moments [-h] [--version] COMMAND CONFIG [options]`.
 
-    Takes what the argparse parser of earlier versions took: the command's
-    options before or after CONFIG, "--opt value" and "--opt=value", unique
-    prefixes ("--eps"), a negative number as a value ("--epsilon -1"), and
-    "--" after COMMAND to end the options. -h/--help and --version print and
-    raise SystemExit(0); a usage mistake prints the usage line and the error
-    to stderr and raises SystemExit(1). Mistakes in an option's value are
-    reported as they are met, left to right, so "-h" after one still fails;
-    missing and unrecognized arguments are reported at the end.
+    A token that begins with "--" is an option, spelled in full; the options
+    may come before or after CONFIG. --out-dir, --grid-points and --epsilon
+    take their value as "--opt value" or "--opt=value", as written ("-1"
+    too) unless it is missing or begins with "--". -h/--help anywhere, and
+    --version as the first argument, print and raise SystemExit(0); a usage
+    mistake prints the usage line and the error to stderr and raises
+    SystemExit(1).
     """
     args = list(sys.argv[1:] if argv is None else argv)
+    if "-h" in args or "--help" in args:
+        sys.stdout.write(_HELP)
+        raise SystemExit(0)
+    if args[:1] == ["--version"]:
+        sys.stdout.write(f"choi-moments {__version__}\n")
+        raise SystemExit(0)
     positionals, values, unknown = [], {}, []
-    options_end = len(args)
-    i = 0
-    while i < len(args):
-        arg = args[i]
-        i += 1
-        if i > options_end or not _is_option(arg):
-            if not positionals and arg not in _COMMANDS:
-                _usage_error(f"argument command: invalid choice: {arg!r} "
-                             f"(choose from {', '.join(map(repr, _COMMANDS))})")
-            (unknown if len(positionals) == 2 else positionals).append(arg)
-            continue
-        if arg == "--" and positionals:
-            options_end = i
-            continue
-        options = _COMMAND_OPTIONS if positionals else _GLOBAL_OPTIONS
-        name, inline = _option(arg, options)
-        if name is None:
-            unknown.append(arg)
-            continue
-        kind = options[name]
-        if kind is None:  # a flag
-            if inline is not None:
-                _usage_error(f"argument {name}: ignored explicit argument {inline!r}")
-            if name == "--help":
-                sys.stdout.write(_HELP)
-                raise SystemExit(0)
-            if name == "--version":
-                sys.stdout.write(f"choi-moments {__version__}\n")
-                raise SystemExit(0)
+    tokens = iter(args)
+    for arg in tokens:
+        name, eq, value = arg.partition("=")
+        kind = {"--out-dir": str, "--grid-points": int, "--epsilon": float}.get(name)
+        if positionals and arg == "--quiet":
             values["quiet"] = True
-            continue
-        if inline is None:
-            if i == len(args) or _is_option(args[i]):
-                _usage_error(f"argument {name}: expected one argument")
-            inline = args[i]
-            i += 1
-        try:
-            values[name[2:].replace("-", "_")] = kind(inline)
-        except ValueError:
-            _usage_error(f"argument {name}: invalid {kind.__name__} value: {inline!r}")
+        elif positionals and kind:
+            if not eq:
+                value = next(tokens, "--")
+                if value.startswith("--"):
+                    _usage_error(f"argument {name}: expected one argument")
+            try:
+                values[name[2:].replace("-", "_")] = kind(value)
+            except ValueError:
+                _usage_error(f"argument {name}: invalid {kind.__name__} value: {value!r}")
+        elif arg.startswith("--") or len(positionals) == 2:
+            unknown.append(arg)
+        elif positionals or arg in _COMMANDS:
+            positionals.append(arg)
+        else:
+            _usage_error(f"argument command: invalid choice: {arg!r} "
+                         f"(choose from {', '.join(map(repr, _COMMANDS))})")
     if len(positionals) < 2:
         _usage_error("the following arguments are required: "
                      + ("config" if positionals else "command"))
@@ -374,6 +338,9 @@ def main(argv=None) -> int:
     out_dir = args.out_dir or os.environ.get(_ENV_OUT_DIR) or os.getcwd()
     try:
         report = run_scenario(config, out_dir=out_dir, quiet=args.quiet)
+    except ConfigError as exc:  # an unusable output directory
+        print(f"config error: {exc}", file=sys.stderr)
+        return 1
     except Exception as exc:  # numerical failures surface with scenario context
         print(f"numerical failure in scenario {config.name!r}: {exc}", file=sys.stderr)
         return 2

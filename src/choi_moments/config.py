@@ -177,6 +177,13 @@ def _build_rate(index: int, model: str, params: dict[str, str]) -> RateModel:
         raise ConfigError(f"{prefix}: {exc}") from None
 
 
+def require_file_name(name: str) -> str:
+    """A scenario name, refused unless a file name: it names the run's output files."""
+    if name in ("", ".", "..") or any(c and c in name for c in (os.sep, os.altsep, "\0")):
+        raise ConfigError(f"key 'name': expected a file name, not a path, got {name!r}")
+    return name
+
+
 def parse_scenario(text: str) -> ScenarioConfig:
     """Parse and fully validate a scenario document."""
     pairs: dict[str, str] = {}
@@ -305,12 +312,9 @@ def parse_scenario(text: str) -> ScenarioConfig:
             )
     if len(set(outputs)) != len(outputs):
         raise ConfigError(f"key 'outputs': duplicate entries in {outputs}")
-    name = pairs["name"]  # it names the output files inside the output directory
-    if name in ("", ".", "..") or any(c and c in name for c in (os.sep, os.altsep, "\0")):
-        raise ConfigError(f"key 'name': expected a file name, not a path, got {name!r}")
 
     config = ScenarioConfig(
-        name=name,
+        name=require_file_name(pairs["name"]),
         dimension=dimension,
         hamiltonian=hamiltonian,
         dissipators=tuple(dissipators),

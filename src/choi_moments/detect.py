@@ -31,10 +31,10 @@ import numpy as np
 
 from .choi import (
     ChoiMatrix,
-    DEFAULT_STEPS_PER_UNIT,
     SMALL_TIME_RATE_LIMIT,
     bridge_spectra,
     require_count,
+    require_positive,
     warn_caller,
 )
 from .lindblad import UNITAL_ATOL, LindbladGenerator, unitality_defects
@@ -162,8 +162,7 @@ def _validate_grid(grid) -> np.ndarray:
 
 def _witness_args(grid, epsilon: float, mode: str) -> np.ndarray:
     grid = _validate_grid(grid)
-    if not 0.0 < epsilon < math.inf:  # NaN compares false either way
-        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
+    require_positive("epsilon", epsilon)
     if mode not in ("small-time", "finite-interval"):
         raise ValueError(f"mode must be 'small-time' or 'finite-interval', got {mode!r}")
     return grid
@@ -195,21 +194,20 @@ def _witness(gen: LindbladGenerator, grid: np.ndarray, epsilon: float, rows, bri
                          violations=_violation_intervals(grid, values, VIOLATION_THRESHOLD))
 
 
-def witness_series(gen: LindbladGenerator, grid, epsilon: float, mode: str = "small-time",
-                   steps_per_unit: int = DEFAULT_STEPS_PER_UNIT) -> WitnessSeries:
+def witness_series(gen: LindbladGenerator, grid, epsilon: float, mode: str = "small-time"
+                   ) -> WitnessSeries:
     """Evaluate the moment witness across a time grid.
 
     In "small-time" mode each point uses the first-order Choi state of the
     map acting on [t, t + epsilon]; in "finite-interval" mode it uses the
     Choi state of the bridge map Lambda(t + epsilon, t), integrated directly
-    over that window with steps_per_unit RK4 steps per unit time, an integer
-    >= 1 (checked in either mode).
+    over that window with `choi.DEFAULT_STEPS_PER_UNIT` RK4 steps per unit
+    time.
     """
     grid = _witness_args(grid, epsilon, mode)
-    require_count("steps_per_unit", steps_per_unit, 1)  # refused in either mode
     if mode == "small-time":
         return _witness(gen, grid, epsilon, gen.small_time_builder.rates(grid))
-    return _witness(gen, grid, epsilon, None, bridge_spectra(gen, grid, epsilon, steps_per_unit))
+    return _witness(gen, grid, epsilon, None, bridge_spectra(gen, grid, epsilon))
 
 
 def _rate_limits(gen: LindbladGenerator, gammas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -279,8 +277,7 @@ def measure_report(gen: LindbladGenerator, t_max: float, grid_points: int) -> Me
     infinite-horizon integral is then suspect). t_max must be positive and
     finite.
     """
-    if not 0.0 < t_max < math.inf:  # NaN compares false either way
-        raise ValueError(f"t_max must be positive and finite, got {t_max}")
+    require_positive("t_max", t_max)
     grid = np.linspace(0.0, t_max, require_count("grid_points", grid_points, 2))
     return _measures(gen, grid, gen.small_time_builder.rates(grid))
 
@@ -322,8 +319,7 @@ def rhp_measure(gen: LindbladGenerator, t_max: float, grid_points: int) -> float
     return measure_report(gen, t_max, grid_points).rhp_measure
 
 
-def cp_divisibility_scan(gen: LindbladGenerator, grid, delta: float,
-                         steps_per_unit: int = DEFAULT_STEPS_PER_UNIT) -> DivisibilityReport:
+def cp_divisibility_scan(gen: LindbladGenerator, grid, delta: float) -> DivisibilityReport:
     """Minimum Choi eigenvalue of the bridge map on [t, t + delta] per grid time.
 
     The verdict is "CP-indivisible" as soon as any bridge map has an
@@ -332,9 +328,7 @@ def cp_divisibility_scan(gen: LindbladGenerator, grid, delta: float,
     witness is a sufficient, not necessary, violation criterion).
     """
     grid = _validate_grid(grid)
-    if not 0.0 < delta < math.inf:  # NaN compares false either way
-        raise ValueError(f"delta must be positive and finite, got {delta}")
-    return _scan(grid, delta, bridge_spectra(gen, grid, delta, steps_per_unit)[1])
+    return _scan(grid, delta, bridge_spectra(gen, grid, delta)[1])
 
 
 def _scan(grid: np.ndarray, delta: float, lam: np.ndarray) -> DivisibilityReport:

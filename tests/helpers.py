@@ -161,9 +161,10 @@ def reference_rk4_propagate(gen, t0, t1, steps):
     return phi
 
 
-def reference_bridge_spectra(gen, grid, delta, steps_per_unit=1000):
-    """Descending Choi spectra of the bridges Lambda(t + delta, t), one window at a time."""
-    steps = max(1, round(steps_per_unit * delta))
+def reference_bridge_spectra(gen, grid, delta):
+    """Descending Choi spectra of the bridges Lambda(t + delta, t), one window
+    at a time, with the library's 1000 RK4 steps per unit time."""
+    steps = max(1, round(1000 * delta))
     spectra = []
     for t in grid:
         bridge = reference_rk4_propagate(gen, float(t), float(t) + delta, steps)

@@ -12,7 +12,7 @@ import pytest
 
 from choi_moments import choi, cli, config as config_module, detect
 from choi_moments.cli import _csv, entry, main, run_scenario
-from choi_moments.config import build_generator, load_scenario, parse_scenario
+from choi_moments.config import ConfigError, build_generator, load_scenario, parse_scenario
 from choi_moments.lindblad import LindbladGenerator, dephasing_generator
 from helpers import CountingRate, count_sweeps, reference_bridge_spectra
 
@@ -111,6 +111,19 @@ class TestRunScenario:
         assert len(div_lines) == 1 + config.points
         assert report.criteria["divisibility scan"][2] == ["divisibility scan: CP-indivisible"]
         assert os.path.exists(report.report_path)
+
+    # The names parse_scenario refuses, "" included (a document cannot spell it).
+    @pytest.mark.parametrize("name", ["../escaped", "sub/dir/x", "/abs", "x/", ".", "..",
+                                      "a\0b", ""], ids=repr)
+    def test_a_name_that_is_a_path_is_refused_before_anything_is_written(self, tmp_path,
+                                                                          name):
+        # A config built in code skips parse_scenario, and its name used to be
+        # joined into the output paths unchecked: "../escaped" wrote escaped_*
+        # files beside the output directory.
+        config = parse_scenario(MARKOVIAN)._replace(name=name)
+        with pytest.raises(ConfigError, match="key 'name': expected a file name, not a path"):
+            run_scenario(config, str(tmp_path / "out"), quiet=True)
+        assert list(tmp_path.iterdir()) == []
 
     def test_finite_interval_witness_and_scan_share_one_sweep(self, tmp_path, monkeypatch):
         config = parse_scenario(
@@ -385,6 +398,19 @@ class TestMainExitCodes:
         assert not (tmp_path / "deep").exists()
         assert [p.name for p in tmp_path.rglob("*")] == ["scenario.cfg"]
 
+    @pytest.mark.parametrize("out_dir, reason", [("afile", "File exists"),
+                                                 (os.path.join("afile", "sub"), "Not a directory")])
+    def test_an_out_dir_that_cannot_be_created_is_1(self, tmp_path, capsys, out_dir, reason):
+        # os.makedirs used to fail inside run_scenario, which main reported as
+        # a numerical failure (exit 2).
+        (tmp_path / "afile").write_text("kept\n")
+        out = str(tmp_path / out_dir)
+        assert main(["witness", "markovian_control", "--out-dir", out]) == 1
+        assert capsys.readouterr() == (
+            "", f"config error: cannot create output directory {out!r}: {reason}\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["afile"]
+        assert (tmp_path / "afile").read_text() == "kept\n"
+
     @pytest.mark.parametrize("output", ["measure", "rhp"])
     def test_a_removed_output_in_a_config_is_1_and_names_compare(self, tmp_path, capsys,
                                                                  output):
@@ -468,13 +494,15 @@ class TestMainOptions:
         assert "epsilon = 0.004\n" in open(report.report_path).read()
         capsys.readouterr()
 
-    def test_epsilon_override_rejected_when_invalid(self, tmp_path, capsys):
-        # "-1" is a value, not an option, so it reaches the override check.
+    # A value is taken as written, so a negative one reaches the override
+    # check; argparse took "-1e-3" for an option, a usage error.
+    @pytest.mark.parametrize("value, shown", [("-1", "-1.0"), ("-1e-3", "-0.001")])
+    def test_epsilon_override_rejected_when_invalid(self, tmp_path, capsys, value, shown):
         path = write_cfg(tmp_path, MARKOVIAN)
         out = tmp_path / "out"
-        assert main(["witness", path, "--epsilon", "-1", "--out-dir", str(out)]) == 1
+        assert main(["witness", path, "--epsilon", value, "--out-dir", str(out)]) == 1
         assert capsys.readouterr() == ("", "config error: --epsilon must be finite and > 0, "
-                                           "got -1.0\n")
+                                           f"got {shown}\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["witness", "compare", "divisibility"])
@@ -553,52 +581,47 @@ def test_warnings_under_the_cli_name_the_line_of_cli_py(tmp_path):
 
 
 class TestParser:
-    """The command-line grammar, row by row as the argparse parser of earlier
-    versions read it (values, exit codes, help and version)."""
+    """The command-line grammar of the usage line, row by row (values, exit
+    codes, help and version). The spellings that only argparse took (unique
+    prefixes, "-h" bundles, "--" to end the options) are usage errors."""
 
     PARSED = [
         (["witness", "ex", "--out-dir=D"], {"out_dir": "D"}),
         (["witness", "ex", "--out-dir", "D"], {"out_dir": "D"}),
-        (["witness", "ex", "--out", "D"], {"out_dir": "D"}),
-        (["witness", "ex", "--o=D"], {"out_dir": "D"}),
         (["witness", "ex", "--out-dir="], {"out_dir": ""}),
         (["witness", "ex", "--out-dir", "-1"], {"out_dir": "-1"}),
         (["witness", "ex", "--out-dir", "-x y"], {"out_dir": "-x y"}),
-        (["witness", "ex", "--grid", "5"], {"grid_points": 5}),
         (["witness", "ex", "--grid-points", "+7"], {"grid_points": 7}),
         (["witness", "ex", "--grid-points", "1_000"], {"grid_points": 1000}),
         (["witness", "ex", "--grid-points", "-1"], {"grid_points": -1}),
-        (["witness", "ex", "--eps", "0.1"], {"epsilon": 0.1}),
         (["witness", "ex", "--epsilon=-1"], {"epsilon": -1.0}),
         (["witness", "--epsilon", "-1", "ex"], {"epsilon": -1.0}),
-        (["witness", "ex", "--ep", "-.5"], {"epsilon": -0.5}),
         (["witness", "ex", "--epsilon", "1e-3", "--epsilon", "2"], {"epsilon": 2.0}),
-        (["witness", "ex", "--q"], {"quiet": True}),
         (["witness", "--quiet", "ex"], {"quiet": True}),
         (["validate", "ex", "--quiet"], {"command": "validate", "quiet": True}),
         (["witness", "--out-dir", "D", "--grid-points", "9", "ex", "--quiet"],
          {"out_dir": "D", "grid_points": 9, "quiet": True}),
-        (["witness", "ex", "--"], {}),
-        (["witness", "--", "-h"], {"config": "-h"}),
         (["witness", "-1"], {"config": "-1"}),
         (["witness", "-"], {"config": "-"}),
+        (["witness", "ex", "--epsilon", "-1e-3"], {"epsilon": -0.001}),
+        (["witness", "ex", "--out-dir", "-h-not-help"], {"out_dir": "-h-not-help"}),
     ]
 
-    HELP = [["-h"], ["--help"], ["--he"], ["-h", "witness"], ["-hh"], ["witness", "-h"],
-            ["witness", "ex", "-h"], ["witness", "ex", "--h"], ["witness", "ex", "--bogus", "-h"],
-            ["witness", "ex", "-h", "--grid-points", "2.5"], ["compare", "ex", "--quiet", "--help"]]
+    HELP = [["-h"], ["--help"], ["-h", "witness"], ["witness", "-h"],
+            ["witness", "ex", "-h"], ["witness", "ex", "--bogus", "-h"],
+            ["witness", "ex", "-h", "--grid-points", "2.5"], ["compare", "ex", "--quiet", "--help"],
+            ["foo", "-h"], ["witness", "--", "-h"], ["witness", "ex", "--grid-points", "2.5", "-h"],
+            ["witness", "ex", "--out-dir", "-h"]]
 
-    VERSION = [["--version"], ["--v"], ["--version", "witness"]]
+    VERSION = [["--version"], ["--version", "witness"]]
 
     USAGE_ERRORS = [
         ([], "the following arguments are required: command"),
-        (["-x"], "the following arguments are required: command"),
         (["foo", "ex"], "argument command: invalid choice: 'foo' (choose from 'witness', "
                         "'divisibility', 'compare', 'validate')"),
         (["measure", "example1"], "invalid choice: 'measure'"),
         (["rhp", "example1"], "invalid choice: 'rhp'"),
         (["WITNESS", "ex"], "invalid choice: 'WITNESS'"),
-        (["foo", "-h"], "invalid choice: 'foo'"),
         (["witness"], "the following arguments are required: config"),
         (["validate", "--quiet"], "the following arguments are required: config"),
         (["witness", "ex", "extra"], "unrecognized arguments: extra"),
@@ -606,18 +629,29 @@ class TestParser:
         (["witness", "ex", "-q"], "unrecognized arguments: -q"),
         (["witness", "ex", "--version"], "unrecognized arguments: --version"),
         (["--quiet", "witness", "ex"], "unrecognized arguments: --quiet"),
-        (["witness", "ex", "--", "--quiet"], "unrecognized arguments: --quiet"),
         (["witness", "ex", "--out-dir"], "argument --out-dir: expected one argument"),
         (["witness", "ex", "--out-dir", "--quiet"], "argument --out-dir: expected one argument"),
-        (["witness", "ex", "--epsilon", "-1e-3"], "argument --epsilon: expected one argument"),
         (["witness", "ex", "--grid-points", "2.5"],
          "argument --grid-points: invalid int value: '2.5'"),
-        (["witness", "ex", "--grid-points", "2.5", "-h"], "invalid int value: '2.5'"),
         (["witness", "ex", "--grid-points="], "invalid int value: ''"),
         (["witness", "ex", "--epsilon", "abc"], "argument --epsilon: invalid float value: 'abc'"),
-        (["witness", "ex", "--quiet=1"], "argument --quiet: ignored explicit argument '1'"),
-        (["witness", "ex", "-hq"], "ignored explicit argument 'q'"),
-        (["--version=1"], "argument --version: ignored explicit argument '1'"),
+        # Spellings that argparse took and the usage line does not name.
+        (["witness", "ex", "--eps", "0.1"], "unrecognized arguments: --eps 0.1"),
+        (["witness", "ex", "--out", "D"], "unrecognized arguments: --out D"),
+        (["witness", "ex", "--o=D"], "unrecognized arguments: --o=D"),
+        (["witness", "ex", "--grid", "5"], "unrecognized arguments: --grid 5"),
+        (["witness", "ex", "--ep", "-.5"], "unrecognized arguments: --ep -.5"),
+        (["witness", "ex", "--q"], "unrecognized arguments: --q"),
+        (["witness", "ex", "--h"], "unrecognized arguments: --h"),
+        (["witness", "ex", "-hq"], "unrecognized arguments: -hq"),
+        (["witness", "ex", "--quiet=1"], "unrecognized arguments: --quiet=1"),
+        (["witness", "ex", "--"], "unrecognized arguments: --"),
+        (["witness", "ex", "--", "--quiet"], "unrecognized arguments: --"),
+        (["-hh"], "invalid choice: '-hh'"),
+        (["-x"], "invalid choice: '-x'"),
+        (["--he"], "the following arguments are required: command"),
+        (["--v"], "the following arguments are required: command"),
+        (["--version=1"], "the following arguments are required: command"),
     ]
 
     @pytest.mark.parametrize("argv, fields", PARSED, ids=" ".join)
@@ -627,8 +661,14 @@ class TestParser:
         assert cli._parse_args(argv)._asdict() == want
 
     def test_argv_defaults_to_the_process_arguments(self, monkeypatch):
-        monkeypatch.setattr(sys, "argv", ["choi-moments", "compare", "example2", "--q"])
+        monkeypatch.setattr(sys, "argv", ["choi-moments", "compare", "example2", "--quiet"])
         assert cli._parse_args(None) == ("compare", "example2", None, None, None, True)
+
+    def test_double_dash_does_not_end_the_options(self, capsys):
+        # argparse read "--quiet" after "--" as a third positional.
+        assert main(["witness", "ex", "--", "--quiet"]) == 1
+        assert capsys.readouterr().err.splitlines()[1] == (
+            "choi-moments: error: unrecognized arguments: --")
 
     @pytest.mark.parametrize("argv", HELP, ids=" ".join)
     def test_help_anywhere_prints_the_one_help_text_and_exits_0(self, argv, capsys):

@@ -871,28 +871,27 @@ class TestDivisibilityScan:
         with pytest.raises(ValueError, match="delta"):
             cp_divisibility_scan(gen, np.linspace(0.0, 1.0, 5), 0.0)
 
-    @pytest.mark.parametrize("steps_per_unit, problem", [
-        (0, "must be >= 1, got 0"), (-5, "must be >= 1, got -5"),
-        (2.5, "must be an integer, got 2.5"), (True, "must be an integer, got True"),
-        (math.nan, "must be an integer, got nan"), (math.inf, "must be an integer, got inf")])
-    @pytest.mark.parametrize("call", [
-        lambda gen, grid, n: witness_series(gen, grid, 0.01, mode="finite-interval",
-                                            steps_per_unit=n),
-        lambda gen, grid, n: witness_series(gen, grid, 1e-3, steps_per_unit=n),
-        lambda gen, grid, n: cp_divisibility_scan(gen, grid, 0.01, steps_per_unit=n)],
-        ids=["finite-interval witness_series", "small-time witness_series",
-             "cp_divisibility_scan"])
-    def test_rejects_a_step_count_that_is_not_a_positive_integer(
-            self, call, steps_per_unit, problem):
-        gen = dephasing_generator(ExpCosRate(k=1.0))
-        with pytest.raises(ValueError, match=f"^steps_per_unit {problem}$"):
-            call(gen, np.linspace(0.0, 1.0, 5), steps_per_unit)
-
     @pytest.mark.parametrize("delta", [math.nan, math.inf])
     def test_rejects_non_finite_delta(self, delta):
         gen = dephasing_generator(ConstantRate(1.0))
         with pytest.raises(ValueError, match="delta must be positive and finite"):
             cp_divisibility_scan(gen, np.linspace(0.0, 1.0, 5), delta)
+
+    # Each check is choi.require_positive now (the scan's is bridge_spectra's),
+    # and keeps the message it wrote before.
+    @pytest.mark.parametrize("name, call", [
+        ("epsilon", lambda gen, v: witness_series(gen, [0.0, 1.0], v)),
+        ("epsilon", lambda gen, v: witness_series(gen, [0.0, 1.0], v, mode="finite-interval")),
+        ("epsilon", lambda gen, v: assess(gen, [0.0, 1.0], v)),
+        ("t_max", lambda gen, v: measure_report(gen, v, 11)),
+        ("delta", lambda gen, v: cp_divisibility_scan(gen, np.linspace(0.0, 1.0, 5), v))],
+        ids=["small-time witness_series", "finite-interval witness_series", "assess",
+             "measure_report", "cp_divisibility_scan"])
+    def test_each_positive_check_keeps_its_message(self, name, call):
+        gen = dephasing_generator(ConstantRate(1.0))
+        with pytest.raises(ValueError) as info:
+            call(gen, -0.5)
+        assert str(info.value) == f"{name} must be positive and finite, got -0.5"
 
     @pytest.mark.parametrize("name, verdict", [("example2", "CP-indivisible"),
                                                ("ohmic_compare", "CP-divisible")])
