@@ -15,11 +15,11 @@ tables, and every other table that depends on the generator alone, are built
 once per generator: it holds one read-only builder, made on first use
 (`LindbladGenerator.small_time_builder`). The part of its
 spectrum off the Bell direction, at most K eigenvalues for K jump operators,
-comes group by group (`SmallTimeChoiBuilder.projected_spectra`): the
-operators are split once into groups that are trace-orthogonal to each
-other (a Gram entry |G_ij| <= 1e-14 sqrt(G_ii G_jj) counts as zero), a group
-of one operator gives its eigenvalue with no solve, and a larger group the
-spectrum of its own rate-weighted Gram matrix. The small-time layer lays its
+follows one rule (`SmallTimeChoiBuilder.projected_spectra`): when the
+operators are pairwise trace-orthogonal (a Gram entry
+|G_ij| <= 1e-14 sqrt(G_ii G_jj) counts as zero) each gives its eigenvalue
+with no solve, and any other set gives the spectrum of its rate-weighted
+Gram matrix, all operators in one solve. The small-time layer lays its
 rates out rates-major, (K, n): one row per jump operator, one column per
 grid time, so every step is a small matrix product or a reduction across a
 few long rows. All propagation
@@ -226,7 +226,8 @@ class SmallTimeChoiBuilder:
 
     Everything that depends on the generator alone is built once and is
     read-only: the blocks and the dissipator scales max|B_k| here, the trace
-    tables of `moments` (`trace_tables`) and the groups on first use. Each
+    tables of `moments` (`trace_tables`) and the table of
+    `projected_spectra` (`projected_table`) on first use. Each
     generator holds one builder, `LindbladGenerator.small_time_builder`,
     which every caller uses; building another with `SmallTimeChoiBuilder(gen)`
     gives the same tables.
@@ -234,14 +235,15 @@ class SmallTimeChoiBuilder:
     Off the Bell direction, with Q = I - bell, the Hamiltonian part drops out
     (Q B_0 Q = 0) and each dissipator leaves one rank-1 term,
     Q B_k Q = v_k v_k^dag with v_k = vec((L_k - Tr(L_k)/d I)^T)/sqrt(d). So
-    Q X Q = V diag(gamma) V^dag. The jump operators are split once, into
-    groups whose v_k are orthogonal to every other group's (`groups`): the
-    connected components of the Gram matrix G = V^dag V, where a pair counts
-    as orthogonal when |G_ij| <= 1e-14 sqrt(G_ii G_jj). Q X Q is then block
-    diagonal over the groups, and its nonzero spectrum is the union of theirs
-    (`projected_spectra`). The couplings dropped this way move the
-    eigenvalues by the order of 1e-14 sum_k |gamma_k| G_kk, two orders below
-    the 1e-12 noise rule of `detect._rate_limits`.
+    Q X Q = V diag(gamma) V^dag, and its nonzero spectrum follows one rule
+    (`projected_spectra`): when the v_k are pairwise orthogonal, a pair
+    counting as orthogonal when |G_ij| <= 1e-14 sqrt(G_ii G_jj) for the Gram
+    matrix G = V^dag V, it is gamma_k G_kk, one value per operator with no
+    solve; otherwise it is the spectrum of R diag(gamma) R^dag, with V = W R
+    the thin QR of all of V, so no coupling between operators is dropped.
+    The rule treats a pair within the threshold as exactly orthogonal, which
+    moves the eigenvalues by the order of 1e-14 sum_k |gamma_k| G_kk, two
+    orders below the 1e-12 noise rule of `detect._rate_limits`.
     """
 
     def __init__(self, gen: LindbladGenerator):
@@ -277,18 +279,15 @@ class SmallTimeChoiBuilder:
         return tables
 
     @cached_property
-    def groups(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """The jump operators split into groups whose centred vectors
-        v_k = vec((L_k - Tr(L_k)/d I)^T)/sqrt(d) are orthogonal to every other
-        group's: the connected components of G = V^dag V, with the pair (i, j)
-        linked when |G_ij| > 1e-14 sqrt(G_ii G_jj).
-
-        Returns one (operator indices, outer products) pair per group, in order
-        of its first operator. The outer products are r_k r_k^dag, (K_g, m, m),
-        over the columns r_k of R in the thin QR V_g = W R, so that
-        R diag(gamma_g) R^dag is their gamma-weighted sum; a group of one
-        operator k has m = 1 and the single entry G_kk. Found on first use;
-        the arrays are read-only.
+    def projected_table(self) -> np.ndarray:
+        """The table `projected_spectra` reads, decided once from the Gram
+        matrix G = V^dag V of the centred vectors
+        v_k = vec((L_k - Tr(L_k)/d I)^T)/sqrt(d): the diagonal G_kk, (K,),
+        when every pair is orthogonal (|G_ij| <= 1e-14 sqrt(G_ii G_jj) for
+        i != j); otherwise the outer products r_k r_k^dag, (K, m, m) with
+        m = min(K, d^2), over the columns r_k of R in the thin QR V = W R, so
+        that R diag(gamma) R^dag is their gamma-weighted sum. Built on first
+        use; the array is read-only.
         """
         d, k = self.gen.dim, len(self.gen.dissipators)
         ops = np.array([op for op, _ in self.gen.dissipators], dtype=complex)
@@ -296,24 +295,16 @@ class SmallTimeChoiBuilder:
         traceless = ops - np.trace(ops, axis1=1, axis2=2)[:, None, None] / d * np.eye(d)
         v = np.swapaxes(traceless, 1, 2).reshape(k, d * d).T / np.sqrt(d)
         gram = v.conj().T @ v
-        norms = gram.diagonal().real
-        linked = (np.abs(gram) > 1e-14 * np.sqrt(np.outer(norms, norms))).tolist()
-        groups, left = [], list(range(k))
-        while left:
-            members = [left[0]]
-            for i in members:  # grows while it is walked: a breadth-first search
-                members += [j for j in left if linked[i][j] and j not in members]
-            left = [j for j in left if j not in members]
-            members = np.array(sorted(members))
-            if len(members) == 1:
-                outer = norms[members].reshape(1, 1, 1)
-            else:
-                r = np.linalg.qr(v[:, members], mode="r")
-                outer = np.einsum("ik,jk->kij", r, r.conj())
-            members.setflags(write=False)
-            outer.setflags(write=False)
-            groups.append((members, outer))
-        return tuple(groups)
+        norms = gram.diagonal().real.copy()
+        linked = np.abs(gram) > 1e-14 * np.sqrt(np.outer(norms, norms))
+        np.fill_diagonal(linked, False)
+        if linked.any():
+            r = np.linalg.qr(v, mode="r")
+            table = np.einsum("ik,jk->kij", r, r.conj())
+        else:
+            table = norms
+        table.setflags(write=False)
+        return table
 
     def rates(self, times) -> np.ndarray:
         """Rates at each of n times as rows, (K, n): one row per jump
@@ -325,32 +316,25 @@ class SmallTimeChoiBuilder:
 
     def projected_spectra(self, gammas: np.ndarray) -> np.ndarray:
         """The nonzero spectrum of Q X Q for each column of rates gammas
-        (K, n), shape (m, n) with m <= K: the eigenvalues of each group in
-        turn, ascending within a group.
+        (K, n), shape (m, n) with m <= K, from `projected_table`.
 
-        A group of one operator k has the single eigenvalue gamma_k G_kk,
-        read off with no solve. A larger group g contributes the
-        min(K_g, d^2) eigenvalues of R diag(gamma_g) R^dag, with V_g = W R
-        its thin QR, in stacked solves of at most CHUNK_ENTRIES matrix
-        entries. V_g may be rank deficient (a repeated operator gives a
-        repeated column): R diag(gamma_g) R^dag then has zero eigenvalues,
-        as Q X Q has.
+        Pairwise orthogonal operators give m = K eigenvalues gamma_k G_kk, in
+        operator order, with no solve. Any other set gives the min(K, d^2)
+        eigenvalues of R diag(gamma) R^dag, ascending, in stacked solves of
+        at most CHUNK_ENTRIES matrix entries. V may be rank deficient (a
+        repeated operator gives a repeated column): R diag(gamma) R^dag then
+        has zero eigenvalues, as Q X Q has.
         """
-        n = gammas.shape[1]
-        mu = np.empty((sum(outer.shape[-1] for _, outer in self.groups), n))
-        row = 0
-        for members, outer in self.groups:
-            m = outer.shape[-1]
-            if m == 1:
-                np.multiply(gammas[members[0]], outer[0, 0, 0], out=mu[row])
-            else:
-                width = max(1, CHUNK_ENTRIES // (m * m))
-                flat = outer.reshape(len(members), m * m)
-                weights = gammas[members]
-                for lo in range(0, n, width):
-                    chunk = (weights[:, lo:lo + width].T @ flat).reshape(-1, m, m)
-                    mu[row:row + m, lo:lo + width] = np.linalg.eigvalsh(chunk).T
-            row += m
+        table = self.projected_table
+        if table.ndim == 1:
+            return gammas * table[:, None]
+        m, n = table.shape[-1], gammas.shape[1]
+        mu = np.empty((m, n))
+        width = max(1, CHUNK_ENTRIES // (m * m))
+        flat = table.reshape(len(table), m * m)
+        for lo in range(0, n, width):
+            chunk = (gammas[:, lo:lo + width].T @ flat).reshape(-1, m, m)
+            mu[:, lo:lo + width] = np.linalg.eigvalsh(chunk).T
         return mu
 
     def matrix(self, gammas: np.ndarray, epsilon: float) -> np.ndarray:

@@ -335,7 +335,9 @@ def main(argv=None) -> int:
             print(f"{path}: OK (scenario {config.name!r})")
         return 0
 
-    out_dir = args.out_dir or os.environ.get(_ENV_OUT_DIR) or os.getcwd()
+    out_dir = args.out_dir
+    if out_dir is None:
+        out_dir = os.environ.get(_ENV_OUT_DIR) or os.getcwd()
     try:
         report = run_scenario(config, out_dir=out_dir, quiet=args.quiet)
     except ConfigError as exc:  # an unusable output directory

@@ -378,11 +378,20 @@ def render_scenario(config: ScenarioConfig) -> str:
 
 
 def load_scenario(path: str) -> ScenarioConfig:
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            return parse_scenario(handle.read())
-        except ConfigError as exc:
-            raise ConfigError(f"{path}: {exc}") from None
+    """Parse the config file at path. A file that cannot be opened (a
+    directory, say) or is not UTF-8 text is a ConfigError naming the path,
+    as is a config that does not parse."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
+    try:
+        return parse_scenario(text)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def build_generator(config: ScenarioConfig) -> LindbladGenerator:

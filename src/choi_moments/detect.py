@@ -221,13 +221,13 @@ def _rate_limits(gen: LindbladGenerator, gammas: np.ndarray) -> tuple[np.ndarray
     Off the Bell direction the eigenvalues of C are eps mu_j + O(eps^2),
     with mu_j the eigenvalues of Q X Q and Q = I - bell, so
     g = 2 sum_j max(0, -mu_j) (Rivas, Huelga and Plenio, PRL 105, 050403,
-    2010). Q X Q = V diag(gamma) V^dag carries no Hamiltonian term and is
-    block diagonal over the builder's orthogonal groups of jump operators
-    (|G_ij| <= 1e-14 sqrt(G_ii G_jj) counts as orthogonal), so its nonzero
-    mu_j, at most K of them, are gamma_k G_kk for a group of one operator k
-    and the eigenvalues of R diag(gamma_g) R^dag for a larger group g
-    (`SmallTimeChoiBuilder.projected_spectra`); the zero ones add nothing
-    to g. Terms within 1e-12 of the size of the dissipators' part of X,
+    2010). Q X Q = V diag(gamma) V^dag carries no Hamiltonian term, so its
+    nonzero mu_j, at most K of them, follow one rule
+    (`SmallTimeChoiBuilder.projected_spectra`): gamma_k G_kk when the jump
+    operators are pairwise orthogonal (|G_ij| <= 1e-14 sqrt(G_ii G_jj)
+    counts as orthogonal), and otherwise the eigenvalues of
+    R diag(gamma) R^dag over all of them, V = W R; the zero ones add
+    nothing to g. Terms within 1e-12 of the size of the dissipators' part of X,
     sum_k |gamma_k| max|B_k| over k >= 1, are rounding noise and count as
     zero, so Markovian generators give exactly f = g = 0. The Hamiltonian
     block B_0 enters neither f nor g, so it does not scale the noise floor

@@ -411,6 +411,32 @@ class TestMainExitCodes:
         assert [p.name for p in tmp_path.iterdir()] == ["afile"]
         assert (tmp_path / "afile").read_text() == "kept\n"
 
+    @pytest.mark.parametrize("argv", [["--out-dir", ""], ["--out-dir="]],
+                             ids=["--out-dir ''", "--out-dir="])
+    def test_an_empty_out_dir_is_1_and_writes_nothing(self, tmp_path, capsys, monkeypatch,
+                                                      argv):
+        # An explicit "" used to fall back to $CHOI_MOMENTS_OUT or the
+        # working directory, like an absent option.
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("CHOI_MOMENTS_OUT", str(tmp_path / "env"))
+        assert main(["witness", "markovian_control", *argv]) == 1
+        assert capsys.readouterr() == (
+            "", "config error: cannot create output directory '': No such file or directory\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("kind", ["directory", "not_utf8"])
+    def test_an_unreadable_config_is_one_config_error_line(self, tmp_path, capsys, kind):
+        # open() and the UTF-8 decode used to raise past main: a traceback.
+        path = tmp_path / "scenario.cfg"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(MARKOVIAN.encode() + b"# \xff\n")
+        assert main(["validate", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"config error: {path}: ")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("output", ["measure", "rhp"])
     def test_a_removed_output_in_a_config_is_1_and_names_compare(self, tmp_path, capsys,
                                                                  output):
@@ -698,7 +724,8 @@ class TestParser:
         assert main(argv) == 0
         assert capsys.readouterr() == ("choi-moments 0.1.0\n", "")
 
-    @pytest.mark.parametrize("argv, message", USAGE_ERRORS, ids=lambda a: " ".join(a) or "none")
+    @pytest.mark.parametrize("argv, message", USAGE_ERRORS,
+                             ids=[" ".join(argv) or "none" for argv, _ in USAGE_ERRORS])
     def test_usage_errors_exit_1_with_the_usage_line(self, argv, message, capsys):
         assert main(argv) == 1
         captured = capsys.readouterr()

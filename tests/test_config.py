@@ -58,6 +58,28 @@ class TestBundledScenarios:
             bundled_scenario_path("examples")
 
 
+class TestLoadScenario:
+    """A file that cannot be read as a config is a ConfigError naming its path."""
+
+    def test_a_directory(self, tmp_path):
+        with pytest.raises(ConfigError) as info:
+            load_scenario(str(tmp_path))
+        assert str(info.value) == f"{tmp_path}: cannot read: Is a directory"
+
+    def test_a_file_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "bin.cfg"
+        path.write_bytes(MINIMAL.encode() + b"# \xff\n")
+        with pytest.raises(ConfigError) as info:
+            load_scenario(str(path))
+        assert str(info.value).startswith(
+            f"{path}: not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position ")
+
+    def test_a_missing_file(self, tmp_path):
+        with pytest.raises(ConfigError) as info:
+            load_scenario(str(tmp_path / "absent.cfg"))
+        assert str(info.value) == f"{tmp_path / 'absent.cfg'}: cannot read: No such file or directory"
+
+
 class TestParseValidation:
     def test_minimal_parses(self):
         config = parse_scenario(MINIMAL)

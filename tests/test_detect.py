@@ -52,6 +52,7 @@ from helpers import (
     random_kraus_choi,
     random_psd_unit_trace,
     random_unital_generator,
+    reference_generator_choi,
     reference_rate_limits,
     reference_rhp_rates,
     reference_small_time_witness,
@@ -425,13 +426,12 @@ class TestTraceNormRate:
         (LOWERING, RAISING, SIGMA_Z),
     ])
     def test_named_operators_make_no_eigensolve(self, monkeypatch, ops):
-        # Trace-orthogonal operators form one group each, so every mu_k is
-        # gamma_k G_kk, read off with no solve.
+        # Pairwise trace-orthogonal operators take the diagonal table, so
+        # every mu_k is gamma_k G_kk, read off with no solve.
         rng = np.random.default_rng(len(ops))
         rates = [ExpCosRate(k=float(rng.uniform(0.5, 3.0))) for _ in ops]
         gen = LindbladGenerator(2, SIGMA_X, tuple(zip(ops, rates)))
-        assert [members.tolist() for members, _ in SmallTimeChoiBuilder(gen).groups] == [
-            [k] for k in range(len(ops))]
+        assert SmallTimeChoiBuilder(gen).projected_table.shape == (len(ops),)
         want = reference_rhp_rates(gen, np.linspace(0.0, 6.0, 61))
         calls = []
         eigvalsh = np.linalg.eigvalsh
@@ -448,9 +448,10 @@ class TestTraceNormRate:
         assert np.any(report.g_series > 0.0)
         assert np.all(np.abs(report.g_series - want) <= 1e-12 * np.maximum(1.0, want))
 
-    def test_mixed_generator_splits_into_a_singleton_and_a_pair(self, monkeypatch):
+    def test_mixed_generator_takes_one_solve_over_every_operator(self, monkeypatch):
         # sigma_z, and two random operators in span{I, sigma_x, sigma_y}: their
-        # centred parts are orthogonal to sigma_z but not to each other.
+        # centred parts are orthogonal to sigma_z but not to each other, so
+        # the set is not pairwise orthogonal and all three share one solve.
         rng = np.random.default_rng(12)
         ops = [SIGMA_Z] + [sum(c * p for c, p in zip(
             rng.normal(size=3) + 1j * rng.normal(size=3), (np.eye(2), SIGMA_X, SIGMA_Y)))
@@ -458,7 +459,7 @@ class TestTraceNormRate:
         rates = [ExpCosRate(k=float(rng.uniform(0.5, 3.0))) for _ in ops]
         gen = LindbladGenerator(2, random_hermitian(rng, 2), tuple(zip(ops, rates)))
         builder = SmallTimeChoiBuilder(gen)
-        assert [members.tolist() for members, _ in builder.groups] == [[0], [1, 2]]
+        assert builder.projected_table.shape == (3, 3, 3)
         grid = np.linspace(0.0, 6.0, 61)
         want = reference_rhp_rates(gen, grid)
         shapes = []
@@ -470,10 +471,37 @@ class TestTraceNormRate:
 
         monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
         _, _, g = rate_limits(gen, grid)
-        assert shapes == [(61, 2, 2)]
+        assert shapes == [(61, 3, 3)]
         assert builder.projected_spectra(builder.rates(grid)).shape == (3, 61)
         assert np.any(g > 0.0)
         assert np.all(np.abs(g - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+    def test_partially_orthogonal_qutrit_matches_the_spectrum_of_qxq(self):
+        # The diagonal and E_20 are orthogonal to every other operator, but
+        # E_01 and E_01 + E_12 overlap, so all four share one solve. Its mu
+        # are the nonzero eigenvalues of the 9 x 9 matrix Q X Q.
+        unit = np.eye(3, dtype=complex)
+        ops = (np.diag([1.0, -1.0, 0.0]).astype(complex), np.outer(unit[0], unit[1]),
+               np.outer(unit[0], unit[1]) + np.outer(unit[1], unit[2]),
+               np.outer(unit[2], unit[0]))
+        rates = (ConstantRate(-0.3), ExpCosRate(k=1.5), ConstantRate(0.7), ConstantRate(-0.2))
+        rng = np.random.default_rng(23)
+        gen = LindbladGenerator(3, random_hermitian(rng, 3), tuple(zip(ops, rates)))
+        builder = SmallTimeChoiBuilder(gen)
+        assert builder.projected_table.shape == (4, 4, 4)
+        grid = np.linspace(0.0, 3.0, 7)
+        mu = builder.projected_spectra(builder.rates(grid))
+        assert mu.shape == (4, 7)
+        bare = LindbladGenerator(3, np.zeros((3, 3)), gen.dissipators)
+        q = np.eye(9) - builder.bell
+        for t, got in zip(grid, mu.T):
+            full = np.linalg.eigvalsh(q @ reference_generator_choi(bare, float(t)) @ q)
+            want = np.sort(full[np.argsort(np.abs(full))[-4:]])
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(full))
+        g = rate_limits(gen, grid)[2]
+        want = reference_rhp_rates(gen, grid)
+        assert np.all(g > 0.0)
+        assert np.all(np.abs(g - want) <= 1e-12 * np.maximum(1.0, want))
 
     def test_strong_hamiltonian_keeps_weak_rates(self):
         # H enters neither f nor g, so it does not raise their noise floor.
@@ -510,7 +538,7 @@ class TestTraceNormRate:
 
 def _trace_orthogonal_operators(d):
     """Jump operators whose centred parts are trace-orthogonal: the matrix
-    units E_ij (i != j) and traceless diagonals, each a group of one."""
+    units E_ij (i != j) and traceless diagonals."""
     units = []
     for i in range(d):
         for j in range(d):
@@ -532,10 +560,10 @@ class TestRowKernels:
            eps=st.sampled_from([1e-4, 1e-3, 1e-2]))
     def test_match_the_point_by_point_oracles(self, d, k, seed, split, eps):
         # K = k operators: n_orthogonal distinct members of a trace-orthogonal
-        # basis, each a group of one, and n_generic random combinations of I
-        # and the rest of the basis, which overlap each other and form one
-        # group that takes the eigvalsh branch (rank deficient when the rest
-        # is one element).
+        # basis, and n_generic random combinations of I and the rest of the
+        # basis, which overlap each other (rank deficient when the rest is
+        # one element). With two or more of those the set is not pairwise
+        # orthogonal and takes the eigvalsh branch, over all K operators.
         rng = np.random.default_rng(seed)
         basis = _trace_orthogonal_operators(d)
         rng.shuffle(basis)
@@ -550,8 +578,9 @@ class TestRowKernels:
         order = rng.permutation(len(ops))
         gen = LindbladGenerator(d, random_hermitian(rng, d),
                                 tuple((ops[i], rates[i]) for i in order))
-        sizes = sorted(len(members) for members, _ in gen.small_time_builder.groups)
-        assert sizes == sorted([1] * n_orthogonal + [n_generic] * (n_generic > 0))
+        m = min(k, d * d)
+        assert gen.small_time_builder.projected_table.shape == (
+            (k,) if n_generic <= 1 else (k, m, m))
         grid = np.linspace(0.0, 2.0, 5)
 
         series = witness_series(gen, grid, eps)
@@ -807,7 +836,7 @@ class TestGeneratorBuilder:
         builder = gen.small_time_builder
         tables = [getattr(builder, name) for name in _BUILDER_TABLES]
         tables += [*builder.trace_tables, gen.unitality_images]
-        tables += [a for group in builder.groups for a in group]
+        tables += [builder.projected_table]
         for table in tables:
             with pytest.raises(ValueError, match="read-only"):
                 table.flat[0] = 1.0
