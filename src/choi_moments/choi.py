@@ -19,10 +19,11 @@ follows one rule (`SmallTimeChoiBuilder.projected_spectra`): when the
 operators are pairwise trace-orthogonal (a Gram entry
 |G_ij| <= 1e-14 sqrt(G_ii G_jj) counts as zero) each gives its eigenvalue
 with no solve, and any other set gives the spectrum of its rate-weighted
-Gram matrix, all operators in one solve. The small-time layer lays its
-rates out rates-major, (K, n): one row per jump operator, one column per
-grid time, so every step is a small matrix product or a reduction across a
-few long rows. All propagation
+Gram matrix, all operators in one solve. Rates stay rates-major from the
+models into the RK4 kernel, one row per jump operator: (K, n) for n grid
+times, (K, W, 2m + 1) for the half-step times of W windows of m RK4 steps,
+so every step is a small matrix product or a reduction across a few long
+rows. All propagation
 goes through one batched fixed-step RK4 kernel: `propagate_map` runs it over
 one window, and `bridge_spectra` over one window [t, t + delta] per grid time,
 reusing its most recent sweep when the next call has the same inputs. Both
@@ -48,13 +49,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .lindblad import (
-    LindbladGenerator,
-    _rate_rows,
-    coefficients,
-    from_hermitian_basis,
-    rates_at,
-)
+from .lindblad import LindbladGenerator, coefficients, from_hermitian_basis, rates_at
 from .spectral import require_hermitian
 
 __all__ = [
@@ -171,20 +166,6 @@ def _require_trace_preserving(trace: np.ndarray) -> None:
         )
 
 
-def _require_finite_rates(rows: np.ndarray, times: np.ndarray) -> None:
-    """Refuse rates given as rows (K,) + times.shape that are not all finite,
-    naming the earliest time that has a non-finite rate.
-
-    The whole array is checked at once; only a failed check looks for the
-    earliest bad time.
-    """
-    if not np.isfinite(rows).all():
-        bad = ~np.all(np.isfinite(rows), axis=0)
-        first = np.unravel_index(np.argmin(np.where(bad, times, np.inf)), times.shape)
-        raise ValueError(
-            f"non-finite rate at t = {times[first]:.6g}: {rows[(slice(None), *first)]}")
-
-
 def require_positive(name: str, value) -> None:
     """Refuse, with a ValueError naming it, a value that is not positive and finite."""
     if not 0.0 < value < np.inf:  # NaN compares false either way
@@ -205,12 +186,6 @@ def require_count(name: str, value, minimum: int) -> int:
     return count
 
 
-def _row_coefficients(gammas: np.ndarray) -> np.ndarray:
-    """The weights [1; gamma_1; ...] of the Choi blocks for rows of rates
-    gammas (K, n): shape (K + 1, n)."""
-    return np.concatenate((np.ones((1, gammas.shape[1])), gammas))
-
-
 class SmallTimeChoiBuilder:
     """The Choi image X(t) = B_0 + sum_k gamma_k(t) B_k of the generator, and
     the first-order Choi states C = bell + eps * X(t) of the maps on [t, t + eps].
@@ -219,10 +194,10 @@ class SmallTimeChoiBuilder:
     k (`blocks`, stacked). The generator enters only through its rates, so a
     grid costs one rate call and one product of the coefficients
     c = [1, gamma_1, ...] with the stacked blocks (`matrix`), or with tables
-    of traces of the blocks (`moments`, which needs no eigensolve). Rates come
-    and go as rows, (K, n) for n times (`rates`), and the coefficients as
-    rows (K + 1, n): numpy runs a reduction along a short last axis row by
-    row, but across rows as whole-row operations.
+    of traces of the blocks (`moments`, which needs no eigensolve). Rates
+    come as rows, (K, n) for n times (`rates_at(gen, times).T`, no copy),
+    and the coefficients as rows (K + 1, n): numpy runs a reduction along a
+    short last axis row by row, but across rows as whole-row operations.
 
     Everything that depends on the generator alone is built once and is
     read-only: the blocks and the dissipator scales max|B_k| here, the trace
@@ -306,14 +281,6 @@ class SmallTimeChoiBuilder:
         table.setflags(write=False)
         return table
 
-    def rates(self, times) -> np.ndarray:
-        """Rates at each of n times as rows, (K, n): one row per jump
-        operator, one column per time. Non-finite rates are refused."""
-        times = np.asarray(times, dtype=float)
-        rows = _rate_rows(self.gen, times)
-        _require_finite_rates(rows, times)
-        return rows
-
     def projected_spectra(self, gammas: np.ndarray) -> np.ndarray:
         """The nonzero spectrum of Q X Q for each column of rates gammas
         (K, n), shape (m, n) with m <= K, from `projected_table`.
@@ -339,7 +306,7 @@ class SmallTimeChoiBuilder:
 
     def matrix(self, gammas: np.ndarray, epsilon: float) -> np.ndarray:
         """bell + eps * X for each column of rates gammas (K, n): (n, d^2, d^2)."""
-        x = _row_coefficients(gammas).T @ self.blocks.reshape(len(self.blocks), -1)
+        x = coefficients(gammas).T @ self.blocks.reshape(len(self.blocks), -1)
         return self.bell + epsilon * x.reshape(-1, *self.bell.shape)
 
     def moments(self, gammas: np.ndarray, epsilon: float):
@@ -363,7 +330,7 @@ class SmallTimeChoiBuilder:
         s3 = sum_k c_k sum_l c_l (T3 c)_kl.
         """
         traces2, bell_pairs, traces3 = self.trace_tables
-        c = _row_coefficients(gammas)
+        c = coefficients(gammas)
         k1, n = c.shape
         x0 = self.bell_overlaps @ c
         s2 = np.einsum("kn,kn->n", c, traces2 @ c)
@@ -385,34 +352,34 @@ def choi_small_time(gen: LindbladGenerator, t: float, epsilon: float) -> ChoiMat
     emitted past |eps * gamma| = 0.1. Non-finite rates are refused.
     """
     require_positive("epsilon", epsilon)
-    builder = gen.small_time_builder
-    gammas = builder.rates([t])
+    gammas = rates_at(gen, [t]).T
     worst = float(np.max(np.abs(epsilon * gammas))) if gammas.size else 0.0
     if worst >= SMALL_TIME_RATE_LIMIT:
         warn_caller(
             f"small-time expansion is dubious: max |eps*gamma| = {worst:.3g} "
             f"at t = {t:.6g} (limit {SMALL_TIME_RATE_LIMIT})"
         )
-    c = require_hermitian(builder.matrix(gammas, epsilon)[0], atol=_CHOI_ASYMMETRY_ATOL)
+    state = gen.small_time_builder.matrix(gammas, epsilon)[0]
+    c = require_hermitian(state, atol=_CHOI_ASYMMETRY_ATOL)
     return ChoiMatrix(c, (t, t + epsilon), "small-time")
 
 
 def _half_step_rates(
     gen: LindbladGenerator, starts: np.ndarray, h: float, steps: int
 ) -> np.ndarray:
-    """Rates at the 2*steps + 1 half-step times of every window, (W, 2*steps + 1, K).
+    """Rates at the 2*steps + 1 half-step times of every window as rows,
+    (K, W, 2*steps + 1), C-contiguous: the rows `rates_at` is a view of.
 
     A step's end time is the next step's start, so a step costs two rate
     evaluations. Non-finite rates are refused, naming the earliest such time.
     """
     times = starts[:, None] + (0.5 * h) * np.arange(2 * steps + 1)
-    gammas = rates_at(gen, times)
-    _require_finite_rates(np.moveaxis(gammas, -1, 0), times)
-    return gammas
+    return np.moveaxis(rates_at(gen, times), -1, 0)
 
 
 def _rk4_product(blocks: np.ndarray, gammas: np.ndarray, h: float) -> np.ndarray:
-    """RK4 propagators of n windows of m steps, from their half-step rates (n, 2m + 1, K).
+    """RK4 propagators of n windows of m steps, from their half-step rates as
+    rows (K, n, 2m + 1).
 
     The blocks are the generator's real transfer blocks [H_part, D_1, ...]
     in the Hermitian operator basis, so every product here is real; the
@@ -421,14 +388,15 @@ def _rk4_product(blocks: np.ndarray, gammas: np.ndarray, h: float) -> np.ndarray
     complex-basis propagators, rotated, at a quarter of the flops.
 
     The generator is affine in the rates, so all stage generators come from
-    one product of the coefficients [1, gamma_1, ...] with the blocks. Each
-    step map is one classical RK4 step applied to the identity (RK4 is
-    linear in Phi, so stepping Phi is that map times Phi); a window's step
-    maps are then multiplied pairwise, later steps on the left.
+    one product with the blocks of the coefficients [1; gamma_1; ...], rows
+    (K + 1, n, 2m + 1) read transposed, with no copy. Each step map is one
+    classical RK4 step applied to the identity (RK4 is linear in Phi, so
+    stepping Phi is that map times Phi); a window's step maps are then
+    multiplied pairwise, later steps on the left.
     """
     coef = coefficients(gammas)
-    a = coef @ blocks.reshape(len(blocks), -1)
-    a = a.reshape(*coef.shape[:-1], *blocks.shape[1:])
+    a = coef.reshape(len(coef), -1).T @ blocks.reshape(len(blocks), -1)
+    a = a.reshape(*coef.shape[1:], *blocks.shape[1:])
     a1, a2, a4 = a[:, :-1:2], a[:, 1::2], a[:, 2::2]
     eye = np.eye(blocks.shape[-1])
     k1 = a1
@@ -446,7 +414,8 @@ def _rk4_product(blocks: np.ndarray, gammas: np.ndarray, h: float) -> np.ndarray
 
 def _rk4_chunks(gen: LindbladGenerator, gammas: np.ndarray, h: float):
     """Classical fixed-step RK4 integration of dPhi/dt = Lhat(t) Phi from the
-    identity over every window whose half-step rates are gammas (W, 2m + 1, K).
+    identity over every window whose half-step rates are the rows gammas
+    (K, W, 2m + 1).
 
     Yields (window slice, propagators) chunk by chunk, the propagators as
     real transfer matrices in the generator's Hermitian operator basis. A
@@ -455,7 +424,7 @@ def _rk4_chunks(gen: LindbladGenerator, gammas: np.ndarray, h: float):
     steps are taken `span` at a time.
     """
     blocks = gen.transfer_blocks
-    windows, steps = gammas.shape[0], (gammas.shape[1] - 1) // 2
+    windows, steps = gammas.shape[1], (gammas.shape[2] - 1) // 2
     per_chunk = max(1, CHUNK_ENTRIES // blocks[0].size)
     width = max(1, per_chunk // steps)
     span = max(1, per_chunk // width)
@@ -463,7 +432,7 @@ def _rk4_chunks(gen: LindbladGenerator, gammas: np.ndarray, h: float):
         phi = None
         for k in range(0, steps, span):
             end = min(k + span, steps)
-            block = _rk4_product(blocks, gammas[lo:lo + width, 2 * k:2 * end + 1], h)
+            block = _rk4_product(blocks, gammas[:, lo:lo + width, 2 * k:2 * end + 1], h)
             phi = block if phi is None else block @ phi
         yield slice(lo, lo + width), phi
 
@@ -531,8 +500,9 @@ def bridge_spectra(gen: LindbladGenerator, starts, delta: float
     Each bridge is integrated directly over its own window with
     max(1, round(DEFAULT_STEPS_PER_UNIT * delta)) RK4 steps, so no
     propagator from 0 is formed or inverted. Returns the rates gamma_i(t)
-    at the starts, shape (W, K), and each bridge's Choi eigenvalues in
-    descending order, (W, d^2).
+    at the starts, shape (W, K), the transposed view of a fresh contiguous
+    (K, W) array, and each bridge's Choi eigenvalues in descending order,
+    (W, d^2).
     Warns, naming the window, when some step has |h * gamma| >= 0.1 (near a
     rate pole, where the fixed step loses accuracy).
 
@@ -549,7 +519,7 @@ def bridge_spectra(gen: LindbladGenerator, starts, delta: float
     h = delta / steps
     gammas = _half_step_rates(gen, starts, h, steps)
     if gammas.size:
-        peak = np.max(np.abs(h * gammas), axis=(1, 2))
+        peak = np.max(np.abs(h * gammas), axis=(0, 2))
         w = int(np.argmax(peak))
         if peak[w] >= SMALL_TIME_RATE_LIMIT:
             warn_caller(
@@ -561,7 +531,7 @@ def bridge_spectra(gen: LindbladGenerator, starts, delta: float
     if (last is not None and last[1] == h and _same_bits(last[0], blocks)
             and _same_bits(last[2], gammas)):
         _debug("reused the last sweep of %d windows", starts.size)
-        return gammas[:, 0].copy(), last[3].copy()
+        return gammas[:, :, 0].copy().T, last[3].copy()
     d = gen.dim
     spectra = np.empty((starts.size, d * d))
     for window, maps in _rk4_chunks(gen, gammas, h):
@@ -574,7 +544,7 @@ def bridge_spectra(gen: LindbladGenerator, starts, delta: float
         spectra[window] = np.linalg.eigvalsh(from_hermitian_basis(maps, d, choi=True))[:, ::-1]
     _last_sweep = (blocks, h, gammas, spectra.copy())
     _debug("swept %d windows, d = %d", starts.size, d)
-    return gammas[:, 0].copy(), spectra
+    return gammas[:, :, 0].copy().T, spectra
 
 
 def choi_of_superoperator(

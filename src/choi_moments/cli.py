@@ -33,6 +33,7 @@ from .config import (
     load_scenario,
     render_scenario,
     require_file_name,
+    require_outputs,
 )
 # The public views stay names of this module: the benchmark's tracer wraps them here.
 from .detect import (
@@ -134,34 +135,36 @@ def run_scenario(config: ScenarioConfig, out_dir: str, quiet: bool = False) -> R
     the bridge sweep and the criteria that read it. The verdict, and so the
     exit code, is non-Markovian when any criterion of `CRITERIA` the run
     computed detects. Identical configs produce byte-identical files. A
-    name that is not a file name, or an output directory that cannot be
-    created, is a ConfigError, raised before anything is written.
+    name that is not a file name, outputs `config.require_outputs` refuses,
+    or an output directory that cannot be created, is a ConfigError, raised
+    before anything is written. The directory is created once every number
+    is in hand, so a run that fails to compute them leaves none behind.
     """
     require_file_name(config.name)
+    require_outputs(config.outputs)
     gen = build_generator(config)
     grid = np.linspace(0.0, config.t_max, config.points)
     rows = [row for row in CRITERIA if "divisibility" in config.outputs or not row[1]]
+    series, measures, scan = assess(gen, grid, config.epsilon, config.mode,
+                                    scan=any(sweeps for _, sweeps, _ in rows))
+    rate_names = [f"gamma_{i + 1}" for i in range(series.rates.shape[1])]
+    tables = {"witness": (["t", *rate_names, "r2", "r3", "witness"],
+                          [grid, *series.rates.T, series.r2, series.r3, series.values]),
+              "compare": (["t", "f", "g"], [grid, measures.f_series, measures.g_series])}
+    if scan is not None:
+        tables["divisibility"] = (["t", "min_choi_eigenvalue"], [grid, scan.min_eigenvalues])
+    criteria = {name: judge(series, measures, scan) for name, _, judge in rows}
+    detected_by = tuple(name for name, (_, hit, _) in criteria.items() if hit)
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {out_dir!r}: {exc.strerror}") from None
     paths: dict[str, str] = {}
     try:
-        series, measures, scan = assess(gen, grid, config.epsilon, config.mode,
-                                        scan=any(sweeps for _, sweeps, _ in rows))
-        rate_names = [f"gamma_{i + 1}" for i in range(series.rates.shape[1])]
-        tables = {"witness": (["t", *rate_names, "r2", "r3", "witness"],
-                              [grid, *series.rates.T, series.r2, series.r3, series.values]),
-                  "compare": (["t", "f", "g"], [grid, measures.f_series, measures.g_series])}
-        if scan is not None:
-            tables["divisibility"] = (["t", "min_choi_eigenvalue"], [grid, scan.min_eigenvalues])
         for output in OUTPUT_NAMES:
             if output in config.outputs:
                 paths[output] = os.path.join(out_dir, f"{config.name}_{output}.csv")
                 _write_atomic(paths[output], _csv(*tables[output]))
-
-        criteria = {name: judge(series, measures, scan) for name, _, judge in rows}
-        detected_by = tuple(name for name, (_, hit, _) in criteria.items() if hit)
         report = RunReport(
             scenario=config.name,
             verdict="non-Markovian" if detected_by else "Markovian-consistent",

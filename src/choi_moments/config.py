@@ -184,6 +184,21 @@ def require_file_name(name: str) -> str:
     return name
 
 
+def require_outputs(outputs: tuple[str, ...]) -> tuple[str, ...]:
+    """A config's outputs, refused unless one or more distinct names of
+    OUTPUT_NAMES: each names a CSV that a run writes."""
+    if not outputs:
+        raise ConfigError("key 'outputs': at least one output is required")
+    for output in outputs:
+        if output not in OUTPUT_NAMES:
+            raise ConfigError(
+                f"key 'outputs': unknown output {output!r}; expected from {OUTPUT_NAMES}"
+            )
+    if len(set(outputs)) != len(outputs):
+        raise ConfigError(f"key 'outputs': duplicate entries in {outputs}")
+    return outputs
+
+
 def parse_scenario(text: str) -> ScenarioConfig:
     """Parse and fully validate a scenario document."""
     pairs: dict[str, str] = {}
@@ -302,16 +317,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
     mode = pairs["mode"]
     if mode not in MODE_NAMES:
         raise ConfigError(f"key 'mode': expected one of {MODE_NAMES}, got {mode!r}")
-    outputs = tuple(pairs["outputs"].split())
-    if not outputs:
-        raise ConfigError("key 'outputs': at least one output is required")
-    for output in outputs:
-        if output not in OUTPUT_NAMES:
-            raise ConfigError(
-                f"key 'outputs': unknown output {output!r}; expected from {OUTPUT_NAMES}"
-            )
-    if len(set(outputs)) != len(outputs):
-        raise ConfigError(f"key 'outputs': duplicate entries in {outputs}")
+    outputs = require_outputs(tuple(pairs["outputs"].split()))
 
     config = ScenarioConfig(
         name=require_file_name(pairs["name"]),

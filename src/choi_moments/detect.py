@@ -37,7 +37,7 @@ from .choi import (
     require_positive,
     warn_caller,
 )
-from .lindblad import UNITAL_ATOL, LindbladGenerator, unitality_defects
+from .lindblad import UNITAL_ATOL, LindbladGenerator, rates_at, unitality_defects
 from .spectral import hermitian_spectrum, moments_from_spectrum
 
 __all__ = [
@@ -79,8 +79,8 @@ class WitnessSeries(NamedTuple):
     values: np.ndarray
     r2: np.ndarray
     r3: np.ndarray
-    # gamma_i(t), shape (len(grid), number of dissipators); in small-time mode
-    # a transposed view of the rates' rows.
+    # gamma_i(t), shape (len(grid), number of dissipators): a transposed view
+    # of the rates' rows (K, n).
     rates: np.ndarray
     violations: tuple[tuple[float, float], ...]
 
@@ -176,9 +176,11 @@ def _witness(gen: LindbladGenerator, grid: np.ndarray, epsilon: float, rows, bri
         # max|eps*gamma| = eps*max|gamma| exactly: rounding is monotone.
         worst = epsilon * float(np.max(np.abs(rows))) if rows.size else 0.0
         if worst >= SMALL_TIME_RATE_LIMIT:
+            at = grid[np.argmax(np.max(np.abs(rows), axis=0))]
             warn_caller(
                 f"small-time expansion is dubious on part of the grid: "
-                f"max |eps*gamma| = {worst:.3g}"
+                f"max |eps*gamma| = {worst:.3g} at t = {at:.6g} "
+                f"(limit {SMALL_TIME_RATE_LIMIT})"
             )
         r2, r3, values = gen.small_time_builder.moments(rows, epsilon)
         rates = rows.T
@@ -206,7 +208,7 @@ def witness_series(gen: LindbladGenerator, grid, epsilon: float, mode: str = "sm
     """
     grid = _witness_args(grid, epsilon, mode)
     if mode == "small-time":
-        return _witness(gen, grid, epsilon, gen.small_time_builder.rates(grid))
+        return _witness(gen, grid, epsilon, rates_at(gen, grid).T)
     return _witness(gen, grid, epsilon, None, bridge_spectra(gen, grid, epsilon))
 
 
@@ -253,7 +255,7 @@ def moment_rate_f(gen: LindbladGenerator, t: float) -> float:
     contribute exactly zero. For single-dissipator dephasing this equals
     max(0, -gamma(t)).
     """
-    return float(_rate_limits(gen, gen.small_time_builder.rates([float(t)]))[0][0])
+    return float(_rate_limits(gen, rates_at(gen, [float(t)]).T)[0][0])
 
 
 def rhp_rate_g(gen: LindbladGenerator, t: float) -> float:
@@ -262,7 +264,7 @@ def rhp_rate_g(gen: LindbladGenerator, t: float) -> float:
     Non-negative, and zero exactly when the instantaneous map is CP. For
     single-dissipator dephasing this equals max(0, -2 gamma(t)).
     """
-    return float(_rate_limits(gen, gen.small_time_builder.rates([float(t)]))[1][0])
+    return float(_rate_limits(gen, rates_at(gen, [float(t)]).T)[1][0])
 
 
 def measure_report(gen: LindbladGenerator, t_max: float, grid_points: int) -> MeasureReport:
@@ -279,7 +281,7 @@ def measure_report(gen: LindbladGenerator, t_max: float, grid_points: int) -> Me
     """
     require_positive("t_max", t_max)
     grid = np.linspace(0.0, t_max, require_count("grid_points", grid_points, 2))
-    return _measures(gen, grid, gen.small_time_builder.rates(grid))
+    return _measures(gen, grid, rates_at(gen, grid).T)
 
 
 def _measures(gen: LindbladGenerator, grid: np.ndarray, gammas: np.ndarray) -> MeasureReport:
@@ -351,10 +353,10 @@ def assess(gen: LindbladGenerator, grid, epsilon: float, mode: str = "small-time
     """
     grid = _witness_args(grid, epsilon, mode)
     if mode == "small-time" and not scan:
-        bridge, rows = None, gen.small_time_builder.rates(grid)
+        bridge, rows = None, rates_at(gen, grid).T
     else:
         bridge = bridge_spectra(gen, grid, epsilon)
-        rows = np.ascontiguousarray(bridge[0].T)
+        rows = bridge[0].T
     series = _witness(gen, grid, epsilon, rows, None if mode == "small-time" else bridge)
     measures = _measures(gen, grid, rows)
     return series, measures, _scan(grid, epsilon, bridge[1]) if scan else None

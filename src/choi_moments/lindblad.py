@@ -11,6 +11,11 @@ and the vectorized generator is affine in the rates:
 Lhat(t) = H_part + sum_i gamma_i(t) D_i. A generator holds the constant
 blocks [H_part, D_1, ...] and every superoperator is read off them.
 
+Rates leave the models by one path, `_rate_rows`, which refuses a NaN or
+infinite one: rows (K,) + times.shape, one per dissipator. `rates_at` is
+their view with that axis last, and `coefficients` stays rates-major, so
+every caller down to the RK4 kernel reads the rows with no copy.
+
 The generator preserves Hermiticity, so in an orthonormal basis of
 Hermitian operators its blocks are real: the real transfer matrices
 T = U^dag B U, where U has the columns vec(F) of the basis
@@ -252,7 +257,9 @@ def _rate_rows(gen: LindbladGenerator, times: np.ndarray) -> np.ndarray:
     dissipator: shape (K,) + times.shape, C-contiguous.
 
     One `rate_eval` call per rate model: dissipators that share a model
-    object are evaluated once and fill each of their rows.
+    object are evaluated once and fill each of their rows. A NaN or infinite
+    rate is refused, naming the earliest time that has one; only a failed
+    check of the whole array looks for that time.
     """
     rows = np.empty((len(gen.dissipators),) + times.shape)
     by_model = {}
@@ -261,32 +268,41 @@ def _rate_rows(gen: LindbladGenerator, times: np.ndarray) -> np.ndarray:
         if values is None:
             values = by_model[id(rate)] = rate_eval(rate, times)
         rows[k] = values
+    if not np.isfinite(rows).all():
+        bad = ~np.all(np.isfinite(rows), axis=0)
+        first = np.unravel_index(np.argmin(np.where(bad, times, np.inf)), times.shape)
+        raise ValueError(
+            f"non-finite rate at t = {times[first]:.6g}: {rows[(slice(None), *first)]}")
     return rows
 
 
 def rates_at(gen: LindbladGenerator, t) -> np.ndarray:
     """Dissipator rates gamma_i at a time t, shape (K,), or at every time of an
-    array t, shape t.shape + (K,).
+    array t, shape t.shape + (K,). A NaN or infinite rate is refused with a
+    ValueError naming the earliest time that has one.
 
-    A view of the rates' rows (`_rate_rows`, one per dissipator) with that
-    axis moved last, so `np.moveaxis(rates_at(gen, t), -1, 0)` gives the
+    A view of the rates' rows (`_rate_rows`) with that axis moved last, so
+    `np.moveaxis(rates_at(gen, t), -1, 0)`, or `.T` for a 1-D t, gives the
     contiguous rows back with no copy.
     """
-    return np.moveaxis(_rate_rows(gen, np.asarray(t, dtype=float)), 0, -1)
+    rows = _rate_rows(gen, np.asarray(t, dtype=float))
+    # np.moveaxis(rows, 0, -1) without its argument checks, which cost several
+    # times the transpose itself: the small-time layer calls this per grid.
+    return rows.transpose((*range(1, rows.ndim), 0))
 
 
 def coefficients(gammas) -> np.ndarray:
     """The weights [1, gamma_1, ...] of the superoperator blocks for rates
-    gammas of shape (..., K): shape (..., K + 1)."""
+    laid out rates-major, gammas of shape (K,) + shape: shape (K + 1,) + shape."""
     gammas = np.asarray(gammas, dtype=float)
-    return np.concatenate((np.ones(gammas.shape[:-1] + (1,)), gammas), axis=-1)
+    return np.concatenate((np.ones((1,) + gammas.shape[1:]), gammas))
 
 
 def generator_superoperator(gen: LindbladGenerator, t: float) -> np.ndarray:
     """Matrix Lhat(t) with vec(d rho / dt) = Lhat(t) @ vec(rho) at time t.
 
     Row-major vectorization; the returned d^2 x d^2 matrix is generally not
-    Hermitian.
+    Hermitian. A NaN or infinite rate at t is refused, naming t.
     """
     blocks = gen.superoperator_blocks
     out = coefficients(rates_at(gen, t)) @ blocks.reshape(len(blocks), -1)

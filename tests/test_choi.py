@@ -180,6 +180,28 @@ class TestPropagateMap:
             assert np.trace(out).real == pytest.approx(1.0, abs=1e-8)
 
 
+class TestNonFiniteRates:
+    """Every rate leaves the models through `lindblad._rate_rows`, which
+    refuses a NaN or infinite one and names the earliest time that has it."""
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("call, first", [
+        (lambda gen: rates_at(gen, [2.0, 0.5, 1.0]), "0.5"),
+        (lambda gen: rates_at(gen, 0.75), "0.75"),
+        (lambda gen: generator_superoperator(gen, 0.75), "0.75"),
+        (lambda gen: propagate_map(gen, 0.25, 1.0), "0.25"),
+        (lambda gen: bridge_spectra(gen, [1.5, 0.5], 1e-3), "0.5"),
+    ], ids=["rates_at-grid", "rates_at-scalar", "generator_superoperator",
+            "propagate_map", "bridge_spectra"])
+    def test_is_refused_naming_the_earliest_time(self, call, first, value):
+        # rates_at and generator_superoperator used to return NaN entries.
+        gen = LindbladGenerator(2, np.zeros((2, 2)), (
+            (SIGMA_X, ConstantRate(0.5)), (SIGMA_Z, UncheckedConstantRate(value))))
+        with pytest.raises(ValueError, match=rf"^non-finite rate at t = {first}: "
+                                             rf"\[ ?0\.5 +-?(nan|inf)\]$"):
+            call(gen)
+
+
 class TestBatchedKernel:
     """The batched RK4 kernel, which runs in real arithmetic in the Hermitian
     operator basis, against the complex step-by-step loop in helpers."""

@@ -65,7 +65,7 @@ outputs = witness
 """
 
 # Knots stop exactly at t_max, so the divisibility scan (which needs rates at
-# t_max + delta) fails after the witness CSV has already been written.
+# t_max + delta) fails after the witness series has been computed.
 FAILS_LATE = """
 version = 1
 name = fails_late
@@ -122,6 +122,21 @@ class TestRunScenario:
         # files beside the output directory.
         config = parse_scenario(MARKOVIAN)._replace(name=name)
         with pytest.raises(ConfigError, match="key 'name': expected a file name, not a path"):
+            run_scenario(config, str(tmp_path / "out"), quiet=True)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("outputs, message", [
+        (("bogus",), "unknown output 'bogus'"),
+        (("witness", "bogus"), "unknown output 'bogus'"),
+        ((), "at least one output is required"),
+        (("witness", "witness"), "duplicate entries"),
+    ], ids=["bogus", "witness-bogus", "none", "duplicate"])
+    def test_outputs_are_checked_before_anything_is_written(self, tmp_path, outputs,
+                                                            message):
+        # A config built in code skips parse_scenario: ("bogus",) used to
+        # write a report and no CSV, and say nothing.
+        config = parse_scenario(MARKOVIAN)._replace(outputs=outputs)
+        with pytest.raises(ConfigError, match=rf"^key 'outputs': {message}"):
             run_scenario(config, str(tmp_path / "out"), quiet=True)
         assert list(tmp_path.iterdir()) == []
 
@@ -347,6 +362,18 @@ class TestMainExitCodes:
         path = write_cfg(tmp_path, FAILS_LATE)
         assert main(["divisibility", path, "--out-dir", str(tmp_path), "--quiet"]) == 2
         assert "numerical failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["witness", "divisibility"])
+    def test_a_numerical_failure_leaves_no_directory_it_made(self, tmp_path, capsys,
+                                                             command):
+        # The output directory used to be made before the numbers, so a run
+        # that failed with exit 2 left an empty new/sub behind.
+        text = FAILS_LATE.replace("0.0:1.0 2.0:1.0", "0.0:1.0 1.0:1.0")
+        path = write_cfg(tmp_path, text if command == "witness" else FAILS_LATE)
+        out = tmp_path / "new" / "sub"
+        assert main([command, path, "--out-dir", str(out), "--quiet"]) == 2
+        assert "outside the tabulated range" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["scenario.cfg"]
 
     def test_non_markovian_is_10(self, tmp_path, capsys):
         path = write_cfg(tmp_path, SMALL_WITNESS)

@@ -41,6 +41,7 @@ from choi_moments.lindblad import (
     LindbladGenerator,
     dephasing_generator,
     isotropic_pauli_generator,
+    rates_at,
 )
 from choi_moments.rates import ConstantRate, ExpCosRate, LorentzianRate, TabulatedRate, rate_eval
 from choi_moments.spectral import hermitian_spectrum, require_hermitian, schatten_norm
@@ -62,7 +63,7 @@ from helpers import (
 
 def rate_limits(gen, times):
     """The rates on times as rows, then f and g from them by `_rate_limits`."""
-    gammas = gen.small_time_builder.rates(times)
+    gammas = rates_at(gen, times).T
     return (gammas, *_rate_limits(gen, gammas))
 
 
@@ -191,6 +192,18 @@ class TestWitnessSeries:
         boundary_ts = grid[np.nonzero(np.diff(np.sign(gammas)))[0]]
         for t in grid[mismatches]:
             assert np.min(np.abs(boundary_ts - t)) <= spacing + 1e-12
+
+    def test_dubious_grid_warning_names_the_time_of_the_largest_value(self):
+        # The warning used to give the largest |eps*gamma| but not where it is.
+        peak = TabulatedRate(((0.0, 1.0), (1.25, -300.0), (2.0, 1.0)))
+        gen = LindbladGenerator(2, np.zeros((2, 2)), (
+            (SIGMA_X, ConstantRate(1.0)), (SIGMA_Z, peak)))
+        grid = np.linspace(0.0, 2.0, 9)
+        with pytest.warns(UserWarning) as records:
+            witness_series(gen, grid, 1e-3)
+        assert [str(r.message) for r in records] == [
+            "small-time expansion is dubious on part of the grid: "
+            "max |eps*gamma| = 0.3 at t = 1.25 (limit 0.1)"]
 
     def test_markovian_semigroup_has_no_violations(self):
         gen = dephasing_generator(ConstantRate(1.0))
@@ -472,7 +485,7 @@ class TestTraceNormRate:
         monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
         _, _, g = rate_limits(gen, grid)
         assert shapes == [(61, 3, 3)]
-        assert builder.projected_spectra(builder.rates(grid)).shape == (3, 61)
+        assert builder.projected_spectra(rates_at(gen, grid).T).shape == (3, 61)
         assert np.any(g > 0.0)
         assert np.all(np.abs(g - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
@@ -490,7 +503,7 @@ class TestTraceNormRate:
         builder = SmallTimeChoiBuilder(gen)
         assert builder.projected_table.shape == (4, 4, 4)
         grid = np.linspace(0.0, 3.0, 7)
-        mu = builder.projected_spectra(builder.rates(grid))
+        mu = builder.projected_spectra(rates_at(gen, grid).T)
         assert mu.shape == (4, 7)
         bare = LindbladGenerator(3, np.zeros((3, 3)), gen.dissipators)
         q = np.eye(9) - builder.bell
@@ -819,7 +832,7 @@ class TestGeneratorBuilder:
                 # An equal generator starts with no builder of its own.
                 twin = LindbladGenerator(d, gen.hamiltonian, gen.dissipators)
                 twin_report = measure_report(twin, 3.0, 31)
-            gammas = fresh.rates(grid)
+            gammas = rates_at(gen, grid).T
             for got, want in zip((series.r2, series.r3, series.values),
                                  fresh.moments(gammas, 1e-3)):
                 assert np.array_equal(got, want)
@@ -827,7 +840,7 @@ class TestGeneratorBuilder:
                                   fresh.projected_spectra(gammas))
             assert np.array_equal(report.f_series, twin_report.f_series)
             assert np.array_equal(report.g_series, twin_report.g_series)
-            state = fresh.matrix(fresh.rates([1.5]), 1e-3)[0]
+            state = fresh.matrix(rates_at(gen, [1.5]).T, 1e-3)[0]
             assert np.array_equal(choi_small_time(gen, 1.5, 1e-3).matrix,
                                   require_hermitian(state, atol=1e-8))
 

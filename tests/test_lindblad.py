@@ -169,10 +169,15 @@ class TestApplyGenerator:
 
 class TestSuperoperator:
     def test_coefficients_lead_with_one(self):
-        gammas = np.arange(6.0).reshape(3, 2)
-        assert np.array_equal(coefficients(gammas), [[1, 0, 1], [1, 2, 3], [1, 4, 5]])
+        # Rates-major: rows (K,) + shape in, a row of ones on top out.
+        gammas = np.arange(6.0).reshape(2, 3)
+        assert np.array_equal(coefficients(gammas), [[1, 1, 1], [0, 1, 2], [3, 4, 5]])
         assert np.array_equal(coefficients([0.5]), [1.0, 0.5])
-        assert coefficients(np.empty((4, 0))).shape == (4, 1)
+        assert coefficients(np.empty((0, 4))).shape == (1, 4)
+        half_steps = np.arange(30.0).reshape(2, 3, 5)  # (K, W, 2m + 1), as RK4 reads them
+        coef = coefficients(half_steps)
+        assert coef.shape == (3, 3, 5)
+        assert np.array_equal(coef[0], np.ones((3, 5))) and np.array_equal(coef[1:], half_steps)
 
     @pytest.mark.parametrize("shape", [(), (7,), (3, 5)])
     def test_rates_at_is_a_view_of_rate_rows(self, shape, monkeypatch):
