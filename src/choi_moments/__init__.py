@@ -9,10 +9,6 @@ measure comparison for the bundled models.
 
 __version__ = "0.1.0"
 
-from .spectral import (
-    hermitian_spectrum,
-    schatten_norm,
-)
 from .rates import (
     ConstantRate,
     ExpCosRate,
@@ -23,17 +19,11 @@ from .rates import (
 )
 from .lindblad import (
     LindbladGenerator,
-    dephasing_generator,
     generator_superoperator,
-    isotropic_pauli_generator,
     named_operator,
 )
 from .choi import (
-    ChoiMatrix,
     SuperoperatorMatrix,
-    choi_of_superoperator,
-    choi_small_time,
-    cptp_diagnostics,
     max_entangled_projector,
     propagate_map,
 )
@@ -44,12 +34,7 @@ from .detect import (
     cp_divisibility_scan,
     lambda_moments,
     measure_report,
-    moment_measure,
-    moment_rate_f,
     moment_witness,
-    renyi_entropy,
-    rhp_measure,
-    rhp_rate_g,
     witness_series,
 )
 from .config import (
@@ -64,18 +49,13 @@ from .config import (
 
 __all__ = [
     "__version__",
-    "hermitian_spectrum", "schatten_norm",
     "ConstantRate", "ExpCosRate", "LorentzianRate", "OhmicDephasingRate",
     "TabulatedRate", "rate_eval",
-    "LindbladGenerator", "dephasing_generator", "generator_superoperator",
-    "isotropic_pauli_generator", "named_operator",
-    "ChoiMatrix", "SuperoperatorMatrix", "choi_of_superoperator",
-    "choi_small_time", "cptp_diagnostics", "max_entangled_projector",
-    "propagate_map",
+    "LindbladGenerator", "generator_superoperator", "named_operator",
+    "SuperoperatorMatrix", "max_entangled_projector", "propagate_map",
     "DivisibilityReport", "MeasureReport", "WitnessSeries",
     "cp_divisibility_scan", "lambda_moments", "measure_report",
-    "moment_measure", "moment_rate_f", "moment_witness", "renyi_entropy",
-    "rhp_measure", "rhp_rate_g", "witness_series",
+    "moment_witness", "witness_series",
     "ConfigError", "ScenarioConfig", "build_generator",
     "bundled_scenario_path", "load_scenario", "parse_scenario",
     "render_scenario",

@@ -1,4 +1,4 @@
-"""Choi states of intermediate dynamical maps and complete-positivity checks.
+"""Choi states of intermediate dynamical maps and their moments and spectra.
 
 The normalized convention is used throughout: the Choi state of a map M is
 (I kron M) applied to the projector onto (1/sqrt(d)) sum_i |ii>, so it has
@@ -6,14 +6,18 @@ unit trace for trace-preserving M. The unnormalized d*C convention is
 deliberately not used anywhere -- the moment formulas downstream assume unit
 trace.
 
-Two constructions are provided: the first-order small-time Choi built directly
-from the generator, and the finite-interval Choi of the map bridging two times
-of a propagated evolution. The trace moments of the small-time Choi are exact
-polynomials in its time step, evaluated from traces of the generator's Choi
-blocks with no eigensolve (`SmallTimeChoiBuilder.moments`). Those trace
-tables, and every other table that depends on the generator alone, are built
-once per generator: it holds one read-only builder, made on first use
-(`LindbladGenerator.small_time_builder`). The part of its
+Two kinds of Choi state are read: the small-time state of the map on
+[t, t + eps], built from the generator, and the finite-interval state of the
+map bridging two times of a propagated evolution. The small-time map takes
+its Hamiltonian part exactly and its dissipator to first order,
+e^{eps L_H} (1 + eps D(t)), so its Choi state is a local unitary
+conjugation of bell + eps X_D(t), with X_D the Choi image of the dissipator
+alone, and has the same moments. Those moments are exact polynomials in
+eps, evaluated from traces of the dissipators' Choi blocks with no
+eigensolve (`SmallTimeChoiBuilder.moments`); no Choi matrix is formed.
+Those trace tables, and every other table that depends on the generator
+alone, are built once per generator: it holds one read-only builder, made
+on first use (`LindbladGenerator.small_time_builder`). The part of its
 spectrum off the Bell direction, at most K eigenvalues for K jump operators,
 follows one rule (`SmallTimeChoiBuilder.projected_spectra`): when the
 operators are pairwise trace-orthogonal (a Gram entry
@@ -27,10 +31,11 @@ rows. All propagation
 goes through one batched fixed-step RK4 kernel: `propagate_map` runs it over
 one window, and `bridge_spectra` over one window [t, t + delta] per grid time,
 reusing its most recent sweep when the next call has the same inputs. Both
-constructions read the generator's read-only blocks [H_part, D_1, ...],
-weighted by the coefficients [1, gamma_1, ...] of the rates: the small-time
-builder its superoperator blocks, the RK4 kernel its real transfer blocks,
-the same maps in an orthonormal basis of Hermitian operators. The kernel
+read the generator's read-only blocks [H_part, D_1, ...]: the small-time
+builder the Choi images of the dissipator blocks, weighted by the rates,
+and the RK4 kernel every real transfer block, weighted by the coefficients
+[1, gamma_1, ...] of the rates: the same maps in an orthonormal basis of
+Hermitian operators. The kernel
 runs in real arithmetic, on stacks of several windows at once (up to
 CHUNK_ENTRIES matrix entries: four 64 x 64 maps at d = 8), and each caller
 leaves the real basis once per map, with O(d^4) slices and no matrix
@@ -50,19 +55,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .lindblad import LindbladGenerator, coefficients, from_hermitian_basis, rates_at
-from .spectral import require_hermitian
 
 __all__ = [
     "SuperoperatorMatrix",
-    "ChoiMatrix",
-    "CPTPDiagnostics",
     "max_entangled_projector",
-    "choi_small_time",
     "propagate_map",
     "bridge_spectra",
-    "choi_of_superoperator",
-    "cptp_diagnostics",
-    "partial_trace_output",
 ]
 
 # Fixed-step integrator resolution: steps per unit time.
@@ -77,9 +75,8 @@ SMALL_TIME_RATE_LIMIT = 0.1
 # eigensolves are one call each, for about 0.7 MB more peak memory than a
 # stack of one (4096); 65536 would cost about 4.6 MB more.
 CHUNK_ENTRIES = 16384
-# Tolerances for Choi construction sanity checks.
+# Largest deviation from 1 of a bridge's Choi trace.
 _CHOI_TRACE_ATOL = 1e-6
-_CHOI_ASYMMETRY_ATOL = 1e-8
 # Source files of this package, skipped when a warning names its caller,
 # except the command line front end: it calls the library as any caller
 # does, and past it lie only runpy or an entry-point script.
@@ -101,29 +98,6 @@ class SuperoperatorMatrix(NamedTuple):
     @property
     def dim(self) -> int:
         return int(round(np.sqrt(self.matrix.shape[0])))
-
-
-class ChoiMatrix(NamedTuple):
-    """Unit-trace Hermitian d^2 x d^2 Choi state of an intermediate map."""
-
-    matrix: np.ndarray
-    interval: tuple[float, float]
-    mode: str  # "small-time" | "finite-interval"
-
-    @property
-    def dim(self) -> int:
-        return int(round(np.sqrt(self.matrix.shape[0])))
-
-
-class CPTPDiagnostics(NamedTuple):
-    """Complete-positivity and trace-preservation checks of one Choi state
-    (see `cptp_diagnostics`)."""
-
-    min_eigenvalue: float
-    trace_deviation: float
-    partial_trace_deviation: float
-    is_cp: bool
-    is_tp: bool
 
 
 def max_entangled_projector(d: int) -> np.ndarray:
@@ -149,15 +123,10 @@ def _choi_from_superop(phi: np.ndarray, d: int) -> np.ndarray:
     return blocks.reshape(*lead, d * d, d * d) / d
 
 
-def partial_trace_output(c: np.ndarray, d: int) -> np.ndarray:
-    """Trace a Choi matrix over its output (second) subsystem."""
-    return np.einsum("iaja->ij", c.reshape(d, d, d, d))
-
-
 def _require_trace_preserving(trace: np.ndarray) -> None:
-    """Refuse maps whose Choi traces (real or complex, any shape) are not
-    all 1 within 1e-6, or not finite: maps that are not trace preserving."""
-    trace_dev = float(np.max(np.abs(trace.real - 1.0) + np.abs(trace.imag)))
+    """Refuse maps whose Choi traces (real, any shape) are not all 1 within
+    1e-6, or not finite: maps that are not trace preserving."""
+    trace_dev = float(np.max(np.abs(trace - 1.0)))
     if not trace_dev <= _CHOI_TRACE_ATOL:  # NaN compares false either way
         raise ValueError(
             f"map is not trace preserving: Choi trace deviation {trace_dev:.3e} "
@@ -188,16 +157,21 @@ def require_count(name: str, value, minimum: int) -> int:
 
 class SmallTimeChoiBuilder:
     """The Choi image X(t) = B_0 + sum_k gamma_k(t) B_k of the generator, and
-    the first-order Choi states C = bell + eps * X(t) of the maps on [t, t + eps].
+    the moments of the small-time Choi states of the maps on [t, t + eps].
 
     B_0 is the Choi image of the Hamiltonian part and B_k that of dissipator
-    k (`blocks`, stacked). The generator enters only through its rates, so a
-    grid costs one rate call and one product of the coefficients
-    c = [1, gamma_1, ...] with the stacked blocks (`matrix`), or with tables
-    of traces of the blocks (`moments`, which needs no eigensolve). Rates
-    come as rows, (K, n) for n times (`rates_at(gen, times).T`, no copy),
-    and the coefficients as rows (K + 1, n): numpy runs a reduction along a
-    short last axis row by row, but across rows as whole-row operations.
+    k (`blocks`, stacked). The small-time map e^{eps L_H} (1 + eps D(t))
+    takes the Hamiltonian part exactly, so its Choi state is
+    (I kron U)(bell + eps X_D(t))(I kron U)^dag, with U = e^{-i eps H} and
+    X_D = sum_k gamma_k B_k, and has the moments of bell + eps X_D: B_0
+    enters none of them. (The first-order state bell + eps X is not a
+    state: its Hamiltonian part alone gives a positive witness of order
+    eps^2 |H|^2.) The generator enters only through its rates, so a grid
+    costs one rate call and one product of the rates with tables of traces
+    of the dissipator blocks (`moments`, which needs no eigensolve). Rates
+    come as rows, (K, n) for n times (`rates_at(gen, times).T`, no copy):
+    numpy runs a reduction along a short last axis row by row, but across
+    rows as whole-row operations.
 
     Everything that depends on the generator alone is built once and is
     read-only: the blocks and the dissipator scales max|B_k| here, the trace
@@ -304,33 +278,34 @@ class SmallTimeChoiBuilder:
             mu[:, lo:lo + width] = np.linalg.eigvalsh(chunk).T
         return mu
 
-    def matrix(self, gammas: np.ndarray, epsilon: float) -> np.ndarray:
-        """bell + eps * X for each column of rates gammas (K, n): (n, d^2, d^2)."""
-        x = coefficients(gammas).T @ self.blocks.reshape(len(self.blocks), -1)
-        return self.bell + epsilon * x.reshape(-1, *self.bell.shape)
-
     def moments(self, gammas: np.ndarray, epsilon: float):
-        """r_2, r_3 and r_2^2 - r_3 of bell + eps * X for each column of rates
-        gammas (K, n), each of shape (n,), with no eigensolve.
+        """r_2, r_3 and r_2^2 - r_3 of the small-time Choi state for each
+        column of rates gammas (K, n), each of shape (n,), with no eigensolve.
 
-        bell is a rank-1 projector, so with x0 = <Phi+|X|Phi+>,
-        s2 = Tr X^2, sb = <Phi+|X^2|Phi+> and s3 = Tr X^3,
+        The state has the moments of bell + eps * X_D, X_D = sum_k gamma_k B_k
+        over the dissipator blocks alone. bell is a rank-1 projector, so with
+        x0 = <Phi+|X_D|Phi+>, s2 = Tr X_D^2, sb = <Phi+|X_D^2|Phi+> and
+        s3 = Tr X_D^3,
 
             r_2 = 1 + 2 eps x0 + eps^2 s2,
             r_3 = 1 + 3 eps x0 + 3 eps^2 sb + eps^3 s3,
 
         and r_2^2 - r_3 is expanded in eps so that the leading 1s cancel
-        exactly. x0, s2, sb and s3 are forms in c = [1, gamma_1, ...] of
+        exactly. x0, s2, sb and s3 are forms in c = [0, gamma_1, ...] of
         degree 1, 2, 2 and 3 over the tables x_k, Tr(B_k B_l),
         Re <Phi+|B_k B_l|Phi+> and Re Tr(B_k B_l B_m); the blocks are
-        Hermitian, so the real parts are the whole contractions. The tables
-        are built once per builder (`trace_tables`). Each form is a small
-        matrix product over long rows, one row per coefficient:
+        Hermitian, so the real parts are the whole contractions. B_0 keeps
+        its row of the tables, with weight 0: exact zeros leave the order
+        of every sum, and so its rounding, the same whatever H is. The
+        tables are built once per builder
+        (`trace_tables`). Each form is a small matrix product over long
+        rows, one row per block:
         x0 = x . c, s2 = sum_k c_k (T2 c)_k, likewise sb, and
         s3 = sum_k c_k sum_l c_l (T3 c)_kl.
         """
         traces2, bell_pairs, traces3 = self.trace_tables
         c = coefficients(gammas)
+        c[0] = 0.0  # the Hamiltonian's block: its part of the map is exact
         k1, n = c.shape
         x0 = self.bell_overlaps @ c
         s2 = np.einsum("kn,kn->n", c, traces2 @ c)
@@ -343,25 +318,6 @@ class SmallTimeChoiBuilder:
         values = (eps * x0 + eps**2 * (4.0 * x0**2 + 2.0 * s2 - 3.0 * sb)
                   + eps**3 * (4.0 * x0 * s2 - s3) + eps**4 * s2**2)
         return r2, r3, values
-
-
-def choi_small_time(gen: LindbladGenerator, t: float, epsilon: float) -> ChoiMatrix:
-    """First-order Choi state of the map acting between t and t + epsilon.
-
-    Valid while |epsilon * gamma_i(t)| << 1 for every rate; a warning is
-    emitted past |eps * gamma| = 0.1. Non-finite rates are refused.
-    """
-    require_positive("epsilon", epsilon)
-    gammas = rates_at(gen, [t]).T
-    worst = float(np.max(np.abs(epsilon * gammas))) if gammas.size else 0.0
-    if worst >= SMALL_TIME_RATE_LIMIT:
-        warn_caller(
-            f"small-time expansion is dubious: max |eps*gamma| = {worst:.3g} "
-            f"at t = {t:.6g} (limit {SMALL_TIME_RATE_LIMIT})"
-        )
-    state = gen.small_time_builder.matrix(gammas, epsilon)[0]
-    c = require_hermitian(state, atol=_CHOI_ASYMMETRY_ATOL)
-    return ChoiMatrix(c, (t, t + epsilon), "small-time")
 
 
 def _half_step_rates(
@@ -545,53 +501,3 @@ def bridge_spectra(gen: LindbladGenerator, starts, delta: float
     _last_sweep = (blocks, h, gammas, spectra.copy())
     _debug("swept %d windows, d = %d", starts.size, d)
     return gammas[:, :, 0].copy().T, spectra
-
-
-def choi_of_superoperator(
-    phi: SuperoperatorMatrix | np.ndarray,
-    interval: tuple[float, float] | None = None,
-) -> ChoiMatrix:
-    """Choi state of a trace-preserving map given as a superoperator matrix.
-
-    Refuses maps whose Choi trace deviates from 1 by more than 1e-6 (i.e. maps
-    that are not trace preserving).
-    """
-    if isinstance(phi, SuperoperatorMatrix):
-        interval = phi.interval if interval is None else interval
-        mat = phi.matrix
-    else:
-        mat = np.asarray(phi, dtype=complex)
-    d2 = mat.shape[0]
-    d = int(round(np.sqrt(d2)))
-    if mat.shape != (d2, d2) or d * d != d2:
-        raise ValueError(f"superoperator must be d^2 x d^2, got shape {mat.shape}")
-    c = _choi_from_superop(mat, d)
-    _require_trace_preserving(np.trace(c))
-    return ChoiMatrix(require_hermitian(c, atol=_CHOI_ASYMMETRY_ATOL),
-                      interval if interval else (0.0, 0.0), "finite-interval")
-
-
-def cptp_diagnostics(c: ChoiMatrix | np.ndarray, tol: float = 1e-10) -> CPTPDiagnostics:
-    """Complete-positivity and trace-preservation diagnostics of a Choi state.
-
-    is_cp holds iff the minimum eigenvalue is >= -tol; is_tp holds iff the
-    partial trace over the output subsystem is I/d within tol entrywise. tol
-    must be positive and finite.
-    """
-    require_positive("tol", tol)
-    mat = c.matrix if isinstance(c, ChoiMatrix) else np.asarray(c, dtype=complex)
-    if mat.ndim != 2:
-        raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-    mat = require_hermitian(mat, atol=_CHOI_ASYMMETRY_ATOL)
-    d = int(round(np.sqrt(mat.shape[0])))
-    eigs = np.linalg.eigvalsh(mat)
-    min_eig = float(eigs[0])
-    trace_dev = abs(float(np.sum(eigs)) - 1.0)
-    pt_dev = float(np.max(np.abs(partial_trace_output(mat, d) - np.eye(d) / d)))
-    return CPTPDiagnostics(
-        min_eigenvalue=min_eig,
-        trace_deviation=trace_dev,
-        partial_trace_deviation=pt_dev,
-        is_cp=bool(min_eig >= -tol),
-        is_tp=bool(pt_dev <= tol),
-    )

@@ -10,9 +10,12 @@ path or the name of a bundled scenario) and report every criterion of
     choi-moments validate <cfg>       parse and validate only
 
 Exit codes: 0 = ran, Markovian-consistent; 10 = ran, non-Markovian detected by some
-criterion of `CRITERIA`; 1 = config error; 2 = numerical failure. CSV floats
-carry 17 significant digits, so repeated runs of one config are byte-identical. Files
-are written atomically (temp file + rename) and partial outputs are removed on failure.
+criterion of `CRITERIA`; 1 = config error, which includes an output directory
+that cannot be created and an output that cannot be written; 2 = numerical
+failure. CSV floats carry 17 significant digits, so repeated runs of one config
+are byte-identical. Files are written atomically (temp file + rename); on
+failure the outputs already written are removed, and so are the directories the
+run created, deepest first.
 """
 
 import gc
@@ -138,7 +141,10 @@ def run_scenario(config: ScenarioConfig, out_dir: str, quiet: bool = False) -> R
     name that is not a file name, outputs `config.require_outputs` refuses,
     or an output directory that cannot be created, is a ConfigError, raised
     before anything is written. The directory is created once every number
-    is in hand, so a run that fails to compute them leaves none behind.
+    is in hand, so a run that fails to compute them leaves none behind. A
+    file that cannot be written is a ConfigError naming it; the files
+    already written, then the directories this run created, deepest first,
+    are removed.
     """
     require_file_name(config.name)
     require_outputs(config.outputs)
@@ -155,6 +161,11 @@ def run_scenario(config: ScenarioConfig, out_dir: str, quiet: bool = False) -> R
         tables["divisibility"] = (["t", "min_choi_eigenvalue"], [grid, scan.min_eigenvalues])
     criteria = {name: judge(series, measures, scan) for name, _, judge in rows}
     detected_by = tuple(name for name, (_, hit, _) in criteria.items() if hit)
+    created = []  # the directories that makedirs will create, deepest first
+    missing = os.path.abspath(out_dir)
+    while not os.path.exists(missing):
+        created.append(missing)
+        missing = os.path.dirname(missing)
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
@@ -163,8 +174,8 @@ def run_scenario(config: ScenarioConfig, out_dir: str, quiet: bool = False) -> R
     try:
         for output in OUTPUT_NAMES:
             if output in config.outputs:
-                paths[output] = os.path.join(out_dir, f"{config.name}_{output}.csv")
-                _write_atomic(paths[output], _csv(*tables[output]))
+                path = paths[output] = os.path.join(out_dir, f"{config.name}_{output}.csv")
+                _write_atomic(path, _csv(*tables[output]))
         report = RunReport(
             scenario=config.name,
             verdict="non-Markovian" if detected_by else "Markovian-consistent",
@@ -176,13 +187,19 @@ def run_scenario(config: ScenarioConfig, out_dir: str, quiet: bool = False) -> R
             version=__version__,
         )
         text = _report_text(report)
-        _write_atomic(report.report_path, text)
-    except Exception:
-        for path in paths.values():  # the report is written last
+        path = report.report_path
+        _write_atomic(path, text)
+    except Exception as exc:
+        # The report is written last; rmdir removes only empty directories.
+        for remove, target in [*((os.unlink, p) for p in paths.values()),
+                               *((os.rmdir, d) for d in created)]:
             try:
-                os.unlink(path)
+                remove(target)
             except OSError:
                 pass
+        if isinstance(exc, OSError):
+            raise ConfigError(
+                f"cannot write output {path!r}: {exc.strerror or exc}") from None
         raise
 
     if not quiet:
@@ -343,7 +360,7 @@ def main(argv=None) -> int:
         out_dir = os.environ.get(_ENV_OUT_DIR) or os.getcwd()
     try:
         report = run_scenario(config, out_dir=out_dir, quiet=args.quiet)
-    except ConfigError as exc:  # an unusable output directory
+    except ConfigError as exc:  # an output directory or file that cannot be made
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # numerical failures surface with scenario context

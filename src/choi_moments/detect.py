@@ -4,10 +4,15 @@ The detector works on trace moments r_n = Tr[C^n] of the Choi state C of an
 intermediate map. For any completely positive trace-preserving map the Choi
 state is a density matrix and r_2^2 <= r_3 (a Hoelder/Cauchy-Schwarz chain),
 so a positive witness value r_2^2 - r_3 certifies that the intermediate map is
-not CP and the dynamics is not CP-divisible. On the first-order small-time
-Choi state C = bell + eps X the moments are polynomials in eps, so the
-small-time witness is evaluated in closed form with no eigensolve; on a
-finite-interval bridge map it comes from the bridge's Choi spectrum.
+not CP and the dynamics is not CP-divisible. The small-time map on
+[t, t + eps] takes the Hamiltonian H exactly and the dissipator to first
+order, so its Choi state is a local unitary conjugation of bell + eps X_D,
+with X_D the Choi image of the dissipator alone: H changes no moment, and a
+Markovian generator reads no violation however strong its H. The moments
+are polynomials in eps, so the small-time witness is evaluated in closed
+form with no eigensolve; on a finite-interval bridge map it comes from the
+bridge's Choi spectrum. `lambda_moments` and `moment_witness` take a Choi
+matrix the caller supplies, such as a tomographic estimate.
 
 Two integrated quantifiers are provided: the moment measure, built from the
 instantaneous rate f(t) = lim_{eps->0} max(0, r_2^2 - r_3)/eps of small-time
@@ -24,21 +29,24 @@ All grid-point evaluations are pure and independent, so callers may fan them
 out across threads; only series assembly is ordered.
 """
 
-import math
 from typing import NamedTuple
 
 import numpy as np
 
 from .choi import (
-    ChoiMatrix,
     SMALL_TIME_RATE_LIMIT,
     bridge_spectra,
     require_count,
     require_positive,
     warn_caller,
 )
-from .lindblad import UNITAL_ATOL, LindbladGenerator, rates_at, unitality_defects
-from .spectral import hermitian_spectrum, moments_from_spectrum
+from .lindblad import (
+    UNITAL_ATOL,
+    LindbladGenerator,
+    rates_at,
+    require_hermitian,
+    unitality_defects,
+)
 
 __all__ = [
     "WitnessSeries",
@@ -48,14 +56,9 @@ __all__ = [
     "lambda_moments",
     "moment_witness",
     "witness_series",
-    "moment_rate_f",
-    "rhp_rate_g",
     "measure_report",
-    "moment_measure",
-    "rhp_measure",
     "cp_divisibility_scan",
     "assess",
-    "renyi_entropy",
 ]
 
 # Witness values above this certify a violation. Sits well above eigensolver
@@ -120,17 +123,22 @@ class DivisibilityReport(NamedTuple):
         return self.verdict == "CP-divisible"
 
 
-def lambda_moments(c: ChoiMatrix | np.ndarray, n_max: int = 3) -> np.ndarray:
-    """Trace moments [r_1, ..., r_n_max] of a Choi state; r_1 = 1 for TP maps.
+def lambda_moments(c: np.ndarray, n_max: int = 3) -> np.ndarray:
+    """Trace moments [r_1, ..., r_n_max] of a Choi matrix; r_1 = 1 for TP maps.
 
-    n_max is an integer >= 3, because the witness needs r_3.
+    Each moment sums the powers of the eigenvalues in descending order.
+    n_max is an integer >= 3, because the witness needs r_3. A matrix that
+    is not 2-D and square, not Hermitian within 1e-12 or not finite is
+    refused with a ValueError.
     """
     n_max = require_count("n_max", n_max, 3)
-    mat = c.matrix if isinstance(c, ChoiMatrix) else c
-    return moments_from_spectrum(hermitian_spectrum(mat), n_max)
+    if np.ndim(c) != 2:
+        raise ValueError(f"expected a square matrix, got shape {np.shape(c)}")
+    lam = np.linalg.eigvalsh(require_hermitian(c))[::-1]
+    return np.array([np.sum(lam ** n) for n in range(1, n_max + 1)])
 
 
-def moment_witness(c: ChoiMatrix | np.ndarray) -> float:
+def moment_witness(c: np.ndarray) -> float:
     """Witness value r_2^2 - r_3; values above ~1e-12 certify a non-CP map."""
     r = lambda_moments(c, 3)
     return float(r[1] ** 2 - r[2])
@@ -248,25 +256,6 @@ def _rate_limits(gen: LindbladGenerator, gammas: np.ndarray) -> tuple[np.ndarray
     return f, g
 
 
-def moment_rate_f(gen: LindbladGenerator, t: float) -> float:
-    """Instantaneous moment-witness rate f(t) = lim max(0, r_2^2 - r_3)/eps.
-
-    The clamp is applied before dividing, so instants with a CP small-time map
-    contribute exactly zero. For single-dissipator dephasing this equals
-    max(0, -gamma(t)).
-    """
-    return float(_rate_limits(gen, rates_at(gen, [float(t)]).T)[0][0])
-
-
-def rhp_rate_g(gen: LindbladGenerator, t: float) -> float:
-    """Instantaneous trace-norm rate g(t) = lim (||C||_1 - 1)/eps.
-
-    Non-negative, and zero exactly when the instantaneous map is CP. For
-    single-dissipator dephasing this equals max(0, -2 gamma(t)).
-    """
-    return float(_rate_limits(gen, rates_at(gen, [float(t)]).T)[1][0])
-
-
 def measure_report(gen: LindbladGenerator, t_max: float, grid_points: int) -> MeasureReport:
     """Both integrated measures over [0, t_max] with their rate series.
 
@@ -311,16 +300,6 @@ def _measures(gen: LindbladGenerator, grid: np.ndarray, gammas: np.ndarray) -> M
                          f_series=f_series, g_series=g_series)
 
 
-def moment_measure(gen: LindbladGenerator, t_max: float, grid_points: int) -> float:
-    """Integral of the moment rate f over [0, t_max]; zero for Markovian dynamics."""
-    return measure_report(gen, t_max, grid_points).moment_measure
-
-
-def rhp_measure(gen: LindbladGenerator, t_max: float, grid_points: int) -> float:
-    """Integral of the trace-norm rate g over [0, t_max]."""
-    return measure_report(gen, t_max, grid_points).rhp_measure
-
-
 def cp_divisibility_scan(gen: LindbladGenerator, grid, delta: float) -> DivisibilityReport:
     """Minimum Choi eigenvalue of the bridge map on [t, t + delta] per grid time.
 
@@ -360,21 +339,3 @@ def assess(gen: LindbladGenerator, grid, epsilon: float, mode: str = "small-time
     series = _witness(gen, grid, epsilon, rows, None if mode == "small-time" else bridge)
     measures = _measures(gen, grid, rows)
     return series, measures, _scan(grid, epsilon, bridge[1]) if scan else None
-
-
-def renyi_entropy(rho: np.ndarray, alpha: float) -> float:
-    """Order-alpha Renyi entropy log2(Tr[rho^alpha]) / (1 - alpha).
-
-    Defined here for finite alpha > 0, alpha != 1 (the von Neumann and
-    min-entropy limits are out of scope). The state must be PSD; eigenvalues
-    below zero by more than 1e-10 are refused, tinier negatives are clipped.
-    """
-    if not 0.0 < alpha < math.inf:  # NaN compares false either way
-        raise ValueError(f"Renyi order alpha must be positive and finite, got alpha = {alpha}")
-    if alpha == 1:
-        raise ValueError("alpha = 1 is the von Neumann limit and is not supported")
-    lam = hermitian_spectrum(rho)
-    if lam[-1] < -1e-10:
-        raise ValueError(f"state is not PSD: minimum eigenvalue {lam[-1]:.3e}")
-    lam = np.clip(lam, 0.0, None)
-    return float(math.log2(float(np.sum(lam**alpha))) / (1.0 - alpha))

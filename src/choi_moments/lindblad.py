@@ -36,7 +36,6 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .rates import RateModel, rate_eval
-from .spectral import require_hermitian
 
 __all__ = [
     "SIGMA_X",
@@ -47,8 +46,7 @@ __all__ = [
     "NAMED_OPERATORS",
     "named_operator",
     "LindbladGenerator",
-    "dephasing_generator",
-    "isotropic_pauli_generator",
+    "require_hermitian",
     "rates_at",
     "coefficients",
     "generator_superoperator",
@@ -78,6 +76,37 @@ NAMED_OPERATORS = {
 }
 
 UNITAL_ATOL = 1e-10
+# Absolute tolerance on entrywise asymmetry |m - m^dag|.
+HERMITICITY_ATOL = 1e-12
+
+
+def require_hermitian(m: np.ndarray) -> np.ndarray:
+    """Check Hermiticity of ``m`` and return the symmetrized copy (m + m^dag)/2.
+
+    ``m`` is one square matrix or a stack of them along leading axes; the
+    last two axes are the matrix axes. Symmetrizing after the check
+    stabilizes the eigensolve without masking genuinely non-Hermitian input.
+
+    Raises:
+        ValueError: if ``m`` is not square, has a non-finite entry (which
+            makes the asymmetry NaN or infinite), or the maximum entrywise
+            asymmetry exceeds HERMITICITY_ATOL (the offending magnitude is
+            reported).
+    """
+    m = np.asarray(m, dtype=complex)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    m_dag = np.swapaxes(m, -1, -2).conj()
+    with np.errstate(invalid="ignore"):  # inf - inf on the diagonal is refused below
+        asymmetry = float(np.max(np.abs(m - m_dag))) if m.size else 0.0
+    if not asymmetry <= HERMITICITY_ATOL:  # NaN compares false either way
+        if not np.isfinite(asymmetry):
+            raise ValueError("matrix has non-finite entries")
+        raise ValueError(
+            f"matrix is not Hermitian: max |m - m^dag| = {asymmetry:.3e} "
+            f"exceeds tolerance {HERMITICITY_ATOL:.1e}"
+        )
+    return 0.5 * (m + m_dag)
 
 
 def named_operator(name: str, dim: int) -> np.ndarray:
@@ -238,18 +267,6 @@ class LindbladGenerator:
         from .choi import SmallTimeChoiBuilder  # choi imports this module
 
         return SmallTimeChoiBuilder(self)
-
-
-def dephasing_generator(rate: RateModel) -> LindbladGenerator:
-    """Single sigma_z dissipator, no Hamiltonian."""
-    return LindbladGenerator(2, np.zeros((2, 2)), ((SIGMA_Z, rate),))
-
-
-def isotropic_pauli_generator(rate: RateModel) -> LindbladGenerator:
-    """sigma_x, sigma_y, sigma_z dissipators sharing one rate, no Hamiltonian."""
-    return LindbladGenerator(
-        2, np.zeros((2, 2)), ((SIGMA_X, rate), (SIGMA_Y, rate), (SIGMA_Z, rate))
-    )
 
 
 def _rate_rows(gen: LindbladGenerator, times: np.ndarray) -> np.ndarray:

@@ -1,17 +1,33 @@
-"""Shared random-object factories for the test suite (all seeded by callers)."""
+"""Shared random-object factories and independent oracles for the test suite
+(all seeded by callers)."""
 
 from dataclasses import dataclass
 
 import numpy as np
 
 from choi_moments import choi
-from choi_moments.choi import (
-    SmallTimeChoiBuilder,
-    choi_of_superoperator,
-    max_entangled_projector,
+from choi_moments.choi import SmallTimeChoiBuilder, max_entangled_projector
+from choi_moments.lindblad import (
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
+    LindbladGenerator,
+    generator_superoperator,
+    rates_at,
 )
-from choi_moments.lindblad import LindbladGenerator, generator_superoperator, rates_at
 from choi_moments.rates import ConstantRate, ExpCosRate
+
+
+def dephasing_generator(rate):
+    """Single sigma_z dissipator, no Hamiltonian."""
+    return LindbladGenerator(2, np.zeros((2, 2)), ((SIGMA_Z, rate),))
+
+
+def isotropic_pauli_generator(rate):
+    """sigma_x, sigma_y, sigma_z dissipators sharing one rate, no Hamiltonian."""
+    return LindbladGenerator(
+        2, np.zeros((2, 2)), ((SIGMA_X, rate), (SIGMA_Y, rate), (SIGMA_Z, rate))
+    )
 
 
 def _action(gen, x, gammas):
@@ -168,7 +184,7 @@ def reference_bridge_spectra(gen, grid, delta):
     spectra = []
     for t in grid:
         bridge = reference_rk4_propagate(gen, float(t), float(t) + delta, steps)
-        spectra.append(np.linalg.eigvalsh(choi_of_superoperator(bridge).matrix)[::-1])
+        spectra.append(np.linalg.eigvalsh(reference_choi(bridge))[::-1])
     return np.array(spectra)
 
 
@@ -203,14 +219,51 @@ def reference_generator_choi(gen, t):
     return x
 
 
+def reference_choi(phi):
+    """Choi state (1/d) sum_ij E_ij kron M(E_ij) of the map with row-major
+    d^2 x d^2 superoperator phi, one matrix unit at a time."""
+    phi = np.asarray(phi)
+    d = int(round(np.sqrt(phi.shape[0])))
+    c = np.zeros((d * d, d * d), dtype=complex)
+    for i in range(d):
+        for j in range(d):
+            unit = np.zeros((d, d), dtype=complex)
+            unit[i, j] = 1.0
+            c += np.kron(unit, (phi @ unit.ravel()).reshape(d, d)) / d
+    return c
+
+
+def first_order_choi(gen, t, eps):
+    """bell + eps X(t): the Choi state of the first-order map 1 + eps L_t,
+    Hamiltonian included."""
+    return max_entangled_projector(gen.dim) + eps * reference_generator_choi(gen, t)
+
+
+def renyi_entropy(rho, alpha):
+    """Order-alpha Renyi entropy log2(Tr rho^alpha) / (1 - alpha) from the
+    spectrum of a PSD state (rounding negatives clipped to 0)."""
+    lam = np.clip(np.linalg.eigvalsh(rho), 0.0, None)
+    return float(np.log2(np.sum(lam**alpha)) / (1.0 - alpha))
+
+
+def schatten_norm(m, p):
+    """Schatten-p norm (sum_i |lambda_i|^p)^(1/p) of a Hermitian matrix."""
+    return float(np.sum(np.abs(np.linalg.eigvalsh(m)) ** p) ** (1.0 / p))
+
+
 def reference_small_time_witness(gen, grid, eps):
-    """Rates, r2, r3 and r2^2 - r3 of the first-order Choi states bell + eps X(t),
-    one grid point and one eigensolve at a time."""
-    bell = max_entangled_projector(gen.dim)
+    """Rates, r2, r3 and r2^2 - r3 of the small-time Choi states, one grid
+    point and one eigensolve at a time.
+
+    The state is bell + eps X(t) with X built with the Hamiltonian set to
+    zero: the small-time map takes H exactly, as a unitary e^{-i eps H}
+    conjugation of this state, which changes no moment.
+    """
+    bare = LindbladGenerator(gen.dim, np.zeros((gen.dim, gen.dim)), gen.dissipators)
     rates, r2, r3 = [], [], []
     for t in grid:
         rates.append(rates_at(gen, float(t)))
-        lam = np.linalg.eigvalsh(bell + eps * reference_generator_choi(gen, float(t)))
+        lam = np.linalg.eigvalsh(first_order_choi(bare, float(t), eps))
         r2.append(np.sum(lam**2))
         r3.append(np.sum(lam**3))
     r2, r3 = np.array(r2), np.array(r3)

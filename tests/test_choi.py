@@ -10,40 +10,41 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
+from scipy.linalg import expm
 
 from choi_moments import choi
 from choi_moments.choi import (
     CHUNK_ENTRIES,
+    _require_trace_preserving,
     bridge_spectra,
-    choi_of_superoperator,
-    choi_small_time,
-    cptp_diagnostics,
     max_entangled_projector,
     propagate_map,
     require_positive,
 )
+from choi_moments.detect import VIOLATION_THRESHOLD, witness_series
 from choi_moments.lindblad import (
     LOWERING,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
     LindbladGenerator,
-    dephasing_generator,
     from_hermitian_basis,
     generator_superoperator,
-    isotropic_pauli_generator,
     rates_at,
 )
 from choi_moments.rates import ConstantRate, ExpCosRate
-from choi_moments.spectral import hermitian_spectrum
 from helpers import (
     CountingRate,
     UncheckedConstantRate,
     count_sweeps,
+    dephasing_generator,
+    first_order_choi,
+    isotropic_pauli_generator,
     random_expcos_generator,
     random_generator,
-    random_kraus_choi,
+    random_hermitian,
     reference_bridge_spectra,
+    reference_choi,
     reference_rk4_propagate,
 )
 
@@ -68,7 +69,7 @@ class TestMaxEntangledProjector:
         assert np.trace(bell @ bell).real == pytest.approx(1.0, abs=1e-14)
 
     def test_qutrit_rank_one(self):
-        lam = hermitian_spectrum(max_entangled_projector(3))
+        lam = np.linalg.eigvalsh(max_entangled_projector(3))[::-1]
         assert lam[0] == pytest.approx(1.0, abs=1e-12)
         assert np.max(np.abs(lam[1:])) < 1e-12
 
@@ -78,50 +79,39 @@ class TestMaxEntangledProjector:
 
 
 class TestChoiSmallTime:
-    def test_zero_generator_gives_bell_state(self):
-        gen = LindbladGenerator(2, np.zeros((2, 2)), ())
-        c = choi_small_time(gen, 0.0, 0.01)
-        assert np.allclose(c.matrix, max_entangled_projector(2), atol=1e-15)
+    """The small-time Choi state of the map on [t, t + eps], read through the
+    moments `witness_series` reports for it."""
+
+    @staticmethod
+    def power_sums(lam):
+        lam = np.asarray(lam)
+        return np.sum(lam**2), np.sum(lam**3)
 
     def test_dephasing_spectrum(self):
-        gen = dephasing_generator(ConstantRate(1.0))
-        lam = hermitian_spectrum(choi_small_time(gen, 0.0, 1e-3).matrix)
-        assert np.allclose(lam, [0.999, 0.001, 0.0, 0.0], atol=1e-12)
+        series = witness_series(dephasing_generator(ConstantRate(1.0)), [0.0, 1.0], 1e-3)
+        r2, r3 = self.power_sums([0.999, 0.001, 0.0, 0.0])
+        assert series.r2 == pytest.approx([r2, r2], abs=1e-12)
+        assert series.r3 == pytest.approx([r3, r3], abs=1e-12)
 
     def test_isotropic_pauli_spectrum_at_negative_rate(self):
         # ExpCos at t = pi: common rate -e^{-pi}; spectrum {1+3a, -a, -a, -a}
         gen = isotropic_pauli_generator(ExpCosRate(k=1.0))
         eps = 1e-3
         a = eps * np.exp(-np.pi)
-        lam = hermitian_spectrum(choi_small_time(gen, np.pi, eps).matrix)
-        assert np.allclose(lam, [1.0 + 3.0 * a, -a, -a, -a], atol=1e-12)
+        series = witness_series(gen, [np.pi, 4.0], eps)
+        r2, r3 = self.power_sums([1.0 + 3.0 * a, -a, -a, -a])
+        assert series.r2[0] == pytest.approx(r2, abs=1e-12)
+        assert series.r3[0] == pytest.approx(r3, abs=1e-12)
+        assert series.values[0] == pytest.approx(r2**2 - r3, abs=1e-12)
+        assert series.values[0] > VIOLATION_THRESHOLD
 
     def test_interval_and_mode(self):
         gen = dephasing_generator(ConstantRate(1.0))
-        c = choi_small_time(gen, 2.0, 1e-3)
-        assert c.mode == "small-time"
-        assert c.interval == (2.0, 2.001)
-
-    def test_warns_when_expansion_dubious(self):
-        gen = dephasing_generator(ConstantRate(200.0))
-        with pytest.warns(UserWarning, match="dubious"):
-            choi_small_time(gen, 0.0, 1e-3)
-
-    def test_rejects_non_finite_rate(self):
-        gen = dephasing_generator(UncheckedConstantRate(float("inf")))
-        with pytest.raises(ValueError, match="non-finite"):
-            choi_small_time(gen, 0.0, 1e-3)
-
-    def test_rejects_non_positive_epsilon(self):
-        gen = dephasing_generator(ConstantRate(1.0))
-        with pytest.raises(ValueError, match="epsilon"):
-            choi_small_time(gen, 0.0, 0.0)
-
-    @pytest.mark.parametrize("epsilon", [math.nan, math.inf])
-    def test_rejects_non_finite_epsilon(self, epsilon):
-        gen = dephasing_generator(ConstantRate(1.0))
-        with pytest.raises(ValueError, match="epsilon must be positive and finite"):
-            choi_small_time(gen, 0.0, epsilon)
+        series = witness_series(gen, [2.0, 3.0], 1e-3)
+        assert series.mode == "small-time"
+        assert series.epsilon == 1e-3
+        assert series.grid.tolist() == [2.0, 3.0]
+        assert series.rates.tolist() == [[1.0], [1.0]]
 
 
 class TestPropagateMap:
@@ -425,7 +415,8 @@ class TestLastSweep:
                 "from choi_moments import choi, lindblad, rates; "
                 "loaded = not preloaded and 'logging' in sys.modules; "
                 "import logging; logging.basicConfig(level=logging.DEBUG); "
-                "gen = lindblad.dephasing_generator(rates.ConstantRate(1.0)); "
+                "gen = lindblad.LindbladGenerator(2, 0 * lindblad.SIGMA_Z, "
+                "((lindblad.SIGMA_Z, rates.ConstantRate(1.0)),)); "
                 "[choi.bridge_spectra(gen, [0.0, 0.5], 0.01) for _ in range(2)]; "
                 "print(loaded)")
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -519,33 +510,13 @@ class TestIntermediateMap:
         assert np.max(np.abs(lam - exact)) < 1e-9
 
 
-class TestChoiOfSuperoperator:
-    def test_identity_gives_bell_state(self):
-        c = choi_of_superoperator(np.eye(4, dtype=complex))
-        assert np.allclose(c.matrix, max_entangled_projector(2), atol=1e-15)
-
-    def test_constant_dephasing_spectrum(self):
-        gen = dephasing_generator(ConstantRate(1.0))
-        c = choi_of_superoperator(propagate_map(gen, 0.0, np.log(2.0) / 2.0))
-        lam = hermitian_spectrum(c.matrix)
-        assert np.allclose(lam, [0.75, 0.25, 0.0, 0.0], atol=1e-9)
-
-    def test_consistency_with_small_time_choi(self):
-        rng = np.random.default_rng(32)
-        eps = 1e-3
-        for _ in range(10):
-            gen = random_generator(rng, 2, n_ops=2)
-            t = float(rng.uniform(0.0, 2.0))
-            first_order = np.eye(4) + eps * generator_superoperator(gen, t)
-            c_lin = choi_of_superoperator(first_order)
-            c_direct = choi_small_time(gen, t, eps)
-            assert np.max(np.abs(c_lin.matrix - c_direct.matrix)) < 1e-12
-
+class TestChoiStates:
     def test_rejects_non_trace_preserving(self):
+        # The bridge sweep's check, on Choi traces read off the transfer matrices.
         with pytest.raises(ValueError, match="not trace preserving"):
-            choi_of_superoperator(0.5 * np.eye(4, dtype=complex))
+            _require_trace_preserving(np.array([1.0, 0.5]))
         with pytest.raises(ValueError, match="Choi trace deviation nan is non-finite"):
-            choi_of_superoperator(np.full((4, 4), np.nan, dtype=complex))
+            _require_trace_preserving(np.array([np.nan]))
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([2, 3, 4]),
@@ -575,6 +546,55 @@ class TestChoiOfSuperoperator:
         assert np.allclose(np.sort_complex(moved.ravel()), np.sort_complex(phi.ravel()),
                            rtol=4e-16, atol=0.0)
 
+    def test_identity_gives_bell_state(self):
+        _, lam = bridge_spectra(LindbladGenerator(2, np.zeros((2, 2)), ()), [0.0, 1.0], 0.01)
+        assert np.allclose(lam, [[1.0, 0.0, 0.0, 0.0]] * 2, atol=1e-15)
+
+    def test_constant_dephasing_spectrum(self):
+        gen = dephasing_generator(ConstantRate(1.0))
+        _, lam = bridge_spectra(gen, [0.0, 2.0], np.log(2.0) / 2.0)
+        assert np.allclose(lam, [[0.75, 0.25, 0.0, 0.0]] * 2, atol=1e-9)
+
+    def test_negative_rate_window_is_not_cp(self):
+        # Coherence factor q = e^{2 delta}: spectrum {(1 + q)/2, (1 - q)/2, 0, 0}.
+        gen = dephasing_generator(ConstantRate(-1.0))
+        _, lam = bridge_spectra(gen, [0.0], 1e-3)
+        q = np.exp(2e-3)
+        assert np.allclose(lam, [[(1.0 + q) / 2.0, 0.0, 0.0, (1.0 - q) / 2.0]], atol=1e-12)
+        assert lam[0, -1] == pytest.approx(-1e-3, abs=1e-5)
+        assert np.sum(lam) == pytest.approx(1.0, abs=1e-12)
+        series = witness_series(gen, [0.0, 1.0], 1e-3, mode="finite-interval")
+        assert np.all(series.values > VIOLATION_THRESHOLD)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_constant_rate_bridges_match_the_exponential(self, d):
+        # With constant rates the bridge map over delta is expm(delta Lhat).
+        rng = np.random.default_rng(60 + d)
+        gen = random_generator(rng, d, n_ops=2)
+        delta = 0.05
+        _, lam = bridge_spectra(gen, [0.0, 1.0], delta)
+        exact = np.linalg.eigvalsh(reference_choi(expm(delta * generator_superoperator(gen, 0.0))))
+        assert np.allclose(lam, [exact[::-1]] * 2, atol=1e-11)
+
+    def test_consistency_with_small_time_choi(self):
+        rng = np.random.default_rng(32)
+        eps = 1e-3
+        for _ in range(10):
+            gen = random_generator(rng, 2, n_ops=2)
+            t = float(rng.uniform(0.0, 2.0))
+            first_order = np.eye(4) + eps * generator_superoperator(gen, t)
+            assert np.max(np.abs(reference_choi(first_order)
+                                 - first_order_choi(gen, t, eps))) < 1e-12
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_reshuffle_matches_the_loop_built_choi_state(self, d):
+        rng = np.random.default_rng(70 + d)
+        phi = np.array([random_hermitian(rng, d * d) + 1j * rng.normal(size=(d * d, d * d))
+                        for _ in range(2)])
+        reshuffled = choi._choi_from_superop(phi, d)
+        for got, m in zip(reshuffled, phi):
+            assert np.max(np.abs(got - reference_choi(m))) < 1e-15
+
     def test_small_time_agrees_with_finite_interval_to_second_order(self):
         gens = {
             "dephasing": (dephasing_generator(ExpCosRate(k=1.0)), 0.7),
@@ -582,52 +602,9 @@ class TestChoiOfSuperoperator:
         }
         for gen, t in gens.values():
             for eps in (1e-2, 1e-3, 1e-4):
-                lin = choi_small_time(gen, t, eps).matrix
-                full = choi_of_superoperator(propagate_map(gen, t, t + eps)).matrix
+                lin = first_order_choi(gen, t, eps)
+                full = reference_choi(propagate_map(gen, t, t + eps).matrix)
                 assert np.max(np.abs(lin - full)) < 10.0 * eps**2
-
-
-class TestCPTPDiagnostics:
-    def test_refuses_a_stack(self):
-        with pytest.raises(ValueError, match="square"):
-            cptp_diagnostics(np.stack([max_entangled_projector(2)] * 2))
-
-    def test_bell_state(self):
-        diag = cptp_diagnostics(max_entangled_projector(2))
-        assert diag.is_cp and diag.is_tp
-        assert diag.min_eigenvalue == pytest.approx(0.0, abs=1e-12)
-        assert diag.trace_deviation < 1e-12
-
-    def test_negative_rate_window_is_not_cp(self):
-        gen = dephasing_generator(ConstantRate(-1.0))
-        diag = cptp_diagnostics(choi_small_time(gen, 0.0, 1e-3))
-        assert not diag.is_cp
-        assert diag.min_eigenvalue == pytest.approx(-1e-3, abs=1e-9)
-        assert diag.is_tp
-
-    def test_random_kraus_channels_pass(self):
-        rng = np.random.default_rng(33)
-        for _ in range(100):
-            d = int(rng.integers(2, 4))
-            choi = random_kraus_choi(rng, d, int(rng.integers(1, 5)))
-            diag = cptp_diagnostics(choi)
-            assert diag.is_cp and diag.is_tp
-
-    def test_rejects_non_finite_entries(self):
-        c = max_entangled_projector(2)
-        c[1, 1] = np.nan
-        with pytest.raises(ValueError, match="non-finite"):
-            cptp_diagnostics(c)
-
-    def test_rejects_bad_tolerance(self):
-        with pytest.raises(ValueError, match="tol"):
-            cptp_diagnostics(max_entangled_projector(2), tol=0.0)
-
-    @pytest.mark.parametrize("tol", [math.nan, math.inf])
-    def test_rejects_a_tolerance_that_is_not_finite(self, tol):
-        # NaN used to call the Bell state neither CP nor TP; inf passed anything.
-        with pytest.raises(ValueError, match="tol must be positive and finite"):
-            cptp_diagnostics(max_entangled_projector(2), tol=tol)
 
 
 class TestRequirePositive:
@@ -647,10 +624,8 @@ class TestRequirePositive:
 
     # The checks it replaced each wrote this message; callers and tests read it.
     @pytest.mark.parametrize("name, call", [
-        ("epsilon", lambda gen, v: choi_small_time(gen, 0.0, v)),
-        ("delta", lambda gen, v: bridge_spectra(gen, [0.0, 1.0], v)),
-        ("tol", lambda gen, v: cptp_diagnostics(max_entangled_projector(2), tol=v))],
-        ids=["choi_small_time", "bridge_spectra", "cptp_diagnostics"])
+        ("delta", lambda gen, v: bridge_spectra(gen, [0.0, 1.0], v))],
+        ids=["bridge_spectra"])
     def test_each_caller_keeps_its_message(self, name, call):
         gen = dephasing_generator(ConstantRate(1.0))
         with pytest.raises(ValueError) as info:
@@ -664,10 +639,10 @@ class TestChoiInvariants:
         for _ in range(10):
             gen = random_generator(rng, 2, n_ops=2)
             t = float(rng.uniform(0.2, 2.0))
-            c = choi_of_superoperator(propagate_map(gen, 0.0, t))
-            diag = cptp_diagnostics(c, tol=1e-8)
-            assert abs(np.trace(c.matrix).real - 1.0) < 1e-9
-            assert diag.partial_trace_deviation < 1e-8
+            c = reference_choi(propagate_map(gen, 0.0, t).matrix)
+            output_traced = np.einsum("iaja->ij", c.reshape(2, 2, 2, 2))
+            assert abs(np.trace(c).real - 1.0) < 1e-9
+            assert np.max(np.abs(output_traced - np.eye(2) / 2)) < 1e-8
 
     def test_composition_law(self):
         gen = dephasing_generator(ExpCosRate(k=1.0))
@@ -680,8 +655,8 @@ class TestChoiInvariants:
             composed = propagate_map(gen, float(s), float(t)).matrix @ propagate_map(
                 gen, 0.0, float(s)
             ).matrix
-            c_direct = choi_of_superoperator(phi_t).matrix
-            c_composed = choi_of_superoperator(composed).matrix
+            c_direct = reference_choi(phi_t)
+            c_composed = reference_choi(composed)
             assert np.max(np.abs(c_direct - c_composed)) < 1e-7
 
     def test_markovian_intermediate_maps_all_cp(self):
@@ -694,5 +669,4 @@ class TestChoiInvariants:
         for i in range(len(grid)):
             for j in range(i + 1, len(grid)):
                 bridge = np.linalg.solve(props[i].T, props[j].T).T
-                diag = cptp_diagnostics(choi_of_superoperator(bridge))
-                assert diag.min_eigenvalue >= -1e-10
+                assert np.linalg.eigvalsh(reference_choi(bridge))[0] >= -1e-10

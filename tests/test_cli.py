@@ -13,8 +13,8 @@ import pytest
 from choi_moments import choi, cli, config as config_module, detect
 from choi_moments.cli import _csv, entry, main, run_scenario
 from choi_moments.config import ConfigError, build_generator, load_scenario, parse_scenario
-from choi_moments.lindblad import LindbladGenerator, dephasing_generator
-from helpers import CountingRate, count_sweeps, reference_bridge_spectra
+from choi_moments.lindblad import LindbladGenerator
+from helpers import CountingRate, count_sweeps, dephasing_generator, reference_bridge_spectra
 
 EXPCOS_COMPARE = """
 version = 1
@@ -59,6 +59,23 @@ dissipator.1.rate.model = constant
 dissipator.1.rate.value = 1.0
 epsilon = 0.001
 grid.t_max = 4.0
+grid.points = 200
+mode = small-time
+outputs = witness
+"""
+
+# Markovian dephasing under a Hamiltonian that dwarfs its rate: the
+# first-order small-time state read a witness of +9.0e-5 here (exit 10).
+STRONG_HAMILTONIAN = """
+version = 1
+name = strong_hamiltonian
+generator.dimension = 2
+generator.hamiltonian = 10 0 0 -10
+dissipator.1.operator = sigma_z
+dissipator.1.rate.model = constant
+dissipator.1.rate.value = 0.01
+epsilon = 0.001
+grid.t_max = 2.0
 grid.points = 200
 mode = small-time
 outputs = witness
@@ -242,9 +259,12 @@ class TestRunScenario:
             replace(src, dst)
 
         monkeypatch.setattr(os, "replace", flaky_replace)
-        with pytest.raises(OSError, match="disk full"):
+        # A file that cannot be written is a config error naming it; it was
+        # the OSError itself, which main reported as a numerical failure.
+        with pytest.raises(ConfigError) as info:
             run_scenario(parse_scenario(MARKOVIAN), str(tmp_path), quiet=True)
         assert len(calls) == failing_call
+        assert str(info.value) == f"cannot write output {calls[-1]!r}: disk full"
         assert list(tmp_path.iterdir()) == []
 
 
@@ -374,6 +394,36 @@ class TestMainExitCodes:
         assert main([command, path, "--out-dir", str(out), "--quiet"]) == 2
         assert "outside the tabulated range" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["scenario.cfg"]
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_a_failed_write_is_1_and_leaves_no_directory_it_made(
+            self, tmp_path, capsys, monkeypatch, existing):
+        # It was reported as a numerical failure (exit 2) and left new/sub.
+        # Only the directories the run made are removed: a kept/ that was
+        # there before stays, with what it held.
+        base = tmp_path / "kept" if existing else tmp_path
+        if existing:
+            base.mkdir()
+            (base / "note.txt").write_text("kept\n")
+
+        def full_disk(src, dst):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(os, "replace", full_disk)
+        out = base / "new" / "sub"
+        assert main(["witness", "markovian_control", "--out-dir", str(out)]) == 1
+        written = str(out / "markovian_control_witness.csv")
+        assert capsys.readouterr() == (
+            "", f"config error: cannot write output {written!r}: No space left on device\n")
+        assert sorted(p.name for p in tmp_path.rglob("*")) == (
+            ["kept", "note.txt"] if existing else [])
+
+    @pytest.mark.parametrize("command", ["witness", "compare", "divisibility"])
+    def test_a_strong_hamiltonian_on_markovian_dephasing_is_0(self, tmp_path, capsys,
+                                                              command):
+        path = write_cfg(tmp_path, STRONG_HAMILTONIAN)
+        assert main([command, path, "--out-dir", str(tmp_path / "out")]) == 0
+        assert "verdict: Markovian-consistent\ndetected by: none\n" in capsys.readouterr().out
 
     def test_non_markovian_is_10(self, tmp_path, capsys):
         path = write_cfg(tmp_path, SMALL_WITNESS)

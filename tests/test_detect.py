@@ -6,12 +6,12 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import expm
 
 from choi_moments.choi import (
     CHUNK_ENTRIES,
     SmallTimeChoiBuilder,
     bridge_spectra,
-    choi_small_time,
     max_entangled_projector,
     propagate_map,
 )
@@ -23,12 +23,7 @@ from choi_moments.detect import (
     cp_divisibility_scan,
     lambda_moments,
     measure_report,
-    moment_measure,
-    moment_rate_f,
     moment_witness,
-    renyi_entropy,
-    rhp_measure,
-    rhp_rate_g,
     witness_series,
 )
 from choi_moments.config import build_generator, bundled_scenario_path, load_scenario
@@ -39,25 +34,30 @@ from choi_moments.lindblad import (
     SIGMA_Y,
     SIGMA_Z,
     LindbladGenerator,
-    dephasing_generator,
-    isotropic_pauli_generator,
+    generator_superoperator,
     rates_at,
 )
 from choi_moments.rates import ConstantRate, ExpCosRate, LorentzianRate, TabulatedRate, rate_eval
-from choi_moments.spectral import hermitian_spectrum, require_hermitian, schatten_norm
 from helpers import (
     CountingRate,
+    dephasing_generator,
+    first_order_choi,
+    isotropic_pauli_generator,
     random_expcos_generator,
     random_generator,
     random_hermitian,
     random_kraus_choi,
     random_psd_unit_trace,
     random_unital_generator,
+    random_unitary,
+    reference_choi,
     reference_generator_choi,
     reference_rate_limits,
     reference_rhp_rates,
     reference_small_time_witness,
     reference_violation_intervals,
+    renyi_entropy,
+    schatten_norm,
 )
 
 
@@ -65,6 +65,12 @@ def rate_limits(gen, times):
     """The rates on times as rows, then f and g from them by `_rate_limits`."""
     gammas = rates_at(gen, times).T
     return (gammas, *_rate_limits(gen, gammas))
+
+
+def f_and_g(gen, t):
+    """f(t) and g(t) as floats, from `_rate_limits` at the one time t."""
+    _, f, g = rate_limits(gen, [float(t)])
+    return float(f[0]), float(g[0])
 
 
 @dataclass(frozen=True)
@@ -108,18 +114,73 @@ def expcos_measure_oracle():
     return (np.exp(-np.pi / 2) + np.exp(-3 * np.pi / 2)) / (2.0 * (1.0 - np.exp(-2 * np.pi)))
 
 
+NOT_ONE_HERMITIAN_MATRIX = [
+    (np.zeros((2, 3, 3)), "expected a square matrix, got shape"),
+    (np.zeros((2, 3)), "expected a square matrix, got shape"),
+    (np.array([[0.0, 1e-6], [0.0, 0.0]]), "not Hermitian"),
+    (np.diag([np.nan, 0.0]), "non-finite"),
+]
+NOT_ONE_HERMITIAN_MATRIX_IDS = ["stack", "not-square", "not-hermitian", "non-finite"]
+
+
 class TestLambdaMoments:
     def test_identity_channel(self):
         assert np.allclose(lambda_moments(max_entangled_projector(2)), [1.0, 1.0, 1.0], atol=1e-12)
 
     def test_dephasing_small_time(self):
         gen = dephasing_generator(ConstantRate(1.0))
-        r = lambda_moments(choi_small_time(gen, 0.0, 1e-3))
+        r = lambda_moments(first_order_choi(gen, 0.0, 1e-3))
         assert r[1] == pytest.approx(0.998002, abs=1e-9)
         assert r[2] == pytest.approx(0.997003, abs=1e-9)
 
     def test_maximally_mixed(self):
         assert np.allclose(lambda_moments(np.eye(4) / 4), [1.0, 0.25, 0.0625], atol=1e-14)
+
+    def test_third_moment(self):
+        assert lambda_moments(np.diag([0.75, 0.25, 0.0, 0.0]))[2] == pytest.approx(
+            0.4375, abs=1e-14
+        )
+
+    def test_first_moment_matches_trace(self):
+        rng = np.random.default_rng(16)
+        for _ in range(10):
+            m = random_hermitian(rng, 6)
+            assert lambda_moments(m)[0] == pytest.approx(float(np.trace(m).real), abs=1e-10)
+
+    def test_sums_the_descending_spectrum(self):
+        # The moments of the descending eigenvalues, summed in that order.
+        m = random_hermitian(np.random.default_rng(17), 9)
+        lam = np.linalg.eigvalsh(m)[::-1]
+        assert lambda_moments(m, 4).tolist() == [np.sum(lam**n) for n in range(1, 5)]
+
+    def test_identity(self):
+        assert lambda_moments(np.eye(2)).tolist() == [2.0, 2.0, 2.0]
+
+    def test_pauli_z(self):
+        # The odd moments of a signed spectrum cancel.
+        assert lambda_moments(np.diag([1.0, -1.0])).tolist() == [0.0, 2.0, 0.0]
+
+    def test_descending_with_multiplicity(self):
+        assert lambda_moments(np.diag([2.0, -1.0, 2.0, 0.0]), 4) == pytest.approx(
+            [3.0, 9.0, 15.0, 33.0], abs=1e-12)
+
+    def test_moments_from_spectrum(self):
+        assert lambda_moments(np.diag([0.5, 0.3, 0.2])) == pytest.approx(
+            [1.0, 0.38, 0.16], abs=1e-15)
+
+    def test_unitary_invariance(self):
+        rng = np.random.default_rng(12)
+        for _ in range(10):
+            m = random_hermitian(rng, 4)
+            u = random_unitary(rng, 4)
+            rotated = lambda_moments(u @ m @ u.conj().T)
+            assert np.max(np.abs(lambda_moments(m) - rotated)) < 1e-9
+
+    @pytest.mark.parametrize("m, problem", NOT_ONE_HERMITIAN_MATRIX,
+                             ids=NOT_ONE_HERMITIAN_MATRIX_IDS)
+    def test_rejects_a_matrix_that_is_not_one_hermitian_matrix(self, m, problem):
+        with pytest.raises(ValueError, match=problem):
+            lambda_moments(m)
 
     def test_first_moment_is_one_for_tp_maps(self):
         rng = np.random.default_rng(41)
@@ -143,15 +204,21 @@ class TestMomentWitness:
 
     def test_negative_rate_violates(self):
         gen = dephasing_generator(ConstantRate(-1.0))
-        w = moment_witness(choi_small_time(gen, 0.0, 1e-3))
+        w = moment_witness(first_order_choi(gen, 0.0, 1e-3))
         assert w == pytest.approx(dephasing_witness_exact(-1.0, 1e-3), abs=1e-12)
         assert w == pytest.approx(0.001005, abs=1e-6)
 
     def test_positive_rate_does_not_violate(self):
         gen = dephasing_generator(ConstantRate(1.0))
-        w = moment_witness(choi_small_time(gen, 0.0, 1e-3))
+        w = moment_witness(first_order_choi(gen, 0.0, 1e-3))
         assert w == pytest.approx(dephasing_witness_exact(1.0, 1e-3), abs=1e-12)
         assert w == pytest.approx(-0.000995, abs=1e-6)
+
+    @pytest.mark.parametrize("m, problem", NOT_ONE_HERMITIAN_MATRIX,
+                             ids=NOT_ONE_HERMITIAN_MATRIX_IDS)
+    def test_refuses_what_lambda_moments_refuses(self, m, problem):
+        with pytest.raises(ValueError, match=problem):
+            moment_witness(m)
 
     def test_soundness_on_random_states(self):
         # Any PSD unit-trace matrix satisfies r2^2 <= r3 (the acceptance suite
@@ -163,9 +230,9 @@ class TestMomentWitness:
     def test_positive_witness_implies_negative_eigenvalue(self):
         gen = dephasing_generator(ExpCosRate(k=1.0))
         for t in np.linspace(1.6, 4.6, 25):
-            c = choi_small_time(gen, float(t), 1e-3)
+            c = first_order_choi(gen, float(t), 1e-3)
             if moment_witness(c) > VIOLATION_THRESHOLD:
-                assert hermitian_spectrum(c.matrix)[-1] < 0.0
+                assert np.linalg.eigvalsh(c)[0] < 0.0
 
 
 class TestWitnessSeries:
@@ -210,6 +277,67 @@ class TestWitnessSeries:
         series = witness_series(gen, np.linspace(0.0, 5.0, 300), 1e-3)
         assert series.violations == ()
         assert not series.is_non_markovian
+
+    def test_pure_hamiltonian_reads_exactly_zero(self):
+        # The first-order state bell + eps X of H = sigma_z read +1e-6 here:
+        # the truncation of e^{-i eps H} is not a state.
+        grid = np.linspace(0.0, 2.0, 11)
+        for dissipators in ((), ((SIGMA_Z, ConstantRate(0.0)),)):
+            series = witness_series(LindbladGenerator(2, SIGMA_Z, dissipators), grid, 1e-3)
+            assert np.array_equal(series.values, np.zeros(11))
+            assert np.array_equal(series.r2, np.ones(11))
+            assert np.array_equal(series.r3, np.ones(11))
+            assert series.violations == ()
+
+    def test_strong_hamiltonian_on_markovian_dephasing_is_not_flagged(self):
+        # H = 10 sigma_z dwarfs a dephasing rate of 0.01: the first-order
+        # state gave a witness of +9.0e-5 at every t, a false violation. The
+        # small-time map takes H exactly, so it reads what the bridge reads.
+        gen = LindbladGenerator(2, 10.0 * SIGMA_Z, ((SIGMA_Z, ConstantRate(0.01)),))
+        grid = np.linspace(0.0, 2.0, 21)
+        small = witness_series(gen, grid, 1e-3)
+        bridge = witness_series(gen, grid, 1e-3, mode="finite-interval")
+        assert small.violations == () and bridge.violations == ()
+        assert small.values == pytest.approx(np.full(21, -9.9995e-6), rel=1e-4)
+        assert np.max(np.abs(small.values - bridge.values)) < 1e-9
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_hamiltonian_changes_no_moment(self, d):
+        # Weight 0 on B_0 adds exact zeros to every sum, so the moments equal
+        # those of the generator without H bit for bit.
+        rng = np.random.default_rng(300 + d)
+        grid = np.linspace(0.0, 3.0, 31)
+        gen = random_expcos_generator(rng, d, n_ops=3)
+        bare = witness_series(LindbladGenerator(d, np.zeros((d, d)), gen.dissipators),
+                              grid, 1e-3)
+        for scale in (1.0, 100.0):
+            other = LindbladGenerator(d, scale * random_hermitian(rng, d), gen.dissipators)
+            series = witness_series(other, grid, 1e-3)
+            for got, want in ((series.r2, bare.r2), (series.r3, bare.r3),
+                              (series.values, bare.values)):
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_small_time_state_takes_the_hamiltonian_exactly(self, d):
+        # The moments of the Choi state of e^{eps L_H} (1 + eps D(t)), built
+        # from the superoperators and eigensolved; bell + eps X would be off
+        # by order eps^2 |H|^2 = 1e-4 here.
+        rng = np.random.default_rng(310 + d)
+        base = random_expcos_generator(rng, d, n_ops=2)
+        h = 10.0 * random_hermitian(rng, d) / d
+        gen = LindbladGenerator(d, h, base.dissipators)
+        eye = np.eye(d)
+        l_h = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+        eps, grid = 1e-3, np.array([0.4, 1.3, 2.5])
+        series = witness_series(gen, grid, eps)
+        for i, t in enumerate(grid):
+            dissipative = generator_superoperator(gen, t) - l_h
+            step = expm(eps * l_h) @ (np.eye(d * d) + eps * dissipative)
+            lam = np.linalg.eigvalsh(reference_choi(step))
+            r2, r3 = np.sum(lam**2), np.sum(lam**3)
+            assert series.r2[i] == pytest.approx(r2, abs=1e-13)
+            assert series.r3[i] == pytest.approx(r3, abs=1e-13)
+            assert series.values[i] == pytest.approx(r2**2 - r3, abs=1e-13)
 
     def test_violation_intervals_cover_exactly_the_marked_points(self):
         gen = isotropic_pauli_generator(ExpCosRate(k=1.0))
@@ -305,7 +433,7 @@ class TestWitnessSeries:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # the generator is not unital
             measure_report(gen, 3.0, 300)
-        rhp_rate_g(gen, 0.0)
+        rate_limits(gen, [0.0])
         assert calls
         assert all(a[0].shape[-2:] == (3, 3) for a in calls)
 
@@ -339,19 +467,19 @@ class TestWitnessSeries:
 
 class TestInstantaneousRates:
     def test_dephasing_negative_rate(self):
-        gen = dephasing_generator(ConstantRate(-0.5))
-        assert moment_rate_f(gen, 0.0) == pytest.approx(0.5, abs=1e-6)
-        assert rhp_rate_g(gen, 0.0) == pytest.approx(1.0, abs=1e-6)
+        f, g = f_and_g(dephasing_generator(ConstantRate(-0.5)), 0.0)
+        assert f == pytest.approx(0.5, abs=1e-6)
+        assert g == pytest.approx(1.0, abs=1e-6)
 
     def test_dephasing_positive_rate(self):
         gen = dephasing_generator(ConstantRate(0.7))
-        assert moment_rate_f(gen, 0.0) == 0.0
-        assert rhp_rate_g(gen, 1.3) == pytest.approx(0.0, abs=1e-10)
+        assert f_and_g(gen, 0.0)[0] == 0.0
+        assert f_and_g(gen, 1.3)[1] == pytest.approx(0.0, abs=1e-10)
 
     def test_three_pauli_rates(self):
-        gen = isotropic_pauli_generator(ConstantRate(-0.1))
-        assert moment_rate_f(gen, 0.0) == pytest.approx(0.3, abs=1e-6)
-        assert rhp_rate_g(gen, 0.0) == pytest.approx(0.6, abs=1e-6)
+        f, g = f_and_g(isotropic_pauli_generator(ConstantRate(-0.1)), 0.0)
+        assert f == pytest.approx(0.3, abs=1e-6)
+        assert g == pytest.approx(0.6, abs=1e-6)
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([2, 3]),
@@ -359,14 +487,15 @@ class TestInstantaneousRates:
     def test_closed_forms_match_finite_eps_extrapolation(self, seed, dim, n_ops):
         gen = random_generator(np.random.default_rng(seed), dim, n_ops=n_ops)
         f_ref, g_ref = reference_rate_limits(gen, 0.0)
-        assert moment_rate_f(gen, 0.0) == pytest.approx(f_ref, rel=1e-4, abs=1e-9)
-        assert rhp_rate_g(gen, 0.0) == pytest.approx(g_ref, rel=1e-4, abs=1e-9)
+        f, g = f_and_g(gen, 0.0)
+        assert f == pytest.approx(f_ref, rel=1e-4, abs=1e-9)
+        assert g == pytest.approx(g_ref, rel=1e-4, abs=1e-9)
 
     def test_dephasing_case_formulas_across_rates(self):
         for gamma in np.linspace(-2.0, 2.0, 50):
-            gen = dephasing_generator(ConstantRate(float(gamma)))
-            assert moment_rate_f(gen, 0.0) == pytest.approx(max(0.0, -gamma), abs=5e-4)
-            assert rhp_rate_g(gen, 0.0) == pytest.approx(max(0.0, -2.0 * gamma), abs=5e-4)
+            f, g = f_and_g(dephasing_generator(ConstantRate(float(gamma))), 0.0)
+            assert f == pytest.approx(max(0.0, -gamma), abs=5e-4)
+            assert g == pytest.approx(max(0.0, -2.0 * gamma), abs=5e-4)
 
 
 class TestTraceNormRate:
@@ -519,8 +648,9 @@ class TestTraceNormRate:
     def test_strong_hamiltonian_keeps_weak_rates(self):
         # H enters neither f nor g, so it does not raise their noise floor.
         gen = LindbladGenerator(2, 1e6 * SIGMA_X, ((SIGMA_Z, ConstantRate(-1e-7)),))
-        assert rhp_rate_g(gen, 0.0) == pytest.approx(2e-7, rel=1e-12)
-        assert moment_rate_f(gen, 0.0) == pytest.approx(1e-7, rel=1e-12)
+        f, g = f_and_g(gen, 0.0)
+        assert g == pytest.approx(2e-7, rel=1e-12)
+        assert f == pytest.approx(1e-7, rel=1e-12)
         grid = [0.0, 1.0]
         assert np.allclose(rate_limits(gen, grid)[2], reference_rhp_rates(gen, grid),
                            rtol=1e-12, atol=0.0)
@@ -614,7 +744,7 @@ class TestRowKernels:
 class TestMeasures:
     def test_markovian_dephasing_measure_vanishes(self):
         gen = dephasing_generator(ConstantRate(1.0))
-        assert moment_measure(gen, 5.0, 201) == 0.0
+        assert measure_report(gen, 5.0, 201).moment_measure == 0.0
 
     def test_markovian_random_unital_measures_vanish(self):
         rng = np.random.default_rng(43)
@@ -634,13 +764,9 @@ class TestMeasures:
         assert report.ratio == pytest.approx(2.0, rel=1e-2)
 
     def test_three_pauli_measure_is_triple(self):
-        gen = isotropic_pauli_generator(ExpCosRate(k=1.0))
-        assert moment_measure(gen, 20.0, 2001) == pytest.approx(
-            3.0 * expcos_measure_oracle(), rel=5e-3
-        )
-        assert rhp_measure(gen, 20.0, 2001) == pytest.approx(
-            6.0 * expcos_measure_oracle(), rel=5e-3
-        )
+        report = measure_report(isotropic_pauli_generator(ExpCosRate(k=1.0)), 20.0, 2001)
+        assert report.moment_measure == pytest.approx(3.0 * expcos_measure_oracle(), rel=5e-3)
+        assert report.rhp_measure == pytest.approx(6.0 * expcos_measure_oracle(), rel=5e-3)
 
     def test_zero_iff_rate_series_zero(self):
         gen = dephasing_generator(ExpCosRate(k=1.0))
@@ -807,9 +933,7 @@ class TestGeneratorBuilder:
             for _ in range(2):
                 witness_series(gen, grid, 1e-3)
                 measure_report(gen, 2.0, 21)
-                moment_rate_f(gen, 0.5)
-                rhp_rate_g(gen, 0.5)
-                choi_small_time(gen, 0.5, 1e-3)
+                rate_limits(gen, [0.5])
         assert built == [gen]
         assert gen.small_time_builder is gen.small_time_builder
         assert gen.small_time_builder.gen is gen
@@ -840,9 +964,6 @@ class TestGeneratorBuilder:
                                   fresh.projected_spectra(gammas))
             assert np.array_equal(report.f_series, twin_report.f_series)
             assert np.array_equal(report.g_series, twin_report.g_series)
-            state = fresh.matrix(rates_at(gen, [1.5]).T, 1e-3)[0]
-            assert np.array_equal(choi_small_time(gen, 1.5, 1e-3).matrix,
-                                  require_hermitian(state, atol=1e-8))
 
     def test_tables_are_read_only(self):
         gen = random_generator(np.random.default_rng(9), 2, n_ops=3)
@@ -1003,15 +1124,8 @@ _FAST = dephasing_generator(ConstantRate(200.0))
 @pytest.mark.parametrize("call, match", [
     (lambda: measure_report(_DAMPING, 2.0, 51), "not unital"),
     (lambda: measure_report(_OSCILLATING, 3.0, 101), "last 5%"),
-    (lambda: moment_measure(_DAMPING, 2.0, 51), "not unital"),
-    (lambda: moment_measure(_OSCILLATING, 3.0, 101), "last 5%"),
-    (lambda: rhp_measure(_DAMPING, 2.0, 51), "not unital"),
-    (lambda: rhp_measure(_OSCILLATING, 3.0, 101), "last 5%"),
-    (lambda: choi_small_time(_FAST, 0.0, 1e-3), "expansion is dubious"),
     (lambda: witness_series(_FAST, [0.0, 1.0], 1e-3), "expansion is dubious"),
-], ids=["measure_report-unital", "measure_report-tail", "moment_measure-unital",
-        "moment_measure-tail", "rhp_measure-unital", "rhp_measure-tail",
-        "choi_small_time", "small_time_witness"])
+], ids=["measure_report-unital", "measure_report-tail", "small_time_witness"])
 def test_warning_names_the_callers_line(call, match):
     with pytest.warns(UserWarning, match=match) as records:
         call()
@@ -1061,34 +1175,6 @@ class TestAssess:
             assess(gen, [0.0, 1.0], math.nan)
         with pytest.raises(ValueError, match="strictly increasing"):
             assess(gen, [0.0, 0.0, 1.0], 1e-3)
-
-
-class TestRenyiEntropy:
-    def test_maximally_mixed_qubit(self):
-        assert renyi_entropy(np.eye(2) / 2, 2.0) == pytest.approx(1.0, abs=1e-12)
-
-    def test_pure_state(self):
-        rho = np.diag([1.0, 0.0, 0.0])
-        for alpha in (0.5, 2.0, 3.0):
-            assert renyi_entropy(rho, alpha) == pytest.approx(0.0, abs=1e-12)
-
-    def test_two_level_example(self):
-        assert renyi_entropy(np.diag([0.75, 0.25]), 2.0) == pytest.approx(
-            -np.log2(0.625), abs=1e-12
-        )
-
-    def test_rejections(self):
-        with pytest.raises(ValueError, match="von Neumann"):
-            renyi_entropy(np.eye(2) / 2, 1.0)
-        with pytest.raises(ValueError, match="positive"):
-            renyi_entropy(np.eye(2) / 2, 0.0)
-
-    @pytest.mark.parametrize("alpha", [math.nan, math.inf])
-    def test_rejects_an_order_that_is_not_finite(self, alpha):
-        with pytest.raises(ValueError, match="alpha must be positive and finite"):
-            renyi_entropy(np.diag([0.75, 0.25]), alpha)
-        with pytest.raises(ValueError, match="not PSD"):
-            renyi_entropy(np.diag([1.1, -0.1]), 2.0)
 
 
 class TestMonotonicityUnderDivisibleUnitalDynamics:

@@ -13,12 +13,11 @@ from choi_moments.lindblad import (
     UNITAL_ATOL,
     LindbladGenerator,
     coefficients,
-    dephasing_generator,
     from_hermitian_basis,
     generator_superoperator,
-    isotropic_pauli_generator,
     named_operator,
     rates_at,
+    require_hermitian,
     to_hermitian_basis,
     unitality_defects,
 )
@@ -26,8 +25,11 @@ from choi_moments.rates import ConstantRate, ExpCosRate, rate_eval
 from helpers import (
     _action,
     apply_generator,
+    dephasing_generator,
     hermitian_basis_matrix,
+    isotropic_pauli_generator,
     random_generator,
+    random_hermitian,
     random_psd_unit_trace,
 )
 
@@ -329,3 +331,43 @@ class TestHermitianBasis:
         # Any real transfer matrix is a Hermiticity-preserving map, so its
         # Choi state is Hermitian, and the back rotation keeps that exact.
         assert np.array_equal(got, np.swapaxes(got, -1, -2).conj())
+
+
+class TestRequireHermitian:
+    def test_rejects_non_hermitian(self):
+        m = np.array([[0.0, 1e-6], [0.0, 0.0]])
+        with pytest.raises(ValueError, match="not Hermitian"):
+            require_hermitian(m)
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, complex(0.0, -np.inf)])
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1)])
+    def test_rejects_non_finite_entries(self, entry, where):
+        # A NaN asymmetry compares false with the tolerance; it must still fail.
+        m = np.zeros((2, 3, 3), dtype=complex)
+        m[(1, *where)] = entry
+        with pytest.raises(ValueError, match="non-finite"):
+            require_hermitian(m)
+
+    def test_rejection_reports_asymmetry(self):
+        m = np.array([[0.0, 3e-7], [0.0, 0.0]])
+        with pytest.raises(ValueError, match="3.000e-07"):
+            require_hermitian(m)
+
+    def test_reconstruction_residual(self):
+        rng = np.random.default_rng(11)
+        for n in (2, 4, 9, 16):
+            m = random_hermitian(rng, n)
+            lam, vec = np.linalg.eigh(require_hermitian(m))
+            rebuilt = (vec * lam) @ vec.conj().T
+            assert np.max(np.abs(rebuilt - m)) < 1e-9
+
+    def test_require_hermitian_checks_each_matrix_of_a_stack(self):
+        rng = np.random.default_rng(13)
+        stack = np.array([random_hermitian(rng, 3) for _ in range(4)])
+        out = require_hermitian(stack)
+        assert np.array_equal(out, 0.5 * (stack + np.swapaxes(stack, 1, 2).conj()))
+        stack[2, 0, 1] += 1e-6
+        with pytest.raises(ValueError, match="1.000e-06"):
+            require_hermitian(stack)
+        with pytest.raises(ValueError, match="square"):
+            require_hermitian(np.zeros((2, 3, 2)))

@@ -16,14 +16,7 @@ import numpy as np
 import pytest
 
 import choi_moments
-from choi_moments.choi import (
-    ChoiMatrix,
-    CPTPDiagnostics,
-    SuperoperatorMatrix,
-    choi_of_superoperator,
-    cptp_diagnostics,
-    propagate_map,
-)
+from choi_moments.choi import SuperoperatorMatrix, propagate_map
 from choi_moments.cli import RunReport, run_scenario
 from choi_moments.config import (
     DissipatorSpec,
@@ -39,11 +32,12 @@ from choi_moments.detect import (
     measure_report,
     witness_series,
 )
-from choi_moments.lindblad import LindbladGenerator, dephasing_generator
+from choi_moments.lindblad import LindbladGenerator
 from choi_moments.rates import ConstantRate, ExpCosRate
+from helpers import dephasing_generator
 
-RECORDS = (SuperoperatorMatrix, ChoiMatrix, CPTPDiagnostics, WitnessSeries, MeasureReport,
-           DivisibilityReport, RunReport, DissipatorSpec, ScenarioConfig)
+RECORDS = (SuperoperatorMatrix, WitnessSeries, MeasureReport, DivisibilityReport, RunReport,
+           DissipatorSpec, ScenarioConfig)
 
 
 def package_modules():
@@ -70,11 +64,9 @@ def test_records_are_named_tuples(record):
 def instances(tmp_path_factory):
     gen = dephasing_generator(ExpCosRate(k=1.0))
     grid = np.linspace(0.0, 1.0, 11)
-    phi = propagate_map(gen, 0.0, 0.5)
-    choi = choi_of_superoperator(phi)
     config = load_scenario(bundled_scenario_path("markovian_control"))
     out = str(tmp_path_factory.mktemp("out"))
-    return [phi, choi, cptp_diagnostics(choi), witness_series(gen, grid, 1e-3),
+    return [propagate_map(gen, 0.0, 0.5), witness_series(gen, grid, 1e-3),
             measure_report(gen, 6.0, 61), cp_divisibility_scan(gen, grid, 1e-3),
             run_scenario(config._replace(points=20), out, quiet=True),
             config.dissipators[0], config]
@@ -97,7 +89,6 @@ def test_fields_cannot_be_assigned(instances, index):
 def test_properties_equality_and_repr():
     phi = SuperoperatorMatrix(np.eye(9), (0.0, 1.0))
     assert phi.dim == 3
-    assert ChoiMatrix(np.eye(4) / 4, (0.0, 0.1), "small-time").dim == 2
     report = MeasureReport(0.5, 1.0, np.zeros(2), np.zeros(2), np.zeros(2))
     assert report.ratio == 2.0
     assert np.isnan(report._replace(moment_measure=0.0).ratio)
@@ -111,6 +102,3 @@ def test_properties_equality_and_repr():
     assert spec != DissipatorSpec("sigma_x", ConstantRate(1.0))
     assert repr(spec) == ("DissipatorSpec(operator='sigma_z', rate=ConstantRate(value=1.0), "
                           "matrix=None)")
-    assert CPTPDiagnostics(-0.1, 0.0, 0.0, False, True)._asdict() == {
-        "min_eigenvalue": -0.1, "trace_deviation": 0.0, "partial_trace_deviation": 0.0,
-        "is_cp": False, "is_tp": True}
