@@ -14,7 +14,8 @@ e^{eps L_H} (1 + eps D(t)), so its Choi state is a local unitary
 conjugation of bell + eps X_D(t), with X_D the Choi image of the dissipator
 alone, and has the same moments. Those moments are exact polynomials in
 eps, evaluated from traces of the dissipators' Choi blocks with no
-eigensolve (`SmallTimeChoiBuilder.moments`); no Choi matrix is formed.
+eigensolve (`SmallTimeChoiBuilder.moments`); no Choi matrix is formed, and
+the blocks come from the jump operators alone, with no superoperator.
 Those trace tables, and every other table that depends on the generator
 alone, are built once per generator: it holds one read-only builder, made
 on first use (`LindbladGenerator.small_time_builder`). The part of its
@@ -30,12 +31,11 @@ so every step is a small matrix product or a reduction across a few long
 rows. All propagation
 goes through one batched fixed-step RK4 kernel: `propagate_map` runs it over
 one window, and `bridge_spectra` over one window [t, t + delta] per grid time,
-reusing its most recent sweep when the next call has the same inputs. Both
-read the generator's read-only blocks [H_part, D_1, ...]: the small-time
-builder the Choi images of the dissipator blocks, weighted by the rates,
-and the RK4 kernel every real transfer block, weighted by the coefficients
-[1, gamma_1, ...] of the rates: the same maps in an orthonormal basis of
-Hermitian operators. The kernel
+reusing its most recent sweep when the next call has the same inputs.
+Only propagation reads superoperators: the kernel weights the generator's
+read-only real transfer blocks [H_part, D_1, ...], the superoperator
+blocks in an orthonormal basis of Hermitian operators, by the coefficients
+[1, gamma_1, ...] of the rates. The kernel
 runs in real arithmetic, on stacks of several windows at once (up to
 CHUNK_ENTRIES matrix entries: four 64 x 64 maps at d = 8), and each caller
 leaves the real basis once per map, with O(d^4) slices and no matrix
@@ -109,20 +109,6 @@ def max_entangled_projector(d: int) -> np.ndarray:
     return np.outer(phi, phi.conj())
 
 
-def _choi_from_superop(phi: np.ndarray, d: int) -> np.ndarray:
-    """(1/d) sum_ij E_ij kron M(E_ij) for the map with row-major matrix phi.
-
-    With row-major vec, M(E_ij)[a, b] = phi[(a, b), (i, j)], so the Choi state
-    is a reshuffle of phi. Leading axes of phi are stack axes. d times the
-    reshuffle, followed by swapping the two tensor factors of the result, is
-    the realignment (ab, ij) -> (ai, bj), an involution; the reshuffle alone
-    is not one (applied twice, it reverses the four indices).
-    """
-    lead = phi.shape[:-2]
-    blocks = np.einsum("...abij->...iajb", phi.reshape(*lead, d, d, d, d))
-    return blocks.reshape(*lead, d * d, d * d) / d
-
-
 def _require_trace_preserving(trace: np.ndarray) -> None:
     """Refuse maps whose Choi traces (real, any shape) are not all 1 within
     1e-6, or not finite: maps that are not trace preserving."""
@@ -156,35 +142,38 @@ def require_count(name: str, value, minimum: int) -> int:
 
 
 class SmallTimeChoiBuilder:
-    """The Choi image X(t) = B_0 + sum_k gamma_k(t) B_k of the generator, and
-    the moments of the small-time Choi states of the maps on [t, t + eps].
+    """The Choi image X_D(t) = sum_k gamma_k(t) B_k of the generator's
+    dissipator, and the moments of the small-time Choi states of the maps
+    on [t, t + eps].
 
-    B_0 is the Choi image of the Hamiltonian part and B_k that of dissipator
-    k (`blocks`, stacked). The small-time map e^{eps L_H} (1 + eps D(t))
-    takes the Hamiltonian part exactly, so its Choi state is
-    (I kron U)(bell + eps X_D(t))(I kron U)^dag, with U = e^{-i eps H} and
-    X_D = sum_k gamma_k B_k, and has the moments of bell + eps X_D: B_0
-    enters none of them. (The first-order state bell + eps X is not a
-    state: its Hamiltonian part alone gives a positive witness of order
-    eps^2 |H|^2.) The generator enters only through its rates, so a grid
-    costs one rate call and one product of the rates with tables of traces
-    of the dissipator blocks (`moments`, which needs no eigensolve). Rates
-    come as rows, (K, n) for n times (`rates_at(gen, times).T`, no copy):
-    numpy runs a reduction along a short last axis row by row, but across
-    rows as whole-row operations.
+    B_k, the Choi image of dissipator k (`blocks`, (K, d^2, d^2)), comes in
+    closed form from its jump operator alone:
+    B_k = (v_k v_k^dag - (w_k e^dag + e w_k^dag)/2)/d, with v_k = vec(L_k^T),
+    w_k = vec((L_k^dag L_k)^T) and e = vec(I), all row-major. The small-time
+    map e^{eps L_H} (1 + eps D(t)) takes the Hamiltonian part exactly, so
+    its Choi state is (I kron U)(bell + eps X_D(t))(I kron U)^dag, with
+    U = e^{-i eps H}, and has the moments of bell + eps X_D: the Hamiltonian
+    enters no table. (The first-order state bell + eps X, with the
+    Hamiltonian's Choi image in X, is not a state: that part alone gives a
+    positive witness of order eps^2 |H|^2.) The generator enters only
+    through its rates, so a grid costs one rate call and one product of the
+    rates with tables of traces of the blocks (`moments`, which needs no
+    eigensolve). Rates come as rows, (K, n) for n times
+    (`rates_at(gen, times).T`, no copy): numpy runs a reduction along a
+    short last axis row by row, but across rows as whole-row operations.
 
-    Everything that depends on the generator alone is built once and is
-    read-only: the blocks and the dissipator scales max|B_k| here, the trace
-    tables of `moments` (`trace_tables`) and the table of
+    Everything that depends on the generator alone is built once, with no
+    superoperator, and is read-only: the jump operators (`operators`,
+    (K, d, d)), the blocks and the dissipator scales max|B_k| here, the
+    trace tables of `moments` (`trace_tables`) and the table of
     `projected_spectra` (`projected_table`) on first use. Each
     generator holds one builder, `LindbladGenerator.small_time_builder`,
     which every caller uses; building another with `SmallTimeChoiBuilder(gen)`
     gives the same tables.
 
-    Off the Bell direction, with Q = I - bell, the Hamiltonian part drops out
-    (Q B_0 Q = 0) and each dissipator leaves one rank-1 term,
-    Q B_k Q = v_k v_k^dag with v_k = vec((L_k - Tr(L_k)/d I)^T)/sqrt(d). So
-    Q X Q = V diag(gamma) V^dag, and its nonzero spectrum follows one rule
+    Off the Bell direction, with Q = I - bell, each dissipator leaves one
+    rank-1 term, Q B_k Q = v_k v_k^dag with v_k = vec((L_k - Tr(L_k)/d I)^T)/sqrt(d).
+    So Q X_D Q = V diag(gamma) V^dag, and its nonzero spectrum follows one rule
     (`projected_spectra`): when the v_k are pairwise orthogonal, a pair
     counting as orthogonal when |G_ij| <= 1e-14 sqrt(G_ii G_jj) for the Gram
     matrix G = V^dag V, it is gamma_k G_kk, one value per operator with no
@@ -197,31 +186,37 @@ class SmallTimeChoiBuilder:
 
     def __init__(self, gen: LindbladGenerator):
         self.gen = gen
-        d = gen.dim
+        d, k = gen.dim, len(gen.dissipators)
         self.bell = max_entangled_projector(d)
-        self.blocks = _choi_from_superop(gen.superoperator_blocks, d)
-        # x_k = <Phi+|B_k|Phi+>, so that <Phi+|X|Phi+> = c . x.
+        self.operators = ops = np.array(
+            [op for op, _ in gen.dissipators], dtype=complex).reshape(k, d, d)
+        v = np.swapaxes(ops, 1, 2).reshape(k, d * d)
+        w = np.swapaxes(np.swapaxes(ops, 1, 2).conj() @ ops, 1, 2).reshape(k, d * d)
+        e = np.eye(d).ravel()
+        self.blocks = (v[:, :, None] * v.conj()[:, None]
+                       - 0.5 * (w[:, :, None] * e + e[:, None] * w.conj()[:, None])) / d
+        # x_k = <Phi+|B_k|Phi+>, so that <Phi+|X_D|Phi+> = x . gamma.
         self.bell_overlaps = np.einsum("ab,kba->k", self.bell, self.blocks).real
-        # max|B_k| of each dissipator block, which scales the noise floor of
-        # `detect._rate_limits`.
-        self.dissipator_scales = np.max(np.abs(self.blocks[1:]), axis=(1, 2))
-        for table in (self.bell, self.blocks, self.bell_overlaps, self.dissipator_scales):
+        # max|B_k|, which scales the noise floor of `detect._rate_limits`.
+        self.dissipator_scales = np.max(np.abs(self.blocks), axis=(1, 2))
+        for table in (self.bell, ops, self.blocks, self.bell_overlaps, self.dissipator_scales):
             table.setflags(write=False)
 
     @cached_property
     def trace_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The tables of `moments`: Tr(B_k B_l) and Re <Phi+|B_k B_l|Phi+>,
-        (K + 1, K + 1), and Re Tr(B_k B_l B_m), flattened over (k, l) to
-        ((K + 1)^2, K + 1). They take (K + 1)^2 products of the d^2 x d^2
-        blocks, which the measures never need, so they are built on first
-        use; the arrays are read-only.
+        (K, K), and Re Tr(B_k B_l B_m), flattened over (k, l) to (K^2, K).
+        They take K^2 products of the d^2 x d^2 blocks, which the measures
+        never need, so they are built on first use; the arrays are
+        read-only. Every reshape names its sizes, so K = 0 gives empty
+        tables.
         """
-        k1 = len(self.blocks)
-        pairs = (self.blocks[:, None] @ self.blocks[None]).reshape(k1 * k1, -1)
+        k, size = len(self.blocks), self.bell.size
+        pairs = (self.blocks[:, None] @ self.blocks[None]).reshape(k * k, size)
         # Tr(A B) = sum_ab A_ab B_ba: contract with transposed blocks and bell.
-        flipped = np.swapaxes(self.blocks, 1, 2).reshape(k1, -1)
-        tables = ((self.blocks.reshape(k1, -1) @ flipped.T).real,
-                  (pairs @ self.bell.T.ravel()).real.reshape(k1, k1),
+        flipped = np.swapaxes(self.blocks, 1, 2).reshape(k, size)
+        tables = ((self.blocks.reshape(k, size) @ flipped.T).real,
+                  (pairs @ self.bell.T.ravel()).real.reshape(k, k),
                   (pairs @ flipped.T).real)
         for table in tables:
             table.setflags(write=False)
@@ -238,9 +233,8 @@ class SmallTimeChoiBuilder:
         that R diag(gamma) R^dag is their gamma-weighted sum. Built on first
         use; the array is read-only.
         """
-        d, k = self.gen.dim, len(self.gen.dissipators)
-        ops = np.array([op for op, _ in self.gen.dissipators], dtype=complex)
-        ops = ops.reshape(k, d, d)
+        ops = self.operators
+        k, d = ops.shape[:2]
         traceless = ops - np.trace(ops, axis1=1, axis2=2)[:, None, None] / d * np.eye(d)
         v = np.swapaxes(traceless, 1, 2).reshape(k, d * d).T / np.sqrt(d)
         gram = v.conj().T @ v
@@ -291,27 +285,22 @@ class SmallTimeChoiBuilder:
             r_3 = 1 + 3 eps x0 + 3 eps^2 sb + eps^3 s3,
 
         and r_2^2 - r_3 is expanded in eps so that the leading 1s cancel
-        exactly. x0, s2, sb and s3 are forms in c = [0, gamma_1, ...] of
-        degree 1, 2, 2 and 3 over the tables x_k, Tr(B_k B_l),
-        Re <Phi+|B_k B_l|Phi+> and Re Tr(B_k B_l B_m); the blocks are
-        Hermitian, so the real parts are the whole contractions. B_0 keeps
-        its row of the tables, with weight 0: exact zeros leave the order
-        of every sum, and so its rounding, the same whatever H is. The
-        tables are built once per builder
+        exactly. x0, s2, sb and s3 are forms in the rates gamma of degree 1,
+        2, 2 and 3 over the tables x_k, Tr(B_k B_l), Re <Phi+|B_k B_l|Phi+>
+        and Re Tr(B_k B_l B_m); the blocks are Hermitian, so the real parts
+        are the whole contractions. The tables are built once per builder
         (`trace_tables`). Each form is a small matrix product over long
         rows, one row per block:
-        x0 = x . c, s2 = sum_k c_k (T2 c)_k, likewise sb, and
-        s3 = sum_k c_k sum_l c_l (T3 c)_kl.
+        x0 = x . gamma, s2 = sum_k gamma_k (T2 gamma)_k, likewise sb, and
+        s3 = sum_k gamma_k sum_l gamma_l (T3 gamma)_kl.
         """
         traces2, bell_pairs, traces3 = self.trace_tables
-        c = coefficients(gammas)
-        c[0] = 0.0  # the Hamiltonian's block: its part of the map is exact
-        k1, n = c.shape
-        x0 = self.bell_overlaps @ c
-        s2 = np.einsum("kn,kn->n", c, traces2 @ c)
-        sb = np.einsum("kn,kn->n", c, bell_pairs @ c)
-        s3 = np.einsum("kn,kn->n", c,
-                       np.einsum("kln,ln->kn", (traces3 @ c).reshape(k1, k1, n), c))
+        k, n = gammas.shape
+        x0 = self.bell_overlaps @ gammas
+        s2 = np.einsum("kn,kn->n", gammas, traces2 @ gammas)
+        sb = np.einsum("kn,kn->n", gammas, bell_pairs @ gammas)
+        s3 = np.einsum("kn,kn->n", gammas,
+                       np.einsum("kln,ln->kn", (traces3 @ gammas).reshape(k, k, n), gammas))
         eps = float(epsilon)
         r2 = 1.0 + 2.0 * eps * x0 + eps**2 * s2
         r3 = 1.0 + 3.0 * eps * x0 + 3.0 * eps**2 * sb + eps**3 * s3

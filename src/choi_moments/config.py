@@ -228,11 +228,11 @@ def parse_scenario(text: str) -> ScenarioConfig:
         parts = key.split(".")
         if parts[0] != "dissipator":
             continue
-        if len(parts) < 3 or not parts[1].isdigit():
-            raise ConfigError(
-                f"unknown key {key!r}; dissipator keys look like 'dissipator.<n>.operator'"
-            )
-        dissipator_params.setdefault(int(parts[1]), {})[".".join(parts[2:])] = pairs.pop(key)
+        index = parts[1] if len(parts) > 2 else ""  # one spelling per dissipator
+        if not (index.isascii() and index.isdigit() and index == str(int(index))):
+            raise ConfigError(f"unknown key {key!r}; dissipator keys look like "
+                              "'dissipator.<n>.operator', n in ASCII digits, no leading zero")
+        dissipator_params.setdefault(int(index), {})[".".join(parts[2:])] = pairs.pop(key)
 
     for key in pairs:
         if key not in _TOP_LEVEL_KEYS:

@@ -18,7 +18,7 @@ Two integrated quantifiers are provided: the moment measure, built from the
 instantaneous rate f(t) = lim_{eps->0} max(0, r_2^2 - r_3)/eps of small-time
 Choi states, and the divisibility-based measure built from the trace-norm rate
 g(t) = lim_{eps->0} (||C||_1 - 1)/eps. Both limits are evaluated in closed
-form from the Choi image X(t) of the generator (`_rate_limits`): f is a
+form from the Choi image X_D(t) of the dissipator (`_rate_limits`): f is a
 linear form in the rates, and g needs at most K eigenvalues for K jump
 operators, none for mutually trace-orthogonal ones such as distinct Pauli
 operators. For pure dephasing they reduce to f = max(0, -gamma) and
@@ -224,31 +224,31 @@ def _rate_limits(gen: LindbladGenerator, gammas: np.ndarray) -> tuple[np.ndarray
     """The rates f and g (n,) at n times, in closed form, from the dissipator
     rates gamma_i there as rows (K, n), one per jump operator.
 
-    With C = bell + eps X and X = B_0 + sum_i gamma_i B_i the Choi image of
-    the generator, r_2^2 - r_3 = eps <Phi+|X|Phi+> + O(eps^2), so
-    f = max(0, <Phi+|X|Phi+>), the leading coefficient of the small-time
-    witness: a linear form in the rates over the builder's <Phi+|B_k|Phi+>.
+    The Hamiltonian's part of the small-time map is a local unitary
+    conjugation of its Choi state, so it changes no moment and no
+    eigenvalue: both limits read only X_D = sum_i gamma_i B_i, the Choi
+    image of the dissipator, over the builder's blocks B_i. With
+    C = bell + eps X_D, r_2^2 - r_3 = eps <Phi+|X_D|Phi+> + O(eps^2), so
+    f = max(0, <Phi+|X_D|Phi+>), the leading coefficient of the small-time
+    witness: a linear form in the rates over the builder's <Phi+|B_i|Phi+>.
     Off the Bell direction the eigenvalues of C are eps mu_j + O(eps^2),
-    with mu_j the eigenvalues of Q X Q and Q = I - bell, so
+    with mu_j the eigenvalues of Q X_D Q and Q = I - bell, so
     g = 2 sum_j max(0, -mu_j) (Rivas, Huelga and Plenio, PRL 105, 050403,
-    2010). Q X Q = V diag(gamma) V^dag carries no Hamiltonian term, so its
-    nonzero mu_j, at most K of them, follow one rule
-    (`SmallTimeChoiBuilder.projected_spectra`): gamma_k G_kk when the jump
-    operators are pairwise orthogonal (|G_ij| <= 1e-14 sqrt(G_ii G_jj)
-    counts as orthogonal), and otherwise the eigenvalues of
-    R diag(gamma) R^dag over all of them, V = W R; the zero ones add
-    nothing to g. Terms within 1e-12 of the size of the dissipators' part of X,
-    sum_k |gamma_k| max|B_k| over k >= 1, are rounding noise and count as
-    zero, so Markovian generators give exactly f = g = 0. The Hamiltonian
-    block B_0 enters neither f nor g, so it does not scale the noise floor
-    either: a strong Hamiltonian does not erase a weak negative rate. The
+    2010). Q X_D Q = V diag(gamma) V^dag, so its nonzero mu_j, at most K of
+    them, follow one rule (`SmallTimeChoiBuilder.projected_spectra`):
+    gamma_k G_kk when the jump operators are pairwise orthogonal
+    (|G_ij| <= 1e-14 sqrt(G_ii G_jj) counts as orthogonal), and otherwise
+    the eigenvalues of R diag(gamma) R^dag over all of them, V = W R; the
+    zero ones add nothing to g. Terms within 1e-12 of the size of X_D,
+    sum_k |gamma_k| max|B_k|, are rounding noise and count as zero, so
+    Markovian generators give exactly f = g = 0, and a strong Hamiltonian
+    neither scales the noise floor nor erases a weak negative rate. The
     noise floor, f and g are each a product or a reduction across the rows
     of rates and of mu (m, n), with no transposed copy.
     """
     builder = gen.small_time_builder
     noise = _RATE_NOISE * np.maximum(1.0, builder.dissipator_scales @ np.abs(gammas))
-    overlaps = builder.bell_overlaps
-    f = overlaps[0] + overlaps[1:] @ gammas
+    f = builder.bell_overlaps @ gammas
     f = np.where(f > noise, f, 0.0)
     mu = builder.projected_spectra(gammas)
     # 0.0 - x rather than -x: a sum of zeros gives 0.0, never -0.0.

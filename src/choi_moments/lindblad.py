@@ -192,18 +192,20 @@ class LindbladGenerator:
     Immutable: the Hamiltonian and the jump operators are read-only copies,
     so the caller's arrays stay writeable and changing them later does not
     change the generator, and assigning or deleting any attribute raises
-    AttributeError. Construction only checks them; every table below
-    is a read-only array built on first use and kept. `superoperator_blocks`
-    is the stack [H_part, D_1, ...], shape (K + 1, d^2, d^2), of the
-    vectorized generator's constant blocks: Lhat(t) = sum_k c_k B_k with
-    c = coefficients(rates_at(gen, t)). `transfer_blocks` is the same stack
-    in the Hermitian operator basis, U^dag B_k U, and real: the RK4 kernel
-    propagates these, in real arithmetic. `unitality_images` (K, d^2) holds
-    the dissipator blocks' images B_k vec(I/d), which `unitality_defects`
-    contracts with the rates. `small_time_builder` is the generator's one
-    `choi.SmallTimeChoiBuilder`: every small-time witness and rate limit on
-    this generator reads it. A cached_property writes the instance __dict__
-    directly, past the refusing __setattr__.
+    AttributeError. Construction only checks them, and refuses a dissipator
+    that is not an (operator, rate) pair whose rate has a callable
+    `evaluate`, naming its index. Every table below is a read-only array
+    built on first use and kept. `unitality_images` (K, d^2), the images
+    D_k(I/d) that `unitality_defects` contracts with the rates, and
+    `small_time_builder`, the one `choi.SmallTimeChoiBuilder` that every
+    small-time witness and rate limit reads, come from the jump operators
+    alone. Only propagation reads superoperators: `superoperator_blocks` is
+    the stack [H_part, D_1, ...], (K + 1, d^2, d^2), of the vectorized
+    generator's constant blocks, Lhat(t) = sum_k c_k B_k with
+    c = coefficients(rates_at(gen, t)), and `transfer_blocks` is the same
+    stack in the Hermitian operator basis, U^dag B_k U, and real: the RK4
+    kernel propagates these, in real arithmetic. A cached_property writes
+    the instance __dict__ directly, past the refusing __setattr__.
 
     A plain class, not a dataclass, because every process that imports the
     package would otherwise generate and compile its methods. Generators
@@ -218,7 +220,11 @@ class LindbladGenerator:
         if h.shape != (dim, dim):
             raise ValueError(f"Hamiltonian shape {h.shape} does not match dim {dim}")
         diss = []
-        for op, rate in dissipators:
+        for index, pair in enumerate(dissipators):
+            op, rate = pair if isinstance(pair, tuple | list) and len(pair) == 2 else (None, None)
+            if not callable(getattr(rate, "evaluate", None)):
+                raise ValueError(f"dissipators[{index}] is not an (operator, rate model) "
+                                 "pair whose rate has an evaluate method")
             op = _read_only(np.array(op, dtype=complex))
             if op.shape != (dim, dim):
                 raise ValueError(f"jump operator shape {op.shape} does not match dim {dim}")
@@ -257,9 +263,11 @@ class LindbladGenerator:
 
     @cached_property
     def unitality_images(self) -> np.ndarray:
-        """B_k vec(I/d) for each dissipator block, (K, d^2)."""
-        eye = np.eye(self.dim).ravel() / self.dim
-        return _read_only(self.superoperator_blocks[1:] @ eye)
+        """D_k(I/d) = vec(L_k L_k^dag - L_k^dag L_k)/d per dissipator, (K, d^2)."""
+        d, k = self.dim, len(self.dissipators)
+        ops = np.array([op for op, _ in self.dissipators], dtype=complex).reshape(k, d, d)
+        adjoints = np.swapaxes(ops, 1, 2).conj()
+        return _read_only((ops @ adjoints - adjoints @ ops).reshape(k, d * d) / d)
 
     @cached_property
     def small_time_builder(self):
@@ -331,7 +339,7 @@ def unitality_defects(gen: LindbladGenerator, gammas) -> np.ndarray:
     shape (n,).
 
     The Hamiltonian part annihilates I/d, so the image is linear in the
-    rates and a grid of rates costs one product with the dissipator blocks'
+    rates and a grid of rates costs one product with the dissipators'
     images of I/d (`LindbladGenerator.unitality_images`). A normal jump
     operator (Pauli, Hermitian, unitary) has an image of exactly zero, since
     D_k(I) = L_k L_k^dag - L_k^dag L_k; when every image is zero the product

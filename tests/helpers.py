@@ -284,7 +284,7 @@ def reference_rhp_rates(gen, grid):
     bare = LindbladGenerator(gen.dim, np.zeros((gen.dim, gen.dim)), gen.dissipators)
     builder = SmallTimeChoiBuilder(bare)
     q = np.eye(gen.dim**2) - builder.bell
-    block_sizes = np.max(np.abs(builder.blocks[1:]), axis=(1, 2))
+    block_sizes = np.max(np.abs(builder.blocks), axis=(1, 2))
     g = []
     for t in grid:
         noise = 1e-12 * max(1.0, float(np.abs(rates_at(gen, float(t))) @ block_sizes))

@@ -8,13 +8,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.linalg import expm
 
 from choi_moments import choi
 from choi_moments.choi import (
     CHUNK_ENTRIES,
+    SmallTimeChoiBuilder,
     _require_trace_preserving,
     bridge_spectra,
     max_entangled_projector,
@@ -42,7 +42,6 @@ from helpers import (
     isotropic_pauli_generator,
     random_expcos_generator,
     random_generator,
-    random_hermitian,
     reference_bridge_spectra,
     reference_choi,
     reference_rk4_propagate,
@@ -518,34 +517,6 @@ class TestChoiStates:
         with pytest.raises(ValueError, match="Choi trace deviation nan is non-finite"):
             _require_trace_preserving(np.array([np.nan]))
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([2, 3, 4]),
-           stack=st.integers(1, 3))
-    def test_reshuffle_is_an_involution_up_to_the_factor(self, seed, d, stack):
-        # d times the reshuffle, followed by swapping the two tensor factors of
-        # the result, is the realignment (ab, ij) -> (ai, bj): an involution.
-        # The reshuffle alone is not one: twice, it reverses the four indices.
-        rng = np.random.default_rng(seed)
-        shape = (stack, d * d, d * d)
-        phi = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-
-        def indices(m):
-            return m.reshape(stack, d, d, d, d)
-
-        def realign(m):
-            swapped = indices(d * choi._choi_from_superop(m, d)).transpose(0, 2, 1, 4, 3)
-            return swapped.reshape(shape)
-
-        scale = 4e-16 * np.max(np.abs(phi))
-        assert np.max(np.abs(realign(realign(phi)) - phi)) <= scale
-        twice = d * choi._choi_from_superop(d * choi._choi_from_superop(phi, d), d)
-        reversed_indices = indices(phi).transpose(0, 4, 3, 2, 1).reshape(shape)
-        assert np.max(np.abs(twice - reversed_indices)) <= scale
-        # One reshuffle only moves entries: the 1/d factor aside, it keeps them.
-        moved = d * choi._choi_from_superop(phi, d)
-        assert np.allclose(np.sort_complex(moved.ravel()), np.sort_complex(phi.ravel()),
-                           rtol=4e-16, atol=0.0)
-
     def test_identity_gives_bell_state(self):
         _, lam = bridge_spectra(LindbladGenerator(2, np.zeros((2, 2)), ()), [0.0, 1.0], 0.01)
         assert np.allclose(lam, [[1.0, 0.0, 0.0, 0.0]] * 2, atol=1e-15)
@@ -587,13 +558,17 @@ class TestChoiStates:
                                  - first_order_choi(gen, t, eps))) < 1e-12
 
     @pytest.mark.parametrize("d", [2, 3, 4])
-    def test_reshuffle_matches_the_loop_built_choi_state(self, d):
+    def test_builder_blocks_are_the_dissipators_choi_images(self, d):
+        # B_k, built from the jump operator alone, against the loop-built
+        # Choi state of dissipator k's superoperator, alone at unit rate.
         rng = np.random.default_rng(70 + d)
-        phi = np.array([random_hermitian(rng, d * d) + 1j * rng.normal(size=(d * d, d * d))
-                        for _ in range(2)])
-        reshuffled = choi._choi_from_superop(phi, d)
-        for got, m in zip(reshuffled, phi):
-            assert np.max(np.abs(got - reference_choi(m))) < 1e-15
+        gen = random_generator(rng, d, n_ops=3)
+        blocks = SmallTimeChoiBuilder(gen).blocks
+        assert blocks.shape == (3, d * d, d * d)
+        for (op, _), block in zip(gen.dissipators, blocks):
+            alone = LindbladGenerator(d, np.zeros((d, d)), ((op, ConstantRate(1.0)),))
+            want = reference_choi(generator_superoperator(alone, 0.0))
+            assert np.max(np.abs(block - want)) <= 1e-15
 
     def test_small_time_agrees_with_finite_interval_to_second_order(self):
         gens = {

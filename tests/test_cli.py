@@ -349,13 +349,15 @@ class TestGeneratorTables:
         assert not self.TABLES & set(vars(made[0]))
 
     @pytest.mark.parametrize("outputs, built", [
-        ("witness", {"superoperator_blocks", "unitality_images", "small_time_builder"}),
-        ("compare", {"superoperator_blocks", "unitality_images", "small_time_builder"}),
-        ("divisibility", {"superoperator_blocks", "unitality_images", "small_time_builder",
-                          "transfer_blocks"})])
+        ("witness", {"unitality_images", "small_time_builder"}),
+        ("compare", {"unitality_images", "small_time_builder"}),
+        ("divisibility", {"unitality_images", "small_time_builder", "transfer_blocks",
+                          "superoperator_blocks"})])
     def test_a_run_builds_only_what_it_reads(self, tmp_path, monkeypatch, outputs, built):
-        # Every run computes the measures, which check unitality; only the
-        # bridge scan rotates the blocks into the Hermitian basis.
+        # Every run computes the measures, which check unitality; the
+        # small-time tables come from the jump operators alone, and only the
+        # bridge scan builds superoperator blocks and rotates them into the
+        # Hermitian basis.
         made = record_generators(monkeypatch)
         config = parse_scenario(SMALL_WITNESS.replace(
             "outputs = witness divisibility", f"outputs = {outputs}"))
@@ -369,6 +371,15 @@ class TestMainExitCodes:
         path = write_cfg(tmp_path, "version = 1\n")
         assert main(["witness", path]) == 1
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("index", ["01", "\u00b2"])
+    def test_a_dissipator_index_spelled_another_way_is_1(self, tmp_path, capsys, index):
+        # dissipator.01 used to replace dissipator.1 silently, and a
+        # superscript two used to end validate in a ValueError from int().
+        text = SMALL_WITNESS.replace("dissipator.3.", f"dissipator.{index}.")
+        assert main(["validate", write_cfg(tmp_path, text)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and f"'dissipator.{index}." in err
 
     def test_missing_file_is_1(self, capsys):
         assert main(["witness", "/definitely/not/here.cfg"]) == 1

@@ -173,6 +173,15 @@ class TestParseValidation:
         with pytest.raises(ConfigError, match="1..K without gaps"):
             parse_scenario(text)
 
+    @pytest.mark.parametrize("index", ["01", "00", "\u00b2", "\uff11", "\u0663"])
+    def test_a_dissipator_index_spelled_another_way_is_refused(self, index):
+        # A leading zero would name dissipator 1 a second time, and a
+        # non-ASCII digit (superscript two, fullwidth one, Arabic-Indic
+        # three) is a digit to str.isdigit that int() may refuse.
+        key = f"dissipator.{index}.operator"
+        with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+            parse_scenario(MINIMAL + f"{key} = sigma_x\n")
+
     def test_custom_matrix_entry_count(self):
         text = MINIMAL.replace(
             "dissipator.1.operator = sigma_z",

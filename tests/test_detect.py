@@ -515,25 +515,34 @@ class TestTraceNormRate:
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_projected_blocks_are_rank_one(self, d):
-        # Q B_0 Q = 0 and Q B_k Q = v_k v_k^dag, v_k = vec((L_k - Tr L_k/d I)^T)/sqrt(d).
+        # Q B_H Q = 0 for the Hamiltonian's Choi image B_H, and
+        # Q B_k Q = v_k v_k^dag, v_k = vec((L_k - Tr L_k/d I)^T)/sqrt(d).
         gen = random_generator(np.random.default_rng(200 + d), d, n_ops=3)
         builder = SmallTimeChoiBuilder(gen)
         q = np.eye(d * d) - builder.bell
-        projected = q @ builder.blocks @ q
-        assert np.max(np.abs(projected[0])) <= 1e-14 * np.max(np.abs(builder.blocks[0]))
-        for (op, _), block, full in zip(gen.dissipators, projected[1:], builder.blocks[1:]):
+        hamiltonian = reference_generator_choi(LindbladGenerator(d, gen.hamiltonian, ()), 0.0)
+        assert np.max(np.abs(q @ hamiltonian @ q)) <= 1e-14 * np.max(np.abs(hamiltonian))
+        for (op, _), full in zip(gen.dissipators, builder.blocks):
             v = (op - np.trace(op) / d * np.eye(d)).T.ravel() / np.sqrt(d)
+            block = q @ full @ q
             assert np.max(np.abs(block - np.outer(v, v.conj()))) <= 1e-14 * np.max(np.abs(full))
 
     def test_hamiltonian_does_not_change_g(self):
+        # No small-time table reads the Hamiltonian, so g, f and the
+        # small-time r2, r3 and witness values keep every bit whatever H is.
         rng = np.random.default_rng(7)
         grid = np.linspace(0.0, 3.0, 31)
         gen = random_expcos_generator(rng, 3, n_ops=3)
-        _, _, g = rate_limits(gen, grid)
+        _, f, g = rate_limits(gen, grid)
+        series = witness_series(gen, grid, 1e-3)
         assert np.any(g > 0.0)
         for h in (np.zeros((3, 3)), 10.0 * random_hermitian(rng, 3)):
             other = LindbladGenerator(3, h, gen.dissipators)
-            assert np.array_equal(rate_limits(other, grid)[2], g)
+            _, other_f, other_g = rate_limits(other, grid)
+            assert other_g.tobytes() == g.tobytes() and other_f.tobytes() == f.tobytes()
+            other_series = witness_series(other, grid, 1e-3)
+            for name in ("r2", "r3", "values"):
+                assert getattr(other_series, name).tobytes() == getattr(series, name).tobytes()
 
     def test_hamiltonian_only_generator_has_zero_rates(self):
         gen = LindbladGenerator(2, SIGMA_Z, ())
@@ -911,7 +920,7 @@ class TestMeasures:
         assert np.flatnonzero(report.g_series).tolist() == [first - 1]
 
 
-_BUILDER_TABLES = ("bell", "blocks", "bell_overlaps", "dissipator_scales")
+_BUILDER_TABLES = ("bell", "operators", "blocks", "bell_overlaps", "dissipator_scales")
 
 
 class TestGeneratorBuilder:

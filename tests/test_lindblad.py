@@ -95,6 +95,18 @@ class TestConstruction:
         assert np.array_equal(rebuilt.superoperator_blocks[1], blocks[1])
         assert not np.array_equal(rebuilt.superoperator_blocks[0], blocks[0])
 
+    @pytest.mark.parametrize("dissipators, index", [
+        (((SIGMA_Z, 1.0),), 0),  # a bare number has no evaluate
+        (((SIGMA_Z,),), 0),
+        (((SIGMA_Z, ConstantRate(1.0), ConstantRate(1.0)),), 0),
+        (((SIGMA_Z, ConstantRate(1.0)), SIGMA_X), 1),
+        (((SIGMA_Z, ConstantRate(1.0)), 3.0), 1),
+    ])
+    def test_refuses_a_malformed_dissipator_naming_its_index(self, dissipators, index):
+        with pytest.raises(ValueError, match=rf"^dissipators\[{index}\] is not an "
+                                             r"\(operator, rate model\) pair"):
+            LindbladGenerator(2, np.zeros((2, 2)), dissipators)
+
     def test_rejects_operator_dimension_mismatch(self):
         with pytest.raises(ValueError, match="does not match dim"):
             LindbladGenerator(3, np.zeros((3, 3)), ((SIGMA_Z, ConstantRate(1.0)),))
@@ -130,8 +142,18 @@ class TestConstruction:
                 setattr(gen, name, table.copy())
             with pytest.raises(AttributeError):
                 delattr(gen, name)
-        assert np.array_equal(gen.unitality_images,
-                              gen.superoperator_blocks[1:] @ (np.eye(2).ravel() / 2))
+        # D(I/2) = (L L^dag - L^dag L)/2 = diag(1, -1)/2 for L = |0><1|.
+        assert np.array_equal(gen.unitality_images, [[0.5, 0.0, 0.0, -0.5]])
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_unitality_images_are_each_dissipators_image_of_i_over_d(self, d):
+        gen = random_generator(np.random.default_rng(30 + d), d, n_ops=3)
+        assert gen.unitality_images.shape == (3, d * d)
+        for (op, _), image in zip(gen.dissipators, gen.unitality_images):
+            alone = LindbladGenerator(d, np.zeros((d, d)), ((op, ConstantRate(1.0)),))
+            want = generator_superoperator(alone, 0.0) @ (np.eye(d).ravel() / d)
+            assert np.max(np.abs(image - want)) <= 1e-15 * np.max(np.abs(want))
+        assert LindbladGenerator(d, np.eye(d), ()).unitality_images.shape == (0, d * d)
 
 
 class TestApplyGenerator:
