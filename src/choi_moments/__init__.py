@@ -17,16 +17,8 @@ from .rates import (
     TabulatedRate,
     rate_eval,
 )
-from .lindblad import (
-    LindbladGenerator,
-    generator_superoperator,
-    named_operator,
-)
-from .choi import (
-    SuperoperatorMatrix,
-    max_entangled_projector,
-    propagate_map,
-)
+from .lindblad import LindbladGenerator, named_operator
+from .choi import max_entangled_projector, propagate_map
 from .detect import (
     DivisibilityReport,
     MeasureReport,
@@ -51,8 +43,8 @@ __all__ = [
     "__version__",
     "ConstantRate", "ExpCosRate", "LorentzianRate", "OhmicDephasingRate",
     "TabulatedRate", "rate_eval",
-    "LindbladGenerator", "generator_superoperator", "named_operator",
-    "SuperoperatorMatrix", "max_entangled_projector", "propagate_map",
+    "LindbladGenerator", "named_operator",
+    "max_entangled_projector", "propagate_map",
     "DivisibilityReport", "MeasureReport", "WitnessSeries",
     "cp_divisibility_scan", "lambda_moments", "measure_report",
     "moment_witness", "witness_series",

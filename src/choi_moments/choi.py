@@ -32,15 +32,17 @@ rows. All propagation
 goes through one batched fixed-step RK4 kernel: `propagate_map` runs it over
 one window, and `bridge_spectra` over one window [t, t + delta] per grid time,
 reusing its most recent sweep when the next call has the same inputs.
-Only propagation reads superoperators: the kernel weights the generator's
-read-only real transfer blocks [H_part, D_1, ...], the superoperator
-blocks in an orthonormal basis of Hermitian operators, by the coefficients
-[1, gamma_1, ...] of the rates. The kernel
-runs in real arithmetic, on stacks of several windows at once (up to
-CHUNK_ENTRIES matrix entries: four 64 x 64 maps at d = 8), and each caller
-leaves the real basis once per map, with O(d^4) slices and no matrix
-product: `propagate_map` for the row-major superoperator, `bridge_spectra`
-for the Choi states it eigensolves. A bridge's trace check needs no Choi
+The kernel weights the generator's read-only real transfer blocks
+[S_0, S_1, ...], its Hamiltonian part and each dissipator at unit rate in an
+orthonormal basis of Hermitian operators, built from the operators
+themselves (`LindbladGenerator.transfer_blocks`), by the coefficients
+[1, gamma_1, ...] of the rates. No complex superoperator of the generator
+is formed anywhere in the package. The kernel runs in real arithmetic, on
+stacks of several windows at once (up to CHUNK_ENTRIES matrix entries: four
+64 x 64 maps at d = 8), and each caller leaves the real basis once per map,
+with O(d^4) slices and no matrix product: `propagate_map` for the row-major
+superoperator of the map, `bridge_spectra` for the Choi states it
+eigensolves. A bridge's trace check needs no Choi
 state: Tr C = Tr Lambda(I)/d is a sum of d^2 entries of its real transfer
 matrix, those between the diagonal basis elements E_ii.
 """
@@ -50,14 +52,12 @@ import os
 import sys
 import warnings
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
-from .lindblad import LindbladGenerator, coefficients, from_hermitian_basis, rates_at
+from .lindblad import LindbladGenerator, from_hermitian_basis, rates_at
 
 __all__ = [
-    "SuperoperatorMatrix",
     "max_entangled_projector",
     "propagate_map",
     "bridge_spectra",
@@ -87,17 +87,6 @@ _CLI_FILE = _PACKAGE_PREFIX + "cli.py"
 # spectra). It is replaced as one tuple, so a thread reads either the
 # old sweep or the new one, never a mix.
 _last_sweep = None
-
-
-class SuperoperatorMatrix(NamedTuple):
-    """A d^2 x d^2 map matrix (row-major vectorization) over a time interval."""
-
-    matrix: np.ndarray
-    interval: tuple[float, float]
-
-    @property
-    def dim(self) -> int:
-        return int(round(np.sqrt(self.matrix.shape[0])))
 
 
 def max_entangled_projector(d: int) -> np.ndarray:
@@ -162,9 +151,9 @@ class SmallTimeChoiBuilder:
     (`rates_at(gen, times).T`, no copy): numpy runs a reduction along a
     short last axis row by row, but across rows as whole-row operations.
 
-    Everything that depends on the generator alone is built once, with no
-    superoperator, and is read-only: the jump operators (`operators`,
-    (K, d, d)), the blocks and the dissipator scales max|B_k| here, the
+    Everything that depends on the generator alone is built once from its
+    operator stack (`LindbladGenerator.operators`, (K, d, d)) and is
+    read-only: the blocks and the dissipator scales max|B_k| here, the
     trace tables of `moments` (`trace_tables`) and the table of
     `projected_spectra` (`projected_table`) on first use. Each
     generator holds one builder, `LindbladGenerator.small_time_builder`,
@@ -186,10 +175,9 @@ class SmallTimeChoiBuilder:
 
     def __init__(self, gen: LindbladGenerator):
         self.gen = gen
-        d, k = gen.dim, len(gen.dissipators)
+        ops = gen.operators
+        d, k = gen.dim, len(ops)
         self.bell = max_entangled_projector(d)
-        self.operators = ops = np.array(
-            [op for op, _ in gen.dissipators], dtype=complex).reshape(k, d, d)
         v = np.swapaxes(ops, 1, 2).reshape(k, d * d)
         w = np.swapaxes(np.swapaxes(ops, 1, 2).conj() @ ops, 1, 2).reshape(k, d * d)
         e = np.eye(d).ravel()
@@ -199,7 +187,7 @@ class SmallTimeChoiBuilder:
         self.bell_overlaps = np.einsum("ab,kba->k", self.bell, self.blocks).real
         # max|B_k|, which scales the noise floor of `detect._rate_limits`.
         self.dissipator_scales = np.max(np.abs(self.blocks), axis=(1, 2))
-        for table in (self.bell, ops, self.blocks, self.bell_overlaps, self.dissipator_scales):
+        for table in (self.bell, self.blocks, self.bell_overlaps, self.dissipator_scales):
             table.setflags(write=False)
 
     @cached_property
@@ -233,7 +221,7 @@ class SmallTimeChoiBuilder:
         that R diag(gamma) R^dag is their gamma-weighted sum. Built on first
         use; the array is read-only.
         """
-        ops = self.operators
+        ops = self.gen.operators
         k, d = ops.shape[:2]
         traceless = ops - np.trace(ops, axis1=1, axis2=2)[:, None, None] / d * np.eye(d)
         v = np.swapaxes(traceless, 1, 2).reshape(k, d * d).T / np.sqrt(d)
@@ -326,20 +314,21 @@ def _rk4_product(blocks: np.ndarray, gammas: np.ndarray, h: float) -> np.ndarray
     """RK4 propagators of n windows of m steps, from their half-step rates as
     rows (K, n, 2m + 1).
 
-    The blocks are the generator's real transfer blocks [H_part, D_1, ...]
-    in the Hermitian operator basis, so every product here is real; the
+    The blocks are the generator's real transfer blocks [S_0, S_1, ...] in
+    the Hermitian operator basis, so every product here is real; the
     propagators come out in that basis too. RK4 is a polynomial in the stage
     generators, so it commutes with the change of basis: these are the
-    complex-basis propagators, rotated, at a quarter of the flops.
+    row-major propagators in that basis, at a quarter of the flops of
+    complex arithmetic.
 
     The generator is affine in the rates, so all stage generators come from
     one product with the blocks of the coefficients [1; gamma_1; ...], rows
-    (K + 1, n, 2m + 1) read transposed, with no copy. Each step map is one
-    classical RK4 step applied to the identity (RK4 is linear in Phi, so
-    stepping Phi is that map times Phi); a window's step maps are then
-    multiplied pairwise, later steps on the left.
+    (K + 1, n, 2m + 1): the rates under a row of ones, read transposed.
+    Each step map is one classical RK4 step applied to the identity (RK4 is
+    linear in Phi, so stepping Phi is that map times Phi); a window's step
+    maps are then multiplied pairwise, later steps on the left.
     """
-    coef = coefficients(gammas)
+    coef = np.concatenate((np.ones((1,) + gammas.shape[1:]), gammas))
     a = coef.reshape(len(coef), -1).T @ blocks.reshape(len(blocks), -1)
     a = a.reshape(*coef.shape[1:], *blocks.shape[1:])
     a1, a2, a4 = a[:, :-1:2], a[:, 1::2], a[:, 2::2]
@@ -406,8 +395,9 @@ def _debug(message: str, *args) -> None:
 
 def propagate_map(
     gen: LindbladGenerator, t0: float, t1: float, steps: int | None = None
-) -> SuperoperatorMatrix:
-    """Time-ordered propagator Phi(t1, t0) of the generator, as a superoperator.
+) -> np.ndarray:
+    """Time-ordered propagator Phi(t1, t0) of the generator: its row-major
+    superoperator, a complex d^2 x d^2 array.
 
     Fixed-step fourth-order integration with step (t1 - t0)/steps, steps an
     integer >= 1; the default resolution is 1000 steps per unit time.
@@ -421,14 +411,14 @@ def propagate_map(
     if t1 < t0:
         raise ValueError(f"require t1 >= t0, got t0 = {t0}, t1 = {t1}")
     if t1 == t0:
-        return SuperoperatorMatrix(np.eye(gen.dim * gen.dim, dtype=complex), (t0, t1))
+        return np.eye(gen.dim * gen.dim, dtype=complex)
     if steps is None:
         steps = max(1, round(DEFAULT_STEPS_PER_UNIT * (t1 - t0)))
     steps = require_count("steps", steps, 1)
     h = (t1 - t0) / steps
     gammas = _half_step_rates(gen, np.array([float(t0)]), h, steps)
     ((_, phi),) = _rk4_chunks(gen, gammas, h)
-    return SuperoperatorMatrix(from_hermitian_basis(phi[0], gen.dim), (t0, t1))
+    return from_hermitian_basis(phi[0], gen.dim)
 
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:

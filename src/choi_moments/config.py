@@ -105,7 +105,16 @@ class ScenarioConfig(NamedTuple):
     outputs: tuple[str, ...]
 
 
+def _require_plain_number(key: str, token: str) -> None:
+    """Refuse the spellings Python's number parsers accept beyond the one
+    `render_scenario` writes: digit separators and non-ASCII digits."""
+    if not token.isascii() or "_" in token:
+        raise ConfigError(f"key {key!r}: numbers are written in ASCII digits with no '_', "
+                          f"got {token!r}")
+
+
 def _parse_float(key: str, raw: str) -> float:
+    _require_plain_number(key, raw)
     try:
         value = float(raw)
     except ValueError:
@@ -116,6 +125,7 @@ def _parse_float(key: str, raw: str) -> float:
 
 
 def _parse_int(key: str, raw: str) -> int:
+    _require_plain_number(key, raw)
     try:
         return int(raw)
     except ValueError:
@@ -125,6 +135,7 @@ def _parse_int(key: str, raw: str) -> int:
 def _parse_complex_entries(key: str, raw: str) -> tuple[complex, ...]:
     entries = []
     for token in raw.split():
+        _require_plain_number(key, token)
         try:
             value = complex(token)
         except ValueError:

@@ -1,4 +1,4 @@
-"""Time-dependent Lindblad generators in operator and superoperator form.
+"""Time-dependent Lindblad generators and their real transfer blocks.
 
 A generator is a Hamiltonian plus a list of (jump operator, rate model)
 pairs; its action on a density matrix is
@@ -6,26 +6,26 @@ pairs; its action on a density matrix is
     d rho / dt = -i [H, rho] + sum_i gamma_i(t) (L_i rho L_i^dag
                                                  - (L_i^dag L_i rho + rho L_i^dag L_i) / 2)
 
-Vectorization is row-major project-wide: vec(A X B) = (A kron B^T) vec(X),
-and the vectorized generator is affine in the rates:
-Lhat(t) = H_part + sum_i gamma_i(t) D_i. A generator holds the constant
-blocks [H_part, D_1, ...] and every superoperator is read off them.
+so it is affine in the rates: L_t = S_0 + sum_i gamma_i(t) S_i, with S_0 the
+Hamiltonian part and S_i dissipator i at unit rate. Vectorization is
+row-major project-wide: vec(A X B) = (A kron B^T) vec(X).
 
 Rates leave the models by one path, `_rate_rows`, which refuses a NaN or
 infinite one: rows (K,) + times.shape, one per dissipator. `rates_at` is
-their view with that axis last, and `coefficients` stays rates-major, so
-every caller down to the RK4 kernel reads the rows with no copy.
+their view with that axis last, so every caller down to the RK4 kernel
+reads the rows with no copy.
 
 The generator preserves Hermiticity, so in an orthonormal basis of
-Hermitian operators its blocks are real: the real transfer matrices
-T = U^dag B U, where U has the columns vec(F) of the basis
+Hermitian operators F_p its parts are real matrices, the transfer blocks
+T_k[p, q] = Tr(F_p S_k(F_q)), built from the operators themselves
+(`LindbladGenerator.transfer_blocks`). The basis is
 
     E_ii,   (E_ij + E_ji)/sqrt(2)  (i < j),   i (E_ij - E_ji)/sqrt(2)  (i > j),
 
-indexed like the entries of a d x d matrix. U is sparse: it mixes entry
-(p, q) of a coordinate vector laid out as a d x d matrix only with entry
-(q, p), so a change of basis costs O(d^4) per d^2 x d^2 map, with no matrix
-product (`to_hermitian_basis`, `from_hermitian_basis`).
+indexed like the entries of a d x d matrix; U has the columns vec(F_p). U
+is sparse: it mixes entry (p, q) of a coordinate vector laid out as a
+d x d matrix only with entry (q, p), so leaving the basis costs O(d^4) per
+d^2 x d^2 map, with no matrix product (`from_hermitian_basis`).
 
 Generators are immutable: their arrays are read-only copies, so all
 evaluation is pure.
@@ -48,10 +48,7 @@ __all__ = [
     "LindbladGenerator",
     "require_hermitian",
     "rates_at",
-    "coefficients",
-    "generator_superoperator",
     "unitality_defects",
-    "to_hermitian_basis",
     "from_hermitian_basis",
 ]
 
@@ -143,22 +140,6 @@ def _rotation_weights(d: int, choi: bool) -> np.ndarray:
     return _read_only(weights.transpose(_LAYOUTS[choi]).reshape(d * d, d * d))
 
 
-def to_hermitian_basis(maps: np.ndarray, d: int) -> np.ndarray:
-    """U^dag M U for a stack of d^2 x d^2 maps M (..., d^2, d^2) in row-major
-    vec coordinates; complex, and real to rounding for maps that preserve
-    Hermiticity.
-
-    With w as in U y = w * (y - i y^T): U^dag z = conj(w) * z + i conj(w)^T * z^T
-    on the row index pair, and S U = w * s - i w^T * s^T on the column pair.
-    """
-    w = _basis_weights(d)
-    x = maps.reshape(-1, d, d, d, d)
-    rows = w.conj()[:, :, None, None]
-    x = rows * x + 1j * rows.swapaxes(0, 1) * x.swapaxes(1, 2)
-    x = w * x - 1j * w.T * x.swapaxes(3, 4)
-    return x.reshape(maps.shape)
-
-
 def from_hermitian_basis(transfer: np.ndarray, d: int, choi: bool = False) -> np.ndarray:
     """U T U^dag for a stack of real transfer matrices T (..., d^2, d^2): the
     maps' row-major superoperators, complex. With choi=True, the maps' Choi
@@ -192,20 +173,18 @@ class LindbladGenerator:
     Immutable: the Hamiltonian and the jump operators are read-only copies,
     so the caller's arrays stay writeable and changing them later does not
     change the generator, and assigning or deleting any attribute raises
-    AttributeError. Construction only checks them, and refuses a dissipator
-    that is not an (operator, rate) pair whose rate has a callable
-    `evaluate`, naming its index. Every table below is a read-only array
-    built on first use and kept. `unitality_images` (K, d^2), the images
-    D_k(I/d) that `unitality_defects` contracts with the rates, and
-    `small_time_builder`, the one `choi.SmallTimeChoiBuilder` that every
-    small-time witness and rate limit reads, come from the jump operators
-    alone. Only propagation reads superoperators: `superoperator_blocks` is
-    the stack [H_part, D_1, ...], (K + 1, d^2, d^2), of the vectorized
-    generator's constant blocks, Lhat(t) = sum_k c_k B_k with
-    c = coefficients(rates_at(gen, t)), and `transfer_blocks` is the same
-    stack in the Hermitian operator basis, U^dag B_k U, and real: the RK4
-    kernel propagates these, in real arithmetic. A cached_property writes
-    the instance __dict__ directly, past the refusing __setattr__.
+    AttributeError. The jump operators are held once, as the read-only
+    stack `operators` (K, d, d), and each pair of `dissipators` holds a
+    view of its operator there. Construction only checks them, and refuses
+    a dissipator that is not an (operator, rate) pair whose rate has a
+    callable `evaluate`, naming its index. Every table below is a read-only
+    array built from the operators on first use and kept: `unitality_images`
+    (K, d^2), the images D_k(I/d) that `unitality_defects` contracts with
+    the rates; `small_time_builder`, the one `choi.SmallTimeChoiBuilder`
+    that every small-time witness and rate limit reads; and
+    `transfer_blocks`, the generator's parts in the Hermitian operator
+    basis, which only the RK4 kernel reads. A cached_property writes the
+    instance __dict__ directly, past the refusing __setattr__.
 
     A plain class, not a dataclass, because every process that imports the
     package would otherwise generate and compile its methods. Generators
@@ -219,19 +198,22 @@ class LindbladGenerator:
         h = _read_only(require_hermitian(np.asarray(hamiltonian, dtype=complex)))
         if h.shape != (dim, dim):
             raise ValueError(f"Hamiltonian shape {h.shape} does not match dim {dim}")
-        diss = []
+        ops, rates = [], []
         for index, pair in enumerate(dissipators):
             op, rate = pair if isinstance(pair, tuple | list) and len(pair) == 2 else (None, None)
             if not callable(getattr(rate, "evaluate", None)):
                 raise ValueError(f"dissipators[{index}] is not an (operator, rate model) "
                                  "pair whose rate has an evaluate method")
-            op = _read_only(np.array(op, dtype=complex))
+            op = np.asarray(op, dtype=complex)
             if op.shape != (dim, dim):
                 raise ValueError(f"jump operator shape {op.shape} does not match dim {dim}")
             if not np.all(np.isfinite(op)):
                 raise ValueError("jump operator has non-finite entries")
-            diss.append((op, rate))
-        vars(self).update(dim=dim, hamiltonian=h, dissipators=tuple(diss))
+            ops.append(op)
+            rates.append(rate)
+        stack = _read_only(np.array(ops, dtype=complex).reshape(len(ops), dim, dim))
+        vars(self).update(dim=dim, hamiltonian=h, operators=stack,
+                          dissipators=tuple(zip(stack, rates)))
 
     def __repr__(self):
         return (f"LindbladGenerator(dim={self.dim!r}, hamiltonian={self.hamiltonian!r}, "
@@ -244,30 +226,35 @@ class LindbladGenerator:
         raise AttributeError(f"cannot delete field {name!r}")
 
     @cached_property
-    def superoperator_blocks(self) -> np.ndarray:
-        """[H_part, D_1, ...], (K + 1, d^2, d^2), in row-major vec coordinates."""
-        h, eye = self.hamiltonian, np.eye(self.dim, dtype=complex)
-        blocks = [-1j * (np.kron(h, eye) - np.kron(eye, h.T))]
-        for op, _ in self.dissipators:
-            ld_l = op.conj().T @ op
-            blocks.append(np.kron(op, op.conj())
-                          - 0.5 * (np.kron(ld_l, eye) + np.kron(eye, ld_l.T)))
-        return _read_only(np.stack(blocks))
-
-    @cached_property
     def transfer_blocks(self) -> np.ndarray:
-        """The superoperator blocks in the Hermitian operator basis, real."""
-        # The imaginary parts are rounding: Lhat maps Hermitian to Hermitian.
-        rotated = to_hermitian_basis(self.superoperator_blocks, self.dim)
-        return _read_only(np.ascontiguousarray(rotated.real))
+        """T_k[p, q] = Tr(F_p S_k(F_q)), (K + 1, d^2, d^2), real: the
+        Hamiltonian part S_0 = -i[H, .] and each dissipator S_k at unit rate
+        in the Hermitian operator basis, so that L_t = sum_k c_k S_k with
+        c = [1, gamma_1(t), ...].
+
+        The basis is the stack F = w * (E - i E^T) over the matrix units E
+        (`_basis_weights`). The images S_k(F_q) of every element are
+        contracted with conj(F) in one product, as Tr(F_p X) = vec(F_p)^dag
+        vec(X) for Hermitian F_p. The imaginary parts are rounding: each
+        S_k maps Hermitian to Hermitian.
+        """
+        d, n, h, ops = self.dim, self.dim * self.dim, self.hamiltonian, self.operators
+        units = np.eye(n).reshape(n, d, d)
+        basis = _basis_weights(d) * (units - 1j * units.swapaxes(1, 2))
+        adjoints = ops.conj().swapaxes(1, 2)[:, None]
+        decay = 0.5 * (adjoints @ ops[:, None])
+        images = np.concatenate((
+            (-1j * (h @ basis - basis @ h))[None],
+            ops[:, None] @ basis @ adjoints - (decay @ basis + basis @ decay)))
+        t = basis.reshape(n, n).conj() @ images.reshape(-1, n).T  # [p, (k, q)]
+        return _read_only(np.ascontiguousarray(t.real.reshape(n, -1, n).swapaxes(0, 1)))
 
     @cached_property
     def unitality_images(self) -> np.ndarray:
         """D_k(I/d) = vec(L_k L_k^dag - L_k^dag L_k)/d per dissipator, (K, d^2)."""
-        d, k = self.dim, len(self.dissipators)
-        ops = np.array([op for op, _ in self.dissipators], dtype=complex).reshape(k, d, d)
+        d, ops = self.dim, self.operators
         adjoints = np.swapaxes(ops, 1, 2).conj()
-        return _read_only((ops @ adjoints - adjoints @ ops).reshape(k, d * d) / d)
+        return _read_only((ops @ adjoints - adjoints @ ops).reshape(len(ops), d * d) / d)
 
     @cached_property
     def small_time_builder(self):
@@ -316,26 +303,8 @@ def rates_at(gen: LindbladGenerator, t) -> np.ndarray:
     return rows.transpose((*range(1, rows.ndim), 0))
 
 
-def coefficients(gammas) -> np.ndarray:
-    """The weights [1, gamma_1, ...] of the superoperator blocks for rates
-    laid out rates-major, gammas of shape (K,) + shape: shape (K + 1,) + shape."""
-    gammas = np.asarray(gammas, dtype=float)
-    return np.concatenate((np.ones((1,) + gammas.shape[1:]), gammas))
-
-
-def generator_superoperator(gen: LindbladGenerator, t: float) -> np.ndarray:
-    """Matrix Lhat(t) with vec(d rho / dt) = Lhat(t) @ vec(rho) at time t.
-
-    Row-major vectorization; the returned d^2 x d^2 matrix is generally not
-    Hermitian. A NaN or infinite rate at t is refused, naming t.
-    """
-    blocks = gen.superoperator_blocks
-    out = coefficients(rates_at(gen, t)) @ blocks.reshape(len(blocks), -1)
-    return out.reshape(blocks.shape[1:])
-
-
 def unitality_defects(gen: LindbladGenerator, gammas) -> np.ndarray:
-    """Largest entry of |Lhat(I/d)| for each row of finite rates gammas (n, K),
+    """Largest entry of |L_t(I/d)| for each row of finite rates gammas (n, K),
     shape (n,).
 
     The Hamiltonian part annihilates I/d, so the image is linear in the

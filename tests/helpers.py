@@ -12,7 +12,6 @@ from choi_moments.lindblad import (
     SIGMA_Y,
     SIGMA_Z,
     LindbladGenerator,
-    generator_superoperator,
     rates_at,
 )
 from choi_moments.rates import ConstantRate, ExpCosRate
@@ -31,9 +30,9 @@ def isotropic_pauli_generator(rate):
 
 
 def _action(gen, x, gammas):
-    """Generator action on an arbitrary matrix with precomputed rates, one
-    jump operator at a time: the independent oracle for the generator's
-    superoperator blocks."""
+    """Generator action on an arbitrary matrix, or on each of a stack of
+    them, with precomputed rates, one jump operator at a time: the
+    independent oracle for the generator's transfer blocks."""
     h = gen.hamiltonian
     out = -1j * (h @ x - x @ h)
     for (op, _), g in zip(gen.dissipators, gammas):
@@ -48,6 +47,16 @@ def apply_generator(gen, rho, t):
     if rho.shape != (gen.dim, gen.dim):
         raise ValueError(f"state shape {rho.shape} does not match generator dim {gen.dim}")
     return _action(gen, rho, rates_at(gen, t))
+
+
+def reference_superoperator(gen, t):
+    """Row-major matrix Lhat(t) with vec(d rho / dt) = Lhat(t) vec(rho): column
+    (i, j) is vec(L_t(E_ij)), the action of `apply_generator` on the matrix
+    unit E_ij. The action broadcasts, so it takes the stack of all d^2
+    units at once."""
+    n = gen.dim * gen.dim
+    units = np.eye(n, dtype=complex).reshape(n, gen.dim, gen.dim)
+    return _action(gen, units, rates_at(gen, t)).reshape(n, n).T
 
 
 @dataclass
@@ -160,15 +169,16 @@ def reference_rk4_propagate(gen, t0, t1, steps):
     time, with the generator rebuilt at every stage time.
 
     The scalar reference for the package's batched kernel: same scheme,
-    different order of arithmetic.
+    different order of arithmetic, and its generator comes from
+    `reference_superoperator`, so it shares no table with the package.
     """
     phi = np.eye(gen.dim * gen.dim, dtype=complex)
     h = (t1 - t0) / steps
     for k in range(steps):
         t = t0 + k * h
-        a1 = generator_superoperator(gen, t)
-        a2 = generator_superoperator(gen, t + 0.5 * h)
-        a4 = generator_superoperator(gen, t + h)
+        a1 = reference_superoperator(gen, t)
+        a2 = reference_superoperator(gen, t + 0.5 * h)
+        a4 = reference_superoperator(gen, t + h)
         k1 = a1 @ phi
         k2 = a2 @ (phi + 0.5 * h * k1)
         k3 = a2 @ (phi + 0.5 * h * k2)

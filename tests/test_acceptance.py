@@ -200,7 +200,7 @@ def _accumulated_choi_moments(gen, grid):
     phi = np.eye(gen.dim * gen.dim, dtype=complex)
     moments = [lambda_moments(reference_choi(phi))[1:3]]
     for a, b in zip(grid[:-1], grid[1:]):
-        phi = propagate_map(gen, float(a), float(b)).matrix @ phi
+        phi = propagate_map(gen, float(a), float(b)) @ phi
         moments.append(lambda_moments(reference_choi(phi))[1:3])
     return np.array(moments)
 
@@ -230,7 +230,7 @@ def test_criterion_6_monotonicity_suite():
     for case in range(20):
         dim = 2 if case < 14 else 3
         gen = random_unital_generator(rng, dim, n_ops=2)
-        step = propagate_map(gen, 0.0, h).matrix
+        step = propagate_map(gen, 0.0, h)
         # Constant rates: Lambda(t + h, t) is the same step map at every t.
         max_step_witness = max(max_step_witness, moment_witness(reference_choi(step)))
         rho_vec = random_psd_unit_trace(rng, dim).reshape(-1)
@@ -293,8 +293,8 @@ def test_criterion_7_integration_quality():
         (dephasing_generator(ConstantRate(1.0)), 3.0),
     ]
     for gen, horizon in cases:
-        base = propagate_map(gen, 0.0, horizon).matrix
-        fine = propagate_map(gen, 0.0, horizon, steps=2 * round(1000 * horizon)).matrix
+        base = propagate_map(gen, 0.0, horizon)
+        fine = propagate_map(gen, 0.0, horizon, steps=2 * round(1000 * horizon))
         diff = float(np.max(np.abs(base - fine)))
         worst_doubling = max(worst_doubling, diff)
         doubling_ok &= diff < 1e-8
@@ -307,7 +307,7 @@ def test_criterion_7_integration_quality():
     ):
         for eps in (1e-2, 1e-3, 1e-4):
             lin = first_order_choi(gen, t, eps)
-            full = reference_choi(propagate_map(gen, t, t + eps).matrix)
+            full = reference_choi(propagate_map(gen, t, t + eps))
             diff = float(np.max(np.abs(lin - full)))
             worst_ratio = max(worst_ratio, diff / eps**2)
             order_ok &= diff < 10.0 * eps**2

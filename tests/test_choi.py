@@ -29,7 +29,6 @@ from choi_moments.lindblad import (
     SIGMA_Z,
     LindbladGenerator,
     from_hermitian_basis,
-    generator_superoperator,
     rates_at,
 )
 from choi_moments.rates import ConstantRate, ExpCosRate
@@ -45,6 +44,7 @@ from helpers import (
     reference_bridge_spectra,
     reference_choi,
     reference_rk4_propagate,
+    reference_superoperator,
 )
 
 
@@ -117,26 +117,26 @@ class TestPropagateMap:
     def test_zero_interval_is_identity(self):
         gen = dephasing_generator(ConstantRate(1.0))
         phi = propagate_map(gen, 1.0, 1.0)
-        assert np.array_equal(phi.matrix, np.eye(4))
+        assert np.array_equal(phi, np.eye(4))
 
     def test_constant_dephasing_half_life(self):
         gen = dephasing_generator(ConstantRate(1.0))
         phi = propagate_map(gen, 0.0, np.log(2.0) / 2.0)
-        assert np.allclose(phi.matrix, np.diag([1.0, 0.5, 0.5, 1.0]), atol=1e-10)
+        assert np.allclose(phi, np.diag([1.0, 0.5, 0.5, 1.0]), atol=1e-10)
 
     @pytest.mark.parametrize("t", [1.0, 2.0, 4.0])
     def test_expcos_coherence_factor_against_quadrature(self, t):
         gen = dephasing_generator(ExpCosRate(k=1.0))
         phi = propagate_map(gen, 0.0, t)
         expected = np.exp(-2.0 * expcos_integral(0.0, t))
-        assert phi.matrix[1, 1].real == pytest.approx(expected, abs=1e-10)
-        assert phi.matrix[2, 2].real == pytest.approx(expected, abs=1e-10)
+        assert phi[1, 1].real == pytest.approx(expected, abs=1e-10)
+        assert phi[2, 2].real == pytest.approx(expected, abs=1e-10)
 
     def test_step_doubling_converged(self):
         gen = isotropic_pauli_generator(ExpCosRate(k=1.0))
         t = 2.0 * np.pi
-        base = propagate_map(gen, 0.0, t).matrix
-        fine = propagate_map(gen, 0.0, t, steps=2 * round(1000 * t)).matrix
+        base = propagate_map(gen, 0.0, t)
+        fine = propagate_map(gen, 0.0, t, steps=2 * round(1000 * t))
         assert np.max(np.abs(base - fine)) < 1e-8
 
     def test_rejects_reversed_interval(self):
@@ -165,7 +165,7 @@ class TestPropagateMap:
         for _ in range(5):
             gen = random_generator(rng, 2, n_ops=2)
             phi = propagate_map(gen, 0.0, 1.5)
-            out = (phi.matrix @ (np.eye(2) / 2).reshape(-1)).reshape(2, 2)
+            out = (phi @ (np.eye(2) / 2).reshape(-1)).reshape(2, 2)
             assert np.trace(out).real == pytest.approx(1.0, abs=1e-8)
 
 
@@ -177,13 +177,11 @@ class TestNonFiniteRates:
     @pytest.mark.parametrize("call, first", [
         (lambda gen: rates_at(gen, [2.0, 0.5, 1.0]), "0.5"),
         (lambda gen: rates_at(gen, 0.75), "0.75"),
-        (lambda gen: generator_superoperator(gen, 0.75), "0.75"),
         (lambda gen: propagate_map(gen, 0.25, 1.0), "0.25"),
         (lambda gen: bridge_spectra(gen, [1.5, 0.5], 1e-3), "0.5"),
-    ], ids=["rates_at-grid", "rates_at-scalar", "generator_superoperator",
-            "propagate_map", "bridge_spectra"])
+    ], ids=["rates_at-grid", "rates_at-scalar", "propagate_map", "bridge_spectra"])
     def test_is_refused_naming_the_earliest_time(self, call, first, value):
-        # rates_at and generator_superoperator used to return NaN entries.
+        # rates_at used to return NaN entries.
         gen = LindbladGenerator(2, np.zeros((2, 2)), (
             (SIGMA_X, ConstantRate(0.5)), (SIGMA_Z, UncheckedConstantRate(value))))
         with pytest.raises(ValueError, match=rf"^non-finite rate at t = {first}: "
@@ -224,7 +222,7 @@ class TestBatchedKernel:
     def test_propagate_map_matches_step_loop(self, d, t0, t1):
         gen = random_expcos_generator(np.random.default_rng(36), d)
         steps = round(1000 * (t1 - t0))
-        phi = propagate_map(gen, t0, t1).matrix
+        phi = propagate_map(gen, t0, t1)
         assert np.max(np.abs(phi - reference_rk4_propagate(gen, t0, t1, steps))) < self.TOL
 
     @pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf, 0.0])
@@ -245,8 +243,8 @@ class TestBatchedKernel:
 
     def test_numpy_integer_step_counts_are_accepted(self):
         gen = random_expcos_generator(np.random.default_rng(12), 2)
-        assert np.array_equal(propagate_map(gen, 0.0, 0.5, steps=np.int32(40)).matrix,
-                              propagate_map(gen, 0.0, 0.5, steps=40).matrix)
+        assert np.array_equal(propagate_map(gen, 0.0, 0.5, steps=np.int32(40)),
+                              propagate_map(gen, 0.0, 0.5, steps=40))
 
     @pytest.mark.parametrize("d", [2, 3, 4, 8])
     def test_batched_sweep_equals_each_window_swept_alone(self, d):
@@ -362,7 +360,7 @@ class TestLastSweep:
         hamiltonian, op = 0.3 * SIGMA_X, LOWERING.copy()
         gen = LindbladGenerator(2, hamiltonian, ((SIGMA_Z, rate), (op, rate)))
         before = bridge_spectra(gen, self.GRID, 0.01)
-        for frozen in (gen.hamiltonian, gen.dissipators[1][0], gen.superoperator_blocks):
+        for frozen in (gen.hamiltonian, gen.dissipators[1][0], gen.transfer_blocks):
             with pytest.raises(ValueError, match="read-only"):
                 frozen[1, 0] = 0.5
         # The caller's arrays stay theirs: writeable, and no longer read by gen.
@@ -462,12 +460,12 @@ class TestIntermediateMap:
     def test_equal_times_identity(self):
         gen = dephasing_generator(ConstantRate(1.0))
         lam = propagate_map(gen, 1.0, 1.0)
-        assert np.allclose(lam.matrix, np.eye(4), atol=1e-10)
+        assert np.allclose(lam, np.eye(4), atol=1e-10)
 
     def test_time_homogeneity_for_constant_rates(self):
         gen = dephasing_generator(ConstantRate(0.7))
-        bridged = propagate_map(gen, 0.7, 1.9).matrix
-        direct = propagate_map(gen, 0.0, 1.2).matrix
+        bridged = propagate_map(gen, 0.7, 1.9)
+        direct = propagate_map(gen, 0.0, 1.2)
         assert np.max(np.abs(bridged - direct)) < 1e-8
 
     def test_coherence_revival_factor(self):
@@ -477,26 +475,25 @@ class TestIntermediateMap:
         lam = propagate_map(gen, 2.0, 2.2)
         expected = np.exp(-2.0 * expcos_integral(2.0, 2.2))
         assert expected > 1.0
-        assert lam.matrix[1, 1].real == pytest.approx(expected, abs=1e-9)
+        assert lam[1, 1].real == pytest.approx(expected, abs=1e-9)
 
     def test_composition_recovers_full_propagator(self):
         gen = dephasing_generator(ExpCosRate(k=1.0))
-        phi_s = propagate_map(gen, 0.0, 1.1).matrix
-        phi_t = propagate_map(gen, 0.0, 2.3).matrix
-        bridge = propagate_map(gen, 1.1, 2.3).matrix
+        phi_s = propagate_map(gen, 0.0, 1.1)
+        phi_t = propagate_map(gen, 0.0, 2.3)
+        bridge = propagate_map(gen, 1.1, 2.3)
         assert np.max(np.abs(bridge @ phi_s - phi_t)) < 1e-7
 
     def test_matches_inverse_where_well_conditioned(self):
         # Phi(t,0) = Lambda(t,s) Phi(s,0): where Phi(s,0) is well conditioned
         # (condition number ~2 here) the bridge equals Phi(t,0) Phi(s,0)^-1.
         gen = random_expcos_generator(np.random.default_rng(37), 3)
-        phi_s = propagate_map(gen, 0.0, 0.7).matrix
-        phi_t = propagate_map(gen, 0.0, 1.9).matrix
+        phi_s = propagate_map(gen, 0.0, 0.7)
+        phi_t = propagate_map(gen, 0.0, 1.9)
         assert np.linalg.cond(phi_s) < 10.0
         inverse = np.linalg.solve(phi_s.T, phi_t.T).T
         bridge = propagate_map(gen, 0.7, 1.9)
-        assert bridge.interval == (0.7, 1.9)
-        assert np.max(np.abs(bridge.matrix - inverse)) < 1e-10
+        assert np.max(np.abs(bridge - inverse)) < 1e-10
 
     def test_exact_bridge_where_propagator_is_ill_conditioned(self):
         # Strong constant dephasing: Phi(0.5, 0) has condition number
@@ -504,7 +501,7 @@ class TestIntermediateMap:
         # is the plain dephasing map diag(1, e^-10, e^-10, 1). RK4 at
         # |h gamma| = 0.05 is off by ~4e-10 there.
         gen = dephasing_generator(ConstantRate(50.0))
-        lam = propagate_map(gen, 0.5, 0.6).matrix
+        lam = propagate_map(gen, 0.5, 0.6)
         exact = np.diag([1.0, np.exp(-10.0), np.exp(-10.0), 1.0])
         assert np.max(np.abs(lam - exact)) < 1e-9
 
@@ -544,7 +541,7 @@ class TestChoiStates:
         gen = random_generator(rng, d, n_ops=2)
         delta = 0.05
         _, lam = bridge_spectra(gen, [0.0, 1.0], delta)
-        exact = np.linalg.eigvalsh(reference_choi(expm(delta * generator_superoperator(gen, 0.0))))
+        exact = np.linalg.eigvalsh(reference_choi(expm(delta * reference_superoperator(gen, 0.0))))
         assert np.allclose(lam, [exact[::-1]] * 2, atol=1e-11)
 
     def test_consistency_with_small_time_choi(self):
@@ -553,7 +550,7 @@ class TestChoiStates:
         for _ in range(10):
             gen = random_generator(rng, 2, n_ops=2)
             t = float(rng.uniform(0.0, 2.0))
-            first_order = np.eye(4) + eps * generator_superoperator(gen, t)
+            first_order = np.eye(4) + eps * reference_superoperator(gen, t)
             assert np.max(np.abs(reference_choi(first_order)
                                  - first_order_choi(gen, t, eps))) < 1e-12
 
@@ -567,7 +564,7 @@ class TestChoiStates:
         assert blocks.shape == (3, d * d, d * d)
         for (op, _), block in zip(gen.dissipators, blocks):
             alone = LindbladGenerator(d, np.zeros((d, d)), ((op, ConstantRate(1.0)),))
-            want = reference_choi(generator_superoperator(alone, 0.0))
+            want = reference_choi(reference_superoperator(alone, 0.0))
             assert np.max(np.abs(block - want)) <= 1e-15
 
     def test_small_time_agrees_with_finite_interval_to_second_order(self):
@@ -578,7 +575,7 @@ class TestChoiStates:
         for gen, t in gens.values():
             for eps in (1e-2, 1e-3, 1e-4):
                 lin = first_order_choi(gen, t, eps)
-                full = reference_choi(propagate_map(gen, t, t + eps).matrix)
+                full = reference_choi(propagate_map(gen, t, t + eps))
                 assert np.max(np.abs(lin - full)) < 10.0 * eps**2
 
 
@@ -614,7 +611,7 @@ class TestChoiInvariants:
         for _ in range(10):
             gen = random_generator(rng, 2, n_ops=2)
             t = float(rng.uniform(0.2, 2.0))
-            c = reference_choi(propagate_map(gen, 0.0, t).matrix)
+            c = reference_choi(propagate_map(gen, 0.0, t))
             output_traced = np.einsum("iaja->ij", c.reshape(2, 2, 2, 2))
             assert abs(np.trace(c).real - 1.0) < 1e-9
             assert np.max(np.abs(output_traced - np.eye(2) / 2)) < 1e-8
@@ -626,10 +623,10 @@ class TestChoiInvariants:
             s, t = np.sort(rng.uniform(0.0, 3.0, size=2))
             if t - s < 1e-3:
                 t = s + 1e-3
-            phi_t = propagate_map(gen, 0.0, float(t)).matrix
-            composed = propagate_map(gen, float(s), float(t)).matrix @ propagate_map(
+            phi_t = propagate_map(gen, 0.0, float(t))
+            composed = propagate_map(gen, float(s), float(t)) @ propagate_map(
                 gen, 0.0, float(s)
-            ).matrix
+            )
             c_direct = reference_choi(phi_t)
             c_composed = reference_choi(composed)
             assert np.max(np.abs(c_direct - c_composed)) < 1e-7
@@ -640,7 +637,7 @@ class TestChoiInvariants:
         grid = np.linspace(0.0, 5.0, 11)
         props = [np.eye(4, dtype=complex)]
         for a, b in zip(grid[:-1], grid[1:]):
-            props.append(propagate_map(gen, float(a), float(b)).matrix @ props[-1])
+            props.append(propagate_map(gen, float(a), float(b)) @ props[-1])
         for i in range(len(grid)):
             for j in range(i + 1, len(grid)):
                 bridge = np.linalg.solve(props[i].T, props[j].T).T

@@ -339,31 +339,28 @@ def record_generators(monkeypatch) -> list:
 class TestGeneratorTables:
     """A generator's tables are built by the computations that read them."""
 
-    TABLES = {"superoperator_blocks", "transfer_blocks", "unitality_images",
-              "small_time_builder"}
+    FIELDS = {"dim", "hamiltonian", "operators", "dissipators"}
 
     def test_validating_a_config_builds_no_table(self, monkeypatch):
         made = record_generators(monkeypatch)
         parse_scenario(SMALL_WITNESS)
         assert len(made) == 1
-        assert not self.TABLES & set(vars(made[0]))
+        assert set(vars(made[0])) == self.FIELDS
 
     @pytest.mark.parametrize("outputs, built", [
         ("witness", {"unitality_images", "small_time_builder"}),
         ("compare", {"unitality_images", "small_time_builder"}),
-        ("divisibility", {"unitality_images", "small_time_builder", "transfer_blocks",
-                          "superoperator_blocks"})])
+        ("divisibility", {"unitality_images", "small_time_builder", "transfer_blocks"})])
     def test_a_run_builds_only_what_it_reads(self, tmp_path, monkeypatch, outputs, built):
         # Every run computes the measures, which check unitality; the
         # small-time tables come from the jump operators alone, and only the
-        # bridge scan builds superoperator blocks and rotates them into the
-        # Hermitian basis.
+        # bridge scan builds the transfer blocks, from the operators too.
         made = record_generators(monkeypatch)
         config = parse_scenario(SMALL_WITNESS.replace(
             "outputs = witness divisibility", f"outputs = {outputs}"))
         run_scenario(config, str(tmp_path), quiet=True)
         assert len(made) == 2
-        assert self.TABLES & set(vars(made[1])) == built
+        assert set(vars(made[1])) - self.FIELDS == built
 
 
 class TestMainExitCodes:

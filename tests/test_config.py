@@ -220,6 +220,50 @@ class TestParseValidation:
             parse_scenario(MINIMAL + "just some words\n")
 
 
+# Python's int, float and complex also read digit separators and non-ASCII
+# digits; a config has one spelling, the one render_scenario writes.
+TABULATED = MINIMAL.replace(
+    "dissipator.1.rate.model = constant\ndissipator.1.rate.value = 1.0",
+    "dissipator.1.rate.model = tabulated\ndissipator.1.rate.knots = 0.0:1.0 9.0:1.0")
+CUSTOM = MINIMAL.replace("dissipator.1.operator = sigma_z",
+                         "dissipator.1.operator = custom-matrix\ndissipator.1.matrix = 0 1 0 0")
+
+
+class TestNumberSpelling:
+    @pytest.mark.parametrize("text, old, new, key", [
+        (MINIMAL, "grid.points = 100", "grid.points = 1_000", "grid.points"),
+        (MINIMAL, "grid.points = 100", "grid.points = \uff12\uff10\uff10\uff10", "grid.points"),
+        (MINIMAL, "generator.dimension = 2", "generator.dimension = \u0662",
+         "generator.dimension"),
+        (MINIMAL, "version = 1", "version = \uff11", "version"),
+        (MINIMAL, "grid.t_max = 5.0", "grid.t_max = 5_0.0", "grid.t_max"),
+        (MINIMAL, "epsilon = 0.001", "epsilon = 0.00\uff11", "epsilon"),
+        (MINIMAL, "rate.value = 1.0", "rate.value = \uff11.\uff15", "dissipator.1.rate.value"),
+        (TABULATED, "9.0:1.0", "9.0:1_0.0", "dissipator.1.rate.knots"),
+        (TABULATED, "9.0:1.0", "\uff19.0:1.0", "dissipator.1.rate.knots"),
+        (CUSTOM, "matrix = 0 1 0 0", "matrix = 0 1_0j 0 0", "dissipator.1.matrix"),
+        (MINIMAL, "outputs = witness", "outputs = witness\ngenerator.hamiltonian = \uff11 0 0 -1",
+         "generator.hamiltonian"),
+    ], ids=["int-underscore", "int-fullwidth", "int-arabic-indic", "version-fullwidth",
+            "float-underscore", "float-fullwidth", "rate-fullwidth", "knot-underscore",
+            "knot-fullwidth", "complex-underscore", "complex-fullwidth"])
+    def test_another_spelling_is_refused_naming_the_key(self, text, old, new, key):
+        assert old in text
+        with pytest.raises(ConfigError, match=rf"^key '{key}': numbers are written in ASCII "
+                                              r"digits with no '_', got "):
+            parse_scenario(text.replace(old, new))
+
+    def test_signs_exponents_and_parenthesized_complex_still_parse(self):
+        text = MINIMAL.replace("epsilon = 0.001", "epsilon = 1e-3").replace(
+            "rate.value = 1.0", "rate.value = -1")
+        config = parse_scenario(text + "generator.hamiltonian = 1 (1+2j) (1-2j) -1\n")
+        assert config.epsilon == 1e-3
+        assert config.dissipators[0].rate == ConstantRate(-1.0)
+        assert config.hamiltonian == (1, 1 + 2j, 1 - 2j, -1)
+        knots = parse_scenario(TABULATED.replace("0.0:1.0 9.0:1.0", "0:-1 1e1:2.5e-1"))
+        assert knots.dissipators[0].rate == TabulatedRate(knots=((0.0, -1.0), (10.0, 0.25)))
+
+
 class TestRoundTrip:
     def cases(self):
         base = parse_scenario(MINIMAL)

@@ -34,7 +34,6 @@ from choi_moments.lindblad import (
     SIGMA_Y,
     SIGMA_Z,
     LindbladGenerator,
-    generator_superoperator,
     rates_at,
 )
 from choi_moments.rates import ConstantRate, ExpCosRate, LorentzianRate, TabulatedRate, rate_eval
@@ -55,6 +54,7 @@ from helpers import (
     reference_rate_limits,
     reference_rhp_rates,
     reference_small_time_witness,
+    reference_superoperator,
     reference_violation_intervals,
     renyi_entropy,
     schatten_norm,
@@ -320,7 +320,7 @@ class TestWitnessSeries:
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_small_time_state_takes_the_hamiltonian_exactly(self, d):
         # The moments of the Choi state of e^{eps L_H} (1 + eps D(t)), built
-        # from the superoperators and eigensolved; bell + eps X would be off
+        # from the oracle's superoperators and eigensolved; bell + eps X would be off
         # by order eps^2 |H|^2 = 1e-4 here.
         rng = np.random.default_rng(310 + d)
         base = random_expcos_generator(rng, d, n_ops=2)
@@ -331,7 +331,7 @@ class TestWitnessSeries:
         eps, grid = 1e-3, np.array([0.4, 1.3, 2.5])
         series = witness_series(gen, grid, eps)
         for i, t in enumerate(grid):
-            dissipative = generator_superoperator(gen, t) - l_h
+            dissipative = reference_superoperator(gen, t) - l_h
             step = expm(eps * l_h) @ (np.eye(d * d) + eps * dissipative)
             lam = np.linalg.eigvalsh(reference_choi(step))
             r2, r3 = np.sum(lam**2), np.sum(lam**3)
@@ -920,7 +920,7 @@ class TestMeasures:
         assert np.flatnonzero(report.g_series).tolist() == [first - 1]
 
 
-_BUILDER_TABLES = ("bell", "operators", "blocks", "bell_overlaps", "dissipator_scales")
+_BUILDER_TABLES = ("bell", "blocks", "bell_overlaps", "dissipator_scales")
 
 
 class TestGeneratorBuilder:
@@ -978,7 +978,7 @@ class TestGeneratorBuilder:
         gen = random_generator(np.random.default_rng(9), 2, n_ops=3)
         builder = gen.small_time_builder
         tables = [getattr(builder, name) for name in _BUILDER_TABLES]
-        tables += [*builder.trace_tables, gen.unitality_images]
+        tables += [*builder.trace_tables, gen.unitality_images, gen.operators]
         tables += [builder.projected_table]
         for table in tables:
             with pytest.raises(ValueError, match="read-only"):
@@ -1200,7 +1200,7 @@ class TestMonotonicityUnderDivisibleUnitalDynamics:
         for case in range(6):
             dim = 2 if case < 3 else 3
             gen = random_unital_generator(rng, dim, n_ops=2)
-            step = propagate_map(gen, 0.0, h).matrix
+            step = propagate_map(gen, 0.0, h)
             rho = random_psd_unit_trace(rng, dim)
             entropies = {2.0: [], 3.0: []}
             norms = {2.0: [], 3.0: []}

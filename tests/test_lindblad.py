@@ -12,13 +12,10 @@ from choi_moments.lindblad import (
     SIGMA_Z,
     UNITAL_ATOL,
     LindbladGenerator,
-    coefficients,
     from_hermitian_basis,
-    generator_superoperator,
     named_operator,
     rates_at,
     require_hermitian,
-    to_hermitian_basis,
     unitality_defects,
 )
 from choi_moments.rates import ConstantRate, ExpCosRate, rate_eval
@@ -31,6 +28,7 @@ from helpers import (
     random_generator,
     random_hermitian,
     random_psd_unit_trace,
+    reference_superoperator,
 )
 
 
@@ -40,6 +38,13 @@ def amplitude_damping_generator(rate=1.0):
 
 def vec(m):
     return np.asarray(m).reshape(-1)
+
+
+def tables_superoperator(gen, t):
+    """Lhat(t) read off the package's tables: the transfer blocks weighted by
+    [1, gamma_1(t), ...], taken out of the Hermitian basis."""
+    coef = np.concatenate(([1.0], rates_at(gen, t)))
+    return from_hermitian_basis(np.tensordot(coef, gen.transfer_blocks, 1), gen.dim)
 
 
 def is_unital(gen, t):
@@ -85,15 +90,31 @@ class TestConstruction:
 
     def test_blocks_follow_the_operators_and_freeze_no_caller_array(self):
         gen = amplitude_damping_generator()
-        blocks = gen.superoperator_blocks
+        blocks = gen.transfer_blocks
         assert blocks.shape == (2, 4, 4)
         # LOWERING itself is read-only; a caller's own array stays writeable.
         mine = named_operator("lowering", 2)
-        assert LindbladGenerator(2, SIGMA_X, ((mine, ConstantRate(1.0)),)).superoperator_blocks.size
+        assert LindbladGenerator(2, SIGMA_X, ((mine, ConstantRate(1.0)),)).transfer_blocks.size
         assert mine.flags.writeable
         rebuilt = LindbladGenerator(2, SIGMA_X, gen.dissipators)
-        assert np.array_equal(rebuilt.superoperator_blocks[1], blocks[1])
-        assert not np.array_equal(rebuilt.superoperator_blocks[0], blocks[0])
+        assert np.array_equal(rebuilt.transfer_blocks[1], blocks[1])
+        assert not np.array_equal(rebuilt.transfer_blocks[0], blocks[0])
+
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    def test_operators_are_one_read_only_stack_the_dissipators_view(self, k):
+        ops = [np.arange(4.0).reshape(2, 2) + j for j in range(k)]
+        gen = LindbladGenerator(2, SIGMA_X, tuple((op, ConstantRate(1.0)) for op in ops))
+        assert gen.operators.shape == (k, 2, 2) and gen.operators.dtype == complex
+        assert np.array_equal(gen.operators, np.array(ops).reshape(k, 2, 2))
+        assert not gen.operators.flags.writeable
+        for (op, _), row in zip(gen.dissipators, gen.operators):
+            assert np.shares_memory(op, gen.operators) and np.array_equal(op, row)
+            assert not op.flags.writeable
+        assert all(op.flags.writeable for op in ops)
+        # Every table reads the one stack, so K = 0 gives empty tables.
+        assert gen.small_time_builder.blocks.shape == (k, 4, 4)
+        assert gen.unitality_images.shape == (k, 4)
+        assert gen.transfer_blocks.shape == (k + 1, 4, 4)
 
     @pytest.mark.parametrize("dissipators, index", [
         (((SIGMA_Z, 1.0),), 0),  # a bare number has no evaluate
@@ -125,13 +146,13 @@ class TestConstruction:
         assert repr(gen).startswith("LindbladGenerator(dim=2, hamiltonian=array([[0.+0.j, 1.+0.j]")
         assert repr(gen).endswith("ConstantRate(value=1.0)),))")
         copy = pickle.loads(pickle.dumps(gen))
-        assert np.array_equal(copy.superoperator_blocks, gen.superoperator_blocks)
+        assert np.array_equal(copy.transfer_blocks, gen.transfer_blocks)
 
     def test_tables_are_built_on_first_use_kept_and_frozen(self):
         # Construction only checks: a generator built to validate a config
-        # costs no kron, product or change of basis.
+        # costs no product.
         gen = amplitude_damping_generator()
-        names = ("superoperator_blocks", "transfer_blocks", "unitality_images")
+        names = ("transfer_blocks", "unitality_images")
         assert not set(names) & set(vars(gen))
         for name in names:
             table = getattr(gen, name)
@@ -151,7 +172,7 @@ class TestConstruction:
         assert gen.unitality_images.shape == (3, d * d)
         for (op, _), image in zip(gen.dissipators, gen.unitality_images):
             alone = LindbladGenerator(d, np.zeros((d, d)), ((op, ConstantRate(1.0)),))
-            want = generator_superoperator(alone, 0.0) @ (np.eye(d).ravel() / d)
+            want = reference_superoperator(alone, 0.0) @ (np.eye(d).ravel() / d)
             assert np.max(np.abs(image - want)) <= 1e-15 * np.max(np.abs(want))
         assert LindbladGenerator(d, np.eye(d), ()).unitality_images.shape == (0, d * d)
 
@@ -192,16 +213,7 @@ class TestApplyGenerator:
 
 
 class TestSuperoperator:
-    def test_coefficients_lead_with_one(self):
-        # Rates-major: rows (K,) + shape in, a row of ones on top out.
-        gammas = np.arange(6.0).reshape(2, 3)
-        assert np.array_equal(coefficients(gammas), [[1, 1, 1], [0, 1, 2], [3, 4, 5]])
-        assert np.array_equal(coefficients([0.5]), [1.0, 0.5])
-        assert coefficients(np.empty((0, 4))).shape == (1, 4)
-        half_steps = np.arange(30.0).reshape(2, 3, 5)  # (K, W, 2m + 1), as RK4 reads them
-        coef = coefficients(half_steps)
-        assert coef.shape == (3, 3, 5)
-        assert np.array_equal(coef[0], np.ones((3, 5))) and np.array_equal(coef[1:], half_steps)
+    """The generator read off its transfer blocks, against its action."""
 
     @pytest.mark.parametrize("shape", [(), (7,), (3, 5)])
     def test_rates_at_is_a_view_of_rate_rows(self, shape, monkeypatch):
@@ -231,19 +243,19 @@ class TestSuperoperator:
 
     def test_dephasing_is_diagonal(self):
         gen = dephasing_generator(ConstantRate(1.0))
-        lhat = generator_superoperator(gen, 0.0)
+        lhat = tables_superoperator(gen, 0.0)
         assert np.allclose(lhat, np.diag([0.0, -2.0, -2.0, 0.0]), atol=1e-14)
 
     def test_zero_generator(self):
         gen = LindbladGenerator(2, np.zeros((2, 2)), ())
-        assert np.max(np.abs(generator_superoperator(gen, 0.0))) == 0.0
+        assert np.max(np.abs(tables_superoperator(gen, 0.0))) == 0.0
 
     def test_maximally_mixed_consistency_over_time(self):
         gen = dephasing_generator(ExpCosRate(k=1.0))
         rng = np.random.default_rng(22)
         eye = np.eye(2) / 2
         for t in rng.uniform(0.0, 6.0, size=10):
-            lhs = generator_superoperator(gen, t) @ vec(eye)
+            lhs = tables_superoperator(gen, t) @ vec(eye)
             rhs = vec(apply_generator(gen, eye, t))
             assert np.max(np.abs(lhs - rhs)) < 1e-12
 
@@ -253,7 +265,7 @@ class TestSuperoperator:
             dim = int(rng.integers(2, 4))
             gen = random_generator(rng, dim, n_ops=int(rng.integers(1, 4)))
             t = float(rng.uniform(0.0, 3.0))
-            lhat = generator_superoperator(gen, t)
+            lhat = tables_superoperator(gen, t)
             gammas = rates_at(gen, t)
             for i in range(dim):
                 for j in range(dim):
@@ -303,20 +315,25 @@ class TestUnitalAndNormal:
 
 
 class TestHermitianBasis:
+    @pytest.mark.parametrize("n_ops", [0, 3])
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
-    def test_transfer_blocks_are_the_rotated_blocks_and_real(self, d):
+    def test_transfer_blocks_match_the_dense_oracle(self, d, n_ops):
+        # Block 0 is the Hamiltonian part, block k dissipator k at unit rate,
+        # each against U^dag Lhat U with Lhat built by the test oracle.
         rng = np.random.default_rng(40 + d)
-        gen = random_generator(rng, d, n_ops=3)
+        gen = random_generator(rng, d, n_ops=n_ops)
         u = hermitian_basis_matrix(d)
         assert np.allclose(u.conj().T @ u, np.eye(d * d), rtol=0.0, atol=1e-15)
-        dense = u.conj().T @ gen.superoperator_blocks @ u
-        rotated = to_hermitian_basis(gen.superoperator_blocks, d)
-        for block, got, want in zip(gen.transfer_blocks, rotated, dense):
-            scale = np.max(np.abs(got))
-            # Real to rounding before the imaginary part is dropped.
-            assert np.max(np.abs(got.imag)) <= 1e-14 * scale
-            assert np.max(np.abs(got - want)) <= 1e-14 * scale
-            assert np.array_equal(block, got.real)
+        zero = np.zeros((d, d))
+        parts = [LindbladGenerator(d, gen.hamiltonian, ())] + [
+            LindbladGenerator(d, zero, ((op, ConstantRate(1.0)),)) for op, _ in gen.dissipators]
+        assert gen.transfer_blocks.shape == (n_ops + 1, d * d, d * d)
+        for block, part in zip(gen.transfer_blocks, parts):
+            want = u.conj().T @ reference_superoperator(part, 0.0) @ u
+            scale = np.max(np.abs(want))
+            # Real to rounding: the map preserves Hermiticity.
+            assert np.max(np.abs(want.imag)) <= 1e-14 * scale
+            assert np.max(np.abs(block - want)) <= 1e-14 * scale
         assert gen.transfer_blocks.dtype == np.float64
         with pytest.raises(ValueError, match="read-only"):
             gen.transfer_blocks[0, 0, 0] = 1.0
@@ -328,7 +345,6 @@ class TestHermitianBasis:
         u = hermitian_basis_matrix(d)
         superop = from_hermitian_basis(transfer, d)
         assert np.max(np.abs(superop - u @ transfer @ u.conj().T)) <= 1e-15 * d * d
-        assert np.max(np.abs(to_hermitian_basis(superop, d) - transfer)) <= 1e-15 * d * d
         assert from_hermitian_basis(transfer[0], d).shape == (d * d, d * d)
 
     @settings(max_examples=40, deadline=None, derandomize=True)

@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 import choi_moments
-from choi_moments.choi import SuperoperatorMatrix, propagate_map
 from choi_moments.cli import RunReport, run_scenario
 from choi_moments.config import (
     DissipatorSpec,
@@ -36,7 +35,7 @@ from choi_moments.lindblad import LindbladGenerator
 from choi_moments.rates import ConstantRate, ExpCosRate
 from helpers import dephasing_generator
 
-RECORDS = (SuperoperatorMatrix, WitnessSeries, MeasureReport, DivisibilityReport, RunReport,
+RECORDS = (WitnessSeries, MeasureReport, DivisibilityReport, RunReport,
            DissipatorSpec, ScenarioConfig)
 
 
@@ -66,7 +65,7 @@ def instances(tmp_path_factory):
     grid = np.linspace(0.0, 1.0, 11)
     config = load_scenario(bundled_scenario_path("markovian_control"))
     out = str(tmp_path_factory.mktemp("out"))
-    return [propagate_map(gen, 0.0, 0.5), witness_series(gen, grid, 1e-3),
+    return [witness_series(gen, grid, 1e-3),
             measure_report(gen, 6.0, 61), cp_divisibility_scan(gen, grid, 1e-3),
             run_scenario(config._replace(points=20), out, quiet=True),
             config.dissipators[0], config]
@@ -87,8 +86,6 @@ def test_fields_cannot_be_assigned(instances, index):
 
 
 def test_properties_equality_and_repr():
-    phi = SuperoperatorMatrix(np.eye(9), (0.0, 1.0))
-    assert phi.dim == 3
     report = MeasureReport(0.5, 1.0, np.zeros(2), np.zeros(2), np.zeros(2))
     assert report.ratio == 2.0
     assert np.isnan(report._replace(moment_measure=0.0).ratio)
