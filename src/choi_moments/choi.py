@@ -410,11 +410,11 @@ def propagate_map(
             raise ValueError(f"{name} must be finite, got {t}")
     if t1 < t0:
         raise ValueError(f"require t1 >= t0, got t0 = {t0}, t1 = {t1}")
-    if t1 == t0:
-        return np.eye(gen.dim * gen.dim, dtype=complex)
     if steps is None:
         steps = max(1, round(DEFAULT_STEPS_PER_UNIT * (t1 - t0)))
     steps = require_count("steps", steps, 1)
+    if t1 == t0:
+        return np.eye(gen.dim * gen.dim, dtype=complex)
     h = (t1 - t0) / steps
     gammas = _half_step_rates(gen, np.array([float(t0)]), h, steps)
     ((_, phi),) = _rk4_chunks(gen, gammas, h)

@@ -34,6 +34,7 @@ from .config import (
     build_generator,
     bundled_scenario_path,
     load_scenario,
+    override,
     render_scenario,
     require_file_name,
     require_outputs,
@@ -250,12 +251,16 @@ arguments:
 """)
 
 
+# The options that override a config value, and its key.
+_OVERRIDES = {"--grid-points": "grid.points", "--epsilon": "epsilon"}
+
+
 class _Args(NamedTuple):
     command: str
     config: str
     out_dir: str | None = None
-    grid_points: int | None = None
-    epsilon: float | None = None
+    grid_points: str | None = None
+    epsilon: str | None = None
     quiet: bool = False
 
 
@@ -270,8 +275,9 @@ def _parse_args(argv) -> _Args:
 
     A token that begins with "--" is an option, spelled in full; the options
     may come before or after CONFIG. --out-dir, --grid-points and --epsilon
-    take their value as "--opt value" or "--opt=value", as written ("-1"
-    too) unless it is missing or begins with "--". -h/--help anywhere, and
+    take their value as "--opt value" or "--opt=value", kept as the text
+    written ("-1" too) unless it is missing or begins with "--": `main`
+    reads an override by its config key's rule. -h/--help anywhere, and
     --version as the first argument, print and raise SystemExit(0); a usage
     mistake prints the usage line and the error to stderr and raises
     SystemExit(1).
@@ -287,18 +293,14 @@ def _parse_args(argv) -> _Args:
     tokens = iter(args)
     for arg in tokens:
         name, eq, value = arg.partition("=")
-        kind = {"--out-dir": str, "--grid-points": int, "--epsilon": float}.get(name)
         if positionals and arg == "--quiet":
             values["quiet"] = True
-        elif positionals and kind:
+        elif positionals and name in ("--out-dir", *_OVERRIDES):
             if not eq:
                 value = next(tokens, "--")
                 if value.startswith("--"):
                     _usage_error(f"argument {name}: expected one argument")
-            try:
-                values[name[2:].replace("-", "_")] = kind(value)
-            except ValueError:
-                _usage_error(f"argument {name}: invalid {kind.__name__} value: {value!r}")
+            values[name[2:].replace("-", "_")] = value
         elif arg.startswith("--") or len(positionals) == 2:
             unknown.append(arg)
         elif positionals or arg in _COMMANDS:
@@ -333,19 +335,15 @@ def main(argv=None) -> int:
 
     try:
         path = _resolve_config_path(args.config)
-        config = load_scenario(path)
-        overrides = {}
-        if args.grid_points is not None:
-            if args.grid_points < 2:
-                raise ConfigError(f"--grid-points must be >= 2, got {args.grid_points}")
-            overrides["points"] = args.grid_points
-        if args.epsilon is not None:
-            if not 0.0 < args.epsilon < np.inf:  # NaN compares false either way
-                raise ConfigError(f"--epsilon must be finite and > 0, got {args.epsilon}")
-            overrides["epsilon"] = args.epsilon
+        config = load_scenario(path)  # whole, so a value an override replaces is still read
+        for option, key in _OVERRIDES.items():
+            raw = getattr(args, option[2:].replace("-", "_"))
+            try:
+                config = config if raw is None else override(config, key, raw)
+            except ConfigError as exc:
+                raise ConfigError(f"{option}: {exc}") from None
         if args.command != "validate":
-            overrides["outputs"] = (args.command,)
-        config = config._replace(**overrides)
+            config = override(config, "outputs", args.command)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

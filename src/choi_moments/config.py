@@ -24,7 +24,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .lindblad import NAMED_OPERATORS, LindbladGenerator, named_operator
+from .choi import require_count, require_positive
+from .lindblad import NAMED_OPERATORS, LindbladGenerator, named_operator, require_hermitian
 from .rates import (
     ConstantRate,
     ExpCosRate,
@@ -39,6 +40,7 @@ __all__ = [
     "DissipatorSpec",
     "ScenarioConfig",
     "parse_scenario",
+    "override",
     "render_scenario",
     "load_scenario",
     "build_generator",
@@ -64,19 +66,6 @@ _RATE_MODELS = {
     "tabulated": (TabulatedRate, ("knots",)),
 }
 _RATE_MODEL_NAMES = {cls: name for name, (cls, _) in _RATE_MODELS.items()}
-
-_TOP_LEVEL_KEYS = (
-    "version",
-    "name",
-    "generator.dimension",
-    "generator.hamiltonian",
-    "epsilon",
-    "grid.t_max",
-    "grid.points",
-    "mode",
-    "outputs",
-)
-
 
 class ConfigError(ValueError):
     """A scenario document violates the schema."""
@@ -105,58 +94,72 @@ class ScenarioConfig(NamedTuple):
     outputs: tuple[str, ...]
 
 
-def _require_plain_number(key: str, token: str) -> None:
+def _require_plain_number(token: str) -> None:
     """Refuse the spellings Python's number parsers accept beyond the one
     `render_scenario` writes: digit separators and non-ASCII digits."""
     if not token.isascii() or "_" in token:
-        raise ConfigError(f"key {key!r}: numbers are written in ASCII digits with no '_', "
-                          f"got {token!r}")
+        raise ValueError(f"numbers are written in ASCII digits with no '_', got {token!r}")
 
 
-def _parse_float(key: str, raw: str) -> float:
-    _require_plain_number(key, raw)
+def _parse_float(raw: str) -> float:
+    _require_plain_number(raw)
     try:
         value = float(raw)
     except ValueError:
-        raise ConfigError(f"key {key!r}: expected a number, got {raw!r}") from None
+        raise ValueError(f"expected a number, got {raw!r}") from None
     if not np.isfinite(value):
-        raise ConfigError(f"key {key!r}: value must be finite, got {raw!r}")
+        raise ValueError(f"value must be finite, got {raw!r}")
     return value
 
 
-def _parse_int(key: str, raw: str) -> int:
-    _require_plain_number(key, raw)
+def _parse_int(raw: str) -> int:
+    _require_plain_number(raw)
     try:
         return int(raw)
     except ValueError:
-        raise ConfigError(f"key {key!r}: expected an integer, got {raw!r}") from None
+        raise ValueError(f"expected an integer, got {raw!r}") from None
 
 
-def _parse_complex_entries(key: str, raw: str) -> tuple[complex, ...]:
+def _parse_matrix(raw: str, dimension: int, hermitian: bool = False) -> tuple[complex, ...]:
+    """The d x d row-major entries of a matrix value, each finite; Hermitian if asked."""
     entries = []
     for token in raw.split():
-        _require_plain_number(key, token)
+        _require_plain_number(token)
         try:
             value = complex(token)
         except ValueError:
-            raise ConfigError(
-                f"key {key!r}: expected complex entries like '1', '0.5j' or "
-                f"'(1+2j)', got token {token!r}"
-            ) from None
+            raise ValueError(f"expected complex entries like '1', '0.5j' or '(1+2j)', "
+                             f"got token {token!r}") from None
         if not np.isfinite(value):
-            raise ConfigError(f"key {key!r}: entries must be finite, got token {token!r}")
+            raise ValueError(f"entries must be finite, got token {token!r}")
         entries.append(value)
+    if len(entries) != dimension * dimension:
+        raise ValueError(f"{len(entries)} entries; dimension {dimension} needs "
+                         f"{dimension * dimension} (row-major)")
+    if hermitian:
+        require_hermitian(np.reshape(entries, (dimension, dimension)))
     return tuple(entries)
 
 
-def _parse_knots(key: str, raw: str) -> tuple[tuple[float, float], ...]:
+def _parse_knots(raw: str) -> tuple[tuple[float, float], ...]:
     knots = []
     for token in raw.split():
         parts = token.split(":")
         if len(parts) != 2:
-            raise ConfigError(f"key {key!r}: expected 't:gamma' pairs, got {token!r}")
-        knots.append((_parse_float(key, parts[0]), _parse_float(key, parts[1])))
+            raise ValueError(f"expected 't:gamma' pairs, got {token!r}")
+        knots.append((_parse_float(parts[0]), _parse_float(parts[1])))
     return tuple(knots)
+
+
+def _keyed(key: str, parse, raw, *args):
+    """parse(raw, *args), a ValueError from which is raised as a ConfigError
+    naming key; a ConfigError, which names its key already, passes as it is."""
+    try:
+        return parse(raw, *args)
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"key {key!r}: {exc}") from None
 
 
 def _build_rate(index: int, model: str, params: dict[str, str]) -> RateModel:
@@ -181,11 +184,8 @@ def _build_rate(index: int, model: str, params: dict[str, str]) -> RateModel:
     for key, field in zip(known, cls._fields):
         if key in params:
             parse = _parse_knots if key == "knots" else _parse_float
-            fields[field] = parse(f"{prefix}.{key}", params[key])
-    try:
-        return cls(**fields)
-    except ValueError as exc:
-        raise ConfigError(f"{prefix}: {exc}") from None
+            fields[field] = _keyed(f"{prefix}.{key}", parse, params[key])
+    return _keyed(prefix, lambda given: cls(**given), fields)
 
 
 def require_file_name(name: str) -> str:
@@ -210,8 +210,50 @@ def require_outputs(outputs: tuple[str, ...]) -> tuple[str, ...]:
     return outputs
 
 
+def _count(raw: str) -> int:
+    return require_count("value", _parse_int(raw), 2)
+
+
+def _positive(raw: str) -> float:
+    value = _parse_float(raw)
+    require_positive("value", value)
+    return value
+
+
+def _mode(raw: str) -> str:
+    if raw not in MODE_NAMES:
+        raise ValueError(f"expected one of {MODE_NAMES}, got {raw!r}")
+    return raw
+
+
+# The top-level keys but `version`, read first, and `generator.hamiltonian`,
+# whose length depends on the dimension: each key's ScenarioConfig field and
+# the one function that parses its text and checks its range. A document
+# (`parse_scenario`) and an override (`override`) both read a value here.
+_KEYS = {
+    "name": ("name", require_file_name),
+    "generator.dimension": ("dimension", _count),
+    "epsilon": ("epsilon", _positive),
+    "grid.t_max": ("t_max", _positive),
+    "grid.points": ("points", _count),
+    "mode": ("mode", _mode),
+    "outputs": ("outputs", lambda raw: require_outputs(tuple(raw.split()))),
+}
+
+
+def override(config: ScenarioConfig, key: str, raw: str) -> ScenarioConfig:
+    """A copy of config whose value of the top-level key, one of `_KEYS`, is
+    read from raw by the rule that reads it in a document. A value that the
+    rule refuses is a ConfigError naming the key."""
+    field, parse = _KEYS[key]
+    return config._replace(**{field: _keyed(key, parse, raw)})
+
+
 def parse_scenario(text: str) -> ScenarioConfig:
-    """Parse and fully validate a scenario document."""
+    """Parse and fully validate a scenario document: a top-level value by
+    its key's rule in `_KEYS`, as `override` reads it. A refused value is a
+    ConfigError naming its key. Every check that `build_generator` makes is
+    made here, with no generator built."""
     pairs: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -229,7 +271,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
 
     if "version" not in pairs:
         raise ConfigError("missing mandatory key 'version'")
-    version = _parse_int("version", pairs.pop("version"))
+    version = _keyed("version", _parse_int, pairs.pop("version"))
     if version != CONFIG_VERSION:
         raise ConfigError(f"unsupported config version {version}; expected {CONFIG_VERSION}")
 
@@ -245,28 +287,18 @@ def parse_scenario(text: str) -> ScenarioConfig:
                               "'dissipator.<n>.operator', n in ASCII digits, no leading zero")
         dissipator_params.setdefault(int(index), {})[".".join(parts[2:])] = pairs.pop(key)
 
+    ham_raw = pairs.pop("generator.hamiltonian", "zero")
     for key in pairs:
-        if key not in _TOP_LEVEL_KEYS:
-            raise ConfigError(f"unknown key {key!r}; expected one of {_TOP_LEVEL_KEYS}")
-    for required in ("name", "generator.dimension", "epsilon",
-                     "grid.t_max", "grid.points", "mode", "outputs"):
-        if required not in pairs:
-            raise ConfigError(f"missing mandatory key {required!r}")
-
-    dimension = _parse_int("generator.dimension", pairs["generator.dimension"])
-    if dimension < 2:
-        raise ConfigError(f"generator.dimension must be >= 2, got {dimension}")
-
-    ham_raw = pairs.get("generator.hamiltonian", "zero")
-    if ham_raw == "zero":
-        hamiltonian = None
-    else:
-        hamiltonian = _parse_complex_entries("generator.hamiltonian", ham_raw)
-        if len(hamiltonian) != dimension * dimension:
-            raise ConfigError(
-                f"generator.hamiltonian has {len(hamiltonian)} entries; "
-                f"dimension {dimension} needs {dimension * dimension} (row-major)"
-            )
+        if key not in _KEYS:
+            raise ConfigError(f"unknown key {key!r}; expected one of "
+                              f"{('version', 'generator.hamiltonian', *_KEYS)}")
+    for key in _KEYS:
+        if key not in pairs:
+            raise ConfigError(f"missing mandatory key {key!r}")
+    values = {field: _keyed(key, parse, pairs[key]) for key, (field, parse) in _KEYS.items()}
+    dimension = values["dimension"]
+    hamiltonian = None if ham_raw == "zero" else _keyed(
+        "generator.hamiltonian", _parse_matrix, ham_raw, dimension, True)
 
     if sorted(dissipator_params) != list(range(1, len(dissipator_params) + 1)):
         raise ConfigError(
@@ -288,12 +320,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
         if operator == "custom-matrix":
             if "matrix" not in params:
                 raise ConfigError(f"operator 'custom-matrix' requires '{prefix}.matrix'")
-            matrix = _parse_complex_entries(f"{prefix}.matrix", params.pop("matrix"))
-            if len(matrix) != dimension * dimension:
-                raise ConfigError(
-                    f"{prefix}.matrix has {len(matrix)} entries; "
-                    f"dimension {dimension} needs {dimension * dimension} (row-major)"
-                )
+            matrix = _keyed(f"{prefix}.matrix", _parse_matrix, params.pop("matrix"), dimension)
         elif "matrix" in params:
             raise ConfigError(
                 f"unknown key '{prefix}.matrix' (only valid with operator = custom-matrix)"
@@ -315,34 +342,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
             DissipatorSpec(operator=operator, rate=_build_rate(index, model, rate_params),
                            matrix=matrix)
         )
-
-    epsilon = _parse_float("epsilon", pairs["epsilon"])
-    if epsilon <= 0:
-        raise ConfigError(f"epsilon must be > 0, got {epsilon}")
-    t_max = _parse_float("grid.t_max", pairs["grid.t_max"])
-    if t_max <= 0:
-        raise ConfigError(f"grid.t_max must be > 0, got {t_max}")
-    points = _parse_int("grid.points", pairs["grid.points"])
-    if points < 2:
-        raise ConfigError(f"grid.points must be >= 2, got {points}")
-    mode = pairs["mode"]
-    if mode not in MODE_NAMES:
-        raise ConfigError(f"key 'mode': expected one of {MODE_NAMES}, got {mode!r}")
-    outputs = require_outputs(tuple(pairs["outputs"].split()))
-
-    config = ScenarioConfig(
-        name=require_file_name(pairs["name"]),
-        dimension=dimension,
-        hamiltonian=hamiltonian,
-        dissipators=tuple(dissipators),
-        epsilon=epsilon,
-        t_max=t_max,
-        points=points,
-        mode=mode,
-        outputs=outputs,
-    )
-    build_generator(config)  # surfaces operator/dimension mismatches early
-    return config
+    return ScenarioConfig(hamiltonian=hamiltonian, dissipators=tuple(dissipators), **values)
 
 
 def _format_complex(value: complex) -> str:
@@ -395,9 +395,10 @@ def render_scenario(config: ScenarioConfig) -> str:
 
 
 def load_scenario(path: str) -> ScenarioConfig:
-    """Parse the config file at path. A file that cannot be opened (a
-    directory, say) or is not UTF-8 text is a ConfigError naming the path,
-    as is a config that does not parse."""
+    """Parse the config file at path, whole: the command line applies each
+    `override` to the result, so a file value one replaces is still checked.
+    A file that cannot be opened (a directory, say) or is not UTF-8 text is
+    a ConfigError naming the path, as is a config that does not parse."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
@@ -412,7 +413,8 @@ def load_scenario(path: str) -> ScenarioConfig:
 
 
 def build_generator(config: ScenarioConfig) -> LindbladGenerator:
-    """Materialize the Lindblad generator described by a config."""
+    """Materialize the Lindblad generator described by a config. One that
+    `parse_scenario` returned passed every check the generator makes."""
     d = config.dimension
     if config.hamiltonian is None:
         hamiltonian = np.zeros((d, d), dtype=complex)
@@ -427,10 +429,7 @@ def build_generator(config: ScenarioConfig) -> LindbladGenerator:
         else:
             op = named_operator(spec.operator, d)
         dissipators.append((op, shared.setdefault(spec.rate, spec.rate)))
-    try:
-        return LindbladGenerator(d, hamiltonian, tuple(dissipators))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return LindbladGenerator(d, hamiltonian, tuple(dissipators))
 
 
 def bundled_scenario_path(name: str) -> str:

@@ -237,9 +237,11 @@ class TestBatchedKernel:
         (math.nan, "must be an integer, got nan"), (math.inf, "must be an integer, got inf")])
     def test_propagate_map_refuses_a_step_count_that_is_not_a_positive_integer(
             self, steps, problem):
+        # Over an empty interval too, which used to return the identity.
         gen = dephasing_generator(ConstantRate(1.0))
-        with pytest.raises(ValueError, match=f"^steps {problem}$"):
-            propagate_map(gen, 0.0, 1.0, steps=steps)
+        for t1 in (1.0, 0.0):
+            with pytest.raises(ValueError, match=f"^steps {problem}$"):
+                propagate_map(gen, 0.0, t1, steps=steps)
 
     def test_numpy_integer_step_counts_are_accepted(self):
         gen = random_expcos_generator(np.random.default_rng(12), 2)

@@ -341,26 +341,29 @@ class TestGeneratorTables:
 
     FIELDS = {"dim", "hamiltonian", "operators", "dissipators"}
 
-    def test_validating_a_config_builds_no_table(self, monkeypatch):
+    def test_parsing_and_validating_a_config_build_no_generator(self, tmp_path, monkeypatch,
+                                                                capsys):
+        # Parsing used to build a generator only to check the Hamiltonian.
         made = record_generators(monkeypatch)
         parse_scenario(SMALL_WITNESS)
-        assert len(made) == 1
-        assert set(vars(made[0])) == self.FIELDS
+        assert main(["validate", write_cfg(tmp_path, SMALL_WITNESS)]) == 0
+        assert made == []
+        capsys.readouterr()
 
     @pytest.mark.parametrize("outputs, built", [
         ("witness", {"unitality_images", "small_time_builder"}),
         ("compare", {"unitality_images", "small_time_builder"}),
         ("divisibility", {"unitality_images", "small_time_builder", "transfer_blocks"})])
-    def test_a_run_builds_only_what_it_reads(self, tmp_path, monkeypatch, outputs, built):
+    def test_a_run_builds_one_generator_and_only_what_it_reads(self, tmp_path, monkeypatch,
+                                                               outputs, built):
         # Every run computes the measures, which check unitality; the
         # small-time tables come from the jump operators alone, and only the
         # bridge scan builds the transfer blocks, from the operators too.
         made = record_generators(monkeypatch)
-        config = parse_scenario(SMALL_WITNESS.replace(
-            "outputs = witness divisibility", f"outputs = {outputs}"))
-        run_scenario(config, str(tmp_path), quiet=True)
-        assert len(made) == 2
-        assert set(vars(made[1])) - self.FIELDS == built
+        path = write_cfg(tmp_path, SMALL_WITNESS)
+        assert main([outputs, path, "--out-dir", str(tmp_path), "--quiet"]) == 10
+        assert len(made) == 1
+        assert set(vars(made[0])) - self.FIELDS == built
 
 
 class TestMainExitCodes:
@@ -605,15 +608,15 @@ class TestMainOptions:
         assert "epsilon = 0.004\n" in open(report.report_path).read()
         capsys.readouterr()
 
-    # A value is taken as written, so a negative one reaches the override
-    # check; argparse took "-1e-3" for an option, a usage error.
+    # A value is taken as written, so a negative one reaches the config key's
+    # range check; argparse took "-1e-3" for an option, a usage error.
     @pytest.mark.parametrize("value, shown", [("-1", "-1.0"), ("-1e-3", "-0.001")])
     def test_epsilon_override_rejected_when_invalid(self, tmp_path, capsys, value, shown):
         path = write_cfg(tmp_path, MARKOVIAN)
         out = tmp_path / "out"
         assert main(["witness", path, "--epsilon", value, "--out-dir", str(out)]) == 1
-        assert capsys.readouterr() == ("", "config error: --epsilon must be finite and > 0, "
-                                           f"got {shown}\n")
+        assert capsys.readouterr() == ("", "config error: --epsilon: key 'epsilon': value must "
+                                           f"be positive and finite, got {shown}\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["witness", "compare", "divisibility"])
@@ -625,8 +628,74 @@ class TestMainOptions:
         out = str(tmp_path / "out")
         assert main([command, "example1", "--epsilon", value, "--out-dir", out]) == 1
         captured = capsys.readouterr()
-        assert f"config error: --epsilon must be finite and > 0, got {value}\n" == captured.err
+        assert captured.err == (f"config error: --epsilon: key 'epsilon': value must be "
+                                f"finite, got '{value}'\n")
         assert captured.out == "" and not os.path.exists(out)
+
+    # Each spelling is read as a file value and as the matching override, and
+    # one rule reads both. A row gives the spelling and whether grid.points
+    # and epsilon take it. --grid-points used to take 1_000 and a fullwidth
+    # 2000 through int(), which the config refused.
+    SPELLINGS = [
+        ("1_000", False, False), ("\uff12\uff10\uff10\uff10", False, False),
+        ("2.5", False, True), ("abc", False, False), ("1", False, True), ("0", False, False),
+        ("-1e-3", False, False), ("nan", False, False), ("inf", False, False),
+        ("37", True, True), ("+7", True, True), ("0.004", False, True),
+    ]
+
+    @pytest.mark.filterwarnings("ignore:small-time expansion is dubious")
+    @pytest.mark.parametrize("option, key, line", [
+        ("--grid-points", "grid.points", "grid.points = 200"),
+        ("--epsilon", "epsilon", "epsilon = 0.001")], ids=["grid-points", "epsilon"])
+    @pytest.mark.parametrize("value, points_ok, epsilon_ok", SPELLINGS,
+                             ids=[ascii(value) for value, _, _ in SPELLINGS])
+    def test_a_file_value_and_its_override_are_read_by_one_rule(
+            self, tmp_path, capsys, monkeypatch, option, key, line, value, points_ok,
+            epsilon_ok):
+        ran = []
+
+        def recording_run(config, **kwargs):
+            ran.append(config)
+            return run_scenario(config, **kwargs)
+
+        monkeypatch.setattr(cli, "run_scenario", recording_run)
+        out = tmp_path / "out"
+        code = main(["witness", write_cfg(tmp_path, MARKOVIAN), option, value,
+                     "--out-dir", str(out), "--quiet"])
+        err = capsys.readouterr().err
+        assert line in MARKOVIAN
+        try:
+            from_file = parse_scenario(MARKOVIAN.replace(line, f"{key} = {value}"))
+        except ConfigError as exc:
+            assert not (points_ok if key == "grid.points" else epsilon_ok)
+            assert str(exc).startswith(f"key '{key}': ")
+            assert (code, err) == (1, f"config error: {option}: {exc}\n")
+            assert ran == [] and not out.exists()
+        else:
+            assert points_ok if key == "grid.points" else epsilon_ok
+            assert code in (0, 10) and ran == [from_file] and out.is_dir()
+
+    @pytest.mark.parametrize("option, value, old, new", [
+        ("--epsilon", "0.001", "epsilon = 0.001", "epsilon = 0"),
+        ("--grid-points", "37", "grid.points = 200", "grid.points = 1_000")])
+    def test_a_bad_file_value_that_an_override_replaces_is_still_refused(
+            self, tmp_path, capsys, option, value, old, new):
+        # The file is parsed whole before any override is applied.
+        assert old in MARKOVIAN
+        path = write_cfg(tmp_path, MARKOVIAN.replace(old, new))
+        out = tmp_path / "out"
+        assert main(["witness", path, option, value, "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        key = old.split(" = ")[0]
+        assert err.startswith(f"config error: {path}: key '{key}': ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_validate_with_a_bad_override_is_1(self, capsys):
+        # It used to print OK and exit 0.
+        assert main(["validate", "example1", "--grid-points", "1_000"]) == 1
+        assert capsys.readouterr() == ("", "config error: --grid-points: key 'grid.points': "
+                                           "numbers are written in ASCII digits with no '_', "
+                                           "got '1_000'\n")
 
     def test_report_printed_unless_quiet(self, tmp_path, capsys):
         path = write_cfg(tmp_path, MARKOVIAN)
@@ -702,19 +771,19 @@ class TestParser:
         (["witness", "ex", "--out-dir="], {"out_dir": ""}),
         (["witness", "ex", "--out-dir", "-1"], {"out_dir": "-1"}),
         (["witness", "ex", "--out-dir", "-x y"], {"out_dir": "-x y"}),
-        (["witness", "ex", "--grid-points", "+7"], {"grid_points": 7}),
-        (["witness", "ex", "--grid-points", "1_000"], {"grid_points": 1000}),
-        (["witness", "ex", "--grid-points", "-1"], {"grid_points": -1}),
-        (["witness", "ex", "--epsilon=-1"], {"epsilon": -1.0}),
-        (["witness", "--epsilon", "-1", "ex"], {"epsilon": -1.0}),
-        (["witness", "ex", "--epsilon", "1e-3", "--epsilon", "2"], {"epsilon": 2.0}),
+        (["witness", "ex", "--grid-points", "+7"], {"grid_points": "+7"}),
+        (["witness", "ex", "--grid-points", "1_000"], {"grid_points": "1_000"}),
+        (["witness", "ex", "--grid-points", "-1"], {"grid_points": "-1"}),
+        (["witness", "ex", "--epsilon=-1"], {"epsilon": "-1"}),
+        (["witness", "--epsilon", "-1", "ex"], {"epsilon": "-1"}),
+        (["witness", "ex", "--epsilon", "1e-3", "--epsilon", "2"], {"epsilon": "2"}),
         (["witness", "--quiet", "ex"], {"quiet": True}),
         (["validate", "ex", "--quiet"], {"command": "validate", "quiet": True}),
         (["witness", "--out-dir", "D", "--grid-points", "9", "ex", "--quiet"],
-         {"out_dir": "D", "grid_points": 9, "quiet": True}),
+         {"out_dir": "D", "grid_points": "9", "quiet": True}),
         (["witness", "-1"], {"config": "-1"}),
         (["witness", "-"], {"config": "-"}),
-        (["witness", "ex", "--epsilon", "-1e-3"], {"epsilon": -0.001}),
+        (["witness", "ex", "--epsilon", "-1e-3"], {"epsilon": "-1e-3"}),
         (["witness", "ex", "--out-dir", "-h-not-help"], {"out_dir": "-h-not-help"}),
     ]
 
@@ -742,10 +811,6 @@ class TestParser:
         (["--quiet", "witness", "ex"], "unrecognized arguments: --quiet"),
         (["witness", "ex", "--out-dir"], "argument --out-dir: expected one argument"),
         (["witness", "ex", "--out-dir", "--quiet"], "argument --out-dir: expected one argument"),
-        (["witness", "ex", "--grid-points", "2.5"],
-         "argument --grid-points: invalid int value: '2.5'"),
-        (["witness", "ex", "--grid-points="], "invalid int value: ''"),
-        (["witness", "ex", "--epsilon", "abc"], "argument --epsilon: invalid float value: 'abc'"),
         # Spellings that argparse took and the usage line does not name.
         (["witness", "ex", "--eps", "0.1"], "unrecognized arguments: --eps 0.1"),
         (["witness", "ex", "--out", "D"], "unrecognized arguments: --out D"),
@@ -808,6 +873,25 @@ class TestParser:
     def test_version(self, argv, capsys):
         assert main(argv) == 0
         assert capsys.readouterr() == ("choi-moments 0.1.0\n", "")
+
+    # These were usage errors while the parser converted values itself; the
+    # value is now read by its config key's rule, as in a file.
+    WRONG_TYPE = [
+        (["witness", "example1", "--grid-points", "2.5"],
+         "--grid-points: key 'grid.points': expected an integer, got '2.5'"),
+        (["witness", "example1", "--grid-points="],
+         "--grid-points: key 'grid.points': expected an integer, got ''"),
+        (["witness", "example1", "--epsilon", "abc"],
+         "--epsilon: key 'epsilon': expected a number, got 'abc'"),
+    ]
+
+    @pytest.mark.parametrize("argv, message", WRONG_TYPE, ids=[" ".join(a) for a, _ in WRONG_TYPE])
+    def test_an_option_value_of_the_wrong_type_is_a_config_error(self, tmp_path, argv, message,
+                                                                  capsys):
+        out = tmp_path / "out"
+        assert main([*argv, "--out-dir", str(out)]) == 1
+        assert capsys.readouterr() == ("", f"config error: {message}\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv, message", USAGE_ERRORS,
                              ids=[" ".join(argv) or "none" for argv, _ in USAGE_ERRORS])

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from choi_moments.config import (
     build_generator,
     bundled_scenario_path,
     load_scenario,
+    override,
     parse_scenario,
     render_scenario,
 )
@@ -309,6 +311,45 @@ class TestRoundTrip:
         assert parse_scenario(render_scenario(changed)) == changed
         with pytest.raises(ValueError, match="unexpected field"):
             config._replace(grid_points=3)
+
+
+class TestOverride:
+    """An override of a top-level key reads its text by the rule a document's
+    value of that key is read by."""
+
+    @pytest.mark.parametrize("key, raw", [
+        ("name", "other"), ("generator.dimension", "2"), ("epsilon", "2e-3"),
+        ("grid.t_max", "3.5"), ("grid.points", "+37"), ("mode", "finite-interval"),
+        ("outputs", "compare witness")])
+    def test_equals_the_document_with_that_value(self, key, raw):
+        pattern = rf"^{re.escape(key)} = .*$"
+        assert re.search(pattern, MINIMAL, flags=re.M)
+        want = parse_scenario(re.sub(pattern, f"{key} = {raw}", MINIMAL, flags=re.M))
+        assert override(parse_scenario(MINIMAL), key, raw) == want
+
+    @pytest.mark.parametrize("key, raw, message", [
+        ("generator.dimension", "1", "value must be >= 2, got 1"),
+        ("grid.points", "1_000", "numbers are written in ASCII digits with no '_', got '1_000'"),
+        ("grid.t_max", "-inf", "value must be finite, got '-inf'"),
+        ("epsilon", "0", "value must be positive and finite, got 0.0"),
+        ("mode", "instant", "expected one of ('small-time', 'finite-interval'), got 'instant'"),
+        ("outputs", "measure", "unknown output 'measure'"),
+        ("name", "../x", "expected a file name, not a path, got '../x'")])
+    def test_a_refused_value_is_the_documents_error(self, key, raw, message):
+        with pytest.raises(ConfigError) as info:
+            override(parse_scenario(MINIMAL), key, raw)
+        assert str(info.value).startswith(f"key {key!r}: {message}")
+        with pytest.raises(ConfigError) as in_document:
+            parse_scenario(re.sub(rf"^{re.escape(key)} = .*$", f"{key} = {raw}", MINIMAL,
+                                  flags=re.M))
+        assert str(in_document.value) == str(info.value)
+
+    @pytest.mark.parametrize("key", ["version", "generator.hamiltonian", "grid.tmax", "points"])
+    def test_only_a_key_with_a_rule_of_its_own_has_an_override(self, key):
+        # version is checked before any other key, and the Hamiltonian's
+        # length depends on the dimension.
+        with pytest.raises(KeyError):
+            override(parse_scenario(MINIMAL), key, "1")
 
 
 # Per rate model: its required keys with values, its optional keys with a
