@@ -31,7 +31,8 @@ so every step is a small matrix product or a reduction across a few long
 rows. All propagation
 goes through one batched fixed-step RK4 kernel: `propagate_map` runs it over
 one window, and `bridge_spectra` over one window [t, t + delta] per grid time,
-reusing its most recent sweep when the next call has the same inputs.
+handing its most recent sweep's read-only spectra to the next call with the
+same generator, step and rates.
 The kernel weights the generator's read-only real transfer blocks
 [S_0, S_1, ...], its Hamiltonian part and each dissipator at unit rate in an
 orthonormal basis of Hermitian operators, built from the operators
@@ -47,7 +48,6 @@ state: Tr C = Tr Lambda(I)/d is a sum of d^2 entries of its real transfer
 matrix, those between the diagonal basis elements E_ii.
 """
 
-import operator
 import os
 import sys
 import warnings
@@ -55,7 +55,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .lindblad import LindbladGenerator, from_hermitian_basis, rates_at
+from .lindblad import (LindbladGenerator, from_hermitian_basis, rates_at, require_count,
+                       require_positive)
 
 __all__ = [
     "max_entangled_projector",
@@ -83,9 +84,9 @@ _CHOI_TRACE_ATOL = 1e-6
 _PACKAGE_PREFIX = os.path.dirname(__file__) + os.sep
 _CLI_FILE = _PACKAGE_PREFIX + "cli.py"
 
-# The most recent bridge sweep: (transfer blocks, step, half-step rates,
-# spectra). It is replaced as one tuple, so a thread reads either the
-# old sweep or the new one, never a mix.
+# The most recent bridge sweep: ((generator, step, half-step rates' shape,
+# their bytes), read-only spectra). It is replaced as one tuple, so a thread
+# reads either the old sweep or the new one, never a mix.
 _last_sweep = None
 
 
@@ -108,26 +109,6 @@ def _require_trace_preserving(trace: np.ndarray) -> None:
             + (f"exceeds {_CHOI_TRACE_ATOL:.1e}" if np.isfinite(trace_dev)
                else "is non-finite")
         )
-
-
-def require_positive(name: str, value) -> None:
-    """Refuse, with a ValueError naming it, a value that is not positive and finite."""
-    if not 0.0 < value < np.inf:  # NaN compares false either way
-        raise ValueError(f"{name} must be positive and finite, got {value}")
-
-
-def require_count(name: str, value, minimum: int) -> int:
-    """An integer argument, refused with a ValueError naming it when it is a
-    bool, not an integer (2.5, 3.0, nan, inf) or below the minimum."""
-    try:
-        count = operator.index(value)
-    except TypeError:
-        count = None
-    if count is None or isinstance(value, bool):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if count < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {count}")
-    return count
 
 
 class SmallTimeChoiBuilder:
@@ -421,13 +402,6 @@ def propagate_map(
     return from_hermitian_basis(phi[0], gen.dim)
 
 
-def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
-    """True iff two float or complex arrays hold the same bits; unlike ==,
-    this tells 0.0 from -0.0, which the kernel's output may carry."""
-    return a.shape == b.shape and a.dtype == b.dtype and np.array_equal(
-        np.ascontiguousarray(a).view(np.int64), np.ascontiguousarray(b).view(np.int64))
-
-
 def bridge_spectra(gen: LindbladGenerator, starts, delta: float
                    ) -> tuple[np.ndarray, np.ndarray]:
     """Choi spectra of the bridge maps Lambda(t + delta, t), one per start t.
@@ -437,15 +411,16 @@ def bridge_spectra(gen: LindbladGenerator, starts, delta: float
     propagator from 0 is formed or inverted. Returns the rates gamma_i(t)
     at the starts, shape (W, K), the transposed view of a fresh contiguous
     (K, W) array, and each bridge's Choi eigenvalues in descending order,
-    (W, d^2).
+    (W, d^2), read-only.
     Warns, naming the window, when some step has |h * gamma| >= 0.1 (near a
     rate pole, where the fixed step loses accuracy).
 
     The rates are evaluated, checked and warned about on every call. When the
-    generator's transfer blocks, the step and every half-step rate
-    equal, bit for bit, those of the previous sweep, that sweep's spectra are
-    returned (as a copy) instead of being integrated and eigensolved again:
+    generator is the previous sweep's, and the step and every half-step rate
+    equal that sweep's bit for bit, that sweep's spectra, the same read-only
+    array, are returned instead of being integrated and eigensolved again:
     a finite-interval witness and a scan on one grid and delta share one sweep.
+    A generator is immutable, so it stands for its transfer blocks.
     """
     global _last_sweep
     require_positive("delta", delta)
@@ -461,12 +436,12 @@ def bridge_spectra(gen: LindbladGenerator, starts, delta: float
                 f"RK4 step is dubious: max |h*gamma| = {peak[w]:.3g} in the window "
                 f"starting at t = {starts[w]:.6g} (limit {SMALL_TIME_RATE_LIMIT})"
             )
-    blocks = gen.transfer_blocks
+    # The bytes tell 0.0 from -0.0, which == would not.
+    key = (gen, h, gammas.shape, gammas.tobytes())
     last = _last_sweep
-    if (last is not None and last[1] == h and _same_bits(last[0], blocks)
-            and _same_bits(last[2], gammas)):
+    if last is not None and last[0] == key:
         _debug("reused the last sweep of %d windows", starts.size)
-        return gammas[:, :, 0].copy().T, last[3].copy()
+        return gammas[:, :, 0].copy().T, last[1]
     d = gen.dim
     spectra = np.empty((starts.size, d * d))
     for window, maps in _rk4_chunks(gen, gammas, h):
@@ -477,6 +452,7 @@ def bridge_spectra(gen: LindbladGenerator, starts, delta: float
         # while the other basis elements are traceless.
         _require_trace_preserving(maps[:, :: d + 1, :: d + 1].sum(axis=(1, 2)) / d)
         spectra[window] = np.linalg.eigvalsh(from_hermitian_basis(maps, d, choi=True))[:, ::-1]
-    _last_sweep = (blocks, h, gammas, spectra.copy())
+    spectra.setflags(write=False)
+    _last_sweep = (key, spectra)
     _debug("swept %d windows, d = %d", starts.size, d)
     return gammas[:, :, 0].copy().T, spectra

@@ -24,8 +24,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .choi import require_count, require_positive
-from .lindblad import NAMED_OPERATORS, LindbladGenerator, named_operator, require_hermitian
+from .lindblad import (NAMED_OPERATORS, LindbladGenerator, named_operator, require_count,
+                       require_hermitian, require_positive)
 from .rates import (
     ConstantRate,
     ExpCosRate,

@@ -33,18 +33,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .choi import (
-    SMALL_TIME_RATE_LIMIT,
-    bridge_spectra,
-    require_count,
-    require_positive,
-    warn_caller,
-)
+from .choi import SMALL_TIME_RATE_LIMIT, bridge_spectra, warn_caller
 from .lindblad import (
     UNITAL_ATOL,
     LindbladGenerator,
     rates_at,
+    require_count,
     require_hermitian,
+    require_positive,
     unitality_defects,
 )
 

@@ -31,6 +31,7 @@ Generators are immutable: their arrays are read-only copies, so all
 evaluation is pure.
 """
 
+import operator
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -106,6 +107,26 @@ def require_hermitian(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m_dag)
 
 
+def require_positive(name: str, value) -> None:
+    """Refuse, with a ValueError naming it, a value that is not positive and finite."""
+    if not 0.0 < value < np.inf:  # NaN compares false either way
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
+def require_count(name: str, value, minimum: int) -> int:
+    """An integer argument, refused with a ValueError naming it when it is a
+    bool, not an integer (2.5, 3.0, nan, inf) or below the minimum."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        count = None
+    if count is None or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if count < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {count}")
+    return count
+
+
 def named_operator(name: str, dim: int) -> np.ndarray:
     """Look up a named jump operator, checking it matches the dimension."""
     if name not in NAMED_OPERATORS:
@@ -175,8 +196,9 @@ class LindbladGenerator:
     change the generator, and assigning or deleting any attribute raises
     AttributeError. The jump operators are held once, as the read-only
     stack `operators` (K, d, d), and each pair of `dissipators` holds a
-    view of its operator there. Construction only checks them, and refuses
-    a dissipator that is not an (operator, rate) pair whose rate has a
+    view of its operator there. Construction only checks its arguments: it
+    refuses a `dim` that is not an integer of at least 2 (`require_count`),
+    and a dissipator that is not an (operator, rate) pair whose rate has a
     callable `evaluate`, naming its index. Every table below is a read-only
     array built from the operators on first use and kept: `unitality_images`
     (K, d^2), the images D_k(I/d) that `unitality_defects` contracts with
@@ -193,8 +215,7 @@ class LindbladGenerator:
 
     def __init__(self, dim: int, hamiltonian: np.ndarray,
                  dissipators: tuple[tuple[np.ndarray, RateModel], ...]):
-        if dim < 1:
-            raise ValueError(f"dimension must be >= 1, got {dim}")
+        dim = require_count("dim", dim, 2)
         h = _read_only(require_hermitian(np.asarray(hamiltonian, dtype=complex)))
         if h.shape != (dim, dim):
             raise ValueError(f"Hamiltonian shape {h.shape} does not match dim {dim}")

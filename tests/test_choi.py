@@ -19,7 +19,6 @@ from choi_moments.choi import (
     bridge_spectra,
     max_entangled_projector,
     propagate_map,
-    require_positive,
 )
 from choi_moments.detect import VIOLATION_THRESHOLD, witness_series
 from choi_moments.lindblad import (
@@ -30,6 +29,7 @@ from choi_moments.lindblad import (
     LindbladGenerator,
     from_hermitian_basis,
     rates_at,
+    require_positive,
 )
 from choi_moments.rates import ConstantRate, ExpCosRate
 from helpers import (
@@ -324,19 +324,30 @@ class TestLastSweep:
         monkeypatch.setattr(choi, "_last_sweep", None)
         assert same_bits(result, bridge_spectra(gen, self.GRID, delta))
 
-    def test_hit_is_bit_identical_and_unaffected_by_mutation(self, sweeps):
+    def test_a_hit_returns_the_read_only_spectra_of_the_miss(self, sweeps, monkeypatch):
         gen = random_expcos_generator(np.random.default_rng(3), 3)
-        fresh = bridge_spectra(gen, self.GRID, 0.01)
-        kept = tuple(a.copy() for a in fresh)
-        for a in fresh:
-            a[:] = 0.0
-        hit = bridge_spectra(gen, self.GRID, 0.01)
+        rates, spectra = bridge_spectra(gen, self.GRID, 0.01)
+        assert not spectra.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            spectra[0, 0] = 0.0
+        for _ in range(2):
+            hit_rates, hit_spectra = bridge_spectra(gen, self.GRID, 0.01)
+            assert hit_spectra is spectra
+            # The rates are evaluated afresh on every call.
+            assert hit_rates is not rates and hit_rates.flags.writeable
+            assert same_bits((hit_rates,), (rates,))
         assert len(sweeps) == 1
-        assert same_bits(hit, kept)
-        for a in hit:
-            a[:] = 0.0
-        assert same_bits(bridge_spectra(gen, self.GRID, 0.01), kept)
-        assert len(sweeps) == 1
+        self.assert_fresh(monkeypatch, (rates, spectra), gen, 0.01)
+
+    def test_a_generator_built_from_the_same_parts_misses_and_sweeps_the_same_bits(
+            self, sweeps):
+        gen = random_expcos_generator(np.random.default_rng(3), 3)
+        twin = LindbladGenerator(gen.dim, gen.hamiltonian, gen.dissipators)
+        first = bridge_spectra(gen, self.GRID, 0.01)
+        second = bridge_spectra(twin, self.GRID, 0.01)
+        assert len(sweeps) == 2
+        assert second[1] is not first[1]
+        assert same_bits(second, first)
 
     def test_changed_rate_parameters_miss(self, sweeps, monkeypatch):
         gen, rate = self.mutable_generator()

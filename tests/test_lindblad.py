@@ -132,6 +132,19 @@ class TestConstruction:
         with pytest.raises(ValueError, match="does not match dim"):
             LindbladGenerator(3, np.zeros((3, 3)), ((SIGMA_Z, ConstantRate(1.0)),))
 
+    @pytest.mark.parametrize("dim, message", [
+        (1, "dim must be >= 2, got 1"),
+        (0, "dim must be >= 2, got 0"),
+        (-1, "dim must be >= 2, got -1"),
+        (2.0, "dim must be an integer, got 2.0"),
+        (True, "dim must be an integer, got True"),
+    ])
+    def test_refuses_a_dimension_that_is_not_an_integer_of_at_least_2(self, dim, message):
+        # The check comes before the Hamiltonian is read, so any shape will do.
+        with pytest.raises(ValueError) as info:
+            LindbladGenerator(dim, np.zeros((1, 1)), ())
+        assert str(info.value) == message
+
     def test_fields_are_read_only_and_taken_by_keyword(self):
         gen = LindbladGenerator(dim=2, hamiltonian=SIGMA_X,
                                 dissipators=[(LOWERING, ConstantRate(1.0))])
