@@ -14,8 +14,8 @@ e^{eps L_H} (1 + eps D(t)), so its Choi state is a local unitary
 conjugation of bell + eps X_D(t), with X_D the Choi image of the dissipator
 alone, and has the same moments. Those moments are exact polynomials in
 eps, evaluated from traces of the dissipators' Choi blocks with no
-eigensolve (`SmallTimeChoiBuilder.moments`); no Choi matrix is formed, and
-the blocks come from the jump operators alone, with no superoperator.
+eigensolve (`SmallTimeChoiBuilder.moments`), contractions of the Gram
+matrix of three factors per jump operator: no Choi matrix or block is formed.
 Those trace tables, and every other table that depends on the generator
 alone, are built once per generator: it holds one read-only builder, made
 on first use (`LindbladGenerator.small_time_builder`). The part of its
@@ -116,16 +116,19 @@ class SmallTimeChoiBuilder:
     dissipator, and the moments of the small-time Choi states of the maps
     on [t, t + eps].
 
-    B_k, the Choi image of dissipator k (`blocks`, (K, d^2, d^2)), comes in
-    closed form from its jump operator alone:
-    B_k = (v_k v_k^dag - (w_k e^dag + e w_k^dag)/2)/d, with v_k = vec(L_k^T),
-    w_k = vec((L_k^dag L_k)^T) and e = vec(I), all row-major. The small-time
-    map e^{eps L_H} (1 + eps D(t)) takes the Hamiltonian part exactly, so
-    its Choi state is (I kron U)(bell + eps X_D(t))(I kron U)^dag, with
-    U = e^{-i eps H}, and has the moments of bell + eps X_D: the Hamiltonian
-    enters no table. (The first-order state bell + eps X, with the
-    Hamiltonian's Choi image in X, is not a state: that part alone gives a
-    positive witness of order eps^2 |H|^2.) The generator enters only
+    B_k, the Choi image of dissipator k, comes in closed form from its jump
+    operator alone: B_k = (v_k v_k^dag - (w_k e^dag + e w_k^dag)/2)/d =
+    F_k M F_k^dag, over the d^2 x 3 factors F_k = [v_k, w_k, e] with
+    v_k = vec(L_k^T), w_k = vec((L_k^dag L_k)^T) and e = vec(I), all
+    row-major, and M = [[1, 0, 0], [0, 0, -1/2], [0, -1/2, 0]]/d. No block
+    is formed: every table contracts the Gram matrix G_kl = F_k^dag F_l,
+    (K, 3, K, 3), and p_k = F_k^dag Phi+. The
+    small-time map e^{eps L_H} (1 + eps D(t)) takes the Hamiltonian part
+    exactly, so its Choi state is (I kron U)(bell + eps X_D(t))(I kron U)^dag,
+    with U = e^{-i eps H}, and has the moments of bell + eps X_D: the
+    Hamiltonian enters no table. (The first-order state bell + eps X, with
+    the Hamiltonian's Choi image in X, is not a state: that part alone gives
+    a positive witness of order eps^2 |H|^2.) The generator enters only
     through its rates, so a grid costs one rate call and one product of the
     rates with tables of traces of the blocks (`moments`, which needs no
     eigensolve). Rates come as rows, (K, n) for n times
@@ -133,13 +136,15 @@ class SmallTimeChoiBuilder:
     short last axis row by row, but across rows as whole-row operations.
 
     Everything that depends on the generator alone is built once from its
-    operator stack (`LindbladGenerator.operators`, (K, d, d)) and is
-    read-only: the blocks and the dissipator scales max|B_k| here, the
-    trace tables of `moments` (`trace_tables`) and the table of
-    `projected_spectra` (`projected_table`) on first use. Each
-    generator holds one builder, `LindbladGenerator.small_time_builder`,
-    which every caller uses; building another with `SmallTimeChoiBuilder(gen)`
-    gives the same tables.
+    operator stack (`LindbladGenerator.operators`, (K, d, d)), read-only:
+    here `bell_overlaps`, x_k = p_k^dag M p_k; `trace_tables`, the tables of
+    `moments`, Tr(B_k B_l) = Tr(M G_kl M G_lk) and Re <Phi+|B_k B_l|Phi+> =
+    Re (M p_k)^dag G_kl (M p_l), (K, K), and Re Tr(B_k B_l B_m) =
+    Re Tr(M G_kl M G_lm M G_mk), flattened over (k, l) to (K^2, K); and
+    `dissipator_scales`, ||B_k||_F = sqrt(Tr B_k^2); on first use, the table
+    of `projected_spectra` (`projected_table`). K = 0 gives empty tables.
+    Each generator holds one builder, `LindbladGenerator.small_time_builder`;
+    `SmallTimeChoiBuilder(gen)` gives the same tables.
 
     Off the Bell direction, with Q = I - bell, each dissipator leaves one
     rank-1 term, Q B_k Q = v_k v_k^dag with v_k = vec((L_k - Tr(L_k)/d I)^T)/sqrt(d).
@@ -158,38 +163,30 @@ class SmallTimeChoiBuilder:
         self.gen = gen
         ops = gen.operators
         d, k = gen.dim, len(ops)
-        self.bell = max_entangled_projector(d)
-        v = np.swapaxes(ops, 1, 2).reshape(k, d * d)
-        w = np.swapaxes(np.swapaxes(ops, 1, 2).conj() @ ops, 1, 2).reshape(k, d * d)
-        e = np.eye(d).ravel()
-        self.blocks = (v[:, :, None] * v.conj()[:, None]
-                       - 0.5 * (w[:, :, None] * e + e[:, None] * w.conj()[:, None])) / d
-        # x_k = <Phi+|B_k|Phi+>, so that <Phi+|X_D|Phi+> = x . gamma.
-        self.bell_overlaps = np.einsum("ab,kba->k", self.bell, self.blocks).real
-        # max|B_k|, which scales the noise floor of `detect._rate_limits`.
-        self.dissipator_scales = np.max(np.abs(self.blocks), axis=(1, 2))
-        for table in (self.bell, self.blocks, self.bell_overlaps, self.dissipator_scales):
+        # The factors F_k = [v_k, w_k, e] as rows, (K, 3, d^2), and their
+        # Gram matrix G_kl = F_k^dag F_l, (K, 3, K, 3).
+        factors = np.empty((k, 3, d * d), dtype=complex)
+        flipped = np.swapaxes(ops, 1, 2)
+        factors[:, 0] = flipped.reshape(k, d * d)
+        factors[:, 1] = np.swapaxes(flipped.conj() @ ops, 1, 2).reshape(k, d * d)
+        factors[:, 2] = e = np.eye(d).ravel()
+        rows = factors.reshape(3 * k, d * d)
+        gram = (rows.conj() @ rows.T).reshape(k, 3, k, 3)
+        weight = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, -0.5], [0.0, -0.5, 0.0]]) / d
+        # A_kl = M G_kl, p_k = F_k^dag Phi+ with Phi+ = e/sqrt(d), and M p_k.
+        a = np.einsum("ab,kblc->kalc", weight, gram)
+        p = factors.conj() @ e / np.sqrt(d)
+        mp = p @ weight
+        # x_k = <Phi+|B_k|Phi+> = p_k^dag M p_k, so that <Phi+|X_D|Phi+> = x . gamma.
+        self.bell_overlaps = np.einsum("ka,ka->k", p.conj(), mp).real
+        self.trace_tables = (
+            np.einsum("kalb,lbka->kl", a, a).real,
+            np.einsum("ka,kalb,lb->kl", mp.conj(), gram, mp).real,
+            np.einsum("kalb,lbmc,mcka->klm", a, a, a).real.reshape(k * k, k))
+        # ||B_k||_F, the noise floor's scale: a zero block's Tr B_k^2 may round below 0.
+        self.dissipator_scales = np.sqrt(np.maximum(self.trace_tables[0].diagonal(), 0.0))
+        for table in (self.bell_overlaps, self.dissipator_scales, *self.trace_tables):
             table.setflags(write=False)
-
-    @cached_property
-    def trace_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The tables of `moments`: Tr(B_k B_l) and Re <Phi+|B_k B_l|Phi+>,
-        (K, K), and Re Tr(B_k B_l B_m), flattened over (k, l) to (K^2, K).
-        They take K^2 products of the d^2 x d^2 blocks, which the measures
-        never need, so they are built on first use; the arrays are
-        read-only. Every reshape names its sizes, so K = 0 gives empty
-        tables.
-        """
-        k, size = len(self.blocks), self.bell.size
-        pairs = (self.blocks[:, None] @ self.blocks[None]).reshape(k * k, size)
-        # Tr(A B) = sum_ab A_ab B_ba: contract with transposed blocks and bell.
-        flipped = np.swapaxes(self.blocks, 1, 2).reshape(k, size)
-        tables = ((self.blocks.reshape(k, size) @ flipped.T).real,
-                  (pairs @ self.bell.T.ravel()).real.reshape(k, k),
-                  (pairs @ flipped.T).real)
-        for table in tables:
-            table.setflags(write=False)
-        return tables
 
     @cached_property
     def projected_table(self) -> np.ndarray:
@@ -257,7 +254,7 @@ class SmallTimeChoiBuilder:
         exactly. x0, s2, sb and s3 are forms in the rates gamma of degree 1,
         2, 2 and 3 over the tables x_k, Tr(B_k B_l), Re <Phi+|B_k B_l|Phi+>
         and Re Tr(B_k B_l B_m); the blocks are Hermitian, so the real parts
-        are the whole contractions. The tables are built once per builder
+        are the whole contractions. The tables are built with the builder
         (`trace_tables`). Each form is a small matrix product over long
         rows, one row per block:
         x0 = x . gamma, s2 = sum_k gamma_k (T2 gamma)_k, likewise sb, and

@@ -60,8 +60,8 @@ __all__ = [
 # Witness values above this certify a violation. Sits well above eigensolver
 # noise (~1e-14) and well below the smallest physical signal in scope (~1e-5).
 VIOLATION_THRESHOLD = 1e-12
-# Relative size, against the entries of the generator's Choi image, below
-# which a rate-limit term is rounding noise and counts as zero.
+# Relative size, against the Frobenius norm of the dissipator's Choi image,
+# below which a rate-limit term is rounding noise and counts as zero.
 _RATE_NOISE = 1e-12
 # Minimum negative Choi eigenvalue that still counts as CP in the scan.
 _SCAN_CP_TOL = 1e-10
@@ -223,7 +223,7 @@ def _rate_limits(gen: LindbladGenerator, gammas: np.ndarray) -> tuple[np.ndarray
     The Hamiltonian's part of the small-time map is a local unitary
     conjugation of its Choi state, so it changes no moment and no
     eigenvalue: both limits read only X_D = sum_i gamma_i B_i, the Choi
-    image of the dissipator, over the builder's blocks B_i. With
+    image of the dissipator, over its blocks B_i (never formed). With
     C = bell + eps X_D, r_2^2 - r_3 = eps <Phi+|X_D|Phi+> + O(eps^2), so
     f = max(0, <Phi+|X_D|Phi+>), the leading coefficient of the small-time
     witness: a linear form in the rates over the builder's <Phi+|B_i|Phi+>.
@@ -236,7 +236,9 @@ def _rate_limits(gen: LindbladGenerator, gammas: np.ndarray) -> tuple[np.ndarray
     (|G_ij| <= 1e-14 sqrt(G_ii G_jj) counts as orthogonal), and otherwise
     the eigenvalues of R diag(gamma) R^dag over all of them, V = W R; the
     zero ones add nothing to g. Terms within 1e-12 of the size of X_D,
-    sum_k |gamma_k| max|B_k|, are rounding noise and count as zero, so
+    sum_k |gamma_k| ||B_k||_F (the builder's `dissipator_scales`, read off
+    its Tr(B_k^2) table with no pass over entries), are rounding noise and
+    count as zero, so
     Markovian generators give exactly f = g = 0, and a strong Hamiltonian
     neither scales the noise floor nor erases a weak negative rate. The
     noise floor, f and g are each a product or a reduction across the rows

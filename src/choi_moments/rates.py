@@ -273,19 +273,18 @@ class TabulatedRate(RateModel):
 
 
 def rate_eval(model: RateModel, t):
-    """Evaluate a rate model at a time t >= 0, or elementwise over an array of times.
+    """Evaluate a rate model at a finite time t >= 0, or elementwise over an array of times.
 
     A scalar time gives a float, an array of times an array of its shape. The
     scalar call evaluates a one-element array, so it matches the array call
-    bit for bit. A refused time (negative, a pole, outside a table) is
-    reported as the earliest such time.
+    bit for bit. A refused time (negative, NaN or +inf, a pole, outside a
+    table) is reported as the earliest such time, or as NaN if there is one.
     """
     times = np.asarray(t, dtype=float)
     flat = times.reshape(-1)
-    negative = flat < 0
-    if negative.any():
+    if not (flat.min(initial=0.0) >= 0 and flat.max(initial=0.0) < np.inf):  # NaN fails both
+        refused = flat[~((flat >= 0) & (flat < np.inf))]
         raise ValueError(
-            f"rate models are defined for t >= 0, got t = {float(np.min(flat[negative]))}"
-        )
+            f"rate models are defined for finite t >= 0, got t = {float(np.min(refused))}")
     values = np.asarray(model.evaluate(flat), dtype=float)
     return float(values[0]) if times.ndim == 0 else values.reshape(times.shape)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from choi_moments import choi
-from choi_moments.choi import SmallTimeChoiBuilder, max_entangled_projector
+from choi_moments.choi import max_entangled_projector
 from choi_moments.lindblad import (
     SIGMA_X,
     SIGMA_Y,
@@ -280,6 +280,17 @@ def reference_small_time_witness(gen, grid, eps):
     return np.array(rates), r2, r3, r2**2 - r3
 
 
+def reference_dissipator_blocks(gen):
+    """The Choi image of each dissipator alone at unit rate, (K, d^2, d^2),
+    each through `reference_generator_choi` of a generator with that one
+    dissipator and no Hamiltonian."""
+    d = gen.dim
+    return np.array([
+        reference_generator_choi(
+            LindbladGenerator(d, np.zeros((d, d)), ((op, ConstantRate(1.0)),)), 0.0)
+        for op, _ in gen.dissipators]).reshape(-1, d * d, d * d)
+
+
 def reference_rhp_rates(gen, grid):
     """Trace-norm rates g(t) = 2 sum_j max(0, -mu_j), with mu_j the eigenvalues
     of the d^2 x d^2 matrix Q X(t) Q and Q = I - bell, one grid point and one
@@ -289,12 +300,12 @@ def reference_rhp_rates(gen, grid):
     Hamiltonian's Choi block B_0 has Q B_0 Q = 0, and it keeps the rounding
     of a Hamiltonian that dwarfs the rates out of the eigenvalues.
     Eigenvalues within the package's noise level (1e-12 of the size of the
-    dissipators' part of X) count as zero, as in the package.
+    dissipators' part of X, sum_k |gamma_k| ||B_k||_F over the blocks of
+    `reference_dissipator_blocks`) count as zero, as in the package.
     """
     bare = LindbladGenerator(gen.dim, np.zeros((gen.dim, gen.dim)), gen.dissipators)
-    builder = SmallTimeChoiBuilder(bare)
-    q = np.eye(gen.dim**2) - builder.bell
-    block_sizes = np.max(np.abs(builder.blocks), axis=(1, 2))
+    q = np.eye(gen.dim**2) - max_entangled_projector(gen.dim)
+    block_sizes = np.linalg.norm(reference_dissipator_blocks(gen), axis=(1, 2))
     g = []
     for t in grid:
         noise = 1e-12 * max(1.0, float(np.abs(rates_at(gen, float(t))) @ block_sizes))

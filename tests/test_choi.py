@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.linalg import expm
 
@@ -41,8 +42,11 @@ from helpers import (
     isotropic_pauli_generator,
     random_expcos_generator,
     random_generator,
+    random_hermitian,
+    random_normal_operator,
     reference_bridge_spectra,
     reference_choi,
+    reference_dissipator_blocks,
     reference_rk4_propagate,
     reference_superoperator,
 )
@@ -567,18 +571,34 @@ class TestChoiStates:
             assert np.max(np.abs(reference_choi(first_order)
                                  - first_order_choi(gen, t, eps))) < 1e-12
 
-    @pytest.mark.parametrize("d", [2, 3, 4])
-    def test_builder_blocks_are_the_dissipators_choi_images(self, d):
-        # B_k, built from the jump operator alone, against the loop-built
-        # Choi state of dissipator k's superoperator, alone at unit rate.
-        rng = np.random.default_rng(70 + d)
-        gen = random_generator(rng, d, n_ops=3)
-        blocks = SmallTimeChoiBuilder(gen).blocks
-        assert blocks.shape == (3, d * d, d * d)
-        for (op, _), block in zip(gen.dissipators, blocks):
-            alone = LindbladGenerator(d, np.zeros((d, d)), ((op, ConstantRate(1.0)),))
-            want = reference_choi(reference_superoperator(alone, 0.0))
-            assert np.max(np.abs(block - want)) <= 1e-15
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 5), k=st.integers(0, 4))
+    def test_builder_tables_are_traces_of_the_dissipators_choi_images(self, seed, d, k):
+        # The tables, contracted from three factors per jump operator, against
+        # explicit traces of each dissipator's loop-built Choi image at unit
+        # rate. Random complex operators, the second a repeat of the first and
+        # the third normal, under a nonzero Hamiltonian.
+        rng = np.random.default_rng(seed)
+        ops = [rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for _ in range(k)]
+        if k > 1:
+            ops[1] = ops[0]
+        if k > 2:
+            ops[2] = random_normal_operator(rng, d)
+        gen = LindbladGenerator(d, random_hermitian(rng, d),
+                                tuple((op, ConstantRate(1.0)) for op in ops))
+        builder = SmallTimeChoiBuilder(gen)
+        blocks = reference_dissipator_blocks(gen)
+        bell = max_entangled_projector(d)
+        want = (np.einsum("ab,kba->k", bell, blocks).real,
+                np.einsum("kab,lba->kl", blocks, blocks).real,
+                np.einsum("ab,kbc,lca->kl", bell, blocks, blocks).real,
+                np.einsum("kab,lbc,mca->klm", blocks, blocks, blocks).real.reshape(k * k, k))
+        norms = np.linalg.norm(blocks, axis=(1, 2))
+        for got, table in zip((builder.bell_overlaps, *builder.trace_tables,
+                               builder.dissipator_scales), (*want, norms)):
+            assert got.shape == table.shape
+            scale = np.max(np.abs(table), initial=0.0)
+            assert np.max(np.abs(got - table), initial=0.0) <= 1e-13 * scale
 
     def test_small_time_agrees_with_finite_interval_to_second_order(self):
         gens = {

@@ -1,5 +1,6 @@
 import math
 import os
+import tracemalloc
 import warnings
 from dataclasses import dataclass
 
@@ -50,6 +51,7 @@ from helpers import (
     random_unital_generator,
     random_unitary,
     reference_choi,
+    reference_dissipator_blocks,
     reference_generator_choi,
     reference_rate_limits,
     reference_rhp_rates,
@@ -518,11 +520,10 @@ class TestTraceNormRate:
         # Q B_H Q = 0 for the Hamiltonian's Choi image B_H, and
         # Q B_k Q = v_k v_k^dag, v_k = vec((L_k - Tr L_k/d I)^T)/sqrt(d).
         gen = random_generator(np.random.default_rng(200 + d), d, n_ops=3)
-        builder = SmallTimeChoiBuilder(gen)
-        q = np.eye(d * d) - builder.bell
+        q = np.eye(d * d) - max_entangled_projector(d)
         hamiltonian = reference_generator_choi(LindbladGenerator(d, gen.hamiltonian, ()), 0.0)
         assert np.max(np.abs(q @ hamiltonian @ q)) <= 1e-14 * np.max(np.abs(hamiltonian))
-        for (op, _), full in zip(gen.dissipators, builder.blocks):
+        for (op, _), full in zip(gen.dissipators, reference_dissipator_blocks(gen)):
             v = (op - np.trace(op) / d * np.eye(d)).T.ravel() / np.sqrt(d)
             block = q @ full @ q
             assert np.max(np.abs(block - np.outer(v, v.conj()))) <= 1e-14 * np.max(np.abs(full))
@@ -644,7 +645,7 @@ class TestTraceNormRate:
         mu = builder.projected_spectra(rates_at(gen, grid).T)
         assert mu.shape == (4, 7)
         bare = LindbladGenerator(3, np.zeros((3, 3)), gen.dissipators)
-        q = np.eye(9) - builder.bell
+        q = np.eye(9) - max_entangled_projector(3)
         for t, got in zip(grid, mu.T):
             full = np.linalg.eigvalsh(q @ reference_generator_choi(bare, float(t)) @ q)
             want = np.sort(full[np.argsort(np.abs(full))[-4:]])
@@ -920,7 +921,7 @@ class TestMeasures:
         assert np.flatnonzero(report.g_series).tolist() == [first - 1]
 
 
-_BUILDER_TABLES = ("bell", "blocks", "bell_overlaps", "dissipator_scales")
+_BUILDER_TABLES = ("bell_overlaps", "dissipator_scales")
 
 
 class TestGeneratorBuilder:
@@ -984,15 +985,22 @@ class TestGeneratorBuilder:
             with pytest.raises(ValueError, match="read-only"):
                 table.flat[0] = 1.0
 
-    def test_measures_build_no_trace_tables(self):
-        gen = random_expcos_generator(np.random.default_rng(6), 3, n_ops=3)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # random jump operators are not unital
-            measure_report(gen, 2.0, 21)
-            witness_series(gen, np.linspace(0.0, 1.0, 6), 0.05, mode="finite-interval")
-        assert "trace_tables" not in vars(gen.small_time_builder)
-        witness_series(gen, np.linspace(0.0, 1.0, 6), 1e-3)
-        assert "trace_tables" in vars(gen.small_time_builder)
+    def test_a_d32_register_assesses_below_the_size_of_one_d4_array(self):
+        # Local sigma_z dephasing on each of five qubits (d = 32, K = 5): no
+        # table holds a d^2 x d^2 block, so a small-time run of 2000 points
+        # peaks far below one complex d^4 array, 16 MiB.
+        n, d = 5, 32
+        ops = [np.kron(np.kron(np.eye(2**j), SIGMA_Z), np.eye(2 ** (n - 1 - j)))
+               for j in range(n)]
+        gen = LindbladGenerator(d, np.zeros((d, d)), tuple((op, ExpCosRate(k=1.0)) for op in ops))
+        tracemalloc.start()
+        try:
+            series, measures, _ = assess(gen, np.linspace(0.0, 20.0, 2000), 1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert series.is_non_markovian and measures.rhp_measure > 0.0
+        assert peak < 16 * 2**20
 
     def test_pauli_channel_does_not_warn_not_unital(self):
         gen = LindbladGenerator(2, SIGMA_Z, tuple(

@@ -112,7 +112,7 @@ class TestConstruction:
             assert not op.flags.writeable
         assert all(op.flags.writeable for op in ops)
         # Every table reads the one stack, so K = 0 gives empty tables.
-        assert gen.small_time_builder.blocks.shape == (k, 4, 4)
+        assert gen.small_time_builder.trace_tables[2].shape == (k * k, k)
         assert gen.unitality_images.shape == (k, 4)
         assert gen.transfer_blocks.shape == (k + 1, 4, 4)
 
@@ -253,6 +253,11 @@ class TestSuperoperator:
         assert lindblad._rate_rows(gen, t).tobytes() == want.tobytes()
         empty = rates_at(LindbladGenerator(2, SIGMA_Z, ()), t)
         assert empty.shape == shape + (0,)
+
+    def test_rates_at_refuses_a_nan_time(self):
+        gen = LindbladGenerator(2, SIGMA_X, ((SIGMA_Z, ConstantRate(1.0)),))
+        with pytest.raises(ValueError, match=r"defined for finite t >= 0, got t = nan$"):
+            rates_at(gen, [0.0, np.nan])
 
     def test_dephasing_is_diagonal(self):
         gen = dephasing_generator(ConstantRate(1.0))

@@ -250,6 +250,17 @@ class TestArrayContract:
         grid = ts.reshape(-1, 1)
         assert np.array_equal(rate_eval(model, grid), values.reshape(grid.shape))
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("name", sorted(ARRAY_MODELS))
+    def test_refuses_a_time_that_is_not_finite(self, name, t):
+        # Refused before the model sees the time, whatever it would answer.
+        model = ARRAY_MODELS[name]
+        message = rf"rate models are defined for finite t >= 0, got t = {t}$"
+        with pytest.raises(ValueError, match=message):
+            rate_eval(model, t)
+        with pytest.raises(ValueError, match=message):
+            rate_eval(model, np.array([[0.5, t], [1.0, 2.0]]))
+
     def test_grid_call_names_the_earliest_pole(self):
         model = LorentzianRate(lam=1.5, gamma0=1.0)
         g_abs = math.sqrt(2.0 * 1.0 * 1.5 - 1.5 * 1.5)
