@@ -24,15 +24,14 @@ follows one rule (`SmallTimeChoiBuilder.projected_spectra`): when the
 operators are pairwise trace-orthogonal (a Gram entry
 |G_ij| <= 1e-14 sqrt(G_ii G_jj) counts as zero) each gives its eigenvalue
 with no solve, and any other set gives the spectrum of its rate-weighted
-Gram matrix, all operators in one solve. Rates stay rates-major from the
-models into the RK4 kernel, one row per jump operator: (K, n) for n grid
-times, (K, W, 2m + 1) for the half-step times of W windows of m RK4 steps,
-so every step is a small matrix product or a reduction across a few long
-rows. All propagation
-goes through one batched fixed-step RK4 kernel: `propagate_map` runs it over
-one window, and `bridge_spectra` over one window [t, t + delta] per grid time,
-handing its most recent sweep's read-only spectra to the next call with the
-same generator, step and rates.
+Gram matrix, all operators in one solve. Rates are rows from the models
+(`rates_at`) into the RK4 kernel, one row per jump operator: (K, n) for n
+grid times, (K, W, 2m + 1) for the half-step times of W windows of m RK4
+steps, so every step is a small matrix product or a reduction across a few
+long rows. All propagation goes through one batched fixed-step RK4 kernel:
+`propagate_map` runs it over one window, and `bridge_spectra` over one
+window [t, t + delta] per grid time, handing its most recent sweep's
+read-only spectra to the next call with the same generator, step and rates.
 The kernel weights the generator's read-only real transfer blocks
 [S_0, S_1, ...], its Hamiltonian part and each dissipator at unit rate in an
 orthonormal basis of Hermitian operators, built from the operators
@@ -92,8 +91,7 @@ _last_sweep = None
 
 def max_entangled_projector(d: int) -> np.ndarray:
     """Rank-1 projector onto (1/sqrt(d)) sum_i |ii>; trace 1, purity 1."""
-    if d < 2:
-        raise ValueError(f"maximally entangled state needs d >= 2, got d = {d}")
+    d = require_count("d", d, 2)
     phi = np.zeros(d * d, dtype=complex)
     phi[:: d + 1] = 1.0 / np.sqrt(d)
     return np.outer(phi, phi.conj())
@@ -131,9 +129,9 @@ class SmallTimeChoiBuilder:
     a positive witness of order eps^2 |H|^2.) The generator enters only
     through its rates, so a grid costs one rate call and one product of the
     rates with tables of traces of the blocks (`moments`, which needs no
-    eigensolve). Rates come as rows, (K, n) for n times
-    (`rates_at(gen, times).T`, no copy): numpy runs a reduction along a
-    short last axis row by row, but across rows as whole-row operations.
+    eigensolve). Rates come as rows, (K, n) for n times, as `rates_at`
+    returns them: numpy runs a reduction along a short last axis row by
+    row, but across rows as whole-row operations.
 
     Everything that depends on the generator alone is built once from its
     operator stack (`LindbladGenerator.operators`, (K, d, d)), read-only:
@@ -279,13 +277,10 @@ def _half_step_rates(
     gen: LindbladGenerator, starts: np.ndarray, h: float, steps: int
 ) -> np.ndarray:
     """Rates at the 2*steps + 1 half-step times of every window as rows,
-    (K, W, 2*steps + 1), C-contiguous: the rows `rates_at` is a view of.
-
-    A step's end time is the next step's start, so a step costs two rate
-    evaluations. Non-finite rates are refused, naming the earliest such time.
+    (K, W, 2*steps + 1). A step's end time is the next step's start, so a
+    step costs two rate evaluations.
     """
-    times = starts[:, None] + (0.5 * h) * np.arange(2 * steps + 1)
-    return np.moveaxis(rates_at(gen, times), -1, 0)
+    return rates_at(gen, starts[:, None] + (0.5 * h) * np.arange(2 * steps + 1))
 
 
 def _rk4_product(blocks: np.ndarray, gammas: np.ndarray, h: float) -> np.ndarray:
@@ -406,9 +401,8 @@ def bridge_spectra(gen: LindbladGenerator, starts, delta: float
     Each bridge is integrated directly over its own window with
     max(1, round(DEFAULT_STEPS_PER_UNIT * delta)) RK4 steps, so no
     propagator from 0 is formed or inverted. Returns the rates gamma_i(t)
-    at the starts, shape (W, K), the transposed view of a fresh contiguous
-    (K, W) array, and each bridge's Choi eigenvalues in descending order,
-    (W, d^2), read-only.
+    at the starts as rows, (K, W), and each bridge's Choi eigenvalues in
+    descending order, (W, d^2), read-only.
     Warns, naming the window, when some step has |h * gamma| >= 0.1 (near a
     rate pole, where the fixed step loses accuracy).
 
@@ -438,7 +432,7 @@ def bridge_spectra(gen: LindbladGenerator, starts, delta: float
     last = _last_sweep
     if last is not None and last[0] == key:
         _debug("reused the last sweep of %d windows", starts.size)
-        return gammas[:, :, 0].copy().T, last[1]
+        return gammas[:, :, 0].copy(), last[1]
     d = gen.dim
     spectra = np.empty((starts.size, d * d))
     for window, maps in _rk4_chunks(gen, gammas, h):
@@ -452,4 +446,4 @@ def bridge_spectra(gen: LindbladGenerator, starts, delta: float
     spectra.setflags(write=False)
     _last_sweep = (key, spectra)
     _debug("swept %d windows, d = %d", starts.size, d)
-    return gammas[:, :, 0].copy().T, spectra
+    return gammas[:, :, 0].copy(), spectra

@@ -78,8 +78,8 @@ class WitnessSeries(NamedTuple):
     values: np.ndarray
     r2: np.ndarray
     r3: np.ndarray
-    # gamma_i(t), shape (len(grid), number of dissipators): a transposed view
-    # of the rates' rows (K, n).
+    # gamma_i(t), shape (len(grid), number of dissipators): the layout of the
+    # witness CSV's columns, and the one place rates are not rows (K, n).
     rates: np.ndarray
     violations: tuple[tuple[float, float], ...]
 
@@ -172,11 +172,12 @@ def _witness_args(grid, epsilon: float, mode: str) -> np.ndarray:
     return grid
 
 
-def _witness(gen: LindbladGenerator, grid: np.ndarray, epsilon: float, rows, bridge=None
-             ) -> WitnessSeries:
-    """The witness series on a checked grid: small-time from the rates on the
-    grid as rows (K, n), or, given one, from a `bridge_spectra` result."""
-    if bridge is None:
+def _witness(gen: LindbladGenerator, grid: np.ndarray, epsilon: float, rows: np.ndarray,
+             spectra: np.ndarray | None = None) -> WitnessSeries:
+    """The witness series on a checked grid, with the rates on it as rows
+    (K, n): small-time from the rates, or, given them, finite-interval from
+    the bridges' Choi spectra (n, d^2)."""
+    if spectra is None:
         # max|eps*gamma| = eps*max|gamma| exactly: rounding is monotone.
         worst = epsilon * float(np.max(np.abs(rows))) if rows.size else 0.0
         if worst >= SMALL_TIME_RATE_LIMIT:
@@ -187,16 +188,14 @@ def _witness(gen: LindbladGenerator, grid: np.ndarray, epsilon: float, rows, bri
                 f"(limit {SMALL_TIME_RATE_LIMIT})"
             )
         r2, r3, values = gen.small_time_builder.moments(rows, epsilon)
-        rates = rows.T
     else:
-        rates, lam = bridge
-        r2 = np.sum(lam**2, axis=1)
-        r3 = np.sum(lam**3, axis=1)
+        r2 = np.sum(spectra**2, axis=1)
+        r3 = np.sum(spectra**3, axis=1)
         values = r2**2 - r3
 
-    mode = "small-time" if bridge is None else "finite-interval"
+    mode = "small-time" if spectra is None else "finite-interval"
     return WitnessSeries(grid=grid, epsilon=float(epsilon), mode=mode, values=values, r2=r2,
-                         r3=r3, rates=rates,
+                         r3=r3, rates=rows.T,
                          violations=_violation_intervals(grid, values, VIOLATION_THRESHOLD))
 
 
@@ -212,8 +211,8 @@ def witness_series(gen: LindbladGenerator, grid, epsilon: float, mode: str = "sm
     """
     grid = _witness_args(grid, epsilon, mode)
     if mode == "small-time":
-        return _witness(gen, grid, epsilon, rates_at(gen, grid).T)
-    return _witness(gen, grid, epsilon, None, bridge_spectra(gen, grid, epsilon))
+        return _witness(gen, grid, epsilon, rates_at(gen, grid))
+    return _witness(gen, grid, epsilon, *bridge_spectra(gen, grid, epsilon))
 
 
 def _rate_limits(gen: LindbladGenerator, gammas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -268,7 +267,7 @@ def measure_report(gen: LindbladGenerator, t_max: float, grid_points: int) -> Me
     """
     require_positive("t_max", t_max)
     grid = np.linspace(0.0, t_max, require_count("grid_points", grid_points, 2))
-    return _measures(gen, grid, rates_at(gen, grid).T)
+    return _measures(gen, grid, rates_at(gen, grid))
 
 
 def _measures(gen: LindbladGenerator, grid: np.ndarray, gammas: np.ndarray) -> MeasureReport:
@@ -276,7 +275,7 @@ def _measures(gen: LindbladGenerator, grid: np.ndarray, gammas: np.ndarray) -> M
     as rows (K, n)."""
     f_series, g_series = _rate_limits(gen, gammas)
 
-    if np.any(unitality_defects(gen, gammas.T) >= UNITAL_ATOL):
+    if np.any(unitality_defects(gen, gammas) >= UNITAL_ATOL):
         warn_caller(
             "generator is not unital: the moment measure is only proven to be "
             "a measure for unital dynamics; interpret the value with care"
@@ -330,10 +329,9 @@ def assess(gen: LindbladGenerator, grid, epsilon: float, mode: str = "small-time
     """
     grid = _witness_args(grid, epsilon, mode)
     if mode == "small-time" and not scan:
-        bridge, rows = None, rates_at(gen, grid).T
+        rows, spectra = rates_at(gen, grid), None
     else:
-        bridge = bridge_spectra(gen, grid, epsilon)
-        rows = bridge[0].T
-    series = _witness(gen, grid, epsilon, rows, None if mode == "small-time" else bridge)
+        rows, spectra = bridge_spectra(gen, grid, epsilon)
+    series = _witness(gen, grid, epsilon, rows, None if mode == "small-time" else spectra)
     measures = _measures(gen, grid, rows)
-    return series, measures, _scan(grid, epsilon, bridge[1]) if scan else None
+    return series, measures, _scan(grid, epsilon, spectra) if scan else None

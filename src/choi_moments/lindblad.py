@@ -10,10 +10,10 @@ so it is affine in the rates: L_t = S_0 + sum_i gamma_i(t) S_i, with S_0 the
 Hamiltonian part and S_i dissipator i at unit rate. Vectorization is
 row-major project-wide: vec(A X B) = (A kron B^T) vec(X).
 
-Rates leave the models by one path, `_rate_rows`, which refuses a NaN or
-infinite one: rows (K,) + times.shape, one per dissipator. `rates_at` is
-their view with that axis last, so every caller down to the RK4 kernel
-reads the rows with no copy.
+Rates leave the models by one path, `rates_at`: rows (K,) + times.shape,
+one per dissipator, which every caller down to the RK4 kernel reads as
+they are. It refuses a time the models are not defined at and a NaN or
+infinite rate.
 
 The generator preserves Hermiticity, so in an orthonormal basis of
 Hermitian operators F_p its parts are real matrices, the transfer blocks
@@ -36,7 +36,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .rates import RateModel, rate_eval
+from .rates import RateModel, rate_eval, require_rate_times
 
 __all__ = [
     "SIGMA_X",
@@ -285,15 +285,20 @@ class LindbladGenerator:
         return SmallTimeChoiBuilder(self)
 
 
-def _rate_rows(gen: LindbladGenerator, times: np.ndarray) -> np.ndarray:
-    """Dissipator rates at every time of a float array, one row per
-    dissipator: shape (K,) + times.shape, C-contiguous.
+def rates_at(gen: LindbladGenerator, t) -> np.ndarray:
+    """Dissipator rates at a time t, shape (K,), or at every time of an
+    array t as rows, one per dissipator: shape (K,) + t.shape, C-contiguous.
 
     One `rate_eval` call per rate model: dissipators that share a model
-    object are evaluated once and fill each of their rows. A NaN or infinite
-    rate is refused, naming the earliest time that has one; only a failed
-    check of the whole array looks for that time.
+    object are evaluated once and fill each of their rows. A time that is
+    negative, NaN or infinite is refused whatever the number of
+    dissipators, and a NaN or infinite rate is refused, naming the earliest
+    time that has one; only a failed check of the whole array looks for
+    that time.
     """
+    times = np.asarray(t, dtype=float)
+    if not gen.dissipators:  # no `rate_eval` call checks the times
+        require_rate_times(times)
     rows = np.empty((len(gen.dissipators),) + times.shape)
     by_model = {}
     for k, (_, rate) in enumerate(gen.dissipators):
@@ -309,38 +314,20 @@ def _rate_rows(gen: LindbladGenerator, times: np.ndarray) -> np.ndarray:
     return rows
 
 
-def rates_at(gen: LindbladGenerator, t) -> np.ndarray:
-    """Dissipator rates gamma_i at a time t, shape (K,), or at every time of an
-    array t, shape t.shape + (K,). A NaN or infinite rate is refused with a
-    ValueError naming the earliest time that has one.
-
-    A view of the rates' rows (`_rate_rows`) with that axis moved last, so
-    `np.moveaxis(rates_at(gen, t), -1, 0)`, or `.T` for a 1-D t, gives the
-    contiguous rows back with no copy.
-    """
-    rows = _rate_rows(gen, np.asarray(t, dtype=float))
-    # np.moveaxis(rows, 0, -1) without its argument checks, which cost several
-    # times the transpose itself: the small-time layer calls this per grid.
-    return rows.transpose((*range(1, rows.ndim), 0))
-
-
 def unitality_defects(gen: LindbladGenerator, gammas) -> np.ndarray:
-    """Largest entry of |L_t(I/d)| for each row of finite rates gammas (n, K),
-    shape (n,).
+    """Largest entry of |L_t(I/d)| for each column of finite rates gammas
+    (K, n), one row per dissipator, shape (n,).
 
     The Hamiltonian part annihilates I/d, so the image is linear in the
     rates and a grid of rates costs one product with the dissipators'
-    images of I/d (`LindbladGenerator.unitality_images`). A normal jump
-    operator (Pauli, Hermitian, unitary) has an image of exactly zero, since
-    D_k(I) = L_k L_k^dag - L_k^dag L_k; when every image is zero the product
-    would be zero bit for bit, and it is skipped. Otherwise the residual is
-    formed transposed, (d^2, n), because numpy reduces along a short last
-    axis several times slower than across rows; rates passed as the
-    transposed view of rows (K, n), as `detect.measure_report` passes them,
-    are read with no copy.
+    images of I/d (`LindbladGenerator.unitality_images`), (d^2, n), reduced
+    across its rows. A normal jump operator (Pauli, Hermitian, unitary) has
+    an image of exactly zero, since D_k(I) = L_k L_k^dag - L_k^dag L_k;
+    when every image is zero the product would be zero bit for bit, and it
+    is skipped.
     """
     images = gen.unitality_images
     if not images.any():
-        return np.zeros(np.shape(gammas)[0])
-    residual = images.T @ np.asarray(gammas, dtype=float).T
+        return np.zeros(np.shape(gammas)[1])
+    residual = images.T @ np.asarray(gammas, dtype=float)
     return np.max(np.abs(residual), axis=0)

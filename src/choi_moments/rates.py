@@ -272,6 +272,18 @@ class TabulatedRate(RateModel):
         return np.interp(t, self._times, self._values)
 
 
+def require_rate_times(times: np.ndarray) -> np.ndarray:
+    """The float array of times, flattened, refused with a ValueError unless
+    every time is finite and >= 0; it names the earliest refused time, or
+    NaN if there is one."""
+    flat = times.reshape(-1)
+    if not (flat.min(initial=0.0) >= 0 and flat.max(initial=0.0) < np.inf):  # NaN fails both
+        refused = flat[~((flat >= 0) & (flat < np.inf))]
+        raise ValueError(
+            f"rate models are defined for finite t >= 0, got t = {float(np.min(refused))}")
+    return flat
+
+
 def rate_eval(model: RateModel, t):
     """Evaluate a rate model at a finite time t >= 0, or elementwise over an array of times.
 
@@ -281,10 +293,6 @@ def rate_eval(model: RateModel, t):
     table) is reported as the earliest such time, or as NaN if there is one.
     """
     times = np.asarray(t, dtype=float)
-    flat = times.reshape(-1)
-    if not (flat.min(initial=0.0) >= 0 and flat.max(initial=0.0) < np.inf):  # NaN fails both
-        refused = flat[~((flat >= 0) & (flat < np.inf))]
-        raise ValueError(
-            f"rate models are defined for finite t >= 0, got t = {float(np.min(refused))}")
+    flat = require_rate_times(times)
     values = np.asarray(model.evaluate(flat), dtype=float)
     return float(values[0]) if times.ndim == 0 else values.reshape(times.shape)

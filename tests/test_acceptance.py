@@ -127,7 +127,7 @@ def test_criterion_3_dephasing_rate_formulas():
     worst_f = worst_g = 0.0
     for gamma in np.linspace(-2.0, 2.0, 81):
         gen = dephasing_generator(ConstantRate(float(gamma)))
-        f, g = _rate_limits(gen, rates_at(gen, [0.0]).T)
+        f, g = _rate_limits(gen, rates_at(gen, [0.0]))
         worst_f = max(worst_f, abs(float(f[0]) - max(0.0, -gamma)))
         worst_g = max(worst_g, abs(float(g[0]) - max(0.0, -2.0 * gamma)))
     _verdict(

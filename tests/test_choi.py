@@ -76,9 +76,13 @@ class TestMaxEntangledProjector:
         assert lam[0] == pytest.approx(1.0, abs=1e-12)
         assert np.max(np.abs(lam[1:])) < 1e-12
 
-    def test_rejects_trivial_dimension(self):
-        with pytest.raises(ValueError, match="d >= 2"):
-            max_entangled_projector(1)
+    @pytest.mark.parametrize("d, problem", [
+        (1, "must be >= 2, got 1"), (2.0, "must be an integer, got 2.0"),
+        (2.5, "must be an integer, got 2.5"), (True, "must be an integer, got True")],
+        ids=["1", "2.0", "2.5", "True"])
+    def test_rejects_a_dimension_that_is_not_an_integer_of_at_least_2(self, d, problem):
+        with pytest.raises(ValueError, match=f"^d {problem}$"):
+            max_entangled_projector(d)
 
 
 class TestChoiSmallTime:
@@ -174,7 +178,7 @@ class TestPropagateMap:
 
 
 class TestNonFiniteRates:
-    """Every rate leaves the models through `lindblad._rate_rows`, which
+    """Every rate leaves the models through `lindblad.rates_at`, which
     refuses a NaN or infinite one and names the earliest time that has it."""
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -193,6 +197,24 @@ class TestNonFiniteRates:
             call(gen)
 
 
+class TestRefusedTimes:
+    """A time the rate models are not defined at (negative, NaN or infinite)
+    is refused whatever the number of dissipators: with none, no model's
+    evaluation checks it, and `rates_at` does."""
+
+    @pytest.mark.parametrize("n_ops", [0, 1])
+    @pytest.mark.parametrize("call, first", [
+        (lambda gen: rates_at(gen, [0.0, math.nan, -1.0]), "nan"),
+        (lambda gen: bridge_spectra(gen, [math.nan, -1.0], 1e-3), "nan"),
+        (lambda gen: propagate_map(gen, -1.0, 0.0), "-1.0"),
+    ], ids=["rates_at", "bridge_spectra", "propagate_map"])
+    def test_is_refused(self, call, first, n_ops):
+        gen = LindbladGenerator(2, SIGMA_Z, ((SIGMA_X, ConstantRate(1.0)),)[:n_ops])
+        with pytest.raises(ValueError, match=rf"^rate models are defined for finite "
+                                             rf"t >= 0, got t = {first}$"):
+            call(gen)
+
+
 class TestBatchedKernel:
     """The batched RK4 kernel, which runs in real arithmetic in the Hermitian
     operator basis, against the complex step-by-step loop in helpers."""
@@ -208,7 +230,7 @@ class TestBatchedKernel:
         assert grid.size % windows_per_chunk != 0  # a ragged last chunk at every d
         rates, spectra = bridge_spectra(gen, grid, 1e-3)
         assert np.max(np.abs(spectra - reference_bridge_spectra(gen, grid, 1e-3))) < self.TOL
-        assert np.array_equal(rates, np.array([rates_at(gen, float(t)) for t in grid]))
+        assert np.array_equal(rates, np.stack([rates_at(gen, float(t)) for t in grid], axis=1))
 
     @pytest.mark.parametrize("seed", [1, 2])
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 8])
@@ -262,7 +284,7 @@ class TestBatchedKernel:
         grid = np.linspace(0.0, 1.0, 2 * windows_per_chunk + 3)
         rates, spectra = bridge_spectra(gen, grid, 1e-3)
         alone = [bridge_spectra(gen, [t], 1e-3) for t in grid]
-        assert rates.tobytes() == np.concatenate([r for r, _ in alone]).tobytes()
+        assert rates.tobytes() == np.concatenate([r for r, _ in alone], axis=1).tobytes()
         assert spectra.tobytes() == np.concatenate([s for _, s in alone]).tobytes()
 
     @pytest.mark.parametrize("d", [2, 8])

@@ -14,7 +14,8 @@ from choi_moments import choi, cli, config as config_module, detect
 from choi_moments.cli import _csv, entry, main, run_scenario
 from choi_moments.config import ConfigError, build_generator, load_scenario, parse_scenario
 from choi_moments.lindblad import LindbladGenerator
-from helpers import CountingRate, count_sweeps, dephasing_generator, reference_bridge_spectra
+from helpers import (CountingRate, count_sweeps, dephasing_generator, reference_bridge_spectra,
+                     reference_rhp_rates)
 
 EXPCOS_COMPARE = """
 version = 1
@@ -103,6 +104,9 @@ ETERNAL_PAULI = os.path.join(os.path.dirname(__file__), "data", "eternal_pauli.c
 # A qutrit with custom-matrix jump operators and expcos rates, in finite-interval
 # mode: the one CLI run that propagates at d > 2.
 QUTRIT_EXPCOS = os.path.join(os.path.dirname(__file__), "data", "qutrit_expcos.cfg")
+# A qutrit whose two jump operators are not trace-orthogonal, in small-time
+# mode: the one CLI run whose trace-norm rate needs an eigensolve.
+QUTRIT_COUPLED = os.path.join(os.path.dirname(__file__), "data", "qutrit_coupled.cfg")
 NONFINITE_HAMILTONIAN = os.path.join(
     os.path.dirname(__file__), "data", "nonfinite_hamiltonian.cfg")
 
@@ -443,7 +447,7 @@ class TestMainExitCodes:
 
     WITNESS_AND_I = "witness, rhp measure I"
 
-    # Every bundled scenario and both test configs under each computing
+    # Every bundled scenario and the three test configs under each computing
     # command: the criteria that detect, as `detected by` prints them for
     # witness, compare and divisibility.
     @pytest.mark.parametrize("config, detected", [
@@ -455,8 +459,11 @@ class TestMainExitCodes:
         # The first-order witness is silent on this channel at every t; I,
         # which every run computes, and the scan are not.
         (ETERNAL_PAULI, ("rhp measure I",) * 2 + ("rhp measure I, divisibility scan",)),
+        # Likewise on this qutrit, where L_1's negative rate never outweighs
+        # both operators' positive ones in <Phi+|X_D|Phi+>.
+        (QUTRIT_COUPLED, ("rhp measure I",) * 2 + ("rhp measure I, divisibility scan",)),
     ], ids=["example1", "example2", "markovian_control", "ohmic_compare", "qutrit_expcos",
-            "eternal_pauli"])
+            "eternal_pauli", "qutrit_coupled"])
     def test_every_computed_criterion_decides_the_exit_code(self, tmp_path, capsys, config,
                                                              detected):
         out = str(tmp_path / "out")
@@ -474,6 +481,8 @@ class TestMainExitCodes:
                 messages = [str(r.message) for r in records]
                 assert len(messages) == 1
                 assert messages[0].startswith("trace-norm rate g is still 1.988e+00")
+            if config == QUTRIT_COUPLED:
+                assert str(records[0].message).startswith("generator is not unital")
         capsys.readouterr()
 
     def test_a_name_that_is_a_path_is_1_and_writes_nothing(self, tmp_path, capsys):
@@ -556,6 +565,24 @@ class TestMainExitCodes:
         assert np.max(np.abs(table[:, 1] - want)) < 1e-13
         # The oracle alone gives the same verdict: some bridge is not CP.
         assert np.min(want) < -detect._SCAN_CP_TOL
+
+    def test_coupled_qutrit_g_matches_the_eigensolve_oracle(self, tmp_path, capsys):
+        # Operators that are not trace-orthogonal: g comes from the stacked
+        # solve over both, not from one eigenvalue per operator.
+        config = load_scenario(QUTRIT_COUPLED)
+        gen = build_generator(config)
+        assert gen.small_time_builder.projected_table.shape == (2, 2, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the generator is not unital
+            assert main(["compare", QUTRIT_COUPLED, "--out-dir", str(tmp_path),
+                         "--quiet"]) == 10
+        capsys.readouterr()
+        table = np.loadtxt(tmp_path / "qutrit_coupled_compare.csv", delimiter=",",
+                           skiprows=1)
+        grid = np.linspace(0.0, config.t_max, config.points)
+        assert np.array_equal(table[:, 0], grid)
+        assert np.max(table[:, 2]) > 0.0
+        assert np.max(np.abs(table[:, 2] - reference_rhp_rates(gen, grid))) < 1e-12
 
     def test_markovian_is_0(self, tmp_path, capsys):
         path = write_cfg(tmp_path, MARKOVIAN)

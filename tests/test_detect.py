@@ -65,7 +65,7 @@ from helpers import (
 
 def rate_limits(gen, times):
     """The rates on times as rows, then f and g from them by `_rate_limits`."""
-    gammas = rates_at(gen, times).T
+    gammas = rates_at(gen, times)
     return (gammas, *_rate_limits(gen, gammas))
 
 
@@ -624,7 +624,7 @@ class TestTraceNormRate:
         monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
         _, _, g = rate_limits(gen, grid)
         assert shapes == [(61, 3, 3)]
-        assert builder.projected_spectra(rates_at(gen, grid).T).shape == (3, 61)
+        assert builder.projected_spectra(rates_at(gen, grid)).shape == (3, 61)
         assert np.any(g > 0.0)
         assert np.all(np.abs(g - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
@@ -642,7 +642,7 @@ class TestTraceNormRate:
         builder = SmallTimeChoiBuilder(gen)
         assert builder.projected_table.shape == (4, 4, 4)
         grid = np.linspace(0.0, 3.0, 7)
-        mu = builder.projected_spectra(rates_at(gen, grid).T)
+        mu = builder.projected_spectra(rates_at(gen, grid))
         assert mu.shape == (4, 7)
         bare = LindbladGenerator(3, np.zeros((3, 3)), gen.dissipators)
         q = np.eye(9) - max_entangled_projector(3)
@@ -966,7 +966,7 @@ class TestGeneratorBuilder:
                 # An equal generator starts with no builder of its own.
                 twin = LindbladGenerator(d, gen.hamiltonian, gen.dissipators)
                 twin_report = measure_report(twin, 3.0, 31)
-            gammas = rates_at(gen, grid).T
+            gammas = rates_at(gen, grid)
             for got, want in zip((series.r2, series.r3, series.values),
                                  fresh.moments(gammas, 1e-3)):
                 assert np.array_equal(got, want)

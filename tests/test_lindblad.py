@@ -229,7 +229,7 @@ class TestSuperoperator:
     """The generator read off its transfer blocks, against its action."""
 
     @pytest.mark.parametrize("shape", [(), (7,), (3, 5)])
-    def test_rates_at_is_a_view_of_rate_rows(self, shape, monkeypatch):
+    def test_rates_at_gives_one_row_per_dissipator(self, shape, monkeypatch):
         # One row per dissipator, the bits of its model's rate_eval; a shared
         # rate model is evaluated once and fills both of its rows.
         shared, other = ExpCosRate(k=1.5), ConstantRate(-0.25)
@@ -243,16 +243,13 @@ class TestSuperoperator:
             return rate_eval(model, times)
 
         monkeypatch.setattr(lindblad, "rate_eval", counted)
-        gammas = rates_at(gen, t)
+        rows = rates_at(gen, t)
         assert [id(m) for m in evaluated] == [id(shared), id(other)]
-        assert gammas.shape == shape + (3,)
-        rows = np.moveaxis(gammas, -1, 0)
-        assert rows.flags.c_contiguous and np.shares_memory(rows, gammas)
+        assert rows.shape == (3,) + shape and rows.flags.c_contiguous
         want = np.stack([rate_eval(rate, t) for _, rate in gen.dissipators])
         assert rows.tobytes() == want.tobytes()
-        assert lindblad._rate_rows(gen, t).tobytes() == want.tobytes()
         empty = rates_at(LindbladGenerator(2, SIGMA_Z, ()), t)
-        assert empty.shape == shape + (0,)
+        assert empty.shape == (0,) + shape
 
     def test_rates_at_refuses_a_nan_time(self):
         gen = LindbladGenerator(2, SIGMA_X, ((SIGMA_Z, ConstantRate(1.0)),))
@@ -319,16 +316,18 @@ class TestUnitalAndNormal:
         for ops in ((SIGMA_Z,), (SIGMA_X, SIGMA_Y, SIGMA_Z), (SIGMA_X, SIGMA_Z)):
             gen = LindbladGenerator(2, SIGMA_Y, tuple((op, ConstantRate(1.0)) for op in ops))
             assert not gen.unitality_images.any()
-            gammas = rng.normal(size=(40, len(ops))) * 10.0 ** rng.integers(-8, 4, (40, 1))
-            for rates in (gammas, np.ascontiguousarray(gammas.T).T, gammas[:0]):
-                product = np.max(np.abs(gen.unitality_images.T @ rates.T), axis=0)
+            # Rows (K, 40), read as a strided view and as a contiguous copy.
+            gammas = (rng.normal(size=(40, len(ops)))
+                      * 10.0 ** rng.integers(-8, 4, (40, 1))).T
+            for rates in (gammas, np.ascontiguousarray(gammas), gammas[:, :0]):
+                product = np.max(np.abs(gen.unitality_images.T @ rates), axis=0)
                 got = unitality_defects(gen, rates)
                 assert got.dtype == product.dtype and got.tobytes() == product.tobytes()
 
     def test_non_normal_operators_still_take_the_product(self):
         gen = LindbladGenerator(2, np.zeros((2, 2)), (
             (SIGMA_Z, ConstantRate(1.0)), (LOWERING, ConstantRate(1.0))))
-        gammas = np.array([[1.0, 0.0], [0.3, -2.0], [0.0, 0.25]])
+        gammas = np.array([[1.0, 0.3, 0.0], [0.0, -2.0, 0.25]])
         assert np.array_equal(unitality_defects(gen, gammas), [0.0, 1.0, 0.125])
 
 
