@@ -1,4 +1,4 @@
-"""Choi states of intermediate dynamical maps and their moments and spectra.
+"""Propagation of a generator and the Choi spectra of its bridge maps.
 
 The normalized convention is used throughout: the Choi state of a map M is
 (I kron M) applied to the projector onto (1/sqrt(d)) sum_i |ii>, so it has
@@ -6,27 +6,11 @@ unit trace for trace-preserving M. The unnormalized d*C convention is
 deliberately not used anywhere -- the moment formulas downstream assume unit
 trace.
 
-Two kinds of Choi state are read: the small-time state of the map on
-[t, t + eps], built from the generator, and the finite-interval state of the
-map bridging two times of a propagated evolution. The small-time map takes
-its Hamiltonian part exactly and its dissipator to first order,
-e^{eps L_H} (1 + eps D(t)), so its Choi state is a local unitary
-conjugation of bell + eps X_D(t), with X_D the Choi image of the dissipator
-alone, and has the same moments. Those moments are exact polynomials in
-eps, evaluated from traces of the dissipators' Choi blocks with no
-eigensolve (`SmallTimeChoiBuilder.moments`), contractions of the Gram
-matrix of three factors per jump operator: no Choi matrix or block is formed.
-Those trace tables, and every other table that depends on the generator
-alone, are built once per generator: it holds one read-only builder, made
-on first use (`LindbladGenerator.small_time_builder`). The part of its
-spectrum off the Bell direction, at most K eigenvalues for K jump operators,
-follows one rule (`SmallTimeChoiBuilder.projected_spectra`): when the
-operators are pairwise trace-orthogonal (a Gram entry
-|G_ij| <= 1e-14 sqrt(G_ii G_jj) counts as zero) each gives its eigenvalue
-with no solve, and any other set gives the spectrum of its rate-weighted
-Gram matrix, all operators in one solve. Rates are rows from the models
-(`rates_at`) into the RK4 kernel, one row per jump operator: (K, n) for n
-grid times, (K, W, 2m + 1) for the half-step times of W windows of m RK4
+This module reads the finite-interval Choi states of the maps bridging two
+times of a propagated evolution; the small-time states are read from the
+generator's own tables (`LindbladGenerator.small_time_moments`). Rates are
+rows from the models (`rates_at`) into the RK4 kernel, one row per jump
+operator: (K, W, 2m + 1) for the half-step times of W windows of m RK4
 steps, so every step is a small matrix product or a reduction across a few
 long rows. All propagation goes through one batched fixed-step RK4 kernel:
 `propagate_map` runs it over one window, and `bridge_spectra` over one
@@ -50,12 +34,11 @@ matrix, those between the diagonal basis elements E_ii.
 import os
 import sys
 import warnings
-from functools import cached_property
 
 import numpy as np
 
-from .lindblad import (LindbladGenerator, from_hermitian_basis, rates_at, require_count,
-                       require_positive)
+from .lindblad import (CHUNK_ENTRIES, LindbladGenerator, from_hermitian_basis, rates_at,
+                       require_count, require_positive, require_real)
 
 __all__ = [
     "max_entangled_projector",
@@ -68,13 +51,6 @@ DEFAULT_STEPS_PER_UNIT = 1000
 # |eps * gamma| above which the first-order small-time Choi is dubious, and
 # |h * gamma| above which a fixed RK4 step of a bridge is.
 SMALL_TIME_RATE_LIMIT = 0.1
-# Matrix entries one stacked chunk holds: d^2 x d^2 maps in a batched RK4
-# stack (one matrix per window step), or the small matrices of a stacked
-# spectrum solve. Bounds memory whatever the grid size. 16384 stacks four
-# one-step windows at d = 8, so their RK4 products, basis changes and
-# eigensolves are one call each, for about 0.7 MB more peak memory than a
-# stack of one (4096); 65536 would cost about 4.6 MB more.
-CHUNK_ENTRIES = 16384
 # Largest deviation from 1 of a bridge's Choi trace.
 _CHOI_TRACE_ATOL = 1e-6
 # Source files of this package, skipped when a warning names its caller,
@@ -107,170 +83,6 @@ def _require_trace_preserving(trace: np.ndarray) -> None:
             + (f"exceeds {_CHOI_TRACE_ATOL:.1e}" if np.isfinite(trace_dev)
                else "is non-finite")
         )
-
-
-class SmallTimeChoiBuilder:
-    """The Choi image X_D(t) = sum_k gamma_k(t) B_k of the generator's
-    dissipator, and the moments of the small-time Choi states of the maps
-    on [t, t + eps].
-
-    B_k, the Choi image of dissipator k, comes in closed form from its jump
-    operator alone: B_k = (v_k v_k^dag - (w_k e^dag + e w_k^dag)/2)/d =
-    F_k M F_k^dag, over the d^2 x 3 factors F_k = [v_k, w_k, e] with
-    v_k = vec(L_k^T), w_k = vec((L_k^dag L_k)^T) and e = vec(I), all
-    row-major, and M = [[1, 0, 0], [0, 0, -1/2], [0, -1/2, 0]]/d. No block
-    is formed: every table contracts the Gram matrix G_kl = F_k^dag F_l,
-    (K, 3, K, 3), and p_k = F_k^dag Phi+. The
-    small-time map e^{eps L_H} (1 + eps D(t)) takes the Hamiltonian part
-    exactly, so its Choi state is (I kron U)(bell + eps X_D(t))(I kron U)^dag,
-    with U = e^{-i eps H}, and has the moments of bell + eps X_D: the
-    Hamiltonian enters no table. (The first-order state bell + eps X, with
-    the Hamiltonian's Choi image in X, is not a state: that part alone gives
-    a positive witness of order eps^2 |H|^2.) The generator enters only
-    through its rates, so a grid costs one rate call and one product of the
-    rates with tables of traces of the blocks (`moments`, which needs no
-    eigensolve). Rates come as rows, (K, n) for n times, as `rates_at`
-    returns them: numpy runs a reduction along a short last axis row by
-    row, but across rows as whole-row operations.
-
-    Everything that depends on the generator alone is built once from its
-    operator stack (`LindbladGenerator.operators`, (K, d, d)), read-only:
-    here `bell_overlaps`, x_k = p_k^dag M p_k; `trace_tables`, the tables of
-    `moments`, Tr(B_k B_l) = Tr(M G_kl M G_lk) and Re <Phi+|B_k B_l|Phi+> =
-    Re (M p_k)^dag G_kl (M p_l), (K, K), and Re Tr(B_k B_l B_m) =
-    Re Tr(M G_kl M G_lm M G_mk), flattened over (k, l) to (K^2, K); and
-    `dissipator_scales`, ||B_k||_F = sqrt(Tr B_k^2); on first use, the table
-    of `projected_spectra` (`projected_table`). K = 0 gives empty tables.
-    Each generator holds one builder, `LindbladGenerator.small_time_builder`;
-    `SmallTimeChoiBuilder(gen)` gives the same tables.
-
-    Off the Bell direction, with Q = I - bell, each dissipator leaves one
-    rank-1 term, Q B_k Q = v_k v_k^dag with v_k = vec((L_k - Tr(L_k)/d I)^T)/sqrt(d).
-    So Q X_D Q = V diag(gamma) V^dag, and its nonzero spectrum follows one rule
-    (`projected_spectra`): when the v_k are pairwise orthogonal, a pair
-    counting as orthogonal when |G_ij| <= 1e-14 sqrt(G_ii G_jj) for the Gram
-    matrix G = V^dag V, it is gamma_k G_kk, one value per operator with no
-    solve; otherwise it is the spectrum of R diag(gamma) R^dag, with V = W R
-    the thin QR of all of V, so no coupling between operators is dropped.
-    The rule treats a pair within the threshold as exactly orthogonal, which
-    moves the eigenvalues by the order of 1e-14 sum_k |gamma_k| G_kk, two
-    orders below the 1e-12 noise rule of `detect._rate_limits`.
-    """
-
-    def __init__(self, gen: LindbladGenerator):
-        self.gen = gen
-        ops = gen.operators
-        d, k = gen.dim, len(ops)
-        # The factors F_k = [v_k, w_k, e] as rows, (K, 3, d^2), and their
-        # Gram matrix G_kl = F_k^dag F_l, (K, 3, K, 3).
-        factors = np.empty((k, 3, d * d), dtype=complex)
-        flipped = np.swapaxes(ops, 1, 2)
-        factors[:, 0] = flipped.reshape(k, d * d)
-        factors[:, 1] = np.swapaxes(flipped.conj() @ ops, 1, 2).reshape(k, d * d)
-        factors[:, 2] = e = np.eye(d).ravel()
-        rows = factors.reshape(3 * k, d * d)
-        gram = (rows.conj() @ rows.T).reshape(k, 3, k, 3)
-        weight = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, -0.5], [0.0, -0.5, 0.0]]) / d
-        # A_kl = M G_kl, p_k = F_k^dag Phi+ with Phi+ = e/sqrt(d), and M p_k.
-        a = np.einsum("ab,kblc->kalc", weight, gram)
-        p = factors.conj() @ e / np.sqrt(d)
-        mp = p @ weight
-        # x_k = <Phi+|B_k|Phi+> = p_k^dag M p_k, so that <Phi+|X_D|Phi+> = x . gamma.
-        self.bell_overlaps = np.einsum("ka,ka->k", p.conj(), mp).real
-        self.trace_tables = (
-            np.einsum("kalb,lbka->kl", a, a).real,
-            np.einsum("ka,kalb,lb->kl", mp.conj(), gram, mp).real,
-            np.einsum("kalb,lbmc,mcka->klm", a, a, a).real.reshape(k * k, k))
-        # ||B_k||_F, the noise floor's scale: a zero block's Tr B_k^2 may round below 0.
-        self.dissipator_scales = np.sqrt(np.maximum(self.trace_tables[0].diagonal(), 0.0))
-        for table in (self.bell_overlaps, self.dissipator_scales, *self.trace_tables):
-            table.setflags(write=False)
-
-    @cached_property
-    def projected_table(self) -> np.ndarray:
-        """The table `projected_spectra` reads, decided once from the Gram
-        matrix G = V^dag V of the centred vectors
-        v_k = vec((L_k - Tr(L_k)/d I)^T)/sqrt(d): the diagonal G_kk, (K,),
-        when every pair is orthogonal (|G_ij| <= 1e-14 sqrt(G_ii G_jj) for
-        i != j); otherwise the outer products r_k r_k^dag, (K, m, m) with
-        m = min(K, d^2), over the columns r_k of R in the thin QR V = W R, so
-        that R diag(gamma) R^dag is their gamma-weighted sum. Built on first
-        use; the array is read-only.
-        """
-        ops = self.gen.operators
-        k, d = ops.shape[:2]
-        traceless = ops - np.trace(ops, axis1=1, axis2=2)[:, None, None] / d * np.eye(d)
-        v = np.swapaxes(traceless, 1, 2).reshape(k, d * d).T / np.sqrt(d)
-        gram = v.conj().T @ v
-        norms = gram.diagonal().real.copy()
-        linked = np.abs(gram) > 1e-14 * np.sqrt(np.outer(norms, norms))
-        np.fill_diagonal(linked, False)
-        if linked.any():
-            r = np.linalg.qr(v, mode="r")
-            table = np.einsum("ik,jk->kij", r, r.conj())
-        else:
-            table = norms
-        table.setflags(write=False)
-        return table
-
-    def projected_spectra(self, gammas: np.ndarray) -> np.ndarray:
-        """The nonzero spectrum of Q X Q for each column of rates gammas
-        (K, n), shape (m, n) with m <= K, from `projected_table`.
-
-        Pairwise orthogonal operators give m = K eigenvalues gamma_k G_kk, in
-        operator order, with no solve. Any other set gives the min(K, d^2)
-        eigenvalues of R diag(gamma) R^dag, ascending, in stacked solves of
-        at most CHUNK_ENTRIES matrix entries. V may be rank deficient (a
-        repeated operator gives a repeated column): R diag(gamma) R^dag then
-        has zero eigenvalues, as Q X Q has.
-        """
-        table = self.projected_table
-        if table.ndim == 1:
-            return gammas * table[:, None]
-        m, n = table.shape[-1], gammas.shape[1]
-        mu = np.empty((m, n))
-        width = max(1, CHUNK_ENTRIES // (m * m))
-        flat = table.reshape(len(table), m * m)
-        for lo in range(0, n, width):
-            chunk = (gammas[:, lo:lo + width].T @ flat).reshape(-1, m, m)
-            mu[:, lo:lo + width] = np.linalg.eigvalsh(chunk).T
-        return mu
-
-    def moments(self, gammas: np.ndarray, epsilon: float):
-        """r_2, r_3 and r_2^2 - r_3 of the small-time Choi state for each
-        column of rates gammas (K, n), each of shape (n,), with no eigensolve.
-
-        The state has the moments of bell + eps * X_D, X_D = sum_k gamma_k B_k
-        over the dissipator blocks alone. bell is a rank-1 projector, so with
-        x0 = <Phi+|X_D|Phi+>, s2 = Tr X_D^2, sb = <Phi+|X_D^2|Phi+> and
-        s3 = Tr X_D^3,
-
-            r_2 = 1 + 2 eps x0 + eps^2 s2,
-            r_3 = 1 + 3 eps x0 + 3 eps^2 sb + eps^3 s3,
-
-        and r_2^2 - r_3 is expanded in eps so that the leading 1s cancel
-        exactly. x0, s2, sb and s3 are forms in the rates gamma of degree 1,
-        2, 2 and 3 over the tables x_k, Tr(B_k B_l), Re <Phi+|B_k B_l|Phi+>
-        and Re Tr(B_k B_l B_m); the blocks are Hermitian, so the real parts
-        are the whole contractions. The tables are built with the builder
-        (`trace_tables`). Each form is a small matrix product over long
-        rows, one row per block:
-        x0 = x . gamma, s2 = sum_k gamma_k (T2 gamma)_k, likewise sb, and
-        s3 = sum_k gamma_k sum_l gamma_l (T3 gamma)_kl.
-        """
-        traces2, bell_pairs, traces3 = self.trace_tables
-        k, n = gammas.shape
-        x0 = self.bell_overlaps @ gammas
-        s2 = np.einsum("kn,kn->n", gammas, traces2 @ gammas)
-        sb = np.einsum("kn,kn->n", gammas, bell_pairs @ gammas)
-        s3 = np.einsum("kn,kn->n", gammas,
-                       np.einsum("kln,ln->kn", (traces3 @ gammas).reshape(k, k, n), gammas))
-        eps = float(epsilon)
-        r2 = 1.0 + 2.0 * eps * x0 + eps**2 * s2
-        r3 = 1.0 + 3.0 * eps * x0 + 3.0 * eps**2 * sb + eps**3 * s3
-        values = (eps * x0 + eps**2 * (4.0 * x0**2 + 2.0 * s2 - 3.0 * sb)
-                  + eps**3 * (4.0 * x0 * s2 - s3) + eps**4 * s2**2)
-        return r2, r3, values
 
 
 def _half_step_rates(
@@ -376,9 +188,10 @@ def propagate_map(
     integer >= 1; the default resolution is 1000 steps per unit time.
     Doubling the steps must not move the result by more than ~1e-8 in
     max-entry norm at the default resolution for the rate scales in scope.
-    Both times must be finite.
+    Both times must be finite real numbers.
     """
     for name, t in (("t0", t0), ("t1", t1)):
+        require_real(name, t)
         if not np.isfinite(t):
             raise ValueError(f"{name} must be finite, got {t}")
     if t1 < t0:

@@ -398,9 +398,10 @@ def load_scenario(path: str) -> ScenarioConfig:
     """Parse the config file at path, whole: the command line applies each
     `override` to the result, so a file value one replaces is still checked.
     A file that cannot be opened (a directory, say) or is not UTF-8 text is
-    a ConfigError naming the path, as is a config that does not parse."""
+    a ConfigError naming the path, as is a config that does not parse. A
+    leading UTF-8 byte-order mark is not part of the text."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8-sig") as handle:
             text = handle.read()
     except OSError as exc:
         raise ConfigError(f"{path}: cannot read: {exc.strerror or exc}") from None

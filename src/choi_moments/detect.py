@@ -10,18 +10,21 @@ order, so its Choi state is a local unitary conjugation of bell + eps X_D,
 with X_D the Choi image of the dissipator alone: H changes no moment, and a
 Markovian generator reads no violation however strong its H. The moments
 are polynomials in eps, so the small-time witness is evaluated in closed
-form with no eigensolve; on a finite-interval bridge map it comes from the
-bridge's Choi spectrum. `lambda_moments` and `moment_witness` take a Choi
-matrix the caller supplies, such as a tomographic estimate.
+form with no eigensolve, from trace tables the generator holds
+(`LindbladGenerator.small_time_moments`); on a finite-interval bridge map
+it comes from the bridge's Choi spectrum. `lambda_moments` and
+`moment_witness` take a Choi matrix the caller supplies, such as a
+tomographic estimate.
 
 Two integrated quantifiers are provided: the moment measure, built from the
 instantaneous rate f(t) = lim_{eps->0} max(0, r_2^2 - r_3)/eps of small-time
 Choi states, and the divisibility-based measure built from the trace-norm rate
 g(t) = lim_{eps->0} (||C||_1 - 1)/eps. Both limits are evaluated in closed
-form from the Choi image X_D(t) of the dissipator (`_rate_limits`): f is a
-linear form in the rates, and g needs at most K eigenvalues for K jump
-operators, none for mutually trace-orthogonal ones such as distinct Pauli
-operators. For pure dephasing they reduce to f = max(0, -gamma) and
+form from the Choi image X_D(t) of the dissipator (`_rate_limits`), over
+the generator's tables: f is a linear form in the rates, and g needs at
+most K eigenvalues for K jump operators (`LindbladGenerator.projected_spectra`),
+none for mutually trace-orthogonal ones such as distinct Pauli operators.
+For pure dephasing they reduce to f = max(0, -gamma) and
 g = max(0, -2 gamma), so the integrals are related by a factor of two; the
 reported ratio is always the empirically computed one.
 
@@ -187,7 +190,7 @@ def _witness(gen: LindbladGenerator, grid: np.ndarray, epsilon: float, rows: np.
                 f"max |eps*gamma| = {worst:.3g} at t = {at:.6g} "
                 f"(limit {SMALL_TIME_RATE_LIMIT})"
             )
-        r2, r3, values = gen.small_time_builder.moments(rows, epsilon)
+        r2, r3, values = gen.small_time_moments(rows, epsilon)
     else:
         r2 = np.sum(spectra**2, axis=1)
         r3 = np.sum(spectra**3, axis=1)
@@ -225,29 +228,29 @@ def _rate_limits(gen: LindbladGenerator, gammas: np.ndarray) -> tuple[np.ndarray
     image of the dissipator, over its blocks B_i (never formed). With
     C = bell + eps X_D, r_2^2 - r_3 = eps <Phi+|X_D|Phi+> + O(eps^2), so
     f = max(0, <Phi+|X_D|Phi+>), the leading coefficient of the small-time
-    witness: a linear form in the rates over the builder's <Phi+|B_i|Phi+>.
+    witness: a linear form in the rates over the generator's <Phi+|B_i|Phi+>.
     Off the Bell direction the eigenvalues of C are eps mu_j + O(eps^2),
     with mu_j the eigenvalues of Q X_D Q and Q = I - bell, so
     g = 2 sum_j max(0, -mu_j) (Rivas, Huelga and Plenio, PRL 105, 050403,
     2010). Q X_D Q = V diag(gamma) V^dag, so its nonzero mu_j, at most K of
-    them, follow one rule (`SmallTimeChoiBuilder.projected_spectra`):
+    them, follow one rule (`LindbladGenerator.projected_spectra`):
     gamma_k G_kk when the jump operators are pairwise orthogonal
     (|G_ij| <= 1e-14 sqrt(G_ii G_jj) counts as orthogonal), and otherwise
     the eigenvalues of R diag(gamma) R^dag over all of them, V = W R; the
     zero ones add nothing to g. Terms within 1e-12 of the size of X_D,
-    sum_k |gamma_k| ||B_k||_F (the builder's `dissipator_scales`, read off
-    its Tr(B_k^2) table with no pass over entries), are rounding noise and
-    count as zero, so
+    sum_k |gamma_k| ||B_k||_F (the `dissipator_scales` of the generator's
+    `small_time_tables`, read off its Tr(B_k^2) table with no pass over
+    entries), are rounding noise and count as zero, so
     Markovian generators give exactly f = g = 0, and a strong Hamiltonian
     neither scales the noise floor nor erases a weak negative rate. The
     noise floor, f and g are each a product or a reduction across the rows
     of rates and of mu (m, n), with no transposed copy.
     """
-    builder = gen.small_time_builder
-    noise = _RATE_NOISE * np.maximum(1.0, builder.dissipator_scales @ np.abs(gammas))
-    f = builder.bell_overlaps @ gammas
+    tables = gen.small_time_tables
+    noise = _RATE_NOISE * np.maximum(1.0, tables.dissipator_scales @ np.abs(gammas))
+    f = tables.bell_overlaps @ gammas
     f = np.where(f > noise, f, 0.0)
-    mu = builder.projected_spectra(gammas)
+    mu = gen.projected_spectra(gammas)
     # 0.0 - x rather than -x: a sum of zeros gives 0.0, never -0.0.
     g = 0.0 - 2.0 * np.where(mu < -noise, mu, 0.0).sum(0)
     return f, g

@@ -27,11 +27,25 @@ is sparse: it mixes entry (p, q) of a coordinate vector laid out as a
 d x d matrix only with entry (q, p), so leaving the basis costs O(d^4) per
 d^2 x d^2 map, with no matrix product (`from_hermitian_basis`).
 
+The small-time map on [t, t + eps] takes the Hamiltonian part exactly and
+the dissipator to first order, so its Choi state is a local unitary
+conjugation of bell + eps X_D(t), X_D = sum_k gamma_k B_k the Choi image of
+the dissipator alone, and has the same moments. They are exact polynomials
+in eps over traces of the blocks B_k (`LindbladGenerator.small_time_moments`),
+contractions of the Gram matrix of three factors per jump operator, so no
+Choi matrix or block is formed and no eigensolve is made. The part of the
+spectrum of X_D off the Bell direction, at most K eigenvalues for K jump
+operators, follows one rule (`LindbladGenerator.projected_spectra`): one
+eigenvalue per operator with no solve when the operators are pairwise
+trace-orthogonal, otherwise one solve over all of them.
+
 Generators are immutable: their arrays are read-only copies, so all
 evaluation is pure.
 """
 
+import numbers
 import operator
+from collections import namedtuple
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -47,6 +61,7 @@ __all__ = [
     "NAMED_OPERATORS",
     "named_operator",
     "LindbladGenerator",
+    "SmallTimeTables",
     "require_hermitian",
     "rates_at",
     "unitality_defects",
@@ -76,6 +91,13 @@ NAMED_OPERATORS = {
 UNITAL_ATOL = 1e-10
 # Absolute tolerance on entrywise asymmetry |m - m^dag|.
 HERMITICITY_ATOL = 1e-12
+# Matrix entries one stacked chunk holds: d^2 x d^2 maps in a batched RK4
+# stack (one matrix per window step), or the small matrices of a stacked
+# spectrum solve. Bounds memory whatever the grid size. 16384 stacks four
+# one-step windows at d = 8, so their RK4 products, basis changes and
+# eigensolves are one call each, for about 0.7 MB more peak memory than a
+# stack of one (4096); 65536 would cost about 4.6 MB more.
+CHUNK_ENTRIES = 16384
 
 
 def require_hermitian(m: np.ndarray) -> np.ndarray:
@@ -107,8 +129,17 @@ def require_hermitian(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m_dag)
 
 
+def require_real(name: str, value) -> None:
+    """Refuse, with a ValueError naming it, a bool or a value that is not a
+    real number ("0.1", None, 1+0j); ints and numpy floats are real."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
 def require_positive(name: str, value) -> None:
-    """Refuse, with a ValueError naming it, a value that is not positive and finite."""
+    """Refuse, with a ValueError naming it, a value that is not a positive
+    and finite real number."""
+    require_real(name, value)
     if not 0.0 < value < np.inf:  # NaN compares false either way
         raise ValueError(f"{name} must be positive and finite, got {value}")
 
@@ -188,6 +219,14 @@ def from_hermitian_basis(transfer: np.ndarray, d: int, choi: bool = False) -> np
     return z.reshape(transfer.shape)
 
 
+# The read-only trace tables of the Choi images B_k of the dissipators
+# (`LindbladGenerator.small_time_tables`): x_k = <Phi+|B_k|Phi+>, (K,);
+# Tr(B_k B_l) and Re <Phi+|B_k B_l|Phi+>, (K, K); Re Tr(B_k B_l B_m),
+# flattened over (k, l) to (K^2, K); and ||B_k||_F = sqrt(Tr B_k^2), (K,).
+SmallTimeTables = namedtuple("SmallTimeTables", ("bell_overlaps", "traces2", "bell_pairs",
+                                                 "traces3", "dissipator_scales"))
+
+
 class LindbladGenerator:
     """Hamiltonian plus (jump operator, rate model) dissipator pairs.
 
@@ -199,11 +238,12 @@ class LindbladGenerator:
     view of its operator there. Construction only checks its arguments: it
     refuses a `dim` that is not an integer of at least 2 (`require_count`),
     and a dissipator that is not an (operator, rate) pair whose rate has a
-    callable `evaluate`, naming its index. Every table below is a read-only
-    array built from the operators on first use and kept: `unitality_images`
+    callable `evaluate`, naming its index. Every table below is read-only,
+    built from the operators on first use and kept: `unitality_images`
     (K, d^2), the images D_k(I/d) that `unitality_defects` contracts with
-    the rates; `small_time_builder`, the one `choi.SmallTimeChoiBuilder`
-    that every small-time witness and rate limit reads; and
+    the rates; `small_time_tables`, the trace tables that every small-time
+    witness and rate limit reads (`small_time_moments`), and
+    `projected_table`, the table of `projected_spectra`; and
     `transfer_blocks`, the generator's parts in the Hermitian operator
     basis, which only the RK4 kernel reads. A cached_property writes the
     instance __dict__ directly, past the refusing __setattr__.
@@ -278,11 +318,139 @@ class LindbladGenerator:
         return _read_only((ops @ adjoints - adjoints @ ops).reshape(len(ops), d * d) / d)
 
     @cached_property
-    def small_time_builder(self):
-        """The generator's small-time Choi builder, whose tables are read-only."""
-        from .choi import SmallTimeChoiBuilder  # choi imports this module
+    def small_time_tables(self) -> SmallTimeTables:
+        """The trace tables of the Choi images B_k of the dissipators at unit
+        rate, so that X_D(t) = sum_k gamma_k(t) B_k; K = 0 gives empty tables.
 
-        return SmallTimeChoiBuilder(self)
+        B_k comes in closed form from its jump operator alone:
+        B_k = (v_k v_k^dag - (w_k e^dag + e w_k^dag)/2)/d = F_k M F_k^dag,
+        over the d^2 x 3 factors F_k = [v_k, w_k, e] with v_k = vec(L_k^T),
+        w_k = vec((L_k^dag L_k)^T) and e = vec(I), all row-major, and
+        M = [[1, 0, 0], [0, 0, -1/2], [0, -1/2, 0]]/d. No block is formed:
+        every table contracts the Gram matrix G_kl = F_k^dag F_l,
+        (K, 3, K, 3), and p_k = F_k^dag Phi+: x_k = p_k^dag M p_k,
+        Tr(B_k B_l) = Tr(M G_kl M G_lk), Re <Phi+|B_k B_l|Phi+> =
+        Re (M p_k)^dag G_kl (M p_l) and Re Tr(B_k B_l B_m) =
+        Re Tr(M G_kl M G_lm M G_mk). The Hamiltonian enters no table: the
+        small-time state is (I kron U)(bell + eps X_D(t))(I kron U)^dag with
+        U = e^{-i eps H}, which has the moments of bell + eps X_D. (The
+        first-order state bell + eps X, with the Hamiltonian's Choi image in
+        X, is not a state: that part alone gives a positive witness of order
+        eps^2 |H|^2.)
+        """
+        ops = self.operators
+        d, k = self.dim, len(ops)
+        # The factors F_k = [v_k, w_k, e] as rows, (K, 3, d^2), and their
+        # Gram matrix G_kl = F_k^dag F_l, (K, 3, K, 3).
+        factors = np.empty((k, 3, d * d), dtype=complex)
+        flipped = np.swapaxes(ops, 1, 2)
+        factors[:, 0] = flipped.reshape(k, d * d)
+        factors[:, 1] = np.swapaxes(flipped.conj() @ ops, 1, 2).reshape(k, d * d)
+        factors[:, 2] = e = np.eye(d).ravel()
+        rows = factors.reshape(3 * k, d * d)
+        gram = (rows.conj() @ rows.T).reshape(k, 3, k, 3)
+        weight = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, -0.5], [0.0, -0.5, 0.0]]) / d
+        # A_kl = M G_kl, p_k = F_k^dag Phi+ with Phi+ = e/sqrt(d), and M p_k.
+        a = np.einsum("ab,kblc->kalc", weight, gram)
+        p = factors.conj() @ e / np.sqrt(d)
+        mp = p @ weight
+        traces2 = np.einsum("kalb,lbka->kl", a, a).real
+        # Last, ||B_k||_F, the noise floor's scale: a zero block's Tr B_k^2
+        # may round below 0.
+        return SmallTimeTables(*map(_read_only, (
+            np.einsum("ka,ka->k", p.conj(), mp).real, traces2,
+            np.einsum("ka,kalb,lb->kl", mp.conj(), gram, mp).real,
+            np.einsum("kalb,lbmc,mcka->klm", a, a, a).real.reshape(k * k, k),
+            np.sqrt(np.maximum(traces2.diagonal(), 0.0)))))
+
+    def small_time_moments(self, gammas: np.ndarray, epsilon: float):
+        """r_2, r_3 and r_2^2 - r_3 of the small-time Choi state for each
+        column of rates gammas (K, n), each of shape (n,), with no eigensolve.
+
+        The state has the moments of bell + eps * X_D, X_D = sum_k gamma_k B_k
+        over the dissipator blocks alone. bell is a rank-1 projector, so with
+        x0 = <Phi+|X_D|Phi+>, s2 = Tr X_D^2, sb = <Phi+|X_D^2|Phi+> and
+        s3 = Tr X_D^3,
+
+            r_2 = 1 + 2 eps x0 + eps^2 s2,
+            r_3 = 1 + 3 eps x0 + 3 eps^2 sb + eps^3 s3,
+
+        and r_2^2 - r_3 is expanded in eps so that the leading 1s cancel
+        exactly. x0, s2, sb and s3 are forms in the rates gamma of degree 1,
+        2, 2 and 3 over the tables x_k, Tr(B_k B_l), Re <Phi+|B_k B_l|Phi+>
+        and Re Tr(B_k B_l B_m) (`small_time_tables`); the blocks are
+        Hermitian, so the real parts are the whole contractions. Rates come
+        as rows, as `rates_at` returns them: numpy runs a reduction along a
+        short last axis row by row, but across rows as whole-row operations.
+        So each form is a small matrix product over long rows, one row per
+        block: x0 = x . gamma, s2 = sum_k gamma_k (T2 gamma)_k, likewise sb,
+        and s3 = sum_k gamma_k sum_l gamma_l (T3 gamma)_kl.
+        """
+        tables = self.small_time_tables
+        k, n = gammas.shape
+        x0 = tables.bell_overlaps @ gammas
+        s2 = np.einsum("kn,kn->n", gammas, tables.traces2 @ gammas)
+        sb = np.einsum("kn,kn->n", gammas, tables.bell_pairs @ gammas)
+        s3 = np.einsum("kn,kn->n", gammas, np.einsum(
+            "kln,ln->kn", (tables.traces3 @ gammas).reshape(k, k, n), gammas))
+        eps = float(epsilon)
+        r2 = 1.0 + 2.0 * eps * x0 + eps**2 * s2
+        r3 = 1.0 + 3.0 * eps * x0 + 3.0 * eps**2 * sb + eps**3 * s3
+        values = (eps * x0 + eps**2 * (4.0 * x0**2 + 2.0 * s2 - 3.0 * sb)
+                  + eps**3 * (4.0 * x0 * s2 - s3) + eps**4 * s2**2)
+        return r2, r3, values
+
+    @cached_property
+    def projected_table(self) -> np.ndarray:
+        """The table `projected_spectra` reads, decided once from the Gram
+        matrix G = V^dag V of the centred vectors
+        v_k = vec((L_k - Tr(L_k)/d I)^T)/sqrt(d): the diagonal G_kk, (K,),
+        when every pair is orthogonal (|G_ij| <= 1e-14 sqrt(G_ii G_jj) for
+        i != j); otherwise the outer products r_k r_k^dag, (K, m, m) with
+        m = min(K, d^2), over the columns r_k of R in the thin QR V = W R, so
+        that R diag(gamma) R^dag is their gamma-weighted sum. Read-only.
+        """
+        ops = self.operators
+        k, d = ops.shape[:2]
+        traceless = ops - np.trace(ops, axis1=1, axis2=2)[:, None, None] / d * np.eye(d)
+        v = np.swapaxes(traceless, 1, 2).reshape(k, d * d).T / np.sqrt(d)
+        gram = v.conj().T @ v
+        norms = gram.diagonal().real.copy()
+        linked = np.abs(gram) > 1e-14 * np.sqrt(np.outer(norms, norms))
+        np.fill_diagonal(linked, False)
+        if linked.any():
+            r = np.linalg.qr(v, mode="r")
+            return _read_only(np.einsum("ik,jk->kij", r, r.conj()))
+        return _read_only(norms)
+
+    def projected_spectra(self, gammas: np.ndarray) -> np.ndarray:
+        """The nonzero spectrum of Q X_D Q, Q = I - bell, for each column of
+        rates gammas (K, n), shape (m, n) with m <= K, from `projected_table`.
+
+        Off the Bell direction each dissipator leaves one rank-1 term,
+        Q B_k Q = v_k v_k^dag, so Q X_D Q = V diag(gamma) V^dag. Pairwise
+        orthogonal operators give m = K eigenvalues gamma_k G_kk, in
+        operator order, with no solve. Any other set gives the min(K, d^2)
+        eigenvalues of R diag(gamma) R^dag, ascending, in stacked solves of
+        at most CHUNK_ENTRIES matrix entries, so no coupling between
+        operators is dropped. V may be rank deficient (a repeated operator
+        gives a repeated column): R diag(gamma) R^dag then has zero
+        eigenvalues, as Q X_D Q has. Treating a pair within the threshold as
+        exactly orthogonal moves the eigenvalues by the order of
+        1e-14 sum_k |gamma_k| G_kk, two orders below the 1e-12 noise rule of
+        `detect._rate_limits`.
+        """
+        table = self.projected_table
+        if table.ndim == 1:
+            return gammas * table[:, None]
+        m, n = table.shape[-1], gammas.shape[1]
+        mu = np.empty((m, n))
+        width = max(1, CHUNK_ENTRIES // (m * m))
+        flat = table.reshape(len(table), m * m)
+        for lo in range(0, n, width):
+            chunk = (gammas[:, lo:lo + width].T @ flat).reshape(-1, m, m)
+            mu[:, lo:lo + width] = np.linalg.eigvalsh(chunk).T
+        return mu
 
 
 def rates_at(gen: LindbladGenerator, t) -> np.ndarray:

@@ -15,13 +15,13 @@ from scipy.linalg import expm
 from choi_moments import choi
 from choi_moments.choi import (
     CHUNK_ENTRIES,
-    SmallTimeChoiBuilder,
     _require_trace_preserving,
     bridge_spectra,
     max_entangled_projector,
     propagate_map,
 )
-from choi_moments.detect import VIOLATION_THRESHOLD, witness_series
+from choi_moments.detect import (VIOLATION_THRESHOLD, cp_divisibility_scan, measure_report,
+                                 witness_series)
 from choi_moments.lindblad import (
     LOWERING,
     SIGMA_X,
@@ -608,16 +608,19 @@ class TestChoiStates:
             ops[2] = random_normal_operator(rng, d)
         gen = LindbladGenerator(d, random_hermitian(rng, d),
                                 tuple((op, ConstantRate(1.0)) for op in ops))
-        builder = SmallTimeChoiBuilder(gen)
+        tables = gen.small_time_tables
         blocks = reference_dissipator_blocks(gen)
         bell = max_entangled_projector(d)
-        want = (np.einsum("ab,kba->k", bell, blocks).real,
-                np.einsum("kab,lba->kl", blocks, blocks).real,
-                np.einsum("ab,kbc,lca->kl", bell, blocks, blocks).real,
-                np.einsum("kab,lbc,mca->klm", blocks, blocks, blocks).real.reshape(k * k, k))
-        norms = np.linalg.norm(blocks, axis=(1, 2))
-        for got, table in zip((builder.bell_overlaps, *builder.trace_tables,
-                               builder.dissipator_scales), (*want, norms)):
+        want = {
+            "bell_overlaps": np.einsum("ab,kba->k", bell, blocks).real,
+            "traces2": np.einsum("kab,lba->kl", blocks, blocks).real,
+            "bell_pairs": np.einsum("ab,kbc,lca->kl", bell, blocks, blocks).real,
+            "traces3": np.einsum("kab,lbc,mca->klm", blocks, blocks,
+                                 blocks).real.reshape(k * k, k),
+            "dissipator_scales": np.linalg.norm(blocks, axis=(1, 2))}
+        assert tuple(want) == tables._fields
+        for name, table in want.items():
+            got = getattr(tables, name)
             assert got.shape == table.shape
             scale = np.max(np.abs(table), initial=0.0)
             assert np.max(np.abs(got - table), initial=0.0) <= 1e-13 * scale
@@ -645,9 +648,28 @@ class TestRequirePositive:
         assert str(info.value) == f"x must be positive and finite, got {value}"
 
     @pytest.mark.parametrize("value", [5e-324, 1e-3, 1, 1.7976931348623157e308,
-                                       np.float64(0.5)])
+                                       np.float64(0.5), np.float32(0.25), np.int64(3)])
     def test_accepts_a_positive_finite_value(self, value):
         assert require_positive("x", value) is None
+
+    # A bool used to pass as 1 (True < inf), and a string, None or a complex
+    # failed in the comparison or in np.isfinite with no argument named.
+    @pytest.mark.parametrize("value", [True, np.True_, "0.1", None, 1 + 0j],
+                             ids=["True", "np.True_", "str", "None", "complex"])
+    @pytest.mark.parametrize("name, call", [
+        ("epsilon", lambda gen, v: witness_series(gen, [0.0, 1.0], v)),
+        ("delta", lambda gen, v: cp_divisibility_scan(gen, [0.0, 1.0], v)),
+        ("delta", lambda gen, v: bridge_spectra(gen, [0.0, 1.0], v)),
+        ("t_max", lambda gen, v: measure_report(gen, v, 5)),
+        ("t0", lambda gen, v: propagate_map(gen, v, 2.0)),
+        ("t1", lambda gen, v: propagate_map(gen, 0.0, v))],
+        ids=["witness_series", "cp_divisibility_scan", "bridge_spectra", "measure_report",
+             "propagate_map t0", "propagate_map t1"])
+    def test_refuses_a_bool_or_a_value_that_is_not_a_real_number(self, name, call, value):
+        gen = dephasing_generator(ConstantRate(1.0))
+        with pytest.raises(ValueError) as info:
+            call(gen, value)
+        assert str(info.value) == f"{name} must be a real number, got {value!r}"
 
     # The checks it replaced each wrote this message; callers and tests read it.
     @pytest.mark.parametrize("name, call", [

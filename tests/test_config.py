@@ -76,6 +76,15 @@ class TestLoadScenario:
         assert str(info.value).startswith(
             f"{path}: not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position ")
 
+    def test_a_leading_byte_order_mark_is_not_part_of_the_first_key(self, tmp_path):
+        # It used to be read as part of the first line, here a comment, which
+        # then was refused as not 'key = value'.
+        original = bundled_scenario_path("example1")
+        path = tmp_path / "bom.cfg"
+        with open(original, "rb") as handle:
+            path.write_bytes(b"\xef\xbb\xbf" + handle.read())
+        assert load_scenario(str(path)) == load_scenario(original)
+
     def test_a_missing_file(self, tmp_path):
         with pytest.raises(ConfigError) as info:
             load_scenario(str(tmp_path / "absent.cfg"))
@@ -220,6 +229,30 @@ class TestParseValidation:
     def test_malformed_line(self):
         with pytest.raises(ConfigError, match="key = value"):
             parse_scenario(MINIMAL + "just some words\n")
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("dissipator.1.operator = sigma_z",
+         "dissipator.1.operator = custom-matrix\ndissipator.1.matrix = 0 1 x 0",
+         "key 'dissipator.1.matrix': expected complex entries like '1', '0.5j' or '(1+2j)', "
+         "got token 'x'"),
+        ("dissipator.1.rate.model = constant\ndissipator.1.rate.value = 1.0",
+         "dissipator.1.rate.model = tabulated\ndissipator.1.rate.knots = 0.0:1.0 9.0",
+         "key 'dissipator.1.rate.knots': expected 't:gamma' pairs, got '9.0'"),
+        ("dissipator.1.operator = sigma_z\n", "",
+         "missing mandatory key 'dissipator.1.operator'"),
+        ("dissipator.1.operator = sigma_z", "dissipator.1.operator = custom-matrix",
+         "operator 'custom-matrix' requires 'dissipator.1.matrix'"),
+        ("dissipator.1.rate.model = constant\n", "",
+         "missing mandatory key 'dissipator.1.rate.model'"),
+        ("outputs = witness", "outputs = witness\ndissipator.1.strength = 2",
+         "unknown key 'dissipator.1.strength'"),
+    ], ids=["bad complex token", "knot without a colon", "no operator",
+            "custom-matrix without matrix", "no rate model", "unknown dissipator key"])
+    def test_a_refused_dissipator_value_names_its_key(self, old, new, message):
+        assert old in MINIMAL
+        with pytest.raises(ConfigError) as info:
+            parse_scenario(MINIMAL.replace(old, new))
+        assert str(info.value) == message
 
 
 # Python's int, float and complex also read digit separators and non-ASCII

@@ -3,6 +3,7 @@ import os
 import tracemalloc
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from scipy.linalg import expm
 
 from choi_moments.choi import (
     CHUNK_ENTRIES,
-    SmallTimeChoiBuilder,
     bridge_spectra,
     max_entangled_projector,
     propagate_map,
@@ -373,6 +373,14 @@ class TestWitnessSeries:
         gen = dephasing_generator(ConstantRate(1.0))
         with pytest.raises(ValueError, match="strictly increasing"):
             witness_series(gen, [0.0, 0.0, 1.0], 1e-3)
+        for grid in ([0.5], [], [[0.0, 1.0]], 1.0):
+            with pytest.raises(ValueError) as info:
+                witness_series(gen, grid, 1e-3)
+            assert str(info.value) == ("time grid must be one-dimensional with at least "
+                                       "2 points")
+        with pytest.raises(ValueError) as info:
+            cp_divisibility_scan(gen, [-0.5, 1.0], 1e-3)
+        assert str(info.value) == "time grid must start at t >= 0, got -0.5"
         with pytest.raises(ValueError, match="mode"):
             witness_series(gen, [0.0, 1.0], 1e-3, mode="other")
 
@@ -566,7 +574,7 @@ class TestTraceNormRate:
         gen = LindbladGenerator(2, SIGMA_X, tuple(zip(ops, map(ConstantRate, rates))))
         _, _, g = rate_limits(gen, [0.0, 1.0])
         rows = np.array(rates)[:, None]
-        assert SmallTimeChoiBuilder(gen).projected_spectra(rows).shape[0] <= len(ops)
+        assert gen.projected_spectra(rows).shape[0] <= len(ops)
         want = reference_rhp_rates(gen, [0.0, 1.0])
         assert np.all(np.abs(g - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
         assert g[0] > 0.0
@@ -583,7 +591,7 @@ class TestTraceNormRate:
         rng = np.random.default_rng(len(ops))
         rates = [ExpCosRate(k=float(rng.uniform(0.5, 3.0))) for _ in ops]
         gen = LindbladGenerator(2, SIGMA_X, tuple(zip(ops, rates)))
-        assert SmallTimeChoiBuilder(gen).projected_table.shape == (len(ops),)
+        assert gen.projected_table.shape == (len(ops),)
         want = reference_rhp_rates(gen, np.linspace(0.0, 6.0, 61))
         calls = []
         eigvalsh = np.linalg.eigvalsh
@@ -610,8 +618,7 @@ class TestTraceNormRate:
             for _ in range(2)]
         rates = [ExpCosRate(k=float(rng.uniform(0.5, 3.0))) for _ in ops]
         gen = LindbladGenerator(2, random_hermitian(rng, 2), tuple(zip(ops, rates)))
-        builder = SmallTimeChoiBuilder(gen)
-        assert builder.projected_table.shape == (3, 3, 3)
+        assert gen.projected_table.shape == (3, 3, 3)
         grid = np.linspace(0.0, 6.0, 61)
         want = reference_rhp_rates(gen, grid)
         shapes = []
@@ -624,7 +631,7 @@ class TestTraceNormRate:
         monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
         _, _, g = rate_limits(gen, grid)
         assert shapes == [(61, 3, 3)]
-        assert builder.projected_spectra(rates_at(gen, grid)).shape == (3, 61)
+        assert gen.projected_spectra(rates_at(gen, grid)).shape == (3, 61)
         assert np.any(g > 0.0)
         assert np.all(np.abs(g - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
@@ -639,10 +646,9 @@ class TestTraceNormRate:
         rates = (ConstantRate(-0.3), ExpCosRate(k=1.5), ConstantRate(0.7), ConstantRate(-0.2))
         rng = np.random.default_rng(23)
         gen = LindbladGenerator(3, random_hermitian(rng, 3), tuple(zip(ops, rates)))
-        builder = SmallTimeChoiBuilder(gen)
-        assert builder.projected_table.shape == (4, 4, 4)
+        assert gen.projected_table.shape == (4, 4, 4)
         grid = np.linspace(0.0, 3.0, 7)
-        mu = builder.projected_spectra(rates_at(gen, grid))
+        mu = gen.projected_spectra(rates_at(gen, grid))
         assert mu.shape == (4, 7)
         bare = LindbladGenerator(3, np.zeros((3, 3)), gen.dissipators)
         q = np.eye(9) - max_entangled_projector(3)
@@ -732,7 +738,7 @@ class TestRowKernels:
         gen = LindbladGenerator(d, random_hermitian(rng, d),
                                 tuple((ops[i], rates[i]) for i in order))
         m = min(k, d * d)
-        assert gen.small_time_builder.projected_table.shape == (
+        assert gen.projected_table.shape == (
             (k,) if n_generic <= 1 else (k, m, m))
         grid = np.linspace(0.0, 2.0, 5)
 
@@ -921,69 +927,78 @@ class TestMeasures:
         assert np.flatnonzero(report.g_series).tolist() == [first - 1]
 
 
-_BUILDER_TABLES = ("bell_overlaps", "dissipator_scales")
+_GENERATOR_TABLES = ("small_time_tables", "projected_table")
 
 
 class TestGeneratorBuilder:
-    """Each generator builds its small-time tables once and shares them."""
+    """Each generator builds its small-time tables once, on first need, and
+    shares them."""
 
     def test_one_builder_per_generator(self, monkeypatch):
-        built = []
-        init = SmallTimeChoiBuilder.__init__
+        built = {name: [] for name in _GENERATOR_TABLES}
 
-        def counted(self, gen):
-            built.append(gen)
-            init(self, gen)
+        def counting(name):
+            build = vars(LindbladGenerator)[name].func
 
-        monkeypatch.setattr(SmallTimeChoiBuilder, "__init__", counted)
+            def counted(gen):
+                built[name].append(gen)
+                return build(gen)
+
+            table = cached_property(counted)
+            table.__set_name__(LindbladGenerator, name)
+            return table
+
+        for name in _GENERATOR_TABLES:
+            monkeypatch.setattr(LindbladGenerator, name, counting(name))
         gen = random_expcos_generator(np.random.default_rng(5), 2, n_ops=3)
         grid = np.linspace(0.0, 2.0, 21)
+        assert not set(_GENERATOR_TABLES) & set(vars(gen))
+        witness_series(gen, grid, 1e-3)
+        # The small-time witness reads no off-Bell spectrum.
+        assert built == {"small_time_tables": [gen], "projected_table": []}
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # random jump operators are not unital
             for _ in range(2):
                 witness_series(gen, grid, 1e-3)
                 measure_report(gen, 2.0, 21)
                 rate_limits(gen, [0.5])
-        assert built == [gen]
-        assert gen.small_time_builder is gen.small_time_builder
-        assert gen.small_time_builder.gen is gen
+        assert built == {name: [gen] for name in _GENERATOR_TABLES}
+        assert gen.small_time_tables is gen.small_time_tables
+        assert gen.projected_table is gen.projected_table
 
-    def test_outputs_match_a_fresh_builder(self):
+    def test_a_twin_generator_builds_its_own_tables_and_gives_equal_outputs(self):
         rng = np.random.default_rng(8)
         grid = np.linspace(0.0, 3.0, 31)
         for d, n_ops in ((2, 3), (3, 4)):
             gen = random_expcos_generator(rng, d, n_ops=n_ops)
-            builder, fresh = gen.small_time_builder, SmallTimeChoiBuilder(gen)
-            assert fresh is not builder
-            for name in _BUILDER_TABLES:
-                assert np.array_equal(getattr(builder, name), getattr(fresh, name))
-            for got, want in zip(builder.trace_tables, fresh.trace_tables):
-                assert np.array_equal(got, want)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")  # random jump operators are not unital
                 series = witness_series(gen, grid, 1e-3)
                 report = measure_report(gen, 3.0, 31)
-                # An equal generator starts with no builder of its own.
+                # A generator rebuilt from the same parts starts with no tables.
                 twin = LindbladGenerator(d, gen.hamiltonian, gen.dissipators)
+                assert not set(_GENERATOR_TABLES) & set(vars(twin))
+                twin_series = witness_series(twin, grid, 1e-3)
                 twin_report = measure_report(twin, 3.0, 31)
-            gammas = rates_at(gen, grid)
-            for got, want in zip((series.r2, series.r3, series.values),
-                                 fresh.moments(gammas, 1e-3)):
+            for name in _GENERATOR_TABLES:
+                assert getattr(twin, name) is not getattr(gen, name)
+            for got, want in zip(twin.small_time_tables, gen.small_time_tables):
                 assert np.array_equal(got, want)
-            assert np.array_equal(builder.projected_spectra(gammas),
-                                  fresh.projected_spectra(gammas))
+            assert np.array_equal(twin.projected_table, gen.projected_table)
+            for name in ("r2", "r3", "values"):
+                assert np.array_equal(getattr(twin_series, name), getattr(series, name))
             assert np.array_equal(report.f_series, twin_report.f_series)
             assert np.array_equal(report.g_series, twin_report.g_series)
 
     def test_tables_are_read_only(self):
         gen = random_generator(np.random.default_rng(9), 2, n_ops=3)
-        builder = gen.small_time_builder
-        tables = [getattr(builder, name) for name in _BUILDER_TABLES]
-        tables += [*builder.trace_tables, gen.unitality_images, gen.operators]
-        tables += [builder.projected_table]
+        tables = [*gen.small_time_tables, gen.unitality_images, gen.operators,
+                  gen.projected_table]
         for table in tables:
             with pytest.raises(ValueError, match="read-only"):
                 table.flat[0] = 1.0
+        with pytest.raises(AttributeError):
+            gen.small_time_tables.traces2 = None
 
     def test_a_d32_register_assesses_below_the_size_of_one_d4_array(self):
         # Local sigma_z dephasing on each of five qubits (d = 32, K = 5): no

@@ -112,7 +112,8 @@ class TestConstruction:
             assert not op.flags.writeable
         assert all(op.flags.writeable for op in ops)
         # Every table reads the one stack, so K = 0 gives empty tables.
-        assert gen.small_time_builder.trace_tables[2].shape == (k * k, k)
+        assert gen.small_time_tables.traces3.shape == (k * k, k)
+        assert len(gen.projected_table) == k
         assert gen.unitality_images.shape == (k, 4)
         assert gen.transfer_blocks.shape == (k + 1, 4, 4)
 
@@ -131,6 +132,12 @@ class TestConstruction:
     def test_rejects_operator_dimension_mismatch(self):
         with pytest.raises(ValueError, match="does not match dim"):
             LindbladGenerator(3, np.zeros((3, 3)), ((SIGMA_Z, ConstantRate(1.0)),))
+
+    @pytest.mark.parametrize("shape", [(3, 3), (1, 1)])
+    def test_rejects_a_hamiltonian_whose_shape_does_not_match_dim(self, shape):
+        with pytest.raises(ValueError) as info:
+            LindbladGenerator(2, np.zeros(shape), ((SIGMA_Z, ConstantRate(1.0)),))
+        assert str(info.value) == f"Hamiltonian shape {shape} does not match dim 2"
 
     @pytest.mark.parametrize("dim, message", [
         (1, "dim must be >= 2, got 1"),
