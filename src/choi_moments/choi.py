@@ -39,6 +39,7 @@ import numpy as np
 
 from .lindblad import (CHUNK_ENTRIES, LindbladGenerator, from_hermitian_basis, rates_at,
                        require_count, require_positive, require_real)
+from .rates import require_rate_times
 
 __all__ = [
     "max_entangled_projector",
@@ -188,7 +189,8 @@ def propagate_map(
     integer >= 1; the default resolution is 1000 steps per unit time.
     Doubling the steps must not move the result by more than ~1e-8 in
     max-entry norm at the default resolution for the rate scales in scope.
-    Both times must be finite real numbers.
+    Both times must be finite real numbers, and a time the rate models are
+    not defined at (t < 0) is refused, the empty interval t1 == t0 too.
     """
     for name, t in (("t0", t0), ("t1", t1)):
         require_real(name, t)
@@ -199,6 +201,7 @@ def propagate_map(
     if steps is None:
         steps = max(1, round(DEFAULT_STEPS_PER_UNIT * (t1 - t0)))
     steps = require_count("steps", steps, 1)
+    require_rate_times(np.array([float(t0)]))
     if t1 == t0:
         return np.eye(gen.dim * gen.dim, dtype=complex)
     h = (t1 - t0) / steps
@@ -209,7 +212,8 @@ def propagate_map(
 
 def bridge_spectra(gen: LindbladGenerator, starts, delta: float
                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Choi spectra of the bridge maps Lambda(t + delta, t), one per start t.
+    """Choi spectra of the bridge maps Lambda(t + delta, t), one per start t
+    of the 1-D array starts (any other shape is refused, naming starts).
 
     Each bridge is integrated directly over its own window with
     max(1, round(DEFAULT_STEPS_PER_UNIT * delta)) RK4 steps, so no
@@ -230,6 +234,8 @@ def bridge_spectra(gen: LindbladGenerator, starts, delta: float
     require_positive("delta", delta)
     steps = max(1, round(DEFAULT_STEPS_PER_UNIT * delta))
     starts = np.asarray(starts, dtype=float)
+    if starts.ndim != 1:
+        raise ValueError(f"starts must be a 1-D array of times, got shape {starts.shape}")
     h = delta / steps
     gammas = _half_step_rates(gen, starts, h, steps)
     if gammas.size:

@@ -21,7 +21,8 @@ instantaneous rate f(t) = lim_{eps->0} max(0, r_2^2 - r_3)/eps of small-time
 Choi states, and the divisibility-based measure built from the trace-norm rate
 g(t) = lim_{eps->0} (||C||_1 - 1)/eps. Both limits are evaluated in closed
 form from the Choi image X_D(t) of the dissipator (`_rate_limits`), over
-the generator's tables: f is a linear form in the rates, and g needs at
+the generator's tables, which come from one Gram matrix of its jump
+operators: f is a linear form in the rates, and g needs at
 most K eigenvalues for K jump operators (`LindbladGenerator.projected_spectra`),
 none for mutually trace-orthogonal ones such as distinct Pauli operators.
 For pure dephasing they reduce to f = max(0, -gamma) and
@@ -225,22 +226,25 @@ def _rate_limits(gen: LindbladGenerator, gammas: np.ndarray) -> tuple[np.ndarray
     The Hamiltonian's part of the small-time map is a local unitary
     conjugation of its Choi state, so it changes no moment and no
     eigenvalue: both limits read only X_D = sum_i gamma_i B_i, the Choi
-    image of the dissipator, over its blocks B_i (never formed). With
-    C = bell + eps X_D, r_2^2 - r_3 = eps <Phi+|X_D|Phi+> + O(eps^2), so
-    f = max(0, <Phi+|X_D|Phi+>), the leading coefficient of the small-time
-    witness: a linear form in the rates over the generator's <Phi+|B_i|Phi+>.
-    Off the Bell direction the eigenvalues of C are eps mu_j + O(eps^2),
-    with mu_j the eigenvalues of Q X_D Q and Q = I - bell, so
+    image of the dissipator, over its blocks B_i (never formed). Off the
+    Bell direction the eigenvalues of C = bell + eps X_D are eps mu_j +
+    O(eps^2), with mu_j the eigenvalues of Q X_D Q and Q = I - bell, so
     g = 2 sum_j max(0, -mu_j) (Rivas, Huelga and Plenio, PRL 105, 050403,
-    2010). Q X_D Q = V diag(gamma) V^dag, so its nonzero mu_j, at most K of
-    them, follow one rule (`LindbladGenerator.projected_spectra`):
-    gamma_k G_kk when the jump operators are pairwise orthogonal
-    (|G_ij| <= 1e-14 sqrt(G_ii G_jj) counts as orthogonal), and otherwise
-    the eigenvalues of R diag(gamma) R^dag over all of them, V = W R; the
-    zero ones add nothing to g. Terms within 1e-12 of the size of X_D,
-    sum_k |gamma_k| ||B_k||_F (the `dissipator_scales` of the generator's
-    `small_time_tables`, read off its Tr(B_k^2) table with no pass over
-    entries), are rounding noise and count as zero, so
+    2010). r_2^2 - r_3 = eps <Phi+|X_D|Phi+> + O(eps^2), and Tr X_D = 0
+    gives <Phi+|X_D|Phi+> = -Tr(Q X_D Q), so f = max(0, -sum_j mu_j), the
+    leading coefficient of the small-time witness. Both read the one Gram
+    matrix G^c of the centred vectors Q v_i/sqrt(d), the leading block of
+    the generator's Gram matrix (`small_time_tables`): f is a linear form
+    in the rates over x_i = -||Q v_i||^2/d = -G^c_ii, and
+    Q X_D Q = V diag(gamma) V^dag, so its nonzero mu_j, at most K of them,
+    follow one rule (`LindbladGenerator.projected_spectra`): gamma_k G^c_kk
+    when the jump operators are pairwise orthogonal
+    (|G^c_ij| <= 1e-14 sqrt(G^c_ii G^c_jj) counts as orthogonal), and
+    otherwise the eigenvalues of R diag(gamma) R^dag over all of them,
+    V = W R; the zero ones add nothing to g. Terms within 1e-12 of the size
+    of X_D, sum_k |gamma_k| ||B_k||_F (the `dissipator_scales` of the
+    generator's `small_time_tables`, read off its Tr(B_k^2) table with no
+    pass over entries), are rounding noise and count as zero, so
     Markovian generators give exactly f = g = 0, and a strong Hamiltonian
     neither scales the noise floor nor erases a weak negative rate. The
     noise floor, f and g are each a product or a reduction across the rows

@@ -32,12 +32,17 @@ the dissipator to first order, so its Choi state is a local unitary
 conjugation of bell + eps X_D(t), X_D = sum_k gamma_k B_k the Choi image of
 the dissipator alone, and has the same moments. They are exact polynomials
 in eps over traces of the blocks B_k (`LindbladGenerator.small_time_moments`),
-contractions of the Gram matrix of three factors per jump operator, so no
-Choi matrix or block is formed and no eigensolve is made. The part of the
-spectrum of X_D off the Bell direction, at most K eigenvalues for K jump
-operators, follows one rule (`LindbladGenerator.projected_spectra`): one
-eigenvalue per operator with no solve when the operators are pairwise
-trace-orthogonal, otherwise one solve over all of them.
+contractions of one Gram matrix per generator, of three centred factors
+per jump operator, so no Choi matrix or block is formed and no eigensolve
+is made. The part of the spectrum of X_D off the Bell direction, the
+eigenvalues mu_j of Q X_D Q with Q = I - bell, reads the leading block of
+the same Gram matrix, the Gram matrix G^c of the centred vectors
+Q v_k/sqrt(d). Tr X_D = 0, so <Phi+|X_D|Phi+> = -Tr(Q X_D Q) = -sum_j mu_j,
+and the Bell overlaps are x_k = -||Q v_k||^2/d = -G^c_kk. At most K of the
+mu_j are nonzero for K jump operators, and they follow one rule
+(`LindbladGenerator.projected_spectra`): one eigenvalue per operator with
+no solve when the operators are pairwise trace-orthogonal, otherwise one
+solve over all of them.
 
 Generators are immutable: their arrays are read-only copies, so all
 evaluation is pure.
@@ -219,12 +224,14 @@ def from_hermitian_basis(transfer: np.ndarray, d: int, choi: bool = False) -> np
     return z.reshape(transfer.shape)
 
 
-# The read-only trace tables of the Choi images B_k of the dissipators
-# (`LindbladGenerator.small_time_tables`): x_k = <Phi+|B_k|Phi+>, (K,);
-# Tr(B_k B_l) and Re <Phi+|B_k B_l|Phi+>, (K, K); Re Tr(B_k B_l B_m),
-# flattened over (k, l) to (K^2, K); and ||B_k||_F = sqrt(Tr B_k^2), (K,).
+# The read-only tables of the Choi images B_k of the dissipators
+# (`LindbladGenerator.small_time_tables`): x_k = <Phi+|B_k|Phi+> =
+# -||Q v_k||^2/d, (K,); Tr(B_k B_l) and Re <Phi+|B_k B_l|Phi+>, (K, K);
+# Re Tr(B_k B_l B_m), flattened over (k, l) to (K^2, K); ||B_k||_F =
+# sqrt(Tr B_k^2), (K,); and the off-Bell table of `projected_spectra`,
+# (K,) or (K, m, m).
 SmallTimeTables = namedtuple("SmallTimeTables", ("bell_overlaps", "traces2", "bell_pairs",
-                                                 "traces3", "dissipator_scales"))
+                                                 "traces3", "dissipator_scales", "off_bell"))
 
 
 class LindbladGenerator:
@@ -241,12 +248,12 @@ class LindbladGenerator:
     callable `evaluate`, naming its index. Every table below is read-only,
     built from the operators on first use and kept: `unitality_images`
     (K, d^2), the images D_k(I/d) that `unitality_defects` contracts with
-    the rates; `small_time_tables`, the trace tables that every small-time
-    witness and rate limit reads (`small_time_moments`), and
-    `projected_table`, the table of `projected_spectra`; and
-    `transfer_blocks`, the generator's parts in the Hermitian operator
-    basis, which only the RK4 kernel reads. A cached_property writes the
-    instance __dict__ directly, past the refusing __setattr__.
+    the rates; `small_time_tables`, the tables that every small-time
+    witness and rate limit reads (`small_time_moments`,
+    `projected_spectra`), all from one Gram matrix; and `transfer_blocks`,
+    the generator's parts in the Hermitian operator basis, which only the
+    RK4 kernel reads. A cached_property writes the instance __dict__
+    directly, past the refusing __setattr__.
 
     A plain class, not a dataclass, because every process that imports the
     package would otherwise generate and compile its methods. Generators
@@ -323,45 +330,76 @@ class LindbladGenerator:
         rate, so that X_D(t) = sum_k gamma_k(t) B_k; K = 0 gives empty tables.
 
         B_k comes in closed form from its jump operator alone:
-        B_k = (v_k v_k^dag - (w_k e^dag + e w_k^dag)/2)/d = F_k M F_k^dag,
-        over the d^2 x 3 factors F_k = [v_k, w_k, e] with v_k = vec(L_k^T),
-        w_k = vec((L_k^dag L_k)^T) and e = vec(I), all row-major, and
-        M = [[1, 0, 0], [0, 0, -1/2], [0, -1/2, 0]]/d. No block is formed:
-        every table contracts the Gram matrix G_kl = F_k^dag F_l,
-        (K, 3, K, 3), and p_k = F_k^dag Phi+: x_k = p_k^dag M p_k,
-        Tr(B_k B_l) = Tr(M G_kl M G_lk), Re <Phi+|B_k B_l|Phi+> =
-        Re (M p_k)^dag G_kl (M p_l) and Re Tr(B_k B_l B_m) =
-        Re Tr(M G_kl M G_lm M G_mk). The Hamiltonian enters no table: the
-        small-time state is (I kron U)(bell + eps X_D(t))(I kron U)^dag with
-        U = e^{-i eps H}, which has the moments of bell + eps X_D. (The
-        first-order state bell + eps X, with the Hamiltonian's Choi image in
-        X, is not a state: that part alone gives a positive witness of order
-        eps^2 |H|^2.)
+        B_k = (v_k v_k^dag - (w_k e^dag + e w_k^dag)/2)/d with v_k = vec(L_k^T),
+        w_k = vec((L_k^dag L_k)^T) and e = vec(I), all row-major. Centring
+        L_k = C_k + a_k I, a_k = Tr(L_k)/d, gives the same block as
+        B_k = F_k M F_k^dag over the d^2 x 3 factors F_k = [c_k, u_k, e],
+        M = [[1, 0, 0], [0, 0, -1/2], [0, -1/2, 0]]/d, with
+        c_k = v_k - a_k e = vec(C_k^T), orthogonal to e, and
+        u_k = w_k - 2 conj(a_k) c_k - |a_k|^2 e
+            = vec((C_k^dag C_k + a_k C_k^dag - conj(a_k) C_k)^T),
+        built from C_k so that no O(|a_k|^2) term cancels. No block is
+        formed: every table contracts the one Gram matrix G_kl = F_k^dag F_l,
+        (K, 3, K, 3), and p_k = F_k^dag Phi+.
+
+        Off the Bell direction, Q = I - bell, Q e = 0 and Q c_k = c_k, so
+        Q B_k Q = c_k c_k^dag/d and Q X_D Q = V diag(gamma) V^dag over the
+        columns c_k/sqrt(d) of V, whose Gram matrix is the leading block
+        G^c = G[:, 0, :, 0]/d. Tr B_k = 0, so x_k = <Phi+|B_k|Phi+> =
+        -Tr(Q B_k Q) = -||Q v_k||^2/d = -G^c_kk: the Bell overlaps are a
+        norm, with no difference of O(1) terms. The off-Bell table
+        `projected_spectra` reads is decided from G^c: its diagonal, (K,),
+        when every pair is orthogonal (|G^c_ij| <= 1e-14 sqrt(G^c_ii G^c_jj)
+        for i != j); otherwise the outer products r_k r_k^dag, (K, m, m) with
+        m = min(K, d^2), over the columns r_k of R in the thin QR V = W R of
+        the c_k columns, so that R diag(gamma) R^dag is their gamma-weighted
+        sum. The other tables: Tr(B_k B_l) = Tr(M G_kl M G_lk),
+        Re <Phi+|B_k B_l|Phi+> = Re (M p_k)^dag G_kl (M p_l) and
+        Re Tr(B_k B_l B_m) = Re Tr(M G_kl M G_lm M G_mk).
+
+        The Hamiltonian enters no table: the small-time state is
+        (I kron U)(bell + eps X_D(t))(I kron U)^dag with U = e^{-i eps H},
+        which has the moments of bell + eps X_D. (The first-order state
+        bell + eps X, with the Hamiltonian's Choi image in X, is not a state:
+        that part alone gives a positive witness of order eps^2 |H|^2.)
         """
         ops = self.operators
         d, k = self.dim, len(ops)
-        # The factors F_k = [v_k, w_k, e] as rows, (K, 3, d^2), and their
-        # Gram matrix G_kl = F_k^dag F_l, (K, 3, K, 3).
+        # The factors F_k = [c_k, u_k, e] as rows, (K, 3, d^2), from the
+        # centred operators C_k, and their Gram matrix G_kl = F_k^dag F_l,
+        # (K, 3, K, 3).
+        mean = np.trace(ops, axis1=1, axis2=2)[:, None, None] / d
+        centred = ops - mean * np.eye(d)
+        adjoints = np.swapaxes(centred, 1, 2).conj()
         factors = np.empty((k, 3, d * d), dtype=complex)
-        flipped = np.swapaxes(ops, 1, 2)
-        factors[:, 0] = flipped.reshape(k, d * d)
-        factors[:, 1] = np.swapaxes(flipped.conj() @ ops, 1, 2).reshape(k, d * d)
+        factors[:, 0] = np.swapaxes(centred, 1, 2).reshape(k, d * d)
+        factors[:, 1] = np.swapaxes(adjoints @ centred + mean * adjoints
+                                    - mean.conj() * centred, 1, 2).reshape(k, d * d)
         factors[:, 2] = e = np.eye(d).ravel()
         rows = factors.reshape(3 * k, d * d)
         gram = (rows.conj() @ rows.T).reshape(k, 3, k, 3)
+        # The off-Bell Gram matrix G^c and the table decided from it.
+        off_gram = gram[:, 0, :, 0] / d
+        norms = off_gram.diagonal().real.copy()
+        linked = np.abs(off_gram) > 1e-14 * np.sqrt(np.outer(norms, norms))
+        np.fill_diagonal(linked, False)
+        if linked.any():
+            r = np.linalg.qr(factors[:, 0].T / np.sqrt(d), mode="r")
+            off_bell = np.einsum("ik,jk->kij", r, r.conj())
+        else:
+            off_bell = norms
         weight = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, -0.5], [0.0, -0.5, 0.0]]) / d
         # A_kl = M G_kl, p_k = F_k^dag Phi+ with Phi+ = e/sqrt(d), and M p_k.
         a = np.einsum("ab,kblc->kalc", weight, gram)
-        p = factors.conj() @ e / np.sqrt(d)
-        mp = p @ weight
+        mp = (factors.conj() @ e / np.sqrt(d)) @ weight
         traces2 = np.einsum("kalb,lbka->kl", a, a).real
-        # Last, ||B_k||_F, the noise floor's scale: a zero block's Tr B_k^2
-        # may round below 0.
+        # 0.0 - x, never -0.0. Last, ||B_k||_F, the noise floor's scale: a
+        # zero block's Tr B_k^2 may round below 0.
         return SmallTimeTables(*map(_read_only, (
-            np.einsum("ka,ka->k", p.conj(), mp).real, traces2,
+            0.0 - norms, traces2,
             np.einsum("ka,kalb,lb->kl", mp.conj(), gram, mp).real,
             np.einsum("kalb,lbmc,mcka->klm", a, a, a).real.reshape(k * k, k),
-            np.sqrt(np.maximum(traces2.diagonal(), 0.0)))))
+            np.sqrt(np.maximum(traces2.diagonal(), 0.0)), off_bell)))
 
     def small_time_moments(self, gammas: np.ndarray, epsilon: float):
         """r_2, r_3 and r_2^2 - r_3 of the small-time Choi state for each
@@ -400,36 +438,15 @@ class LindbladGenerator:
                   + eps**3 * (4.0 * x0 * s2 - s3) + eps**4 * s2**2)
         return r2, r3, values
 
-    @cached_property
-    def projected_table(self) -> np.ndarray:
-        """The table `projected_spectra` reads, decided once from the Gram
-        matrix G = V^dag V of the centred vectors
-        v_k = vec((L_k - Tr(L_k)/d I)^T)/sqrt(d): the diagonal G_kk, (K,),
-        when every pair is orthogonal (|G_ij| <= 1e-14 sqrt(G_ii G_jj) for
-        i != j); otherwise the outer products r_k r_k^dag, (K, m, m) with
-        m = min(K, d^2), over the columns r_k of R in the thin QR V = W R, so
-        that R diag(gamma) R^dag is their gamma-weighted sum. Read-only.
-        """
-        ops = self.operators
-        k, d = ops.shape[:2]
-        traceless = ops - np.trace(ops, axis1=1, axis2=2)[:, None, None] / d * np.eye(d)
-        v = np.swapaxes(traceless, 1, 2).reshape(k, d * d).T / np.sqrt(d)
-        gram = v.conj().T @ v
-        norms = gram.diagonal().real.copy()
-        linked = np.abs(gram) > 1e-14 * np.sqrt(np.outer(norms, norms))
-        np.fill_diagonal(linked, False)
-        if linked.any():
-            r = np.linalg.qr(v, mode="r")
-            return _read_only(np.einsum("ik,jk->kij", r, r.conj()))
-        return _read_only(norms)
-
     def projected_spectra(self, gammas: np.ndarray) -> np.ndarray:
         """The nonzero spectrum of Q X_D Q, Q = I - bell, for each column of
-        rates gammas (K, n), shape (m, n) with m <= K, from `projected_table`.
+        rates gammas (K, n), shape (m, n) with m <= K, from the `off_bell`
+        table of `small_time_tables`.
 
         Off the Bell direction each dissipator leaves one rank-1 term,
-        Q B_k Q = v_k v_k^dag, so Q X_D Q = V diag(gamma) V^dag. Pairwise
-        orthogonal operators give m = K eigenvalues gamma_k G_kk, in
+        Q B_k Q = c_k c_k^dag/d, so Q X_D Q = V diag(gamma) V^dag over the
+        centred columns c_k/sqrt(d), whose Gram matrix is G^c. Pairwise
+        orthogonal operators give m = K eigenvalues gamma_k G^c_kk, in
         operator order, with no solve. Any other set gives the min(K, d^2)
         eigenvalues of R diag(gamma) R^dag, ascending, in stacked solves of
         at most CHUNK_ENTRIES matrix entries, so no coupling between
@@ -437,10 +454,10 @@ class LindbladGenerator:
         gives a repeated column): R diag(gamma) R^dag then has zero
         eigenvalues, as Q X_D Q has. Treating a pair within the threshold as
         exactly orthogonal moves the eigenvalues by the order of
-        1e-14 sum_k |gamma_k| G_kk, two orders below the 1e-12 noise rule of
+        1e-14 sum_k |gamma_k| G^c_kk, two orders below the 1e-12 noise rule of
         `detect._rate_limits`.
         """
-        table = self.projected_table
+        table = self.small_time_tables.off_bell
         if table.ndim == 1:
             return gammas * table[:, None]
         m, n = table.shape[-1], gammas.shape[1]

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -207,7 +208,9 @@ class TestRefusedTimes:
         (lambda gen: rates_at(gen, [0.0, math.nan, -1.0]), "nan"),
         (lambda gen: bridge_spectra(gen, [math.nan, -1.0], 1e-3), "nan"),
         (lambda gen: propagate_map(gen, -1.0, 0.0), "-1.0"),
-    ], ids=["rates_at", "bridge_spectra", "propagate_map"])
+        # An empty interval used to return the identity before any check.
+        (lambda gen: propagate_map(gen, -1.0, -1.0), "-1.0"),
+    ], ids=["rates_at", "bridge_spectra", "propagate_map", "propagate_map_empty"])
     def test_is_refused(self, call, first, n_ops):
         gen = LindbladGenerator(2, SIGMA_Z, ((SIGMA_X, ConstantRate(1.0)),)[:n_ops])
         with pytest.raises(ValueError, match=rf"^rate models are defined for finite "
@@ -256,6 +259,17 @@ class TestBatchedKernel:
         gen = dephasing_generator(ConstantRate(1.0))
         with pytest.raises(ValueError, match="delta must be positive and finite"):
             bridge_spectra(gen, [0.0, 1.0], delta)
+
+    # A scalar used to end in an IndexError, and a 2-D array in a broadcast
+    # ValueError, neither naming the argument.
+    @pytest.mark.parametrize("starts", [0.5, [[0.1, 0.2]], np.zeros((2, 0))],
+                             ids=["scalar", "row", "empty-2-D"])
+    def test_bridge_spectra_refuse_starts_that_are_not_1d(self, starts):
+        gen = dephasing_generator(ConstantRate(1.0))
+        shape = np.shape(starts)
+        with pytest.raises(ValueError, match=rf"^starts must be a 1-D array of times, "
+                                             rf"got shape {re.escape(str(shape))}$"):
+            bridge_spectra(gen, starts, 0.01)
 
     @pytest.mark.parametrize("steps, problem", [
         (0, "must be >= 1, got 0"), (-5, "must be >= 1, got -5"),
@@ -618,12 +632,34 @@ class TestChoiStates:
             "traces3": np.einsum("kab,lbc,mca->klm", blocks, blocks,
                                  blocks).real.reshape(k * k, k),
             "dissipator_scales": np.linalg.norm(blocks, axis=(1, 2))}
-        assert tuple(want) == tables._fields
+        assert tuple(want) + ("off_bell",) == tables._fields
         for name, table in want.items():
             got = getattr(tables, name)
             assert got.shape == table.shape
             scale = np.max(np.abs(table), initial=0.0)
             assert np.max(np.abs(got - table), initial=0.0) <= 1e-13 * scale
+        # The off-Bell table and the Bell overlaps read one Gram matrix G^c,
+        # of the centred vectors Q v_k/sqrt(d): x_k = -G^c_kk, and the
+        # spectra sum to -x . gamma and are the nonzero spectrum of Q X_D Q.
+        ops = gen.operators
+        centred = ops - np.einsum("kii->k", ops)[:, None, None] / d * np.eye(d)
+        columns = np.swapaxes(centred, 1, 2).reshape(k, d * d).T / np.sqrt(d)
+        norms = np.einsum("ak,ak->k", columns.conj(), columns).real
+        scale = norms.sum()  # bounds sum_k |gamma_k| G^c_kk for |gamma_k| <= 1
+        assert np.max(np.abs(tables.bell_overlaps + norms), initial=0.0) <= 1e-13 * scale
+        table = tables.off_bell
+        assert table.shape in ((k,), (k, min(k, d * d), min(k, d * d)))
+        traces = table if table.ndim == 1 else np.einsum("kii->k", table).real
+        assert np.max(np.abs(traces - norms), initial=0.0) <= 1e-13 * scale
+        gammas = rng.uniform(-1.0, 1.0, size=(k, 3))
+        mu = gen.projected_spectra(gammas)
+        assert mu.shape[0] <= k
+        assert np.max(np.abs(tables.bell_overlaps @ gammas + mu.sum(0))) <= 1e-13 * scale
+        q = np.eye(d * d) - bell
+        for gamma, got in zip(gammas.T, mu.T):
+            full = np.linalg.eigvalsh(q @ np.tensordot(gamma, blocks, axes=1) @ q)
+            padded = np.sort(np.concatenate((got, np.zeros(d * d - len(got)))))
+            assert np.max(np.abs(padded - full)) <= 1e-12 * scale
 
     def test_small_time_agrees_with_finite_interval_to_second_order(self):
         gens = {

@@ -355,9 +355,9 @@ class TestGeneratorTables:
         capsys.readouterr()
 
     @pytest.mark.parametrize("outputs, built", [
-        ("witness", {"unitality_images", "small_time_tables", "projected_table"}),
-        ("compare", {"unitality_images", "small_time_tables", "projected_table"}),
-        ("divisibility", {"unitality_images", "small_time_tables", "projected_table",
+        ("witness", {"unitality_images", "small_time_tables"}),
+        ("compare", {"unitality_images", "small_time_tables"}),
+        ("divisibility", {"unitality_images", "small_time_tables",
                           "transfer_blocks"})])
     def test_a_run_builds_one_generator_and_only_what_it_reads(self, tmp_path, monkeypatch,
                                                                outputs, built):
@@ -572,7 +572,7 @@ class TestMainExitCodes:
         # solve over both, not from one eigenvalue per operator.
         config = load_scenario(QUTRIT_COUPLED)
         gen = build_generator(config)
-        assert gen.projected_table.shape == (2, 2, 2)
+        assert gen.small_time_tables.off_bell.shape == (2, 2, 2)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # the generator is not unital
             assert main(["compare", QUTRIT_COUPLED, "--out-dir", str(tmp_path),

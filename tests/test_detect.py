@@ -501,6 +501,20 @@ class TestInstantaneousRates:
         assert f == pytest.approx(f_ref, rel=1e-4, abs=1e-9)
         assert g == pytest.approx(g_ref, rel=1e-4, abs=1e-9)
 
+    def test_near_identity_operator_reads_its_small_centred_part(self):
+        # L = I + delta sigma_z at rate -1 dephases at rate delta^2, so
+        # f = delta^2 and g = 2 delta^2. The Bell overlap is the norm of the
+        # centred part, with no O(1) terms to cancel: f used to be 8.3e-8 off.
+        delta = 1e-5
+        gen = LindbladGenerator(2, SIGMA_X, ((np.eye(2) + delta * SIGMA_Z,
+                                              ConstantRate(-1.0)),))
+        f, g = f_and_g(gen, 0.0)
+        assert f == pytest.approx(delta**2, rel=1e-10)
+        assert g == pytest.approx(2.0 * delta**2, rel=1e-10)
+        report = measure_report(gen, 10.0, 11)
+        assert report.moment_measure == pytest.approx(10.0 * delta**2, rel=1e-10)
+        assert abs(report.rhp_measure / report.moment_measure - 2.0) < 1e-9
+
     def test_dephasing_case_formulas_across_rates(self):
         for gamma in np.linspace(-2.0, 2.0, 50):
             f, g = f_and_g(dephasing_generator(ConstantRate(float(gamma))), 0.0)
@@ -591,7 +605,7 @@ class TestTraceNormRate:
         rng = np.random.default_rng(len(ops))
         rates = [ExpCosRate(k=float(rng.uniform(0.5, 3.0))) for _ in ops]
         gen = LindbladGenerator(2, SIGMA_X, tuple(zip(ops, rates)))
-        assert gen.projected_table.shape == (len(ops),)
+        assert gen.small_time_tables.off_bell.shape == (len(ops),)
         want = reference_rhp_rates(gen, np.linspace(0.0, 6.0, 61))
         calls = []
         eigvalsh = np.linalg.eigvalsh
@@ -618,7 +632,7 @@ class TestTraceNormRate:
             for _ in range(2)]
         rates = [ExpCosRate(k=float(rng.uniform(0.5, 3.0))) for _ in ops]
         gen = LindbladGenerator(2, random_hermitian(rng, 2), tuple(zip(ops, rates)))
-        assert gen.projected_table.shape == (3, 3, 3)
+        assert gen.small_time_tables.off_bell.shape == (3, 3, 3)
         grid = np.linspace(0.0, 6.0, 61)
         want = reference_rhp_rates(gen, grid)
         shapes = []
@@ -646,7 +660,7 @@ class TestTraceNormRate:
         rates = (ConstantRate(-0.3), ExpCosRate(k=1.5), ConstantRate(0.7), ConstantRate(-0.2))
         rng = np.random.default_rng(23)
         gen = LindbladGenerator(3, random_hermitian(rng, 3), tuple(zip(ops, rates)))
-        assert gen.projected_table.shape == (4, 4, 4)
+        assert gen.small_time_tables.off_bell.shape == (4, 4, 4)
         grid = np.linspace(0.0, 3.0, 7)
         mu = gen.projected_spectra(rates_at(gen, grid))
         assert mu.shape == (4, 7)
@@ -738,7 +752,7 @@ class TestRowKernels:
         gen = LindbladGenerator(d, random_hermitian(rng, d),
                                 tuple((ops[i], rates[i]) for i in order))
         m = min(k, d * d)
-        assert gen.projected_table.shape == (
+        assert gen.small_time_tables.off_bell.shape == (
             (k,) if n_generic <= 1 else (k, m, m))
         grid = np.linspace(0.0, 2.0, 5)
 
@@ -927,44 +941,35 @@ class TestMeasures:
         assert np.flatnonzero(report.g_series).tolist() == [first - 1]
 
 
-_GENERATOR_TABLES = ("small_time_tables", "projected_table")
-
-
 class TestGeneratorBuilder:
     """Each generator builds its small-time tables once, on first need, and
     shares them."""
 
     def test_one_builder_per_generator(self, monkeypatch):
-        built = {name: [] for name in _GENERATOR_TABLES}
+        built = []
+        build = vars(LindbladGenerator)["small_time_tables"].func
 
-        def counting(name):
-            build = vars(LindbladGenerator)[name].func
+        def counted(gen):
+            built.append(gen)
+            return build(gen)
 
-            def counted(gen):
-                built[name].append(gen)
-                return build(gen)
-
-            table = cached_property(counted)
-            table.__set_name__(LindbladGenerator, name)
-            return table
-
-        for name in _GENERATOR_TABLES:
-            monkeypatch.setattr(LindbladGenerator, name, counting(name))
+        table = cached_property(counted)
+        table.__set_name__(LindbladGenerator, "small_time_tables")
+        monkeypatch.setattr(LindbladGenerator, "small_time_tables", table)
         gen = random_expcos_generator(np.random.default_rng(5), 2, n_ops=3)
         grid = np.linspace(0.0, 2.0, 21)
-        assert not set(_GENERATOR_TABLES) & set(vars(gen))
+        assert "small_time_tables" not in vars(gen)
         witness_series(gen, grid, 1e-3)
-        # The small-time witness reads no off-Bell spectrum.
-        assert built == {"small_time_tables": [gen], "projected_table": []}
+        assert built == [gen]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # random jump operators are not unital
             for _ in range(2):
                 witness_series(gen, grid, 1e-3)
                 measure_report(gen, 2.0, 21)
                 rate_limits(gen, [0.5])
-        assert built == {name: [gen] for name in _GENERATOR_TABLES}
+        # The off-Bell spectrum reads the same tables: one build in all.
+        assert built == [gen]
         assert gen.small_time_tables is gen.small_time_tables
-        assert gen.projected_table is gen.projected_table
 
     def test_a_twin_generator_builds_its_own_tables_and_gives_equal_outputs(self):
         rng = np.random.default_rng(8)
@@ -977,14 +982,12 @@ class TestGeneratorBuilder:
                 report = measure_report(gen, 3.0, 31)
                 # A generator rebuilt from the same parts starts with no tables.
                 twin = LindbladGenerator(d, gen.hamiltonian, gen.dissipators)
-                assert not set(_GENERATOR_TABLES) & set(vars(twin))
+                assert "small_time_tables" not in vars(twin)
                 twin_series = witness_series(twin, grid, 1e-3)
                 twin_report = measure_report(twin, 3.0, 31)
-            for name in _GENERATOR_TABLES:
-                assert getattr(twin, name) is not getattr(gen, name)
+            assert twin.small_time_tables is not gen.small_time_tables
             for got, want in zip(twin.small_time_tables, gen.small_time_tables):
                 assert np.array_equal(got, want)
-            assert np.array_equal(twin.projected_table, gen.projected_table)
             for name in ("r2", "r3", "values"):
                 assert np.array_equal(getattr(twin_series, name), getattr(series, name))
             assert np.array_equal(report.f_series, twin_report.f_series)
@@ -992,8 +995,7 @@ class TestGeneratorBuilder:
 
     def test_tables_are_read_only(self):
         gen = random_generator(np.random.default_rng(9), 2, n_ops=3)
-        tables = [*gen.small_time_tables, gen.unitality_images, gen.operators,
-                  gen.projected_table]
+        tables = [*gen.small_time_tables, gen.unitality_images, gen.operators]
         for table in tables:
             with pytest.raises(ValueError, match="read-only"):
                 table.flat[0] = 1.0

@@ -113,7 +113,7 @@ class TestConstruction:
         assert all(op.flags.writeable for op in ops)
         # Every table reads the one stack, so K = 0 gives empty tables.
         assert gen.small_time_tables.traces3.shape == (k * k, k)
-        assert len(gen.projected_table) == k
+        assert len(gen.small_time_tables.off_bell) == k
         assert gen.unitality_images.shape == (k, 4)
         assert gen.transfer_blocks.shape == (k + 1, 4, 4)
 
