@@ -239,7 +239,8 @@ def bridge_spectra(gen: LindbladGenerator, starts, delta: float
     h = delta / steps
     gammas = _half_step_rates(gen, starts, h, steps)
     if gammas.size:
-        peak = np.max(np.abs(h * gammas), axis=(0, 2))
+        # max|h*gamma| = h*max|gamma| exactly: rounding is monotone.
+        peak = h * np.maximum(gammas.max(axis=(0, 2)), -gammas.min(axis=(0, 2)))
         w = int(np.argmax(peak))
         if peak[w] >= SMALL_TIME_RATE_LIMIT:
             warn_caller(

@@ -251,17 +251,9 @@ arguments:
 """)
 
 
-# The options that override a config value, and its key.
-_OVERRIDES = {"--grid-points": "grid.points", "--epsilon": "epsilon"}
-
-
-class _Args(NamedTuple):
-    command: str
-    config: str
-    out_dir: str | None = None
-    grid_points: str | None = None
-    epsilon: str | None = None
-    quiet: bool = False
+# Each option that takes a value, as the usage line spells it, and the config
+# key it overrides (None for --out-dir). The parser and `main` both read it.
+_OPTIONS = {"--out-dir": None, "--grid-points": "grid.points", "--epsilon": "epsilon"}
 
 
 def _usage_error(message: str):
@@ -270,14 +262,15 @@ def _usage_error(message: str):
     raise SystemExit(1)
 
 
-def _parse_args(argv) -> _Args:
-    """Parse the usage line, `choi-moments [-h] [--version] COMMAND CONFIG [options]`.
+def _parse_args(argv) -> tuple[str, str, dict[str, str | bool]]:
+    """Parse the usage line, `choi-moments [-h] [--version] COMMAND CONFIG [options]`,
+    into (command, config, options), options keyed by spelling.
 
     A token that begins with "--" is an option, spelled in full; the options
-    may come before or after CONFIG. --out-dir, --grid-points and --epsilon
-    take their value as "--opt value" or "--opt=value", kept as the text
-    written ("-1" too) unless it is missing or begins with "--": `main`
-    reads an override by its config key's rule. -h/--help anywhere, and
+    may come before or after CONFIG. The options of `_OPTIONS` take their
+    value as "--opt value" or "--opt=value", kept as the text written ("-1"
+    too) unless it is missing or begins with "--": `main` reads an override
+    by its config key's rule. --quiet maps to True. -h/--help anywhere, and
     --version as the first argument, print and raise SystemExit(0); a usage
     mistake prints the usage line and the error to stderr and raises
     SystemExit(1).
@@ -289,18 +282,18 @@ def _parse_args(argv) -> _Args:
     if args[:1] == ["--version"]:
         sys.stdout.write(f"choi-moments {__version__}\n")
         raise SystemExit(0)
-    positionals, values, unknown = [], {}, []
+    positionals, options, unknown = [], {}, []
     tokens = iter(args)
     for arg in tokens:
         name, eq, value = arg.partition("=")
         if positionals and arg == "--quiet":
-            values["quiet"] = True
-        elif positionals and name in ("--out-dir", *_OVERRIDES):
+            options[arg] = True
+        elif positionals and name in _OPTIONS:
             if not eq:
                 value = next(tokens, "--")
                 if value.startswith("--"):
                     _usage_error(f"argument {name}: expected one argument")
-            values[name[2:].replace("-", "_")] = value
+            options[name] = value
         elif arg.startswith("--") or len(positionals) == 2:
             unknown.append(arg)
         elif positionals or arg in _COMMANDS:
@@ -313,14 +306,16 @@ def _parse_args(argv) -> _Args:
                      + ("config" if positionals else "command"))
     if unknown:
         _usage_error(f"unrecognized arguments: {' '.join(unknown)}")
-    return _Args(*positionals, **values)
+    return positionals[0], positionals[1], options
 
 
 def _resolve_config_path(arg: str) -> str:
+    # A bundled name reads the package's file unless a regular file of that
+    # name exists: an output directory named after the scenario must not hide it.
+    if arg in BUNDLED_SCENARIOS and not os.path.isfile(arg):
+        return bundled_scenario_path(arg)
     if os.path.exists(arg):
         return arg
-    if arg in BUNDLED_SCENARIOS:
-        return bundled_scenario_path(arg)
     raise ConfigError(
         f"no config file {arg!r} and no bundled scenario of that name "
         f"(bundled: {', '.join(BUNDLED_SCENARIOS)})"
@@ -329,35 +324,36 @@ def _resolve_config_path(arg: str) -> str:
 
 def main(argv=None) -> int:
     try:
-        args = _parse_args(argv)
+        command, source, options = _parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
 
     try:
-        path = _resolve_config_path(args.config)
+        path = _resolve_config_path(source)
         config = load_scenario(path)  # whole, so a value an override replaces is still read
-        for option, key in _OVERRIDES.items():
-            raw = getattr(args, option[2:].replace("-", "_"))
-            try:
-                config = config if raw is None else override(config, key, raw)
-            except ConfigError as exc:
-                raise ConfigError(f"{option}: {exc}") from None
-        if args.command != "validate":
-            config = override(config, "outputs", args.command)
+        for option, key in _OPTIONS.items():
+            if key is not None and option in options:
+                try:
+                    config = override(config, key, options[option])
+                except ConfigError as exc:
+                    raise ConfigError(f"{option}: {exc}") from None
+        if command != "validate":
+            config = override(config, "outputs", command)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 
-    if args.command == "validate":
-        if not args.quiet:
+    quiet = "--quiet" in options
+    if command == "validate":
+        if not quiet:
             print(f"{path}: OK (scenario {config.name!r})")
         return 0
 
-    out_dir = args.out_dir
+    out_dir = options.get("--out-dir")
     if out_dir is None:
         out_dir = os.environ.get(_ENV_OUT_DIR) or os.getcwd()
     try:
-        report = run_scenario(config, out_dir=out_dir, quiet=args.quiet)
+        report = run_scenario(config, out_dir=out_dir, quiet=quiet)
     except ConfigError as exc:  # an output directory or file that cannot be made
         print(f"config error: {exc}", file=sys.stderr)
         return 1

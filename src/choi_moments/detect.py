@@ -263,8 +263,8 @@ def _rate_limits(gen: LindbladGenerator, gammas: np.ndarray) -> tuple[np.ndarray
 def measure_report(gen: LindbladGenerator, t_max: float, grid_points: int) -> MeasureReport:
     """Both integrated measures over [0, t_max] with their rate series.
 
-    Trapezoidal integration on a uniform grid of grid_points >= 2 points,
-    with np.trapezoid's formula. The moment measure is proven to
+    Trapezoidal integration (np.trapezoid) on a uniform grid of
+    grid_points >= 2 points. The moment measure is proven to
     be a measure only for unital dynamics, so a generator that is not unital
     at some grid point is accepted with a warning rather than refused. A
     warning, naming the series, is also emitted when f or g has not decayed
@@ -298,8 +298,7 @@ def _measures(gen: LindbladGenerator, grid: np.ndarray, gammas: np.ndarray) -> M
             "increase t_max to trust the truncated integral"
         )
 
-    steps = np.diff(grid)
-    moment, rhp = (float((steps * (s[1:] + s[:-1]) / 2.0).sum()) for s in (f_series, g_series))
+    moment, rhp = (float(np.trapezoid(s, grid)) for s in (f_series, g_series))
     return MeasureReport(moment_measure=moment, rhp_measure=rhp, grid=grid,
                          f_series=f_series, g_series=g_series)
 

@@ -271,6 +271,34 @@ class TestRunScenario:
         assert str(info.value) == f"cannot write output {calls[-1]!r}: disk full"
         assert list(tmp_path.iterdir()) == []
 
+    def test_a_failure_that_is_not_an_oserror_removes_what_the_run_wrote(
+            self, tmp_path, capsys, monkeypatch):
+        # Raised after the witness CSV is written, before the report.
+        def broken_report(report):
+            raise RuntimeError("report failed")
+
+        monkeypatch.setattr(cli, "_report_text", broken_report)
+        out = tmp_path / "new" / "sub"
+        assert main(["witness", "markovian_control", "--quiet", "--out-dir", str(out)]) == 2
+        assert capsys.readouterr() == (
+            "", "numerical failure in scenario 'markovian_control': report failed\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_temp_file_that_cannot_be_removed_leaves_the_first_error(self, tmp_path,
+                                                                         monkeypatch):
+        def full_disk(src, dst):
+            raise OSError("disk full")
+
+        def busy(path):
+            raise OSError(f"cannot remove {path}")
+
+        monkeypatch.setattr(os, "replace", full_disk)
+        monkeypatch.setattr(os, "unlink", busy)
+        path = tmp_path / "out.csv"
+        with pytest.raises(OSError, match="disk full"):
+            cli._write_atomic(str(path), "t\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv.tmp"]
+
 
 class TestCriteria:
     """The run's criteria come from one table, `cli.CRITERIA`."""
@@ -389,6 +417,21 @@ class TestMainExitCodes:
     def test_missing_file_is_1(self, capsys):
         assert main(["witness", "/definitely/not/here.cfg"]) == 1
         capsys.readouterr()
+
+    def test_an_out_dir_named_after_a_bundled_scenario_does_not_hide_it(
+            self, tmp_path, capsys, monkeypatch):
+        # The second run read the directory example1/ as its config: exit 1.
+        monkeypatch.chdir(tmp_path)
+        for _ in range(2):
+            assert main(["witness", "example1", "--quiet", "--out-dir", "example1"]) == 10
+        assert capsys.readouterr() == ("", "")
+
+    def test_a_regular_file_named_after_a_bundled_scenario_is_read(self, tmp_path, capsys,
+                                                                    monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "example1").write_text(MARKOVIAN)
+        assert main(["validate", "example1"]) == 0
+        assert capsys.readouterr() == ("example1: OK (scenario 'control')\n", "")
 
     def test_usage_error_is_1(self, capsys):
         assert main(["witness"]) == 1
@@ -793,26 +836,28 @@ class TestParser:
     codes, help and version). The spellings that only argparse took (unique
     prefixes, "-h" bundles, "--" to end the options) are usage errors."""
 
+    # Each row's command and config are "witness" and "ex" unless it names
+    # them; every other key is an option's spelling.
     PARSED = [
-        (["witness", "ex", "--out-dir=D"], {"out_dir": "D"}),
-        (["witness", "ex", "--out-dir", "D"], {"out_dir": "D"}),
-        (["witness", "ex", "--out-dir="], {"out_dir": ""}),
-        (["witness", "ex", "--out-dir", "-1"], {"out_dir": "-1"}),
-        (["witness", "ex", "--out-dir", "-x y"], {"out_dir": "-x y"}),
-        (["witness", "ex", "--grid-points", "+7"], {"grid_points": "+7"}),
-        (["witness", "ex", "--grid-points", "1_000"], {"grid_points": "1_000"}),
-        (["witness", "ex", "--grid-points", "-1"], {"grid_points": "-1"}),
-        (["witness", "ex", "--epsilon=-1"], {"epsilon": "-1"}),
-        (["witness", "--epsilon", "-1", "ex"], {"epsilon": "-1"}),
-        (["witness", "ex", "--epsilon", "1e-3", "--epsilon", "2"], {"epsilon": "2"}),
-        (["witness", "--quiet", "ex"], {"quiet": True}),
-        (["validate", "ex", "--quiet"], {"command": "validate", "quiet": True}),
+        (["witness", "ex", "--out-dir=D"], {"--out-dir": "D"}),
+        (["witness", "ex", "--out-dir", "D"], {"--out-dir": "D"}),
+        (["witness", "ex", "--out-dir="], {"--out-dir": ""}),
+        (["witness", "ex", "--out-dir", "-1"], {"--out-dir": "-1"}),
+        (["witness", "ex", "--out-dir", "-x y"], {"--out-dir": "-x y"}),
+        (["witness", "ex", "--grid-points", "+7"], {"--grid-points": "+7"}),
+        (["witness", "ex", "--grid-points", "1_000"], {"--grid-points": "1_000"}),
+        (["witness", "ex", "--grid-points", "-1"], {"--grid-points": "-1"}),
+        (["witness", "ex", "--epsilon=-1"], {"--epsilon": "-1"}),
+        (["witness", "--epsilon", "-1", "ex"], {"--epsilon": "-1"}),
+        (["witness", "ex", "--epsilon", "1e-3", "--epsilon", "2"], {"--epsilon": "2"}),
+        (["witness", "--quiet", "ex"], {"--quiet": True}),
+        (["validate", "ex", "--quiet"], {"command": "validate", "--quiet": True}),
         (["witness", "--out-dir", "D", "--grid-points", "9", "ex", "--quiet"],
-         {"out_dir": "D", "grid_points": "9", "quiet": True}),
+         {"--out-dir": "D", "--grid-points": "9", "--quiet": True}),
         (["witness", "-1"], {"config": "-1"}),
         (["witness", "-"], {"config": "-"}),
-        (["witness", "ex", "--epsilon", "-1e-3"], {"epsilon": "-1e-3"}),
-        (["witness", "ex", "--out-dir", "-h-not-help"], {"out_dir": "-h-not-help"}),
+        (["witness", "ex", "--epsilon", "-1e-3"], {"--epsilon": "-1e-3"}),
+        (["witness", "ex", "--out-dir", "-h-not-help"], {"--out-dir": "-h-not-help"}),
     ]
 
     HELP = [["-h"], ["--help"], ["-h", "witness"], ["witness", "-h"],
@@ -858,15 +903,15 @@ class TestParser:
         (["--version=1"], "the following arguments are required: command"),
     ]
 
-    @pytest.mark.parametrize("argv, fields", PARSED, ids=" ".join)
+    @pytest.mark.parametrize("argv, fields", PARSED, ids=[" ".join(argv) for argv, _ in PARSED])
     def test_parsed_values(self, argv, fields):
-        want = {"command": "witness", "config": "ex", "out_dir": None, "grid_points": None,
-                "epsilon": None, "quiet": False, **fields}
-        assert cli._parse_args(argv)._asdict() == want
+        options = dict(fields)
+        want = (options.pop("command", "witness"), options.pop("config", "ex"), options)
+        assert cli._parse_args(argv) == want
 
     def test_argv_defaults_to_the_process_arguments(self, monkeypatch):
         monkeypatch.setattr(sys, "argv", ["choi-moments", "compare", "example2", "--quiet"])
-        assert cli._parse_args(None) == ("compare", "example2", None, None, None, True)
+        assert cli._parse_args(None) == ("compare", "example2", {"--quiet": True})
 
     def test_double_dash_does_not_end_the_options(self, capsys):
         # argparse read "--quiet" after "--" as a third positional.
