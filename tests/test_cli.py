@@ -65,23 +65,6 @@ mode = small-time
 outputs = witness
 """
 
-# Markovian dephasing under a Hamiltonian that dwarfs its rate: the
-# first-order small-time state read a witness of +9.0e-5 here (exit 10).
-STRONG_HAMILTONIAN = """
-version = 1
-name = strong_hamiltonian
-generator.dimension = 2
-generator.hamiltonian = 10 0 0 -10
-dissipator.1.operator = sigma_z
-dissipator.1.rate.model = constant
-dissipator.1.rate.value = 0.01
-epsilon = 0.001
-grid.t_max = 2.0
-grid.points = 200
-mode = small-time
-outputs = witness
-"""
-
 # Knots stop exactly at t_max, so the divisibility scan (which needs rates at
 # t_max + delta) fails after the witness series has been computed.
 FAILS_LATE = """
@@ -107,8 +90,6 @@ QUTRIT_EXPCOS = os.path.join(os.path.dirname(__file__), "data", "qutrit_expcos.c
 # A qutrit whose two jump operators are not trace-orthogonal, in small-time
 # mode: the one CLI run whose trace-norm rate needs an eigensolve.
 QUTRIT_COUPLED = os.path.join(os.path.dirname(__file__), "data", "qutrit_coupled.cfg")
-NONFINITE_HAMILTONIAN = os.path.join(
-    os.path.dirname(__file__), "data", "nonfinite_hamiltonian.cfg")
 
 
 def write_cfg(tmp_path, text, name="scenario.cfg"):
@@ -400,59 +381,12 @@ class TestGeneratorTables:
 
 
 class TestMainExitCodes:
-    def test_config_error_is_1(self, tmp_path, capsys):
-        path = write_cfg(tmp_path, "version = 1\n")
-        assert main(["witness", path]) == 1
-        assert "config error" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("index", ["01", "\u00b2"])
-    def test_a_dissipator_index_spelled_another_way_is_1(self, tmp_path, capsys, index):
-        # dissipator.01 used to replace dissipator.1 silently, and a
-        # superscript two used to end validate in a ValueError from int().
-        text = SMALL_WITNESS.replace("dissipator.3.", f"dissipator.{index}.")
-        assert main(["validate", write_cfg(tmp_path, text)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("config error: ") and f"'dissipator.{index}." in err
-
-    def test_missing_file_is_1(self, capsys):
-        assert main(["witness", "/definitely/not/here.cfg"]) == 1
-        capsys.readouterr()
-
-    def test_an_out_dir_named_after_a_bundled_scenario_does_not_hide_it(
-            self, tmp_path, capsys, monkeypatch):
-        # The second run read the directory example1/ as its config: exit 1.
-        monkeypatch.chdir(tmp_path)
-        for _ in range(2):
-            assert main(["witness", "example1", "--quiet", "--out-dir", "example1"]) == 10
-        assert capsys.readouterr() == ("", "")
-
     def test_a_regular_file_named_after_a_bundled_scenario_is_read(self, tmp_path, capsys,
                                                                     monkeypatch):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "example1").write_text(MARKOVIAN)
         assert main(["validate", "example1"]) == 0
         assert capsys.readouterr() == ("example1: OK (scenario 'control')\n", "")
-
-    def test_usage_error_is_1(self, capsys):
-        assert main(["witness"]) == 1
-        capsys.readouterr()
-
-    def test_numerical_failure_is_2(self, tmp_path, capsys):
-        path = write_cfg(tmp_path, FAILS_LATE)
-        assert main(["divisibility", path, "--out-dir", str(tmp_path), "--quiet"]) == 2
-        assert "numerical failure" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("command", ["witness", "divisibility"])
-    def test_a_numerical_failure_leaves_no_directory_it_made(self, tmp_path, capsys,
-                                                             command):
-        # The output directory used to be made before the numbers, so a run
-        # that failed with exit 2 left an empty new/sub behind.
-        text = FAILS_LATE.replace("0.0:1.0 2.0:1.0", "0.0:1.0 1.0:1.0")
-        path = write_cfg(tmp_path, text if command == "witness" else FAILS_LATE)
-        out = tmp_path / "new" / "sub"
-        assert main([command, path, "--out-dir", str(out), "--quiet"]) == 2
-        assert "outside the tabulated range" in capsys.readouterr().err
-        assert [p.name for p in tmp_path.iterdir()] == ["scenario.cfg"]
 
     @pytest.mark.parametrize("existing", [False, True])
     def test_a_failed_write_is_1_and_leaves_no_directory_it_made(
@@ -476,13 +410,6 @@ class TestMainExitCodes:
             "", f"config error: cannot write output {written!r}: No space left on device\n")
         assert sorted(p.name for p in tmp_path.rglob("*")) == (
             ["kept", "note.txt"] if existing else [])
-
-    @pytest.mark.parametrize("command", ["witness", "compare", "divisibility"])
-    def test_a_strong_hamiltonian_on_markovian_dephasing_is_0(self, tmp_path, capsys,
-                                                              command):
-        path = write_cfg(tmp_path, STRONG_HAMILTONIAN)
-        assert main([command, path, "--out-dir", str(tmp_path / "out")]) == 0
-        assert "verdict: Markovian-consistent\ndetected by: none\n" in capsys.readouterr().out
 
     def test_non_markovian_is_10(self, tmp_path, capsys):
         path = write_cfg(tmp_path, SMALL_WITNESS)
@@ -528,55 +455,6 @@ class TestMainExitCodes:
             if config == QUTRIT_COUPLED:
                 assert str(records[0].message).startswith("generator is not unital")
         capsys.readouterr()
-
-    def test_a_name_that_is_a_path_is_1_and_writes_nothing(self, tmp_path, capsys):
-        # The name used to be joined into the output paths unchecked, so this
-        # wrote escaped_witness.csv and escaped_report.txt beside --out-dir.
-        path = write_cfg(tmp_path, MARKOVIAN.replace("name = control", "name = ../escaped"))
-        out = tmp_path / "deep" / "out"
-        assert main(["witness", path, "--out-dir", str(out)]) == 1
-        assert capsys.readouterr().err.startswith("config error: ")
-        assert not (tmp_path / "deep").exists()
-        assert [p.name for p in tmp_path.rglob("*")] == ["scenario.cfg"]
-
-    @pytest.mark.parametrize("out_dir, reason", [("afile", "File exists"),
-                                                 (os.path.join("afile", "sub"), "Not a directory")])
-    def test_an_out_dir_that_cannot_be_created_is_1(self, tmp_path, capsys, out_dir, reason):
-        # os.makedirs used to fail inside run_scenario, which main reported as
-        # a numerical failure (exit 2).
-        (tmp_path / "afile").write_text("kept\n")
-        out = str(tmp_path / out_dir)
-        assert main(["witness", "markovian_control", "--out-dir", out]) == 1
-        assert capsys.readouterr() == (
-            "", f"config error: cannot create output directory {out!r}: {reason}\n")
-        assert [p.name for p in tmp_path.iterdir()] == ["afile"]
-        assert (tmp_path / "afile").read_text() == "kept\n"
-
-    @pytest.mark.parametrize("argv", [["--out-dir", ""], ["--out-dir="]],
-                             ids=["--out-dir ''", "--out-dir="])
-    def test_an_empty_out_dir_is_1_and_writes_nothing(self, tmp_path, capsys, monkeypatch,
-                                                      argv):
-        # An explicit "" used to fall back to $CHOI_MOMENTS_OUT or the
-        # working directory, like an absent option.
-        monkeypatch.chdir(tmp_path)
-        monkeypatch.setenv("CHOI_MOMENTS_OUT", str(tmp_path / "env"))
-        assert main(["witness", "markovian_control", *argv]) == 1
-        assert capsys.readouterr() == (
-            "", "config error: cannot create output directory '': No such file or directory\n")
-        assert list(tmp_path.iterdir()) == []
-
-    @pytest.mark.parametrize("kind", ["directory", "not_utf8"])
-    def test_an_unreadable_config_is_one_config_error_line(self, tmp_path, capsys, kind):
-        # open() and the UTF-8 decode used to raise past main: a traceback.
-        path = tmp_path / "scenario.cfg"
-        if kind == "directory":
-            path.mkdir()
-        else:
-            path.write_bytes(MARKOVIAN.encode() + b"# \xff\n")
-        assert main(["validate", str(path)]) == 1
-        out, err = capsys.readouterr()
-        assert out == "" and err.startswith(f"config error: {path}: ")
-        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("output", ["measure", "rhp"])
     def test_a_removed_output_in_a_config_is_1_and_names_compare(self, tmp_path, capsys,
@@ -638,15 +516,6 @@ class TestMainExitCodes:
         assert main(["validate", path]) == 0
         assert "OK" in capsys.readouterr().out
 
-    def test_validate_non_finite_matrix_entry_is_1(self, capsys):
-        # Refused when parsed, so no computing command gets to fail on it.
-        assert main(["validate", NONFINITE_HAMILTONIAN]) == 1
-        assert "entries must be finite" in capsys.readouterr().err
-
-    def test_validate_bad_config_is_1(self, tmp_path, capsys):
-        path = write_cfg(tmp_path, MARKOVIAN + "unknown.key = 1\n")
-        assert main(["validate", path]) == 1
-        capsys.readouterr()
 
 
 class TestMainOptions:
@@ -814,21 +683,6 @@ class TestEntry:
         assert main(["validate", path]) == 0
         assert (gc.get_freeze_count(), gc.isenabled()) == (frozen, enabled)
         capsys.readouterr()
-
-
-def test_warnings_under_the_cli_name_the_line_of_cli_py(tmp_path):
-    # warn_caller used to walk out of the package into runpy, and stderr
-    # named "<frozen runpy>:88".
-    src = str(Path(choi.__file__).resolve().parents[1])
-    result = subprocess.run(
-        [sys.executable, "-m", "choi_moments", "compare", ETERNAL_PAULI, "--quiet",
-         "--out-dir", str(tmp_path)],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
-    assert result.returncode == 10
-    warning = result.stderr.splitlines()[0]
-    assert os.path.join("choi_moments", "cli.py:") in warning
-    assert "UserWarning: trace-norm rate g is still" in warning
-    assert "runpy" not in result.stderr
 
 
 class TestParser:
@@ -1015,14 +869,6 @@ print(" ".join(sorted(set(sys.modules) - before)))
                              "print(choi_moments.run_scenario.__module__)\n")
         assert result.stdout == "False\nchoi_moments.cli\n", result.stderr
 
-    def test_python_dash_m_cli_runs_one_copy_of_it_and_warns_nothing(self):
-        path = str(Path(choi.__file__).resolve().parents[1])
-        result = subprocess.run([sys.executable, "-m", "choi_moments.cli", "validate", "example1"],
-                                capture_output=True, text=True,
-                                env=dict(os.environ, PYTHONPATH=path))
-        assert result.returncode == 0
-        assert result.stdout.endswith(": OK (scenario 'example1')\n")
-        assert result.stderr == ""
 
 
 class TestCsv:
