@@ -179,6 +179,17 @@ def _debug(message: str, *args) -> None:
         logging.getLogger("choi_moments").debug(message, *args)
 
 
+def _default_steps(name: str, span: float) -> int:
+    """RK4 steps over span at DEFAULT_STEPS_PER_UNIT, at least 1. A span
+    whose step count is not finite is refused, naming the argument that
+    gives it and its value."""
+    steps = DEFAULT_STEPS_PER_UNIT * span
+    if not np.isfinite(steps):
+        raise ValueError(f"{name} = {span} gives a non-finite number of RK4 steps "
+                         f"at {DEFAULT_STEPS_PER_UNIT} per unit time")
+    return max(1, round(steps))
+
+
 def propagate_map(
     gen: LindbladGenerator, t0: float, t1: float, steps: int | None = None
 ) -> np.ndarray:
@@ -186,7 +197,8 @@ def propagate_map(
     superoperator, a complex d^2 x d^2 array.
 
     Fixed-step fourth-order integration with step (t1 - t0)/steps, steps an
-    integer >= 1; the default resolution is 1000 steps per unit time.
+    integer >= 1; the default resolution is 1000 steps per unit time, and a
+    span too long for a finite count of them is refused.
     Doubling the steps must not move the result by more than ~1e-8 in
     max-entry norm at the default resolution for the rate scales in scope.
     Both times must be finite real numbers, and a time the rate models are
@@ -199,7 +211,7 @@ def propagate_map(
     if t1 < t0:
         raise ValueError(f"require t1 >= t0, got t0 = {t0}, t1 = {t1}")
     if steps is None:
-        steps = max(1, round(DEFAULT_STEPS_PER_UNIT * (t1 - t0)))
+        steps = _default_steps("t1 - t0", t1 - t0)
     steps = require_count("steps", steps, 1)
     require_rate_times(np.array([float(t0)]))
     if t1 == t0:
@@ -217,7 +229,8 @@ def bridge_spectra(gen: LindbladGenerator, starts, delta: float
 
     Each bridge is integrated directly over its own window with
     max(1, round(DEFAULT_STEPS_PER_UNIT * delta)) RK4 steps, so no
-    propagator from 0 is formed or inverted. Returns the rates gamma_i(t)
+    propagator from 0 is formed or inverted; a delta too long for a finite
+    count of them is refused, naming delta. Returns the rates gamma_i(t)
     at the starts as rows, (K, W), and each bridge's Choi eigenvalues in
     descending order, (W, d^2), read-only.
     Warns, naming the window, when some step has |h * gamma| >= 0.1 (near a
@@ -232,7 +245,7 @@ def bridge_spectra(gen: LindbladGenerator, starts, delta: float
     """
     global _last_sweep
     require_positive("delta", delta)
-    steps = max(1, round(DEFAULT_STEPS_PER_UNIT * delta))
+    steps = _default_steps("delta", delta)
     starts = np.asarray(starts, dtype=float)
     if starts.ndim != 1:
         raise ValueError(f"starts must be a 1-D array of times, got shape {starts.shape}")

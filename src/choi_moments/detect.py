@@ -128,12 +128,12 @@ def lambda_moments(c: np.ndarray, n_max: int = 3) -> np.ndarray:
 
     Each moment sums the powers of the eigenvalues in descending order.
     n_max is an integer >= 3, because the witness needs r_3. A matrix that
-    is not 2-D and square, not Hermitian within 1e-12 or not finite is
-    refused with a ValueError.
+    is empty, not 2-D and square, not Hermitian within 1e-12 or not finite
+    is refused with a ValueError.
     """
     n_max = require_count("n_max", n_max, 3)
-    if np.ndim(c) != 2:
-        raise ValueError(f"expected a square matrix, got shape {np.shape(c)}")
+    if np.ndim(c) != 2 or np.size(c) == 0:
+        raise ValueError(f"expected a non-empty square matrix, got shape {np.shape(c)}")
     lam = np.linalg.eigvalsh(require_hermitian(c))[::-1]
     return np.array([np.sum(lam ** n) for n in range(1, n_max + 1)])
 

@@ -260,6 +260,18 @@ class TestBatchedKernel:
         with pytest.raises(ValueError, match="delta must be positive and finite"):
             bridge_spectra(gen, [0.0, 1.0], delta)
 
+    # Both used to fail in the step count: "cannot convert float infinity to
+    # integer" from bridge_spectra, a bare OverflowError from propagate_map.
+    @pytest.mark.parametrize("call, span", [
+        (lambda gen: bridge_spectra(gen, [0.0, 1.0], 1e308), "delta = 1e+308"),
+        (lambda gen: propagate_map(gen, 0.0, 1e306), "t1 - t0 = 1e+306"),
+    ], ids=["bridge_spectra", "propagate_map"])
+    def test_a_span_too_long_for_a_finite_step_count_is_refused(self, call, span):
+        gen = dephasing_generator(ConstantRate(1.0))
+        with pytest.raises(ValueError, match=rf"^{re.escape(span)} gives a non-finite number "
+                                             rf"of RK4 steps at 1000 per unit time$"):
+            call(gen)
+
     # A scalar used to end in an IndexError, and a 2-D array in a broadcast
     # ValueError, neither naming the argument.
     @pytest.mark.parametrize("starts", [0.5, [[0.1, 0.2]], np.zeros((2, 0))],

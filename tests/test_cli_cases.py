@@ -7,7 +7,8 @@ that $CHOI_MOMENTS_CLI names, such as an installed `choi-moments` script:
 
     CHOI_MOMENTS_CLI=choi-moments pytest tests/test_cli_cases.py
 
-To add a contract, add a row to `CASES`.
+To add a contract, add a row to `CASES`. To run a config under every
+command that computes, with a byte-identical rerun, add it to `MATRIX`.
 """
 
 import os
@@ -74,6 +75,20 @@ def same_csv_as_the_bundled_example1(tmp_path, result):
     csv = "example1_witness.csv"
     bom = (tmp_path / "bom" / "out" / csv).read_bytes()
     assert bom == (tmp_path / "bundled" / csv).read_bytes()
+
+
+def reruns_to_the_same_csvs(argv):
+    """A check that runs argv again, into again/ in place of its last
+    argument, the out dir: the same exit code and every CSV byte for byte."""
+    def check(tmp_path, result):
+        again = run((*argv[:-1], "again"), tmp_path)
+        assert again.returncode == result.returncode, again.stderr
+        first, second = tmp_path / argv[-1], tmp_path / "again"
+        names = sorted(path.name for path in first.glob("*.csv"))
+        assert names and names == sorted(path.name for path in second.glob("*.csv"))
+        for name in names:
+            assert (first / name).read_bytes() == (second / name).read_bytes(), name
+    return check
 
 
 def ratio_is_two(tmp_path, result):
@@ -173,11 +188,26 @@ def one_config_error_line(path):
     return rf"\Aconfig error: {re.escape(path)}: [^\n]*\n\Z"
 
 
+# Every bundled scenario and test config, by the exit code each command
+# gives it: 0 for Markovian-consistent dynamics, 10 for non-Markovian.
+MATRIX = {"example1": 10, "example2": 10, "markovian_control": 0, "ohmic_compare": 0,
+          **{str(DATA / f"{name}.cfg"): 10
+             for name in ("eternal_pauli", "qutrit_expcos", "qutrit_coupled")}}
+
+
+def matrix_case(command, config, code):
+    argv = (command, config, "--quiet", "--out-dir", "o")
+    return Case(argv, code, stdout=(EMPTY,), exists=(f"o/{Path(config).stem}_{command}.csv",),
+                check=reruns_to_the_same_csvs(argv))
+
+
 CASES = {
+    # The matrix: each config of MATRIX under each command that computes.
+    **{f"{command}-{Path(config).stem.replace('_', '-')}-is-{code}":
+       matrix_case(command, config, code)
+       for config, code in MATRIX.items() for command in ("witness", "compare", "divisibility")},
+
     # Launch and usage.
-    "divisibility-example2-is-10": Case(
-        ("divisibility", "example2", "--quiet", "--out-dir", "o"), 10,
-        stdout=(EMPTY,), exists=("o/example2_divisibility.csv",)),
     "report-reaches-a-pipe": Case(
         ("compare", "example1", "--out-dir", "o"), 10, stdout=(r"^verdict: non-Markovian$",)),
     "python-m-cli-runs-one-copy-and-warns-nothing": Case(
@@ -289,6 +319,13 @@ CASES = {
         files={"late.cfg": FAILS_LATE},
         stderr=(r"\Anumerical failure in scenario 'fails_late': .*outside the tabulated range",),
         missing=("fresh",)),
+    # The scan's step count, 1000 per unit of delta = epsilon, used to
+    # overflow: "cannot convert float infinity to integer".
+    "epsilon-too-long-to-step": Case(
+        ("divisibility", "example1", "--epsilon", "1e308", "--quiet", "--out-dir", "o"), 2,
+        stdout=(EMPTY,), missing=("o",), stderr=(
+            r"\Anumerical failure in scenario 'example1': delta = 1e\+308 gives a non-finite "
+            r"number of RK4 steps at 1000 per unit time\n\Z",)),
 
     # Verdicts and warnings.
     # warn_caller used to walk out of the package into runpy, and stderr
