@@ -131,8 +131,9 @@ def _csv(header: list[str], columns) -> str:
     return ",".join(header) + "\n" + (row * table.shape[0]) % tuple(table.ravel().tolist())
 
 
-def run_scenario(config: ScenarioConfig, out_dir: str, quiet: bool = False) -> RunReport:
-    """Run the config's pipeline and write the requested CSVs plus a report.
+def run_scenario(config: ScenarioConfig, out_dir: str) -> RunReport:
+    """Run the config's pipeline and write the requested CSVs plus a report;
+    print nothing (`main` prints the report text).
 
     Every run computes the witness series and both measures from one
     evaluation of the rates (`detect.assess`); a divisibility output adds
@@ -187,9 +188,8 @@ def run_scenario(config: ScenarioConfig, out_dir: str, quiet: bool = False) -> R
             config_text=render_scenario(config),
             version=__version__,
         )
-        text = _report_text(report)
         path = report.report_path
-        _write_atomic(path, text)
+        _write_atomic(path, _report_text(report))
     except Exception as exc:
         # The report is written last; rmdir removes only empty directories.
         for remove, target in [*((os.unlink, p) for p in paths.values()),
@@ -202,9 +202,6 @@ def run_scenario(config: ScenarioConfig, out_dir: str, quiet: bool = False) -> R
             raise ConfigError(
                 f"cannot write output {path!r}: {exc.strerror or exc}") from None
         raise
-
-    if not quiet:
-        print(text, end="")
     return report
 
 
@@ -353,13 +350,15 @@ def main(argv=None) -> int:
     if out_dir is None:
         out_dir = os.environ.get(_ENV_OUT_DIR) or os.getcwd()
     try:
-        report = run_scenario(config, out_dir=out_dir, quiet=quiet)
+        report = run_scenario(config, out_dir=out_dir)
     except ConfigError as exc:  # an output directory or file that cannot be made
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # numerical failures surface with scenario context
         print(f"numerical failure in scenario {config.name!r}: {exc}", file=sys.stderr)
         return 2
+    if not quiet:
+        print(_report_text(report), end="")
     return 10 if report.detected_by else 0
 
 

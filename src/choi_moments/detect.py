@@ -20,14 +20,15 @@ Two integrated quantifiers are provided: the moment measure, built from the
 instantaneous rate f(t) = lim_{eps->0} max(0, r_2^2 - r_3)/eps of small-time
 Choi states, and the divisibility-based measure built from the trace-norm rate
 g(t) = lim_{eps->0} (||C||_1 - 1)/eps. Both limits are evaluated in closed
-form from the Choi image X_D(t) of the dissipator (`_rate_limits`), over
-the generator's tables, which come from one Gram matrix of its jump
-operators: f is a linear form in the rates, and g needs at
-most K eigenvalues for K jump operators (`LindbladGenerator.projected_spectra`),
-none for mutually trace-orthogonal ones such as distinct Pauli operators.
-For pure dephasing they reduce to f = max(0, -gamma) and
-g = max(0, -2 gamma), so the integrals are related by a factor of two; the
-reported ratio is always the empirically computed one.
+form from the Choi image X_D(t) of the dissipator (`_rate_limits`), as two
+sums over one off-Bell spectrum with one noise rule, read off the
+generator's tables, which come from one Gram matrix of its jump operators:
+at most K eigenvalues for K jump operators
+(`LindbladGenerator.projected_spectra`), none for mutually trace-orthogonal
+ones such as distinct Pauli operators. So f <= g/2 at every time and
+I >= 2M, bit for bit. For pure dephasing they reduce to f = max(0, -gamma)
+and g = max(0, -2 gamma), so the integrals are related by a factor of two
+exactly; the reported ratio is always the empirically computed one.
 
 All grid-point evaluations are pure and independent, so callers may fan them
 out across threads; only series assembly is ordered.
@@ -232,32 +233,35 @@ def _rate_limits(gen: LindbladGenerator, gammas: np.ndarray) -> tuple[np.ndarray
     g = 2 sum_j max(0, -mu_j) (Rivas, Huelga and Plenio, PRL 105, 050403,
     2010). r_2^2 - r_3 = eps <Phi+|X_D|Phi+> + O(eps^2), and Tr X_D = 0
     gives <Phi+|X_D|Phi+> = -Tr(Q X_D Q), so f = max(0, -sum_j mu_j), the
-    leading coefficient of the small-time witness. Both read the one Gram
-    matrix G^c of the centred vectors Q v_i/sqrt(d), the leading block of
-    the generator's Gram matrix (`small_time_tables`): f is a linear form
-    in the rates over x_i = -||Q v_i||^2/d = -G^c_ii, and
-    Q X_D Q = V diag(gamma) V^dag, so its nonzero mu_j, at most K of them,
-    follow one rule (`LindbladGenerator.projected_spectra`): gamma_k G^c_kk
-    when the jump operators are pairwise orthogonal
+    leading coefficient of the small-time witness. Q X_D Q =
+    V diag(gamma) V^dag over the centred vectors Q v_i/sqrt(d), whose Gram
+    matrix G^c is the leading block of the generator's Gram matrix
+    (`small_time_tables`), so its nonzero mu_j, at most K of them, follow
+    one rule (`LindbladGenerator.projected_spectra`): gamma_k G^c_kk when
+    the jump operators are pairwise orthogonal
     (|G^c_ij| <= 1e-14 sqrt(G^c_ii G^c_jj) counts as orthogonal), and
     otherwise the eigenvalues of R diag(gamma) R^dag over all of them,
-    V = W R; the zero ones add nothing to g. Terms within 1e-12 of the size
-    of X_D, sum_k |gamma_k| ||B_k||_F (the `dissipator_scales` of the
-    generator's `small_time_tables`, read off its Tr(B_k^2) table with no
-    pass over entries), are rounding noise and count as zero, so
-    Markovian generators give exactly f = g = 0, and a strong Hamiltonian
-    neither scales the noise floor nor erases a weak negative rate. The
-    noise floor, f and g are each a product or a reduction across the rows
-    of rates and of mu (m, n), with no transposed copy.
+    V = W R; the zero ones add nothing to either sum.
+
+    One noise rule serves both: a mu_j within 1e-12 of the size of X_D,
+    sum_k |gamma_k| ||B_k||_F (the `dissipator_scales` of the generator's
+    `small_time_tables`, read off its Tr(B_k^2) table with no pass over
+    entries), is rounding noise. With N the sum of the mu_j below minus
+    that floor and P the sum of the positive ones, g = -2N and
+    f = max(0, -(N + P)). P >= 0 and rounding is monotone, so f <= g/2
+    holds bit for bit, and the trapezoid's positive weights carry it to
+    2M <= I. Markovian generators give exactly f = g = 0, and a strong
+    Hamiltonian neither scales the noise floor nor erases a weak negative
+    rate. The noise floor and both sums are each a product or a reduction
+    across the rows of rates and of mu (m, n), with no transposed copy.
     """
     tables = gen.small_time_tables
     noise = _RATE_NOISE * np.maximum(1.0, tables.dissipator_scales @ np.abs(gammas))
-    f = tables.bell_overlaps @ gammas
-    f = np.where(f > noise, f, 0.0)
     mu = gen.projected_spectra(gammas)
+    negative = np.where(mu < -noise, mu, 0.0).sum(0)
+    positive = np.maximum(mu, 0.0).sum(0)
     # 0.0 - x rather than -x: a sum of zeros gives 0.0, never -0.0.
-    g = 0.0 - 2.0 * np.where(mu < -noise, mu, 0.0).sum(0)
-    return f, g
+    return np.maximum(0.0 - (negative + positive), 0.0), 0.0 - 2.0 * negative
 
 
 def measure_report(gen: LindbladGenerator, t_max: float, grid_points: int) -> MeasureReport:

@@ -101,7 +101,7 @@ def write_cfg(tmp_path, text, name="scenario.cfg"):
 class TestRunScenario:
     def test_witness_and_divisibility_outputs(self, tmp_path):
         config = parse_scenario(SMALL_WITNESS)
-        report = run_scenario(config, str(tmp_path), quiet=True)
+        report = run_scenario(config, str(tmp_path))
         assert report.verdict == "non-Markovian"
         assert report.criteria["witness"][1] and "witness" in report.detected_by
         assert set(report.output_paths) == {"witness", "divisibility"}
@@ -124,7 +124,7 @@ class TestRunScenario:
         # files beside the output directory.
         config = parse_scenario(MARKOVIAN)._replace(name=name)
         with pytest.raises(ConfigError, match="key 'name': expected a file name, not a path"):
-            run_scenario(config, str(tmp_path / "out"), quiet=True)
+            run_scenario(config, str(tmp_path / "out"))
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("outputs, message", [
@@ -139,14 +139,14 @@ class TestRunScenario:
         # write a report and no CSV, and say nothing.
         config = parse_scenario(MARKOVIAN)._replace(outputs=outputs)
         with pytest.raises(ConfigError, match=rf"^key 'outputs': {message}"):
-            run_scenario(config, str(tmp_path / "out"), quiet=True)
+            run_scenario(config, str(tmp_path / "out"))
         assert list(tmp_path.iterdir()) == []
 
     def test_finite_interval_witness_and_scan_share_one_sweep(self, tmp_path, monkeypatch):
         config = parse_scenario(
             SMALL_WITNESS.replace("mode = small-time", "mode = finite-interval"))
         sweeps = count_sweeps(monkeypatch)
-        shared = run_scenario(config, str(tmp_path / "shared"), quiet=True)
+        shared = run_scenario(config, str(tmp_path / "shared"))
         assert len(sweeps) == 1
 
         # With the slot emptied before every call the run still sweeps once:
@@ -156,7 +156,7 @@ class TestRunScenario:
             return choi.bridge_spectra(*args, **kwargs)
 
         monkeypatch.setattr(detect, "bridge_spectra", sweep_afresh)
-        fresh = run_scenario(config, str(tmp_path / "fresh"), quiet=True)
+        fresh = run_scenario(config, str(tmp_path / "fresh"))
         assert len(sweeps) == 2
         for output in ("witness", "divisibility"):
             with open(shared.output_paths[output], "rb") as a, \
@@ -169,20 +169,20 @@ class TestRunScenario:
         monkeypatch.setattr(cli, "build_generator", lambda config: dephasing_generator(rate))
         config = parse_scenario(
             EXPCOS_COMPARE.replace("outputs = compare", "outputs = witness compare"))
-        report = run_scenario(config, str(tmp_path), quiet=True)
+        report = run_scenario(config, str(tmp_path))
         assert rate.calls == config.points
         assert set(report.output_paths) == {"witness", "compare"}
         assert report.criteria["moment measure M"][0] > 0.0
 
     def test_markovian_verdict(self, tmp_path):
-        report = run_scenario(parse_scenario(MARKOVIAN), str(tmp_path), quiet=True)
+        report = run_scenario(parse_scenario(MARKOVIAN), str(tmp_path))
         assert report.verdict == "Markovian-consistent"
         assert report.criteria["witness"][2] == ["witness violation intervals: none"]
         assert report.detected_by == ()
         assert "detected by: none\n" in open(report.report_path).read()
 
     def test_compare_reports_measures(self, tmp_path):
-        report = run_scenario(parse_scenario(EXPCOS_COMPARE), str(tmp_path), quiet=True)
+        report = run_scenario(parse_scenario(EXPCOS_COMPARE), str(tmp_path))
         oracle = (np.exp(-np.pi / 2) + np.exp(-3 * np.pi / 2)) / (
             2.0 * (1.0 - np.exp(-2 * np.pi))
         )
@@ -204,7 +204,7 @@ class TestRunScenario:
         assert np.allclose(knots[:, 1], -np.tanh(knots[:, 0]), rtol=1e-15, atol=0.0)
         # g = 2 tanh t stays near 2 to the end of the grid, so I is truncated.
         with pytest.warns(UserWarning, match="^trace-norm rate g is still 1.988e"):
-            report = run_scenario(config, str(tmp_path / "out"), quiet=True)
+            report = run_scenario(config, str(tmp_path / "out"))
         assert report.criteria["moment measure M"][0] == 0.0
         assert report.criteria["rhp measure I"][0] == pytest.approx(4.42, abs=5e-3)
         assert report.criteria["rhp measure I"][2][1] == (
@@ -219,8 +219,8 @@ class TestRunScenario:
 
     def test_determinism(self, tmp_path):
         config = parse_scenario(MARKOVIAN)
-        first = run_scenario(config, str(tmp_path / "a"), quiet=True)
-        second = run_scenario(config, str(tmp_path / "b"), quiet=True)
+        first = run_scenario(config, str(tmp_path / "a"))
+        second = run_scenario(config, str(tmp_path / "b"))
         a = open(first.output_paths["witness"], "rb").read()
         b = open(second.output_paths["witness"], "rb").read()
         assert a == b
@@ -228,7 +228,7 @@ class TestRunScenario:
     def test_partial_outputs_removed_on_failure(self, tmp_path):
         config = parse_scenario(FAILS_LATE)
         with pytest.raises(ValueError, match="outside the tabulated range"):
-            run_scenario(config, str(tmp_path), quiet=True)
+            run_scenario(config, str(tmp_path))
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("failing_call", [1, 2])
@@ -247,7 +247,7 @@ class TestRunScenario:
         # A file that cannot be written is a config error naming it; it was
         # the OSError itself, which main reported as a numerical failure.
         with pytest.raises(ConfigError) as info:
-            run_scenario(parse_scenario(MARKOVIAN), str(tmp_path), quiet=True)
+            run_scenario(parse_scenario(MARKOVIAN), str(tmp_path))
         assert len(calls) == failing_call
         assert str(info.value) == f"cannot write output {calls[-1]!r}: disk full"
         assert list(tmp_path.iterdir()) == []
@@ -288,7 +288,7 @@ class TestCriteria:
         assert [(name, sweeps) for name, sweeps, _ in cli.CRITERIA] == [
             ("witness", False), ("moment measure M", False), ("rhp measure I", False),
             ("divisibility scan", True)]
-        report = run_scenario(parse_scenario(SMALL_WITNESS), str(tmp_path), quiet=True)
+        report = run_scenario(parse_scenario(SMALL_WITNESS), str(tmp_path))
         assert list(report.criteria) == [name for name, _, _ in cli.CRITERIA]
         witness = np.loadtxt(report.output_paths["witness"], delimiter=",", skiprows=1)[:, -1]
         scan = np.loadtxt(report.output_paths["divisibility"], delimiter=",", skiprows=1)[:, 1]
@@ -330,7 +330,7 @@ class TestCriteria:
         monkeypatch.setattr(cli, "CRITERIA", cli.CRITERIA[:3] + (("sweeping", True, sweeping),))
         calls = count_sweeps(monkeypatch)
         config = parse_scenario(MARKOVIAN.replace("outputs = witness", f"outputs = {command}"))
-        report = run_scenario(config, str(tmp_path), quiet=True)
+        report = run_scenario(config, str(tmp_path))
         assert len(calls) == sweeps and len(seen) == sweeps
         assert ("sweeping" in report.criteria) == bool(sweeps)
         assert ("sweeping: ran\n" in open(report.report_path).read()) == bool(sweeps)
@@ -540,7 +540,7 @@ class TestMainOptions:
         assert main(["witness", path, "--out-dir", str(tmp_path / "cli"), "--epsilon", "0.004",
                      "--grid-points", "37", "--quiet"]) == 0
         config = parse_scenario(MARKOVIAN)._replace(epsilon=0.004, points=37)
-        report = run_scenario(config, str(tmp_path / "direct"), quiet=True)
+        report = run_scenario(config, str(tmp_path / "direct"))
         for name in ("control_witness.csv", "control_report.txt"):
             got = (tmp_path / "cli" / name).read_text()
             want = (tmp_path / "direct" / name).read_text()
@@ -642,7 +642,11 @@ class TestMainOptions:
         main(["witness", path, "--out-dir", str(tmp_path)])
         out = capsys.readouterr().out
         assert "verdict: Markovian-consistent" in out
+        assert out == (tmp_path / "control_report.txt").read_text()
         main(["witness", path, "--out-dir", str(tmp_path), "--quiet"])
+        assert capsys.readouterr().out == ""
+        # Only main prints: the library call writes its files and no text.
+        run_scenario(parse_scenario(MARKOVIAN), str(tmp_path / "library"))
         assert capsys.readouterr().out == ""
 
 

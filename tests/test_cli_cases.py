@@ -161,6 +161,56 @@ outputs = compare
 """
 
 
+# Three Pauli rates at -9e-13: each mu_k sits above minus the 1e-12 noise
+# floor of `detect._rate_limits`, and their sum below it. M used to read
+# 2.7e-9 beside I = 0, and I/M 0. The long span lifts the measures past
+# the 1e-10 at which they count.
+SUB_FLOOR_PAULI = """version = 1
+name = sub_floor_pauli
+generator.dimension = 2
+generator.hamiltonian = zero
+dissipator.1.operator = sigma_x
+dissipator.1.rate.model = constant
+dissipator.1.rate.value = -9e-13
+dissipator.2.operator = sigma_y
+dissipator.2.rate.model = constant
+dissipator.2.rate.value = -9e-13
+dissipator.3.operator = sigma_z
+dissipator.3.rate.model = constant
+dissipator.3.rate.value = -9e-13
+epsilon = 0.001
+grid.t_max = 1000.0
+grid.points = 1001
+mode = small-time
+outputs = compare
+"""
+
+# sigma_x, (sigma_x + sigma_z)/sqrt(2) and (sigma_y + sigma_z)/sqrt(2) at
+# -6e-13: Hermitian, not orthogonal, and one mu_j of three passes the
+# floor. I/M used to read 1.2440169358562927.
+SUB_FLOOR_HERMITIAN = """version = 1
+name = sub_floor_hermitian
+generator.dimension = 2
+generator.hamiltonian = zero
+dissipator.1.operator = sigma_x
+dissipator.1.rate.model = constant
+dissipator.1.rate.value = -6e-13
+dissipator.2.operator = custom-matrix
+dissipator.2.matrix = 0.7071067811865476 0.7071067811865476 0.7071067811865476 -0.7071067811865476
+dissipator.2.rate.model = constant
+dissipator.2.rate.value = -6e-13
+dissipator.3.operator = custom-matrix
+dissipator.3.matrix = 0.7071067811865476 -0.7071067811865476j 0.7071067811865476j -0.7071067811865476
+dissipator.3.rate.model = constant
+dissipator.3.rate.value = -6e-13
+epsilon = 0.001
+grid.t_max = 1000.0
+grid.points = 1001
+mode = small-time
+outputs = compare
+"""
+
+
 def register(n):
     """n qubits (d = 2^n) with local sigma_z dephasing at expcos rates."""
     d = 2**n
@@ -361,6 +411,12 @@ CASES = {
     "near-identity-ratio-is-2": Case(
         ("compare", "near_identity.cfg", "--quiet", "--out-dir", "ni"), 10,
         files={"near_identity.cfg": NEAR_IDENTITY}, check=ratio_is_two),
+    "sub-floor-pauli-measures-vanish": Case(
+        ("compare", "pauli.cfg", "--out-dir", "o"), 0, files={"pauli.cfg": SUB_FLOOR_PAULI},
+        stdout=(r"^moment measure M = 0$", r"^ratio I/M: n/a \(both measures vanish")),
+    "sub-floor-hermitian-ratio-is-exactly-2": Case(
+        ("compare", "hermitian.cfg", "--out-dir", "o"), 10,
+        files={"hermitian.cfg": SUB_FLOOR_HERMITIAN}, stdout=(r"^ratio I/M = 2$",)),
 }
 
 

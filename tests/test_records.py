@@ -67,7 +67,7 @@ def instances(tmp_path_factory):
     out = str(tmp_path_factory.mktemp("out"))
     return [witness_series(gen, grid, 1e-3),
             measure_report(gen, 6.0, 61), cp_divisibility_scan(gen, grid, 1e-3),
-            run_scenario(config._replace(points=20), out, quiet=True),
+            run_scenario(config._replace(points=20), out),
             config.dissipators[0], config]
 
 
