@@ -26,9 +26,15 @@ stacks of several windows at once (up to CHUNK_ENTRIES matrix entries: four
 64 x 64 maps at d = 8), and each caller leaves the real basis once per map,
 with O(d^4) slices and no matrix product: `propagate_map` for the row-major
 superoperator of the map, `bridge_spectra` for the Choi states it
-eigensolves. A bridge's trace check needs no Choi
-state: Tr C = Tr Lambda(I)/d is a sum of d^2 entries of its real transfer
-matrix, those between the diagonal basis elements E_ii.
+eigensolves. The kernel checks the trace of every map it integrates, with
+no Choi state: Tr C = Tr Lambda(I)/d is a sum of d^2 entries of the real
+transfer matrix, those between the diagonal basis elements E_ii.
+
+Every fixed step the package reads a map over, epsilon for the small-time
+state and h for each RK4 step, passes one guard (`guard_step`), the only
+reader of SMALL_TIME_RATE_LIMIT: it warns, naming the caller's line, when
+the step times the largest |gamma| reaches that limit. Both ways into the
+kernel take their rates and step from one function, which runs the guard.
 """
 
 import os
@@ -50,9 +56,9 @@ __all__ = [
 # Fixed-step integrator resolution: steps per unit time.
 DEFAULT_STEPS_PER_UNIT = 1000
 # |eps * gamma| above which the first-order small-time Choi is dubious, and
-# |h * gamma| above which a fixed RK4 step of a bridge is.
+# |h * gamma| above which a fixed RK4 step is (read by `guard_step` alone).
 SMALL_TIME_RATE_LIMIT = 0.1
-# Largest deviation from 1 of a bridge's Choi trace.
+# Largest deviation from 1 of the Choi trace of a map the kernel integrates.
 _CHOI_TRACE_ATOL = 1e-6
 # Source files of this package, skipped when a warning names its caller,
 # except the command line front end: it calls the library as any caller
@@ -84,16 +90,6 @@ def _require_trace_preserving(trace: np.ndarray) -> None:
             + (f"exceeds {_CHOI_TRACE_ATOL:.1e}" if np.isfinite(trace_dev)
                else "is non-finite")
         )
-
-
-def _half_step_rates(
-    gen: LindbladGenerator, starts: np.ndarray, h: float, steps: int
-) -> np.ndarray:
-    """Rates at the 2*steps + 1 half-step times of every window as rows,
-    (K, W, 2*steps + 1). A step's end time is the next step's start, so a
-    step costs two rate evaluations.
-    """
-    return rates_at(gen, starts[:, None] + (0.5 * h) * np.arange(2 * steps + 1))
 
 
 def _rk4_product(blocks: np.ndarray, gammas: np.ndarray, h: float) -> np.ndarray:
@@ -138,12 +134,13 @@ def _rk4_chunks(gen: LindbladGenerator, gammas: np.ndarray, h: float):
     (K, W, 2m + 1).
 
     Yields (window slice, propagators) chunk by chunk, the propagators as
-    real transfer matrices in the generator's Hermitian operator basis. A
+    real transfer matrices in the generator's Hermitian operator basis,
+    each checked to be trace preserving (`_require_trace_preserving`). A
     chunk holds at most CHUNK_ENTRIES matrix entries per stack: `width`
     whole windows when a window's steps fit, otherwise one window whose
     steps are taken `span` at a time.
     """
-    blocks = gen.transfer_blocks
+    blocks, d = gen.transfer_blocks, gen.dim
     windows, steps = gammas.shape[1], (gammas.shape[2] - 1) // 2
     per_chunk = max(1, CHUNK_ENTRIES // blocks[0].size)
     width = max(1, per_chunk // steps)
@@ -154,6 +151,12 @@ def _rk4_chunks(gen: LindbladGenerator, gammas: np.ndarray, h: float):
             end = min(k + span, steps)
             block = _rk4_product(blocks, gammas[:, lo:lo + width, 2 * k:2 * end + 1], h)
             phi = block if phi is None else block @ phi
+        # The Choi states are exactly Hermitian by construction, for any real
+        # transfer matrices: only the trace needs a check, and it needs no
+        # Choi state. Tr C = Tr Lambda(I)/d = (1/d) sum_ij T[(jj), (ii)],
+        # since I has coordinate 1 at each E_ii, and E_ii has unit trace
+        # while the other basis elements are traceless.
+        _require_trace_preserving(phi[:, :: d + 1, :: d + 1].sum(axis=(1, 2)) / d)
         yield slice(lo, lo + width), phi
 
 
@@ -190,6 +193,36 @@ def _default_steps(name: str, span: float) -> int:
     return max(1, round(steps))
 
 
+def guard_step(step: float, rows: np.ndarray, times: np.ndarray, message: str) -> None:
+    """Warn, naming the caller's line, when a fixed step is too coarse for
+    the rates it takes: when step * max|gamma| over the rate rows
+    (K, n, ...) at n times reaches SMALL_TIME_RATE_LIMIT. The warning is
+    message formatted with that peak and the first of the times whose rates
+    reach it, followed by the limit."""
+    if not rows.size:
+        return
+    # max|step*gamma| = step*max|gamma| exactly: rounding is monotone.
+    peak = step * max(rows.max(), -rows.min())
+    if peak >= SMALL_TIME_RATE_LIMIT:
+        at = times[np.abs(rows).max(axis=0).reshape(len(times), -1).max(axis=1).argmax()]
+        warn_caller(message.format(peak, at) + f" (limit {SMALL_TIME_RATE_LIMIT})")
+
+
+def _step_rates(gen: LindbladGenerator, starts: np.ndarray, span: float, steps: int
+                ) -> tuple[np.ndarray, float]:
+    """The rates of windows [t, t + span], one per start t, at the
+    2*steps + 1 half-step times of each as rows, (K, W, 2*steps + 1), and
+    the RK4 step h = span/steps, warning (`guard_step`) when some window
+    has |h * gamma| >= 0.1. A step's end time is the next step's start, so
+    a step costs two rate evaluations.
+    """
+    h = span / steps
+    gammas = rates_at(gen, starts[:, None] + (0.5 * h) * np.arange(2 * steps + 1))
+    guard_step(h, gammas, starts, "RK4 step is dubious: max |h*gamma| = {:.3g} "
+                                  "in the window starting at t = {:.6g}")
+    return gammas, h
+
+
 def propagate_map(
     gen: LindbladGenerator, t0: float, t1: float, steps: int | None = None
 ) -> np.ndarray:
@@ -203,6 +236,9 @@ def propagate_map(
     max-entry norm at the default resolution for the rate scales in scope.
     Both times must be finite real numbers, and a time the rate models are
     not defined at (t < 0) is refused, the empty interval t1 == t0 too.
+    Warns and refuses as the bridge sweep does: when some step has
+    |h * gamma| >= 0.1, naming t0 as the window start, and when the map is
+    not trace preserving within 1e-6.
     """
     for name, t in (("t0", t0), ("t1", t1)):
         require_real(name, t)
@@ -216,8 +252,7 @@ def propagate_map(
     require_rate_times(np.array([float(t0)]))
     if t1 == t0:
         return np.eye(gen.dim * gen.dim, dtype=complex)
-    h = (t1 - t0) / steps
-    gammas = _half_step_rates(gen, np.array([float(t0)]), h, steps)
+    gammas, h = _step_rates(gen, np.array([float(t0)]), t1 - t0, steps)
     ((_, phi),) = _rk4_chunks(gen, gammas, h)
     return from_hermitian_basis(phi[0], gen.dim)
 
@@ -249,17 +284,7 @@ def bridge_spectra(gen: LindbladGenerator, starts, delta: float
     starts = np.asarray(starts, dtype=float)
     if starts.ndim != 1:
         raise ValueError(f"starts must be a 1-D array of times, got shape {starts.shape}")
-    h = delta / steps
-    gammas = _half_step_rates(gen, starts, h, steps)
-    if gammas.size:
-        # max|h*gamma| = h*max|gamma| exactly: rounding is monotone.
-        peak = h * np.maximum(gammas.max(axis=(0, 2)), -gammas.min(axis=(0, 2)))
-        w = int(np.argmax(peak))
-        if peak[w] >= SMALL_TIME_RATE_LIMIT:
-            warn_caller(
-                f"RK4 step is dubious: max |h*gamma| = {peak[w]:.3g} in the window "
-                f"starting at t = {starts[w]:.6g} (limit {SMALL_TIME_RATE_LIMIT})"
-            )
+    gammas, h = _step_rates(gen, starts, delta, steps)
     # The bytes tell 0.0 from -0.0, which == would not.
     key = (gen, h, gammas.shape, gammas.tobytes())
     last = _last_sweep
@@ -269,12 +294,6 @@ def bridge_spectra(gen: LindbladGenerator, starts, delta: float
     d = gen.dim
     spectra = np.empty((starts.size, d * d))
     for window, maps in _rk4_chunks(gen, gammas, h):
-        # The Choi states are exactly Hermitian by construction, for any real
-        # transfer matrices: only the trace needs a check, and it needs no
-        # Choi state. Tr C = Tr Lambda(I)/d = (1/d) sum_ij T[(jj), (ii)],
-        # since I has coordinate 1 at each E_ii, and E_ii has unit trace
-        # while the other basis elements are traceless.
-        _require_trace_preserving(maps[:, :: d + 1, :: d + 1].sum(axis=(1, 2)) / d)
         spectra[window] = np.linalg.eigvalsh(from_hermitian_basis(maps, d, choi=True))[:, ::-1]
     spectra.setflags(write=False)
     _last_sweep = (key, spectra)

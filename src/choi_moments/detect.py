@@ -12,9 +12,11 @@ Markovian generator reads no violation however strong its H. The moments
 are polynomials in eps, so the small-time witness is evaluated in closed
 form with no eigensolve, from trace tables the generator holds
 (`LindbladGenerator.small_time_moments`); on a finite-interval bridge map
-it comes from the bridge's Choi spectrum. `lambda_moments` and
-`moment_witness` take a Choi matrix the caller supplies, such as a
-tomographic estimate.
+it comes from the bridge's Choi spectrum. The small-time expansion's step
+eps passes the guard that every RK4 step of a bridge passes too
+(`choi.guard_step`, the one home of the 0.1 limit on |step * gamma|).
+`lambda_moments` and `moment_witness` take a Choi matrix the caller
+supplies, such as a tomographic estimate.
 
 Two integrated quantifiers are provided: the moment measure, built from the
 instantaneous rate f(t) = lim_{eps->0} max(0, r_2^2 - r_3)/eps of small-time
@@ -38,7 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .choi import SMALL_TIME_RATE_LIMIT, bridge_spectra, warn_caller
+from .choi import bridge_spectra, guard_step, warn_caller
 from .lindblad import (
     UNITAL_ATOL,
     LindbladGenerator,
@@ -183,15 +185,8 @@ def _witness(gen: LindbladGenerator, grid: np.ndarray, epsilon: float, rows: np.
     (K, n): small-time from the rates, or, given them, finite-interval from
     the bridges' Choi spectra (n, d^2)."""
     if spectra is None:
-        # max|eps*gamma| = eps*max|gamma| exactly: rounding is monotone.
-        worst = epsilon * float(np.max(np.abs(rows))) if rows.size else 0.0
-        if worst >= SMALL_TIME_RATE_LIMIT:
-            at = grid[np.argmax(np.max(np.abs(rows), axis=0))]
-            warn_caller(
-                f"small-time expansion is dubious on part of the grid: "
-                f"max |eps*gamma| = {worst:.3g} at t = {at:.6g} "
-                f"(limit {SMALL_TIME_RATE_LIMIT})"
-            )
+        guard_step(epsilon, rows, grid, "small-time expansion is dubious on part of the "
+                                        "grid: max |eps*gamma| = {:.3g} at t = {:.6g}")
         r2, r3, values = gen.small_time_moments(rows, epsilon)
     else:
         r2 = np.sum(spectra**2, axis=1)

@@ -324,16 +324,17 @@ class TestBatchedKernel:
         blocks = gen.transfer_blocks.copy()
         blocks[entry] += value
         monkeypatch.setitem(vars(gen), "transfer_blocks", blocks)  # the cached table
-        with pytest.raises(ValueError, match="^map is not trace preserving: Choi trace "
-                                             f"deviation .* {problem}$"):
-            bridge_spectra(gen, np.linspace(0.0, 1.0, 9), 1e-3)
+        for call in (lambda: bridge_spectra(gen, np.linspace(0.0, 1.0, 9), 1e-3),
+                     lambda: propagate_map(gen, 0.5, 0.501)):
+            with pytest.raises(ValueError, match="^map is not trace preserving: Choi trace "
+                                                 f"deviation .* {problem}$"):
+                call()
 
     @pytest.mark.parametrize("d", [2, 3, 5, 8])
     def test_kernel_propagates_real_maps_with_exactly_hermitian_choi_states(self, d):
         # Ten steps per window: at d = 8 a window's steps span chunks.
         gen = random_expcos_generator(np.random.default_rng(70 + d), d)
-        h, steps = 1e-3, 10
-        gammas = choi._half_step_rates(gen, np.linspace(0.0, 1.0, 7), h, steps)
+        gammas, h = choi._step_rates(gen, np.linspace(0.0, 1.0, 7), 1e-2, 10)
         for _, maps in choi._rk4_chunks(gen, gammas, h):
             assert maps.dtype == np.float64
             states = from_hermitian_basis(maps, d, choi=True)

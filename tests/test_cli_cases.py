@@ -290,6 +290,10 @@ CASES = {
         ("validate", "scenario.cfg"), 1, files={"scenario.cfg": MARKOVIAN_CONTROL
                                                 + "unknown.key = 1\n"},
         stderr=(r"\Aconfig error: scenario\.cfg: .*'unknown\.key'",)),
+    "validate-missing-epsilon": Case(
+        ("validate", "noeps.cfg"), 1,
+        files={"noeps.cfg": MARKOVIAN_CONTROL.replace("epsilon = 0.001\n", "")},
+        stdout=(EMPTY,), stderr=(r"\Aconfig error: .*: missing mandatory key 'epsilon'\n\Z",)),
     "validate-non-finite-hamiltonian": Case(
         ("validate", str(DATA / "nonfinite_hamiltonian.cfg")), 1,
         stderr=(r"\Aconfig error: .*entries must be finite",)),

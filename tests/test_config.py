@@ -108,6 +108,13 @@ class TestParseValidation:
         with pytest.raises(ConfigError, match="unsupported config version"):
             parse_scenario(MINIMAL.replace("version = 1", "version = 9"))
 
+    @pytest.mark.parametrize("key", ["name", "generator.dimension", "epsilon", "grid.t_max",
+                                     "grid.points", "mode", "outputs"])
+    def test_missing_key_rejected(self, key):
+        text = "\n".join(l for l in MINIMAL.splitlines() if not l.startswith(f"{key} ="))
+        with pytest.raises(ConfigError, match=rf"^missing mandatory key '{re.escape(key)}'$"):
+            parse_scenario(text)
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown key 'grid.tmax'"):
             parse_scenario(MINIMAL + "grid.tmax = 3\n")

@@ -1115,6 +1115,10 @@ class TestGeneratorBuilder:
         assert not [r for r in records if "unital" in str(r.message)]
 
 
+# The RK4 warning's peak and window on example2's grid at its epsilon.
+_GRID_PEAK = "1.01 in the window starting at t = 6.04302"
+
+
 class TestDivisibilityScan:
     def test_constant_pauli_semigroup_divisible(self):
         gen = isotropic_pauli_generator(ConstantRate(0.7))
@@ -1218,16 +1222,22 @@ class TestDivisibilityScan:
         with pytest.warns(UserWarning, match=r"\|h\*gamma\| = .* starting at t = 6\.0"):
             cp_divisibility_scan(gen, grid, config.epsilon)
 
-    @pytest.mark.parametrize("call", [
-        lambda gen, grid, eps: bridge_spectra(gen, grid, eps),
-        lambda gen, grid, eps: cp_divisibility_scan(gen, grid, eps),
-        lambda gen, grid, eps: witness_series(gen, grid, eps, mode="finite-interval"),
-    ], ids=["bridge_spectra", "cp_divisibility_scan", "witness_series"])
-    def test_rk4_warning_names_the_callers_line(self, call):
+    @pytest.mark.parametrize("call, peak", [
+        (lambda gen, grid, eps: bridge_spectra(gen, grid, eps), _GRID_PEAK),
+        (lambda gen, grid, eps: cp_divisibility_scan(gen, grid, eps), _GRID_PEAK),
+        (lambda gen, grid, eps: witness_series(gen, grid, eps, mode="finite-interval"),
+         _GRID_PEAK),
+        # One window, [6.0, 6.1], across the pole: bridge_spectra(gen, [6.0], 0.1)
+        # warns with this text too.
+        (lambda gen, grid, eps: propagate_map(gen, 6.0, 6.1),
+         "944 in the window starting at t = 6"),
+    ], ids=["bridge_spectra", "cp_divisibility_scan", "witness_series", "propagate_map"])
+    def test_rk4_warning_names_the_callers_line(self, call, peak):
         gen, grid, config = bundled("example2")
         with pytest.warns(UserWarning, match="RK4 step is dubious") as records:
             call(gen, grid, config.epsilon)
         (record,) = [r for r in records if "RK4" in str(r.message)]
+        assert str(record.message) == f"RK4 step is dubious: max |h*gamma| = {peak} (limit 0.1)"
         assert record.filename == __file__
 
     def test_silent_for_slow_rates(self):
@@ -1235,6 +1245,7 @@ class TestDivisibilityScan:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             cp_divisibility_scan(gen, grid, config.epsilon)
+            propagate_map(gen, grid[0], grid[-1])
 
 
 _DAMPING = LindbladGenerator(2, np.zeros((2, 2)), ((LOWERING, ConstantRate(1.0)),))
