@@ -24,11 +24,13 @@ themselves (`LindbladGenerator.transfer_blocks`), by the coefficients
 is formed anywhere in the package. The kernel runs in real arithmetic, on
 stacks of several windows at once (up to CHUNK_ENTRIES matrix entries: four
 64 x 64 maps at d = 8), and each caller leaves the real basis once per map,
-with O(d^4) slices and no matrix product: `propagate_map` for the row-major
-superoperator of the map, `bridge_spectra` for the Choi states it
-eigensolves. The kernel checks the trace of every map it integrates, with
-no Choi state: Tr C = Tr Lambda(I)/d is a sum of d^2 entries of the real
-transfer matrix, those between the diagonal basis elements E_ii.
+with O(d^4) slices and no matrix product, always as the map's Choi state:
+`bridge_spectra` eigensolves the states, and `propagate_map` realigns its
+one state into the row-major superoperator, S[(a, b), (i, j)] =
+d C[(i, a), (j, b)]. The kernel checks the trace of every map it
+integrates, with no Choi state: Tr C = Tr Lambda(I)/d is a sum of d^2
+entries of the real transfer matrix, those between the diagonal basis
+elements E_ii.
 
 Every fixed step the package reads a map over, epsilon for the small-time
 state and h for each RK4 step, passes one guard (`guard_step`), the only
@@ -227,7 +229,8 @@ def propagate_map(
     gen: LindbladGenerator, t0: float, t1: float, steps: int | None = None
 ) -> np.ndarray:
     """Time-ordered propagator Phi(t1, t0) of the generator: its row-major
-    superoperator, a complex d^2 x d^2 array.
+    superoperator, a complex d^2 x d^2 array, read off the map's Choi state
+    C as S[(a, b), (i, j)] = d C[(i, a), (j, b)].
 
     Fixed-step fourth-order integration with step (t1 - t0)/steps, steps an
     integer >= 1; the default resolution is 1000 steps per unit time, and a
@@ -250,11 +253,13 @@ def propagate_map(
         steps = _default_steps("t1 - t0", t1 - t0)
     steps = require_count("steps", steps, 1)
     require_rate_times(np.array([float(t0)]))
+    d = gen.dim
     if t1 == t0:
-        return np.eye(gen.dim * gen.dim, dtype=complex)
+        return np.eye(d * d, dtype=complex)
     gammas, h = _step_rates(gen, np.array([float(t0)]), t1 - t0, steps)
     ((_, phi),) = _rk4_chunks(gen, gammas, h)
-    return from_hermitian_basis(phi[0], gen.dim)
+    state = from_hermitian_basis(phi[0], d).reshape(d, d, d, d)
+    return d * state.transpose(1, 3, 0, 2).reshape(d * d, d * d)
 
 
 def bridge_spectra(gen: LindbladGenerator, starts, delta: float
@@ -294,7 +299,7 @@ def bridge_spectra(gen: LindbladGenerator, starts, delta: float
     d = gen.dim
     spectra = np.empty((starts.size, d * d))
     for window, maps in _rk4_chunks(gen, gammas, h):
-        spectra[window] = np.linalg.eigvalsh(from_hermitian_basis(maps, d, choi=True))[:, ::-1]
+        spectra[window] = np.linalg.eigvalsh(from_hermitian_basis(maps, d))[:, ::-1]
     spectra.setflags(write=False)
     _last_sweep = (key, spectra)
     _debug("swept %d windows, d = %d", starts.size, d)

@@ -25,7 +25,9 @@ T_k[p, q] = Tr(F_p S_k(F_q)), built from the operators themselves
 indexed like the entries of a d x d matrix; U has the columns vec(F_p). U
 is sparse: it mixes entry (p, q) of a coordinate vector laid out as a
 d x d matrix only with entry (q, p), so leaving the basis costs O(d^4) per
-d^2 x d^2 map, with no matrix product (`from_hermitian_basis`).
+d^2 x d^2 map, with no matrix product. A map leaves it one way, as its
+Choi state (`from_hermitian_basis`); its row-major superoperator is that
+state realigned, S[(a, b), (i, j)] = d C[(i, a), (j, b)].
 
 The small-time map on [t, t + eps] takes the Hamiltonian part exactly and
 the dissipator to first order, so its Choi state is a local unitary
@@ -184,43 +186,38 @@ def _basis_weights(d: int) -> np.ndarray:
     return np.where(upper, c, np.where(upper.T, 1j * c, 0.5 + 0.5j))
 
 
-# Axis orders [a, b, i, j] -> result of `from_hermitian_basis`: the
-# superoperator entry [(a, b), (i, j)], or the Choi entry [(i, a), (j, b)].
-_LAYOUTS = {False: (0, 1, 2, 3), True: (2, 0, 3, 1)}
-
-
 @lru_cache
-def _rotation_weights(d: int, choi: bool) -> np.ndarray:
-    """w_ab conj(w_ij), (1/d times it for a Choi layout), read-only, (d^2, d^2)."""
+def _rotation_weights(d: int) -> np.ndarray:
+    """w_ab conj(w_ij)/d at the Choi entry [(i, a), (j, b)], read-only, (d^2, d^2)."""
     w = _basis_weights(d)
-    weights = (w[:, :, None, None] * w.conj()) / (d if choi else 1)
-    return _read_only(weights.transpose(_LAYOUTS[choi]).reshape(d * d, d * d))
+    return _read_only((w.conj()[:, None, :, None] * w[:, None, :]).reshape(d * d, d * d) / d)
 
 
-def from_hermitian_basis(transfer: np.ndarray, d: int, choi: bool = False) -> np.ndarray:
-    """U T U^dag for a stack of real transfer matrices T (..., d^2, d^2): the
-    maps' row-major superoperators, complex. With choi=True, the maps' Choi
-    states (1/d) sum_ij E_ij kron M(E_ij) instead, which realign the
-    superoperator entry [(a, b), (i, j)] to [(i, a), (j, b)].
+def from_hermitian_basis(transfer: np.ndarray, d: int) -> np.ndarray:
+    """The Choi states (1/d) sum_ij E_ij kron M(E_ij) of a stack of maps M
+    given as real transfer matrices T (..., d^2, d^2), complex: U T U^dag,
+    the maps' row-major superoperators, realigned from entry
+    [(a, b), (i, j)] to [(i, a), (j, b)] and scaled by 1/d. This is the only
+    way out of the Hermitian basis; a caller that wants a superoperator
+    realigns the state back, S[(a, b), (i, j)] = d C[(i, a), (j, b)].
 
-    Entry [(a, b), (i, j)] is w_ab conj(w_ij) (P + iQ) with
+    Entry [(i, a), (j, b)] is w_ab conj(w_ij) (P + iQ)/d with
     P = T[(a, b), (i, j)] + T[(b, a), (j, i)] and
     Q = T[(a, b), (j, i)] - T[(b, a), (i, j)]: two real sums over swapped
-    views of T, written in the wanted layout, and one scaling; O(d^4) per
-    map. Mirrored entries get conjugate weights and P - iQ, so a
-    Hermiticity-preserving map comes back as one exactly, bit for bit.
+    views of T, written in the Choi layout, and one scaling; O(d^4) per
+    map. Mirrored entries get conjugate weights and P - iQ, so every state
+    comes back exactly Hermitian, bit for bit.
     """
     t = transfer.reshape(-1, d, d, d, d)
-    layout = (0, *(k + 1 for k in _LAYOUTS[choi]))
 
-    def view(*axes):  # T with the given index swaps, laid out as the result
-        return t.transpose(axes).transpose(layout)
+    def view(*axes):  # T with the given index swaps, laid out as the Choi state
+        return t.transpose(axes).transpose(0, 3, 1, 4, 2)
 
     z = np.empty((len(t), d, d, d, d), dtype=complex)
     np.add(view(0, 1, 2, 3, 4), view(0, 2, 1, 4, 3), out=z.real)
     np.subtract(view(0, 1, 2, 4, 3), view(0, 2, 1, 3, 4), out=z.imag)
     z = z.reshape(-1, d * d, d * d)
-    z *= _rotation_weights(d, choi)
+    z *= _rotation_weights(d)
     return z.reshape(transfer.shape)
 
 

@@ -337,8 +337,28 @@ class TestBatchedKernel:
         gammas, h = choi._step_rates(gen, np.linspace(0.0, 1.0, 7), 1e-2, 10)
         for _, maps in choi._rk4_chunks(gen, gammas, h):
             assert maps.dtype == np.float64
-            states = from_hermitian_basis(maps, d, choi=True)
+            states = from_hermitian_basis(maps, d)
             assert np.array_equal(states, np.swapaxes(states, -1, -2).conj())
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 8])
+    def test_propagate_map_realigns_the_choi_state_the_sweep_eigensolves(self, d):
+        # Maps leave the Hermitian basis only as Choi states: propagate_map
+        # scales one by d and realigns it. Over one step of delta = 2**-10
+        # from a dyadic start, t1 - t0 is delta exactly, so both calls
+        # integrate the same map; undoing the realignment gives back the
+        # state the sweep eigensolves, bit for bit when d is a power of two.
+        gen = random_expcos_generator(np.random.default_rng(110 + d), d)
+        delta = 2.0**-10
+        for t in (0.0, 0.5, 1.25):
+            assert (t + delta) - t == delta
+            superop = propagate_map(gen, t, t + delta).reshape(d, d, d, d)
+            state = superop.transpose(2, 0, 3, 1).reshape(d * d, d * d) / d
+            got = np.linalg.eigvalsh(state)[::-1]
+            want = bridge_spectra(gen, [t], delta)[1][0]
+            if d & (d - 1):
+                assert np.max(np.abs(got - want)) <= 1e-15
+            else:
+                assert got.tobytes() == want.tobytes()
 
 
 @dataclass

@@ -40,11 +40,22 @@ def vec(m):
     return np.asarray(m).reshape(-1)
 
 
+def superoperator_of_choi(choi, d):
+    """The row-major superoperator S[(a, b), (i, j)] = d C[(i, a), (j, b)] of
+    Choi states C (..., d^2, d^2), as `propagate_map` reads it."""
+    lead = choi.shape[:-2]
+    realigned = choi.reshape(*lead, d, d, d, d).transpose(*range(len(lead)), -3, -1, -4, -2)
+    return d * realigned.reshape(*lead, d * d, d * d)
+
+
 def tables_superoperator(gen, t):
     """Lhat(t) read off the package's tables: the transfer blocks weighted by
-    [1, gamma_1(t), ...], taken out of the Hermitian basis."""
+    [1, gamma_1(t), ...], taken out of the Hermitian basis as a Choi image
+    and realigned."""
     coef = np.concatenate(([1.0], rates_at(gen, t)))
-    return from_hermitian_basis(np.tensordot(coef, gen.transfer_blocks, 1), gen.dim)
+    d = gen.dim
+    return superoperator_of_choi(
+        from_hermitian_basis(np.tensordot(coef, gen.transfer_blocks, 1), d), d)
 
 
 def is_unital(gen, t):
@@ -367,7 +378,7 @@ class TestHermitianBasis:
         rng = np.random.default_rng(50 + d)
         transfer = rng.normal(size=(3, d * d, d * d))
         u = hermitian_basis_matrix(d)
-        superop = from_hermitian_basis(transfer, d)
+        superop = superoperator_of_choi(from_hermitian_basis(transfer, d), d)
         assert np.max(np.abs(superop - u @ transfer @ u.conj().T)) <= 1e-15 * d * d
         assert from_hermitian_basis(transfer[0], d).shape == (d * d, d * d)
 
@@ -378,21 +389,12 @@ class TestHermitianBasis:
         # So the bridge sweep checks only the trace of these states: equal to
         # their conjugate transpose with no rounding (the diagonal's zero
         # imaginary parts may differ in sign only), and real on the diagonal.
-        transfer = scale * np.random.default_rng(seed).normal(size=(n, d * d, d * d))
-        got = from_hermitian_basis(transfer, d, choi=True)
-        assert np.array_equal(got, np.swapaxes(got, -1, -2).conj())
-        assert np.all(np.diagonal(got, axis1=-2, axis2=-1).imag == 0.0)
-
-    @pytest.mark.parametrize("d", [2, 3, 4])
-    def test_choi_layout_is_the_realigned_superoperator(self, d):
-        transfer = np.random.default_rng(60 + d).normal(size=(4, d * d, d * d))
-        superop = from_hermitian_basis(transfer, d).reshape(4, d, d, d, d)
-        realigned = superop.transpose(0, 3, 1, 4, 2).reshape(4, d * d, d * d) / d
-        got = from_hermitian_basis(transfer, d, choi=True)
-        assert np.max(np.abs(got - realigned)) <= 1e-15
         # Any real transfer matrix is a Hermiticity-preserving map, so its
         # Choi state is Hermitian, and the back rotation keeps that exact.
+        transfer = scale * np.random.default_rng(seed).normal(size=(n, d * d, d * d))
+        got = from_hermitian_basis(transfer, d)
         assert np.array_equal(got, np.swapaxes(got, -1, -2).conj())
+        assert np.all(np.diagonal(got, axis1=-2, axis2=-1).imag == 0.0)
 
 
 class TestRequireHermitian:
