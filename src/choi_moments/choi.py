@@ -57,6 +57,11 @@ __all__ = [
 
 # Fixed-step integrator resolution: steps per unit time.
 DEFAULT_STEPS_PER_UNIT = 1000
+# Most RK4 steps one window may take. A window's 2 * steps + 1 half-step
+# rates are evaluated as one array per dissipator before the first step, 16
+# MB per row at this cap (1000 time units at the default resolution); past
+# it numpy refuses the array in its own words, or the machine runs short.
+MAX_WINDOW_STEPS = 10**6
 # |eps * gamma| above which the first-order small-time Choi is dubious, and
 # |h * gamma| above which a fixed RK4 step is (read by `guard_step` alone).
 SMALL_TIME_RATE_LIMIT = 0.1
@@ -186,12 +191,16 @@ def _debug(message: str, *args) -> None:
 
 def _default_steps(name: str, span: float) -> int:
     """RK4 steps over span at DEFAULT_STEPS_PER_UNIT, at least 1. A span
-    whose step count is not finite is refused, naming the argument that
-    gives it and its value."""
+    whose step count is not finite, or above MAX_WINDOW_STEPS, is refused,
+    naming the argument that gives it and its value."""
     steps = DEFAULT_STEPS_PER_UNIT * span
     if not np.isfinite(steps):
         raise ValueError(f"{name} = {span} gives a non-finite number of RK4 steps "
                          f"at {DEFAULT_STEPS_PER_UNIT} per unit time")
+    if round(steps) > MAX_WINDOW_STEPS:
+        raise ValueError(f"{name} = {span} gives {steps:.7g} RK4 steps at "
+                         f"{DEFAULT_STEPS_PER_UNIT} per unit time, more than the "
+                         f"{MAX_WINDOW_STEPS} one window may take")
     return max(1, round(steps))
 
 
@@ -233,8 +242,9 @@ def propagate_map(
     C as S[(a, b), (i, j)] = d C[(i, a), (j, b)].
 
     Fixed-step fourth-order integration with step (t1 - t0)/steps, steps an
-    integer >= 1; the default resolution is 1000 steps per unit time, and a
-    span too long for a finite count of them is refused.
+    integer >= 1 and at most MAX_WINDOW_STEPS; the default resolution is
+    1000 steps per unit time, and a span that needs more than
+    MAX_WINDOW_STEPS of them is refused.
     Doubling the steps must not move the result by more than ~1e-8 in
     max-entry norm at the default resolution for the rate scales in scope.
     Both times must be finite real numbers, and a time the rate models are
@@ -252,6 +262,9 @@ def propagate_map(
     if steps is None:
         steps = _default_steps("t1 - t0", t1 - t0)
     steps = require_count("steps", steps, 1)
+    if steps > MAX_WINDOW_STEPS:
+        raise ValueError(f"steps = {steps} is more than the {MAX_WINDOW_STEPS} RK4 steps "
+                         "one window may take")
     require_rate_times(np.array([float(t0)]))
     d = gen.dim
     if t1 == t0:
@@ -269,10 +282,10 @@ def bridge_spectra(gen: LindbladGenerator, starts, delta: float
 
     Each bridge is integrated directly over its own window with
     max(1, round(DEFAULT_STEPS_PER_UNIT * delta)) RK4 steps, so no
-    propagator from 0 is formed or inverted; a delta too long for a finite
-    count of them is refused, naming delta. Returns the rates gamma_i(t)
-    at the starts as rows, (K, W), and each bridge's Choi eigenvalues in
-    descending order, (W, d^2), read-only.
+    propagator from 0 is formed or inverted; a delta that needs more than
+    MAX_WINDOW_STEPS of them is refused, naming delta. Returns the rates
+    gamma_i(t) at the starts as rows, (K, W), and each bridge's Choi
+    eigenvalues in descending order, (W, d^2), read-only.
     Warns, naming the window, when some step has |h * gamma| >= 0.1 (near a
     rate pole, where the fixed step loses accuracy).
 

@@ -42,13 +42,11 @@ import numpy as np
 
 from .choi import bridge_spectra, guard_step, warn_caller
 from .lindblad import (
-    UNITAL_ATOL,
     LindbladGenerator,
     rates_at,
     require_count,
     require_hermitian,
     require_positive,
-    unitality_defects,
 )
 
 __all__ = [
@@ -228,7 +226,11 @@ def _rate_limits(gen: LindbladGenerator, gammas: np.ndarray) -> tuple[np.ndarray
     g = 2 sum_j max(0, -mu_j) (Rivas, Huelga and Plenio, PRL 105, 050403,
     2010). r_2^2 - r_3 = eps <Phi+|X_D|Phi+> + O(eps^2), and Tr X_D = 0
     gives <Phi+|X_D|Phi+> = -Tr(Q X_D Q), so f = max(0, -sum_j mu_j), the
-    leading coefficient of the small-time witness. Q X_D Q =
+    leading coefficient of the small-time witness. The Hamiltonian part is
+    traceless and dissipator k at unit rate has Tr S_k = d^2 <Phi+|B_k|Phi+>,
+    so Tr L_t = -d^2 sum_j mu_j and, up to the noise rule below,
+    f = max(0, Tr L_t)/d^2, the growth rate of ln|det Phi(t, 0)| over d^2,
+    for any generator. Q X_D Q =
     V diag(gamma) V^dag over the centred vectors Q v_i/sqrt(d), whose Gram
     matrix G^c is the leading block of the generator's Gram matrix
     (`small_time_tables`), so its nonzero mu_j, at most K of them, follow
@@ -263,13 +265,17 @@ def measure_report(gen: LindbladGenerator, t_max: float, grid_points: int) -> Me
     """Both integrated measures over [0, t_max] with their rate series.
 
     Trapezoidal integration (np.trapezoid) on a uniform grid of
-    grid_points >= 2 points. The moment measure is proven to
-    be a measure only for unital dynamics, so a generator that is not unital
-    at some grid point is accepted with a warning rather than refused. A
-    warning, naming the series, is also emitted when f or g has not decayed
-    below 1e-8 over the last 5% of the grid (the truncation of the
-    infinite-horizon integral is then suspect). t_max must be positive and
-    finite.
+    grid_points >= 2 points. A warning, naming the series, is emitted when
+    f or g has not decayed below 1e-8 over the last 5% of the grid (the
+    truncation of the infinite-horizon integral is then suspect). t_max
+    must be positive and finite.
+
+    The paper states the moment measure for unital dynamics; it needs no
+    unitality here. f = max(0, Tr L_t)/d^2 (`_rate_limits`), so M is the
+    regained log-volume of the reachable states,
+    (1/d^2) int max(0, d/dt ln|det Phi(t, 0)|) dt, for every generator.
+    M = 0 whenever every canonical rate is non-negative, and M > 0
+    certifies a negative one.
     """
     require_positive("t_max", t_max)
     grid = np.linspace(0.0, t_max, require_count("grid_points", grid_points, 2))
@@ -280,12 +286,6 @@ def _measures(gen: LindbladGenerator, grid: np.ndarray, gammas: np.ndarray) -> M
     """`measure_report` over the span of a checked grid, from the rates on it
     as rows (K, n)."""
     f_series, g_series = _rate_limits(gen, gammas)
-
-    if np.any(unitality_defects(gen, gammas) >= UNITAL_ATOL):
-        warn_caller(
-            "generator is not unital: the moment measure is only proven to be "
-            "a measure for unital dynamics; interpret the value with care"
-        )
 
     tail = np.searchsorted(grid, 0.95 * grid[-1])  # the first point >= 0.95 t_max
     peaks = (("moment rate f", np.max(f_series[tail:])),

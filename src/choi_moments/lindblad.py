@@ -71,7 +71,6 @@ __all__ = [
     "SmallTimeTables",
     "require_hermitian",
     "rates_at",
-    "unitality_defects",
     "from_hermitian_basis",
 ]
 
@@ -95,7 +94,6 @@ NAMED_OPERATORS = {
     "raising": RAISING,
 }
 
-UNITAL_ATOL = 1e-10
 # Absolute tolerance on entrywise asymmetry |m - m^dag|.
 HERMITICITY_ATOL = 1e-12
 # Matrix entries one stacked chunk holds: d^2 x d^2 maps in a batched RK4
@@ -243,14 +241,12 @@ class LindbladGenerator:
     refuses a `dim` that is not an integer of at least 2 (`require_count`),
     and a dissipator that is not an (operator, rate) pair whose rate has a
     callable `evaluate`, naming its index. Every table below is read-only,
-    built from the operators on first use and kept: `unitality_images`
-    (K, d^2), the images D_k(I/d) that `unitality_defects` contracts with
-    the rates; `small_time_tables`, the tables that every small-time
-    witness and rate limit reads (`small_time_moments`,
-    `projected_spectra`), all from one Gram matrix; and `transfer_blocks`,
-    the generator's parts in the Hermitian operator basis, which only the
-    RK4 kernel reads. A cached_property writes the instance __dict__
-    directly, past the refusing __setattr__.
+    built from the operators on first use and kept: `small_time_tables`,
+    the tables that every small-time witness and rate limit reads
+    (`small_time_moments`, `projected_spectra`), all from one Gram matrix;
+    and `transfer_blocks`, the generator's parts in the Hermitian operator
+    basis, which only the RK4 kernel reads. A cached_property writes the
+    instance __dict__ directly, past the refusing __setattr__.
 
     A plain class, not a dataclass, because every process that imports the
     package would otherwise generate and compile its methods. Generators
@@ -313,13 +309,6 @@ class LindbladGenerator:
             ops[:, None] @ basis @ adjoints - (decay @ basis + basis @ decay)))
         t = basis.reshape(n, n).conj() @ images.reshape(-1, n).T  # [p, (k, q)]
         return _read_only(np.ascontiguousarray(t.real.reshape(n, -1, n).swapaxes(0, 1)))
-
-    @cached_property
-    def unitality_images(self) -> np.ndarray:
-        """D_k(I/d) = vec(L_k L_k^dag - L_k^dag L_k)/d per dissipator, (K, d^2)."""
-        d, ops = self.dim, self.operators
-        adjoints = np.swapaxes(ops, 1, 2).conj()
-        return _read_only((ops @ adjoints - adjoints @ ops).reshape(len(ops), d * d) / d)
 
     @cached_property
     def small_time_tables(self) -> SmallTimeTables:
@@ -495,21 +484,3 @@ def rates_at(gen: LindbladGenerator, t) -> np.ndarray:
             f"non-finite rate at t = {times[first]:.6g}: {rows[(slice(None), *first)]}")
     return rows
 
-
-def unitality_defects(gen: LindbladGenerator, gammas) -> np.ndarray:
-    """Largest entry of |L_t(I/d)| for each column of finite rates gammas
-    (K, n), one row per dissipator, shape (n,).
-
-    The Hamiltonian part annihilates I/d, so the image is linear in the
-    rates and a grid of rates costs one product with the dissipators'
-    images of I/d (`LindbladGenerator.unitality_images`), (d^2, n), reduced
-    across its rows. A normal jump operator (Pauli, Hermitian, unitary) has
-    an image of exactly zero, since D_k(I) = L_k L_k^dag - L_k^dag L_k;
-    when every image is zero the product would be zero bit for bit, and it
-    is skipped.
-    """
-    images = gen.unitality_images
-    if not images.any():
-        return np.zeros(np.shape(gammas)[1])
-    residual = images.T @ np.asarray(gammas, dtype=float)
-    return np.max(np.abs(residual), axis=0)

@@ -272,6 +272,30 @@ class TestBatchedKernel:
                                              rf"of RK4 steps at 1000 per unit time$"):
             call(gen)
 
+    # Each used to reach numpy: "Maximum allowed size exceeded" from
+    # propagate_map, "array is too big" from bridge_spectra. Only the
+    # explicit count was not refused in the package's words either way.
+    @pytest.mark.parametrize("call, message", [
+        (lambda gen: bridge_spectra(gen, [0.0, 1.0], 1e15),
+         "delta = 1000000000000000.0 gives 1e+18 RK4 steps at 1000 per unit time, "
+         "more than the 1000000 one window may take"),
+        (lambda gen: propagate_map(gen, 0.0, 1e300),
+         "t1 - t0 = 1e+300 gives 1e+303 RK4 steps at 1000 per unit time, "
+         "more than the 1000000 one window may take"),
+        (lambda gen: propagate_map(gen, 0.0, 1.0, steps=10**6 + 1),
+         "steps = 1000001 is more than the 1000000 RK4 steps one window may take"),
+    ], ids=["bridge_spectra", "propagate_map", "propagate_map-steps"])
+    def test_a_window_of_more_steps_than_the_cap_is_refused(self, call, message):
+        gen = dephasing_generator(ConstantRate(1.0))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(gen)
+
+    def test_the_cap_counts_the_rounded_steps(self):
+        assert choi.MAX_WINDOW_STEPS == 10**6
+        assert choi._default_steps("delta", 1000.0004) == 10**6
+        with pytest.raises(ValueError, match=r"^delta = 1000\.0006 gives 1000001 RK4 steps"):
+            choi._default_steps("delta", 1000.0006)
+
     # A scalar used to end in an IndexError, and a 2-D array in a broadcast
     # ValueError, neither naming the argument.
     @pytest.mark.parametrize("starts", [0.5, [[0.1, 0.2]], np.zeros((2, 0))],

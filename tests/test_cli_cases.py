@@ -380,23 +380,38 @@ CASES = {
         stdout=(EMPTY,), missing=("o",), stderr=(
             r"\Anumerical failure in scenario 'example1': delta = 1e\+308 gives a non-finite "
             r"number of RK4 steps at 1000 per unit time\n\Z",)),
+    # A finite count too large for one array used to reach numpy: exit 2
+    # with "Maximum allowed size exceeded".
+    "epsilon-needs-too-many-steps": Case(
+        ("divisibility", "example1", "--epsilon", "1e300", "--quiet", "--out-dir", "o"), 2,
+        stdout=(EMPTY,), missing=("o",), stderr=(
+            r"\Anumerical failure in scenario 'example1': delta = 1e\+300 gives 1e\+303 RK4 "
+            r"steps at 1000 per unit time, more than the 1000000 one window may take\n\Z",)),
 
     # Verdicts and warnings.
     # warn_caller used to walk out of the package into runpy, and stderr
-    # named "<frozen runpy>:88". A Pauli channel is unital by construction.
+    # named "<frozen runpy>:88".
     "eternal-pauli-warning-names-cli-py": Case(
         ("compare", str(DATA / "eternal_pauli.cfg"), "--quiet", "--out-dir", "o"), 10,
         command=PYTHON_M,
         stderr=(rf"\A[^\n]*{CLI_PY}:\d+: UserWarning: trace-norm rate g is still .* over "
                 r"the last 5% of the grid",),
-        stderr_absent=(r"runpy", r"not unital")),
+        stderr_absent=(r"runpy",)),
     "eternal-pauli-is-detected-by-i": Case(
         ("witness", str(DATA / "eternal_pauli.cfg"), "--out-dir", "w"), 10,
         stdout=(r"^detected by: rhp measure I$",),
         check=file_matches("w/eternal_pauli_report.txt", r"^detected by: rhp measure I$")),
-    "qutrit-expcos-warns-not-unital": Case(
+    # The measures used to warn that a generator is not unital; the moment
+    # measure needs no unitality. This qutrit's only warning is its tail's,
+    # and the coupled qutrit, whose rates decay, warns of nothing.
+    "qutrit-expcos-warns-only-of-its-tail": Case(
         ("compare", str(DATA / "qutrit_expcos.cfg"), "--quiet", "--out-dir", "o"), 10,
-        stderr=(rf"{CLI_PY}:\d+: UserWarning: generator is not unital",)),
+        stderr=(rf"\A[^\n]*{CLI_PY}:\d+: UserWarning: moment rate f is still 1\.583e-02 and "
+                r"trace-norm rate g is still 3\.539e-02 over the last 5% of the grid",),
+        stderr_absent=(r"unital",)),
+    "qutrit-coupled-compare-leaves-stderr-empty": Case(
+        ("compare", str(DATA / "qutrit_coupled.cfg"), "--quiet", "--out-dir", "o"), 10,
+        stderr=(r"\A\Z",)),
     "byte-order-mark": Case(
         ("witness", "bom/example1.cfg", "--quiet", "--out-dir", "bom/out"), 10,
         files={"bom/example1.cfg": b"\xef\xbb\xbf" + EXAMPLE1.encode()},

@@ -10,13 +10,11 @@ from choi_moments.lindblad import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    UNITAL_ATOL,
     LindbladGenerator,
     from_hermitian_basis,
     named_operator,
     rates_at,
     require_hermitian,
-    unitality_defects,
 )
 from choi_moments.rates import ConstantRate, ExpCosRate, rate_eval
 from helpers import (
@@ -56,16 +54,6 @@ def tables_superoperator(gen, t):
     d = gen.dim
     return superoperator_of_choi(
         from_hermitian_basis(np.tensordot(coef, gen.transfer_blocks, 1), d), d)
-
-
-def is_unital(gen, t):
-    return bool(unitality_defects(gen, rates_at(gen, [float(t)]))[0] < UNITAL_ATOL)
-
-
-def dissipator_defects(gen):
-    """Largest entry of |D_k(I/d)| for each dissipator alone: zero iff L_k is
-    normal, since D_k(I) = L_k L_k^dag - L_k^dag L_k."""
-    return unitality_defects(gen, np.eye(len(gen.dissipators)))
 
 
 class TestConstruction:
@@ -125,7 +113,6 @@ class TestConstruction:
         # Every table reads the one stack, so K = 0 gives empty tables.
         assert gen.small_time_tables.traces3.shape == (k * k, k)
         assert len(gen.small_time_tables.off_bell) == k
-        assert gen.unitality_images.shape == (k, 4)
         assert gen.transfer_blocks.shape == (k + 1, 4, 4)
 
     @pytest.mark.parametrize("dissipators, index", [
@@ -183,29 +170,18 @@ class TestConstruction:
         # Construction only checks: a generator built to validate a config
         # costs no product.
         gen = amplitude_damping_generator()
-        names = ("transfer_blocks", "unitality_images")
+        names = ("transfer_blocks", "small_time_tables")
         assert not set(names) & set(vars(gen))
         for name in names:
             table = getattr(gen, name)
             assert getattr(gen, name) is table
-            with pytest.raises(ValueError, match="read-only"):
-                table.flat[0] = 1.0
+            for array in (table,) if name == "transfer_blocks" else table:
+                with pytest.raises(ValueError, match="read-only"):
+                    array.flat[0] = 1.0
             with pytest.raises(AttributeError):
-                setattr(gen, name, table.copy())
+                setattr(gen, name, table)
             with pytest.raises(AttributeError):
                 delattr(gen, name)
-        # D(I/2) = (L L^dag - L^dag L)/2 = diag(1, -1)/2 for L = |0><1|.
-        assert np.array_equal(gen.unitality_images, [[0.5, 0.0, 0.0, -0.5]])
-
-    @pytest.mark.parametrize("d", [2, 3, 4])
-    def test_unitality_images_are_each_dissipators_image_of_i_over_d(self, d):
-        gen = random_generator(np.random.default_rng(30 + d), d, n_ops=3)
-        assert gen.unitality_images.shape == (3, d * d)
-        for (op, _), image in zip(gen.dissipators, gen.unitality_images):
-            alone = LindbladGenerator(d, np.zeros((d, d)), ((op, ConstantRate(1.0)),))
-            want = reference_superoperator(alone, 0.0) @ (np.eye(d).ravel() / d)
-            assert np.max(np.abs(image - want)) <= 1e-15 * np.max(np.abs(want))
-        assert LindbladGenerator(d, np.eye(d), ()).unitality_images.shape == (0, d * d)
 
 
 class TestApplyGenerator:
@@ -306,47 +282,6 @@ class TestSuperoperator:
                     unit[i, j] = 1.0
                     expected = vec(_action(gen, unit, gammas))
                     assert np.max(np.abs(lhat[:, i * dim + j] - expected)) < 1e-10
-
-
-class TestUnitalAndNormal:
-    def test_dephasing_is_unital(self):
-        assert is_unital(dephasing_generator(ConstantRate(1.0)), 0.0)
-
-    def test_isotropic_pauli_is_unital(self):
-        assert is_unital(isotropic_pauli_generator(ExpCosRate(k=1.0)), 2.0)
-
-    def test_amplitude_damping_is_not_unital(self):
-        assert not is_unital(amplitude_damping_generator(), 0.0)
-
-    def test_pauli_operators_are_normal(self):
-        assert np.all(dissipator_defects(dephasing_generator(ConstantRate(1.0))) == 0.0)
-        assert np.all(dissipator_defects(isotropic_pauli_generator(ConstantRate(1.0))) == 0.0)
-
-    def test_lowering_operator_is_not_normal(self):
-        # D(I/2) = (L L^dag - L^dag L)/2 = diag(1, -1)/2 for L = |0><1|.
-        assert dissipator_defects(amplitude_damping_generator()) == pytest.approx([0.5])
-
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_vanishing_images_give_the_product_bit_for_bit(self, seed):
-        # Every image of a Pauli channel is exactly zero, so the product is
-        # skipped; its result, with the -0.0 of negative rates, is 0.0 too.
-        rng = np.random.default_rng(seed)
-        for ops in ((SIGMA_Z,), (SIGMA_X, SIGMA_Y, SIGMA_Z), (SIGMA_X, SIGMA_Z)):
-            gen = LindbladGenerator(2, SIGMA_Y, tuple((op, ConstantRate(1.0)) for op in ops))
-            assert not gen.unitality_images.any()
-            # Rows (K, 40), read as a strided view and as a contiguous copy.
-            gammas = (rng.normal(size=(40, len(ops)))
-                      * 10.0 ** rng.integers(-8, 4, (40, 1))).T
-            for rates in (gammas, np.ascontiguousarray(gammas), gammas[:, :0]):
-                product = np.max(np.abs(gen.unitality_images.T @ rates), axis=0)
-                got = unitality_defects(gen, rates)
-                assert got.dtype == product.dtype and got.tobytes() == product.tobytes()
-
-    def test_non_normal_operators_still_take_the_product(self):
-        gen = LindbladGenerator(2, np.zeros((2, 2)), (
-            (SIGMA_Z, ConstantRate(1.0)), (LOWERING, ConstantRate(1.0))))
-        gammas = np.array([[1.0, 0.3, 0.0], [0.0, -2.0, 0.25]])
-        assert np.array_equal(unitality_defects(gen, gammas), [0.0, 1.0, 0.125])
 
 
 class TestHermitianBasis:
