@@ -56,6 +56,27 @@ def tables_superoperator(gen, t):
         from_hermitian_basis(np.tensordot(coef, gen.transfer_blocks, 1), d), d)
 
 
+def images_of_i_over_d(gen, blocks):
+    """The images of I/d under the given transfer blocks, each taken out of
+    the Hermitian basis as a Choi state and realigned, (n, d, d)."""
+    d = gen.dim
+    s = superoperator_of_choi(from_hermitian_basis(blocks, d), d)
+    return (s @ vec(np.eye(d) / d)).reshape(-1, d, d)
+
+
+def is_unital(gen, t):
+    """L_t(I) = 0, read off the package's tables. Every generator below
+    whose operators are Pauli matrices gives exactly zero."""
+    coef = np.concatenate(([1.0], rates_at(gen, t)))
+    return not images_of_i_over_d(gen, np.tensordot(coef, gen.transfer_blocks, 1)).any()
+
+
+def dissipator_defects(gen):
+    """Largest entry of |D_k(I/d)| for each dissipator alone: zero iff L_k is
+    normal, since D_k(I) = L_k L_k^dag - L_k^dag L_k."""
+    return np.max(np.abs(images_of_i_over_d(gen, gen.transfer_blocks[1:])), axis=(1, 2))
+
+
 class TestConstruction:
     def test_named_operators(self):
         assert np.array_equal(named_operator("sigma_x", 2), SIGMA_X)
@@ -183,6 +204,17 @@ class TestConstruction:
             with pytest.raises(AttributeError):
                 delattr(gen, name)
 
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_transfer_blocks_give_each_dissipators_image_of_i_over_d(self, d):
+        gen = random_generator(np.random.default_rng(30 + d), d, n_ops=3)
+        images = images_of_i_over_d(gen, gen.transfer_blocks[1:])
+        assert images.shape == (3, d, d)
+        for (op, _), image in zip(gen.dissipators, images):
+            alone = LindbladGenerator(d, np.zeros((d, d)), ((op, ConstantRate(1.0)),))
+            want = reference_superoperator(alone, 0.0) @ (np.eye(d).ravel() / d)
+            assert np.max(np.abs(vec(image) - want)) <= 1e-15 * np.max(np.abs(want))
+        assert LindbladGenerator(d, np.eye(d), ()).transfer_blocks.shape == (1, d * d, d * d)
+
 
 class TestApplyGenerator:
     def test_maximally_mixed_is_fixed_point_of_dephasing(self):
@@ -282,6 +314,33 @@ class TestSuperoperator:
                     unit[i, j] = 1.0
                     expected = vec(_action(gen, unit, gammas))
                     assert np.max(np.abs(lhat[:, i * dim + j] - expected)) < 1e-10
+
+
+
+class TestUnitalAndNormal:
+    """Which generators fix I, read off the transfer blocks. The measures
+    need no unitality; these check that the tables carry it where the
+    operators do."""
+
+    def test_dephasing_is_unital(self):
+        assert is_unital(dephasing_generator(ConstantRate(1.0)), 0.0)
+
+    def test_isotropic_pauli_is_unital(self):
+        assert is_unital(isotropic_pauli_generator(ExpCosRate(k=1.0)), 2.0)
+
+    def test_amplitude_damping_is_not_unital(self):
+        assert not is_unital(amplitude_damping_generator(), 0.0)
+
+    def test_pauli_operators_are_normal(self):
+        assert np.all(dissipator_defects(dephasing_generator(ConstantRate(1.0))) == 0.0)
+        assert np.all(dissipator_defects(isotropic_pauli_generator(ConstantRate(1.0))) == 0.0)
+
+    def test_lowering_operator_is_not_normal(self):
+        # D(I/2) = (L L^dag - L^dag L)/2 = diag(1, -1)/2 for L = |0><1|.
+        gen = amplitude_damping_generator()
+        assert dissipator_defects(gen) == pytest.approx([0.5])
+        assert np.allclose(images_of_i_over_d(gen, gen.transfer_blocks[1:]),
+                           [np.diag([0.5, -0.5])], rtol=0.0, atol=1e-15)
 
 
 class TestHermitianBasis:
