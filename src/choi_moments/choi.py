@@ -10,12 +10,14 @@ This module reads the finite-interval Choi states of the maps bridging two
 times of a propagated evolution; the small-time states are read from the
 generator's own tables (`LindbladGenerator.small_time_moments`). Rates are
 rows from the models (`rates_at`) into the RK4 kernel, one row per jump
-operator: (K, W, 2m + 1) for the half-step times of W windows of m RK4
-steps, so every step is a small matrix product or a reduction across a few
-long rows. All propagation goes through one batched fixed-step RK4 kernel:
-`propagate_map` runs it over one window, and `bridge_spectra` over one
-window [t, t + delta] per grid time, handing its most recent sweep's
-read-only spectra to the next call with the same generator, step and rates.
+operator: (K, n, 2m + 1) for the half-step times of the n windows of one
+chunk, m RK4 steps each, so every step is a small matrix product or a
+reduction across a few long rows; the kernel drops each chunk's rates after
+it, so a sweep's memory does not grow with its steps. All propagation goes
+through that one batched fixed-step RK4 kernel: `propagate_map` runs it over
+one window, and `bridge_spectra` over one window [t, t + delta] per grid
+time. A generator fixes its rates, so a sweep is a pure function of it,
+delta and the starts, and the last sweep is cached.
 The kernel weights the generator's read-only real transfer blocks
 [S_0, S_1, ...], its Hamiltonian part and each dissipator at unit rate in an
 orthonormal basis of Hermitian operators, built from the operators
@@ -27,21 +29,20 @@ stacks of several windows at once (up to CHUNK_ENTRIES matrix entries: four
 with O(d^4) slices and no matrix product, always as the map's Choi state:
 `bridge_spectra` eigensolves the states, and `propagate_map` realigns its
 one state into the row-major superoperator, S[(a, b), (i, j)] =
-d C[(i, a), (j, b)]. The kernel checks the trace of every map it
-integrates, with no Choi state: Tr C = Tr Lambda(I)/d is a sum of d^2
-entries of the real transfer matrix, those between the diagonal basis
-elements E_ii.
+d C[(i, a), (j, b)]. Every map's trace is checked (`_require_trace_preserving`).
 
 Every fixed step the package reads a map over, epsilon for the small-time
 state and h for each RK4 step, passes one guard (`guard_step`), the only
 reader of SMALL_TIME_RATE_LIMIT: it warns, naming the caller's line, when
 the step times the largest |gamma| reaches that limit. Both ways into the
-kernel take their rates and step from one function, which runs the guard.
+kernel carry each window's largest |gamma| across its chunks and run the
+guard once, after the last.
 """
 
 import os
 import sys
 import warnings
+from functools import lru_cache
 
 import numpy as np
 
@@ -57,26 +58,22 @@ __all__ = [
 
 # Fixed-step integrator resolution: steps per unit time.
 DEFAULT_STEPS_PER_UNIT = 1000
-# Most RK4 steps one window may take. A window's 2 * steps + 1 half-step
-# rates are evaluated as one array per dissipator before the first step, 16
-# MB per row at this cap (1000 time units at the default resolution); past
-# it numpy refuses the array in its own words, or the machine runs short.
+# Most RK4 steps one window may take, 1000 time units at the default
+# resolution: it bounds one window's work (about 1 s of CPU at d = 2, minutes
+# at d = 8), not its memory, which one chunk of the kernel bounds.
 MAX_WINDOW_STEPS = 10**6
 # |eps * gamma| above which the first-order small-time Choi is dubious, and
 # |h * gamma| above which a fixed RK4 step is (read by `guard_step` alone).
 SMALL_TIME_RATE_LIMIT = 0.1
-# Largest deviation from 1 of the Choi trace of a map the kernel integrates.
+# Largest deviation from 1 of the Choi trace of a map the kernel integrates,
+# per unit of max(1, the map's largest entry): the trace sums entries of the
+# map, whose rounding grows with them, and they grow where a rate is negative.
 _CHOI_TRACE_ATOL = 1e-6
 # Source files of this package, skipped when a warning names its caller,
 # except the command line front end: it calls the library as any caller
 # does, and past it lie only runpy or an entry-point script.
 _PACKAGE_PREFIX = os.path.dirname(__file__) + os.sep
 _CLI_FILE = _PACKAGE_PREFIX + "cli.py"
-
-# The most recent bridge sweep: ((generator, step, half-step rates' shape,
-# their bytes), read-only spectra). It is replaced as one tuple, so a thread
-# reads either the old sweep or the new one, never a mix.
-_last_sweep = None
 
 
 def max_entangled_projector(d: int) -> np.ndarray:
@@ -87,16 +84,26 @@ def max_entangled_projector(d: int) -> np.ndarray:
     return np.outer(phi, phi.conj())
 
 
-def _require_trace_preserving(trace: np.ndarray) -> None:
-    """Refuse maps whose Choi traces (real, any shape) are not all 1 within
-    1e-6, or not finite: maps that are not trace preserving."""
-    trace_dev = float(np.max(np.abs(trace - 1.0)))
-    if not trace_dev <= _CHOI_TRACE_ATOL:  # NaN compares false either way
-        raise ValueError(
-            f"map is not trace preserving: Choi trace deviation {trace_dev:.3e} "
-            + (f"exceeds {_CHOI_TRACE_ATOL:.1e}" if np.isfinite(trace_dev)
-               else "is non-finite")
-        )
+def _require_trace_preserving(maps: np.ndarray, d: int) -> None:
+    """Refuse maps, real transfer matrices (n, d^2, d^2), that are not trace
+    preserving: whose Choi trace is not 1 within 1e-6 times the larger of 1
+    and the map's largest entry, or is not finite. The refusal names the
+    map furthest past its bound.
+
+    The trace needs no Choi state: Tr C = Tr Lambda(I)/d =
+    (1/d) sum_ij T[(jj), (ii)], since I has coordinate 1 at each E_ii, and
+    E_ii has unit trace while the other basis elements are traceless.
+    """
+    deviation = np.abs(maps[:, :: d + 1, :: d + 1].sum(axis=(1, 2)) / d - 1.0)
+    if deviation.max() <= _CHOI_TRACE_ATOL:  # within every map's bound
+        return
+    bound = _CHOI_TRACE_ATOL * np.maximum(1.0, np.abs(maps).max(axis=(1, 2)))
+    excess = deviation / bound
+    worst = np.argmax(excess)  # the first NaN, if there is one
+    if not excess[worst] <= 1.0:  # NaN compares false either way
+        problem = f"exceeds {bound[worst]:.1e}" if np.isfinite(excess[worst]) else "is non-finite"
+        raise ValueError("map is not trace preserving: Choi trace deviation "
+                         f"{deviation[worst]:.3e} {problem}")
 
 
 def _rk4_product(blocks: np.ndarray, gammas: np.ndarray, h: float) -> np.ndarray:
@@ -135,36 +142,38 @@ def _rk4_product(blocks: np.ndarray, gammas: np.ndarray, h: float) -> np.ndarray
     return maps[:, 0]
 
 
-def _rk4_chunks(gen: LindbladGenerator, gammas: np.ndarray, h: float):
+def _rk4_chunks(gen: LindbladGenerator, starts: np.ndarray, h: float, steps: int):
     """Classical fixed-step RK4 integration of dPhi/dt = Lhat(t) Phi from the
-    identity over every window whose half-step rates are the rows gammas
-    (K, W, 2m + 1).
+    identity over the windows [t, t + steps * h], one per start t.
 
-    Yields (window slice, propagators) chunk by chunk, the propagators as
-    real transfer matrices in the generator's Hermitian operator basis,
-    each checked to be trace preserving (`_require_trace_preserving`). A
-    chunk holds at most CHUNK_ENTRIES matrix entries per stack: `width`
-    whole windows when a window's steps fit, otherwise one window whose
-    steps are taken `span` at a time.
+    Yields, chunk by chunk, (window slice, the rates at the windows' starts
+    as rows (K, n), the largest |gamma| of each window (n,), propagators
+    (n, d^2, d^2) as real transfer matrices in the Hermitian operator basis,
+    checked by `_require_trace_preserving`). A chunk holds at most
+    CHUNK_ENTRIES matrix entries per stack: `width` whole windows, or one
+    window whose steps are taken `span` at a time, each piece from its own
+    rates at its half-step times (`rates_at`), dropped after it.
     """
     blocks, d = gen.transfer_blocks, gen.dim
-    windows, steps = gammas.shape[1], (gammas.shape[2] - 1) // 2
     per_chunk = max(1, CHUNK_ENTRIES // blocks[0].size)
     width = max(1, per_chunk // steps)
     span = max(1, per_chunk // width)
-    for lo in range(0, windows, width):
-        phi = None
+    for lo in range(0, len(starts), width):
+        window = slice(lo, lo + width)
+        phi, peak = None, 0.0
         for k in range(0, steps, span):
             end = min(k + span, steps)
-            block = _rk4_product(blocks, gammas[:, lo:lo + width, 2 * k:2 * end + 1], h)
+            gammas = rates_at(gen, starts[window, None]
+                              + (0.5 * h) * np.arange(2 * k, 2 * end + 1))
+            if phi is None:
+                first = gammas[:, :, 0]
+            peak = np.maximum(peak, np.abs(gammas).max(axis=(0, 2), initial=0.0))
+            block = _rk4_product(blocks, gammas, h)
             phi = block if phi is None else block @ phi
         # The Choi states are exactly Hermitian by construction, for any real
-        # transfer matrices: only the trace needs a check, and it needs no
-        # Choi state. Tr C = Tr Lambda(I)/d = (1/d) sum_ij T[(jj), (ii)],
-        # since I has coordinate 1 at each E_ii, and E_ii has unit trace
-        # while the other basis elements are traceless.
-        _require_trace_preserving(phi[:, :: d + 1, :: d + 1].sum(axis=(1, 2)) / d)
-        yield slice(lo, lo + width), phi
+        # transfer matrices: only the trace needs a check.
+        _require_trace_preserving(phi, d)
+        yield window, first, peak, phi
 
 
 def warn_caller(message: str) -> None:
@@ -175,18 +184,6 @@ def warn_caller(message: str) -> None:
            and frame.f_code.co_filename != _CLI_FILE):
         frame, level = frame.f_back, level + 1
     warnings.warn(message, stacklevel=level)
-
-
-def _debug(message: str, *args) -> None:
-    """Emit a debug event on the "choi_moments" logger.
-
-    Only a program that has imported logging can have set up a handler that
-    shows the event, so the module is looked up rather than imported: the
-    import would cost every CLI process about 7 ms (2%) for events no one sees.
-    """
-    logging = sys.modules.get("logging")
-    if logging is not None:
-        logging.getLogger("choi_moments").debug(message, *args)
 
 
 def _default_steps(name: str, span: float) -> int:
@@ -210,28 +207,17 @@ def guard_step(step: float, rows: np.ndarray, times: np.ndarray, message: str) -
     (K, n, ...) at n times reaches SMALL_TIME_RATE_LIMIT. The warning is
     message formatted with that peak and the first of the times whose rates
     reach it, followed by the limit."""
-    if not rows.size:
-        return
     # max|step*gamma| = step*max|gamma| exactly: rounding is monotone.
-    peak = step * max(rows.max(), -rows.min())
+    peak = step * np.abs(rows).max(initial=0.0)
     if peak >= SMALL_TIME_RATE_LIMIT:
         at = times[np.abs(rows).max(axis=0).reshape(len(times), -1).max(axis=1).argmax()]
         warn_caller(message.format(peak, at) + f" (limit {SMALL_TIME_RATE_LIMIT})")
 
 
-def _step_rates(gen: LindbladGenerator, starts: np.ndarray, span: float, steps: int
-                ) -> tuple[np.ndarray, float]:
-    """The rates of windows [t, t + span], one per start t, at the
-    2*steps + 1 half-step times of each as rows, (K, W, 2*steps + 1), and
-    the RK4 step h = span/steps, warning (`guard_step`) when some window
-    has |h * gamma| >= 0.1. A step's end time is the next step's start, so
-    a step costs two rate evaluations.
-    """
-    h = span / steps
-    gammas = rates_at(gen, starts[:, None] + (0.5 * h) * np.arange(2 * steps + 1))
-    guard_step(h, gammas, starts, "RK4 step is dubious: max |h*gamma| = {:.3g} "
-                                  "in the window starting at t = {:.6g}")
-    return gammas, h
+def _guard_rk4(h: float, peaks: np.ndarray, starts: np.ndarray) -> None:
+    """`guard_step` over windows given by their starts and largest |gamma|."""
+    guard_step(h, peaks[None], starts, "RK4 step is dubious: max |h*gamma| = {:.3g} "
+                                       "in the window starting at t = {:.6g}")
 
 
 def propagate_map(
@@ -251,7 +237,7 @@ def propagate_map(
     not defined at (t < 0) is refused, the empty interval t1 == t0 too.
     Warns and refuses as the bridge sweep does: when some step has
     |h * gamma| >= 0.1, naming t0 as the window start, and when the map is
-    not trace preserving within 1e-6.
+    not trace preserving (`_require_trace_preserving`).
     """
     for name, t in (("t0", t0), ("t1", t1)):
         require_real(name, t)
@@ -269,8 +255,9 @@ def propagate_map(
     d = gen.dim
     if t1 == t0:
         return np.eye(d * d, dtype=complex)
-    gammas, h = _step_rates(gen, np.array([float(t0)]), t1 - t0, steps)
-    ((_, phi),) = _rk4_chunks(gen, gammas, h)
+    start, h = np.array([float(t0)]), (t1 - t0) / steps
+    ((_, _, peak, phi),) = _rk4_chunks(gen, start, h, steps)
+    _guard_rk4(h, peak, start)
     state = from_hermitian_basis(phi[0], d).reshape(d, d, d, d)
     return d * state.transpose(1, 3, 0, 2).reshape(d * d, d * d)
 
@@ -289,31 +276,35 @@ def bridge_spectra(gen: LindbladGenerator, starts, delta: float
     Warns, naming the window, when some step has |h * gamma| >= 0.1 (near a
     rate pole, where the fixed step loses accuracy).
 
-    The rates are evaluated, checked and warned about on every call. When the
-    generator is the previous sweep's, and the step and every half-step rate
-    equal that sweep's bit for bit, that sweep's spectra, the same read-only
-    array, are returned instead of being integrated and eigensolved again:
-    a finite-interval witness and a scan on one grid and delta share one sweep.
-    A generator is immutable, so it stands for its transfer blocks.
+    The sweep is a pure function of the generator, delta and the starts'
+    bits, so the most recent one is cached: a repeat call returns the same
+    read-only spectra and evaluates no rate, and warns again as the first
+    did. `detect.assess` reads a witness and a scan off one call.
     """
-    global _last_sweep
     require_positive("delta", delta)
     steps = _default_steps("delta", delta)
     starts = np.asarray(starts, dtype=float)
     if starts.ndim != 1:
         raise ValueError(f"starts must be a 1-D array of times, got shape {starts.shape}")
-    gammas, h = _step_rates(gen, starts, delta, steps)
-    # The bytes tell 0.0 from -0.0, which == would not.
-    key = (gen, h, gammas.shape, gammas.tobytes())
-    last = _last_sweep
-    if last is not None and last[0] == key:
-        _debug("reused the last sweep of %d windows", starts.size)
-        return gammas[:, :, 0].copy(), last[1]
+    rows, peaks, spectra = _sweep(gen, float(delta), steps, starts.tobytes())
+    _guard_rk4(float(delta) / steps, peaks, starts)
+    return rows.copy(), spectra
+
+
+@lru_cache(maxsize=1)
+def _sweep(gen: LindbladGenerator, delta: float, steps: int, starts: bytes
+           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`bridge_spectra`'s sweep from the bytes of its starts: the rates at
+    them (K, W), each window's largest |gamma| (W,) and the spectra
+    (W, d^2), all read-only."""
+    starts = np.frombuffer(starts)
     d = gen.dim
+    rows = np.empty((len(gen.dissipators), starts.size))
+    peaks = np.empty(starts.size)
     spectra = np.empty((starts.size, d * d))
-    for window, maps in _rk4_chunks(gen, gammas, h):
+    for window, first, peak, maps in _rk4_chunks(gen, starts, delta / steps, steps):
+        rows[:, window], peaks[window] = first, peak
         spectra[window] = np.linalg.eigvalsh(from_hermitian_basis(maps, d))[:, ::-1]
-    spectra.setflags(write=False)
-    _last_sweep = (key, spectra)
-    _debug("swept %d windows, d = %d", starts.size, d)
-    return gammas[:, :, 0].copy(), spectra
+    for table in (rows, peaks, spectra):
+        table.setflags(write=False)
+    return rows, peaks, spectra

@@ -187,14 +187,19 @@ def _witness(gen: LindbladGenerator, grid: np.ndarray, epsilon: float, rows: np.
                                         "grid: max |eps*gamma| = {:.3g} at t = {:.6g}")
         r2, r3, values = gen.small_time_moments(rows, epsilon)
     else:
-        r2 = np.sum(spectra**2, axis=1)
-        r3 = np.sum(spectra**3, axis=1)
-        values = r2**2 - r3
+        r2, r3, values = _spectral_moments(spectra)
 
     mode = "small-time" if spectra is None else "finite-interval"
     return WitnessSeries(grid=grid, epsilon=float(epsilon), mode=mode, values=values, r2=r2,
                          r3=r3, rates=rows.T,
                          violations=_violation_intervals(grid, values, VIOLATION_THRESHOLD))
+
+
+def _spectral_moments(spectra: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """r_2, r_3 and the witness r_2^2 - r_3 of each Choi spectrum, rows (n, d^2)."""
+    r2 = np.sum(spectra**2, axis=1)
+    r3 = np.sum(spectra**3, axis=1)
+    return r2, r3, r2**2 - r3
 
 
 def witness_series(gen: LindbladGenerator, grid, epsilon: float, mode: str = "small-time"
@@ -306,9 +311,9 @@ def cp_divisibility_scan(gen: LindbladGenerator, grid, delta: float) -> Divisibi
     """Minimum Choi eigenvalue of the bridge map on [t, t + delta] per grid time.
 
     The verdict is "CP-indivisible" as soon as any bridge map has an
-    eigenvalue below -1e-10. Wherever the moment witness is positive the
-    minimum eigenvalue here must be negative; the converse need not hold (the
-    witness is a sufficient, not necessary, violation criterion).
+    eigenvalue below -1e-10 or a witness r_2^2 - r_3 above VIOLATION_THRESHOLD
+    (r_2^2 <= r_3 for every state), so it flags every window on which the
+    finite-interval witness fires; the witness is sufficient, not necessary.
     """
     grid = _validate_grid(grid)
     return _scan(grid, delta, bridge_spectra(gen, grid, delta)[1])
@@ -317,7 +322,9 @@ def cp_divisibility_scan(gen: LindbladGenerator, grid, delta: float) -> Divisibi
 def _scan(grid: np.ndarray, delta: float, lam: np.ndarray) -> DivisibilityReport:
     """The scan of a checked grid from its bridges' descending Choi spectra."""
     min_eigs = lam[:, -1].copy()
-    verdict = "CP-indivisible" if np.any(min_eigs < -_SCAN_CP_TOL) else "CP-divisible"
+    flagged = (np.any(min_eigs < -_SCAN_CP_TOL)
+               or np.any(_spectral_moments(lam)[2] > VIOLATION_THRESHOLD))
+    verdict = "CP-indivisible" if flagged else "CP-divisible"
     return DivisibilityReport(grid=grid, delta=float(delta),
                               min_eigenvalues=min_eigs, verdict=verdict)
 

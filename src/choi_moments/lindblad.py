@@ -46,8 +46,8 @@ mu_j are nonzero for K jump operators, and they follow one rule
 no solve when the operators are pairwise trace-orthogonal, otherwise one
 solve over all of them.
 
-Generators are immutable: their arrays are read-only copies, so all
-evaluation is pure.
+Generators are immutable: their arrays are read-only copies and their rates
+immutable `RateModel` values, so all evaluation is pure.
 """
 
 import numbers
@@ -239,14 +239,15 @@ class LindbladGenerator:
     stack `operators` (K, d, d), and each pair of `dissipators` holds a
     view of its operator there. Construction only checks its arguments: it
     refuses a `dim` that is not an integer of at least 2 (`require_count`),
-    and a dissipator that is not an (operator, rate) pair whose rate has a
-    callable `evaluate`, naming its index. Every table below is read-only,
-    built from the operators on first use and kept: `small_time_tables`,
-    the tables that every small-time witness and rate limit reads
-    (`small_time_moments`, `projected_spectra`), all from one Gram matrix;
-    and `transfer_blocks`, the generator's parts in the Hermitian operator
-    basis, which only the RK4 kernel reads. A cached_property writes the
-    instance __dict__ directly, past the refusing __setattr__.
+    and a dissipator that is not an (operator, rate) pair whose rate is an
+    immutable `rates.RateModel`, naming its index: a generator fixes its
+    rates. Every table below is read-only, built from the operators on first
+    use and kept: `small_time_tables`, the tables that every small-time
+    witness and rate limit reads (`small_time_moments`, `projected_spectra`),
+    all from one Gram matrix; and `transfer_blocks`, the generator's parts in
+    the Hermitian operator basis, which only the RK4 kernel reads. A
+    cached_property writes the instance __dict__ directly, past the refusing
+    __setattr__.
 
     A plain class, not a dataclass, because every process that imports the
     package would otherwise generate and compile its methods. Generators
@@ -262,9 +263,9 @@ class LindbladGenerator:
         ops, rates = [], []
         for index, pair in enumerate(dissipators):
             op, rate = pair if isinstance(pair, tuple | list) and len(pair) == 2 else (None, None)
-            if not callable(getattr(rate, "evaluate", None)):
+            if not isinstance(rate, RateModel):
                 raise ValueError(f"dissipators[{index}] is not an (operator, rate model) "
-                                 "pair whose rate has an evaluate method")
+                                 "pair whose rate is a RateModel")
             op = np.asarray(op, dtype=complex)
             if op.shape != (dim, dim):
                 raise ValueError(f"jump operator shape {op.shape} does not match dim {dim}")

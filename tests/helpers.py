@@ -1,8 +1,6 @@
 """Shared random-object factories and independent oracles for the test suite
 (all seeded by callers)."""
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from choi_moments import choi
@@ -14,7 +12,7 @@ from choi_moments.lindblad import (
     LindbladGenerator,
     rates_at,
 )
-from choi_moments.rates import ConstantRate, ExpCosRate
+from choi_moments.rates import ConstantRate, ExpCosRate, RateModel
 
 
 def dephasing_generator(rate):
@@ -59,34 +57,43 @@ def reference_superoperator(gen, t):
     return _action(gen, units, rates_at(gen, t)).reshape(n, n).T
 
 
-@dataclass
-class CountingRate:
-    """exp(-t) cos(t) that counts the times it is evaluated at."""
+class CountingRate(RateModel):
+    """exp(-t) cos(t) that counts the times it is evaluated at, in its one
+    slot outside the (empty) fields."""
 
-    calls: int = 0
+    __slots__ = ("_calls",)
+
+    def __init__(self):
+        object.__setattr__(self, "_calls", [0])
+
+    @property
+    def calls(self) -> int:
+        return self._calls[0]
 
     @staticmethod
     def formula(t: np.ndarray) -> np.ndarray:
         return np.exp(-t) * np.cos(t)
 
     def evaluate(self, t: np.ndarray) -> np.ndarray:
-        self.calls += t.size
+        self._calls[0] += t.size
         return self.formula(t)
 
 
-@dataclass(frozen=True)
-class UncheckedConstantRate:
+class UncheckedConstantRate(RateModel):
     """gamma(t) = value, with no check on value: the library's rate models
     refuse NaN and +-inf, so this feeds a non-finite rate to later checks."""
 
-    value: float
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, value: float):
+        object.__setattr__(self, "value", value)
 
     def evaluate(self, t: np.ndarray) -> np.ndarray:
         return np.full(t.shape, self.value)
 
 
 def count_sweeps(monkeypatch):
-    """Empty bridge_spectra's last-sweep slot and count the RK4 kernel's runs:
+    """Empty bridge_spectra's sweep cache and count the RK4 kernel's runs:
     the returned list gets one entry per call of the kernel."""
     calls = []
     kernel = choi._rk4_chunks
@@ -95,7 +102,7 @@ def count_sweeps(monkeypatch):
         calls.append(args)
         return kernel(*args)
 
-    monkeypatch.setattr(choi, "_last_sweep", None)
+    choi._sweep.cache_clear()
     monkeypatch.setattr(choi, "_rk4_chunks", counted)
     return calls
 

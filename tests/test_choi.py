@@ -1,11 +1,8 @@
 import math
-import os
 import re
-import subprocess
 import sys
 import threading
-from dataclasses import dataclass
-from pathlib import Path
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +18,7 @@ from choi_moments.choi import (
     max_entangled_projector,
     propagate_map,
 )
+from choi_moments.config import build_generator, bundled_scenario_path, load_scenario
 from choi_moments.detect import (VIOLATION_THRESHOLD, cp_divisibility_scan, measure_report,
                                  witness_series)
 from choi_moments.lindblad import (
@@ -354,12 +352,42 @@ class TestBatchedKernel:
                                                  f"deviation .* {problem}$"):
                 call()
 
+    def test_a_sweeps_peak_memory_does_not_grow_with_its_steps(self):
+        # example1's generator on 200 windows. At delta = 1e-3 one chunk
+        # stacks all 200 one-step windows; at delta = 1 each window is a
+        # chunk of 1000 step maps, so the peaks differ by about 1000/200.
+        # The rates used to be one array of every half-step rate, (3, 200,
+        # 2001) at delta = 1, and the peaks differed by about 80x.
+        config = load_scenario(bundled_scenario_path("example1"))
+        gen = build_generator(config)
+        grid = np.linspace(0.0, config.t_max, 200)
+        peaks = []
+        for delta in (1e-3, 1.0):
+            bridge_spectra(gen, grid[:1], delta)  # builds the transfer blocks
+            tracemalloc.start()
+            try:
+                bridge_spectra(gen, grid, delta)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 8 * peaks[0], peaks
+
+    def test_a_map_with_large_entries_passes_the_trace_check(self):
+        # Rates -0.403 and +0.344: the map's largest entry grows to 3.9e9
+        # over [0, 8], and its Choi trace's rounding with it. The absolute
+        # check used to refuse it: "Choi trace deviation 7.713e-05 exceeds
+        # 1.0e-06".
+        gen = random_generator(np.random.default_rng(0), 4, 2)
+        phi = propagate_map(gen, 0.0, 8.0)
+        want = reference_rk4_propagate(gen, 0.0, 8.0, 8000)
+        assert np.abs(want).max() > 1e9
+        assert np.abs(phi - want).max() < 1e-10 * np.abs(want).max()
+
     @pytest.mark.parametrize("d", [2, 3, 5, 8])
     def test_kernel_propagates_real_maps_with_exactly_hermitian_choi_states(self, d):
         # Ten steps per window: at d = 8 a window's steps span chunks.
         gen = random_expcos_generator(np.random.default_rng(70 + d), d)
-        gammas, h = choi._step_rates(gen, np.linspace(0.0, 1.0, 7), 1e-2, 10)
-        for _, maps in choi._rk4_chunks(gen, gammas, h):
+        for _, _, _, maps in choi._rk4_chunks(gen, np.linspace(0.0, 1.0, 7), 1e-3, 10):
             assert maps.dtype == np.float64
             states = from_hermitian_basis(maps, d)
             assert np.array_equal(states, np.swapaxes(states, -1, -2).conj())
@@ -385,16 +413,6 @@ class TestBatchedKernel:
                 assert got.tobytes() == want.tobytes()
 
 
-@dataclass
-class MutableExpCosRate:
-    """exp(-kt) cos(kt) whose k can be changed after a generator holds it."""
-
-    k: float = 1.0
-
-    def evaluate(self, t: np.ndarray) -> np.ndarray:
-        return np.exp(-self.k * t) * np.cos(self.k * t)
-
-
 @pytest.fixture
 def sweeps(monkeypatch):
     return count_sweeps(monkeypatch)
@@ -406,22 +424,23 @@ def same_bits(got, want):
 
 
 class TestLastSweep:
-    """bridge_spectra reuses its previous sweep exactly when the inputs match."""
+    """bridge_spectra caches its most recent sweep, a pure function of the
+    generator, delta and the bits of the starts."""
 
     GRID = np.linspace(0.0, 2.0, 41)
 
     @staticmethod
-    def mutable_generator(hamiltonian=SIGMA_X):
-        rate = MutableExpCosRate()
-        diss = ((SIGMA_Z.copy(), rate), (LOWERING.copy(), rate))
-        return LindbladGenerator(2, 0.3 * hamiltonian, diss), rate
+    def generator(hamiltonian=SIGMA_X):
+        rate = ExpCosRate()
+        return LindbladGenerator(2, 0.3 * hamiltonian,
+                                 ((SIGMA_Z.copy(), rate), (LOWERING.copy(), rate)))
 
-    def assert_fresh(self, monkeypatch, result, gen, delta):
-        """result is what a sweep from an empty slot returns."""
-        monkeypatch.setattr(choi, "_last_sweep", None)
+    def assert_fresh(self, result, gen, delta):
+        """result is what a sweep into an empty cache returns."""
+        choi._sweep.cache_clear()
         assert same_bits(result, bridge_spectra(gen, self.GRID, delta))
 
-    def test_a_hit_returns_the_read_only_spectra_of_the_miss(self, sweeps, monkeypatch):
+    def test_a_hit_returns_the_read_only_spectra_of_the_miss(self, sweeps):
         gen = random_expcos_generator(np.random.default_rng(3), 3)
         rates, spectra = bridge_spectra(gen, self.GRID, 0.01)
         assert not spectra.flags.writeable
@@ -430,11 +449,26 @@ class TestLastSweep:
         for _ in range(2):
             hit_rates, hit_spectra = bridge_spectra(gen, self.GRID, 0.01)
             assert hit_spectra is spectra
-            # The rates are evaluated afresh on every call.
+            # Each call gets its own writeable copy of the rates.
             assert hit_rates is not rates and hit_rates.flags.writeable
             assert same_bits((hit_rates,), (rates,))
         assert len(sweeps) == 1
-        self.assert_fresh(monkeypatch, (rates, spectra), gen, 0.01)
+        self.assert_fresh((rates, spectra), gen, 0.01)
+
+    def test_a_hit_evaluates_no_rate_and_warns_again_in_the_same_words(self, sweeps):
+        rate = CountingRate()
+        gen = LindbladGenerator(2, np.zeros((2, 2)),
+                                ((SIGMA_Z, rate), (SIGMA_X, ConstantRate(200.0))))
+        messages = []
+        for _ in range(3):
+            with pytest.warns(UserWarning, match="RK4 step is dubious") as record:
+                bridge_spectra(gen, self.GRID, 1e-3)
+            messages.append([str(w.message) for w in record])
+            # One RK4 step per window: rates at its start, middle and end.
+            assert rate.calls == 3 * self.GRID.size
+        assert messages == [["RK4 step is dubious: max |h*gamma| = 0.2 in the window "
+                             "starting at t = 0 (limit 0.1)"]] * 3
+        assert len(sweeps) == 1
 
     def test_a_generator_built_from_the_same_parts_misses_and_sweeps_the_same_bits(
             self, sweeps):
@@ -446,33 +480,26 @@ class TestLastSweep:
         assert second[1] is not first[1]
         assert same_bits(second, first)
 
-    def test_changed_rate_parameters_miss(self, sweeps, monkeypatch):
-        gen, rate = self.mutable_generator()
-        before = bridge_spectra(gen, self.GRID, 0.01)
-        rate.k = 1.5
-        after = bridge_spectra(gen, self.GRID, 0.01)
-        assert len(sweeps) == 2
-        assert not np.array_equal(before[1], after[1])
-        self.assert_fresh(monkeypatch, after, gen, 0.01)
-
-    def test_same_rates_other_hamiltonian_miss(self, sweeps, monkeypatch):
-        gen_x, _ = self.mutable_generator(SIGMA_X)
+    def test_same_rates_other_hamiltonian_miss(self, sweeps):
+        gen_x = self.generator(SIGMA_X)
         gen_y = LindbladGenerator(2, 0.3 * SIGMA_Y, gen_x.dissipators)
         rates_x, spectra_x = bridge_spectra(gen_x, self.GRID, 0.01)
         result_y = bridge_spectra(gen_y, self.GRID, 0.01)
         assert len(sweeps) == 2
         assert np.array_equal(rates_x, result_y[0])
         assert not np.array_equal(spectra_x, result_y[1])
-        self.assert_fresh(monkeypatch, result_y, gen_y, 0.01)
+        self.assert_fresh(result_y, gen_y, 0.01)
 
-    def test_generator_is_immutable_and_a_rebuilt_one_misses(self, sweeps, monkeypatch):
-        rate = MutableExpCosRate()
+    def test_generator_is_immutable_and_a_rebuilt_one_misses(self, sweeps):
+        rate = ExpCosRate()
         hamiltonian, op = 0.3 * SIGMA_X, LOWERING.copy()
         gen = LindbladGenerator(2, hamiltonian, ((SIGMA_Z, rate), (op, rate)))
         before = bridge_spectra(gen, self.GRID, 0.01)
         for frozen in (gen.hamiltonian, gen.dissipators[1][0], gen.transfer_blocks):
             with pytest.raises(ValueError, match="read-only"):
                 frozen[1, 0] = 0.5
+        with pytest.raises(AttributeError, match="cannot assign to field 'k'"):
+            rate.k = 1.5
         # The caller's arrays stay theirs: writeable, and no longer read by gen.
         hamiltonian[1, 0] = op[1, 0] = 0.5
         assert same_bits(bridge_spectra(gen, self.GRID, 0.01), before)
@@ -481,14 +508,17 @@ class TestLastSweep:
         after = bridge_spectra(rebuilt, self.GRID, 0.01)
         assert len(sweeps) == 2
         assert not np.array_equal(before[1], after[1])
-        self.assert_fresh(monkeypatch, after, rebuilt, 0.01)
+        self.assert_fresh(after, rebuilt, 0.01)
 
-    def test_other_delta_misses(self, sweeps, monkeypatch):
-        gen, _ = self.mutable_generator()
+    def test_other_delta_or_starts_miss(self, sweeps):
+        gen = self.generator()
         bridge_spectra(gen, self.GRID, 0.01)
         result = bridge_spectra(gen, self.GRID, 0.02)
         assert len(sweeps) == 2
-        self.assert_fresh(monkeypatch, result, gen, 0.02)
+        self.assert_fresh(result, gen, 0.02)
+        # -0.0 starts the same window as 0.0, but its bits differ.
+        bridge_spectra(gen, np.where(self.GRID == 0.0, -0.0, self.GRID), 0.02)
+        assert len(sweeps) == 4
 
     def test_rk4_warning_fires_on_a_hit(self, sweeps):
         gen = dephasing_generator(ConstantRate(200.0))
@@ -497,45 +527,16 @@ class TestLastSweep:
                 bridge_spectra(gen, self.GRID, 1e-3)
         assert len(sweeps) == 1
 
-    def test_non_finite_rate_refused_after_a_sweep_of_the_same_generator(self, sweeps):
-        gen, rate = self.mutable_generator()
-        bridge_spectra(gen, self.GRID, 0.01)
-        rate.k = math.nan
-        with pytest.raises(ValueError, match="non-finite rate at t = 0:"):
-            bridge_spectra(gen, self.GRID, 0.01)
-        assert len(sweeps) == 1
-
-    def test_rates_evaluated_on_every_call(self, sweeps):
-        # One RK4 step per window: rates at its start, middle and end.
-        rate = CountingRate()
-        gen = dephasing_generator(rate)
-        for call in (1, 2, 3):
-            bridge_spectra(gen, self.GRID, 1e-3)
-            assert rate.calls == 3 * call * self.GRID.size
-        assert len(sweeps) == 1
-
-    def test_debug_log_reaches_a_handler_set_up_after_import(self):
-        # The package does not import logging itself; a program that imports
-        # and configures it later still gets the events.
-        src = str(Path(choi.__file__).resolve().parents[1])
-        code = ("import sys; preloaded = 'logging' in sys.modules; "
-                "from choi_moments import choi, lindblad, rates; "
-                "loaded = not preloaded and 'logging' in sys.modules; "
-                "import logging; logging.basicConfig(level=logging.DEBUG); "
-                "gen = lindblad.LindbladGenerator(2, 0 * lindblad.SIGMA_Z, "
-                "((lindblad.SIGMA_Z, rates.ConstantRate(1.0)),)); "
-                "[choi.bridge_spectra(gen, [0.0, 0.5], 0.01) for _ in range(2)]; "
-                "print(loaded)")
-        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                                env=dict(os.environ, PYTHONPATH=src), check=True)
-        assert result.stdout.strip() == "False"
-        assert [line for line in result.stderr.splitlines() if "choi_moments" in line] == [
-            "DEBUG:choi_moments:swept 2 windows, d = 2",
-            "DEBUG:choi_moments:reused the last sweep of 2 windows"]
+    def test_a_refused_sweep_is_not_cached(self, sweeps):
+        gen = dephasing_generator(UncheckedConstantRate(math.nan))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="non-finite rate at t = 0:"):
+                bridge_spectra(gen, self.GRID, 0.01)
+        assert len(sweeps) == 2
 
     def test_threads_alternating_generators_get_their_own_spectra(self, sweeps):
         # Four threads (more than the cores here), two per generator, in
-        # lockstep so the two generators alternate in the slot; a short
+        # lockstep so the two generators alternate in the cache; a short
         # switch interval interleaves them inside bridge_spectra too.
         gens = [random_expcos_generator(np.random.default_rng(seed), 2) for seed in (4, 5)]
         expected = [bridge_spectra(gen, self.GRID, 0.01) for gen in gens]
@@ -618,11 +619,26 @@ class TestIntermediateMap:
 
 class TestChoiStates:
     def test_rejects_non_trace_preserving(self):
-        # The bridge sweep's check, on Choi traces read off the transfer matrices.
-        with pytest.raises(ValueError, match="not trace preserving"):
-            _require_trace_preserving(np.array([1.0, 0.5]))
+        # The kernel's check, on Choi traces read off the transfer matrices:
+        # the identity map and half of it.
+        maps = np.eye(4)[None] * np.array([1.0, 0.5])[:, None, None]
+        with pytest.raises(ValueError, match=r"^map is not trace preserving: Choi trace "
+                                             r"deviation 5\.000e-01 exceeds 1\.0e-06$"):
+            _require_trace_preserving(maps, 2)
         with pytest.raises(ValueError, match="Choi trace deviation nan is non-finite"):
-            _require_trace_preserving(np.array([np.nan]))
+            _require_trace_preserving(np.full((1, 4, 4), np.nan), 2)
+
+    def test_the_trace_bound_scales_with_the_largest_entry(self):
+        # The identity map plus 1e7 between two traceless basis elements: the
+        # bound is 1e-6 * 1e7 = 10, so a trace off by 1e-2 passes and one off
+        # by 20 does not.
+        maps = np.repeat(np.eye(4)[None], 3, axis=0)
+        maps[:, 1, 2] = 1e7
+        maps[1, 0, 0] += 2e-2
+        maps[2, 0, 0] += 40.0
+        _require_trace_preserving(maps[:2], 2)
+        with pytest.raises(ValueError, match=r"deviation 2\.000e\+01 exceeds 1\.0e\+01$"):
+            _require_trace_preserving(maps, 2)
 
     def test_identity_gives_bell_state(self):
         _, lam = bridge_spectra(LindbladGenerator(2, np.zeros((2, 2)), ()), [0.0, 1.0], 0.01)

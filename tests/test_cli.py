@@ -149,10 +149,10 @@ class TestRunScenario:
         shared = run_scenario(config, str(tmp_path / "shared"))
         assert len(sweeps) == 1
 
-        # With the slot emptied before every call the run still sweeps once:
+        # With the cache emptied before every call the run still sweeps once:
         # the witness and the scan read one bridge_spectra result.
         def sweep_afresh(*args, **kwargs):
-            choi._last_sweep = None
+            choi._sweep.cache_clear()
             return choi.bridge_spectra(*args, **kwargs)
 
         monkeypatch.setattr(detect, "bridge_spectra", sweep_afresh)
@@ -870,6 +870,26 @@ print(" ".join(sorted(set(sys.modules) - before)))
                              "print(choi_moments.run_scenario.__module__)\n")
         assert result.stdout == "False\nchoi_moments.cli\n", result.stderr
 
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads a child's ru_maxrss in kB")
+def test_a_long_bridge_sweep_peaks_below_64_mb(tmp_path):
+    # divisibility example1 at --epsilon 1 sweeps 2000 windows of 1000 RK4
+    # steps. Its half-step rates used to be one array, copied into the sweep
+    # memo's key, and the process peaked at 245 MB; evaluated one chunk at a
+    # time, they leave it near 32 MB. A child's ru_maxrss starts from its
+    # parent's high-water mark, so a small launcher starts the run.
+    launcher = ("import os, sys; pid = os.spawnv(os.P_NOWAIT, sys.executable, "
+                "[sys.executable, '-m', 'choi_moments', *sys.argv[1:]]); "
+                "_, status, usage = os.wait4(pid, 0); "
+                "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)")
+    result = subprocess.run(
+        [sys.executable, "-c", launcher, "divisibility", "example1", "--epsilon", "1",
+         "--quiet", "--out-dir", str(tmp_path)], capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(Path(choi.__file__).resolve().parents[1])))
+    code, kilobytes = map(int, result.stdout.split())
+    assert code == 10, result.stderr
+    assert kilobytes < 64 * 1024
 
 
 class TestCsv:

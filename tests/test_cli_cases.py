@@ -211,6 +211,48 @@ outputs = compare
 """
 
 
+# sigma_z at a constant rate of -1e-8 over 11 bridges of delta = 1e-3. Each
+# bridge's minimum Choi eigenvalue, -1.0000111849706173e-11, lies inside
+# the scan's 1e-10, while its witness, 1e-11, is above the witness's 1e-12:
+# the report used to print "divisibility scan: CP-divisible" beside
+# "detected by: witness, rhp measure I".
+TINY_NEGATIVE_DEPHASING = """version = 1
+name = tiny_negative_dephasing
+generator.dimension = 2
+generator.hamiltonian = zero
+dissipator.1.operator = sigma_z
+dissipator.1.rate.model = constant
+dissipator.1.rate.value = -1e-8
+epsilon = 0.001
+grid.t_max = 1.0
+grid.points = 11
+mode = finite-interval
+outputs = divisibility
+"""
+
+# Three Pauli rates at -5e-10: a minimum of -5.0006733280638948e-13 beside
+# a firing witness, so no one shared tolerance would reconcile the two.
+TINY_NEGATIVE_PAULI = """version = 1
+name = tiny_negative_pauli
+generator.dimension = 2
+generator.hamiltonian = zero
+dissipator.1.operator = sigma_x
+dissipator.1.rate.model = constant
+dissipator.1.rate.value = -5e-10
+dissipator.2.operator = sigma_y
+dissipator.2.rate.model = constant
+dissipator.2.rate.value = -5e-10
+dissipator.3.operator = sigma_z
+dissipator.3.rate.model = constant
+dissipator.3.rate.value = -5e-10
+epsilon = 0.001
+grid.t_max = 1.0
+grid.points = 11
+mode = finite-interval
+outputs = divisibility
+"""
+
+
 def register(n):
     """n qubits (d = 2^n) with local sigma_z dephasing at expcos rates."""
     d = 2**n
@@ -436,6 +478,14 @@ CASES = {
     "sub-floor-hermitian-ratio-is-exactly-2": Case(
         ("compare", "hermitian.cfg", "--out-dir", "o"), 10,
         files={"hermitian.cfg": SUB_FLOOR_HERMITIAN}, stdout=(r"^ratio I/M = 2$",)),
+    # The scan flags every bridge whose witness fires, so a report cannot
+    # name the witness beside a CP-divisible scan.
+    **{f"{name.replace('_', '-')}-scan-agrees-with-the-witness": Case(
+        ("divisibility", "tiny.cfg", "--out-dir", "o"), 10, files={"tiny.cfg": config},
+        stdout=(r"^detected by: witness, rhp measure I, divisibility scan$",
+                r"^divisibility scan: CP-indivisible$"))
+       for name, config in (("tiny_negative_dephasing", TINY_NEGATIVE_DEPHASING),
+                            ("tiny_negative_pauli", TINY_NEGATIVE_PAULI))},
 }
 
 

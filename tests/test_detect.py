@@ -2,7 +2,6 @@ import math
 import os
 import tracemalloc
 import warnings
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -38,7 +37,8 @@ from choi_moments.lindblad import (
     LindbladGenerator,
     rates_at,
 )
-from choi_moments.rates import ConstantRate, ExpCosRate, LorentzianRate, TabulatedRate, rate_eval
+from choi_moments.rates import (ConstantRate, ExpCosRate, LorentzianRate, RateModel, TabulatedRate,
+                                 rate_eval)
 from helpers import (
     CountingRate,
     dephasing_generator,
@@ -76,11 +76,13 @@ def f_and_g(gen, t):
     return float(f[0]), float(g[0])
 
 
-@dataclass(frozen=True)
-class BlowUpRate:
+class BlowUpRate(RateModel):
     """Rate 1 up to `after`, infinite past it."""
 
-    after: float
+    __slots__ = _fields = ("after",)
+
+    def __init__(self, after: float):
+        self._set_fields(after)
 
     def evaluate(self, t: np.ndarray) -> np.ndarray:
         return np.where(t > self.after, math.inf, 1.0)
@@ -1090,6 +1092,10 @@ class TestOrderOfStrength:
             series, _, scan = assess(gen, grid, 0.05, mode="finite-interval", scan=True)
         fired = series.values > VIOLATION_THRESHOLD
         assert np.all(scan.min_eigenvalues[fired] < 0.0), scan.min_eigenvalues[fired]
+        # The scan flags every window on which the witness fires, however
+        # small its minimum.
+        if fired.any():
+            assert scan.verdict == "CP-indivisible"
 
 
 class TestGeneratorBuilder:

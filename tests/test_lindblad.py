@@ -77,6 +77,15 @@ def dissipator_defects(gen):
     return np.max(np.abs(images_of_i_over_d(gen, gen.transfer_blocks[1:])), axis=(1, 2))
 
 
+class DuckRate:
+    """exp(-kt) cos(kt) with a k that can be changed: not a RateModel."""
+
+    k = 1.0
+
+    def evaluate(self, t: np.ndarray) -> np.ndarray:
+        return np.exp(-self.k * t) * np.cos(self.k * t)
+
+
 class TestConstruction:
     def test_named_operators(self):
         assert np.array_equal(named_operator("sigma_x", 2), SIGMA_X)
@@ -137,15 +146,19 @@ class TestConstruction:
         assert gen.transfer_blocks.shape == (k + 1, 4, 4)
 
     @pytest.mark.parametrize("dissipators, index", [
-        (((SIGMA_Z, 1.0),), 0),  # a bare number has no evaluate
+        (((SIGMA_Z, 1.0),), 0),  # a bare number is no rate model
         (((SIGMA_Z,),), 0),
         (((SIGMA_Z, ConstantRate(1.0), ConstantRate(1.0)),), 0),
         (((SIGMA_Z, ConstantRate(1.0)), SIGMA_X), 1),
         (((SIGMA_Z, ConstantRate(1.0)), 3.0), 1),
+        # An object with an evaluate method may change after a generator
+        # holds it; only an immutable RateModel is a rate.
+        (((SIGMA_Z, ConstantRate(1.0)), (SIGMA_X, DuckRate())), 1),
     ])
     def test_refuses_a_malformed_dissipator_naming_its_index(self, dissipators, index):
         with pytest.raises(ValueError, match=rf"^dissipators\[{index}\] is not an "
-                                             r"\(operator, rate model\) pair"):
+                                             r"\(operator, rate model\) pair whose rate "
+                                             r"is a RateModel$"):
             LindbladGenerator(2, np.zeros((2, 2)), dissipators)
 
     def test_rejects_operator_dimension_mismatch(self):
