@@ -1,4 +1,4 @@
-"""Propagation of a generator and the Choi spectra of its bridge maps.
+"""Propagation of a generator and the Choi moments of its bridge maps.
 
 The normalized convention is used throughout: the Choi state of a map M is
 (I kron M) applied to the projector onto (1/sqrt(d)) sum_i |ii>, so it has
@@ -15,7 +15,7 @@ chunk, m RK4 steps each, so every step is a small matrix product or a
 reduction across a few long rows; the kernel drops each chunk's rates after
 it, so a sweep's memory does not grow with its steps. All propagation goes
 through that one batched fixed-step RK4 kernel: `propagate_map` runs it over
-one window, and `bridge_spectra` over one window [t, t + delta] per grid
+one window, and `bridge_moments` over one window [t, t + delta] per grid
 time. A generator fixes its rates, so a sweep is a pure function of it,
 delta and the starts, and the last sweep is cached.
 The kernel weights the generator's read-only real transfer blocks
@@ -27,7 +27,7 @@ is formed anywhere in the package. The kernel runs in real arithmetic, on
 stacks of several windows at once (up to CHUNK_ENTRIES matrix entries: four
 64 x 64 maps at d = 8), and each caller leaves the real basis once per map,
 with O(d^4) slices and no matrix product, always as the map's Choi state:
-`bridge_spectra` eigensolves the states, and `propagate_map` realigns its
+`bridge_moments` eigensolves the states, and `propagate_map` realigns its
 one state into the row-major superoperator, S[(a, b), (i, j)] =
 d C[(i, a), (j, b)]. Every map's trace is checked (`_require_trace_preserving`).
 
@@ -53,7 +53,7 @@ from .rates import require_rate_times
 __all__ = [
     "max_entangled_projector",
     "propagate_map",
-    "bridge_spectra",
+    "bridge_moments",
 ]
 
 # Fixed-step integrator resolution: steps per unit time.
@@ -106,7 +106,8 @@ def _require_trace_preserving(maps: np.ndarray, d: int) -> None:
                          f"{deviation[worst]:.3e} {problem}")
 
 
-def _rk4_product(blocks: np.ndarray, gammas: np.ndarray, h: float) -> np.ndarray:
+def _rk4_product(blocks: np.ndarray, gammas: np.ndarray, h: float,
+                 work: np.ndarray) -> np.ndarray:
     """RK4 propagators of n windows of m steps, from their half-step rates as
     rows (K, n, 2m + 1).
 
@@ -123,23 +124,44 @@ def _rk4_product(blocks: np.ndarray, gammas: np.ndarray, h: float) -> np.ndarray
     Each step map is one classical RK4 step applied to the identity (RK4 is
     linear in Phi, so stepping Phi is that map times Phi); a window's step
     maps are then multiplied pairwise, later steps on the left.
+
+    The stages and the pairwise products are written into work, four flat
+    buffers of at least n (2m + 1) d^4 entries that every piece of one
+    sweep reuses: freed, a long window's temporaries go back to the system
+    and are faulted in again by the next window. Each operation is the one
+    an expression without buffers would make, so the bits are the same.
     """
+    n, m, side = gammas.shape[1], gammas.shape[2] // 2, blocks.shape[-1]
+    t, k2, k3 = (row[:n * m * side**2].reshape(n, m, side, side) for row in work[1:])
     coef = np.concatenate((np.ones((1,) + gammas.shape[1:]), gammas))
-    a = coef.reshape(len(coef), -1).T @ blocks.reshape(len(blocks), -1)
-    a = a.reshape(*coef.shape[1:], *blocks.shape[1:])
+    a = np.matmul(coef.reshape(len(coef), -1).T, blocks.reshape(len(blocks), -1),
+                  out=work[0, :coef[0].size * side**2].reshape(coef[0].size, -1))
+    a = a.reshape(*coef.shape[1:], side, side)
     a1, a2, a4 = a[:, :-1:2], a[:, 1::2], a[:, 2::2]
-    eye = np.eye(blocks.shape[-1])
+    eye = np.eye(side)
+
+    def step_from(k, c):  # t = eye + c k
+        return np.add(eye, np.multiply(c, k, out=t), out=t)
+
     k1 = a1
-    k2 = a2 @ (eye + 0.5 * h * k1)
-    k3 = a2 @ (eye + 0.5 * h * k2)
-    k4 = a4 @ (eye + h * k3)
-    maps = eye + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    np.matmul(a2, step_from(k1, 0.5 * h), out=k2)
+    np.matmul(a2, step_from(k2, 0.5 * h), out=k3)
+    step_from(k3, h)
+    # eye + (h/6) (k1 + 2 k2 + 2 k3 + k4), summed from the left into k2's
+    # buffer; k4 = a4 @ t goes into k3's once 2 k3 is added.
+    maps = np.add(k1, np.multiply(2.0, k2, out=k2), out=k2)
+    np.add(maps, np.multiply(2.0, k3, out=k3), out=maps)
+    np.add(maps, np.matmul(a4, t, out=k3), out=maps)
+    np.add(eye, np.multiply(h / 6.0, maps, out=maps), out=maps)
+    row = 1  # each level of the tree goes into the buffer the last did not hold
     while maps.shape[1] > 1:
-        paired = maps[:, 1::2] @ maps[:, :-1:2]
-        if maps.shape[1] % 2:
-            paired = np.concatenate((paired, maps[:, -1:]), axis=1)
-        maps = paired
-    return maps[:, 0]
+        half, odd = divmod(maps.shape[1], 2)
+        paired = work[row, :n * (half + odd) * side**2].reshape(n, half + odd, side, side)
+        np.matmul(maps[:, 1::2], maps[:, :-1:2], out=paired[:, :half])
+        if odd:
+            paired[:, -1] = maps[:, -1]
+        maps, row = paired, 3 - row
+    return maps[:, 0].copy()
 
 
 def _rk4_chunks(gen: LindbladGenerator, starts: np.ndarray, h: float, steps: int):
@@ -158,6 +180,8 @@ def _rk4_chunks(gen: LindbladGenerator, starts: np.ndarray, h: float, steps: int
     per_chunk = max(1, CHUNK_ENTRIES // blocks[0].size)
     width = max(1, per_chunk // steps)
     span = max(1, per_chunk // width)
+    n, m = min(width, len(starts)), min(span, steps)
+    work = np.empty((4, n * (2 * m + 1) * blocks[0].size))  # every piece's RK4 buffers
     for lo in range(0, len(starts), width):
         window = slice(lo, lo + width)
         phi, peak = None, 0.0
@@ -168,7 +192,7 @@ def _rk4_chunks(gen: LindbladGenerator, starts: np.ndarray, h: float, steps: int
             if phi is None:
                 first = gammas[:, :, 0]
             peak = np.maximum(peak, np.abs(gammas).max(axis=(0, 2), initial=0.0))
-            block = _rk4_product(blocks, gammas, h)
+            block = _rk4_product(blocks, gammas, h, work)
             phi = block if phi is None else block @ phi
         # The Choi states are exactly Hermitian by construction, for any real
         # transfer matrices: only the trace needs a check.
@@ -262,23 +286,23 @@ def propagate_map(
     return d * state.transpose(1, 3, 0, 2).reshape(d * d, d * d)
 
 
-def bridge_spectra(gen: LindbladGenerator, starts, delta: float
+def bridge_moments(gen: LindbladGenerator, starts, delta: float
                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Choi spectra of the bridge maps Lambda(t + delta, t), one per start t
+    """Choi moments of the bridge maps Lambda(t + delta, t), one per start t
     of the 1-D array starts (any other shape is refused, naming starts).
 
     Each bridge is integrated directly over its own window with
     max(1, round(DEFAULT_STEPS_PER_UNIT * delta)) RK4 steps, so no
     propagator from 0 is formed or inverted; a delta that needs more than
     MAX_WINDOW_STEPS of them is refused, naming delta. Returns the rates
-    gamma_i(t) at the starts as rows, (K, W), and each bridge's Choi
-    eigenvalues in descending order, (W, d^2), read-only.
+    gamma_i(t) at the starts as rows, (K, W), and a read-only table (3, W):
+    each bridge's smallest Choi eigenvalue, r_2 = Tr C^2 and r_3 = Tr C^3.
     Warns, naming the window, when some step has |h * gamma| >= 0.1 (near a
     rate pole, where the fixed step loses accuracy).
 
     The sweep is a pure function of the generator, delta and the starts'
     bits, so the most recent one is cached: a repeat call returns the same
-    read-only spectra and evaluates no rate, and warns again as the first
+    read-only table and evaluates no rate, and warns again as the first
     did. `detect.assess` reads a witness and a scan off one call.
     """
     require_positive("delta", delta)
@@ -286,25 +310,27 @@ def bridge_spectra(gen: LindbladGenerator, starts, delta: float
     starts = np.asarray(starts, dtype=float)
     if starts.ndim != 1:
         raise ValueError(f"starts must be a 1-D array of times, got shape {starts.shape}")
-    rows, peaks, spectra = _sweep(gen, float(delta), steps, starts.tobytes())
+    rows, peaks, table = _sweep(gen, float(delta), steps, starts.tobytes())
     _guard_rk4(float(delta) / steps, peaks, starts)
-    return rows.copy(), spectra
+    return rows.copy(), table
 
 
 @lru_cache(maxsize=1)
 def _sweep(gen: LindbladGenerator, delta: float, steps: int, starts: bytes
            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`bridge_spectra`'s sweep from the bytes of its starts: the rates at
-    them (K, W), each window's largest |gamma| (W,) and the spectra
-    (W, d^2), all read-only."""
+    """`bridge_moments`'s sweep from the bytes of its starts: the rates at
+    them (K, W), each window's largest |gamma| (W,) and the table (3, W),
+    all read-only. No spectrum outlives its chunk."""
     starts = np.frombuffer(starts)
     d = gen.dim
     rows = np.empty((len(gen.dissipators), starts.size))
     peaks = np.empty(starts.size)
-    spectra = np.empty((starts.size, d * d))
+    table = np.empty((3, starts.size))
     for window, first, peak, maps in _rk4_chunks(gen, starts, delta / steps, steps):
         rows[:, window], peaks[window] = first, peak
-        spectra[window] = np.linalg.eigvalsh(from_hermitian_basis(maps, d))[:, ::-1]
-    for table in (rows, peaks, spectra):
-        table.setflags(write=False)
-    return rows, peaks, spectra
+        # A descending copy: numpy cubes a lone row read backwards in other bits.
+        lam = np.linalg.eigvalsh(from_hermitian_basis(maps, d))[:, ::-1].copy()
+        table[:, window] = lam[:, -1], np.sum(lam**2, axis=1), np.sum(lam**3, axis=1)
+    for array in (rows, peaks, table):
+        array.setflags(write=False)
+    return rows, peaks, table

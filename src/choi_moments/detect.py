@@ -12,9 +12,10 @@ Markovian generator reads no violation however strong its H. The moments
 are polynomials in eps, so the small-time witness is evaluated in closed
 form with no eigensolve, from trace tables the generator holds
 (`LindbladGenerator.small_time_moments`); on a finite-interval bridge map
-it comes from the bridge's Choi spectrum. The small-time expansion's step
-eps passes the guard that every RK4 step of a bridge passes too
-(`choi.guard_step`, the one home of the 0.1 limit on |step * gamma|).
+it comes from the bridge's Choi moments (`choi.bridge_moments`). The
+small-time expansion's step eps passes the guard that every RK4 step of a
+bridge passes too (`choi.guard_step`, the one home of the 0.1 limit on
+|step * gamma|).
 `lambda_moments` and `moment_witness` take a Choi matrix the caller
 supplies, such as a tomographic estimate.
 
@@ -40,7 +41,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .choi import bridge_spectra, guard_step, warn_caller
+from .choi import bridge_moments, guard_step, warn_caller
 from .lindblad import (
     LindbladGenerator,
     rates_at,
@@ -178,28 +179,21 @@ def _witness_args(grid, epsilon: float, mode: str) -> np.ndarray:
 
 
 def _witness(gen: LindbladGenerator, grid: np.ndarray, epsilon: float, rows: np.ndarray,
-             spectra: np.ndarray | None = None) -> WitnessSeries:
+             table: np.ndarray | None = None) -> WitnessSeries:
     """The witness series on a checked grid, with the rates on it as rows
-    (K, n): small-time from the rates, or, given them, finite-interval from
-    the bridges' Choi spectra (n, d^2)."""
-    if spectra is None:
+    (K, n): small-time from the rates, or, given it, finite-interval from
+    the bridges' table (3, n) of `bridge_moments`."""
+    if table is None:
         guard_step(epsilon, rows, grid, "small-time expansion is dubious on part of the "
                                         "grid: max |eps*gamma| = {:.3g} at t = {:.6g}")
         r2, r3, values = gen.small_time_moments(rows, epsilon)
     else:
-        r2, r3, values = _spectral_moments(spectra)
+        r2, r3, values = table[1].copy(), table[2].copy(), table[1]**2 - table[2]
 
-    mode = "small-time" if spectra is None else "finite-interval"
+    mode = "small-time" if table is None else "finite-interval"
     return WitnessSeries(grid=grid, epsilon=float(epsilon), mode=mode, values=values, r2=r2,
                          r3=r3, rates=rows.T,
                          violations=_violation_intervals(grid, values, VIOLATION_THRESHOLD))
-
-
-def _spectral_moments(spectra: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """r_2, r_3 and the witness r_2^2 - r_3 of each Choi spectrum, rows (n, d^2)."""
-    r2 = np.sum(spectra**2, axis=1)
-    r3 = np.sum(spectra**3, axis=1)
-    return r2, r3, r2**2 - r3
 
 
 def witness_series(gen: LindbladGenerator, grid, epsilon: float, mode: str = "small-time"
@@ -215,7 +209,7 @@ def witness_series(gen: LindbladGenerator, grid, epsilon: float, mode: str = "sm
     grid = _witness_args(grid, epsilon, mode)
     if mode == "small-time":
         return _witness(gen, grid, epsilon, rates_at(gen, grid))
-    return _witness(gen, grid, epsilon, *bridge_spectra(gen, grid, epsilon))
+    return _witness(gen, grid, epsilon, *bridge_moments(gen, grid, epsilon))
 
 
 def _rate_limits(gen: LindbladGenerator, gammas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -316,17 +310,16 @@ def cp_divisibility_scan(gen: LindbladGenerator, grid, delta: float) -> Divisibi
     finite-interval witness fires; the witness is sufficient, not necessary.
     """
     grid = _validate_grid(grid)
-    return _scan(grid, delta, bridge_spectra(gen, grid, delta)[1])
+    return _scan(grid, delta, bridge_moments(gen, grid, delta)[1])
 
 
-def _scan(grid: np.ndarray, delta: float, lam: np.ndarray) -> DivisibilityReport:
-    """The scan of a checked grid from its bridges' descending Choi spectra."""
-    min_eigs = lam[:, -1].copy()
-    flagged = (np.any(min_eigs < -_SCAN_CP_TOL)
-               or np.any(_spectral_moments(lam)[2] > VIOLATION_THRESHOLD))
+def _scan(grid: np.ndarray, delta: float, table: np.ndarray) -> DivisibilityReport:
+    """The scan of a checked grid from its bridges' `bridge_moments` table."""
+    min_eigs, r2, r3 = table
+    flagged = (np.any(min_eigs < -_SCAN_CP_TOL) or np.any(r2**2 - r3 > VIOLATION_THRESHOLD))
     verdict = "CP-indivisible" if flagged else "CP-divisible"
     return DivisibilityReport(grid=grid, delta=float(delta),
-                              min_eigenvalues=min_eigs, verdict=verdict)
+                              min_eigenvalues=min_eigs.copy(), verdict=verdict)
 
 
 def assess(gen: LindbladGenerator, grid, epsilon: float, mode: str = "small-time",
@@ -341,9 +334,9 @@ def assess(gen: LindbladGenerator, grid, epsilon: float, mode: str = "small-time
     """
     grid = _witness_args(grid, epsilon, mode)
     if mode == "small-time" and not scan:
-        rows, spectra = rates_at(gen, grid), None
+        rows, table = rates_at(gen, grid), None
     else:
-        rows, spectra = bridge_spectra(gen, grid, epsilon)
-    series = _witness(gen, grid, epsilon, rows, None if mode == "small-time" else spectra)
+        rows, table = bridge_moments(gen, grid, epsilon)
+    series = _witness(gen, grid, epsilon, rows, None if mode == "small-time" else table)
     measures = _measures(gen, grid, rows)
-    return series, measures, _scan(grid, epsilon, spectra) if scan else None
+    return series, measures, _scan(grid, epsilon, table) if scan else None

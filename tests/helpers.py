@@ -93,7 +93,7 @@ class UncheckedConstantRate(RateModel):
 
 
 def count_sweeps(monkeypatch):
-    """Empty bridge_spectra's sweep cache and count the RK4 kernel's runs:
+    """Empty bridge_moments' sweep cache and count the RK4 kernel's runs:
     the returned list gets one entry per call of the kernel."""
     calls = []
     kernel = choi._rk4_chunks
@@ -192,6 +192,14 @@ def reference_rk4_propagate(gen, t0, t1, steps):
         k4 = a4 @ (phi + h * k3)
         phi = phi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return phi
+
+
+def spectra_table(spectra):
+    """The table (3, W) `bridge_moments` returns, from descending Choi
+    spectra (W, d^2): each smallest eigenvalue, r_2 and r_3, summed as the
+    sweep sums them, over a contiguous copy."""
+    lam = np.ascontiguousarray(spectra)
+    return np.stack([lam[:, -1], np.sum(lam**2, axis=1), np.sum(lam**3, axis=1)])
 
 
 def reference_bridge_spectra(gen, grid, delta):

@@ -14,7 +14,7 @@ from choi_moments import choi
 from choi_moments.choi import (
     CHUNK_ENTRIES,
     _require_trace_preserving,
-    bridge_spectra,
+    bridge_moments,
     max_entangled_projector,
     propagate_map,
 )
@@ -48,6 +48,7 @@ from helpers import (
     reference_dissipator_blocks,
     reference_rk4_propagate,
     reference_superoperator,
+    spectra_table,
 )
 
 
@@ -185,8 +186,8 @@ class TestNonFiniteRates:
         (lambda gen: rates_at(gen, [2.0, 0.5, 1.0]), "0.5"),
         (lambda gen: rates_at(gen, 0.75), "0.75"),
         (lambda gen: propagate_map(gen, 0.25, 1.0), "0.25"),
-        (lambda gen: bridge_spectra(gen, [1.5, 0.5], 1e-3), "0.5"),
-    ], ids=["rates_at-grid", "rates_at-scalar", "propagate_map", "bridge_spectra"])
+        (lambda gen: bridge_moments(gen, [1.5, 0.5], 1e-3), "0.5"),
+    ], ids=["rates_at-grid", "rates_at-scalar", "propagate_map", "bridge_moments"])
     def test_is_refused_naming_the_earliest_time(self, call, first, value):
         # rates_at used to return NaN entries.
         gen = LindbladGenerator(2, np.zeros((2, 2)), (
@@ -204,11 +205,11 @@ class TestRefusedTimes:
     @pytest.mark.parametrize("n_ops", [0, 1])
     @pytest.mark.parametrize("call, first", [
         (lambda gen: rates_at(gen, [0.0, math.nan, -1.0]), "nan"),
-        (lambda gen: bridge_spectra(gen, [math.nan, -1.0], 1e-3), "nan"),
+        (lambda gen: bridge_moments(gen, [math.nan, -1.0], 1e-3), "nan"),
         (lambda gen: propagate_map(gen, -1.0, 0.0), "-1.0"),
         # An empty interval used to return the identity before any check.
         (lambda gen: propagate_map(gen, -1.0, -1.0), "-1.0"),
-    ], ids=["rates_at", "bridge_spectra", "propagate_map", "propagate_map_empty"])
+    ], ids=["rates_at", "bridge_moments", "propagate_map", "propagate_map_empty"])
     def test_is_refused(self, call, first, n_ops):
         gen = LindbladGenerator(2, SIGMA_Z, ((SIGMA_X, ConstantRate(1.0)),)[:n_ops])
         with pytest.raises(ValueError, match=rf"^rate models are defined for finite "
@@ -229,8 +230,9 @@ class TestBatchedKernel:
         grid = np.linspace(0.0, 2.0, 263)
         windows_per_chunk = max(1, CHUNK_ENTRIES // d**4)
         assert grid.size % windows_per_chunk != 0  # a ragged last chunk at every d
-        rates, spectra = bridge_spectra(gen, grid, 1e-3)
-        assert np.max(np.abs(spectra - reference_bridge_spectra(gen, grid, 1e-3))) < self.TOL
+        rates, table = bridge_moments(gen, grid, 1e-3)
+        want = spectra_table(reference_bridge_spectra(gen, grid, 1e-3))
+        assert np.max(np.abs(table - want)) < self.TOL
         assert np.array_equal(rates, np.stack([rates_at(gen, float(t)) for t in grid], axis=1))
 
     @pytest.mark.parametrize("seed", [1, 2])
@@ -241,8 +243,9 @@ class TestBatchedKernel:
         rng = np.random.default_rng(seed)
         gen = random_expcos_generator(rng, d)
         grid = np.sort(rng.uniform(0.0, 2.0, 37))
-        _, spectra = bridge_spectra(gen, grid, 0.01)
-        assert np.max(np.abs(spectra - reference_bridge_spectra(gen, grid, 0.01))) < self.TOL
+        _, table = bridge_moments(gen, grid, 0.01)
+        want = spectra_table(reference_bridge_spectra(gen, grid, 0.01))
+        assert np.max(np.abs(table - want)) < self.TOL
 
     @pytest.mark.parametrize("d, t0, t1", [(2, 0.3, 1.7), (3, 0.3, 1.7), (4, 0.0, 0.5),
                                            (5, 0.1, 0.4), (8, 0.2, 0.25)])
@@ -253,17 +256,17 @@ class TestBatchedKernel:
         assert np.max(np.abs(phi - reference_rk4_propagate(gen, t0, t1, steps))) < self.TOL
 
     @pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf, 0.0])
-    def test_bridge_spectra_refuse_a_step_that_is_not_positive_and_finite(self, delta):
+    def test_bridge_moments_refuse_a_step_that_is_not_positive_and_finite(self, delta):
         gen = dephasing_generator(ConstantRate(1.0))
         with pytest.raises(ValueError, match="delta must be positive and finite"):
-            bridge_spectra(gen, [0.0, 1.0], delta)
+            bridge_moments(gen, [0.0, 1.0], delta)
 
     # Both used to fail in the step count: "cannot convert float infinity to
-    # integer" from bridge_spectra, a bare OverflowError from propagate_map.
+    # integer" from the bridge sweep, a bare OverflowError from propagate_map.
     @pytest.mark.parametrize("call, span", [
-        (lambda gen: bridge_spectra(gen, [0.0, 1.0], 1e308), "delta = 1e+308"),
+        (lambda gen: bridge_moments(gen, [0.0, 1.0], 1e308), "delta = 1e+308"),
         (lambda gen: propagate_map(gen, 0.0, 1e306), "t1 - t0 = 1e+306"),
-    ], ids=["bridge_spectra", "propagate_map"])
+    ], ids=["bridge_moments", "propagate_map"])
     def test_a_span_too_long_for_a_finite_step_count_is_refused(self, call, span):
         gen = dephasing_generator(ConstantRate(1.0))
         with pytest.raises(ValueError, match=rf"^{re.escape(span)} gives a non-finite number "
@@ -271,10 +274,10 @@ class TestBatchedKernel:
             call(gen)
 
     # Each used to reach numpy: "Maximum allowed size exceeded" from
-    # propagate_map, "array is too big" from bridge_spectra. Only the
+    # propagate_map, "array is too big" from the bridge sweep. Only the
     # explicit count was not refused in the package's words either way.
     @pytest.mark.parametrize("call, message", [
-        (lambda gen: bridge_spectra(gen, [0.0, 1.0], 1e15),
+        (lambda gen: bridge_moments(gen, [0.0, 1.0], 1e15),
          "delta = 1000000000000000.0 gives 1e+18 RK4 steps at 1000 per unit time, "
          "more than the 1000000 one window may take"),
         (lambda gen: propagate_map(gen, 0.0, 1e300),
@@ -282,7 +285,7 @@ class TestBatchedKernel:
          "more than the 1000000 one window may take"),
         (lambda gen: propagate_map(gen, 0.0, 1.0, steps=10**6 + 1),
          "steps = 1000001 is more than the 1000000 RK4 steps one window may take"),
-    ], ids=["bridge_spectra", "propagate_map", "propagate_map-steps"])
+    ], ids=["bridge_moments", "propagate_map", "propagate_map-steps"])
     def test_a_window_of_more_steps_than_the_cap_is_refused(self, call, message):
         gen = dephasing_generator(ConstantRate(1.0))
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -298,12 +301,12 @@ class TestBatchedKernel:
     # ValueError, neither naming the argument.
     @pytest.mark.parametrize("starts", [0.5, [[0.1, 0.2]], np.zeros((2, 0))],
                              ids=["scalar", "row", "empty-2-D"])
-    def test_bridge_spectra_refuse_starts_that_are_not_1d(self, starts):
+    def test_bridge_moments_refuse_starts_that_are_not_1d(self, starts):
         gen = dephasing_generator(ConstantRate(1.0))
         shape = np.shape(starts)
         with pytest.raises(ValueError, match=rf"^starts must be a 1-D array of times, "
                                              rf"got shape {re.escape(str(shape))}$"):
-            bridge_spectra(gen, starts, 0.01)
+            bridge_moments(gen, starts, 0.01)
 
     @pytest.mark.parametrize("steps, problem", [
         (0, "must be >= 1, got 0"), (-5, "must be >= 1, got -5"),
@@ -330,10 +333,33 @@ class TestBatchedKernel:
         windows_per_chunk = CHUNK_ENTRIES // d**4
         assert windows_per_chunk > 1
         grid = np.linspace(0.0, 1.0, 2 * windows_per_chunk + 3)
-        rates, spectra = bridge_spectra(gen, grid, 1e-3)
-        alone = [bridge_spectra(gen, [t], 1e-3) for t in grid]
+        rates, table = bridge_moments(gen, grid, 1e-3)
+        alone = [bridge_moments(gen, [t], 1e-3) for t in grid]
         assert rates.tobytes() == np.concatenate([r for r, _ in alone], axis=1).tobytes()
-        assert spectra.tobytes() == np.concatenate([s for _, s in alone]).tobytes()
+        assert table.tobytes() == np.concatenate([s for _, s in alone], axis=1).tobytes()
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 8])
+    def test_the_table_is_each_windows_spectrum_summed_bit_for_bit(self, d):
+        # The sweep keeps of each spectrum its smallest value and the power
+        # sums r_2 and r_3, taken here one window at a time from the kernel's
+        # own Choi states. The grid ends in a ragged chunk of one-step
+        # windows, and at delta = 0.01 at d = 8 every window is a chunk of
+        # its own, where numpy cubes a descending view of one row in other
+        # bits than a contiguous copy.
+        gen = random_expcos_generator(np.random.default_rng(120 + d), d)
+        windows_per_chunk = CHUNK_ENTRIES // d**4
+        grid = np.linspace(0.0, 1.0, 2 * windows_per_chunk + 3)
+        assert grid.size % windows_per_chunk != 0
+        for delta, steps in ((1e-3, 1), (0.01, 10)):
+            _, table = bridge_moments(gen, grid, delta)
+            chunks = choi._rk4_chunks(gen, grid, delta / steps, steps)
+            states = np.concatenate([from_hermitian_basis(maps, d) for *_, maps in chunks])
+            for column, state in zip(table.T, states, strict=True):
+                lam = np.linalg.eigvalsh(state)[::-1].copy()
+                want = np.array([lam[-1], np.sum(lam**2), np.sum(lam**3)])
+                assert column.tobytes() == want.tobytes()
+            alone = [bridge_moments(gen, [t], delta)[1] for t in grid]
+            assert table.tobytes() == np.concatenate(alone, axis=1).tobytes()
 
     @pytest.mark.parametrize("d", [2, 8])
     @pytest.mark.parametrize("entry, value, problem", [
@@ -346,7 +372,7 @@ class TestBatchedKernel:
         blocks = gen.transfer_blocks.copy()
         blocks[entry] += value
         monkeypatch.setitem(vars(gen), "transfer_blocks", blocks)  # the cached table
-        for call in (lambda: bridge_spectra(gen, np.linspace(0.0, 1.0, 9), 1e-3),
+        for call in (lambda: bridge_moments(gen, np.linspace(0.0, 1.0, 9), 1e-3),
                      lambda: propagate_map(gen, 0.5, 0.501)):
             with pytest.raises(ValueError, match="^map is not trace preserving: Choi trace "
                                                  f"deviation .* {problem}$"):
@@ -363,10 +389,10 @@ class TestBatchedKernel:
         grid = np.linspace(0.0, config.t_max, 200)
         peaks = []
         for delta in (1e-3, 1.0):
-            bridge_spectra(gen, grid[:1], delta)  # builds the transfer blocks
+            bridge_moments(gen, grid[:1], delta)  # builds the transfer blocks
             tracemalloc.start()
             try:
-                bridge_spectra(gen, grid, delta)
+                bridge_moments(gen, grid, delta)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -398,15 +424,16 @@ class TestBatchedKernel:
         # scales one by d and realigns it. Over one step of delta = 2**-10
         # from a dyadic start, t1 - t0 is delta exactly, so both calls
         # integrate the same map; undoing the realignment gives back the
-        # state the sweep eigensolves, bit for bit when d is a power of two.
+        # state the sweep eigensolves, bit for bit when d is a power of two,
+        # and so the smallest eigenvalue, r_2 and r_3 the sweep keeps.
         gen = random_expcos_generator(np.random.default_rng(110 + d), d)
         delta = 2.0**-10
         for t in (0.0, 0.5, 1.25):
             assert (t + delta) - t == delta
             superop = propagate_map(gen, t, t + delta).reshape(d, d, d, d)
             state = superop.transpose(2, 0, 3, 1).reshape(d * d, d * d) / d
-            got = np.linalg.eigvalsh(state)[::-1]
-            want = bridge_spectra(gen, [t], delta)[1][0]
+            got = spectra_table(np.linalg.eigvalsh(state)[None, ::-1])
+            want = bridge_moments(gen, [t], delta)[1]
             if d & (d - 1):
                 assert np.max(np.abs(got - want)) <= 1e-15
             else:
@@ -424,7 +451,7 @@ def same_bits(got, want):
 
 
 class TestLastSweep:
-    """bridge_spectra caches its most recent sweep, a pure function of the
+    """bridge_moments caches its most recent sweep, a pure function of the
     generator, delta and the bits of the starts."""
 
     GRID = np.linspace(0.0, 2.0, 41)
@@ -438,22 +465,22 @@ class TestLastSweep:
     def assert_fresh(self, result, gen, delta):
         """result is what a sweep into an empty cache returns."""
         choi._sweep.cache_clear()
-        assert same_bits(result, bridge_spectra(gen, self.GRID, delta))
+        assert same_bits(result, bridge_moments(gen, self.GRID, delta))
 
-    def test_a_hit_returns_the_read_only_spectra_of_the_miss(self, sweeps):
+    def test_a_hit_returns_the_read_only_table_of_the_miss(self, sweeps):
         gen = random_expcos_generator(np.random.default_rng(3), 3)
-        rates, spectra = bridge_spectra(gen, self.GRID, 0.01)
-        assert not spectra.flags.writeable
+        rates, table = bridge_moments(gen, self.GRID, 0.01)
+        assert table.shape == (3, self.GRID.size) and not table.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
-            spectra[0, 0] = 0.0
+            table[0, 0] = 0.0
         for _ in range(2):
-            hit_rates, hit_spectra = bridge_spectra(gen, self.GRID, 0.01)
-            assert hit_spectra is spectra
+            hit_rates, hit_table = bridge_moments(gen, self.GRID, 0.01)
+            assert hit_table is table
             # Each call gets its own writeable copy of the rates.
             assert hit_rates is not rates and hit_rates.flags.writeable
             assert same_bits((hit_rates,), (rates,))
         assert len(sweeps) == 1
-        self.assert_fresh((rates, spectra), gen, 0.01)
+        self.assert_fresh((rates, table), gen, 0.01)
 
     def test_a_hit_evaluates_no_rate_and_warns_again_in_the_same_words(self, sweeps):
         rate = CountingRate()
@@ -462,7 +489,7 @@ class TestLastSweep:
         messages = []
         for _ in range(3):
             with pytest.warns(UserWarning, match="RK4 step is dubious") as record:
-                bridge_spectra(gen, self.GRID, 1e-3)
+                bridge_moments(gen, self.GRID, 1e-3)
             messages.append([str(w.message) for w in record])
             # One RK4 step per window: rates at its start, middle and end.
             assert rate.calls == 3 * self.GRID.size
@@ -474,8 +501,8 @@ class TestLastSweep:
             self, sweeps):
         gen = random_expcos_generator(np.random.default_rng(3), 3)
         twin = LindbladGenerator(gen.dim, gen.hamiltonian, gen.dissipators)
-        first = bridge_spectra(gen, self.GRID, 0.01)
-        second = bridge_spectra(twin, self.GRID, 0.01)
+        first = bridge_moments(gen, self.GRID, 0.01)
+        second = bridge_moments(twin, self.GRID, 0.01)
         assert len(sweeps) == 2
         assert second[1] is not first[1]
         assert same_bits(second, first)
@@ -483,18 +510,18 @@ class TestLastSweep:
     def test_same_rates_other_hamiltonian_miss(self, sweeps):
         gen_x = self.generator(SIGMA_X)
         gen_y = LindbladGenerator(2, 0.3 * SIGMA_Y, gen_x.dissipators)
-        rates_x, spectra_x = bridge_spectra(gen_x, self.GRID, 0.01)
-        result_y = bridge_spectra(gen_y, self.GRID, 0.01)
+        rates_x, table_x = bridge_moments(gen_x, self.GRID, 0.01)
+        result_y = bridge_moments(gen_y, self.GRID, 0.01)
         assert len(sweeps) == 2
         assert np.array_equal(rates_x, result_y[0])
-        assert not np.array_equal(spectra_x, result_y[1])
+        assert not np.array_equal(table_x, result_y[1])
         self.assert_fresh(result_y, gen_y, 0.01)
 
     def test_generator_is_immutable_and_a_rebuilt_one_misses(self, sweeps):
         rate = ExpCosRate()
         hamiltonian, op = 0.3 * SIGMA_X, LOWERING.copy()
         gen = LindbladGenerator(2, hamiltonian, ((SIGMA_Z, rate), (op, rate)))
-        before = bridge_spectra(gen, self.GRID, 0.01)
+        before = bridge_moments(gen, self.GRID, 0.01)
         for frozen in (gen.hamiltonian, gen.dissipators[1][0], gen.transfer_blocks):
             with pytest.raises(ValueError, match="read-only"):
                 frozen[1, 0] = 0.5
@@ -502,51 +529,51 @@ class TestLastSweep:
             rate.k = 1.5
         # The caller's arrays stay theirs: writeable, and no longer read by gen.
         hamiltonian[1, 0] = op[1, 0] = 0.5
-        assert same_bits(bridge_spectra(gen, self.GRID, 0.01), before)
+        assert same_bits(bridge_moments(gen, self.GRID, 0.01), before)
         assert len(sweeps) == 1
         rebuilt = LindbladGenerator(2, gen.hamiltonian, ((SIGMA_Z, rate), (op, rate)))
-        after = bridge_spectra(rebuilt, self.GRID, 0.01)
+        after = bridge_moments(rebuilt, self.GRID, 0.01)
         assert len(sweeps) == 2
         assert not np.array_equal(before[1], after[1])
         self.assert_fresh(after, rebuilt, 0.01)
 
     def test_other_delta_or_starts_miss(self, sweeps):
         gen = self.generator()
-        bridge_spectra(gen, self.GRID, 0.01)
-        result = bridge_spectra(gen, self.GRID, 0.02)
+        bridge_moments(gen, self.GRID, 0.01)
+        result = bridge_moments(gen, self.GRID, 0.02)
         assert len(sweeps) == 2
         self.assert_fresh(result, gen, 0.02)
         # -0.0 starts the same window as 0.0, but its bits differ.
-        bridge_spectra(gen, np.where(self.GRID == 0.0, -0.0, self.GRID), 0.02)
+        bridge_moments(gen, np.where(self.GRID == 0.0, -0.0, self.GRID), 0.02)
         assert len(sweeps) == 4
 
     def test_rk4_warning_fires_on_a_hit(self, sweeps):
         gen = dephasing_generator(ConstantRate(200.0))
         for _ in range(2):
             with pytest.warns(UserWarning, match="RK4 step is dubious"):
-                bridge_spectra(gen, self.GRID, 1e-3)
+                bridge_moments(gen, self.GRID, 1e-3)
         assert len(sweeps) == 1
 
     def test_a_refused_sweep_is_not_cached(self, sweeps):
         gen = dephasing_generator(UncheckedConstantRate(math.nan))
         for _ in range(2):
             with pytest.raises(ValueError, match="non-finite rate at t = 0:"):
-                bridge_spectra(gen, self.GRID, 0.01)
+                bridge_moments(gen, self.GRID, 0.01)
         assert len(sweeps) == 2
 
-    def test_threads_alternating_generators_get_their_own_spectra(self, sweeps):
+    def test_threads_alternating_generators_get_their_own_tables(self, sweeps):
         # Four threads (more than the cores here), two per generator, in
         # lockstep so the two generators alternate in the cache; a short
-        # switch interval interleaves them inside bridge_spectra too.
+        # switch interval interleaves them inside bridge_moments too.
         gens = [random_expcos_generator(np.random.default_rng(seed), 2) for seed in (4, 5)]
-        expected = [bridge_spectra(gen, self.GRID, 0.01) for gen in gens]
+        expected = [bridge_moments(gen, self.GRID, 0.01) for gen in gens]
         turns = threading.Barrier(4)
         results = [[] for _ in range(4)]
 
         def work(gen, out):
             for _ in range(10):
                 turns.wait(timeout=60)
-                out.append(bridge_spectra(gen, self.GRID, 0.01))
+                out.append(bridge_moments(gen, self.GRID, 0.01))
 
         threads = [threading.Thread(target=work, args=(gens[i % 2], results[i]))
                    for i in range(4)]
@@ -640,23 +667,27 @@ class TestChoiStates:
         with pytest.raises(ValueError, match=r"deviation 2\.000e\+01 exceeds 1\.0e\+01$"):
             _require_trace_preserving(maps, 2)
 
+    # The table's columns are the smallest Choi eigenvalue, r_2 and r_3.
     def test_identity_gives_bell_state(self):
-        _, lam = bridge_spectra(LindbladGenerator(2, np.zeros((2, 2)), ()), [0.0, 1.0], 0.01)
-        assert np.allclose(lam, [[1.0, 0.0, 0.0, 0.0]] * 2, atol=1e-15)
+        # Spectrum {1, 0, 0, 0}: a pure state.
+        _, table = bridge_moments(LindbladGenerator(2, np.zeros((2, 2)), ()), [0.0, 1.0], 0.01)
+        assert np.allclose(table, [[0.0] * 2, [1.0] * 2, [1.0] * 2], atol=1e-15)
 
     def test_constant_dephasing_spectrum(self):
+        # Spectrum {3/4, 1/4, 0, 0}: r_2 = 10/16 and r_3 = 28/64.
         gen = dephasing_generator(ConstantRate(1.0))
-        _, lam = bridge_spectra(gen, [0.0, 2.0], np.log(2.0) / 2.0)
-        assert np.allclose(lam, [[0.75, 0.25, 0.0, 0.0]] * 2, atol=1e-9)
+        _, table = bridge_moments(gen, [0.0, 2.0], np.log(2.0) / 2.0)
+        assert np.allclose(table, [[0.0] * 2, [0.625] * 2, [0.4375] * 2], atol=1e-9)
 
     def test_negative_rate_window_is_not_cp(self):
-        # Coherence factor q = e^{2 delta}: spectrum {(1 + q)/2, (1 - q)/2, 0, 0}.
+        # Coherence factor q = e^{2 delta}: spectrum {(1 + q)/2, (1 - q)/2, 0, 0},
+        # so r_2 = (1 + q^2)/2 and r_3 = (1 + 3 q^2)/4.
         gen = dephasing_generator(ConstantRate(-1.0))
-        _, lam = bridge_spectra(gen, [0.0], 1e-3)
+        _, table = bridge_moments(gen, [0.0], 1e-3)
         q = np.exp(2e-3)
-        assert np.allclose(lam, [[(1.0 + q) / 2.0, 0.0, 0.0, (1.0 - q) / 2.0]], atol=1e-12)
-        assert lam[0, -1] == pytest.approx(-1e-3, abs=1e-5)
-        assert np.sum(lam) == pytest.approx(1.0, abs=1e-12)
+        assert np.allclose(table, [[(1.0 - q) / 2.0], [(1.0 + q**2) / 2.0],
+                                   [(1.0 + 3.0 * q**2) / 4.0]], atol=1e-12)
+        assert table[0, 0] == pytest.approx(-1e-3, abs=1e-5)
         series = witness_series(gen, [0.0, 1.0], 1e-3, mode="finite-interval")
         assert np.all(series.values > VIOLATION_THRESHOLD)
 
@@ -666,9 +697,9 @@ class TestChoiStates:
         rng = np.random.default_rng(60 + d)
         gen = random_generator(rng, d, n_ops=2)
         delta = 0.05
-        _, lam = bridge_spectra(gen, [0.0, 1.0], delta)
+        _, table = bridge_moments(gen, [0.0, 1.0], delta)
         exact = np.linalg.eigvalsh(reference_choi(expm(delta * reference_superoperator(gen, 0.0))))
-        assert np.allclose(lam, [exact[::-1]] * 2, atol=1e-11)
+        assert np.allclose(table, spectra_table([exact[::-1]] * 2), atol=1e-11)
 
     def test_consistency_with_small_time_choi(self):
         rng = np.random.default_rng(32)
@@ -768,11 +799,11 @@ class TestRequirePositive:
     @pytest.mark.parametrize("name, call", [
         ("epsilon", lambda gen, v: witness_series(gen, [0.0, 1.0], v)),
         ("delta", lambda gen, v: cp_divisibility_scan(gen, [0.0, 1.0], v)),
-        ("delta", lambda gen, v: bridge_spectra(gen, [0.0, 1.0], v)),
+        ("delta", lambda gen, v: bridge_moments(gen, [0.0, 1.0], v)),
         ("t_max", lambda gen, v: measure_report(gen, v, 5)),
         ("t0", lambda gen, v: propagate_map(gen, v, 2.0)),
         ("t1", lambda gen, v: propagate_map(gen, 0.0, v))],
-        ids=["witness_series", "cp_divisibility_scan", "bridge_spectra", "measure_report",
+        ids=["witness_series", "cp_divisibility_scan", "bridge_moments", "measure_report",
              "propagate_map t0", "propagate_map t1"])
     def test_refuses_a_bool_or_a_value_that_is_not_a_real_number(self, name, call, value):
         gen = dephasing_generator(ConstantRate(1.0))
@@ -782,8 +813,8 @@ class TestRequirePositive:
 
     # The checks it replaced each wrote this message; callers and tests read it.
     @pytest.mark.parametrize("name, call", [
-        ("delta", lambda gen, v: bridge_spectra(gen, [0.0, 1.0], v))],
-        ids=["bridge_spectra"])
+        ("delta", lambda gen, v: bridge_moments(gen, [0.0, 1.0], v))],
+        ids=["bridge_moments"])
     def test_each_caller_keeps_its_message(self, name, call):
         gen = dephasing_generator(ConstantRate(1.0))
         with pytest.raises(ValueError) as info:

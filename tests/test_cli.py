@@ -150,12 +150,12 @@ class TestRunScenario:
         assert len(sweeps) == 1
 
         # With the cache emptied before every call the run still sweeps once:
-        # the witness and the scan read one bridge_spectra result.
+        # the witness and the scan read one bridge_moments result.
         def sweep_afresh(*args, **kwargs):
             choi._sweep.cache_clear()
-            return choi.bridge_spectra(*args, **kwargs)
+            return choi.bridge_moments(*args, **kwargs)
 
-        monkeypatch.setattr(detect, "bridge_spectra", sweep_afresh)
+        monkeypatch.setattr(detect, "bridge_moments", sweep_afresh)
         fresh = run_scenario(config, str(tmp_path / "fresh"))
         assert len(sweeps) == 2
         for output in ("witness", "divisibility"):
@@ -877,19 +877,23 @@ def test_a_long_bridge_sweep_peaks_below_64_mb(tmp_path):
     # divisibility example1 at --epsilon 1 sweeps 2000 windows of 1000 RK4
     # steps. Its half-step rates used to be one array, copied into the sweep
     # memo's key, and the process peaked at 245 MB; evaluated one chunk at a
-    # time, they leave it near 32 MB. A child's ru_maxrss starts from its
-    # parent's high-water mark, so a small launcher starts the run.
+    # time, they leave it near 32 MB. Each window's RK4 temporaries, about
+    # 1 MB, used to go back to the system and be faulted in again by the
+    # next: about 440 000 minor faults, against about 5 000 with buffers
+    # the windows share. A child's ru_maxrss starts from its parent's
+    # high-water mark, so a small launcher starts the run.
     launcher = ("import os, sys; pid = os.spawnv(os.P_NOWAIT, sys.executable, "
                 "[sys.executable, '-m', 'choi_moments', *sys.argv[1:]]); "
                 "_, status, usage = os.wait4(pid, 0); "
-                "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)")
+                "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss, usage.ru_minflt)")
     result = subprocess.run(
         [sys.executable, "-c", launcher, "divisibility", "example1", "--epsilon", "1",
          "--quiet", "--out-dir", str(tmp_path)], capture_output=True, text=True, timeout=120,
         env=dict(os.environ, PYTHONPATH=str(Path(choi.__file__).resolve().parents[1])))
-    code, kilobytes = map(int, result.stdout.split())
+    code, kilobytes, faults = map(int, result.stdout.split())
     assert code == 10, result.stderr
     assert kilobytes < 64 * 1024
+    assert faults < 50_000
 
 
 class TestCsv:

@@ -1,10 +1,12 @@
 import itertools
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from choi_moments.config import (
+    BUNDLED_SCENARIOS,
     ConfigError,
     DissipatorSpec,
     ScenarioConfig,
@@ -58,6 +60,21 @@ class TestBundledScenarios:
     def test_unknown_bundled_name(self):
         with pytest.raises(ConfigError, match="unknown bundled scenario"):
             bundled_scenario_path("examples")
+
+    def test_every_bundled_scenario_is_packaged_and_every_packaged_one_bundled(self):
+        # An editable install reads the scenarios from the source tree
+        # whatever the package-data globs say; a wheel ships only what they
+        # match.
+        tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+        root = Path(__file__).resolve().parents[1]
+        with open(root / "pyproject.toml", "rb") as f:
+            globs = tomllib.load(f)["tool"]["setuptools"]["package-data"]["choi_moments"]
+        package = root / "src" / "choi_moments"
+        shipped = {path.relative_to(package).as_posix()
+                   for glob in globs for path in package.glob(glob)}
+        bundled = {f"scenarios/{name}.cfg" for name in BUNDLED_SCENARIOS}
+        assert bundled <= shipped
+        assert {f"scenarios/{path.name}" for path in package.glob("scenarios/*.cfg")} == bundled
 
 
 class TestLoadScenario:

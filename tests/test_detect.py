@@ -11,7 +11,7 @@ from scipy.linalg import expm
 
 from choi_moments.choi import (
     CHUNK_ENTRIES,
-    bridge_spectra,
+    bridge_moments,
     max_entangled_projector,
     propagate_map,
 )
@@ -1225,7 +1225,7 @@ class TestDivisibilityScan:
         with pytest.raises(ValueError, match="delta must be positive and finite"):
             cp_divisibility_scan(gen, np.linspace(0.0, 1.0, 5), delta)
 
-    # Each check is choi.require_positive now (the scan's is bridge_spectra's),
+    # Each check is choi.require_positive now (the scan's is bridge_moments'),
     # and keeps the message it wrote before.
     @pytest.mark.parametrize("name, call", [
         ("epsilon", lambda gen, v: witness_series(gen, [0.0, 1.0], v)),
@@ -1283,15 +1283,15 @@ class TestDivisibilityScan:
             cp_divisibility_scan(gen, grid, config.epsilon)
 
     @pytest.mark.parametrize("call, peak", [
-        (lambda gen, grid, eps: bridge_spectra(gen, grid, eps), _GRID_PEAK),
+        (lambda gen, grid, eps: bridge_moments(gen, grid, eps), _GRID_PEAK),
         (lambda gen, grid, eps: cp_divisibility_scan(gen, grid, eps), _GRID_PEAK),
         (lambda gen, grid, eps: witness_series(gen, grid, eps, mode="finite-interval"),
          _GRID_PEAK),
-        # One window, [6.0, 6.1], across the pole: bridge_spectra(gen, [6.0], 0.1)
+        # One window, [6.0, 6.1], across the pole: bridge_moments(gen, [6.0], 0.1)
         # warns with this text too.
         (lambda gen, grid, eps: propagate_map(gen, 6.0, 6.1),
          "944 in the window starting at t = 6"),
-    ], ids=["bridge_spectra", "cp_divisibility_scan", "witness_series", "propagate_map"])
+    ], ids=["bridge_moments", "cp_divisibility_scan", "witness_series", "propagate_map"])
     def test_rk4_warning_names_the_callers_line(self, call, peak):
         gen, grid, config = bundled("example2")
         with pytest.warns(UserWarning, match="RK4 step is dubious") as records:

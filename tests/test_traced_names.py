@@ -49,7 +49,7 @@ def test_the_kernel_evaluates_rates_through_the_module_global(monkeypatch):
     monkeypatch.setattr(choi, "rates_at", counted)
     choi._sweep.cache_clear()
     gen = LindbladGenerator(2, np.zeros((2, 2)), ((SIGMA_Z, ExpCosRate()),))
-    choi.bridge_spectra(gen, np.linspace(0.0, 1.0, 1030), 1e-3)
+    choi.bridge_moments(gen, np.linspace(0.0, 1.0, 1030), 1e-3)
     assert shapes == [(1024, 3), (6, 3)]
     shapes.clear()
     choi.propagate_map(gen, 0.0, 1.5)
