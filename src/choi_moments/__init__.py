@@ -17,7 +17,7 @@ from .rates import (
     TabulatedRate,
     rate_eval,
 )
-from .lindblad import LindbladGenerator, named_operator
+from .lindblad import LindbladGenerator
 from .choi import max_entangled_projector, propagate_map
 from .detect import (
     DivisibilityReport,
@@ -43,7 +43,7 @@ __all__ = [
     "__version__",
     "ConstantRate", "ExpCosRate", "LorentzianRate", "OhmicDephasingRate",
     "TabulatedRate", "rate_eval",
-    "LindbladGenerator", "named_operator",
+    "LindbladGenerator",
     "max_entangled_projector", "propagate_map",
     "DivisibilityReport", "MeasureReport", "WitnessSeries",
     "cp_divisibility_scan", "lambda_moments", "measure_report",

@@ -24,8 +24,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .lindblad import (NAMED_OPERATORS, LindbladGenerator, named_operator, require_count,
-                       require_hermitian, require_positive)
+from .lindblad import (NAMED_OPERATORS, LindbladGenerator, require_count, require_hermitian,
+                       require_positive)
 from .rates import (
     ConstantRate,
     ExpCosRate,
@@ -415,21 +415,21 @@ def load_scenario(path: str) -> ScenarioConfig:
 
 def build_generator(config: ScenarioConfig) -> LindbladGenerator:
     """Materialize the Lindblad generator described by a config. One that
-    `parse_scenario` returned passed every check the generator makes."""
+    `parse_scenario` returned passed every check the generator makes. A
+    named operator is its `NAMED_OPERATORS` constant, which the generator
+    copies, and the generator shares equal rate models itself."""
     d = config.dimension
     if config.hamiltonian is None:
         hamiltonian = np.zeros((d, d), dtype=complex)
     else:
         hamiltonian = np.array(config.hamiltonian, dtype=complex).reshape(d, d)
     dissipators = []
-    # Equal rate models become one object, which `rates_at` evaluates once.
-    shared = {}
     for spec in config.dissipators:
         if spec.operator == "custom-matrix":
             op = np.array(spec.matrix, dtype=complex).reshape(d, d)
         else:
-            op = named_operator(spec.operator, d)
-        dissipators.append((op, shared.setdefault(spec.rate, spec.rate)))
+            op = NAMED_OPERATORS[spec.operator]
+        dissipators.append((op, spec.rate))
     return LindbladGenerator(d, hamiltonian, tuple(dissipators))
 
 

@@ -66,7 +66,6 @@ __all__ = [
     "LOWERING",
     "RAISING",
     "NAMED_OPERATORS",
-    "named_operator",
     "LindbladGenerator",
     "SmallTimeTables",
     "require_hermitian",
@@ -79,7 +78,8 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-# Read-only: every caller in the process shares them (`named_operator` copies).
+# Read-only: every caller in the process shares them, and a generator copies
+# what it is given.
 SIGMA_X = _read_only(np.array([[0, 1], [1, 0]], dtype=complex))
 SIGMA_Y = _read_only(np.array([[0, -1j], [1j, 0]], dtype=complex))
 SIGMA_Z = _read_only(np.array([[1, 0], [0, -1]], dtype=complex))
@@ -163,18 +163,6 @@ def require_count(name: str, value, minimum: int) -> int:
     return count
 
 
-def named_operator(name: str, dim: int) -> np.ndarray:
-    """Look up a named jump operator, checking it matches the dimension."""
-    if name not in NAMED_OPERATORS:
-        raise ValueError(
-            f"unknown operator name {name!r}; expected one of {sorted(NAMED_OPERATORS)}"
-        )
-    op = NAMED_OPERATORS[name]
-    if op.shape[0] != dim:
-        raise ValueError(f"operator {name!r} has dimension {op.shape[0]}, generator declares {dim}")
-    return op.copy()
-
-
 def _basis_weights(d: int) -> np.ndarray:
     """The change of basis U as one (d, d) table w: for a coordinate vector
     y laid out as a d x d matrix, U y = w * (y - i y^T). w is 1/sqrt(2)
@@ -241,11 +229,13 @@ class LindbladGenerator:
     refuses a `dim` that is not an integer of at least 2 (`require_count`),
     and a dissipator that is not an (operator, rate) pair whose rate is an
     immutable `rates.RateModel`, naming its index: a generator fixes its
-    rates. Every table below is read-only, built from the operators on first
-    use and kept: `small_time_tables`, the tables that every small-time
-    witness and rate limit reads (`small_time_moments`, `projected_spectra`),
-    all from one Gram matrix; and `transfer_blocks`, the generator's parts in
-    the Hermitian operator basis, which only the RK4 kernel reads. A
+    rates. Equal rate models become one object, the first of them, so
+    `rates_at` evaluates each distinct rate once. Every table below is
+    read-only, built from the operators on first use and kept:
+    `small_time_tables`, the tables that every small-time witness and rate
+    limit reads (`small_time_moments`, `projected_spectra`), all from one
+    Gram matrix; and `transfer_blocks`, the generator's parts in the
+    Hermitian operator basis, which only the RK4 kernel reads. A
     cached_property writes the instance __dict__ directly, past the refusing
     __setattr__.
 
@@ -260,7 +250,7 @@ class LindbladGenerator:
         h = _read_only(require_hermitian(np.asarray(hamiltonian, dtype=complex)))
         if h.shape != (dim, dim):
             raise ValueError(f"Hamiltonian shape {h.shape} does not match dim {dim}")
-        ops, rates = [], []
+        ops, rates, shared = [], [], {}
         for index, pair in enumerate(dissipators):
             op, rate = pair if isinstance(pair, tuple | list) and len(pair) == 2 else (None, None)
             if not isinstance(rate, RateModel):
@@ -272,7 +262,7 @@ class LindbladGenerator:
             if not np.all(np.isfinite(op)):
                 raise ValueError("jump operator has non-finite entries")
             ops.append(op)
-            rates.append(rate)
+            rates.append(shared.setdefault(rate, rate))
         stack = _read_only(np.array(ops, dtype=complex).reshape(len(ops), dim, dim))
         vars(self).update(dim=dim, hamiltonian=h, operators=stack,
                           dissipators=tuple(zip(stack, rates)))
@@ -462,11 +452,11 @@ def rates_at(gen: LindbladGenerator, t) -> np.ndarray:
     array t as rows, one per dissipator: shape (K,) + t.shape, C-contiguous.
 
     One `rate_eval` call per rate model: dissipators that share a model
-    object are evaluated once and fill each of their rows. A time that is
-    negative, NaN or infinite is refused whatever the number of
-    dissipators, and a NaN or infinite rate is refused, naming the earliest
-    time that has one; only a failed check of the whole array looks for
-    that time.
+    object, as equal models in one generator do, are evaluated once and
+    fill each of their rows. A time that is negative, NaN or infinite is
+    refused whatever the number of dissipators, and a NaN or infinite rate
+    is refused, naming the earliest time that has one; only a failed check
+    of the whole array looks for that time.
     """
     times = np.asarray(t, dtype=float)
     if not gen.dissipators:  # no `rate_eval` call checks the times

@@ -12,7 +12,6 @@ from choi_moments.lindblad import (
     SIGMA_Z,
     LindbladGenerator,
     from_hermitian_basis,
-    named_operator,
     rates_at,
     require_hermitian,
 )
@@ -87,23 +86,18 @@ class DuckRate:
 
 
 class TestConstruction:
-    def test_named_operators(self):
-        assert np.array_equal(named_operator("sigma_x", 2), SIGMA_X)
-        assert np.array_equal(named_operator("lowering", 2), LOWERING)
-        with pytest.raises(ValueError, match="unknown operator"):
-            named_operator("sigma_w", 2)
-        with pytest.raises(ValueError, match="dimension"):
-            named_operator("sigma_z", 3)
-
     @pytest.mark.parametrize("name", sorted(lindblad.NAMED_OPERATORS))
-    def test_named_operators_are_read_only_and_looked_up_as_copies(self, name):
+    def test_named_operators_are_read_only_and_generators_hold_own_copies(self, name):
         # One caller's in-place edit used to change every later generator.
         shared = lindblad.NAMED_OPERATORS[name]
+        before = shared.copy()
         with pytest.raises(ValueError, match="read-only"):
             shared[0, 0] = 5
-        op = named_operator(name, 2)
-        op[0, 0] = 5
-        assert op[0, 0] == 5 and shared[0, 0] != 5
+        gen = LindbladGenerator(2, SIGMA_X, ((shared, ConstantRate(1.0)),))
+        (op, _), = gen.dissipators
+        assert np.array_equal(op, shared) and not np.shares_memory(op, shared)
+        assert not op.flags.writeable
+        assert np.array_equal(shared, before) and not shared.flags.writeable
 
     def test_rejects_non_hermitian_hamiltonian(self):
         h = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -122,7 +116,7 @@ class TestConstruction:
         blocks = gen.transfer_blocks
         assert blocks.shape == (2, 4, 4)
         # LOWERING itself is read-only; a caller's own array stays writeable.
-        mine = named_operator("lowering", 2)
+        mine = LOWERING.copy()
         assert LindbladGenerator(2, SIGMA_X, ((mine, ConstantRate(1.0)),)).transfer_blocks.size
         assert mine.flags.writeable
         rebuilt = LindbladGenerator(2, SIGMA_X, gen.dissipators)
@@ -270,10 +264,15 @@ class TestSuperoperator:
     @pytest.mark.parametrize("shape", [(), (7,), (3, 5)])
     def test_rates_at_gives_one_row_per_dissipator(self, shape, monkeypatch):
         # One row per dissipator, the bits of its model's rate_eval; a shared
-        # rate model is evaluated once and fills both of its rows.
-        shared, other = ExpCosRate(k=1.5), ConstantRate(-0.25)
+        # rate model is evaluated once and fills each of its rows, and so is
+        # a model equal to it, which the generator holds as the first one.
+        shared, other, equal = ExpCosRate(k=1.5), ConstantRate(-0.25), ExpCosRate(k=1.5)
         gen = LindbladGenerator(2, np.zeros((2, 2)), (
-            (SIGMA_X, shared), (SIGMA_Y, other), (SIGMA_Z, shared)))
+            (SIGMA_X, shared), (SIGMA_Y, other), (SIGMA_Z, shared), (LOWERING, equal)))
+        held = [rate for _, rate in gen.dissipators]
+        assert [id(rate) for rate in held] == [id(shared), id(other), id(shared), id(shared)]
+        # Sharing is per generator: another one keeps its own object.
+        assert LindbladGenerator(2, SIGMA_Z, ((SIGMA_X, equal),)).dissipators[0][1] is equal
         t = np.linspace(0.0, 2.0, int(np.prod(shape))).reshape(shape)
         evaluated = []
 
@@ -284,7 +283,7 @@ class TestSuperoperator:
         monkeypatch.setattr(lindblad, "rate_eval", counted)
         rows = rates_at(gen, t)
         assert [id(m) for m in evaluated] == [id(shared), id(other)]
-        assert rows.shape == (3,) + shape and rows.flags.c_contiguous
+        assert rows.shape == (4,) + shape and rows.flags.c_contiguous
         want = np.stack([rate_eval(rate, t) for _, rate in gen.dissipators])
         assert rows.tobytes() == want.tobytes()
         empty = rates_at(LindbladGenerator(2, SIGMA_Z, ()), t)
