@@ -51,15 +51,5 @@ __all__ = [
     "ConfigError", "ScenarioConfig", "build_generator",
     "bundled_scenario_path", "load_scenario", "parse_scenario",
     "render_scenario",
-    "RunReport", "run_scenario",
 ]
 
-
-def __getattr__(name):
-    # The CLI layer loads on first use (PEP 562), so only the command line
-    # imports `cli`, and `python -m choi_moments.cli` runs one copy of it.
-    if name in ("RunReport", "run_scenario"):
-        from . import cli
-
-        return getattr(cli, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

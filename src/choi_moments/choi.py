@@ -328,9 +328,8 @@ def _sweep(gen: LindbladGenerator, delta: float, steps: int, starts: bytes
     table = np.empty((3, starts.size))
     for window, first, peak, maps in _rk4_chunks(gen, starts, delta / steps, steps):
         rows[:, window], peaks[window] = first, peak
-        # A descending copy: numpy cubes a lone row read backwards in other bits.
-        lam = np.linalg.eigvalsh(from_hermitian_basis(maps, d))[:, ::-1].copy()
-        table[:, window] = lam[:, -1], np.sum(lam**2, axis=1), np.sum(lam**3, axis=1)
+        lam = np.linalg.eigvalsh(from_hermitian_basis(maps, d))
+        table[:, window] = lam[:, 0], np.sum(lam**2, axis=1), np.sum(lam**3, axis=1)
     for array in (rows, peaks, table):
         array.setflags(write=False)
     return rows, peaks, table

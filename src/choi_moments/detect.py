@@ -128,7 +128,7 @@ class DivisibilityReport(NamedTuple):
 def lambda_moments(c: np.ndarray, n_max: int = 3) -> np.ndarray:
     """Trace moments [r_1, ..., r_n_max] of a Choi matrix; r_1 = 1 for TP maps.
 
-    Each moment sums the powers of the eigenvalues in descending order.
+    Each moment sums the eigenvalues' powers in the order `eigvalsh` gives.
     n_max is an integer >= 3, because the witness needs r_3. A matrix that
     is empty, not 2-D and square, not Hermitian within 1e-12 or not finite
     is refused with a ValueError.
@@ -136,7 +136,7 @@ def lambda_moments(c: np.ndarray, n_max: int = 3) -> np.ndarray:
     n_max = require_count("n_max", n_max, 3)
     if np.ndim(c) != 2 or np.size(c) == 0:
         raise ValueError(f"expected a non-empty square matrix, got shape {np.shape(c)}")
-    lam = np.linalg.eigvalsh(require_hermitian(c))[::-1]
+    lam = np.linalg.eigvalsh(require_hermitian(c))
     return np.array([np.sum(lam ** n) for n in range(1, n_max + 1)])
 
 
@@ -286,7 +286,8 @@ def _measures(gen: LindbladGenerator, grid: np.ndarray, gammas: np.ndarray) -> M
     as rows (K, n)."""
     f_series, g_series = _rate_limits(gen, gammas)
 
-    tail = np.searchsorted(grid, 0.95 * grid[-1])  # the first point >= 0.95 t_max
+    # The first point of the last 5% of the grid's span.
+    tail = np.searchsorted(grid, grid[0] + 0.95 * (grid[-1] - grid[0]))
     peaks = (("moment rate f", np.max(f_series[tail:])),
              ("trace-norm rate g", np.max(g_series[tail:])))
     undecayed = [f"{name} is still {peak:.3e}" for name, peak in peaks if peak > 1e-8]

@@ -195,21 +195,21 @@ def reference_rk4_propagate(gen, t0, t1, steps):
 
 
 def spectra_table(spectra):
-    """The table (3, W) `bridge_moments` returns, from descending Choi
-    spectra (W, d^2): each smallest eigenvalue, r_2 and r_3, summed as the
-    sweep sums them, over a contiguous copy."""
-    lam = np.ascontiguousarray(spectra)
-    return np.stack([lam[:, -1], np.sum(lam**2, axis=1), np.sum(lam**3, axis=1)])
+    """The table (3, W) `bridge_moments` returns, from ascending Choi
+    spectra (W, d^2) as `eigvalsh` returns them: each smallest eigenvalue,
+    r_2 and r_3, summed in that order."""
+    lam = np.asarray(spectra)
+    return np.stack([lam[:, 0], np.sum(lam**2, axis=1), np.sum(lam**3, axis=1)])
 
 
 def reference_bridge_spectra(gen, grid, delta):
-    """Descending Choi spectra of the bridges Lambda(t + delta, t), one window
+    """Ascending Choi spectra of the bridges Lambda(t + delta, t), one window
     at a time, with the library's 1000 RK4 steps per unit time."""
     steps = max(1, round(1000 * delta))
     spectra = []
     for t in grid:
         bridge = reference_rk4_propagate(gen, float(t), float(t) + delta, steps)
-        spectra.append(np.linalg.eigvalsh(reference_choi(bridge))[::-1])
+        spectra.append(np.linalg.eigvalsh(reference_choi(bridge)))
     return np.array(spectra)
 
 

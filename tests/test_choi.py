@@ -19,8 +19,8 @@ from choi_moments.choi import (
     propagate_map,
 )
 from choi_moments.config import build_generator, bundled_scenario_path, load_scenario
-from choi_moments.detect import (VIOLATION_THRESHOLD, cp_divisibility_scan, measure_report,
-                                 witness_series)
+from choi_moments.detect import (VIOLATION_THRESHOLD, cp_divisibility_scan, lambda_moments,
+                                 measure_report, witness_series)
 from choi_moments.lindblad import (
     LOWERING,
     SIGMA_X,
@@ -341,10 +341,10 @@ class TestBatchedKernel:
     def test_the_table_is_each_windows_spectrum_summed_bit_for_bit(self, d):
         # The sweep keeps of each spectrum its smallest value and the power
         # sums r_2 and r_3, taken here one window at a time from the kernel's
-        # own Choi states. The grid ends in a ragged chunk of one-step
-        # windows, and at delta = 0.01 at d = 8 every window is a chunk of
-        # its own, where numpy cubes a descending view of one row in other
-        # bits than a contiguous copy.
+        # own Choi states, summed as eigvalsh returns the spectrum, and
+        # lambda_moments sums them in the same bits. The grid ends in a
+        # ragged chunk of one-step windows, and at delta = 0.01 at d = 8
+        # every window is a chunk of its own.
         gen = random_expcos_generator(np.random.default_rng(120 + d), d)
         windows_per_chunk = CHUNK_ENTRIES // d**4
         grid = np.linspace(0.0, 1.0, 2 * windows_per_chunk + 3)
@@ -354,9 +354,10 @@ class TestBatchedKernel:
             chunks = choi._rk4_chunks(gen, grid, delta / steps, steps)
             states = np.concatenate([from_hermitian_basis(maps, d) for *_, maps in chunks])
             for column, state in zip(table.T, states, strict=True):
-                lam = np.linalg.eigvalsh(state)[::-1].copy()
-                want = np.array([lam[-1], np.sum(lam**2), np.sum(lam**3)])
+                lam = np.linalg.eigvalsh(state)
+                want = np.array([lam[0], np.sum(lam**2), np.sum(lam**3)])
                 assert column.tobytes() == want.tobytes()
+                assert lambda_moments(state)[1:].tobytes() == column[1:].tobytes()
             alone = [bridge_moments(gen, [t], delta)[1] for t in grid]
             assert table.tobytes() == np.concatenate(alone, axis=1).tobytes()
 
@@ -431,7 +432,7 @@ class TestBatchedKernel:
             assert (t + delta) - t == delta
             superop = propagate_map(gen, t, t + delta).reshape(d, d, d, d)
             state = superop.transpose(2, 0, 3, 1).reshape(d * d, d * d) / d
-            got = spectra_table(np.linalg.eigvalsh(state)[None, ::-1])
+            got = spectra_table(np.linalg.eigvalsh(state)[None])
             want = bridge_moments(gen, [t], delta)[1]
             if d & (d - 1):
                 assert np.max(np.abs(got - want)) <= 1e-15
@@ -701,7 +702,7 @@ class TestChoiStates:
         delta = 0.05
         _, table = bridge_moments(gen, [0.0, 1.0], delta)
         exact = np.linalg.eigvalsh(reference_choi(expm(delta * reference_superoperator(gen, 0.0))))
-        assert np.allclose(table, spectra_table([exact[::-1]] * 2), atol=1e-11)
+        assert np.allclose(table, spectra_table([exact] * 2), atol=1e-11)
 
     def test_consistency_with_small_time_choi(self):
         rng = np.random.default_rng(32)

@@ -483,7 +483,7 @@ class TestMainExitCodes:
                            skiprows=1)
         grid = np.linspace(0.0, config.t_max, config.points)
         assert np.array_equal(table[:, 0], grid)
-        want = reference_bridge_spectra(build_generator(config), grid, config.epsilon)[:, -1]
+        want = reference_bridge_spectra(build_generator(config), grid, config.epsilon)[:, 0]
         assert np.max(np.abs(table[:, 1] - want)) < 1e-13
         # The oracle alone gives the same verdict: some bridge is not CP.
         assert np.min(want) < -detect._SCAN_CP_TOL
@@ -865,10 +865,12 @@ print(" ".join(sorted(set(sys.modules) - before)))
                     "importlib.resources"} & loaded
 
     def test_importing_the_package_does_not_import_the_cli(self):
+        # The command-line layer's names live in choi_moments.cli alone.
         result = python_with("import sys, choi_moments\n"
                              "print('choi_moments.cli' in sys.modules)\n"
-                             "print(choi_moments.run_scenario.__module__)\n")
-        assert result.stdout == "False\nchoi_moments.cli\n", result.stderr
+                             "print([hasattr(choi_moments, name) or name in choi_moments.__all__\n"
+                             "       for name in ('RunReport', 'run_scenario')])\n")
+        assert result.stdout == "False\n[False, False]\n", result.stderr
 
 
 

@@ -61,6 +61,7 @@ from helpers import (
     reference_violation_intervals,
     renyi_entropy,
     schatten_norm,
+    spectra_table,
 )
 
 
@@ -154,11 +155,25 @@ class TestLambdaMoments:
             m = random_hermitian(rng, 6)
             assert lambda_moments(m)[0] == pytest.approx(float(np.trace(m).real), abs=1e-10)
 
-    def test_sums_the_descending_spectrum(self):
-        # The moments of the descending eigenvalues, summed in that order.
+    def test_sums_the_spectrum_as_eigvalsh_returns_it(self):
+        # The moments of the ascending eigenvalues, summed in that order.
         m = random_hermitian(np.random.default_rng(17), 9)
-        lam = np.linalg.eigvalsh(m)[::-1]
+        lam = np.linalg.eigvalsh(m)
         assert lambda_moments(m, 4).tolist() == [np.sum(lam**n) for n in range(1, 5)]
+
+    def test_sums_kraus_choi_states_as_the_bridge_sweep_does(self):
+        # r_2 and r_3 in the bits of the sweep's table for the same
+        # spectrum. The states are made exactly Hermitian, so lambda_moments
+        # eigensolves c itself. Summed over a reversed view of the spectrum,
+        # while the sweep summed a descending copy, 82 of these 2000 states
+        # used to differ from the table in the last bit.
+        rng = np.random.default_rng(5)
+        for d in (2, 3, 4, 5, 8):
+            for _ in range(400):
+                c = random_kraus_choi(rng, d, int(rng.integers(1, d * d + 1)))
+                c = 0.5 * (c + c.conj().T)
+                want = spectra_table(np.linalg.eigvalsh(c)[None])[1:, 0]
+                assert lambda_moments(c)[1:].tobytes() == want.tobytes()
 
     def test_identity(self):
         assert lambda_moments(np.eye(2)).tolist() == [2.0, 2.0, 2.0]
@@ -1359,6 +1374,18 @@ class TestAssess:
         assert rate.calls == 3 * grid.size
         assert np.array_equal(series.rates[:, 0], CountingRate.formula(grid))
         assert measures.moment_measure > 0.0
+
+    def test_the_measures_tail_is_the_last_5_percent_of_the_grids_span(self):
+        # The rate is -1 until t = 10.2 and 0 from t = 10.25 on. The tail of
+        # a grid over [10, 10.5] starts at 10.475, not at 0.95 * 10.5, which
+        # used to take the whole grid as its tail and warn.
+        rate = TabulatedRate(((0.0, -1.0), (10.2, -1.0), (10.25, 0.0), (30.0, 0.0)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, measures, _ = assess(dephasing_generator(rate), np.linspace(10.0, 10.5, 101),
+                                    1e-3)
+        assert measures.moment_measure == pytest.approx(0.225, rel=1e-12)
+        assert measures.rhp_measure == pytest.approx(0.45, rel=1e-12)
 
     def test_checks_its_arguments_as_witness_series_does(self):
         gen = dephasing_generator(ConstantRate(1.0))
