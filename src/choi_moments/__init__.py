@@ -18,7 +18,7 @@ from .rates import (
     rate_eval,
 )
 from .lindblad import LindbladGenerator
-from .choi import max_entangled_projector, propagate_map
+from .choi import propagate_map
 from .detect import (
     DivisibilityReport,
     MeasureReport,
@@ -44,7 +44,7 @@ __all__ = [
     "ConstantRate", "ExpCosRate", "LorentzianRate", "OhmicDephasingRate",
     "TabulatedRate", "rate_eval",
     "LindbladGenerator",
-    "max_entangled_projector", "propagate_map",
+    "propagate_map",
     "DivisibilityReport", "MeasureReport", "WitnessSeries",
     "cp_divisibility_scan", "lambda_moments", "measure_report",
     "moment_witness", "witness_series",

@@ -16,8 +16,9 @@ reduction across a few long rows; the kernel drops each chunk's rates after
 it, so a sweep's memory does not grow with its steps. All propagation goes
 through that one batched fixed-step RK4 kernel: `propagate_map` runs it over
 one window, and `bridge_moments` over one window [t, t + delta] per grid
-time. A generator fixes its rates, so a sweep is a pure function of it,
-delta and the starts, and the last sweep is cached.
+time, each window in max(1, round(DEFAULT_STEPS_PER_UNIT * span)) steps
+(`_default_steps`). A generator fixes its rates, so a sweep is a pure
+function of it, delta and the starts, and the last sweep is cached.
 The kernel weights the generator's read-only real transfer blocks
 [S_0, S_1, ...], its Hamiltonian part and each dissipator at unit rate in an
 orthonormal basis of Hermitian operators, built from the operators
@@ -47,11 +48,10 @@ from functools import lru_cache
 import numpy as np
 
 from .lindblad import (CHUNK_ENTRIES, LindbladGenerator, from_hermitian_basis, rates_at,
-                       require_count, require_positive, require_real)
+                       require_positive, require_real)
 from .rates import require_rate_times
 
 __all__ = [
-    "max_entangled_projector",
     "propagate_map",
     "bridge_moments",
 ]
@@ -74,14 +74,6 @@ _CHOI_TRACE_ATOL = 1e-6
 # does, and past it lie only runpy or an entry-point script.
 _PACKAGE_PREFIX = os.path.dirname(__file__) + os.sep
 _CLI_FILE = _PACKAGE_PREFIX + "cli.py"
-
-
-def max_entangled_projector(d: int) -> np.ndarray:
-    """Rank-1 projector onto (1/sqrt(d)) sum_i |ii>; trace 1, purity 1."""
-    d = require_count("d", d, 2)
-    phi = np.zeros(d * d, dtype=complex)
-    phi[:: d + 1] = 1.0 / np.sqrt(d)
-    return np.outer(phi, phi.conj())
 
 
 def _require_trace_preserving(maps: np.ndarray, d: int) -> None:
@@ -244,19 +236,16 @@ def _guard_rk4(h: float, peaks: np.ndarray, starts: np.ndarray) -> None:
                                        "in the window starting at t = {:.6g}")
 
 
-def propagate_map(
-    gen: LindbladGenerator, t0: float, t1: float, steps: int | None = None
-) -> np.ndarray:
+def propagate_map(gen: LindbladGenerator, t0: float, t1: float) -> np.ndarray:
     """Time-ordered propagator Phi(t1, t0) of the generator: its row-major
     superoperator, a complex d^2 x d^2 array, read off the map's Choi state
     C as S[(a, b), (i, j)] = d C[(i, a), (j, b)].
 
-    Fixed-step fourth-order integration with step (t1 - t0)/steps, steps an
-    integer >= 1 and at most MAX_WINDOW_STEPS; the default resolution is
-    1000 steps per unit time, and a span that needs more than
-    MAX_WINDOW_STEPS of them is refused.
+    Fixed-step fourth-order integration with the step rule of every bridge
+    window, max(1, round(DEFAULT_STEPS_PER_UNIT * (t1 - t0))) steps; a span
+    that needs more than MAX_WINDOW_STEPS of them is refused, naming t1 - t0.
     Doubling the steps must not move the result by more than ~1e-8 in
-    max-entry norm at the default resolution for the rate scales in scope.
+    max-entry norm for the rate scales in scope.
     Both times must be finite real numbers, and a time the rate models are
     not defined at (t < 0) is refused, the empty interval t1 == t0 too.
     Warns and refuses as the bridge sweep does: when some step has
@@ -269,12 +258,7 @@ def propagate_map(
             raise ValueError(f"{name} must be finite, got {t}")
     if t1 < t0:
         raise ValueError(f"require t1 >= t0, got t0 = {t0}, t1 = {t1}")
-    if steps is None:
-        steps = _default_steps("t1 - t0", t1 - t0)
-    steps = require_count("steps", steps, 1)
-    if steps > MAX_WINDOW_STEPS:
-        raise ValueError(f"steps = {steps} is more than the {MAX_WINDOW_STEPS} RK4 steps "
-                         "one window may take")
+    steps = _default_steps("t1 - t0", t1 - t0)
     require_rate_times(np.array([float(t0)]))
     d = gen.dim
     if t1 == t0:

@@ -4,7 +4,6 @@
 import numpy as np
 
 from choi_moments import choi
-from choi_moments.choi import max_entangled_projector
 from choi_moments.lindblad import (
     SIGMA_X,
     SIGMA_Y,
@@ -13,6 +12,14 @@ from choi_moments.lindblad import (
     rates_at,
 )
 from choi_moments.rates import ConstantRate, ExpCosRate, RateModel
+
+
+def max_entangled_projector(d):
+    """Rank-1 projector onto (1/sqrt(d)) sum_i |ii>: the Choi state of the
+    identity map in the normalized convention; trace 1, purity 1."""
+    phi = np.zeros(d * d, dtype=complex)
+    phi[:: d + 1] = 1.0 / np.sqrt(d)
+    return np.outer(phi, phi.conj())
 
 
 def dephasing_generator(rate):
@@ -161,6 +168,9 @@ def random_kraus_choi(rng, d, n_kraus):
     A (n_kraus*d) x d isometry sliced into Kraus blocks A_k satisfies
     sum_k A_k^dag A_k = I; the Choi state is sum_k |v_k><v_k| with
     v_k = vec(A_k^T)/sqrt(d). Independent of the package's construction.
+    The sum's mirrored entries round differently, so the state returned is
+    its Hermitian part, exactly Hermitian as every Choi state the kernel
+    builds is.
     """
     g = rng.normal(size=(n_kraus * d, d)) + 1j * rng.normal(size=(n_kraus * d, d))
     q, _ = np.linalg.qr(g)
@@ -168,7 +178,7 @@ def random_kraus_choi(rng, d, n_kraus):
     for k in range(n_kraus):
         v = q[k * d:(k + 1) * d].T.reshape(-1) / np.sqrt(d)
         choi += np.outer(v, v.conj())
-    return choi
+    return (choi + choi.conj().T) / 2
 
 
 def reference_rk4_propagate(gen, t0, t1, steps):

@@ -12,7 +12,6 @@ from scipy.linalg import expm
 from choi_moments.choi import (
     CHUNK_ENTRIES,
     bridge_moments,
-    max_entangled_projector,
     propagate_map,
 )
 from choi_moments.detect import (
@@ -44,6 +43,7 @@ from helpers import (
     dephasing_generator,
     first_order_choi,
     isotropic_pauli_generator,
+    max_entangled_projector,
     random_expcos_generator,
     random_generator,
     random_hermitian,
@@ -163,15 +163,14 @@ class TestLambdaMoments:
 
     def test_sums_kraus_choi_states_as_the_bridge_sweep_does(self):
         # r_2 and r_3 in the bits of the sweep's table for the same
-        # spectrum. The states are made exactly Hermitian, so lambda_moments
-        # eigensolves c itself. Summed over a reversed view of the spectrum,
-        # while the sweep summed a descending copy, 82 of these 2000 states
-        # used to differ from the table in the last bit.
+        # spectrum. The helper's states are exactly Hermitian, so
+        # lambda_moments eigensolves c itself. Summed over a reversed view
+        # of the spectrum, while the sweep summed a descending copy, 82 of
+        # these 2000 states used to differ from the table in the last bit.
         rng = np.random.default_rng(5)
         for d in (2, 3, 4, 5, 8):
             for _ in range(400):
                 c = random_kraus_choi(rng, d, int(rng.integers(1, d * d + 1)))
-                c = 0.5 * (c + c.conj().T)
                 want = spectra_table(np.linalg.eigvalsh(c)[None])[1:, 0]
                 assert lambda_moments(c)[1:].tobytes() == want.tobytes()
 

@@ -1,7 +1,8 @@
-"""The oracles of `helpers`, checked against closed forms: the entropy and
-norm oracles, which the acceptance criteria and the monotonicity tests read,
-also against the package's trace moments; the generator's superoperator,
-which the reference RK4 reads, against the generator's action."""
+"""The oracles of `helpers`, checked against closed forms: the maximally
+entangled projector, which the first-order Choi states are built on; the
+entropy and norm oracles, which the acceptance criteria and the monotonicity
+tests read, also against the package's trace moments; the generator's
+superoperator, which the reference RK4 reads, against the generator's action."""
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from helpers import (
     apply_generator,
     dephasing_generator,
     first_order_choi,
+    max_entangled_projector,
     random_generator,
     random_hermitian,
     random_psd_unit_trace,
@@ -20,6 +22,25 @@ from helpers import (
     renyi_entropy,
     schatten_norm,
 )
+
+
+class TestMaxEntangledProjector:
+    def test_qubit_entries(self):
+        bell = max_entangled_projector(2)
+        expected = np.zeros((4, 4))
+        for i, j in ((0, 0), (0, 3), (3, 0), (3, 3)):
+            expected[i, j] = 0.5
+        assert np.allclose(bell, expected, atol=1e-15)
+
+    def test_trace_and_purity(self):
+        bell = max_entangled_projector(2)
+        assert np.trace(bell).real == pytest.approx(1.0, abs=1e-14)
+        assert np.trace(bell @ bell).real == pytest.approx(1.0, abs=1e-14)
+
+    def test_qutrit_rank_one(self):
+        lam = np.linalg.eigvalsh(max_entangled_projector(3))[::-1]
+        assert lam[0] == pytest.approx(1.0, abs=1e-12)
+        assert np.max(np.abs(lam[1:])) < 1e-12
 
 
 class TestRenyiEntropy:
