@@ -246,7 +246,8 @@ def propagate_map(gen: LindbladGenerator, t0: float, t1: float) -> np.ndarray:
     that needs more than MAX_WINDOW_STEPS of them is refused, naming t1 - t0.
     Doubling the steps must not move the result by more than ~1e-8 in
     max-entry norm for the rate scales in scope.
-    Both times must be finite real numbers, and a time the rate models are
+    Both times must be finite real numbers, taken as Python floats whatever
+    their type, and a time the rate models are
     not defined at (t < 0) is refused, the empty interval t1 == t0 too.
     Warns and refuses as the bridge sweep does: when some step has
     |h * gamma| >= 0.1, naming t0 as the window start, and when the map is
@@ -256,14 +257,17 @@ def propagate_map(gen: LindbladGenerator, t0: float, t1: float) -> np.ndarray:
         require_real(name, t)
         if not np.isfinite(t):
             raise ValueError(f"{name} must be finite, got {t}")
+    # A float32 or float16 time would otherwise carry its precision into
+    # the step h, as bridge_moments' float(delta) does not.
+    t0, t1 = float(t0), float(t1)
     if t1 < t0:
         raise ValueError(f"require t1 >= t0, got t0 = {t0}, t1 = {t1}")
     steps = _default_steps("t1 - t0", t1 - t0)
-    require_rate_times(np.array([float(t0)]))
+    require_rate_times(np.array([t0]))
     d = gen.dim
     if t1 == t0:
         return np.eye(d * d, dtype=complex)
-    start, h = np.array([float(t0)]), (t1 - t0) / steps
+    start, h = np.array([t0]), (t1 - t0) / steps
     ((_, _, peak, phi),) = _rk4_chunks(gen, start, h, steps)
     _guard_rk4(h, peak, start)
     state = from_hermitian_basis(phi[0], d).reshape(d, d, d, d)

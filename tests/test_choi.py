@@ -112,6 +112,39 @@ class TestPropagateMap:
         assert phi[1, 1].real == pytest.approx(expected, abs=1e-10)
         assert phi[2, 2].real == pytest.approx(expected, abs=1e-10)
 
+    def test_step_doubling_converged(self):
+        # The doubled-step map from the reference RK4, which shares no code
+        # with the package's kernel.
+        gen = isotropic_pauli_generator(ExpCosRate(k=1.0))
+        t = 2.0 * np.pi
+        base = propagate_map(gen, 0.0, t)
+        fine = reference_rk4_propagate(gen, 0.0, t, 2 * round(1000 * t))
+        assert np.max(np.abs(base - fine)) < 1e-8
+
+    # max(1, round(1000 * (t1 - t0))) steps, as the bridge over the same
+    # window takes: at least one, and 62.5 rounds to even.
+    @pytest.mark.parametrize("t0, t1, steps", [
+        (0.0, 1e-4, 1), (0.0, 4e-4, 1), (0.0, 6e-4, 1), (0.0, 1.6e-3, 2),
+        (0.0, 0.0625, 62), (0.5, 0.5625, 62), (1.25, 1.75, 500), (0.0, 2.0, 2000)])
+    def test_takes_the_step_count_of_the_bridge_over_its_window(self, sweeps, t0, t1, steps):
+        gen = random_expcos_generator(np.random.default_rng(7), 2)
+        propagate_map(gen, t0, t1)
+        bridge_moments(gen, [t0], t1 - t0)
+        assert [(args[2], args[3]) for args in sweeps] == [((t1 - t0) / steps, steps)] * 2
+
+    def test_takes_no_step_count(self):
+        gen = dephasing_generator(ConstantRate(1.0))
+        with pytest.raises(TypeError, match="steps"):
+            propagate_map(gen, 0.0, 1.0, steps=2000)
+
+    # A float32 time used to make the step h float32 too: 2e-8 off the map
+    # of the same times as floats, and float16 2e-4 off.
+    @pytest.mark.parametrize("kind", [int, np.int64, np.float16, np.float32, np.float64])
+    def test_integrates_times_of_any_real_type_in_double_precision(self, kind):
+        gen = random_expcos_generator(np.random.default_rng(12), 2)
+        want = propagate_map(gen, 1.0, 2.0)
+        assert propagate_map(gen, kind(1), kind(2)).tobytes() == want.tobytes()
+
     def test_rejects_reversed_interval(self):
         gen = dephasing_generator(ConstantRate(1.0))
         with pytest.raises(ValueError, match="t1 >= t0"):

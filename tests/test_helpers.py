@@ -7,6 +7,7 @@ superoperator, which the reference RK4 reads, against the generator's action."""
 import numpy as np
 import pytest
 
+from choi_moments.choi import propagate_map
 from choi_moments.detect import lambda_moments
 from choi_moments.lindblad import LindbladGenerator
 from choi_moments.rates import ConstantRate, ExpCosRate
@@ -41,6 +42,15 @@ class TestMaxEntangledProjector:
         lam = np.linalg.eigvalsh(max_entangled_projector(3))[::-1]
         assert lam[0] == pytest.approx(1.0, abs=1e-12)
         assert np.max(np.abs(lam[1:])) < 1e-12
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 8])
+    def test_is_the_choi_state_of_the_identity_map(self, d):
+        # In the package's convention S[(a, b), (i, j)] = d C[(i, a), (j, b)],
+        # read back from the map a zero generator integrates over one step.
+        gen = LindbladGenerator(d, np.zeros((d, d)), ())
+        superop = propagate_map(gen, 0.0, 1e-3).reshape(d, d, d, d)
+        state = superop.transpose(2, 0, 3, 1).reshape(d * d, d * d) / d
+        assert np.max(np.abs(state - max_entangled_projector(d))) < 1e-15
 
 
 class TestRenyiEntropy:
